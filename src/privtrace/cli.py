@@ -16,15 +16,7 @@ from .attack import AttackError, apply_strategy, attack_problems
 from .dltts import DlttsError, validate
 from .dotexport import export_dot
 from .metrics import MetricError
-from .privacy import (
-    HammingAdjacency,
-    Mechanism,
-    PrivacyError,
-    RhoAdjacency,
-    min_dp_epsilon,
-    min_ldp_epsilon,
-    parse_epsilon,
-)
+from .privacy import Mechanism, PrivacyError, parse_epsilon
 from .scenario import (
     Report,
     Scenario,
@@ -32,6 +24,7 @@ from .scenario import (
     attack_for,
     attack_section,
     build_run,
+    dp_section,
     load_scenario,
     metric_section,
     parse_mode,
@@ -62,8 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallelism hint (accepted, currently sequential)")
 
     p = sub.add_parser("metric", help="pairwise distances over table rows")
     common(p)
@@ -86,8 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dp-check", help="LDP/DP epsilon bounds for a mechanism")
     p.add_argument("--scenario", help="scenario JSON file (for named mechanisms)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallelism hint (accepted, currently sequential)")
     p.add_argument("--mechanism", help="mechanism name within the scenario")
     p.add_argument("--mechanism-file",
                    help="standalone mechanism JSON (outputs + probs table)")
@@ -175,20 +164,9 @@ def _cmd_dp_check(scenario: Scenario | None, args) -> int:
         raise ScenarioError("dp-check needs --mechanism-file, or --scenario "
                             "plus --mechanism")
     report = Report(scenario.name if scenario else name)
-    report.add(f"## dp-check {name}")
-    ldp = min_ldp_epsilon(m)
-    report.put(f"dp/{name}/ldp", ldp, f"min LDP epsilon = {ldp}")
-    report.add(f"  witness: {ldp.witness_str()}")
-    if args.adjacency == "hamming":
-        adj = HammingAdjacency()
-    else:
-        taxonomies = scenario.schema.taxonomies if scenario else {}
-        adj = RhoAdjacency(parse_mode(args.mode), taxonomies=taxonomies)
-    dp = min_dp_epsilon(m, adj)
-    report.put(f"dp/{name}/dp", dp, f"min DP epsilon ({args.adjacency}) = {dp}")
-    report.add(f"  witness: {dp.witness_str()}")
+    bounded = dp_section(scenario, report, name, m, args.adjacency, args.mode)
     _emit(report)
-    return 1 if (ldp.unbounded or dp.unbounded) else 0
+    return 0 if bounded else 1
 
 
 def _cmd_attack(scenario: Scenario, args) -> int:

@@ -25,8 +25,6 @@ from .values import Atom, TaxonomyTree
 
 EPS_FLOAT_TOL = 1e-9
 
-_MAX_EXHAUSTIVE_OUTPUTS = 20
-
 
 class PrivacyError(ValueError):
     pass
@@ -182,44 +180,50 @@ def min_indist_epsilon(m: Mechanism, v, v2, alpha) -> EpsilonResult:
     return EpsilonResult(scale=Fraction(1), ratio=ratio, witness=witness)
 
 
-def _subsets(outputs: Sequence) -> Iterable[tuple]:
-    if len(outputs) > _MAX_EXHAUSTIVE_OUTPUTS:
-        raise PrivacyError(
-            f"{len(outputs)} outputs exceed the exhaustive subset scan limit"
-        )
-    for r in range(1, len(outputs) + 1):
-        yield from itertools.combinations(outputs, r)
-
-
 def _shares_output(m: Mechanism, v, v2) -> bool:
     return bool(set(m.support(v)) & set(m.support(v2)))
 
 
-def min_ldp_epsilon(m: Mechanism) -> EpsilonResult:
-    """Minimal epsilon for the local-privacy bound over every input pair
-    sharing a positive-probability output and every output subset S.
+def _pair_scan(m: Mechanism, distance) -> EpsilonResult:
+    """Max over unordered input pairs of ln(Pr[M(v) = o] / Pr[M(v') = o]) / d,
+    with d = distance(v, v') (None skips the pair).
 
-    Exhaustive over subsets; no analytic shortcut is assumed.
+    For pure epsilon-DP over a finite output space the maximum over events S
+    equals the maximum over single outputs (the mediant inequality: a sum's
+    ratio never exceeds its largest term's), so single outputs suffice.  A
+    witness event is the 1-tuple (o,).
     """
     best = EpsilonResult(
         scale=Fraction(1), ratio=Fraction(1), witness=(None, None, ())
     )
     for v, v2 in itertools.combinations(m.inputs, 2):
-        if not _shares_output(m, v, v2):
+        d = distance(v, v2)
+        if d is None:
             continue
-        for S in _subsets(m.outputs):
-            a, b = m.event_prob(v, S), m.event_prob(v2, S)
+        for o in m.outputs:
+            a, b = m.prob(v, o), m.prob(v2, o)
             for hi, lo, pair in ((a, b, (v, v2)), (b, a, (v2, v))):
                 if hi == 0:
                     continue
                 if lo == 0:
-                    return EpsilonResult(unbounded=True, witness=(*pair, S))
-                cand = EpsilonResult(
-                    scale=Fraction(1), ratio=hi / lo, witness=(*pair, S)
-                )
+                    return EpsilonResult(unbounded=True, witness=(*pair, (o,)))
+                ratio = hi / lo
+                if ratio == 1:
+                    continue
+                if d == 0:
+                    return EpsilonResult(unbounded=True, witness=(*pair, (o,)))
+                cand = EpsilonResult(scale=1 / d, ratio=ratio, witness=(*pair, (o,)))
                 if _exceeds(cand, best):
                     best = cand
     return best
+
+
+def min_ldp_epsilon(m: Mechanism) -> EpsilonResult:
+    """Minimal epsilon for the local-privacy bound over every input pair
+    sharing a positive-probability output and every output event."""
+    return _pair_scan(
+        m, lambda v, v2: Fraction(1) if _shares_output(m, v, v2) else None
+    )
 
 
 class Adjacency:
@@ -281,39 +285,17 @@ class TableAdjacency(Adjacency):
         return self.entries.get(frozenset((a, b)))
 
 
-def min_dp_epsilon(
-    m: Mechanism,
-    adjacency: Adjacency,
-    pairs: Iterable[tuple] | None = None,
-) -> EpsilonResult:
+def min_dp_epsilon(m: Mechanism, adjacency: Adjacency) -> EpsilonResult:
     """Minimal epsilon with Prob[M(D) in S] <= e^(eps*dist(D,D')) * Prob[M(D') in S]
-    for every supplied pair and every output subset; pairs default to all
-    unordered input pairs."""
-    if pairs is None:
-        pairs = itertools.combinations(m.inputs, 2)
-    best = EpsilonResult(
-        scale=Fraction(1), ratio=Fraction(1), witness=(None, None, ())
-    )
-    for v, v2 in pairs:
+    for every unordered input pair and every output event."""
+
+    def distance(v, v2) -> Fraction:
         d = adjacency.distance(v, v2)
         if d is None:
             raise PrivacyError(f"adjacency undefined on pair ({v!r}, {v2!r})")
-        for S in _subsets(m.outputs):
-            a, b = m.event_prob(v, S), m.event_prob(v2, S)
-            for hi, lo, pair in ((a, b, (v, v2)), (b, a, (v2, v))):
-                if hi == 0:
-                    continue
-                if lo == 0:
-                    return EpsilonResult(unbounded=True, witness=(*pair, S))
-                ratio = hi / lo
-                if ratio == 1:
-                    continue
-                if d == 0:
-                    return EpsilonResult(unbounded=True, witness=(*pair, S))
-                cand = EpsilonResult(scale=1 / d, ratio=ratio, witness=(*pair, S))
-                if _exceeds(cand, best):
-                    best = cand
-    return best
+        return d
+
+    return _pair_scan(m, distance)
 
 
 def min_scaled_indist_epsilon(

@@ -441,6 +441,32 @@ def strategy_section(
         report.add()
 
 
+def dp_section(
+    scenario: Scenario | None,
+    report: Report,
+    name: str,
+    m: Mechanism,
+    adjacency: str,
+    mode_name: str,
+) -> bool:
+    """LDP and DP epsilon bounds with witnesses; returns False when either
+    is unbounded.  Any adjacency other than "hamming" is rho under
+    `mode_name`, over the scenario's taxonomies (none without a scenario)."""
+    report.add(f"## dp-check {name}")
+    ldp = min_ldp_epsilon(m)
+    report.put(f"dp/{name}/ldp", ldp, f"min LDP epsilon = {ldp}")
+    report.add(f"  witness: {ldp.witness_str()}")
+    if adjacency == "hamming":
+        adj = HammingAdjacency()
+    else:
+        taxonomies = scenario.schema.taxonomies if scenario else {}
+        adj = RhoAdjacency(parse_mode(mode_name), taxonomies=taxonomies)
+    dp = min_dp_epsilon(m, adj)
+    report.put(f"dp/{name}/dp/{adjacency}", dp, f"min DP epsilon ({adjacency}) = {dp}")
+    report.add(f"  witness: {dp.witness_str()}")
+    return not (ldp.unbounded or dp.unbounded)
+
+
 def run_scenario(
     scenario: Scenario,
     *,
@@ -543,23 +569,10 @@ def run_scenario(
         )
 
     for entry in analysis.get("dp_check", []):
-        m = scenario.mechanism(entry["mechanism"])
-        report.add(f"## dp-check {entry['mechanism']}")
-        ldp = min_ldp_epsilon(m)
-        report.put(f"dp/{entry['mechanism']}/ldp", ldp, f"min LDP epsilon = {ldp}")
-        adjacency = entry.get("adjacency", "hamming")
-        if adjacency == "hamming":
-            adj = HammingAdjacency()
-        else:
-            adj = RhoAdjacency(
-                parse_mode(entry.get("mode", "integer-set")),
-                taxonomies=scenario.schema.taxonomies,
-            )
-        dp = min_dp_epsilon(m, adj)
-        report.put(
-            f"dp/{entry['mechanism']}/dp/{adjacency}",
-            dp,
-            f"min DP epsilon ({adjacency}) = {dp}",
+        name = entry["mechanism"]
+        dp_section(
+            scenario, report, name, scenario.mechanism(name),
+            entry.get("adjacency", "hamming"), entry.get("mode", "integer-set"),
         )
         report.add()
 

@@ -348,7 +348,7 @@ def test_criterion_8e_ldp_oracle_battery():
             assert res.ratio == best
         cases += 1
     assert cases >= CASES
-    _ok(8, f"exhaustive LDP scan matches the independent oracle on {cases} mechanisms")
+    _ok(8, f"pointwise LDP scan matches the independent oracle on {cases} mechanisms")
 
 
 _SAT_COLUMNS = (

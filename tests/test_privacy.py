@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -15,6 +16,7 @@ from privtrace.privacy import (
     PrivacyError,
     RhoAdjacency,
     TableAdjacency,
+    _exceeds,
     build_rr,
     is_eps_indistinguishable,
     min_dp_epsilon,
@@ -24,6 +26,7 @@ from privtrace.privacy import (
     min_ldp_epsilon,
     parse_epsilon,
 )
+from privtrace.values import Atom
 
 PC = IntervalMeasureMode.PAPER_COMPAT
 IS = IntervalMeasureMode.INTEGER_SET
@@ -189,6 +192,107 @@ def test_min_dp_undefined_adjacency_errors():
     m = Mechanism.from_rows("m", {"a": {"x": "1"}, "b": {"x": "1"}})
     with pytest.raises(PrivacyError):
         min_dp_epsilon(m, TableAdjacency())
+
+
+# Exhaustive scans over every output event: the differential oracle for the
+# pointwise pair scan behind min_ldp_epsilon and min_dp_epsilon.
+
+
+def _subsets(outputs):
+    for r in range(1, len(outputs) + 1):
+        yield from combinations(outputs, r)
+
+
+def exhaustive_ldp(m: Mechanism) -> EpsilonResult:
+    best = EpsilonResult(scale=F(1), ratio=F(1), witness=(None, None, ()))
+    for v, v2 in combinations(m.inputs, 2):
+        if not set(m.support(v)) & set(m.support(v2)):
+            continue
+        for S in _subsets(m.outputs):
+            a, b = m.event_prob(v, S), m.event_prob(v2, S)
+            for hi, lo, pair in ((a, b, (v, v2)), (b, a, (v2, v))):
+                if hi == 0:
+                    continue
+                if lo == 0:
+                    return EpsilonResult(unbounded=True, witness=(*pair, S))
+                cand = EpsilonResult(scale=F(1), ratio=hi / lo, witness=(*pair, S))
+                if _exceeds(cand, best):
+                    best = cand
+    return best
+
+
+def exhaustive_dp(m: Mechanism, adjacency) -> EpsilonResult:
+    best = EpsilonResult(scale=F(1), ratio=F(1), witness=(None, None, ()))
+    for v, v2 in combinations(m.inputs, 2):
+        d = adjacency.distance(v, v2)
+        if d is None:
+            raise PrivacyError(f"adjacency undefined on pair ({v!r}, {v2!r})")
+        for S in _subsets(m.outputs):
+            a, b = m.event_prob(v, S), m.event_prob(v2, S)
+            for hi, lo, pair in ((a, b, (v, v2)), (b, a, (v2, v))):
+                if hi == 0:
+                    continue
+                if lo == 0:
+                    return EpsilonResult(unbounded=True, witness=(*pair, S))
+                ratio = hi / lo
+                if ratio == 1:
+                    continue
+                if d == 0:
+                    return EpsilonResult(unbounded=True, witness=(*pair, S))
+                cand = EpsilonResult(scale=1 / d, ratio=ratio, witness=(*pair, S))
+                if _exceeds(cand, best):
+                    best = cand
+    return best
+
+
+def _random_mechanism(rng: random.Random) -> Mechanism:
+    """1-4 inputs (Atom pairs, so Hamming distances are 1 or 2) over 1-4
+    outputs; a third of the mechanisms have no zero weights, the rest have
+    zero-probability asymmetries at varying rates.  Small weights make
+    tied ratios common."""
+    n_in, n_out = rng.randint(1, 4), rng.randint(1, 4)
+    inputs = rng.sample(
+        [(Atom(x), Atom(y)) for x in "ab" for y in "xyz"], n_in
+    )
+    outputs = tuple(f"o{i}" for i in range(n_out))
+    zero_rate = rng.choice((0, 0.1, 0.4))
+    rows = {}
+    for v in inputs:
+        weights = [
+            0 if rng.random() < zero_rate else rng.randint(1, 4) for _ in outputs
+        ]
+        if not any(weights):
+            weights[rng.randrange(n_out)] = 1
+        total = sum(weights)
+        rows[v] = {o: F(w, total) for o, w in zip(outputs, weights) if w}
+    return Mechanism.from_rows("m", rows, outputs=outputs)
+
+
+def _random_table(rng: random.Random, inputs) -> TableAdjacency:
+    """Distances 0, fractional or whole, and sometimes missing."""
+    pairs = [
+        (a, b, rng.choice((0, F(1, 2), F(2, 3), 1, 2)))
+        for a, b in combinations(inputs, 2)
+        if rng.random() > 0.05
+    ]
+    return TableAdjacency.from_pairs(pairs)
+
+
+def _outcome(scan, *args):
+    try:
+        res = scan(*args)
+    except PrivacyError as exc:
+        return ("error", str(exc))
+    return (str(res), res.exact_str(), res.witness_str(), res.unbounded)
+
+
+def test_pair_scan_matches_exhaustive_subset_scan():
+    rng = random.Random(2)
+    for _ in range(2000):
+        m = _random_mechanism(rng)
+        assert _outcome(min_ldp_epsilon, m) == _outcome(exhaustive_ldp, m)
+        adj = rng.choice((HammingAdjacency(), _random_table(rng, m.inputs)))
+        assert _outcome(min_dp_epsilon, m, adj) == _outcome(exhaustive_dp, m, adj)
 
 
 def test_min_dp_rho_published_pair(published, hospital, viral):

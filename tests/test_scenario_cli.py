@@ -172,6 +172,78 @@ def test_cli_dp_check_standalone_mechanism_file(capsys, tmp_path):
     assert "witness:" in out
 
 
+def test_cli_dp_check_has_no_output_count_limit(capsys, tmp_path):
+    outputs = [f"o{i}" for i in range(24)]
+    skewed = {o: "1/24" for o in outputs} | {"o0": "1/16", "o1": "1/48"}
+    doc = {
+        "name": "wide",
+        "outputs": outputs,
+        "probs": {"u": {o: "1/24" for o in outputs}, "v": skewed},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code = cli_main(["dp-check", "--mechanism-file", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "report: wide",
+        "## dp-check wide",
+        "min LDP epsilon = ln(2/1) ≈ 0.69314718056",
+        "  witness: ('u', 'v', ('o1',))",
+        "min DP epsilon (hamming) = ln(2/1) ≈ 0.69314718056",
+        "  witness: ('u', 'v', ('o1',))",
+    ]
+
+
+def test_analyze_dp_check_entries(tmp_path):
+    (tmp_path / "schema.json").write_text(json.dumps(
+        {"columns": [{"name": "X", "class": "nominal", "group": "identifier"}]}
+    ))
+    scenario = {
+        "name": "dpcheck",
+        "schema": "schema.json",
+        "tables": {},
+        "mechanisms": {
+            "m": {
+                "outputs": ["a", "b", "c"],
+                "probs": {
+                    "u": {"a": "1/2", "b": "1/3", "c": "1/6"},
+                    "v": {"a": "1/4", "b": "1/4", "c": "1/2"},
+                    "w": {"a": "1/3", "b": "1/3", "c": "1/3"},
+                },
+            },
+            "z": {
+                "outputs": ["a", "b"],
+                "probs": {"p": {"a": "1"}, "q": {"a": "1/2", "b": "1/2"}},
+            },
+        },
+        "analysis": {
+            "dp_check": [
+                {"mechanism": "m"},
+                {"mechanism": "z", "adjacency": "rho", "mode": "paper-compat"},
+            ]
+        },
+    }
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+    report = run_scenario(load_scenario(tmp_path / "scenario.json"))
+    assert report.lines[report.lines.index("## dp-check m"):] == [
+        "## dp-check m",
+        "min LDP epsilon = ln(3/1) ≈ 1.09861228867",
+        "  witness: ('v', 'u', ('c',))",
+        "min DP epsilon (hamming) = ln(3/1) ≈ 1.09861228867",
+        "  witness: ('v', 'u', ('c',))",
+        "",
+        "## dp-check z",
+        "min LDP epsilon = unbounded",
+        "  witness: ('q', 'p', ('b',))",
+        "min DP epsilon (rho) = unbounded",
+        "  witness: ('q', 'p', ('b',))",
+        "",
+    ]
+    assert report.values["dp/m/dp/hamming"].ratio == 3
+    assert report.values["dp/z/dp/rho"].unbounded
+
+
 def test_cli_strategy_dot_marks_off_edges(capsys, tmp_path):
     dot_path = tmp_path / "b.dot"
     code = cli_main(
@@ -289,6 +361,7 @@ def test_cli_validate_flags_invalid_system(capsys, tmp_path):
 def test_cli_unknown_flag_exits_two(capsys):
     assert cli_main(["metric", "--scenario", HOSPITAL, "--frobnicate"]) == 2
     assert cli_main(["no-such-command"]) == 2
+    assert cli_main(["analyze", "--scenario", HOSPITAL, "--jobs", "2"]) == 2
 
 
 def test_export_dot_is_valid_dot_syntax(hospital):
