@@ -47,7 +47,6 @@ from .dltts import (
     Run,
     check_consistency,
     epsilon_equivalent_labels,
-    oracle_step,
     parse_dltts,
     reach_stop,
     render_dltts,

@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .dltts import Branch, Dltts, Label, Transition, parse_dltts
@@ -119,6 +120,21 @@ class AttackDltts:
 
     def switched_on(self, node: str, line: str) -> bool:
         return (node, line) not in self.off
+
+    @cached_property
+    def _runs(self) -> tuple[dict[str, Fraction], dict[str, tuple[str, Branch]]]:
+        """The priority-run pass, once per system: `replace(off=...)` makes
+        a new system, so the cache never outlives a change of switches."""
+        return _priority_runs(self)
+
+    @cached_property
+    def _max_pr(self) -> dict[str, Fraction]:
+        """`max_pr` of every line that labels a singleton node."""
+        best, _ = self._runs
+        out: dict[str, Fraction] = {}
+        for node, line in self.singleton_nodes():
+            out[line] = max(out.get(line, Fraction(0)), best.get(node, Fraction(0)))
+        return out
 
     def singleton_nodes(self) -> tuple[tuple[str, str], ...]:
         """(node, line) for every node whose incoming label is {line}."""
@@ -319,26 +335,30 @@ def _priority_runs(
 ) -> tuple[dict[str, Fraction], dict[str, tuple[str, Branch]]]:
     """Best run probability per state, restricted at every choice point to
     the priority-maximal outgoing transitions; predecessors for path
-    recovery.  Requires an acyclic system."""
+    recovery.  Requires an acyclic system.  Read it through `attack._runs`."""
     dltts = attack.dltts
+    # Depth-first post-order with an explicit stack; a `True` entry closes
+    # its state once every child pushed above it is done.
     order: list[str] = []
     seen: set[str] = set()
     onstack: set[str] = set()
-
-    def visit(state: str) -> None:
+    todo = [(dltts.initial, False)]
+    while todo:
+        state, closing = todo.pop()
+        if closing:
+            onstack.discard(state)
+            seen.add(state)
+            order.append(state)
+            continue
         if state in seen:
-            return
+            continue
         if state in onstack:
             raise AttackError("attack system has a cycle")
         onstack.add(state)
-        for t in dltts.outgoing(state):
-            for b in t.branches:
-                visit(b.to)
-        onstack.discard(state)
-        seen.add(state)
-        order.append(state)
-
-    visit(dltts.initial)
+        todo.append((state, True))
+        todo.extend(reversed(
+            [(b.to, False) for t in dltts.outgoing(state) for b in t.branches]
+        ))
     best: dict[str, Fraction] = {dltts.initial: Fraction(1)}
     pred: dict[str, tuple[str, Branch]] = {}
     for state in reversed(order):
@@ -359,28 +379,19 @@ def _priority_runs(
     return best, pred
 
 
-def _incoming_singleton(attack: AttackDltts, node: str, line: str) -> bool:
-    return (node, line) in set(attack.singleton_nodes())
-
-
 def pr_access(attack: AttackDltts, node: str, line: str) -> Fraction:
     """Max probability of reaching `node` from the root along runs that take
     only priority-maximal transitions at every choice point."""
-    if not _incoming_singleton(attack, node, line):
+    if (node, line) not in attack.singleton_nodes():
         raise AttackError(f"incoming label at {node!r} is not the singleton {{{line}}}")
-    best, _ = _priority_runs(attack)
+    best, _ = attack._runs
     return best.get(node, Fraction(0))
 
 
 def max_pr(attack: AttackDltts, line: str) -> Fraction:
     """Max of pr_access over every node whose incoming label is {line};
     0 when the line labels no singleton node."""
-    best, _ = _priority_runs(attack)
-    out = Fraction(0)
-    for node, node_line in attack.singleton_nodes():
-        if node_line == line:
-            out = max(out, best.get(node, Fraction(0)))
-    return out
+    return attack._max_pr.get(line, Fraction(0))
 
 
 def _first_condition(pred: Mapping[str, tuple[str, Branch]], node: str) -> str:
@@ -403,7 +414,7 @@ def threshold_report(
 ) -> dict[tuple[str, str], Fraction]:
     """Per (response value, first query condition): the maximal priority-run
     probability of reaching a response node answering with that value."""
-    best, pred = _priority_runs(attack)
+    best, pred = attack._runs
     report: dict[tuple[str, str], Fraction] = {}
     for edge in attack.responses:
         pr = best.get(edge.node, Fraction(0))
@@ -421,25 +432,6 @@ def _baseline_threshold(
     if baseline_max is not None and line in baseline_max:
         return Fraction(baseline_max[line])
     return max_pr(baseline, line)
-
-
-def attack_success_points(
-    attack: AttackDltts,
-    baseline: AttackDltts,
-    *,
-    baseline_max: Mapping[str, Fraction] | None = None,
-) -> list[tuple[str, str, Fraction, Fraction]]:
-    """(node, line, attacker probability, baseline threshold) wherever the
-    attacker strictly beats the baseline.  `baseline_max` substitutes
-    declared thresholds for computed ones, per line."""
-    best, _ = _priority_runs(attack)
-    out = []
-    for node, line in attack.singleton_nodes():
-        pr = best.get(node, Fraction(0))
-        base = _baseline_threshold(baseline, line, baseline_max)
-        if pr > base:
-            out.append((node, line, pr, base))
-    return out
 
 
 @dataclass(frozen=True)
@@ -461,7 +453,7 @@ def apply_strategy(
     priority-run probability strictly exceeds the baseline threshold;
     everything else stays ON.  Returns the updated system and the full
     decision list."""
-    best, _ = _priority_runs(attack)
+    best, _ = attack._runs
     decisions = []
     off = set(attack.off)
     for node, line in attack.singleton_nodes():
@@ -472,6 +464,24 @@ def apply_strategy(
             off.add((node, line))
         decisions.append(StrategyDecision(node, line, pr, base, blocked))
     return replace(attack, off=frozenset(off)), decisions
+
+
+def attack_success_points(
+    attack: AttackDltts,
+    baseline: AttackDltts,
+    *,
+    baseline_max: Mapping[str, Fraction] | None = None,
+) -> list[tuple[str, str, Fraction, Fraction]]:
+    """(node, line, attacker probability, baseline threshold) wherever the
+    attacker strictly beats the baseline: the nodes `apply_strategy`
+    switches OFF.  `baseline_max` substitutes declared thresholds for
+    computed ones, per line."""
+    _, decisions = apply_strategy(attack, baseline, baseline_max=baseline_max)
+    return [
+        (d.node, d.line, d.probability, d.baseline)
+        for d in decisions
+        if d.switched_off
+    ]
 
 
 def attack_problems(attack: AttackDltts, db: DataTable | None = None) -> list[str]:

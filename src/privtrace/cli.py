@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .attack import AttackError, apply_strategy, attack_problems
+from .attack import AttackError, attack_problems
 from .dltts import DlttsError, validate
 from .dotexport import export_dot
 from .metrics import MetricError
@@ -138,11 +138,10 @@ def _cmd_analyze(scenario: Scenario, args) -> int:
     if args.dot:
         base = Path(args.dot)
         for name in scenario.analysis.get("runs", []):
-            dltts, _ = build_run(scenario, name)
             target = base if len(scenario.analysis.get("runs", [])) == 1 else (
                 base.with_name(f"{base.stem}-{name}{base.suffix}")
             )
-            target.write_text(export_dot(dltts))
+            target.write_text(export_dot(report.runs[name]))
     if args.expect_violation:
         reached = any(
             report.values.get(f"run/{name}/stop_reached")
@@ -173,16 +172,17 @@ def _cmd_attack(scenario: Scenario, args) -> int:
     report = Report(scenario.name)
     found = False
     for name in args.attacker:
-        found = attack_section(scenario, report, name, built=args.built) or found
+        attack, has_thresholds = attack_section(
+            scenario, report, name, built=args.built
+        )
+        found = has_thresholds or found
         if args.built:
             table_name = scenario.analysis.get("attack", {}).get("table")
-            attack = attack_for(scenario, name, built=True)
             for prob in attack_problems(
                 attack, scenario.table(table_name) if table_name else None
             ):
                 report.add(f"INVALID: {prob}")
         if args.dot:
-            attack = attack_for(scenario, name, built=args.built)
             Path(args.dot).write_text(export_dot(attack.dltts))
     _emit(report)
     return 0 if found else 1
@@ -193,14 +193,9 @@ def _cmd_strategy(scenario: Scenario, args) -> int:
     if baseline is None:
         raise ScenarioError("no baseline given and the scenario names none")
     report = Report(scenario.name)
-    strategy_section(scenario, report, args.attacker, baseline)
+    updated = strategy_section(scenario, report, args.attacker, baseline)
     _emit(report)
     if args.dot:
-        attack = attack_for(scenario, args.attacker)
-        updated, _ = apply_strategy(
-            attack, attack_for(scenario, baseline),
-            baseline_max=scenario.declared_baseline or None,
-        )
         off_edges = frozenset(
             (e.node, e.target) for e in updated.responses
             if not updated.switched_on(e.node, e.line)

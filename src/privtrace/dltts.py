@@ -31,6 +31,7 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import privacy
@@ -102,23 +103,15 @@ class Dltts:
     saturated: Mapping[str, Tag] = field(default_factory=dict)
     state_probs: Mapping[str, Fraction] = field(default_factory=dict)
 
-    def outgoing(self, state: str) -> tuple[Transition, ...]:
-        return tuple(t for t in self.transitions if t.source == state)
-
-    def incoming(self, state: str) -> tuple[tuple[Transition, Branch], ...]:
-        return tuple(
-            (t, b)
-            for t in self.transitions
-            for b in t.branches
-            if b.to == state
-        )
-
-    def label(self, source: str, target: str) -> Label | None:
+    @cached_property
+    def _outgoing(self) -> dict[str, tuple[Transition, ...]]:
+        index: dict[str, list[Transition]] = {}
         for t in self.transitions:
-            for b in t.branches:
-                if t.source == source and b.to == target:
-                    return b.label
-        return None
+            index.setdefault(t.source, []).append(t)
+        return {source: tuple(ts) for source, ts in index.items()}
+
+    def outgoing(self, state: str) -> tuple[Transition, ...]:
+        return self._outgoing.get(state, ())
 
 
 def _column_registry(
@@ -492,9 +485,9 @@ class DlttsBuilder:
         )
 
 
-def oracle_step(builder: DlttsBuilder, state: str, **kwargs) -> OracleVerdict:
-    """Module-level convenience wrapper over DlttsBuilder.oracle_step."""
-    return builder.oracle_step(state, **kwargs)
+def natural_key(name: str) -> list:
+    """Sort key that orders embedded numbers by value: s2 before s10."""
+    return [int(p) if p.isdigit() else p for p in re.split(r"(\d+)", name)]
 
 
 @dataclass(frozen=True)
@@ -506,26 +499,22 @@ class Run:
 
 def reach_stop(dltts: Dltts) -> tuple[bool, tuple[Run, ...]]:
     """All simple runs from the initial state that end in Stop, each with the
-    exact product of its branch probabilities."""
+    exact product of its branch probabilities.  Depth-first with an explicit
+    stack, so transcript depth is not bounded by the interpreter's
+    recursion limit."""
     runs: list[Run] = []
-
-    def walk(state, path, actions, prob, seen):
-        if state == dltts.stop:
-            runs.append(Run(tuple(path), tuple(actions), prob))
-            return
-        for t in dltts.outgoing(state):
-            for b in t.branches:
-                if b.to in seen:
-                    continue
-                walk(
-                    b.to,
-                    path + [b.to],
-                    actions + [t.action],
-                    prob * b.prob,
-                    seen | {b.to},
-                )
-
-    walk(dltts.initial, [dltts.initial], [], Fraction(1), {dltts.initial})
+    todo = [((dltts.initial,), (), Fraction(1))]
+    while todo:
+        path, actions, prob = todo.pop()
+        if path[-1] == dltts.stop:
+            runs.append(Run(path, actions, prob))
+            continue
+        todo.extend(reversed([
+            (path + (b.to,), actions + (t.action,), prob * b.prob)
+            for t in dltts.outgoing(path[-1])
+            for b in t.branches
+            if b.to not in path
+        ]))
     runs.sort(key=lambda r: (-r.probability, r.states))
     return (bool(runs), tuple(runs))
 

@@ -2,13 +2,7 @@
 
 from __future__ import annotations
 
-import re
-
-from .dltts import Dltts
-
-
-def _natural_key(name: str):
-    return [int(p) if p.isdigit() else p for p in re.split(r"(\d+)", name)]
+from .dltts import Dltts, natural_key
 
 
 def _quote(s: str) -> str:
@@ -28,7 +22,7 @@ def export_dot(dltts: Dltts, *, off_edges: frozenset | None = None) -> str:
             for s in dltts.states
             if s != dltts.stop or has_stop_edge or s == dltts.initial
         ),
-        key=_natural_key,
+        key=natural_key,
     )
     lines = ["digraph dltts {", "  rankdir=LR;"]
     for s in nodes:
@@ -51,8 +45,8 @@ def export_dot(dltts: Dltts, *, off_edges: frozenset | None = None) -> str:
                 style = ", style=dashed"
             edges.append(
                 (
-                    _natural_key(t.source),
-                    _natural_key(b.to),
+                    natural_key(t.source),
+                    natural_key(b.to),
                     f"  {_quote(t.source)} -> {_quote(b.to)} "
                     f"[label={_quote(label)}{style}];",
                 )

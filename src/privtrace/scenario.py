@@ -7,7 +7,6 @@ is excluded from comparison)."""
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -29,6 +28,7 @@ from .dltts import (
     Label,
     OracleVerdict,
     epsilon_equivalent_labels,
+    natural_key,
     parse_dltts,
     reach_stop,
     validate,
@@ -226,6 +226,8 @@ class Report:
     scenario: str
     lines: list[str] = field(default_factory=list)
     values: dict[str, object] = field(default_factory=dict)
+    # The systems the run sections built, by run name, for `--dot`.
+    runs: dict[str, Dltts] = field(default_factory=dict, init=False)
 
     def add(self, line: str = "") -> None:
         self.lines.append(line)
@@ -333,11 +335,12 @@ def _run_section(
     )
     problems = validate(dltts)
     report.add(f"## run {run_name}")
+    report.runs[run_name] = dltts
     report.put(f"run/{run_name}/valid", not problems)
     if problems:
         for p in problems:
             report.add(f"INVALID: {p}")
-    for state in sorted(verdicts, key=_natural):
+    for state in sorted(verdicts, key=natural_key):
         v = verdicts[state]
         if v is not OracleVerdict.CONTINUE:
             prob = dltts.state_probs.get(state)
@@ -356,10 +359,6 @@ def _run_section(
     report.add()
 
 
-def _natural(name: str):
-    return [int(p) if p.isdigit() else p for p in re.split(r"(\d+)", name)]
-
-
 def attack_for(scenario: Scenario, name: str, built: bool = False) -> AttackDltts:
     if built:
         table_name = scenario.analysis.get("attack", {}).get("table")
@@ -376,7 +375,9 @@ def attack_for(scenario: Scenario, name: str, built: bool = False) -> AttackDltt
 
 def attack_section(
     scenario: Scenario, report: Report, name: str, built: bool = False
-) -> bool:
+) -> tuple[AttackDltts, bool]:
+    """Report the attack system `name`; returns it and whether any
+    threshold was found."""
     attack = attack_for(scenario, name, built=built)
     report.add(f"## attack {name}" + (" (built)" if built else ""))
     thresholds = threshold_report(attack)
@@ -386,7 +387,7 @@ def attack_section(
             pr,
             f"Pr(response={value} | {cond}) = {pr}",
         )
-    lines = sorted({line for _, line in attack.singleton_nodes()}, key=_natural)
+    lines = sorted({line for _, line in attack.singleton_nodes()}, key=natural_key)
     for line in lines:
         computed = max_pr(attack, line)
         extra = ""
@@ -401,23 +402,30 @@ def attack_section(
         report.put(f"attack/{name}/max_pr/{line}", computed)
         report.add(f"Max_pr({line}) = {computed}{extra}")
     report.add()
-    return bool(thresholds)
+    return attack, bool(thresholds)
 
 
 def strategy_section(
     scenario: Scenario, report: Report, attacker: str, baseline_name: str
-) -> None:
+) -> AttackDltts:
+    """Report the blocking strategy against each baseline variant; returns
+    the first variant's updated system."""
     attack = attack_for(scenario, attacker)
     baseline = attack_for(scenario, baseline_name)
     variants: list[tuple[str, dict[str, Fraction] | None]] = []
     if scenario.declared_baseline:
         variants.append(("declared", scenario.declared_baseline))
     variants.append(("computed", None))
+    drawn = None
     for variant, baseline_max in variants:
         report.add(f"## strategy {attacker} vs {baseline_name} ({variant} baseline)")
-        _, decisions = apply_strategy(attack, baseline, baseline_max=baseline_max)
+        updated, decisions = apply_strategy(
+            attack, baseline, baseline_max=baseline_max
+        )
+        if drawn is None:
+            drawn = updated
         off = []
-        for d in sorted(decisions, key=lambda d: _natural(d.node)):
+        for d in sorted(decisions, key=lambda d: natural_key(d.node)):
             if d.switched_off:
                 verdict = "switch OFF"
                 off.append((d.node, d.line))
@@ -439,6 +447,7 @@ def strategy_section(
                 + ", ".join(f"response({l}) at {n} answers 'refused'" for n, l in off)
             )
         report.add()
+    return drawn
 
 
 def dp_section(

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -60,6 +63,46 @@ def test_cli_analyze_epsilon_flags(capsys):
     assert code == 0
     assert "oracle at s5: epsilon-violation" in out
     assert cli_main(["analyze", "--scenario", HOSPITAL, "--epsilon", "0"]) == 2
+
+
+def test_cli_analyze_dot_draws_the_epsilon_armed_system(capsys, tmp_path):
+    dot_path = tmp_path / "trace.dot"
+    code = cli_main(
+        ["analyze", "--scenario", HOSPITAL, "--epsilon", "0",
+         "--secret", "published:l4", "--dot", str(dot_path)]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "oracle at s5: epsilon-violation" in out
+    assert "s0 -> s2 -> s4 -> s5 -> STOP" in out
+    assert '"s5" -> "STOP"' in dot_path.read_text()
+
+
+def test_cli_builds_each_system_once(capsys, tmp_path, monkeypatch):
+    import privtrace.cli
+    import privtrace.scenario
+
+    built = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            built.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((privtrace.cli, "build_run"),
+                         (privtrace.scenario, "build_attack_dltts")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    assert cli_main(["analyze", "--scenario", HOSPITAL,
+                     "--dot", str(tmp_path / "trace.dot")]) == 0
+    assert (tmp_path / "trace.dot").read_text().startswith("digraph")
+    assert built == []
+    built.clear()
+    assert cli_main(["attack", "--scenario", ENTERPRISE, "--attacker", "A",
+                     "--attacker", "B", "--built",
+                     "--dot", str(tmp_path / "attack.dot")]) == 0
+    assert built == ["build_attack_dltts"] * 2
+    capsys.readouterr()
 
 
 def test_report_is_deterministic(hospital):
@@ -392,3 +435,76 @@ def test_label_equivalence_in_report(hospital):
     classes = report.values["label_equivalence/trace/s4"]
     assert len(classes) == 1
     assert "1 class(es)" in report.body()
+
+
+DEEP = 1500
+
+
+def _cli_process(*argv: str) -> subprocess.CompletedProcess:
+    src = str(SCENARIOS.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "privtrace.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def _deep_scenario(tmp_path, transcript: str, runs: dict | None = None) -> str:
+    (tmp_path / "schema.json").write_text(json.dumps({
+        "columns": [
+            {"name": "Name", "class": "nominal", "group": "identifier"},
+            {"name": "Dept", "class": "nominal", "group": "quasi-identifier"},
+        ],
+        "policy": [],
+    }))
+    (tmp_path / "chain.dltts").write_text(transcript)
+    doc = {
+        "schema": "schema.json",
+        "attack_dltts": {"chain": "chain.dltts"},
+        "baseline": "chain",
+        "runs": runs or {},
+        "analysis": {"runs": sorted(runs or {})},
+    }
+    (tmp_path / "scenario.json").write_text(json.dumps(doc))
+    return str(tmp_path / "scenario.json")
+
+
+def _chain(n: int, back_edge: bool = False) -> str:
+    lines = ["initial: s0"]
+    for i in range(n - 2):
+        lines.append(f"s{i} -> [(s{i + 1}, 1, P_db c=v{i})] query:c")
+    lines.append(f"s{n - 2} -> [(s{n - 1}, 1, P_db pick {{l1}})] pick")
+    if back_edge:
+        lines.append(f"s{n - 1} -> [(s0, 1, P_db again)] query:c")
+    return "\n".join(lines) + "\n"
+
+
+def test_deep_chain_transcript_attack_and_strategy(tmp_path):
+    scenario = _deep_scenario(tmp_path, _chain(DEEP))
+    done = _cli_process("attack", "--scenario", scenario, "--attacker", "chain")
+    assert done.returncode in (0, 1) and "Traceback" not in done.stderr
+    assert "Max_pr(l1) = 1" in done.stdout
+    done = _cli_process("strategy", "--scenario", scenario, "--attacker", "chain",
+                        "--baseline", "chain")
+    assert done.returncode in (0, 1) and "Traceback" not in done.stderr
+    assert f"s{DEEP - 1} response(l1): Pr = 1 <= baseline 1 -> stays ON" in done.stdout
+
+
+def test_deep_scripted_run_analyze(tmp_path):
+    steps = [
+        {"from": f"s{i}", "action": "query:Dept",
+         "branches": [{"to": f"s{i + 1}", "prob": "1"}]}
+        for i in range(1200)
+    ]
+    scenario = _deep_scenario(tmp_path, _chain(3), {"deep": {"steps": steps}})
+    done = _cli_process("analyze", "--scenario", scenario)
+    assert done.returncode == 0 and "Traceback" not in done.stderr
+    assert "## run deep\nstop not reached\n" in done.stdout
+
+
+def test_deep_cyclic_transcript_exits_two(tmp_path):
+    scenario = _deep_scenario(tmp_path, _chain(DEEP, back_edge=True))
+    done = _cli_process("attack", "--scenario", scenario, "--attacker", "chain")
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    assert "attack system has a cycle" in done.stderr
