@@ -89,7 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attacker", action="append", required=True)
     p.add_argument("--built", action="store_true",
                    help="build from the profile instead of loading the transcript")
-    p.add_argument("--dot", help="write the attack system as DOT to this path")
+    p.add_argument("--dot", help="write each attack system as DOT to this "
+                   "path, or next to it when there are several")
 
     p = sub.add_parser("strategy", help="response-blocking strategy report")
     common(p)
@@ -116,6 +117,15 @@ def _emit(report: Report) -> None:
     sys.stdout.write(report.text())
 
 
+def _dot_path(base: str, name: str, names: list[str]) -> Path:
+    """Where `--dot` draws `name`'s system: the path itself when only one
+    system is drawn, else `stem-name.suffix` beside it."""
+    path = Path(base)
+    if len(names) == 1:
+        return path
+    return path.with_name(f"{path.stem}-{name}{path.suffix}")
+
+
 def _cmd_metric(scenario: Scenario, args) -> int:
     table = args.table or scenario.analysis.get("metric", {}).get("table")
     if table is None:
@@ -136,12 +146,9 @@ def _cmd_analyze(scenario: Scenario, args) -> int:
     )
     _emit(report)
     if args.dot:
-        base = Path(args.dot)
-        for name in scenario.analysis.get("runs", []):
-            target = base if len(scenario.analysis.get("runs", [])) == 1 else (
-                base.with_name(f"{base.stem}-{name}{base.suffix}")
-            )
-            target.write_text(export_dot(report.runs[name]))
+        runs = scenario.analysis.get("runs", [])
+        for name in runs:
+            _dot_path(args.dot, name, runs).write_text(export_dot(report.runs[name]))
     if args.expect_violation:
         reached = any(
             report.values.get(f"run/{name}/stop_reached")
@@ -183,7 +190,9 @@ def _cmd_attack(scenario: Scenario, args) -> int:
             ):
                 report.add(f"INVALID: {prob}")
         if args.dot:
-            Path(args.dot).write_text(export_dot(attack.dltts))
+            _dot_path(args.dot, name, args.attacker).write_text(
+                export_dot(attack.dltts)
+            )
     _emit(report)
     return 0 if found else 1
 

@@ -114,19 +114,6 @@ class Dltts:
         return self._outgoing.get(state, ())
 
 
-def _column_registry(
-    externals: Sequence[DataTable],
-    columns: Iterable[ColumnSchema] | None,
-) -> dict[str, ColumnSchema]:
-    registry: dict[str, ColumnSchema] = {}
-    for col in columns or ():
-        registry.setdefault(col.name, col)
-    for table in externals:
-        for col in table.columns:
-            registry.setdefault(col.name, col)
-    return registry
-
-
 def _merged_taxonomies(
     externals: Sequence[DataTable],
     taxonomies: Mapping[str, TaxonomyTree] | None,
@@ -138,25 +125,19 @@ def _merged_taxonomies(
     return merged
 
 
-def _row_cell(table: DataTable, row: Row, column: str):
-    return row.cells[table.column_index(column)]
-
-
 def _merge(p: TuplePattern, table: DataTable, row: Row) -> TuplePattern:
     """Union-of-columns merge: p's concrete cells win, the row fills p's
     wildcards on shared columns and contributes its remaining columns."""
-    table_cols = set(table.column_names())
+    positions = table.column_positions
     columns = list(p.columns)
-    cells = []
-    for c, v in zip(p.columns, p.cells):
-        if isinstance(v, Wildcard) and c in table_cols:
-            cells.append(_row_cell(table, row, c))
-        else:
-            cells.append(v)
-    for c in table.column_names():
+    cells = [
+        row.cells[positions[c]] if isinstance(v, Wildcard) and c in positions else v
+        for c, v in zip(p.columns, p.cells)
+    ]
+    for c, i in positions.items():
         if c not in p.columns:
             columns.append(c)
-            cells.append(_row_cell(table, row, c))
+            cells.append(row.cells[i])
     return TuplePattern(tuple(columns), tuple(cells), False)
 
 
@@ -167,103 +148,54 @@ def _count_column(table: DataTable) -> str | None:
     return None
 
 
-def _r1_join(
+def _derive(
     p: TuplePattern,
     table: DataTable,
-    registry: Mapping[str, ColumnSchema],
-) -> list[TuplePattern]:
-    if _count_column(table) is not None:
-        return []
-    shared = [c for c in p.columns if c in set(table.column_names())]
-    if not shared:
-        return []
-    out = []
-    for row in table.rows:
-        id_hit = False
-        for c in shared:
-            pc = p.cell(c)
-            if isinstance(pc, Wildcard):
-                continue
-            if pc != _row_cell(table, row, c):
-                break
-            col = registry.get(c)
-            if col is not None and col.group == "identifier":
-                id_hit = True
-        else:
-            if id_hit:
-                out.append(_merge(p, table, row))
-    return out
-
-
-def _r2_refine(
-    p: TuplePattern,
-    table: DataTable,
+    count_col: str | None,
+    is_id: Mapping[str, bool],
     taxonomies: Mapping[str, TaxonomyTree],
-) -> list[TuplePattern]:
-    count_col = _count_column(table)
+) -> Iterable[TuplePattern]:
+    """The tuples R1-R3 derive from the one premise p against one base,
+    through the base's cached row groupings."""
+    positions = table.column_positions
+    shared = [(c, v) for c, v in p.concrete_items() if c in positions]
     if count_col is None:
-        return []
-    table_cols = set(table.column_names())
-    out = []
-    for c, x in p.concrete_items():
-        if not isinstance(x, Taxon) or c not in table_cols:
-            continue
-        tree = taxonomies.get(x.tree)
+        # R1: rows with p's identifier cell that agree on every shared cell.
+        key = next(((c, v) for c, v in shared if is_id.get(c)), None)
+        if key is not None:
+            for row in table.rows_by((key[0],)).get((key[1],), ()):
+                if all(row.cells[positions[c]] == v for c, v in shared):
+                    yield _merge(p, table, row)
+        # R3: the one row matching p's non-identifier cells, when p has an
+        # identifier cell.
+        join = [(c, v) for c, v in shared if not is_id.get(c)]
+        if join and any(is_id.get(c) for c, _ in p.concrete_items()):
+            cols, vals = zip(*join)
+            matches = table.rows_by(cols).get(vals, ())
+            if len(matches) == 1:
+                yield _merge(p, table, matches[0])
+        return
+    # R2: count-1 rows agreeing on every other shared column move a taxon
+    # cell down to their strictly deeper node.
+    for c, x in shared:
+        tree = taxonomies.get(x.tree) if isinstance(x, Taxon) else None
         if tree is None:
             continue
-        join_cols = [
-            jc for jc in p.columns if jc in table_cols and jc not in (c, count_col)
+        join = [
+            (jc, v) for jc, v in zip(p.columns, p.cells)
+            if jc in positions and jc not in (c, count_col)
         ]
-        for row in table.rows:
-            y = _row_cell(table, row, c)
-            if not isinstance(y, Taxon) or y.tree != x.tree:
-                continue
-            if not tree.is_strict_descendant(y.node, x.node):
-                continue
-            count = _row_cell(table, row, count_col)
-            if not isinstance(count, Number) or count.value != 1:
-                continue
-            hits = 0
-            ok = True
-            for jc in join_cols:
-                pc = p.cell(jc)
-                if isinstance(pc, Wildcard) or pc != _row_cell(table, row, jc):
-                    ok = False
-                    break
-                hits += 1
-            if ok and hits >= 1:
-                out.append(p.replace_cell(c, y))
-    return out
-
-
-def _r3_link(
-    p: TuplePattern,
-    table: DataTable,
-    registry: Mapping[str, ColumnSchema],
-) -> list[TuplePattern]:
-    if _count_column(table) is not None:
-        return []
-
-    def is_id(c: str) -> bool:
-        col = registry.get(c)
-        return col is not None and col.group == "identifier"
-
-    id_cells = [(c, v) for c, v in p.concrete_items() if is_id(c)]
-    other = [(c, v) for c, v in p.concrete_items() if not is_id(c)]
-    if not id_cells or not other:
-        return []
-    table_cols = set(table.column_names())
-    join = [(c, v) for c, v in other if c in table_cols]
-    if not join:
-        return []
-    matches = [
-        row
-        for row in table.rows
-        if all(_row_cell(table, row, c) == v for c, v in join)
-    ]
-    if len(matches) != 1:
-        return []
-    return [_merge(p, table, matches[0])]
+        if not join or any(isinstance(v, Wildcard) for _, v in join):
+            continue
+        cols, vals = zip(*join)
+        for row in table.rows_by(cols + (count_col,)).get(vals + (Number(1),), ()):
+            y = row.cells[positions[c]]
+            if (
+                isinstance(y, Taxon)
+                and y.tree == x.tree
+                and tree.is_strict_descendant(y.node, x.node)
+            ):
+                yield p.replace_cell(c, y)
 
 
 def saturate(
@@ -272,34 +204,38 @@ def saturate(
     *,
     columns: Iterable[ColumnSchema] | None = None,
     taxonomies: Mapping[str, TaxonomyTree] | None = None,
+    closed: Tag = frozenset(),
     max_rounds: int = 1000,
 ) -> Tag:
     """Least fixpoint of R1-R3 over the tag against the external bases.
 
+    Semi-naive: every rule has one premise, so each round applies the rules
+    only to the tuples the round before added.  `closed` names a part of
+    `tag` that is already closed under the rules (a parent state's
+    saturated tag); it never enters the first round.
+
     Raises DlttsError if the fixpoint is not reached within `max_rounds`
     (which would signal a rule bug: the closure is finite by construction).
     """
-    registry = _column_registry(externals, columns)
+    is_id: dict[str, bool] = {}
+    for col in [*(columns or ()), *(c for t in externals for c in t.columns)]:
+        is_id.setdefault(col.name, col.group == "identifier")
     trees = _merged_taxonomies(externals, taxonomies)
+    bases = [(table, _count_column(table)) for table in externals]
     current = set(tag)
+    frontier = current - closed
     for _ in range(max_rounds + 1):
         new: set[TuplePattern] = set()
-        for p in current:
+        for p in frontier:
             if p.negative or not p.columns:
                 continue
-            for table in externals:
-                for q in _r1_join(p, table, registry):
-                    if q not in current:
-                        new.add(q)
-                for q in _r2_refine(p, table, trees):
-                    if q not in current:
-                        new.add(q)
-                for q in _r3_link(p, table, registry):
-                    if q not in current:
-                        new.add(q)
+            for table, count_col in bases:
+                new.update(_derive(p, table, count_col, is_id, trees))
+        new -= current
         if not new:
             return frozenset(current)
         current |= new
+        frontier = new
     raise DlttsError(f"saturation did not reach a fixpoint in {max_rounds} rounds")
 
 
@@ -331,11 +267,26 @@ class OracleVerdict(Enum):
     EPSILON_VIOLATION = "epsilon-violation"
 
 
-def _knowledge_tuples(tag: Tag) -> list[tuple]:
-    """Star-free positive tag tuples, as plain cell tuples for rho."""
-    return [
+def _tag_rho(tag: Iterable[TuplePattern], secrets, mode, taxonomies, normalizer):
+    """rho between the star-free positive tag tuples and the secrets."""
+    knowledge = [
         p.cells for p in tag if not p.negative and p.columns and p.is_ground()
     ]
+    if not knowledge:
+        return None
+    return rho(knowledge, secrets, mode, taxonomies=taxonomies, normalizer=normalizer)
+
+
+def _verdict(tag: Tag, policy: PrivacyPolicy, epsilon, distance) -> OracleVerdict:
+    """The policy check first, then rho <= epsilon.  `distance()` gives rho;
+    it is None when no secrets are given, and called only when needed."""
+    if not check_consistency(tag, policy):
+        return OracleVerdict.VIOLATION
+    if epsilon is not None and distance is not None:
+        r = distance()
+        if r is not None and r <= epsilon:
+            return OracleVerdict.EPSILON_VIOLATION
+    return OracleVerdict.CONTINUE
 
 
 def oracle_verdict(
@@ -348,28 +299,24 @@ def oracle_verdict(
     taxonomies: Mapping[str, TaxonomyTree] | None = None,
     normalizer=None,
 ) -> OracleVerdict:
-    if not check_consistency(saturated_tag, policy):
-        return OracleVerdict.VIOLATION
-    if epsilon is not None and secret_set is not None:
-        knowledge = _knowledge_tuples(saturated_tag)
-        r = rho(
-            knowledge,
-            list(secret_set),
-            mode,
-            taxonomies=taxonomies,
-            normalizer=normalizer,
-        )
-        if r is not None and r <= epsilon:
-            return OracleVerdict.EPSILON_VIOLATION
-    return OracleVerdict.CONTINUE
+    def distance() -> Fraction | None:
+        return _tag_rho(saturated_tag, list(secret_set), mode, taxonomies, normalizer)
+
+    return _verdict(
+        saturated_tag, policy, epsilon, None if secret_set is None else distance
+    )
 
 
 class DlttsBuilder:
     """Single-owner construction of a tagged system.
 
-    Tags are computed tightly from branch labels, saturated eagerly at state
-    creation, and cached.  `oracle_step` checks a state and, on a violation,
-    installs the `delta` transition to Stop as its only outgoing transition.
+    Tags are computed tightly from branch labels and saturated eagerly at
+    state creation, each from its parent's saturated tag, and cached.
+    `oracle_step` checks a state and, on a violation, installs the `delta`
+    transition to Stop as its only outgoing transition.  A child's
+    saturated tag contains its parent's, so when the parent was examined
+    against the same secrets, mode and normalizer, the child's rho is the
+    minimum of the parent's and that of the tuples the child added.
     """
 
     def __init__(
@@ -390,14 +337,16 @@ class DlttsBuilder:
         self.stop = stop
         self.transitions: list[Transition] = []
         self.tags: dict[str, Tag] = {initial: frozenset({TOP})}
-        self.saturated: dict[str, Tag] = {initial: self._saturate(frozenset({TOP}))}
+        self.saturated: dict[str, Tag] = {initial: saturate(
+            frozenset({TOP}), self.externals, columns=self.columns,
+            taxonomies=self.taxonomies,
+        )}
         self.state_probs: dict[str, Fraction] = {initial: Fraction(1)}
         self.closed: set[str] = set()
-
-    def _saturate(self, tag: Tag) -> Tag:
-        return saturate(
-            tag, self.externals, columns=self.columns, taxonomies=self.taxonomies
-        )
+        self._parent: dict[str, str] = {}
+        self._sources: set[str] = set()
+        # state -> ((secrets, mode, normalizer), rho of its saturated tag)
+        self._rho: dict[str, tuple[tuple, Fraction | None]] = {}
 
     def add_transition(
         self,
@@ -430,12 +379,17 @@ class DlttsBuilder:
         if len({b.to for b in branch_objs}) != len(branch_objs):
             raise DlttsError("duplicate branch target within one transition")
         self.transitions.append(Transition(source, action, tuple(branch_objs)))
+        self._sources.add(source)
+        parent_sat = self.saturated[source]
         for b in branch_objs:
-            tag = self.saturated[source] | b.label.tuples
-            self.tags[b.to] = frozenset(tag)
-            self.saturated[b.to] = self._saturate(frozenset(tag))
-            prob = self.state_probs[source] * b.prob
-            self.state_probs[b.to] = max(self.state_probs.get(b.to, prob), prob)
+            tag = parent_sat | b.label.tuples
+            self.tags[b.to] = tag
+            self.saturated[b.to] = saturate(
+                tag, self.externals, columns=self.columns,
+                taxonomies=self.taxonomies, closed=parent_sat,
+            )
+            self.state_probs[b.to] = self.state_probs[source] * b.prob
+            self._parent[b.to] = source
         return new_states
 
     def oracle_step(
@@ -449,23 +403,35 @@ class DlttsBuilder:
     ) -> OracleVerdict:
         if state == self.stop:
             raise DlttsError("the oracle never examines Stop")
-        verdict = oracle_verdict(
-            self.saturated[state],
-            self.policy,
-            secret_set,
-            epsilon,
-            mode,
-            taxonomies=self.taxonomies,
-            normalizer=normalizer,
+        tag = self.saturated[state]
+
+        def distance() -> Fraction | None:
+            secrets = list(secret_set)
+            key = (secrets, mode, normalizer)
+            parent = self._parent.get(state)
+            known = self._rho.get(parent)
+            reuse = known is not None and known[0] == key
+            r = _tag_rho(
+                tag - self.saturated[parent] if reuse else tag,
+                secrets, mode, self.taxonomies, normalizer,
+            )
+            if reuse:
+                r = min((v for v in (known[1], r) if v is not None), default=None)
+            self._rho[state] = (key, r)
+            return r
+
+        verdict = _verdict(
+            tag, self.policy, epsilon, None if secret_set is None else distance
         )
         if verdict is not OracleVerdict.CONTINUE:
-            if any(t.source == state for t in self.transitions):
+            if state in self._sources:
                 raise DlttsError(
                     f"violating state {state!r} already has outgoing transitions"
                 )
             self.transitions.append(
                 Transition(state, DELTA, (Branch(self.stop, Fraction(1), Label("δ")),))
             )
+            self._sources.add(state)
             self.closed.add(state)
         return verdict
 

@@ -12,6 +12,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .values import (
@@ -101,11 +102,34 @@ class DataTable:
                 return c
         raise KeyError(f"table {self.name}: no column {name!r}")
 
-    def column_index(self, name: str) -> int:
+    @cached_property
+    def column_positions(self) -> dict[str, int]:
+        """Column name -> cell position (the first column of that name)."""
+        positions: dict[str, int] = {}
         for i, c in enumerate(self.columns):
-            if c.name == name:
-                return i
-        raise KeyError(f"table {self.name}: no column {name!r}")
+            positions.setdefault(c.name, i)
+        return positions
+
+    def column_index(self, name: str) -> int:
+        try:
+            return self.column_positions[name]
+        except KeyError:
+            raise KeyError(f"table {self.name}: no column {name!r}") from None
+
+    @cached_property
+    def _groups(self) -> dict[tuple[str, ...], dict[tuple, tuple[Row, ...]]]:
+        return {}
+
+    def rows_by(self, columns: tuple[str, ...]) -> Mapping[tuple, tuple[Row, ...]]:
+        """The rows grouped by their cells in `columns`, in table order.
+        Each grouping is built on first use and cached."""
+        if columns not in self._groups:
+            idx = [self.column_index(c) for c in columns]
+            groups: dict[tuple, list[Row]] = {}
+            for row in self.rows:
+                groups.setdefault(tuple(row.cells[i] for i in idx), []).append(row)
+            self._groups[columns] = {k: tuple(v) for k, v in groups.items()}
+        return self._groups[columns]
 
     def row(self, line_id: str) -> Row:
         for r in self.rows:

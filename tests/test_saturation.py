@@ -1,0 +1,418 @@
+"""Semi-naive, indexed, incremental saturation and the incremental epsilon
+oracle, against the naive fixpoint over per-row R1-R3 scans they replaced,
+which lives on here as the oracle."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from privtrace.dltts import (
+    DlttsBuilder,
+    DlttsError,
+    Label,
+    OracleVerdict,
+    oracle_verdict,
+    saturate,
+    validate,
+)
+from privtrace.metrics import IntervalMeasureMode
+from privtrace.schema import (
+    ColumnSchema,
+    DataTable,
+    PrivacyPolicy,
+    Row,
+    TOP,
+    TuplePattern,
+)
+from privtrace.values import (
+    Atom,
+    ColumnClass,
+    IntInterval,
+    Number,
+    STAR,
+    Taxon,
+    TaxonomyTree,
+    Wildcard,
+)
+
+CASES = 1500
+BUILDS = 300
+
+
+# -- oracle: the naive fixpoint over per-row R1-R3 scans ---------------------
+
+def _column_registry(externals, columns):
+    registry: dict[str, ColumnSchema] = {}
+    for col in columns or ():
+        registry.setdefault(col.name, col)
+    for table in externals:
+        for col in table.columns:
+            registry.setdefault(col.name, col)
+    return registry
+
+
+def _merged_taxonomies(externals, taxonomies):
+    merged = dict(taxonomies or {})
+    for table in externals:
+        for name, tree in table.taxonomies.items():
+            merged.setdefault(name, tree)
+    return merged
+
+
+def _row_cell(table, row, column):
+    return row.cells[[c.name for c in table.columns].index(column)]
+
+
+def _merge(p, table, row):
+    table_cols = set(table.column_names())
+    columns = list(p.columns)
+    cells = []
+    for c, v in zip(p.columns, p.cells):
+        if isinstance(v, Wildcard) and c in table_cols:
+            cells.append(_row_cell(table, row, c))
+        else:
+            cells.append(v)
+    for c in table.column_names():
+        if c not in p.columns:
+            columns.append(c)
+            cells.append(_row_cell(table, row, c))
+    return TuplePattern(tuple(columns), tuple(cells), False)
+
+
+def _count_column(table):
+    for col in table.columns:
+        if col.name.lower() == "count" and col.cls is ColumnClass.NUMERICAL:
+            return col.name
+    return None
+
+
+def _r1_join(p, table, registry):
+    if _count_column(table) is not None:
+        return []
+    shared = [c for c in p.columns if c in set(table.column_names())]
+    if not shared:
+        return []
+    out = []
+    for row in table.rows:
+        id_hit = False
+        for c in shared:
+            pc = p.cell(c)
+            if isinstance(pc, Wildcard):
+                continue
+            if pc != _row_cell(table, row, c):
+                break
+            col = registry.get(c)
+            if col is not None and col.group == "identifier":
+                id_hit = True
+        else:
+            if id_hit:
+                out.append(_merge(p, table, row))
+    return out
+
+
+def _r2_refine(p, table, taxonomies):
+    count_col = _count_column(table)
+    if count_col is None:
+        return []
+    table_cols = set(table.column_names())
+    out = []
+    for c, x in p.concrete_items():
+        if not isinstance(x, Taxon) or c not in table_cols:
+            continue
+        tree = taxonomies.get(x.tree)
+        if tree is None:
+            continue
+        join_cols = [
+            jc for jc in p.columns if jc in table_cols and jc not in (c, count_col)
+        ]
+        for row in table.rows:
+            y = _row_cell(table, row, c)
+            if not isinstance(y, Taxon) or y.tree != x.tree:
+                continue
+            if not tree.is_strict_descendant(y.node, x.node):
+                continue
+            count = _row_cell(table, row, count_col)
+            if not isinstance(count, Number) or count.value != 1:
+                continue
+            hits = 0
+            ok = True
+            for jc in join_cols:
+                pc = p.cell(jc)
+                if isinstance(pc, Wildcard) or pc != _row_cell(table, row, jc):
+                    ok = False
+                    break
+                hits += 1
+            if ok and hits >= 1:
+                out.append(p.replace_cell(c, y))
+    return out
+
+
+def _r3_link(p, table, registry):
+    if _count_column(table) is not None:
+        return []
+
+    def is_id(c):
+        col = registry.get(c)
+        return col is not None and col.group == "identifier"
+
+    id_cells = [(c, v) for c, v in p.concrete_items() if is_id(c)]
+    other = [(c, v) for c, v in p.concrete_items() if not is_id(c)]
+    if not id_cells or not other:
+        return []
+    table_cols = set(table.column_names())
+    join = [(c, v) for c, v in other if c in table_cols]
+    if not join:
+        return []
+    matches = [
+        row
+        for row in table.rows
+        if all(_row_cell(table, row, c) == v for c, v in join)
+    ]
+    if len(matches) != 1:
+        return []
+    return [_merge(p, table, matches[0])]
+
+
+def naive_saturate(tag, externals=(), *, columns=None, taxonomies=None,
+                   max_rounds=1000):
+    registry = _column_registry(externals, columns)
+    trees = _merged_taxonomies(externals, taxonomies)
+    current = set(tag)
+    for _ in range(max_rounds + 1):
+        new = set()
+        for p in current:
+            if p.negative or not p.columns:
+                continue
+            for table in externals:
+                for rule in (_r1_join(p, table, registry),
+                             _r2_refine(p, table, trees),
+                             _r3_link(p, table, registry)):
+                    new.update(q for q in rule if q not in current)
+        if not new:
+            return frozenset(current)
+        current |= new
+    raise DlttsError(f"saturation did not reach a fixpoint in {max_rounds} rounds")
+
+
+# -- random tags and bases ----------------------------------------------------
+
+COLUMNS = (
+    ColumnSchema("Name", ColumnClass.NOMINAL, "identifier"),
+    ColumnSchema("Dept", ColumnClass.NOMINAL, "quasi-identifier"),
+    ColumnSchema("Age", ColumnClass.NUMERVAL, "quasi-identifier"),
+    ColumnSchema("Ailment", ColumnClass.TAXORAL, "sensitive", taxonomy_ref="t"),
+)
+_BY_NAME = {c.name: c for c in COLUMNS}
+_COUNT = ColumnSchema("Count", ColumnClass.NUMERICAL, "quasi-identifier")
+NAMES = ("John", "Joan")
+DEPTS = ("Phys", "Chem")
+AGES = (IntInterval(1, 2), IntInterval(2, 5))
+
+
+def _random_tree(rng: random.Random, name: str) -> TaxonomyTree:
+    parent = {f"n{i}": f"n{rng.randrange(i)}" for i in range(1, rng.randint(1, 6))}
+    return TaxonomyTree(name, "n0", parent)
+
+
+def _value(rng, column, trees):
+    if column == "Name":
+        return Atom(rng.choice(NAMES))
+    if column == "Dept":
+        return Atom(rng.choice(DEPTS))
+    if column == "Age":
+        return rng.choice(AGES)
+    # mostly tree t; sometimes a taxon from another tree
+    tree = trees["t"] if rng.random() < 0.85 else trees["u"]
+    return Taxon(tree.name, rng.choice(sorted(tree.nodes)))
+
+
+def _pattern(rng, trees, *, ground=False, negative=False):
+    names = [c.name for c in COLUMNS]
+    if rng.random() < 0.25:  # a projection onto some of the columns
+        names = [c for c in names if rng.random() < 0.6] or ["Dept"]
+    cells = tuple(
+        STAR if not ground and rng.random() < 0.35 else _value(rng, c, trees)
+        for c in names
+    )
+    return TuplePattern(tuple(names), cells, negative)
+
+
+def _random_tag(rng, trees):
+    tag = {_pattern(rng, trees) for _ in range(rng.randint(0, 3))}
+    if rng.random() < 0.3:
+        tag.add(_pattern(rng, trees, negative=True))
+    if rng.random() < 0.3:
+        tag.add(TOP)
+    return frozenset(tag)
+
+
+def _random_bases(rng, trees):
+    """A record base (no Count column; R1 and R3 read it), sometimes a
+    second one, and a count base (R2 reads it)."""
+    taxonomies = {"t": trees["t"]}
+    if rng.random() < 0.5:
+        taxonomies["u"] = trees["u"]
+    bases = []
+    for k in range(rng.randint(1, 2)):
+        names = [c for c in ("Name", "Dept", "Age", "Ailment") if rng.random() < 0.6]
+        names = names or ["Name", "Dept"]
+        cols = tuple(_BY_NAME[c] for c in names)
+        # few values, so two rows often match one join (R3 must not link)
+        rows = tuple(
+            Row(f"r{i}", tuple(_value(rng, c, trees) for c in names))
+            for i in range(rng.randint(0, 4))
+        )
+        bases.append(DataTable(f"records{k}", cols, rows, taxonomies))
+    names = [c for c in ("Dept", "Age") if rng.random() < 0.7] + ["Count", "Ailment"]
+    cols = tuple(_COUNT if c == "Count" else _BY_NAME[c] for c in names)
+    rows = tuple(
+        Row(f"c{i}", tuple(
+            Number(rng.randint(0, 2)) if c == "Count" else _value(rng, c, trees)
+            for c in names
+        ))
+        for i in range(rng.randint(0, 5))
+    )
+    bases.append(DataTable("counts", cols, rows, taxonomies))
+    rng.shuffle(bases)
+    return [b for b in bases if rng.random() < 0.9]
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except DlttsError as exc:
+        return str(exc)
+
+
+def test_semi_naive_saturation_matches_the_naive_fixpoint():
+    rng = random.Random(404)
+    seeded = 0
+    for _ in range(CASES):
+        trees = {"t": _random_tree(rng, "t"), "u": _random_tree(rng, "u")}
+        bases = _random_bases(rng, trees)
+        kw = {"columns": COLUMNS if rng.random() < 0.7 else None,
+              "taxonomies": {"t": trees["t"]} if rng.random() < 0.5 else None}
+        a, b = _random_tag(rng, trees), _random_tag(rng, trees)
+        rounds = rng.choice([0, 1, 2, 1000])
+        assert _outcome(saturate, a | b, bases, max_rounds=rounds, **kw) == (
+            _outcome(naive_saturate, a | b, bases, max_rounds=rounds, **kw)
+        )
+        closed = saturate(a, bases, **kw)
+        assert closed == naive_saturate(a, bases, **kw)
+        assert _outcome(
+            saturate, closed | b, bases, closed=closed, max_rounds=rounds, **kw
+        ) == _outcome(naive_saturate, closed | b, bases, max_rounds=rounds, **kw)
+        seeded += closed != a
+    assert seeded > CASES // 10  # the seeded cases do derive something
+
+
+def test_r3_needs_exactly_one_matching_row():
+    cols = (_BY_NAME["Name"], _BY_NAME["Dept"], _BY_NAME["Age"])
+    rows = (Row("r1", (Atom("John"), Atom("Phys"), AGES[0])),
+            Row("r2", (Atom("Joan"), Atom("Phys"), AGES[1])),
+            Row("r3", (Atom("Joan"), Atom("Chem"), AGES[1])))
+    table = DataTable("staff", cols, rows)
+    probe = TuplePattern(("Name", "Dept", "Age"), (Atom("Ann"), Atom("Phys"), STAR))
+    assert saturate(frozenset({probe}), [table]) == {probe}
+    unique = probe.replace_cell("Dept", Atom("Chem"))
+    assert saturate(frozenset({unique}), [table]) == {
+        unique, unique.replace_cell("Age", AGES[1])}
+
+
+def test_data_table_caches_its_row_groups():
+    cols = (_BY_NAME["Name"], _BY_NAME["Dept"])
+    rows = (Row("r1", (Atom("John"), Atom("Phys"))),
+            Row("r2", (Atom("Joan"), Atom("Phys"))))
+    table = DataTable("staff", cols, rows)
+    groups = table.rows_by(("Dept",))
+    assert groups == {(Atom("Phys"),): rows}
+    assert table.rows_by(("Dept",)) is groups
+    assert table.rows_by(("Dept", "Name"))[(Atom("Phys"), Atom("Joan"))] == rows[1:]
+    assert table.column_index("Dept") == 1
+    with pytest.raises(KeyError):
+        table.column_index("Age")
+
+
+# -- the builder: incremental saturation and epsilon oracle -------------------
+
+MODES = tuple(IntervalMeasureMode)
+
+
+def _secret_pool(rng, trees):
+    return [
+        [_pattern(rng, trees, ground=True).cells
+         for _ in range(rng.randint(1, 2))]
+        for _ in range(3)
+    ]
+
+
+def _examine(rng, builder, state, secrets, epsilons, verdicts):
+    secret_set = rng.choice(secrets + [None])
+    epsilon = rng.choice(epsilons)
+    mode = rng.choice(MODES)
+    normalizer = rng.choice([None, F(1)])
+    expected = oracle_verdict(
+        builder.saturated[state], builder.policy, secret_set, epsilon, mode,
+        taxonomies=builder.taxonomies, normalizer=normalizer,
+    )
+    has_outgoing = any(t.source == state for t in builder.transitions)
+    try:
+        got = builder.oracle_step(
+            state, secret_set=None if secret_set is None else iter(secret_set),
+            epsilon=epsilon, mode=mode, normalizer=normalizer,
+        )
+    except DlttsError:
+        assert expected is not OracleVerdict.CONTINUE and has_outgoing
+        return
+    assert got is expected
+    assert got is OracleVerdict.CONTINUE or not has_outgoing
+    verdicts[got] += 1
+
+
+def test_incremental_builder_matches_oracle_verdict_and_naive_closure():
+    rng = random.Random(405)
+    verdicts = {v: 0 for v in OracleVerdict}
+    for _ in range(BUILDS):
+        tree = _random_tree(rng, "t")
+        trees = {"t": tree, "u": tree}  # one tree: rho compares every taxon pair
+        bases = _random_bases(rng, trees)
+        policy = PrivacyPolicy(tuple(
+            _pattern(rng, trees, negative=True) for _ in range(rng.randint(0, 1))
+        ))
+        builder = DlttsBuilder(policy=policy, externals=bases, columns=COLUMNS,
+                               taxonomies={"t": tree})
+        secrets = _secret_pool(rng, trees)
+        epsilons = [None, F(0), F(1, 2), F(1), F(2)]
+        states = [builder.initial]
+        if rng.random() < 0.7:
+            _examine(rng, builder, builder.initial, secrets, epsilons, verdicts)
+        for step in range(rng.randint(1, 8)):
+            sources = [s for s in states if s not in builder.closed]
+            if not sources:
+                break
+            source = rng.choice(sources)
+            k = rng.randint(1, 3)
+            branches = [
+                (f"s{step}_{i}", F(1, k), Label(tuples=frozenset(
+                    _pattern(rng, trees, ground=rng.random() < 0.7)
+                    for _ in range(rng.randint(0, 2))
+                )))
+                for i in range(k)
+            ]
+            new = builder.add_transition(source, "q", branches)
+            states += new
+            for state in new:
+                # some parents are never examined, some states twice
+                for _ in range(rng.choice([0, 1, 1, 1, 2])):
+                    _examine(rng, builder, state, secrets, epsilons, verdicts)
+            if rng.random() < 0.3:  # re-examine an earlier state
+                _examine(rng, builder, rng.choice(states), secrets, epsilons, verdicts)
+        for state, tag in builder.tags.items():
+            assert builder.saturated[state] == naive_saturate(
+                tag, bases, columns=COLUMNS, taxonomies={"t": tree}
+            )
+        assert validate(builder.build()) == []
+    assert min(verdicts.values()) > 20, verdicts

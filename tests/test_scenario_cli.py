@@ -105,6 +105,22 @@ def test_cli_builds_each_system_once(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
 
 
+def test_cli_attack_dot_writes_one_file_per_attacker(capsys, tmp_path, enterprise):
+    dot_path = tmp_path / "x.dot"
+    assert cli_main(["attack", "--scenario", ENTERPRISE, "--attacker", "A",
+                     "--attacker", "B", "--dot", str(dot_path)]) == 0
+    capsys.readouterr()
+    assert not dot_path.exists()
+    for name, prior in (("A", "1/5"), ("B", "4/5")):
+        dot = (tmp_path / f"x-{name}.dot").read_text()
+        assert dot == export_dot(enterprise.attack_dltts[name].dltts)
+        assert f'"s0" -> "s1" [label="sex=M {{l3,l4}} / {prior}"]' in dot
+    assert cli_main(["attack", "--scenario", ENTERPRISE, "--attacker", "A",
+                     "--dot", str(dot_path)]) == 0
+    capsys.readouterr()
+    assert dot_path.read_text() == (tmp_path / "x-A.dot").read_text()
+
+
 def test_report_is_deterministic(hospital):
     a = run_scenario(hospital)
     b = run_scenario(hospital)
