@@ -52,6 +52,10 @@ def multiset_compare(
 
 @dataclass(frozen=True)
 class AttackerProfile:
+    """An attacker: the order it queries attributes in, its prior per
+    attribute value, its stated objective, and whether its priors are the
+    database distribution itself."""
+
     name: str
     attribute_order: tuple[str, ...]
     priors: Mapping[str, Mapping[Value, Fraction]] = field(default_factory=dict)
@@ -102,6 +106,9 @@ def _response_line(action: str) -> str | None:
 
 @dataclass(frozen=True)
 class ResponseEdge:
+    """A response switch: at `node`, the response for `line` with `value`
+    leads to `target`; `assumed` marks one synthesized from a label."""
+
     node: str
     line: str
     value: str
@@ -436,6 +443,10 @@ def _baseline_threshold(
 
 @dataclass(frozen=True)
 class StrategyDecision:
+    """The blocking strategy's ruling on one response: its access
+    probability, the baseline it was held against, and whether it was
+    switched off."""
+
     node: str
     line: str
     probability: Fraction

@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .attack import AttackError, attack_problems
 from .dltts import DlttsError, validate
 from .dotexport import export_dot
 from .metrics import MetricError
-from .privacy import Mechanism, PrivacyError, parse_epsilon
+from .privacy import Mechanism, PrivacyError
 from .scenario import (
     Report,
     Scenario,
@@ -66,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full scenario report (runs + oracle)")
     common(p)
     p.add_argument("--epsilon", help="arm the epsilon-violation oracle: "
-                   "a fraction, decimal, or ln(a/b) literal")
+                   "an exact bound on rho, as a fraction or decimal")
     p.add_argument("--secret", action="append", default=[],
                    metavar="TABLE:LINE", help="secret rows for the epsilon check")
     p.add_argument("--mode", choices=["integer-set", "paper-compat"],
@@ -136,8 +137,23 @@ def _cmd_metric(scenario: Scenario, args) -> int:
     return 0 if ok else 1
 
 
+def _oracle_bound(text: str) -> Fraction:
+    """The oracle's bound on rho, a distance: an exact non-negative
+    fraction or decimal, so a state at exactly the typed bound is caught."""
+    try:
+        bound = Fraction(text.strip().replace(" ", ""))
+    except (ValueError, ZeroDivisionError):
+        raise ScenarioError(
+            f"--epsilon {text!r} is not a fraction or decimal "
+            "(the oracle bounds rho, a distance, not an ln(...) epsilon)"
+        ) from None
+    if bound < 0:
+        raise ScenarioError(f"--epsilon {text!r} is negative")
+    return bound
+
+
 def _cmd_analyze(scenario: Scenario, args) -> int:
-    epsilon = parse_epsilon(args.epsilon) if args.epsilon else None
+    epsilon = _oracle_bound(args.epsilon) if args.epsilon else None
     if epsilon is not None and not args.secret:
         raise ScenarioError("--epsilon needs at least one --secret TABLE:LINE")
     report = run_scenario(

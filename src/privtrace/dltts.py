@@ -28,7 +28,7 @@ fixed external base), so saturation is monotone and idempotent.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -81,6 +81,8 @@ class Label:
 
 @dataclass(frozen=True)
 class Branch:
+    """One outcome of a transition: target state, probability and label."""
+
     to: str
     prob: Fraction
     label: Label = Label()
@@ -88,6 +90,9 @@ class Branch:
 
 @dataclass(frozen=True)
 class Transition:
+    """An action from a source state with its probability distribution over
+    branches."""
+
     source: str
     action: str
     branches: tuple[Branch, ...]
@@ -95,6 +100,10 @@ class Transition:
 
 @dataclass(frozen=True)
 class Dltts:
+    """A tagged probabilistic transition system: states, transitions, the
+    initial and Stop states, and per-state tags, saturated tags and
+    reachability probabilities."""
+
     initial: str
     stop: str
     states: frozenset[str]
@@ -205,6 +214,7 @@ def saturate(
     columns: Iterable[ColumnSchema] | None = None,
     taxonomies: Mapping[str, TaxonomyTree] | None = None,
     closed: Tag = frozenset(),
+    memo: dict[TuplePattern, tuple[TuplePattern, ...]] | None = None,
     max_rounds: int = 1000,
 ) -> Tag:
     """Least fixpoint of R1-R3 over the tag against the external bases.
@@ -212,7 +222,9 @@ def saturate(
     Semi-naive: every rule has one premise, so each round applies the rules
     only to the tuples the round before added.  `closed` names a part of
     `tag` that is already closed under the rules (a parent state's
-    saturated tag); it never enters the first round.
+    saturated tag); it never enters the first round.  `memo` maps a premise
+    to what R1-R3 derive from it; a caller may keep one across calls only
+    while `externals`, `columns` and `taxonomies` stay the same.
 
     Raises DlttsError if the fixpoint is not reached within `max_rounds`
     (which would signal a rule bug: the closure is finite by construction).
@@ -222,6 +234,7 @@ def saturate(
         is_id.setdefault(col.name, col.group == "identifier")
     trees = _merged_taxonomies(externals, taxonomies)
     bases = [(table, _count_column(table)) for table in externals]
+    memo = {} if memo is None else memo
     current = set(tag)
     frontier = current - closed
     for _ in range(max_rounds + 1):
@@ -229,8 +242,13 @@ def saturate(
         for p in frontier:
             if p.negative or not p.columns:
                 continue
-            for table, count_col in bases:
-                new.update(_derive(p, table, count_col, is_id, trees))
+            derived = memo.get(p)
+            if derived is None:
+                derived = memo[p] = tuple(
+                    q for table, count_col in bases
+                    for q in _derive(p, table, count_col, is_id, trees)
+                )
+            new.update(derived)
         new -= current
         if not new:
             return frozenset(current)
@@ -248,15 +266,23 @@ def _matches_negative(p: TuplePattern, negative: TuplePattern) -> bool:
     return True
 
 
-def check_consistency(tag: Tag, policy: PrivacyPolicy) -> bool:
+def check_consistency(
+    tag: Tag, policy: PrivacyPolicy, *, closed: Tag = frozenset()
+) -> bool:
     """False iff some positive tag tuple matches a policy pattern at every
-    non-wildcard position, or the tag holds a tuple and its own negation."""
-    positives = [p for p in tag if not p.negative and p.columns]
-    for p in positives:
-        for n in policy.patterns:
-            if _matches_negative(p, n):
-                return False
-        if replace(p, negative=True) in tag:
+    non-wildcard position, or the tag holds a tuple and its own negation.
+
+    `closed` names a part of `tag` that already passed this check (a parent
+    state's saturated tag).  Only the tuples outside it are checked, but
+    against the whole tag: a positive one against the policy and its own
+    negation, a negative one against its affirmation.
+    """
+    for p in tag - closed if closed else tag:
+        if not p.columns:
+            continue
+        if TuplePattern(p.columns, p.cells, not p.negative) in tag:
+            return False
+        if not p.negative and any(_matches_negative(p, n) for n in policy.patterns):
             return False
     return True
 
@@ -267,20 +293,26 @@ class OracleVerdict(Enum):
     EPSILON_VIOLATION = "epsilon-violation"
 
 
+def _is_knowledge(p: TuplePattern) -> bool:
+    """Does rho read p: a star-free positive tuple over some columns?"""
+    return not p.negative and bool(p.columns) and p.is_ground()
+
+
 def _tag_rho(tag: Iterable[TuplePattern], secrets, mode, taxonomies, normalizer):
-    """rho between the star-free positive tag tuples and the secrets."""
-    knowledge = [
-        p.cells for p in tag if not p.negative and p.columns and p.is_ground()
-    ]
+    """rho between the knowledge tuples of the tag and the secrets."""
+    knowledge = [p.cells for p in tag if _is_knowledge(p)]
     if not knowledge:
         return None
     return rho(knowledge, secrets, mode, taxonomies=taxonomies, normalizer=normalizer)
 
 
-def _verdict(tag: Tag, policy: PrivacyPolicy, epsilon, distance) -> OracleVerdict:
+def _verdict(
+    tag: Tag, policy: PrivacyPolicy, epsilon, distance, closed: Tag = frozenset()
+) -> OracleVerdict:
     """The policy check first, then rho <= epsilon.  `distance()` gives rho;
-    it is None when no secrets are given, and called only when needed."""
-    if not check_consistency(tag, policy):
+    it is None when no secrets are given, and called only when needed.
+    `closed` is a part of `tag` that already passed the policy check."""
+    if not check_consistency(tag, policy, closed=closed):
         return OracleVerdict.VIOLATION
     if epsilon is not None and distance is not None:
         r = distance()
@@ -313,10 +345,17 @@ class DlttsBuilder:
     Tags are computed tightly from branch labels and saturated eagerly at
     state creation, each from its parent's saturated tag, and cached.
     `oracle_step` checks a state and, on a violation, installs the `delta`
-    transition to Stop as its only outgoing transition.  A child's
-    saturated tag contains its parent's, so when the parent was examined
-    against the same secrets, mode and normalizer, the child's rho is the
-    minimum of the parent's and that of the tuples the child added.
+    transition to Stop as its only outgoing transition.
+
+    A new state pays only for what it adds to its parent's saturated tag,
+    which it contains.  Saturation reads one memo of each premise's R1-R3
+    results, valid because the externals, columns and taxonomies are fixed
+    for the builder's life.  When the parent passed the policy check, only
+    the added tuples are checked.  When the parent was examined against the
+    same secrets, mode and normalizer, the state's rho is the minimum of the
+    parent's and the distances of the ground tuples it added; those
+    distances are memoized by the tuple's cells while that key stays the
+    same.
     """
 
     def __init__(
@@ -336,17 +375,23 @@ class DlttsBuilder:
         self.initial = initial
         self.stop = stop
         self.transitions: list[Transition] = []
+        self._derivations: dict[TuplePattern, tuple[TuplePattern, ...]] = {}
         self.tags: dict[str, Tag] = {initial: frozenset({TOP})}
         self.saturated: dict[str, Tag] = {initial: saturate(
             frozenset({TOP}), self.externals, columns=self.columns,
-            taxonomies=self.taxonomies,
+            taxonomies=self.taxonomies, memo=self._derivations,
         )}
         self.state_probs: dict[str, Fraction] = {initial: Fraction(1)}
         self.closed: set[str] = set()
         self._parent: dict[str, str] = {}
         self._sources: set[str] = set()
+        # states whose saturated tag passed the policy check
+        self._consistent: set[str] = set()
         # state -> ((secrets, mode, normalizer), rho of its saturated tag)
         self._rho: dict[str, tuple[tuple, Fraction | None]] = {}
+        # ground tuple cells -> rho to the secrets, under `_distance_key`
+        self._distance_key: tuple | None = None
+        self._distances: dict[tuple, Fraction | None] = {}
 
     def add_transition(
         self,
@@ -387,6 +432,7 @@ class DlttsBuilder:
             self.saturated[b.to] = saturate(
                 tag, self.externals, columns=self.columns,
                 taxonomies=self.taxonomies, closed=parent_sat,
+                memo=self._derivations,
             )
             self.state_probs[b.to] = self.state_probs[source] * b.prob
             self._parent[b.to] = source
@@ -404,25 +450,36 @@ class DlttsBuilder:
         if state == self.stop:
             raise DlttsError("the oracle never examines Stop")
         tag = self.saturated[state]
+        parent = self._parent.get(state)
 
         def distance() -> Fraction | None:
             secrets = list(secret_set)
             key = (secrets, mode, normalizer)
-            parent = self._parent.get(state)
+            if key != self._distance_key:
+                self._distance_key, self._distances = key, {}
             known = self._rho.get(parent)
             reuse = known is not None and known[0] == key
-            r = _tag_rho(
-                tag - self.saturated[parent] if reuse else tag,
-                secrets, mode, self.taxonomies, normalizer,
-            )
-            if reuse:
-                r = min((v for v in (known[1], r) if v is not None), default=None)
+            r = known[1] if reuse else None
+            for p in tag - self.saturated[parent] if reuse else tag:
+                if not _is_knowledge(p):
+                    continue
+                if p.cells not in self._distances:
+                    self._distances[p.cells] = rho(
+                        [p.cells], secrets, mode,
+                        taxonomies=self.taxonomies, normalizer=normalizer,
+                    )
+                d = self._distances[p.cells]
+                if d is not None and (r is None or d < r):
+                    r = d
             self._rho[state] = (key, r)
             return r
 
         verdict = _verdict(
-            tag, self.policy, epsilon, None if secret_set is None else distance
+            tag, self.policy, epsilon, None if secret_set is None else distance,
+            self.saturated[parent] if parent in self._consistent else frozenset(),
         )
+        if verdict is not OracleVerdict.VIOLATION:
+            self._consistent.add(state)
         if verdict is not OracleVerdict.CONTINUE:
             if state in self._sources:
                 raise DlttsError(
@@ -458,6 +515,8 @@ def natural_key(name: str) -> list:
 
 @dataclass(frozen=True)
 class Run:
+    """One run into Stop: its states, actions and exact probability."""
+
     states: tuple[str, ...]
     actions: tuple[str, ...]
     probability: Fraction

@@ -163,16 +163,14 @@ def d_vector(
         corr = type_compatible(a, b)
     if corr is None:
         raise MetricError("uncomparable tuples")
-    out = []
-    for k, (i, j) in enumerate(corr.pairs):
-        if isinstance(normalizer, Mapping):
-            big_d = normalizer.get(k)
-        else:
-            big_d = normalizer
-        out.append(
-            cell_distance(a[i], b[j], mode, taxonomies=taxonomies, normalizer=big_d)
+    per_pair = isinstance(normalizer, Mapping)
+    return tuple(
+        cell_distance(
+            a[i], b[j], mode, taxonomies=taxonomies,
+            normalizer=normalizer.get(k) if per_pair else normalizer,
         )
-    return tuple(out)
+        for k, (i, j) in enumerate(corr.pairs)
+    )
 
 
 def d_bar(

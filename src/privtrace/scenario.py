@@ -62,6 +62,9 @@ class ScenarioError(ValueError):
 
 @dataclass
 class Scenario:
+    """A loaded scenario document: schema, tables, mechanisms, systems,
+    attacker profiles, scripted runs and the analyses to perform."""
+
     name: str
     base_dir: Path
     schema: SchemaBundle
@@ -223,6 +226,8 @@ def build_run(
 
 @dataclass
 class Report:
+    """A deterministic report: its text lines and the values behind them."""
+
     scenario: str
     lines: list[str] = field(default_factory=list)
     values: dict[str, object] = field(default_factory=dict)

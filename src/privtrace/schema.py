@@ -39,6 +39,9 @@ class SchemaError(ValueError):
 
 @dataclass(frozen=True)
 class ColumnSchema:
+    """One column: its name, value class, group, taxonomy (taxoral columns
+    only) and optional normalizer D (numerical columns only)."""
+
     name: str
     cls: ColumnClass
     group: str
@@ -64,12 +67,17 @@ class ColumnSchema:
 
 @dataclass(frozen=True)
 class Row:
+    """One table row: its line id and its cells in column order."""
+
     line_id: str
     cells: tuple[Value, ...]
 
 
 @dataclass(frozen=True)
 class DataTable:
+    """A named table of rows over a column schema, with the taxonomies its
+    taxoral cells refer to."""
+
     name: str
     columns: tuple[ColumnSchema, ...]
     rows: tuple[Row, ...]
@@ -224,6 +232,8 @@ class PrivacyPolicy:
 
 @dataclass(frozen=True)
 class SchemaBundle:
+    """A parsed schema document: columns, taxonomy trees and policy."""
+
     columns: tuple[ColumnSchema, ...]
     taxonomies: Mapping[str, TaxonomyTree]
     policy: PrivacyPolicy

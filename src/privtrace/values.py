@@ -26,6 +26,8 @@ class ColumnClass(Enum):
 
 @dataclass(frozen=True)
 class Atom:
+    """A single literal value of a nominal column."""
+
     value: str
 
     def __post_init__(self) -> None:
@@ -38,6 +40,8 @@ class Atom:
 
 @dataclass(frozen=True)
 class AtomSet:
+    """A nonempty finite set of atoms: a generalized nominal cell."""
+
     values: frozenset[str]
 
     def __init__(self, values: Iterable[str]) -> None:
@@ -71,6 +75,8 @@ class IntInterval:
 
 @dataclass(frozen=True)
 class Number:
+    """An exact rational value of a numerical column."""
+
     value: Fraction
 
     def __init__(self, value) -> None:
@@ -150,6 +156,7 @@ class TaxonomyTree:
         self._depth: dict[str, int] = {root: 1}
         for node in self.parent:
             self._compute_depth(node)
+        self._paths: dict[str, tuple[str, ...]] = {}
 
     def _compute_depth(self, node: str) -> int:
         if node in self._depth:
@@ -177,24 +184,36 @@ class TaxonomyTree:
             raise KeyError(f"node {node!r} not in taxonomy {self.name}")
         return self._depth[node]
 
-    def path_to_root(self, node: str) -> list[str]:
-        self.depth(node)
-        path = [node]
-        while path[-1] != self.root:
-            path.append(self.parent[path[-1]])
+    def _root_path(self, node: str) -> tuple[str, ...]:
+        """The nodes from `node` up to the root, inclusive; walked once per
+        node on first use and cached."""
+        path = self._paths.get(node)
+        if path is None:
+            self.depth(node)
+            walk = [node]
+            while walk[-1] != self.root:
+                walk.append(self.parent[walk[-1]])
+            path = self._paths[node] = tuple(walk)
         return path
 
+    def path_to_root(self, node: str) -> list[str]:
+        return list(self._root_path(node))
+
     def common_ancestor(self, x: str, y: str) -> str:
-        """Deepest common ancestor of x and y."""
-        xa = self.path_to_root(x)
-        ys = set(self.path_to_root(y))
-        for n in xa:
-            if n in ys:
-                return n
-        return self.root
+        """Deepest common ancestor of x and y: both root paths end at the
+        root, so it is the last node they share, read from the root."""
+        px, py = self._root_path(x), self._root_path(y)
+        shared = 0
+        for a, b in zip(reversed(px), reversed(py)):
+            if a != b:
+                break
+            shared += 1
+        return px[-shared]
 
     def is_strict_descendant(self, node: str, ancestor: str) -> bool:
-        return node != ancestor and ancestor in self.path_to_root(node)[1:]
+        path = self._root_path(node)
+        depth = self._depth.get(ancestor)
+        return depth is not None and depth < len(path) and path[-depth] == ancestor
 
 
 _INTERVAL_RE = re.compile(r"^\[\s*(-?\d+)\s*-\s*(-?\d+)\s*\]$")

@@ -43,3 +43,31 @@ def test_every_traced_name_resolves_with_its_kind():
         else:
             expected = "method" if "." in qualname else "function"
         assert _kind(module, qualname) == expected, (module, qualname)
+
+
+def test_the_builder_calls_the_traced_names(monkeypatch, capsys):
+    """The builder's memos sit behind `saturate`, `check_consistency` and
+    `rho`, so the traced run still sees and times all three."""
+    modules = [importlib.import_module("privtrace")] + [
+        importlib.import_module(f"privtrace.{m}") for m in _load_tracing().MODULES
+    ]
+    calls = {}
+    for module, name in [("dltts", "saturate"), ("dltts", "check_consistency"),
+                         ("metrics", "rho")]:
+        original = getattr(importlib.import_module(f"privtrace.{module}"), name)
+        calls[name] = 0
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    cli = importlib.import_module("privtrace.cli")
+    assert cli.cli_main(["analyze", "--scenario", str(SCENARIOS / "hospital" /
+                         "scenario.json"), "--epsilon", "0",
+                         "--secret", "published:l4"]) == 0
+    assert "oracle at s5: epsilon-violation" in capsys.readouterr().out
+    assert all(calls.values()), calls

@@ -216,6 +216,12 @@ def test_d_num_integer_set_metric_axioms(x, y, z):
     assert d_num(x, z, IS) <= d_num(x, y, IS) + d_num(y, z, IS)
 
 
+def test_d_vector_normalizer_per_position():
+    t, t2 = (Number(0), Atom("a"), Number(0)), (Number(1), Atom("a"), Number(1))
+    assert d_vector(t, t2, normalizer={0: F(2), 2: F(4)}) == (F(1, 2), 0, F(1, 4))
+    assert d_vector(t, t2, normalizer=F(2)) == (F(1, 2), 0, F(1, 2))
+
+
 def test_vector_requires_comparable():
     with pytest.raises(MetricError):
         d_vector((Atom("a"),), (Number(1),))

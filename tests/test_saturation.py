@@ -1,9 +1,11 @@
 """Semi-naive, indexed, incremental saturation and the incremental epsilon
 oracle, against the naive fixpoint over per-row R1-R3 scans they replaced,
-which lives on here as the oracle."""
+which lives on here as the oracle; and the delta consistency check against
+the full one."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -14,6 +16,7 @@ from privtrace.dltts import (
     DlttsError,
     Label,
     OracleVerdict,
+    check_consistency,
     oracle_verdict,
     saturate,
     validate,
@@ -372,6 +375,31 @@ def _examine(rng, builder, state, secrets, epsilons, verdicts):
     verdicts[got] += 1
 
 
+def _flipped(p):
+    return TuplePattern(p.columns, p.cells, not p.negative)
+
+
+def _violating(rng, policy, trees):
+    """A positive tuple that the policy's pattern matches."""
+    n = rng.choice(policy.patterns)
+    return TuplePattern(n.columns, tuple(
+        _value(rng, c, trees) if isinstance(v, Wildcard) else v
+        for c, v in zip(n.columns, n.cells)
+    ))
+
+
+def _contradiction(rng, tag, policy, trees):
+    """Sometimes the negation of a tuple in `tag` (or the affirmation of a
+    negative one), sometimes a tuple the policy matches."""
+    out = set()
+    flippable = sorted((p for p in tag if p.columns), key=str)
+    if flippable and rng.random() < 0.15:
+        out.add(_flipped(rng.choice(flippable)))
+    if policy.patterns and rng.random() < 0.1:
+        out.add(_violating(rng, policy, trees))
+    return out
+
+
 def test_incremental_builder_matches_oracle_verdict_and_naive_closure():
     rng = random.Random(405)
     verdicts = {v: 0 for v in OracleVerdict}
@@ -399,7 +427,7 @@ def test_incremental_builder_matches_oracle_verdict_and_naive_closure():
                 (f"s{step}_{i}", F(1, k), Label(tuples=frozenset(
                     _pattern(rng, trees, ground=rng.random() < 0.7)
                     for _ in range(rng.randint(0, 2))
-                )))
+                ) | _contradiction(rng, builder.saturated[source], policy, trees)))
                 for i in range(k)
             ]
             new = builder.add_transition(source, "q", branches)
@@ -416,3 +444,56 @@ def test_incremental_builder_matches_oracle_verdict_and_naive_closure():
             )
         assert validate(builder.build()) == []
     assert min(verdicts.values()) > 20, verdicts
+
+
+def test_a_violating_parent_never_narrows_a_child_check():
+    """A parent found violating after it got a child is not a consistent
+    base for that child's delta check."""
+    policy = PrivacyPolicy((TuplePattern(("Name",), (Atom("John"),), True),))
+    builder = DlttsBuilder(policy=policy, columns=COLUMNS)
+    leak = TuplePattern(("Name",), (Atom("John"),))
+    builder.add_transition("s0", "q", [("s1", F(1), Label(tuples=frozenset({leak})))])
+    builder.add_transition("s1", "q", [("s2", F(1), Label())])
+    with pytest.raises(DlttsError):
+        builder.oracle_step("s1")
+    assert builder.oracle_step("s2") is OracleVerdict.VIOLATION
+
+
+def test_delta_consistency_check_matches_the_full_check():
+    """check_consistency(tag, policy, closed=c) equals the full check for
+    every consistent c within the tag."""
+    rng = random.Random(406)
+    trees = {"t": _random_tree(rng, "t"), "u": _random_tree(rng, "u")}
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        policy = PrivacyPolicy(tuple(
+            _pattern(rng, trees, negative=True) for _ in range(rng.randint(0, 2))
+        ))
+        tag = set(_random_tag(rng, trees))
+        for _ in range(rng.randint(0, 2)):
+            tag |= _contradiction(rng, tag, policy, trees)
+        tag = frozenset(tag)
+        full = check_consistency(tag, policy)
+        outcomes[full] += 1
+        members = sorted(tag, key=str)
+        for r in range(len(members) + 1):
+            for closed in map(frozenset, itertools.combinations(members, r)):
+                if check_consistency(closed, policy):
+                    assert check_consistency(tag, policy, closed=closed) is full
+    assert min(outcomes.values()) > 30, outcomes
+
+
+def test_builders_do_not_share_derivations():
+    """Two builders whose externals differ each derive from their own
+    bases, even when they see the same premises."""
+    name, dept = _BY_NAME["Name"], _BY_NAME["Dept"]
+    premise = TuplePattern(("Name", "Dept"), (Atom("John"), STAR))
+    for d in DEPTS:
+        table = DataTable("staff", (name, dept), (Row("r1", (Atom("John"), Atom(d))),))
+        builder = DlttsBuilder(externals=[table], columns=COLUMNS)
+        builder.add_transition(
+            "s0", "q", [("s1", F(1), Label(tuples=frozenset({premise})))]
+        )
+        assert builder.saturated["s1"] == {
+            TOP, premise, premise.replace_cell("Dept", Atom(d))
+        }

@@ -524,3 +524,38 @@ def test_deep_cyclic_transcript_exits_two(tmp_path):
     done = _cli_process("attack", "--scenario", scenario, "--attacker", "chain")
     assert done.returncode == 2 and "Traceback" not in done.stderr
     assert "attack system has a cycle" in done.stderr
+
+
+def test_cli_analyze_ln_epsilon_exits_two():
+    done = _cli_process("analyze", "--scenario", HOSPITAL, "--epsilon", "ln(2)",
+                        "--secret", "published:l4")
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    assert "--epsilon 'ln(2)'" in done.stderr
+
+
+def test_cli_analyze_epsilon_is_an_exact_bound(tmp_path, capsys):
+    """rho([1-7], [1-10]) = 3/10 exactly; a decimal bound of 0.3 catches it."""
+    (tmp_path / "schema.json").write_text(json.dumps({
+        "columns": [{"name": "Age", "class": "numerval",
+                     "group": "quasi-identifier"}],
+    }))
+    (tmp_path / "t.csv").write_text("Age\n[1-10]\n")
+    (tmp_path / "scenario.json").write_text(json.dumps({
+        "name": "bound",
+        "schema": "schema.json",
+        "tables": {"t": {"file": "t.csv"}},
+        "runs": {"r": {"steps": [{"from": "s0", "action": "query:Age", "branches": [
+            {"to": "s1", "prob": "1", "learn": ["([1-7])"]}]}]}},
+        "analysis": {"runs": ["r"]},
+    }))
+    scenario = str(tmp_path / "scenario.json")
+    for bound, verdict in [("0.3", True), ("3/10", True), ("1/3", True),
+                           ("0.2999", False), ("0.5e-1", False)]:
+        assert cli_main(["analyze", "--scenario", scenario, "--epsilon", bound,
+                         "--secret", "t:l1"]) == 0
+        out = capsys.readouterr().out
+        assert ("oracle at s1: epsilon-violation" in out) is verdict, bound
+    for bad in ["ln(2)", "(1/2)*ln(3)", "-0.1", "x"]:
+        assert cli_main(["analyze", "--scenario", scenario, "--epsilon", bad,
+                         "--secret", "t:l1"]) == 2
+        assert "error: --epsilon" in capsys.readouterr().err

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import importlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -83,6 +86,31 @@ def test_taxonomy_depths_and_ancestor():
     assert not tree.is_strict_descendant("CoVid", "CoVid")
 
 
+def _walk(tree, node):
+    """The root path by walking the parent map, as the tree did uncached."""
+    path = [node]
+    while path[-1] != tree.root:
+        path.append(tree.parent[path[-1]])
+    return path
+
+
+def test_cached_root_paths_match_the_parent_map_walk():
+    rng = random.Random(407)
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        tree = TaxonomyTree("t", "n0", {f"n{i}": f"n{rng.randrange(i)}" for i in range(1, n)})
+        nodes = sorted(tree.nodes)
+        for _ in range(20):
+            x, y = rng.choice(nodes), rng.choice(nodes)
+            assert tree.path_to_root(x) == _walk(tree, x)
+            ys = set(_walk(tree, y))
+            assert tree.common_ancestor(x, y) == next(a for a in _walk(tree, x) if a in ys)
+            assert tree.is_strict_descendant(x, y) == (y in _walk(tree, x)[1:])
+        assert not tree.is_strict_descendant(x, "elsewhere")
+        with pytest.raises(KeyError):
+            tree.common_ancestor(x, "elsewhere")
+
+
 def test_taxonomy_cycle_rejected():
     with pytest.raises(ValueError):
         TaxonomyTree("bad", "r", {"a": "b", "b": "a"})
@@ -105,3 +133,15 @@ def test_split_top_level_respects_nesting():
     assert split_top_level("(x,y),z") == ["(x,y)", "z"]
     with pytest.raises(ValueError):
         split_top_level("a,{b")
+
+
+def test_every_dataclass_declares_its_docstring():
+    """A dataclass without a docstring gets one built from its signature at
+    import, which every CLI process would pay for."""
+    for name in ("values", "schema", "metrics", "dltts", "privacy", "attack",
+                 "scenario"):
+        module = importlib.import_module(f"privtrace.{name}")
+        for cls in vars(module).values():
+            if (dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+                    and isinstance(cls, type)):
+                assert not cls.__doc__.startswith(cls.__name__ + "("), cls
