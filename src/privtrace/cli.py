@@ -13,38 +13,15 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .attack import AttackError, attack_problems
-from .dltts import DlttsError, validate
-from .dotexport import export_dot
-from .metrics import MetricError
-from .privacy import Mechanism, PrivacyError
-from .scenario import (
-    Report,
-    Scenario,
-    ScenarioError,
-    attack_for,
-    attack_section,
-    build_run,
-    dp_section,
-    load_scenario,
-    metric_section,
-    parse_mode,
-    run_scenario,
-    strategy_section,
-)
-from .schema import SchemaError
+from typing import TYPE_CHECKING
 
-INPUT_ERRORS = (
-    ScenarioError,
-    SchemaError,
-    DlttsError,
-    AttackError,
-    PrivacyError,
-    MetricError,
-    OSError,
-    KeyError,
-    ValueError,
-)
+if TYPE_CHECKING:
+    from .report import Report
+    from .scenario import Scenario
+
+# Every layer's error class subclasses ValueError, so this needs no import
+# of the layers: each subcommand imports only what it calls.
+INPUT_ERRORS = (OSError, KeyError, ValueError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,6 +105,8 @@ def _dot_path(base: str, name: str, names: list[str]) -> Path:
 
 
 def _cmd_metric(scenario: Scenario, args) -> int:
+    from .scenario import Report, ScenarioError, metric_section
+
     table = args.table or scenario.analysis.get("metric", {}).get("table")
     if table is None:
         raise ScenarioError("no table given and the scenario names none")
@@ -140,6 +119,8 @@ def _cmd_metric(scenario: Scenario, args) -> int:
 def _oracle_bound(text: str) -> Fraction:
     """The oracle's bound on rho, a distance: an exact non-negative
     fraction or decimal, so a state at exactly the typed bound is caught."""
+    from .report import ScenarioError
+
     try:
         bound = Fraction(text.strip().replace(" ", ""))
     except (ValueError, ZeroDivisionError):
@@ -153,6 +134,8 @@ def _oracle_bound(text: str) -> Fraction:
 
 
 def _cmd_analyze(scenario: Scenario, args) -> int:
+    from .scenario import ScenarioError, parse_mode, run_scenario
+
     epsilon = _oracle_bound(args.epsilon) if args.epsilon else None
     if epsilon is not None and not args.secret:
         raise ScenarioError("--epsilon needs at least one --secret TABLE:LINE")
@@ -162,6 +145,8 @@ def _cmd_analyze(scenario: Scenario, args) -> int:
     )
     _emit(report)
     if args.dot:
+        from .dotexport import export_dot
+
         runs = scenario.analysis.get("runs", [])
         for name in runs:
             _dot_path(args.dot, name, runs).write_text(export_dot(report.runs[name]))
@@ -175,8 +160,14 @@ def _cmd_analyze(scenario: Scenario, args) -> int:
 
 
 def _cmd_dp_check(scenario: Scenario | None, args) -> int:
+    from .privacy import Mechanism
+    from .report import Report, ScenarioError, dp_section
+
     if args.mechanism_file:
         doc = json.loads(Path(args.mechanism_file).read_text())
+        if not isinstance(doc, dict):
+            raise ScenarioError(f"{args.mechanism_file}: a mechanism file "
+                                "holds one JSON object")
         name = doc.get("name", Path(args.mechanism_file).stem)
         m = Mechanism.from_rows(name, doc["probs"], outputs=doc.get("outputs"))
     elif scenario is not None and args.mechanism:
@@ -192,6 +183,10 @@ def _cmd_dp_check(scenario: Scenario | None, args) -> int:
 
 
 def _cmd_attack(scenario: Scenario, args) -> int:
+    from .attack import attack_problems
+    from .dotexport import export_dot
+    from .scenario import Report, attack_section
+
     report = Report(scenario.name)
     found = False
     for name in args.attacker:
@@ -214,6 +209,9 @@ def _cmd_attack(scenario: Scenario, args) -> int:
 
 
 def _cmd_strategy(scenario: Scenario, args) -> int:
+    from .dotexport import export_dot
+    from .scenario import Report, ScenarioError, strategy_section
+
     baseline = args.baseline or scenario.baseline
     if baseline is None:
         raise ScenarioError("no baseline given and the scenario names none")
@@ -230,6 +228,9 @@ def _cmd_strategy(scenario: Scenario, args) -> int:
 
 
 def _cmd_export_dot(scenario: Scenario, args) -> int:
+    from .dotexport import export_dot
+    from .scenario import ScenarioError, attack_for, build_run
+
     if args.dltts:
         dltts = scenario.dltts.get(args.dltts)
         if dltts is None:
@@ -249,6 +250,10 @@ def _cmd_export_dot(scenario: Scenario, args) -> int:
 
 
 def _cmd_validate(scenario: Scenario, args) -> int:
+    from .attack import attack_problems
+    from .dltts import validate
+    from .scenario import Report, ScenarioError, build_run
+
     report = Report(scenario.name)
     problems: list[str] = []
     names = [args.dltts] if args.dltts else sorted(scenario.dltts)
@@ -292,8 +297,14 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        scenario = load_scenario(args.scenario) if args.scenario else None
-        if scenario is None and args.command != "dp-check":
+        scenario = None
+        if args.scenario:
+            from .scenario import load_scenario
+
+            scenario = load_scenario(args.scenario)
+        elif args.command != "dp-check":
+            from .report import ScenarioError
+
             raise ScenarioError("--scenario is required")
         return _COMMANDS[args.command](scenario, args)
     except INPUT_ERRORS as exc:

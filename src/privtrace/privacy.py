@@ -54,14 +54,26 @@ class Mechanism:
 
     @classmethod
     def from_rows(cls, name: str, rows: Mapping, outputs: Sequence | None = None):
-        """Build from {input: {output: prob}}; probs accept Fraction strings."""
+        """Build from {input: {output: prob}}; probs accept Fraction strings.
+        Outputs keep first-seen order, declared `outputs` first; a document
+        of any other shape raises PrivacyError."""
+        if not isinstance(rows, Mapping) or not all(
+            isinstance(dist, Mapping) for dist in rows.values()
+        ):
+            raise PrivacyError(
+                f"{name}: probs must map each input to an {{output: probability}} object"
+            )
+        if outputs is not None and not isinstance(outputs, (list, tuple)):
+            raise PrivacyError(f"{name}: outputs must be a list")
         table = {}
-        outs: list = list(outputs) if outputs is not None else []
-        for v, dist in rows.items():
-            for o, p in dist.items():
-                if o not in outs:
-                    outs.append(o)
-                table[(v, o)] = Fraction(p)
+        try:
+            outs = dict.fromkeys(outputs or ())
+            for v, dist in rows.items():
+                for o, p in dist.items():
+                    outs.setdefault(o)
+                    table[(v, o)] = Fraction(p)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise PrivacyError(f"{name}: {exc}") from None
         return cls(name, tuple(rows), tuple(outs), table)
 
     def prob(self, v, o) -> Fraction:

@@ -1,0 +1,88 @@
+"""The report every subcommand writes, and the dp-check section.
+
+This module imports neither the transition-system nor the attack layers, so
+`dp-check` on a mechanism file loads only values, schema, metrics, privacy
+and this module.  `scenario` re-exports every name defined here.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+from . import __version__, privacy
+from .metrics import IntervalMeasureMode
+
+if TYPE_CHECKING:
+    from .dltts import Dltts
+    from .scenario import Scenario
+
+
+class ScenarioError(ValueError):
+    pass
+
+
+@dataclass
+class Report:
+    """A deterministic report: its text lines and the values behind them."""
+
+    scenario: str
+    lines: list[str] = field(default_factory=list)
+    values: dict[str, object] = field(default_factory=dict)
+    # The systems the run sections built, by run name, for `--dot`.
+    runs: dict[str, Dltts] = field(default_factory=dict, init=False)
+
+    def add(self, line: str = "") -> None:
+        self.lines.append(line)
+
+    def put(self, key: str, value, line: str | None = None) -> None:
+        self.values[key] = value
+        if line is not None:
+            self.lines.append(line)
+
+    def header(self) -> str:
+        return f"# privtrace {__version__}"
+
+    def body(self) -> str:
+        return "\n".join([f"report: {self.scenario}"] + self.lines) + "\n"
+
+    def text(self) -> str:
+        return self.header() + "\n" + self.body()
+
+
+_MODES = {m.value: m for m in IntervalMeasureMode}
+
+
+def parse_mode(name: str) -> IntervalMeasureMode:
+    try:
+        return _MODES[name]
+    except KeyError:
+        raise ScenarioError(
+            f"unknown mode {name!r}; expected one of {sorted(_MODES)}"
+        )
+
+
+def dp_section(
+    scenario: Scenario | None,
+    report: Report,
+    name: str,
+    m: privacy.Mechanism,
+    adjacency: str,
+    mode_name: str,
+) -> bool:
+    """LDP and DP epsilon bounds with witnesses; returns False when either
+    is unbounded.  Any adjacency other than "hamming" is rho under
+    `mode_name`, over the scenario's taxonomies (none without a scenario)."""
+    report.add(f"## dp-check {name}")
+    ldp = privacy.min_ldp_epsilon(m)
+    report.put(f"dp/{name}/ldp", ldp, f"min LDP epsilon = {ldp}")
+    report.add(f"  witness: {ldp.witness_str()}")
+    if adjacency == "hamming":
+        adj = privacy.HammingAdjacency()
+    else:
+        taxonomies = scenario.schema.taxonomies if scenario else {}
+        adj = privacy.RhoAdjacency(parse_mode(mode_name), taxonomies=taxonomies)
+    dp = privacy.min_dp_epsilon(m, adj)
+    report.put(f"dp/{name}/dp/{adjacency}", dp, f"min DP epsilon ({adjacency}) = {dp}")
+    report.add(f"  witness: {dp.witness_str()}")
+    return not (ldp.unbounded or dp.unbounded)

@@ -12,7 +12,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
-from . import __version__
 from .attack import (
     AttackDltts,
     AttackerProfile,
@@ -39,12 +38,9 @@ from .privacy import (
     min_eps_hamming_indist,
     min_eps_rho_indist,
     min_indist_epsilon,
-    min_ldp_epsilon,
-    min_dp_epsilon,
-    HammingAdjacency,
-    RhoAdjacency,
     parse_epsilon,
 )
+from .report import Report, ScenarioError, dp_section, parse_mode
 from .schema import (
     DataTable,
     SchemaBundle,
@@ -54,10 +50,6 @@ from .schema import (
     parse_pattern,
 )
 from .values import parse_cell
-
-
-class ScenarioError(ValueError):
-    pass
 
 
 @dataclass
@@ -222,46 +214,6 @@ def build_run(
                 state, secret_set=secret, epsilon=epsilon, mode=mode
             )
     return builder.build(), verdicts
-
-
-@dataclass
-class Report:
-    """A deterministic report: its text lines and the values behind them."""
-
-    scenario: str
-    lines: list[str] = field(default_factory=list)
-    values: dict[str, object] = field(default_factory=dict)
-    # The systems the run sections built, by run name, for `--dot`.
-    runs: dict[str, Dltts] = field(default_factory=dict, init=False)
-
-    def add(self, line: str = "") -> None:
-        self.lines.append(line)
-
-    def put(self, key: str, value, line: str | None = None) -> None:
-        self.values[key] = value
-        if line is not None:
-            self.lines.append(line)
-
-    def header(self) -> str:
-        return f"# privtrace {__version__}"
-
-    def body(self) -> str:
-        return "\n".join([f"report: {self.scenario}"] + self.lines) + "\n"
-
-    def text(self) -> str:
-        return self.header() + "\n" + self.body()
-
-
-_MODES = {m.value: m for m in IntervalMeasureMode}
-
-
-def parse_mode(name: str) -> IntervalMeasureMode:
-    try:
-        return _MODES[name]
-    except KeyError:
-        raise ScenarioError(
-            f"unknown mode {name!r}; expected one of {sorted(_MODES)}"
-        )
 
 
 def _fmt_vec(vec) -> str:
@@ -455,32 +407,6 @@ def strategy_section(
     return drawn
 
 
-def dp_section(
-    scenario: Scenario | None,
-    report: Report,
-    name: str,
-    m: Mechanism,
-    adjacency: str,
-    mode_name: str,
-) -> bool:
-    """LDP and DP epsilon bounds with witnesses; returns False when either
-    is unbounded.  Any adjacency other than "hamming" is rho under
-    `mode_name`, over the scenario's taxonomies (none without a scenario)."""
-    report.add(f"## dp-check {name}")
-    ldp = min_ldp_epsilon(m)
-    report.put(f"dp/{name}/ldp", ldp, f"min LDP epsilon = {ldp}")
-    report.add(f"  witness: {ldp.witness_str()}")
-    if adjacency == "hamming":
-        adj = HammingAdjacency()
-    else:
-        taxonomies = scenario.schema.taxonomies if scenario else {}
-        adj = RhoAdjacency(parse_mode(mode_name), taxonomies=taxonomies)
-    dp = min_dp_epsilon(m, adj)
-    report.put(f"dp/{name}/dp/{adjacency}", dp, f"min DP epsilon ({adjacency}) = {dp}")
-    report.add(f"  witness: {dp.witness_str()}")
-    return not (ldp.unbounded or dp.unbounded)
-
-
 def run_scenario(
     scenario: Scenario,
     *,
@@ -528,15 +454,15 @@ def run_scenario(
         alpha = entry["alpha"]
         report.add(f"## scaled indistinguishability {entry['mechanism']} {a} {b}")
         for mode_name in entry.get("modes", ["integer-set"]):
-            mode = parse_mode(mode_name)
+            rho_mode = parse_mode(mode_name)
             res = min_eps_rho_indist(
-                m, a, b, alpha, mode,
+                m, a, b, alpha, rho_mode,
                 tuples=tuples, taxonomies=scenario.schema.taxonomies,
             )
             report.put(
-                f"scaled_indist/{entry['mechanism']}/{a}/{b}/rho/{mode.value}",
+                f"scaled_indist/{entry['mechanism']}/{a}/{b}/rho/{rho_mode.value}",
                 res,
-                f"rho-scaled min epsilon ({mode.value}) = {res}",
+                f"rho-scaled min epsilon ({rho_mode.value}) = {res}",
             )
         if entry.get("hamming"):
             res = min_eps_hamming_indist(m, a, b, alpha, tuples=tuples)

@@ -1,0 +1,92 @@
+"""Which modules each path imports.  Every check runs in a fresh interpreter,
+because this test process has already imported the whole package."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+from conftest import SCENARIOS
+
+SRC = str(SCENARIOS.parent / "src")
+HOSPITAL = str(SCENARIOS / "hospital" / "scenario.json")
+
+
+def _python(code: str, *args: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+LOADED = (
+    "import json, sys\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.startswith('privtrace.'))))\n"
+)
+
+
+def test_import_privtrace_loads_no_submodule():
+    assert _python("import privtrace\n" + LOADED) == "[]\n"
+
+
+def test_dp_check_on_a_mechanism_file_skips_the_system_layers(tmp_path):
+    path = tmp_path / "rr.json"
+    path.write_text(json.dumps({"probs": {
+        "a": {"x": "3/4", "y": "1/4"}, "b": {"x": "1/4", "y": "3/4"}}}))
+    out = _python(
+        "import contextlib, io, sys\n"
+        "from privtrace.cli import cli_main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli_main(['dp-check', '--mechanism-file', sys.argv[1]]) == 0\n"
+        + LOADED,
+        str(path),
+    )
+    loaded = set(json.loads(out))
+    for layer in ("scenario", "dltts", "attack", "dotexport"):
+        assert f"privtrace.{layer}" not in loaded
+    assert loaded == {f"privtrace.{m}" for m in
+                      ("cli", "values", "schema", "metrics", "privacy", "report")}
+
+
+def test_analyze_loads_what_it_runs():
+    out = _python(
+        "import contextlib, io, sys\n"
+        "from privtrace.cli import cli_main\n"
+        "buf = io.StringIO()\n"
+        "with contextlib.redirect_stdout(buf):\n"
+        "    assert cli_main(['analyze', '--scenario', sys.argv[1]]) == 0\n"
+        "assert 'stop reached: s0 -> s2 -> s4 -> s6 -> STOP' in buf.getvalue()\n"
+        + LOADED,
+        HOSPITAL,
+    )
+    loaded = set(json.loads(out))
+    for layer in ("scenario", "dltts", "attack", "privacy"):
+        assert f"privtrace.{layer}" in loaded
+    assert "privtrace.dotexport" not in loaded
+
+
+def test_every_public_name_is_its_module_attribute():
+    out = _python(
+        "import importlib, privtrace\n"
+        "assert set(privtrace.__all__) <= set(dir(privtrace))\n"
+        "for name in privtrace.__all__:\n"
+        "    module = importlib.import_module('privtrace.' + privtrace._LAZY[name])\n"
+        "    assert getattr(privtrace, name) is getattr(module, name), name\n"
+        "print(len(privtrace.__all__))\n"
+    )
+    assert out == "69\n"
+
+
+def test_unknown_attribute_raises_attribute_error():
+    out = _python(
+        "import privtrace\n"
+        "try:\n"
+        "    privtrace.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert "no_such_name" in out

@@ -10,9 +10,11 @@ from fractions import Fraction as F
 import pytest
 
 from privtrace.cli import cli_main
-from privtrace.dltts import OracleVerdict, reach_stop, validate
+from privtrace.dltts import OracleVerdict, oracle_verdict, reach_stop, validate
 from privtrace.dotexport import export_dot
-from privtrace.scenario import ScenarioError, build_run, load_scenario, run_scenario
+from privtrace.scenario import (
+    ScenarioError, build_run, load_scenario, parse_mode, run_scenario,
+)
 
 from conftest import SCENARIOS
 
@@ -65,6 +67,26 @@ def test_cli_analyze_epsilon_flags(capsys):
     assert cli_main(["analyze", "--scenario", HOSPITAL, "--epsilon", "0"]) == 2
 
 
+@pytest.mark.parametrize("mode", ["integer-set", "paper-compat"])
+def test_cli_analyze_oracle_uses_the_given_mode(capsys, hospital, mode):
+    """s5's rho against l5 is 39/20 in paper-compat mode and 41/21 in
+    integer-set mode, so a bound of 1.951 catches s5 in the former only."""
+    assert cli_main(["analyze", "--scenario", HOSPITAL, "--epsilon", "1.951",
+                     "--secret", "published:l5", "--mode", mode]) == 0
+    reported = dict(re.findall(r"^oracle at (\S+): (\S+)", capsys.readouterr().out,
+                               re.MULTILINE))
+    dltts, _ = build_run(hospital, "trace")
+    secret = [hospital.table("published").row("l5").cells]
+    expected = {}
+    for state, tag in dltts.saturated.items():
+        verdict = oracle_verdict(tag, hospital.schema.policy, secret, F("1.951"),
+                                 parse_mode(mode), taxonomies=hospital.schema.taxonomies)
+        if verdict is not OracleVerdict.CONTINUE:
+            expected[state] = verdict.value
+    assert reported == expected
+    assert (reported.get("s5") == "epsilon-violation") is (mode == "paper-compat")
+
+
 def test_cli_analyze_dot_draws_the_epsilon_armed_system(capsys, tmp_path):
     dot_path = tmp_path / "trace.dot"
     code = cli_main(
@@ -79,7 +101,6 @@ def test_cli_analyze_dot_draws_the_epsilon_armed_system(capsys, tmp_path):
 
 
 def test_cli_builds_each_system_once(capsys, tmp_path, monkeypatch):
-    import privtrace.cli
     import privtrace.scenario
 
     built = []
@@ -90,13 +111,18 @@ def test_cli_builds_each_system_once(capsys, tmp_path, monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for module, name in ((privtrace.cli, "build_run"),
-                         (privtrace.scenario, "build_attack_dltts")):
-        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for name in ("build_run", "build_attack_dltts"):
+        monkeypatch.setattr(privtrace.scenario, name,
+                            counting(name, getattr(privtrace.scenario, name)))
+    run_scenario(load_scenario(HOSPITAL))
+    report_builds = list(built)
+    assert "build_run" in report_builds
+    built.clear()
+    # `--dot` draws the systems the report built: the CLI builds none itself.
     assert cli_main(["analyze", "--scenario", HOSPITAL,
                      "--dot", str(tmp_path / "trace.dot")]) == 0
     assert (tmp_path / "trace.dot").read_text().startswith("digraph")
-    assert built == []
+    assert built == report_builds
     built.clear()
     assert cli_main(["attack", "--scenario", ENTERPRISE, "--attacker", "A",
                      "--attacker", "B", "--built",
@@ -229,6 +255,22 @@ def test_cli_dp_check_standalone_mechanism_file(capsys, tmp_path):
     assert code == 0
     assert "min LDP epsilon = ln(3/1)" in out
     assert "witness:" in out
+
+
+@pytest.mark.parametrize("doc", [
+    [],
+    {"probs": 5},
+    {"probs": [[1]], "outputs": 3},
+    {"probs": {"v": ["1/2", "1/2"]}, "outputs": ["a", "b"]},
+    {"probs": {"v": {"a": "1"}}, "outputs": [["a"]]},
+    {"probs": {"v": {"a": [1]}}},
+])
+def test_cli_dp_check_malformed_mechanism_file_exits_two(tmp_path, doc):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    done = _cli_process("dp-check", "--mechanism-file", str(path))
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
 
 
 def test_cli_dp_check_has_no_output_count_limit(capsys, tmp_path):
