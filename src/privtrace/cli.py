@@ -120,10 +120,13 @@ def _oracle_bound(text: str) -> Fraction:
     """The oracle's bound on rho, a distance: an exact non-negative
     fraction or decimal, so a state at exactly the typed bound is caught."""
     from .report import ScenarioError
+    from .values import ExponentError, parse_fraction
 
     try:
-        bound = Fraction(text.strip().replace(" ", ""))
-    except (ValueError, ZeroDivisionError):
+        bound = parse_fraction(text.strip().replace(" ", ""))
+    except ExponentError as exc:
+        raise ScenarioError(f"--epsilon: {exc}") from None
+    except ValueError:
         raise ScenarioError(
             f"--epsilon {text!r} is not a fraction or decimal "
             "(the oracle bounds rho, a distance, not an ln(...) epsilon)"

@@ -32,9 +32,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from . import privacy
 from .metrics import IntervalMeasureMode, rho
 from .schema import (
     ColumnSchema,
@@ -50,8 +49,12 @@ from .values import (
     TaxonomyTree,
     Taxon,
     Wildcard,
+    parse_fraction,
     split_top_level,
 )
+
+if TYPE_CHECKING:
+    from .privacy import Mechanism
 
 DELTA = "delta"
 
@@ -609,7 +612,7 @@ def validate(dltts: Dltts) -> list[str]:
 def epsilon_equivalent_labels(
     dltts: Dltts,
     state: str,
-    mechanism: "privacy.Mechanism",
+    mechanism: Mechanism,
     epsilon,
     *,
     alpha=None,
@@ -623,6 +626,8 @@ def epsilon_equivalent_labels(
     text.  Pairwise indistinguishability is not transitive, so classes are
     the connected components of the pairwise relation.
     """
+    from . import privacy
+
     labels: list[Label] = []
     for t in dltts.outgoing(state):
         for b in t.branches:
@@ -752,9 +757,9 @@ def parse_dltts(text: str, name: str = "dltts") -> Dltts:
                 raise DlttsError(f"{name}:{lineno}: branch needs target and prob")
             to = parts[0].strip()
             try:
-                prob = Fraction(parts[1].strip())
-            except (ValueError, ZeroDivisionError) as exc:
-                raise DlttsError(f"{name}:{lineno}: bad probability") from exc
+                prob = parse_fraction(parts[1].strip())
+            except ValueError as exc:
+                raise DlttsError(f"{name}:{lineno}: bad probability: {exc}") from exc
             label = _parse_label(",".join(parts[2:])) if len(parts) > 2 else Label()
             branches.append(Branch(to, prob, label))
         if not branches:

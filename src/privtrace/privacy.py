@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .metrics import IntervalMeasureMode, hamming, rho
 from .schema import Row
-from .values import Atom, TaxonomyTree
+from .values import Atom, TaxonomyTree, parse_fraction
 
 EPS_FLOAT_TOL = 1e-9
 
@@ -71,8 +71,8 @@ class Mechanism:
             for v, dist in rows.items():
                 for o, p in dist.items():
                     outs.setdefault(o)
-                    table[(v, o)] = Fraction(p)
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+                    table[(v, o)] = parse_fraction(p)
+        except (TypeError, ValueError) as exc:
             raise PrivacyError(f"{name}: {exc}") from None
         return cls(name, tuple(rows), tuple(outs), table)
 
@@ -433,16 +433,21 @@ def parse_epsilon(text: str):
     a decimal.  Exact forms return EpsilonResult, decimals return float."""
     text = text.strip().replace(" ", "")
     m = re.fullmatch(r"(?:\((-?\d+/\d+|-?\d+)\)\*)?ln\((\d+(?:/\d+)?)\)", text)
+    try:
+        if m:
+            scale = parse_fraction(m.group(1) or 1)
+            ratio = parse_fraction(m.group(2))
+        else:
+            frac = parse_fraction(text)
+    except ValueError as exc:
+        raise PrivacyError(f"cannot parse epsilon: {exc}") from None
     if m:
-        scale = Fraction(m.group(1)) if m.group(1) else Fraction(1)
-        ratio = Fraction(m.group(2))
         if ratio < 1 or scale < 0:
             raise PrivacyError(f"epsilon {text!r} is negative")
         return EpsilonResult(scale=scale, ratio=ratio)
-    try:
-        frac = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise PrivacyError(f"cannot parse epsilon {text!r}") from None
     if frac < 0:
         raise PrivacyError("epsilon must be nonnegative")
-    return float(frac)
+    try:
+        return float(frac)
+    except OverflowError:
+        raise PrivacyError(f"epsilon {text!r} is too large for a float") from None

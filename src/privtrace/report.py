@@ -1,8 +1,9 @@
 """The report every subcommand writes, and the dp-check section.
 
-This module imports neither the transition-system nor the attack layers, so
-`dp-check` on a mechanism file loads only values, schema, metrics, privacy
-and this module.  `scenario` re-exports every name defined here.
+This module imports neither the transition-system nor the attack layers,
+and imports `privacy` only inside `dp_section`, so a report loads the
+mechanism layer only when it has a dp-check section.  `scenario`
+re-exports every name defined here.
 """
 
 from __future__ import annotations
@@ -10,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from . import __version__, privacy
+from . import __version__
 from .metrics import IntervalMeasureMode
 
 if TYPE_CHECKING:
     from .dltts import Dltts
+    from .privacy import Mechanism
     from .scenario import Scenario
 
 
@@ -66,13 +68,15 @@ def dp_section(
     scenario: Scenario | None,
     report: Report,
     name: str,
-    m: privacy.Mechanism,
+    m: Mechanism,
     adjacency: str,
     mode_name: str,
 ) -> bool:
     """LDP and DP epsilon bounds with witnesses; returns False when either
     is unbounded.  Any adjacency other than "hamming" is rho under
     `mode_name`, over the scenario's taxonomies (none without a scenario)."""
+    from . import privacy
+
     report.add(f"## dp-check {name}")
     ldp = privacy.min_ldp_epsilon(m)
     report.put(f"dp/{name}/ldp", ldp, f"min LDP epsilon = {ldp}")

@@ -10,17 +10,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .attack import (
-    AttackDltts,
-    AttackerProfile,
-    apply_strategy,
-    build_attack_dltts,
-    load_attack_dltts,
-    max_pr,
-    threshold_report,
-)
 from .dltts import (
     Dltts,
     DlttsBuilder,
@@ -33,13 +24,6 @@ from .dltts import (
     validate,
 )
 from .metrics import IntervalMeasureMode, MetricError, d_bar, d_vector, hamming, rho
-from .privacy import (
-    Mechanism,
-    min_eps_hamming_indist,
-    min_eps_rho_indist,
-    min_indist_epsilon,
-    parse_epsilon,
-)
 from .report import Report, ScenarioError, dp_section, parse_mode
 from .schema import (
     DataTable,
@@ -49,7 +33,14 @@ from .schema import (
     parse_columns,
     parse_pattern,
 )
-from .values import parse_cell
+from .values import parse_cell, parse_fraction
+
+# The attack and mechanism layers load only when a section needs them: each
+# function below that calls one imports it, so `analyze` on a scenario with
+# scripted runs only never imports `attack` or `privacy`.
+if TYPE_CHECKING:
+    from .attack import AttackDltts, AttackerProfile
+    from .privacy import Mechanism
 
 
 @dataclass
@@ -87,17 +78,90 @@ class Scenario:
         return [self.table(n) for n in (names if names is not None else self.externals)]
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
+
+# The item type of each array entry of a scenario's analysis; "metric" and
+# "attack" are objects.
+_ANALYSIS_ARRAYS = {
+    "runs": str,
+    "indist": dict,
+    "scaled_indist": dict,
+    "label_equivalence": dict,
+    "strategy": dict,
+    "dp_check": dict,
+}
+
+
+def _typed(value, kind, what: str):
+    """`value`, checked to be of the JSON type `kind` (a type, or a tuple
+    of types)."""
+    if not isinstance(value, kind):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        raise ScenarioError(
+            f"{what} must be " + " or ".join(_JSON_TYPES[k] for k in kinds)
+        )
+    return value
+
+
+def _array(value, item_kind, what: str) -> list:
+    """`value`, checked to be a JSON array of `item_kind` items."""
+    for item in _typed(value, list, what):
+        _typed(item, item_kind, f"an item of {what}")
+    return value
+
+
+def _section(doc: Mapping, key: str, entry_kind) -> dict:
+    """The object `doc[key]` (empty when absent), each of whose entries is
+    checked to be of the JSON type `entry_kind`."""
+    section = _typed(doc.get(key, {}), dict, f"scenario {key!r}")
+    for name, entry in section.items():
+        _typed(entry, entry_kind, f"{key} entry {name!r}")
+    return section
+
+
+def _fraction(value, where: str) -> Fraction:
+    try:
+        return parse_fraction(value)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+
+
+def _check_run(name: str, run: Mapping) -> None:
+    """The arrays and objects `build_run` walks in a scripted run."""
+    _array(run.get("externals", []), str, f"run {name!r} externals")
+    for step in _array(run.get("steps", []), dict, f"run {name!r} steps"):
+        _array(step.get("branches", []), dict, f"a step's branches in run {name!r}")
+
+
+def _check_analysis(analysis) -> dict:
+    _typed(analysis, dict, "scenario 'analysis'")
+    for key in ("metric", "attack"):
+        _typed(analysis.get(key, {}), dict, f"analysis {key!r}")
+    for key, item_kind in _ANALYSIS_ARRAYS.items():
+        _array(analysis.get(key, []), item_kind, f"analysis {key!r}")
+    _array(analysis.get("attack", {}).get("attackers", []), str,
+           "analysis 'attack' attackers")
+    return analysis
+
+
 def _parse_profile(name: str, doc: Mapping, schema: SchemaBundle) -> AttackerProfile:
-    order = tuple(doc.get("attribute_order", ()))
+    from .attack import AttackerProfile
+
+    _typed(doc, dict, f"profile {name}")
+    order = tuple(_array(doc.get("attribute_order", []), str,
+                         f"profile {name} attribute_order"))
     columns = {c.name: c for c in schema.columns}
     priors = {}
-    for col_name, table in doc.get("priors", {}).items():
+    for col_name, table in _typed(doc.get("priors", {}), dict,
+                                  f"profile {name} priors").items():
         if col_name not in columns:
             raise ScenarioError(f"profile {name}: unknown column {col_name!r}")
+        _typed(table, dict, f"profile {name} priors of {col_name}")
         col = columns[col_name]
         tree = schema.taxonomies.get(col.taxonomy_ref) if col.taxonomy_ref else None
         priors[col_name] = {
-            parse_cell(k, col.cls, tree): Fraction(v) for k, v in table.items()
+            parse_cell(k, col.cls, tree): _fraction(v, f"profile {name} prior {k}")
+            for k, v in table.items()
         }
     return AttackerProfile(
         name=name,
@@ -109,58 +173,78 @@ def _parse_profile(name: str, doc: Mapping, schema: SchemaBundle) -> AttackerPro
 
 
 def load_scenario(path: str | Path) -> Scenario:
+    """Load a scenario document and everything it references.  A section or
+    entry of the wrong JSON type raises ScenarioError."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot load scenario {path}: {exc}") from exc
+    _typed(doc, dict, "a scenario")
     base = path.parent
     if "schema" not in doc:
         raise ScenarioError("scenario has no schema")
-    schema = load_schema((base / doc["schema"]).read_text())
+    schema_file = _typed(doc["schema"], str, "scenario 'schema'")
+    schema = load_schema((base / schema_file).read_text())
 
     tables: dict[str, DataTable] = {}
-    for name, tdoc in doc.get("tables", {}).items():
+    for name, tdoc in _section(doc, "tables", dict).items():
         if "columns" in tdoc:
-            columns = parse_columns(tdoc["columns"], schema.taxonomies)
+            columns = parse_columns(
+                _typed(tdoc["columns"], list, f"table {name!r} columns"),
+                schema.taxonomies,
+            )
         else:
             columns = schema.columns
+        table_file = _typed(tdoc.get("file"), str, f"table {name!r} file")
         tables[name] = load_table(
-            (base / tdoc["file"]).read_text(), columns, schema.taxonomies, name
+            (base / table_file).read_text(), columns, schema.taxonomies, name
         )
 
     mechanisms = {}
-    for name, mdoc in doc.get("mechanisms", {}).items():
+    for name, mdoc in _section(doc, "mechanisms", dict).items():
+        from .privacy import Mechanism
+
         mechanisms[name] = Mechanism.from_rows(
             name, mdoc["probs"], outputs=mdoc.get("outputs")
         )
 
     dltts = {
         name: parse_dltts((base / f).read_text(), name)
-        for name, f in doc.get("dltts", {}).items()
+        for name, f in _section(doc, "dltts", str).items()
     }
-    attack_dltts = {
-        name: load_attack_dltts((base / f).read_text(), name)
-        for name, f in doc.get("attack_dltts", {}).items()
-    }
+    attack_dltts = {}
+    for name, f in _section(doc, "attack_dltts", str).items():
+        from .attack import load_attack_dltts
+
+        attack_dltts[name] = load_attack_dltts((base / f).read_text(), name)
+    runs = _section(doc, "runs", dict)
+    for name, run in runs.items():
+        _check_run(name, run)
+    baseline = doc.get("baseline")
+    if baseline is not None:
+        _typed(baseline, str, "scenario 'baseline'")
     scenario = Scenario(
         name=doc.get("name", path.stem),
         base_dir=base,
         schema=schema,
         tables=tables,
-        externals=list(doc.get("externals", [])),
+        externals=list(_array(doc.get("externals", []), str,
+                              "scenario 'externals'")),
         mechanisms=mechanisms,
         dltts=dltts,
         attack_dltts=attack_dltts,
-        baseline=doc.get("baseline"),
+        baseline=baseline,
         declared_baseline={
-            k: Fraction(v) for k, v in doc.get("declared_baseline", {}).items()
+            line: _fraction(v, f"declared_baseline {line}")
+            for line, v in _typed(doc.get("declared_baseline", {}), dict,
+                                  "scenario 'declared_baseline'").items()
         },
-        runs=doc.get("runs", {}),
-        analysis=doc.get("analysis", {}),
+        runs=runs,
+        analysis=_check_analysis(doc.get("analysis", {})),
     )
     profiles = {}
-    for name, pdoc in doc.get("profiles", {}).items():
+    for name, pdoc in _section(doc, "profiles", (dict, str)).items():
         if isinstance(pdoc, str):
             pdoc = json.loads((base / pdoc).read_text())
         profiles[name] = _parse_profile(name, pdoc, schema)
@@ -207,7 +291,8 @@ def build_run(
                 lines=frozenset(bdoc.get("lines", [])),
                 tuples=tuples,
             )
-            branches.append((bdoc["to"], Fraction(bdoc["prob"]), label))
+            prob = _fraction(bdoc["prob"], f"run {run_name} branch to {bdoc['to']}")
+            branches.append((bdoc["to"], prob, label))
         new_states = builder.add_transition(step["from"], step["action"], branches)
         for state in new_states:
             verdicts[state] = builder.oracle_step(
@@ -317,6 +402,8 @@ def _run_section(
 
 
 def attack_for(scenario: Scenario, name: str, built: bool = False) -> AttackDltts:
+    from .attack import build_attack_dltts
+
     if built:
         table_name = scenario.analysis.get("attack", {}).get("table")
         if table_name is None:
@@ -335,6 +422,8 @@ def attack_section(
 ) -> tuple[AttackDltts, bool]:
     """Report the attack system `name`; returns it and whether any
     threshold was found."""
+    from .attack import max_pr, threshold_report
+
     attack = attack_for(scenario, name, built=built)
     report.add(f"## attack {name}" + (" (built)" if built else ""))
     thresholds = threshold_report(attack)
@@ -367,6 +456,8 @@ def strategy_section(
 ) -> AttackDltts:
     """Report the blocking strategy against each baseline variant; returns
     the first variant's updated system."""
+    from .attack import apply_strategy
+
     attack = attack_for(scenario, attacker)
     baseline = attack_for(scenario, baseline_name)
     variants: list[tuple[str, dict[str, Fraction] | None]] = []
@@ -435,6 +526,8 @@ def run_scenario(
         )
 
     for entry in analysis.get("indist", []):
+        from .privacy import min_indist_epsilon
+
         m = scenario.mechanism(entry["mechanism"])
         a, b = entry["pair"]
         res = min_indist_epsilon(m, a, b, entry["alpha"])
@@ -447,6 +540,8 @@ def run_scenario(
         report.add()
 
     for entry in analysis.get("scaled_indist", []):
+        from .privacy import min_eps_hamming_indist, min_eps_rho_indist
+
         m = scenario.mechanism(entry["mechanism"])
         a, b = entry["pair"]
         table = scenario.table(entry["table"])
@@ -480,6 +575,8 @@ def run_scenario(
         )
 
     for entry in analysis.get("label_equivalence", []):
+        from .privacy import parse_epsilon
+
         dltts, _ = build_run(scenario, entry["run"])
         m = scenario.mechanism(entry["mechanism"])
         eps = parse_epsilon(entry["epsilon"])

@@ -23,6 +23,7 @@ from .values import (
     Value,
     Wildcard,
     parse_cell,
+    parse_fraction,
     render_cell,
     split_top_level,
     value_kind,
@@ -282,7 +283,7 @@ def parse_columns(
                 cls=cls,
                 group=group,
                 taxonomy_ref=ref,
-                normalizer=Fraction(norm) if norm is not None else None,
+                normalizer=parse_fraction(norm) if norm is not None else None,
             )
         )
     if not cols:

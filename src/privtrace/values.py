@@ -216,6 +216,41 @@ class TaxonomyTree:
         return depth is not None and depth < len(path) and path[-depth] == ancestor
 
 
+# The largest decimal exponent, in magnitude, that `parse_fraction` accepts.
+# `Fraction("1e999999999")` builds 10**999999999 and stalls for hours; 4300 is
+# CPython's default limit on the digits of an integer read from text
+# (`sys.int_info.default_max_str_digits`), which already bounds the mantissa.
+MAX_DECIMAL_EXPONENT = 4300
+
+_EXPONENT_RE = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
+class ExponentError(ValueError):
+    """A decimal exponent beyond MAX_DECIMAL_EXPONENT in magnitude."""
+
+
+def parse_fraction(value) -> Fraction:
+    """The exact rational an input holds: a fraction or decimal string, or
+    a JSON number.  Anything else, a zero denominator and a non-finite
+    float raise ValueError, and so does a decimal exponent beyond
+    MAX_DECIMAL_EXPONENT (as ExponentError, before any power of ten is
+    built)."""
+    if isinstance(value, str):
+        m = _EXPONENT_RE.search(value)
+        if m:
+            digits = m.group(1).replace("_", "").lstrip("0")
+            if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+                    or int(digits or 0) > MAX_DECIMAL_EXPONENT):
+                raise ExponentError(
+                    f"{value!r} has a decimal exponent beyond "
+                    f"±{MAX_DECIMAL_EXPONENT}"
+                )
+    try:
+        return Fraction(value)
+    except (TypeError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"{value!r} is not a fraction or decimal") from None
+
+
 _INTERVAL_RE = re.compile(r"^\[\s*(-?\d+)\s*-\s*(-?\d+)\s*\]$")
 _SET_RE = re.compile(r"^\{(.*)\}$")
 
@@ -271,10 +306,7 @@ def parse_cell(
             raise ValueError(f"cell {text!r} is not an interval or integer") from None
         return IntInterval(a, a)
     if cls is ColumnClass.NUMERICAL:
-        try:
-            return Number(Fraction(text))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"cell {text!r} is not a number") from None
+        return Number(parse_fraction(text))
     if cls is ColumnClass.TAXORAL:
         if tree is None:
             raise ValueError("taxoral cell requires a taxonomy")

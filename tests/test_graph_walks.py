@@ -237,7 +237,7 @@ def test_enterprise_analyze_walks_each_attack_system_once(monkeypatch):
         return real_max_pr(attack, line)
 
     monkeypatch.setattr(attack_mod, "_priority_runs", counted)
-    monkeypatch.setattr("privtrace.scenario.max_pr", counted_max_pr)
+    monkeypatch.setattr(attack_mod, "max_pr", counted_max_pr)
     scenario = load_scenario(SCENARIOS / "enterprise" / "scenario.json")
     run_scenario(scenario)
     assert sorted(passes.values()) == [1, 1, 1]

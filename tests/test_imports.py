@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 from conftest import SCENARIOS
 
@@ -52,21 +54,51 @@ def test_dp_check_on_a_mechanism_file_skips_the_system_layers(tmp_path):
                       ("cli", "values", "schema", "metrics", "privacy", "report")}
 
 
-def test_analyze_loads_what_it_runs():
+def _analyze_loads(scenario: str, expect: str) -> set[str]:
+    """The privtrace modules an `analyze` of `scenario` loads; its report
+    must contain `expect`."""
     out = _python(
         "import contextlib, io, sys\n"
         "from privtrace.cli import cli_main\n"
         "buf = io.StringIO()\n"
         "with contextlib.redirect_stdout(buf):\n"
         "    assert cli_main(['analyze', '--scenario', sys.argv[1]]) == 0\n"
-        "assert 'stop reached: s0 -> s2 -> s4 -> s6 -> STOP' in buf.getvalue()\n"
+        "assert sys.argv[2] in buf.getvalue()\n"
         + LOADED,
-        HOSPITAL,
+        scenario, expect,
     )
-    loaded = set(json.loads(out))
-    for layer in ("scenario", "dltts", "attack", "privacy"):
+    return set(json.loads(out))
+
+
+def test_analyze_loads_what_it_runs():
+    """Hospital has mechanisms and a label-equivalence section but no
+    attack system or profile."""
+    loaded = _analyze_loads(HOSPITAL, "stop reached: s0 -> s2 -> s4 -> s6 -> STOP")
+    for layer in ("scenario", "dltts", "privacy"):
         assert f"privtrace.{layer}" in loaded
-    assert "privtrace.dotexport" not in loaded
+    for layer in ("attack", "dotexport"):
+        assert f"privtrace.{layer}" not in loaded
+
+
+def test_analyze_of_attacks_only_skips_the_mechanism_layer():
+    loaded = _analyze_loads(str(SCENARIOS / "enterprise" / "scenario.json"),
+                            "## strategy B vs C (declared baseline)")
+    assert "privtrace.attack" in loaded
+    for layer in ("privacy", "dotexport"):
+        assert f"privtrace.{layer}" not in loaded
+
+
+def test_analyze_of_runs_only_loads_neither_attack_nor_mechanism_layer(tmp_path):
+    """A scenario whose only analysis is a scripted run: the core path."""
+    shutil.copytree(Path(HOSPITAL).parent, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "scenario.json"
+    doc = json.loads(path.read_text())
+    del doc["mechanisms"]
+    doc["analysis"] = {"runs": ["trace"]}
+    path.write_text(json.dumps(doc))
+    loaded = _analyze_loads(str(path), "stop reached: s0 -> s2 -> s4 -> s6 -> STOP")
+    assert loaded == {f"privtrace.{m}" for m in (
+        "cli", "report", "scenario", "values", "schema", "metrics", "dltts")}
 
 
 def test_every_public_name_is_its_module_attribute():

@@ -383,8 +383,9 @@ def test_parse_epsilon_forms():
     assert e.scale == F(20, 39)
     assert parse_epsilon("0.6") == 0.6
     assert parse_epsilon("3/4") == 0.75
-    with pytest.raises(PrivacyError):
-        parse_epsilon("nope")
+    for text in ("nope", "1e999999999", "1e4000", "ln(2/0)"):
+        with pytest.raises(PrivacyError):
+            parse_epsilon(text)
 
 
 def test_epsilon_result_rendering():

@@ -3,9 +3,11 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,7 @@ from privtrace.dotexport import export_dot
 from privtrace.scenario import (
     ScenarioError, build_run, load_scenario, parse_mode, run_scenario,
 )
+from privtrace.values import MAX_DECIMAL_EXPONENT
 
 from conftest import SCENARIOS
 
@@ -101,6 +104,7 @@ def test_cli_analyze_dot_draws_the_epsilon_armed_system(capsys, tmp_path):
 
 
 def test_cli_builds_each_system_once(capsys, tmp_path, monkeypatch):
+    import privtrace.attack
     import privtrace.scenario
 
     built = []
@@ -111,9 +115,9 @@ def test_cli_builds_each_system_once(capsys, tmp_path, monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("build_run", "build_attack_dltts"):
-        monkeypatch.setattr(privtrace.scenario, name,
-                            counting(name, getattr(privtrace.scenario, name)))
+    for module, name in ((privtrace.scenario, "build_run"),
+                         (privtrace.attack, "build_attack_dltts")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     run_scenario(load_scenario(HOSPITAL))
     report_builds = list(built)
     assert "build_run" in report_builds
@@ -271,6 +275,90 @@ def test_cli_dp_check_malformed_mechanism_file_exits_two(tmp_path, doc):
     done = _cli_process("dp-check", "--mechanism-file", str(path))
     assert done.returncode == 2
     assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+
+
+def _hospital_copy(tmp_path, edit=None, **sections) -> str:
+    """A copy of the hospital scenario with `sections` replaced, after
+    `edit(scenario_dir)` changed its files; returns the scenario path."""
+    shutil.copytree(Path(HOSPITAL).parent, tmp_path, dirs_exist_ok=True)
+    if edit is not None:
+        edit(tmp_path)
+    path = tmp_path / "scenario.json"
+    doc = json.loads(path.read_text())
+    doc.update(sections)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("sections", [
+    {"mechanisms": {"m": 5}},
+    {"tables": {"t": 7}},
+    {"tables": {"t": {"file": 7}}},
+    {"runs": {"r": 5}, "analysis": {"runs": ["r"]}},
+    {"runs": {"r": {"steps": [3]}}, "analysis": {"runs": ["r"]}},
+    {"runs": {"trace": {"steps": [{"from": "s0", "branches": 1}]}}},
+    {"analysis": [1]},
+    {"analysis": {"indist": [1]}},
+    {"analysis": {"attack": {"attackers": 5}}},
+    {"dltts": {"trace": 3}},
+    {"attack_dltts": []},
+    {"profiles": {"p": 4}},
+    {"profiles": {"p": {"priors": [1]}}},
+    {"declared_baseline": [1]},
+    {"declared_baseline": {"l1": [1]}},
+    {"externals": 5},
+])
+def test_cli_malformed_scenario_exits_two(tmp_path, sections):
+    done = _cli_process("analyze", "--scenario", _hospital_copy(tmp_path, **sections))
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+
+
+def _replace_in(name: str, old: str, new: str):
+    def edit(directory):
+        path = directory / name
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+    return edit
+
+
+HUGE = "1e999999999"
+_RUN = {"trace": {"steps": [{"from": "s0", "action": "q",
+                             "branches": [{"to": "s1", "prob": HUGE}]}]}}
+
+
+@pytest.mark.parametrize("where", [
+    "mechanism-file", "epsilon", "mechanism", "cell", "transcript",
+    "run-prob", "declared-baseline", "prior", "label-equivalence",
+])
+def test_huge_decimal_exponent_exits_two_at_once(tmp_path, where):
+    """`Fraction("1e999999999")` would build a billion-digit power of ten;
+    each reader of input numbers refuses it instead."""
+    if where == "mechanism-file":
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"probs": {"a": {"x": HUGE, "y": "0"}}}))
+        argv = ["dp-check", "--mechanism-file", str(path)]
+    elif where == "epsilon":
+        argv = ["analyze", "--scenario", HOSPITAL, "--epsilon", HUGE,
+                "--secret", "published:l4"]
+    else:
+        scenario = _hospital_copy(tmp_path, **{
+            "mechanism": {"edit": _replace_in("scenario.json", '"1/3"', f'"{HUGE}"')},
+            "cell": {"edit": _replace_in("covid_cases.csv", "Physics,M,1,", f"Physics,M,{HUGE},")},
+            "transcript": {"edit": _replace_in("trace.dltts", "(s1, 1,", f"(s1, {HUGE},")},
+            "run-prob": {"runs": _RUN},
+            "declared-baseline": {"declared_baseline": {"l1": HUGE}},
+            "prior": {"profiles": {"p": {"priors": {"Gender": {"M": HUGE}}}}},
+            "label-equivalence": {"analysis": {"label_equivalence": [
+                {"run": "trace", "state": "s4", "mechanism": "viral_query",
+                 "alpha": "Viral-Infection", "epsilon": HUGE}]}},
+        }[where])
+        argv = ["analyze", "--scenario", scenario]
+    done = _cli_process(*argv, timeout=20)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+    assert f"exponent beyond ±{MAX_DECIMAL_EXPONENT}" in done.stderr
 
 
 def test_cli_dp_check_has_no_output_count_limit(capsys, tmp_path):
@@ -498,13 +586,13 @@ def test_label_equivalence_in_report(hospital):
 DEEP = 1500
 
 
-def _cli_process(*argv: str) -> subprocess.CompletedProcess:
+def _cli_process(*argv: str, timeout: float = 120) -> subprocess.CompletedProcess:
     src = str(SCENARIOS.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "privtrace.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 

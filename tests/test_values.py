@@ -8,14 +8,17 @@ from fractions import Fraction
 import pytest
 
 from privtrace.values import (
+    MAX_DECIMAL_EXPONENT,
     Atom,
     AtomSet,
     ColumnClass,
+    ExponentError,
     IntInterval,
     Number,
     TaxonomyTree,
     Taxon,
     parse_cell,
+    parse_fraction,
     render_cell,
     split_top_level,
 )
@@ -48,6 +51,20 @@ def test_parse_set_and_atom():
 def test_parse_number_exact():
     assert parse_cell("3/2", ColumnClass.NUMERICAL) == Number(Fraction(3, 2))
     assert parse_cell("0.5", ColumnClass.NUMERICAL) == Number(Fraction(1, 2))
+
+
+def test_parse_fraction_bounds_the_decimal_exponent():
+    n = MAX_DECIMAL_EXPONENT
+    assert parse_fraction(f"1e{n}") == 10 ** n
+    assert parse_fraction(f"2.5E-{n}") == Fraction(5, 2 * 10 ** n)
+    assert parse_fraction("3e+0002") == 300
+    for text in (f"1e{n + 1}", f"1e-{n + 1}", "1e999999999", "1e" + "9" * 5000):
+        with pytest.raises(ExponentError):
+            parse_fraction(text)
+    assert parse_fraction(1) == 1 and parse_fraction(0.5) == Fraction(1, 2)
+    for bad in ("x", "1/0", float("inf"), None, [1]):
+        with pytest.raises(ValueError):
+            parse_fraction(bad)
 
 
 @pytest.mark.parametrize(
