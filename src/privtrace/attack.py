@@ -13,7 +13,6 @@ attacker's access probability at that node beats the baseline's threshold.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -21,7 +20,7 @@ from typing import Iterable, Mapping
 
 from .dltts import Branch, Dltts, Label, Transition, parse_dltts
 from .schema import DataTable
-from .values import Value, render_cell
+from .values import Record, Value, render_cell
 
 
 class AttackError(ValueError):
@@ -50,25 +49,37 @@ def multiset_compare(
     return Comparison.GREATER if k1 > k2 else Comparison.LESS
 
 
-@dataclass(frozen=True)
-class AttackerProfile:
+class AttackerProfile(Record):
     """An attacker: the order it queries attributes in, its prior per
-    attribute value, its stated objective, and whether its priors are the
-    database distribution itself."""
+    attribute value (none when left out), its stated objective, and whether
+    its priors are the database distribution itself."""
 
     name: str
     attribute_order: tuple[str, ...]
-    priors: Mapping[str, Mapping[Value, Fraction]] = field(default_factory=dict)
-    objective: str = ""
-    empirical: bool = False
+    priors: Mapping[str, Mapping[Value, Fraction]]
+    objective: str
+    empirical: bool
 
-    def __post_init__(self) -> None:
-        for col, table in self.priors.items():
+    def __init__(
+        self,
+        name: str,
+        attribute_order: tuple[str, ...],
+        priors: Mapping[str, Mapping[Value, Fraction]] | None = None,
+        objective: str = "",
+        empirical: bool = False,
+    ) -> None:
+        priors = {} if priors is None else priors
+        for col, table in priors.items():
             total = sum(table.values(), Fraction(0))
             if total != 1:
                 raise AttackError(
-                    f"profile {self.name}: priors for {col} sum to {total}, not 1"
+                    f"profile {name}: priors for {col} sum to {total}, not 1"
                 )
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "attribute_order", attribute_order)
+        object.__setattr__(self, "priors", priors)
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "empirical", empirical)
 
 
 def derive_baseline_profile(db: DataTable, name: str = "baseline") -> AttackerProfile:
@@ -104,8 +115,7 @@ def _response_line(action: str) -> str | None:
     return m.group(1) if m else None
 
 
-@dataclass(frozen=True)
-class ResponseEdge:
+class ResponseEdge(Record):
     """A response switch: at `node`, the response for `line` with `value`
     leads to `target`; `assumed` marks one synthesized from a label."""
 
@@ -113,24 +123,44 @@ class ResponseEdge:
     line: str
     value: str
     target: str
-    assumed: bool = False
+    assumed: bool
+
+    def __init__(
+        self, node: str, line: str, value: str, target: str, assumed: bool = False
+    ) -> None:
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "assumed", assumed)
 
 
-@dataclass(frozen=True)
-class AttackDltts:
+class AttackDltts(Record):
     """An attack tree plus its response switches (OFF set) and provenance."""
 
     name: str
     dltts: Dltts
     responses: tuple[ResponseEdge, ...]
-    off: frozenset[tuple[str, str]] = frozenset()
+    off: frozenset[tuple[str, str]]
+
+    def __init__(
+        self,
+        name: str,
+        dltts: Dltts,
+        responses: tuple[ResponseEdge, ...],
+        off: frozenset[tuple[str, str]] = frozenset(),
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "dltts", dltts)
+        object.__setattr__(self, "responses", responses)
+        object.__setattr__(self, "off", off)
 
     def switched_on(self, node: str, line: str) -> bool:
         return (node, line) not in self.off
 
     @cached_property
     def _runs(self) -> tuple[dict[str, Fraction], dict[str, tuple[str, Branch]]]:
-        """The priority-run pass, once per system: `replace(off=...)` makes
+        """The priority-run pass, once per system: `.replace(off=...)` makes
         a new system, so the cache never outlives a change of switches."""
         return _priority_runs(self)
 
@@ -321,9 +351,7 @@ def load_attack_dltts(text: str, name: str = "attack") -> AttackDltts:
         )
         states.add(target)
         responses.append(ResponseEdge(node, line, value, target, assumed=True))
-    dltts = replace(
-        dltts, states=frozenset(states), transitions=tuple(transitions)
-    )
+    dltts = dltts.replace(states=frozenset(states), transitions=tuple(transitions))
     return AttackDltts(name=name, dltts=dltts, responses=tuple(responses))
 
 
@@ -441,8 +469,7 @@ def _baseline_threshold(
     return max_pr(baseline, line)
 
 
-@dataclass(frozen=True)
-class StrategyDecision:
+class StrategyDecision(Record):
     """The blocking strategy's ruling on one response: its access
     probability, the baseline it was held against, and whether it was
     switched off."""
@@ -452,6 +479,20 @@ class StrategyDecision:
     probability: Fraction
     baseline: Fraction
     switched_off: bool
+
+    def __init__(
+        self,
+        node: str,
+        line: str,
+        probability: Fraction,
+        baseline: Fraction,
+        switched_off: bool,
+    ) -> None:
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "probability", probability)
+        object.__setattr__(self, "baseline", baseline)
+        object.__setattr__(self, "switched_off", switched_off)
 
 
 def apply_strategy(
@@ -474,7 +515,7 @@ def apply_strategy(
         if blocked:
             off.add((node, line))
         decisions.append(StrategyDecision(node, line, pr, base, blocked))
-    return replace(attack, off=frozenset(off)), decisions
+    return attack.replace(off=frozenset(off)), decisions
 
 
 def attack_success_points(

@@ -28,7 +28,6 @@ fixed external base), so saturation is monotone and idempotent.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -46,6 +45,7 @@ from .schema import (
 from .values import (
     ColumnClass,
     Number,
+    Record,
     TaxonomyTree,
     Taxon,
     Wildcard,
@@ -65,15 +65,26 @@ class DlttsError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Label:
+class Label(Record):
     """What one branch teaches: free text, the matching line ids, the ground
     tuples added to the target's tag, and the probability provenance."""
 
-    text: str = ""
-    lines: frozenset[str] = frozenset()
-    tuples: frozenset[TuplePattern] = frozenset()
-    source: str = "db"
+    text: str
+    lines: frozenset[str]
+    tuples: frozenset[TuplePattern]
+    source: str
+
+    def __init__(
+        self,
+        text: str = "",
+        lines: frozenset[str] = frozenset(),
+        tuples: frozenset[TuplePattern] = frozenset(),
+        source: str = "db",
+    ) -> None:
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "tuples", tuples)
+        object.__setattr__(self, "source", source)
 
     def __str__(self) -> str:
         parts = [self.text] if self.text else []
@@ -82,17 +93,20 @@ class Label:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(Record):
     """One outcome of a transition: target state, probability and label."""
 
     to: str
     prob: Fraction
-    label: Label = Label()
+    label: Label
+
+    def __init__(self, to: str, prob: Fraction, label: Label = Label()) -> None:
+        object.__setattr__(self, "to", to)
+        object.__setattr__(self, "prob", prob)
+        object.__setattr__(self, "label", label)
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(Record):
     """An action from a source state with its probability distribution over
     branches."""
 
@@ -100,20 +114,44 @@ class Transition:
     action: str
     branches: tuple[Branch, ...]
 
+    def __init__(self, source: str, action: str, branches: tuple[Branch, ...]) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "branches", branches)
 
-@dataclass(frozen=True)
-class Dltts:
+
+class Dltts(Record):
     """A tagged probabilistic transition system: states, transitions, the
     initial and Stop states, and per-state tags, saturated tags and
-    reachability probabilities."""
+    reachability probabilities.  Each mapping left out starts empty."""
 
     initial: str
     stop: str
     states: frozenset[str]
     transitions: tuple[Transition, ...]
-    tags: Mapping[str, Tag] = field(default_factory=dict)
-    saturated: Mapping[str, Tag] = field(default_factory=dict)
-    state_probs: Mapping[str, Fraction] = field(default_factory=dict)
+    tags: Mapping[str, Tag]
+    saturated: Mapping[str, Tag]
+    state_probs: Mapping[str, Fraction]
+
+    def __init__(
+        self,
+        initial: str,
+        stop: str,
+        states: frozenset[str],
+        transitions: tuple[Transition, ...],
+        tags: Mapping[str, Tag] | None = None,
+        saturated: Mapping[str, Tag] | None = None,
+        state_probs: Mapping[str, Fraction] | None = None,
+    ) -> None:
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "stop", stop)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "tags", {} if tags is None else tags)
+        object.__setattr__(self, "saturated", {} if saturated is None else saturated)
+        object.__setattr__(
+            self, "state_probs", {} if state_probs is None else state_probs
+        )
 
     @cached_property
     def _outgoing(self) -> dict[str, tuple[Transition, ...]]:
@@ -516,13 +554,19 @@ def natural_key(name: str) -> list:
     return [int(p) if p.isdigit() else p for p in re.split(r"(\d+)", name)]
 
 
-@dataclass(frozen=True)
-class Run:
+class Run(Record):
     """One run into Stop: its states, actions and exact probability."""
 
     states: tuple[str, ...]
     actions: tuple[str, ...]
     probability: Fraction
+
+    def __init__(
+        self, states: tuple[str, ...], actions: tuple[str, ...], probability: Fraction
+    ) -> None:
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "actions", actions)
+        object.__setattr__(self, "probability", probability)
 
 
 def reach_stop(dltts: Dltts) -> tuple[bool, tuple[Run, ...]]:

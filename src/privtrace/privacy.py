@@ -15,13 +15,12 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .metrics import IntervalMeasureMode, hamming, rho
 from .schema import Row
-from .values import Atom, TaxonomyTree, parse_fraction
+from .values import Atom, Record, TaxonomyTree, parse_fraction
 
 EPS_FLOAT_TOL = 1e-9
 
@@ -30,8 +29,7 @@ class PrivacyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Mechanism:
+class Mechanism(Record):
     """A finite map from input instances to exact output distributions."""
 
     name: str
@@ -39,18 +37,22 @@ class Mechanism:
     outputs: tuple
     table: Mapping[tuple, Fraction]
 
-    def __post_init__(self) -> None:
-        for v in self.inputs:
+    def __init__(
+        self, name: str, inputs: tuple, outputs: tuple, table: Mapping[tuple, Fraction]
+    ) -> None:
+        for v in inputs:
             total = Fraction(0)
-            for o in self.outputs:
-                p = self.table.get((v, o), Fraction(0))
+            for o in outputs:
+                p = table.get((v, o), Fraction(0))
                 if p < 0 or p > 1:
-                    raise PrivacyError(f"{self.name}: probability {p} out of range")
+                    raise PrivacyError(f"{name}: probability {p} out of range")
                 total += p
             if total != 1:
-                raise PrivacyError(
-                    f"{self.name}: input {v!r} distributes {total}, not 1"
-                )
+                raise PrivacyError(f"{name}: input {v!r} distributes {total}, not 1")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "outputs", outputs)
+        object.__setattr__(self, "table", table)
 
     @classmethod
     def from_rows(cls, name: str, rows: Mapping, outputs: Sequence | None = None):
@@ -86,19 +88,32 @@ class Mechanism:
         return sum((self.prob(v, o) for o in event), Fraction(0))
 
 
-@dataclass(frozen=True)
-class EpsilonResult:
+class EpsilonResult(Record):
     """An epsilon bound: value = scale * ln(ratio), exact where possible.
 
     `unbounded` marks a zero-probability asymmetry (no finite epsilon);
     `both_zero` flags the 0-vs-0 convention (epsilon 0 by agreement).
     """
 
-    scale: Fraction | None = None
-    ratio: Fraction | None = None
-    unbounded: bool = False
-    both_zero: bool = False
-    witness: tuple | None = None
+    scale: Fraction | None
+    ratio: Fraction | None
+    unbounded: bool
+    both_zero: bool
+    witness: tuple | None
+
+    def __init__(
+        self,
+        scale: Fraction | None = None,
+        ratio: Fraction | None = None,
+        unbounded: bool = False,
+        both_zero: bool = False,
+        witness: tuple | None = None,
+    ) -> None:
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "unbounded", unbounded)
+        object.__setattr__(self, "both_zero", both_zero)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def value(self) -> float:
@@ -254,8 +269,7 @@ def _as_cells(x) -> tuple:
     return (Atom(str(x)),)
 
 
-@dataclass(frozen=True)
-class HammingAdjacency(Adjacency):
+class HammingAdjacency(Adjacency, Record):
     """Generalized Hamming count; opaque atoms count as 1-tuples."""
 
     def distance(self, a, b) -> Fraction | None:
@@ -263,13 +277,22 @@ class HammingAdjacency(Adjacency):
         return None if d is None else Fraction(d)
 
 
-@dataclass(frozen=True)
-class RhoAdjacency(Adjacency):
+class RhoAdjacency(Adjacency, Record):
     """Value-wise tuple distance rho under the selected interval mode."""
 
-    mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET
-    taxonomies: Mapping[str, TaxonomyTree] | None = None
-    normalizer: Fraction | None = None
+    mode: IntervalMeasureMode
+    taxonomies: Mapping[str, TaxonomyTree] | None
+    normalizer: Fraction | None
+
+    def __init__(
+        self,
+        mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
+        taxonomies: Mapping[str, TaxonomyTree] | None = None,
+        normalizer: Fraction | None = None,
+    ) -> None:
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "taxonomies", taxonomies)
+        object.__setattr__(self, "normalizer", normalizer)
 
     def distance(self, a, b) -> Fraction | None:
         return rho(
@@ -281,11 +304,14 @@ class RhoAdjacency(Adjacency):
         )
 
 
-@dataclass(frozen=True)
-class TableAdjacency(Adjacency):
-    """Explicit symmetric distance table over input pairs."""
+class TableAdjacency(Adjacency, Record):
+    """Explicit symmetric distance table over input pairs; empty when left
+    out."""
 
-    entries: Mapping[frozenset, Fraction] = field(default_factory=dict)
+    entries: Mapping[frozenset, Fraction]
+
+    def __init__(self, entries: Mapping[frozenset, Fraction] | None = None) -> None:
+        object.__setattr__(self, "entries", {} if entries is None else entries)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple]):
@@ -360,8 +386,7 @@ def min_eps_hamming_indist(
     return min_scaled_indist_epsilon(m, v, v2, alpha, Fraction(d))
 
 
-@dataclass(frozen=True)
-class RandomizedResponse:
+class RandomizedResponse(Record):
     """The two-coin randomized response mechanism.
 
     `full` maps the 8 explicit instances (X, F1, F2) deterministically;
@@ -372,6 +397,10 @@ class RandomizedResponse:
 
     full: Mechanism
     marginal: Mechanism
+
+    def __init__(self, full: Mechanism, marginal: Mechanism) -> None:
+        object.__setattr__(self, "full", full)
+        object.__setattr__(self, "marginal", marginal)
 
     @property
     def name(self) -> str:

@@ -8,7 +8,6 @@ re-exports every name defined here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -24,15 +23,20 @@ class ScenarioError(ValueError):
     pass
 
 
-@dataclass
 class Report:
     """A deterministic report: its text lines and the values behind them."""
 
-    scenario: str
-    lines: list[str] = field(default_factory=list)
-    values: dict[str, object] = field(default_factory=dict)
-    # The systems the run sections built, by run name, for `--dot`.
-    runs: dict[str, Dltts] = field(default_factory=dict, init=False)
+    def __init__(
+        self,
+        scenario: str,
+        lines: list[str] | None = None,
+        values: dict[str, object] | None = None,
+    ) -> None:
+        self.scenario = scenario
+        self.lines: list[str] = [] if lines is None else lines
+        self.values: dict[str, object] = {} if values is None else values
+        # The systems the run sections built, by run name, for `--dot`.
+        self.runs: dict[str, Dltts] = {}
 
     def add(self, line: str = "") -> None:
         self.lines.append(line)

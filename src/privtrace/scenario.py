@@ -7,7 +7,6 @@ is excluded from comparison)."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
@@ -43,24 +42,40 @@ if TYPE_CHECKING:
     from .privacy import Mechanism
 
 
-@dataclass
 class Scenario:
     """A loaded scenario document: schema, tables, mechanisms, systems,
-    attacker profiles, scripted runs and the analyses to perform."""
+    attacker profiles, scripted runs and the analyses to perform.  Each
+    collection left out starts empty."""
 
-    name: str
-    base_dir: Path
-    schema: SchemaBundle
-    tables: dict[str, DataTable]
-    externals: list[str] = field(default_factory=list)
-    mechanisms: dict[str, Mechanism] = field(default_factory=dict)
-    dltts: dict[str, Dltts] = field(default_factory=dict)
-    attack_dltts: dict[str, AttackDltts] = field(default_factory=dict)
-    profiles: dict[str, AttackerProfile] = field(default_factory=dict)
-    baseline: str | None = None
-    declared_baseline: dict[str, Fraction] = field(default_factory=dict)
-    runs: dict[str, dict] = field(default_factory=dict)
-    analysis: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        name: str,
+        base_dir: Path,
+        schema: SchemaBundle,
+        tables: dict[str, DataTable],
+        externals: list[str] | None = None,
+        mechanisms: dict[str, Mechanism] | None = None,
+        dltts: dict[str, Dltts] | None = None,
+        attack_dltts: dict[str, AttackDltts] | None = None,
+        profiles: dict[str, AttackerProfile] | None = None,
+        baseline: str | None = None,
+        declared_baseline: dict[str, Fraction] | None = None,
+        runs: dict[str, dict] | None = None,
+        analysis: dict | None = None,
+    ) -> None:
+        self.name = name
+        self.base_dir = base_dir
+        self.schema = schema
+        self.tables = tables
+        self.externals = [] if externals is None else externals
+        self.mechanisms = {} if mechanisms is None else mechanisms
+        self.dltts = {} if dltts is None else dltts
+        self.attack_dltts = {} if attack_dltts is None else attack_dltts
+        self.profiles = {} if profiles is None else profiles
+        self.baseline = baseline
+        self.declared_baseline = {} if declared_baseline is None else declared_baseline
+        self.runs = {} if runs is None else runs
+        self.analysis = {} if analysis is None else analysis
 
     def table(self, name: str) -> DataTable:
         try:
@@ -78,17 +93,32 @@ class Scenario:
         return [self.table(n) for n in (names if names is not None else self.externals)]
 
 
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
+               type(None): "null"}
 
-# The item type of each array entry of a scenario's analysis; "metric" and
-# "attack" are objects.
-_ANALYSIS_ARRAYS = {
-    "runs": str,
-    "indist": dict,
-    "scaled_indist": dict,
-    "label_equivalence": dict,
-    "strategy": dict,
-    "dp_check": dict,
+# A pair: a JSON array of two strings (line ids, or mechanism inputs).
+_PAIR = "pair"
+
+# The shape of each field that `build_run` and the analysis sections read
+# from an entry: a JSON type, a tuple of JSON types, `_PAIR`, or `[shape]`
+# for an array of that shape.  A field left out is its reader's business;
+# `label_equivalence` reads a null `alpha` as "infer the common output".
+_STEP_FIELDS = {"from": str, "action": str}
+_BRANCH_FIELDS = {"to": str, "text": str, "lines": [str], "learn": [str]}
+
+# The analysis sections by key, with the fields of their entries.
+# "metric" and "attack" are one object each, every other key an array of
+# objects; "runs", an array of run names, is checked on its own.
+_ANALYSIS_FIELDS = {
+    "metric": {"table": str, "pairs": [_PAIR], "modes": [str]},
+    "attack": {"table": str, "attackers": [str]},
+    "indist": {"mechanism": str, "pair": _PAIR, "alpha": str},
+    "scaled_indist": {"mechanism": str, "pair": _PAIR, "alpha": str,
+                      "table": str, "modes": [str]},
+    "label_equivalence": {"run": str, "state": str, "mechanism": str,
+                          "alpha": (str, type(None)), "epsilon": str},
+    "strategy": {"attacker": str, "baseline": str},
+    "dp_check": {"mechanism": str, "adjacency": str, "mode": str},
 }
 
 
@@ -103,11 +133,25 @@ def _typed(value, kind, what: str):
     return value
 
 
-def _array(value, item_kind, what: str) -> list:
-    """`value`, checked to be a JSON array of `item_kind` items."""
-    for item in _typed(value, list, what):
-        _typed(item, item_kind, f"an item of {what}")
+def _shaped(value, shape, what: str):
+    """`value`, checked to have the shape `shape` (a JSON type or a tuple
+    of them, `_PAIR` or `[shape]`)."""
+    if isinstance(shape, list):
+        for item in _typed(value, list, what):
+            _shaped(item, shape[0], f"an item of {what}")
+    elif shape is _PAIR:
+        if len(_shaped(value, [str], what)) != 2:
+            raise ScenarioError(f"{what} must be a pair")
+    else:
+        _typed(value, shape, what)
     return value
+
+
+def _fields(entry: Mapping, shapes: Mapping, what: str) -> None:
+    """Check each field of `entry` that `shapes` names and `entry` has."""
+    for key, shape in shapes.items():
+        if key in entry:
+            _shaped(entry[key], shape, f"{what} field {key!r}")
 
 
 def _section(doc: Mapping, key: str, entry_kind) -> dict:
@@ -127,20 +171,26 @@ def _fraction(value, where: str) -> Fraction:
 
 
 def _check_run(name: str, run: Mapping) -> None:
-    """The arrays and objects `build_run` walks in a scripted run."""
-    _array(run.get("externals", []), str, f"run {name!r} externals")
-    for step in _array(run.get("steps", []), dict, f"run {name!r} steps"):
-        _array(step.get("branches", []), dict, f"a step's branches in run {name!r}")
+    """The arrays, objects and fields `build_run` reads in a scripted run."""
+    _shaped(run.get("externals", []), [str], f"run {name!r} externals")
+    for step in _shaped(run.get("steps", []), [dict], f"run {name!r} steps"):
+        _fields(step, _STEP_FIELDS, f"a step of run {name!r}")
+        for branch in _shaped(step.get("branches", []), [dict],
+                              f"a step's branches in run {name!r}"):
+            _fields(branch, _BRANCH_FIELDS, f"a branch of run {name!r}")
 
 
 def _check_analysis(analysis) -> dict:
     _typed(analysis, dict, "scenario 'analysis'")
-    for key in ("metric", "attack"):
-        _typed(analysis.get(key, {}), dict, f"analysis {key!r}")
-    for key, item_kind in _ANALYSIS_ARRAYS.items():
-        _array(analysis.get(key, []), item_kind, f"analysis {key!r}")
-    _array(analysis.get("attack", {}).get("attackers", []), str,
-           "analysis 'attack' attackers")
+    _shaped(analysis.get("runs", []), [str], "analysis 'runs'")
+    for key, shapes in _ANALYSIS_FIELDS.items():
+        what = f"analysis {key!r}"
+        if key in ("metric", "attack"):
+            entries = [_typed(analysis.get(key, {}), dict, what)]
+        else:
+            entries = _shaped(analysis.get(key, []), [dict], what)
+        for entry in entries:
+            _fields(entry, shapes, what)
     return analysis
 
 
@@ -148,8 +198,8 @@ def _parse_profile(name: str, doc: Mapping, schema: SchemaBundle) -> AttackerPro
     from .attack import AttackerProfile
 
     _typed(doc, dict, f"profile {name}")
-    order = tuple(_array(doc.get("attribute_order", []), str,
-                         f"profile {name} attribute_order"))
+    order = tuple(_shaped(doc.get("attribute_order", []), [str],
+                          f"profile {name} attribute_order"))
     columns = {c.name: c for c in schema.columns}
     priors = {}
     for col_name, table in _typed(doc.get("priors", {}), dict,
@@ -229,8 +279,8 @@ def load_scenario(path: str | Path) -> Scenario:
         base_dir=base,
         schema=schema,
         tables=tables,
-        externals=list(_array(doc.get("externals", []), str,
-                              "scenario 'externals'")),
+        externals=list(_shaped(doc.get("externals", []), [str],
+                               "scenario 'externals'")),
         mechanisms=mechanisms,
         dltts=dltts,
         attack_dltts=attack_dltts,

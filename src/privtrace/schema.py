@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -18,6 +17,7 @@ from typing import Iterable, Mapping, Sequence
 from .values import (
     Cell,
     ColumnClass,
+    Record,
     STAR,
     TaxonomyTree,
     Value,
@@ -38,69 +38,92 @@ class SchemaError(ValueError):
     """Malformed schema/table/pattern input."""
 
 
-@dataclass(frozen=True)
-class ColumnSchema:
+class ColumnSchema(Record):
     """One column: its name, value class, group, taxonomy (taxoral columns
     only) and optional normalizer D (numerical columns only)."""
 
     name: str
     cls: ColumnClass
     group: str
-    taxonomy_ref: str | None = None
-    normalizer: Fraction | None = None
+    taxonomy_ref: str | None
+    normalizer: Fraction | None
 
-    def __post_init__(self) -> None:
-        if self.group not in GROUPS:
-            raise SchemaError(f"column {self.name}: unknown group {self.group!r}")
-        if (self.taxonomy_ref is not None) != (self.cls is ColumnClass.TAXORAL):
+    def __init__(
+        self,
+        name: str,
+        cls: ColumnClass,
+        group: str,
+        taxonomy_ref: str | None = None,
+        normalizer: Fraction | None = None,
+    ) -> None:
+        if group not in GROUPS:
+            raise SchemaError(f"column {name}: unknown group {group!r}")
+        if (taxonomy_ref is not None) != (cls is ColumnClass.TAXORAL):
             raise SchemaError(
-                f"column {self.name}: taxonomy reference is required exactly "
+                f"column {name}: taxonomy reference is required exactly "
                 f"for taxoral columns"
             )
-        if self.normalizer is not None:
-            if self.cls is not ColumnClass.NUMERICAL:
+        if normalizer is not None:
+            if cls is not ColumnClass.NUMERICAL:
                 raise SchemaError(
-                    f"column {self.name}: normalizer only applies to numerical columns"
+                    f"column {name}: normalizer only applies to numerical columns"
                 )
-            if self.normalizer <= 0:
-                raise SchemaError(f"column {self.name}: normalizer must be positive")
+            if normalizer <= 0:
+                raise SchemaError(f"column {name}: normalizer must be positive")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "cls", cls)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "taxonomy_ref", taxonomy_ref)
+        object.__setattr__(self, "normalizer", normalizer)
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(Record):
     """One table row: its line id and its cells in column order."""
 
     line_id: str
     cells: tuple[Value, ...]
 
+    def __init__(self, line_id: str, cells: tuple[Value, ...]) -> None:
+        object.__setattr__(self, "line_id", line_id)
+        object.__setattr__(self, "cells", cells)
 
-@dataclass(frozen=True)
-class DataTable:
+
+class DataTable(Record):
     """A named table of rows over a column schema, with the taxonomies its
     taxoral cells refer to."""
 
     name: str
     columns: tuple[ColumnSchema, ...]
     rows: tuple[Row, ...]
-    taxonomies: Mapping[str, TaxonomyTree] = field(default_factory=dict)
+    taxonomies: Mapping[str, TaxonomyTree]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        columns: tuple[ColumnSchema, ...],
+        rows: tuple[Row, ...],
+        taxonomies: Mapping[str, TaxonomyTree] | None = None,
+    ) -> None:
         seen: set[str] = set()
-        for row in self.rows:
+        for row in rows:
             if row.line_id in seen:
-                raise SchemaError(f"table {self.name}: duplicate line id {row.line_id}")
+                raise SchemaError(f"table {name}: duplicate line id {row.line_id}")
             seen.add(row.line_id)
-            if len(row.cells) != len(self.columns):
+            if len(row.cells) != len(columns):
                 raise SchemaError(
-                    f"table {self.name}: row {row.line_id} has arity "
-                    f"{len(row.cells)}, expected {len(self.columns)}"
+                    f"table {name}: row {row.line_id} has arity "
+                    f"{len(row.cells)}, expected {len(columns)}"
                 )
-            for cell, col in zip(row.cells, self.columns):
+            for cell, col in zip(row.cells, columns):
                 if not _cell_matches_class(cell, col.cls):
                     raise SchemaError(
-                        f"table {self.name}: row {row.line_id}, column {col.name}: "
+                        f"table {name}: row {row.line_id}, column {col.name}: "
                         f"{cell!r} does not match class {col.cls.value}"
                     )
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "taxonomies", {} if taxonomies is None else taxonomies)
 
     def column_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns)
@@ -174,17 +197,30 @@ def _cell_matches_class(cell: Value, cls: ColumnClass) -> bool:
     return kind is cls
 
 
-@dataclass(frozen=True)
-class TuplePattern:
+class TuplePattern(Record):
     """A signed tuple over named columns; cells may be the wildcard `*`."""
 
     columns: tuple[str, ...]
     cells: tuple[Cell, ...]
-    negative: bool = False
+    negative: bool
 
-    def __post_init__(self) -> None:
-        if len(self.columns) != len(self.cells):
+    def __init__(
+        self, columns: tuple[str, ...], cells: tuple[Cell, ...], negative: bool = False
+    ) -> None:
+        if len(columns) != len(cells):
             raise SchemaError("pattern arity does not match its column list")
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "negative", negative)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.columns == other.columns and self.cells == other.cells
+                    and self.negative == other.negative)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.columns, self.cells, self.negative))
 
     def cell(self, column: str) -> Cell | None:
         try:
@@ -219,25 +255,34 @@ class TuplePattern:
 TOP = TuplePattern((), (), False)
 
 
-@dataclass(frozen=True)
-class PrivacyPolicy:
+class PrivacyPolicy(Record):
     """The protected tuples, encoded as negated patterns."""
 
     patterns: tuple[TuplePattern, ...]
 
-    def __post_init__(self) -> None:
-        for p in self.patterns:
+    def __init__(self, patterns: tuple[TuplePattern, ...]) -> None:
+        for p in patterns:
             if not p.negative:
                 raise SchemaError("privacy policy patterns must be negative")
+        object.__setattr__(self, "patterns", patterns)
 
 
-@dataclass(frozen=True)
-class SchemaBundle:
+class SchemaBundle(Record):
     """A parsed schema document: columns, taxonomy trees and policy."""
 
     columns: tuple[ColumnSchema, ...]
     taxonomies: Mapping[str, TaxonomyTree]
     policy: PrivacyPolicy
+
+    def __init__(
+        self,
+        columns: tuple[ColumnSchema, ...],
+        taxonomies: Mapping[str, TaxonomyTree],
+        policy: PrivacyPolicy,
+    ) -> None:
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "taxonomies", taxonomies)
+        object.__setattr__(self, "policy", policy)
 
 
 def _parse_taxonomy(name: str, doc: Mapping) -> TaxonomyTree:
@@ -429,12 +474,14 @@ def match_pattern(cells: Sequence[Value] | Row, pattern: TuplePattern) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Correspondence:
+class Correspondence(Record):
     """Positional pairing between the columns of two type-compatible tuples:
     (index in first, index in second)."""
 
     pairs: tuple[tuple[int, int], ...]
+
+    def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "pairs", pairs)
 
     def __len__(self) -> int:
         return len(self.pairs)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -462,23 +461,22 @@ def test_criterion_8g_validate_battery():
             t = d.transitions[rng.randrange(len(d.transitions))]
             i = list(d.transitions).index(t)
             if kind == 0:  # break the probability sum
-                bad_t = replace(
-                    t,
-                    branches=(replace(t.branches[0], prob=t.branches[0].prob + 1),)
+                bad_t = t.replace(
+                    branches=(t.branches[0].replace(prob=t.branches[0].prob + 1),)
                     + t.branches[1:],
                 )
-                bad = replace(
-                    d, transitions=d.transitions[:i] + (bad_t,) + d.transitions[i + 1 :]
+                bad = d.replace(
+                    transitions=d.transitions[:i] + (bad_t,) + d.transitions[i + 1 :]
                 )
             elif kind == 1:  # duplicate a distribution
-                bad = replace(d, transitions=d.transitions + (t,))
+                bad = d.replace(transitions=d.transitions + (t,))
             else:  # outgoing edge from Stop
                 from privtrace.dltts import Branch, Transition
 
                 extra = Transition(
                     d.stop, "q", (Branch(t.source, F(1), Label()),)
                 )
-                bad = replace(d, transitions=d.transitions + (extra,))
+                bad = d.replace(transitions=d.transitions + (extra,))
             assert validate(bad) != []
         cases += 1
     assert cases >= CASES

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -167,7 +166,7 @@ def test_check_consistency_policy_hit(hospital, main_pattern):
 
 def test_check_consistency_direct_contradiction(main_pattern):
     p = main_pattern("(John,*,M,*,*)")
-    tag = frozenset({p, replace(p, negative=True)})
+    tag = frozenset({p, p.replace(negative=True)})
     assert not check_consistency(tag, PrivacyPolicy(()))
 
 
@@ -316,33 +315,33 @@ def test_validate_rejects_each_mutation():
 
     # probability sum broken
     t = d.transitions[4]
-    bad_branches = (replace(t.branches[0], prob=F(1, 2)),) + t.branches[1:]
-    bad = replace(d, transitions=d.transitions[:4] + (replace(t, branches=bad_branches),) + d.transitions[5:])
+    bad_branches = (t.branches[0].replace(prob=F(1, 2)),) + t.branches[1:]
+    bad = d.replace(transitions=d.transitions[:4] + (t.replace(branches=bad_branches),) + d.transitions[5:])
     assert any("sum" in p for p in validate(bad))
 
     # outgoing edge from Stop
     extra = Transition("STOP", "query", (Branch("s1", F(1), Label()),))
-    bad = replace(d, transitions=d.transitions + (extra,))
+    bad = d.replace(transitions=d.transitions + (extra,))
     assert any("Stop has an outgoing" in p for p in validate(bad))
 
     # duplicated distribution from one state
-    bad = replace(d, transitions=d.transitions + (d.transitions[0],))
+    bad = d.replace(transitions=d.transitions + (d.transitions[0],))
     assert any("share one distribution" in p for p in validate(bad))
 
     # delta with probability != 1 is impossible by type (prob sums to 1 with
     # one branch), so break the delta target instead
     t = d.transitions[5]
-    bad_delta = replace(t, branches=(replace(t.branches[0], to="s1"),))
-    bad = replace(d, transitions=d.transitions[:5] + (bad_delta,))
+    bad_delta = t.replace(branches=(t.branches[0].replace(to="s1"),))
+    bad = d.replace(transitions=d.transitions[:5] + (bad_delta,))
     assert any("delta" in p for p in validate(bad))
 
     # non-positive probability
     t = d.transitions[4]
     bad_branches = (
-        replace(t.branches[0], prob=F(0)),
-        replace(t.branches[1], prob=F(1)),
+        t.branches[0].replace(prob=F(0)),
+        t.branches[1].replace(prob=F(1)),
     )
-    bad = replace(d, transitions=d.transitions[:4] + (replace(t, branches=bad_branches),) + d.transitions[5:])
+    bad = d.replace(transitions=d.transitions[:4] + (t.replace(branches=bad_branches),) + d.transitions[5:])
     assert any("non-positive" in p for p in validate(bad))
 
 
@@ -356,7 +355,7 @@ def test_validate_tag_tightness_mutation(hospital, main_pattern):
     assert validate(d) == []
     broken_tags = dict(d.tags)
     broken_tags["s1"] = frozenset({TOP})
-    bad = replace(d, tags=broken_tags)
+    bad = d.replace(tags=broken_tags)
     assert any("tight" in p for p in validate(bad))
 
 

@@ -4,7 +4,6 @@ uncached versions they replaced, which live on here as oracles."""
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -177,7 +176,7 @@ def random_attack(rng: random.Random, name: str):
     attack = load_attack_dltts(random_transcript(rng), name)
     singles = attack.singleton_nodes()
     off = frozenset(s for s in singles if rng.random() < 0.3)
-    return attack, replace(attack, off=off)
+    return attack, attack.replace(off=off)
 
 
 def test_walks_match_the_recursive_uncached_oracles():
@@ -194,7 +193,7 @@ def test_walks_match_the_recursive_uncached_oracles():
         base_best, _ = oracle_priority_runs(baseline)
         base_max = {l: oracle_max_pr(baseline, base_best, l) for l in LINES}
         # The plain system is walked first: a cache that survived
-        # `replace(off=...)` would hand its runs to the switched one.
+        # `.replace(off=...)` would hand its runs to the switched one.
         for attack in (plain, switched):
             best, pred = oracle_priority_runs(attack)
             assert attack._runs == (best, pred), case

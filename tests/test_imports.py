@@ -25,8 +25,13 @@ def _python(code: str, *args: str) -> str:
     return done.stdout
 
 
+# Prints the privtrace modules loaded, after checking that `dataclasses`
+# and `inspect` (which `dataclasses` imports) are not: records are plain
+# classes, and neither module is on any subcommand's path.
 LOADED = (
     "import json, sys\n"
+    "unwanted = {'dataclasses', 'inspect'} & set(sys.modules)\n"
+    "assert not unwanted, sorted(unwanted)\n"
     "print(json.dumps(sorted(m for m in sys.modules if m.startswith('privtrace.'))))\n"
 )
 

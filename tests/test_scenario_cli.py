@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 from privtrace.cli import cli_main
-from privtrace.dltts import OracleVerdict, oracle_verdict, reach_stop, validate
+from privtrace.dltts import (
+    DlttsError, OracleVerdict, oracle_verdict, reach_stop, validate,
+)
 from privtrace.dotexport import export_dot
 from privtrace.scenario import (
     ScenarioError, build_run, load_scenario, parse_mode, run_scenario,
@@ -307,6 +309,14 @@ def _hospital_copy(tmp_path, edit=None, **sections) -> str:
     {"declared_baseline": [1]},
     {"declared_baseline": {"l1": [1]}},
     {"externals": 5},
+    {"analysis": {"indist": [
+        {"mechanism": "viral_query", "pair": 5, "alpha": "Viral-Infection"}]}},
+    {"analysis": {"scaled_indist": [
+        {"mechanism": "viral_query", "pair": 5, "alpha": "Viral-Infection",
+         "table": "published"}]}},
+    {"analysis": {"metric": {"table": "published", "pairs": [5]}}},
+    {"runs": {"trace": {"steps": [{"from": "s0", "action": "q", "branches": [
+        {"to": "s1", "prob": "1", "learn": 5}]}]}}},
 ])
 def test_cli_malformed_scenario_exits_two(tmp_path, sections):
     done = _cli_process("analyze", "--scenario", _hospital_copy(tmp_path, **sections))
@@ -581,6 +591,21 @@ def test_label_equivalence_in_report(hospital):
     classes = report.values["label_equivalence/trace/s4"]
     assert len(classes) == 1
     assert "1 class(es)" in report.body()
+
+
+def test_label_equivalence_null_alpha_is_left_out_alpha(tmp_path):
+    """A null `alpha` loads, and reads as an `alpha` left out: the output
+    is inferred, which at s4 of the hospital run is ambiguous."""
+    entry = {"run": "trace", "state": "s4", "mechanism": "viral_query",
+             "epsilon": "ln(2)"}
+    errors = []
+    for i, alpha in enumerate([{}, {"alpha": None}]):
+        analysis = {"runs": ["trace"], "label_equivalence": [{**entry, **alpha}]}
+        scenario = load_scenario(_hospital_copy(tmp_path / str(i), analysis=analysis))
+        with pytest.raises(DlttsError) as err:
+            run_scenario(scenario)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1] == "output alpha is ambiguous; pass it explicitly"
 
 
 DEEP = 1500

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-import importlib
 import random
 from fractions import Fraction
 
@@ -151,14 +149,3 @@ def test_split_top_level_respects_nesting():
     with pytest.raises(ValueError):
         split_top_level("a,{b")
 
-
-def test_every_dataclass_declares_its_docstring():
-    """A dataclass without a docstring gets one built from its signature at
-    import, which every CLI process would pay for."""
-    for name in ("values", "schema", "metrics", "dltts", "privacy", "attack",
-                 "scenario"):
-        module = importlib.import_module(f"privtrace.{name}")
-        for cls in vars(module).values():
-            if (dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
-                    and isinstance(cls, type)):
-                assert not cls.__doc__.startswith(cls.__name__ + "("), cls
