@@ -56,30 +56,19 @@ class AttackerProfile(Record):
 
     name: str
     attribute_order: tuple[str, ...]
-    priors: Mapping[str, Mapping[Value, Fraction]]
-    objective: str
-    empirical: bool
+    priors: Mapping[str, Mapping[Value, Fraction]] | None = None
+    objective: str = ""
+    empirical: bool = False
 
-    def __init__(
-        self,
-        name: str,
-        attribute_order: tuple[str, ...],
-        priors: Mapping[str, Mapping[Value, Fraction]] | None = None,
-        objective: str = "",
-        empirical: bool = False,
-    ) -> None:
-        priors = {} if priors is None else priors
-        for col, table in priors.items():
+    def _check(self) -> None:
+        if self.priors is None:
+            object.__setattr__(self, "priors", {})
+        for col, table in self.priors.items():
             total = sum(table.values(), Fraction(0))
             if total != 1:
                 raise AttackError(
-                    f"profile {name}: priors for {col} sum to {total}, not 1"
+                    f"profile {self.name}: priors for {col} sum to {total}, not 1"
                 )
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "attribute_order", attribute_order)
-        object.__setattr__(self, "priors", priors)
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "empirical", empirical)
 
 
 def derive_baseline_profile(db: DataTable, name: str = "baseline") -> AttackerProfile:
@@ -123,16 +112,7 @@ class ResponseEdge(Record):
     line: str
     value: str
     target: str
-    assumed: bool
-
-    def __init__(
-        self, node: str, line: str, value: str, target: str, assumed: bool = False
-    ) -> None:
-        object.__setattr__(self, "node", node)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "assumed", assumed)
+    assumed: bool = False
 
 
 class AttackDltts(Record):
@@ -141,19 +121,7 @@ class AttackDltts(Record):
     name: str
     dltts: Dltts
     responses: tuple[ResponseEdge, ...]
-    off: frozenset[tuple[str, str]]
-
-    def __init__(
-        self,
-        name: str,
-        dltts: Dltts,
-        responses: tuple[ResponseEdge, ...],
-        off: frozenset[tuple[str, str]] = frozenset(),
-    ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "dltts", dltts)
-        object.__setattr__(self, "responses", responses)
-        object.__setattr__(self, "off", off)
+    off: frozenset[tuple[str, str]] = frozenset()
 
     def switched_on(self, node: str, line: str) -> bool:
         return (node, line) not in self.off
@@ -479,20 +447,6 @@ class StrategyDecision(Record):
     probability: Fraction
     baseline: Fraction
     switched_off: bool
-
-    def __init__(
-        self,
-        node: str,
-        line: str,
-        probability: Fraction,
-        baseline: Fraction,
-        switched_off: bool,
-    ) -> None:
-        object.__setattr__(self, "node", node)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "probability", probability)
-        object.__setattr__(self, "baseline", baseline)
-        object.__setattr__(self, "switched_off", switched_off)
 
 
 def apply_strategy(

@@ -198,10 +198,7 @@ def _cmd_attack(scenario: Scenario, args) -> int:
         )
         found = has_thresholds or found
         if args.built:
-            table_name = scenario.analysis.get("attack", {}).get("table")
-            for prob in attack_problems(
-                attack, scenario.table(table_name) if table_name else None
-            ):
+            for prob in attack_problems(attack, scenario.attack_table()):
                 report.add(f"INVALID: {prob}")
         if args.dot:
             _dot_path(args.dot, name, args.attacker).write_text(

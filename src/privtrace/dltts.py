@@ -69,22 +69,10 @@ class Label(Record):
     """What one branch teaches: free text, the matching line ids, the ground
     tuples added to the target's tag, and the probability provenance."""
 
-    text: str
-    lines: frozenset[str]
-    tuples: frozenset[TuplePattern]
-    source: str
-
-    def __init__(
-        self,
-        text: str = "",
-        lines: frozenset[str] = frozenset(),
-        tuples: frozenset[TuplePattern] = frozenset(),
-        source: str = "db",
-    ) -> None:
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "lines", lines)
-        object.__setattr__(self, "tuples", tuples)
-        object.__setattr__(self, "source", source)
+    text: str = ""
+    lines: frozenset[str] = frozenset()
+    tuples: frozenset[TuplePattern] = frozenset()
+    source: str = "db"
 
     def __str__(self) -> str:
         parts = [self.text] if self.text else []
@@ -98,12 +86,7 @@ class Branch(Record):
 
     to: str
     prob: Fraction
-    label: Label
-
-    def __init__(self, to: str, prob: Fraction, label: Label = Label()) -> None:
-        object.__setattr__(self, "to", to)
-        object.__setattr__(self, "prob", prob)
-        object.__setattr__(self, "label", label)
+    label: Label = Label()
 
 
 class Transition(Record):
@@ -113,11 +96,6 @@ class Transition(Record):
     source: str
     action: str
     branches: tuple[Branch, ...]
-
-    def __init__(self, source: str, action: str, branches: tuple[Branch, ...]) -> None:
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "branches", branches)
 
 
 class Dltts(Record):
@@ -129,29 +107,14 @@ class Dltts(Record):
     stop: str
     states: frozenset[str]
     transitions: tuple[Transition, ...]
-    tags: Mapping[str, Tag]
-    saturated: Mapping[str, Tag]
-    state_probs: Mapping[str, Fraction]
+    tags: Mapping[str, Tag] | None = None
+    saturated: Mapping[str, Tag] | None = None
+    state_probs: Mapping[str, Fraction] | None = None
 
-    def __init__(
-        self,
-        initial: str,
-        stop: str,
-        states: frozenset[str],
-        transitions: tuple[Transition, ...],
-        tags: Mapping[str, Tag] | None = None,
-        saturated: Mapping[str, Tag] | None = None,
-        state_probs: Mapping[str, Fraction] | None = None,
-    ) -> None:
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "stop", stop)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "transitions", transitions)
-        object.__setattr__(self, "tags", {} if tags is None else tags)
-        object.__setattr__(self, "saturated", {} if saturated is None else saturated)
-        object.__setattr__(
-            self, "state_probs", {} if state_probs is None else state_probs
-        )
+    def _check(self) -> None:
+        for name in ("tags", "saturated", "state_probs"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, {})
 
     @cached_property
     def _outgoing(self) -> dict[str, tuple[Transition, ...]]:
@@ -560,13 +523,6 @@ class Run(Record):
     states: tuple[str, ...]
     actions: tuple[str, ...]
     probability: Fraction
-
-    def __init__(
-        self, states: tuple[str, ...], actions: tuple[str, ...], probability: Fraction
-    ) -> None:
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "probability", probability)
 
 
 def reach_stop(dltts: Dltts) -> tuple[bool, tuple[Run, ...]]:

@@ -37,22 +37,17 @@ class Mechanism(Record):
     outputs: tuple
     table: Mapping[tuple, Fraction]
 
-    def __init__(
-        self, name: str, inputs: tuple, outputs: tuple, table: Mapping[tuple, Fraction]
-    ) -> None:
-        for v in inputs:
+    def _check(self) -> None:
+        name, table = self.name, self.table
+        for v in self.inputs:
             total = Fraction(0)
-            for o in outputs:
+            for o in self.outputs:
                 p = table.get((v, o), Fraction(0))
                 if p < 0 or p > 1:
                     raise PrivacyError(f"{name}: probability {p} out of range")
                 total += p
             if total != 1:
                 raise PrivacyError(f"{name}: input {v!r} distributes {total}, not 1")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "table", table)
 
     @classmethod
     def from_rows(cls, name: str, rows: Mapping, outputs: Sequence | None = None):
@@ -95,25 +90,11 @@ class EpsilonResult(Record):
     `both_zero` flags the 0-vs-0 convention (epsilon 0 by agreement).
     """
 
-    scale: Fraction | None
-    ratio: Fraction | None
-    unbounded: bool
-    both_zero: bool
-    witness: tuple | None
-
-    def __init__(
-        self,
-        scale: Fraction | None = None,
-        ratio: Fraction | None = None,
-        unbounded: bool = False,
-        both_zero: bool = False,
-        witness: tuple | None = None,
-    ) -> None:
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "ratio", ratio)
-        object.__setattr__(self, "unbounded", unbounded)
-        object.__setattr__(self, "both_zero", both_zero)
-        object.__setattr__(self, "witness", witness)
+    scale: Fraction | None = None
+    ratio: Fraction | None = None
+    unbounded: bool = False
+    both_zero: bool = False
+    witness: tuple | None = None
 
     @property
     def value(self) -> float:
@@ -280,19 +261,9 @@ class HammingAdjacency(Adjacency, Record):
 class RhoAdjacency(Adjacency, Record):
     """Value-wise tuple distance rho under the selected interval mode."""
 
-    mode: IntervalMeasureMode
-    taxonomies: Mapping[str, TaxonomyTree] | None
-    normalizer: Fraction | None
-
-    def __init__(
-        self,
-        mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
-        taxonomies: Mapping[str, TaxonomyTree] | None = None,
-        normalizer: Fraction | None = None,
-    ) -> None:
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "taxonomies", taxonomies)
-        object.__setattr__(self, "normalizer", normalizer)
+    mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET
+    taxonomies: Mapping[str, TaxonomyTree] | None = None
+    normalizer: Fraction | None = None
 
     def distance(self, a, b) -> Fraction | None:
         return rho(
@@ -308,10 +279,11 @@ class TableAdjacency(Adjacency, Record):
     """Explicit symmetric distance table over input pairs; empty when left
     out."""
 
-    entries: Mapping[frozenset, Fraction]
+    entries: Mapping[frozenset, Fraction] | None = None
 
-    def __init__(self, entries: Mapping[frozenset, Fraction] | None = None) -> None:
-        object.__setattr__(self, "entries", {} if entries is None else entries)
+    def _check(self) -> None:
+        if self.entries is None:
+            object.__setattr__(self, "entries", {})
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple]):
@@ -397,10 +369,6 @@ class RandomizedResponse(Record):
 
     full: Mechanism
     marginal: Mechanism
-
-    def __init__(self, full: Mechanism, marginal: Mechanism) -> None:
-        object.__setattr__(self, "full", full)
-        object.__setattr__(self, "marginal", marginal)
 
     @property
     def name(self) -> str:

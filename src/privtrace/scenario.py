@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
@@ -25,12 +26,15 @@ from .dltts import (
 from .metrics import IntervalMeasureMode, MetricError, d_bar, d_vector, hamming, rho
 from .report import Report, ScenarioError, dp_section, parse_mode
 from .schema import (
+    PAIR,
     DataTable,
     SchemaBundle,
     load_schema,
     load_table,
     parse_columns,
     parse_pattern,
+    shaped,
+    typed,
 )
 from .values import parse_cell, parse_fraction
 
@@ -92,15 +96,19 @@ class Scenario:
     def external_tables(self, names=None) -> list[DataTable]:
         return [self.table(n) for n in (names if names is not None else self.externals)]
 
+    def attack_table(self) -> DataTable:
+        """The table attack trees are built from and checked against: the
+        analysis's `attack.table`, else the first table."""
+        name = self.analysis.get("attack", {}).get("table")
+        return self.table(next(iter(self.tables), None) if name is None else name)
 
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
-               type(None): "null"}
 
-# A pair: a JSON array of two strings (line ids, or mechanism inputs).
-_PAIR = "pair"
+# The JSON shape checks of `schema`, raising ScenarioError.
+_typed = partial(typed, error=ScenarioError)
+_shaped = partial(shaped, error=ScenarioError)
 
 # The shape of each field that `build_run` and the analysis sections read
-# from an entry: a JSON type, a tuple of JSON types, `_PAIR`, or `[shape]`
+# from an entry: a JSON type, a tuple of JSON types, `PAIR`, or `[shape]`
 # for an array of that shape.  A field left out is its reader's business;
 # `label_equivalence` reads a null `alpha` as "infer the common output".
 _STEP_FIELDS = {"from": str, "action": str}
@@ -110,41 +118,16 @@ _BRANCH_FIELDS = {"to": str, "text": str, "lines": [str], "learn": [str]}
 # "metric" and "attack" are one object each, every other key an array of
 # objects; "runs", an array of run names, is checked on its own.
 _ANALYSIS_FIELDS = {
-    "metric": {"table": str, "pairs": [_PAIR], "modes": [str]},
+    "metric": {"table": str, "pairs": [PAIR], "modes": [str]},
     "attack": {"table": str, "attackers": [str]},
-    "indist": {"mechanism": str, "pair": _PAIR, "alpha": str},
-    "scaled_indist": {"mechanism": str, "pair": _PAIR, "alpha": str,
+    "indist": {"mechanism": str, "pair": PAIR, "alpha": str},
+    "scaled_indist": {"mechanism": str, "pair": PAIR, "alpha": str,
                       "table": str, "modes": [str]},
     "label_equivalence": {"run": str, "state": str, "mechanism": str,
                           "alpha": (str, type(None)), "epsilon": str},
     "strategy": {"attacker": str, "baseline": str},
     "dp_check": {"mechanism": str, "adjacency": str, "mode": str},
 }
-
-
-def _typed(value, kind, what: str):
-    """`value`, checked to be of the JSON type `kind` (a type, or a tuple
-    of types)."""
-    if not isinstance(value, kind):
-        kinds = kind if isinstance(kind, tuple) else (kind,)
-        raise ScenarioError(
-            f"{what} must be " + " or ".join(_JSON_TYPES[k] for k in kinds)
-        )
-    return value
-
-
-def _shaped(value, shape, what: str):
-    """`value`, checked to have the shape `shape` (a JSON type or a tuple
-    of them, `_PAIR` or `[shape]`)."""
-    if isinstance(shape, list):
-        for item in _typed(value, list, what):
-            _shaped(item, shape[0], f"an item of {what}")
-    elif shape is _PAIR:
-        if len(_shaped(value, [str], what)) != 2:
-            raise ScenarioError(f"{what} must be a pair")
-    else:
-        _typed(value, shape, what)
-    return value
 
 
 def _fields(entry: Mapping, shapes: Mapping, what: str) -> None:
@@ -455,13 +438,10 @@ def attack_for(scenario: Scenario, name: str, built: bool = False) -> AttackDltt
     from .attack import build_attack_dltts
 
     if built:
-        table_name = scenario.analysis.get("attack", {}).get("table")
-        if table_name is None:
-            table_name = next(iter(scenario.tables))
         profile = scenario.profiles.get(name)
         if profile is None:
             raise ScenarioError(f"no profile named {name!r}")
-        return build_attack_dltts(scenario.table(table_name), profile)
+        return build_attack_dltts(scenario.attack_table(), profile)
     if name in scenario.attack_dltts:
         return scenario.attack_dltts[name]
     raise ScenarioError(f"no attack transcript named {name!r}")

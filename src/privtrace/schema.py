@@ -38,6 +38,36 @@ class SchemaError(ValueError):
     """Malformed schema/table/pattern input."""
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
+               type(None): "null"}
+
+# A pair: a JSON array of two strings (line ids, or mechanism inputs).
+PAIR = "pair"
+
+
+def typed(value, kind, what: str, error: type[ValueError] = SchemaError):
+    """`value`, checked to be of the JSON type `kind` (a type, or a tuple
+    of types); `error` names what is not."""
+    if not isinstance(value, kind):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        raise error(f"{what} must be " + " or ".join(_JSON_TYPES[k] for k in kinds))
+    return value
+
+
+def shaped(value, shape, what: str, error: type[ValueError] = SchemaError):
+    """`value`, checked to have the shape `shape`: a JSON type or a tuple
+    of them, `PAIR`, or `[shape]` for an array of that shape."""
+    if isinstance(shape, list):
+        for item in typed(value, list, what, error):
+            shaped(item, shape[0], f"an item of {what}", error)
+    elif shape is PAIR:
+        if len(shaped(value, [str], what, error)) != 2:
+            raise error(f"{what} must be a pair")
+    else:
+        typed(value, shape, what, error)
+    return value
+
+
 class ColumnSchema(Record):
     """One column: its name, value class, group, taxonomy (taxoral columns
     only) and optional normalizer D (numerical columns only)."""
@@ -45,36 +75,25 @@ class ColumnSchema(Record):
     name: str
     cls: ColumnClass
     group: str
-    taxonomy_ref: str | None
-    normalizer: Fraction | None
+    taxonomy_ref: str | None = None
+    normalizer: Fraction | None = None
 
-    def __init__(
-        self,
-        name: str,
-        cls: ColumnClass,
-        group: str,
-        taxonomy_ref: str | None = None,
-        normalizer: Fraction | None = None,
-    ) -> None:
-        if group not in GROUPS:
-            raise SchemaError(f"column {name}: unknown group {group!r}")
-        if (taxonomy_ref is not None) != (cls is ColumnClass.TAXORAL):
+    def _check(self) -> None:
+        name = self.name
+        if self.group not in GROUPS:
+            raise SchemaError(f"column {name}: unknown group {self.group!r}")
+        if (self.taxonomy_ref is not None) != (self.cls is ColumnClass.TAXORAL):
             raise SchemaError(
                 f"column {name}: taxonomy reference is required exactly "
                 f"for taxoral columns"
             )
-        if normalizer is not None:
-            if cls is not ColumnClass.NUMERICAL:
+        if self.normalizer is not None:
+            if self.cls is not ColumnClass.NUMERICAL:
                 raise SchemaError(
                     f"column {name}: normalizer only applies to numerical columns"
                 )
-            if normalizer <= 0:
+            if self.normalizer <= 0:
                 raise SchemaError(f"column {name}: normalizer must be positive")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "cls", cls)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "taxonomy_ref", taxonomy_ref)
-        object.__setattr__(self, "normalizer", normalizer)
 
 
 class Row(Record):
@@ -83,29 +102,20 @@ class Row(Record):
     line_id: str
     cells: tuple[Value, ...]
 
-    def __init__(self, line_id: str, cells: tuple[Value, ...]) -> None:
-        object.__setattr__(self, "line_id", line_id)
-        object.__setattr__(self, "cells", cells)
-
 
 class DataTable(Record):
     """A named table of rows over a column schema, with the taxonomies its
-    taxoral cells refer to."""
+    taxoral cells refer to (empty when left out)."""
 
     name: str
     columns: tuple[ColumnSchema, ...]
     rows: tuple[Row, ...]
-    taxonomies: Mapping[str, TaxonomyTree]
+    taxonomies: Mapping[str, TaxonomyTree] | None = None
 
-    def __init__(
-        self,
-        name: str,
-        columns: tuple[ColumnSchema, ...],
-        rows: tuple[Row, ...],
-        taxonomies: Mapping[str, TaxonomyTree] | None = None,
-    ) -> None:
+    def _check(self) -> None:
+        name, columns = self.name, self.columns
         seen: set[str] = set()
-        for row in rows:
+        for row in self.rows:
             if row.line_id in seen:
                 raise SchemaError(f"table {name}: duplicate line id {row.line_id}")
             seen.add(row.line_id)
@@ -120,10 +130,8 @@ class DataTable(Record):
                         f"table {name}: row {row.line_id}, column {col.name}: "
                         f"{cell!r} does not match class {col.cls.value}"
                     )
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "taxonomies", {} if taxonomies is None else taxonomies)
+        if self.taxonomies is None:
+            object.__setattr__(self, "taxonomies", {})
 
     def column_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns)
@@ -202,16 +210,11 @@ class TuplePattern(Record):
 
     columns: tuple[str, ...]
     cells: tuple[Cell, ...]
-    negative: bool
+    negative: bool = False
 
-    def __init__(
-        self, columns: tuple[str, ...], cells: tuple[Cell, ...], negative: bool = False
-    ) -> None:
-        if len(columns) != len(cells):
+    def _check(self) -> None:
+        if len(self.columns) != len(self.cells):
             raise SchemaError("pattern arity does not match its column list")
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "negative", negative)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -260,11 +263,10 @@ class PrivacyPolicy(Record):
 
     patterns: tuple[TuplePattern, ...]
 
-    def __init__(self, patterns: tuple[TuplePattern, ...]) -> None:
-        for p in patterns:
+    def _check(self) -> None:
+        for p in self.patterns:
             if not p.negative:
                 raise SchemaError("privacy policy patterns must be negative")
-        object.__setattr__(self, "patterns", patterns)
 
 
 class SchemaBundle(Record):
@@ -274,26 +276,15 @@ class SchemaBundle(Record):
     taxonomies: Mapping[str, TaxonomyTree]
     policy: PrivacyPolicy
 
-    def __init__(
-        self,
-        columns: tuple[ColumnSchema, ...],
-        taxonomies: Mapping[str, TaxonomyTree],
-        policy: PrivacyPolicy,
-    ) -> None:
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "taxonomies", taxonomies)
-        object.__setattr__(self, "policy", policy)
-
 
 def _parse_taxonomy(name: str, doc: Mapping) -> TaxonomyTree:
-    try:
-        root = doc["root"]
-        children: Mapping[str, Sequence[str]] = doc.get("children", {})
-    except (TypeError, KeyError) as exc:
-        raise SchemaError(f"taxonomy {name}: malformed document") from exc
+    if "root" not in typed(doc, dict, f"taxonomy {name}"):
+        raise SchemaError(f"taxonomy {name}: malformed document")
+    root = typed(doc["root"], str, f"taxonomy {name} root")
+    children = typed(doc.get("children", {}), dict, f"taxonomy {name} children")
     parent: dict[str, str] = {}
     for node, kids in children.items():
-        for kid in kids:
+        for kid in shaped(kids, [str], f"taxonomy {name} children of {node}"):
             if kid in parent:
                 raise SchemaError(f"taxonomy {name}: node {kid!r} has two parents")
             parent[kid] = node
@@ -318,7 +309,8 @@ def parse_columns(
             group = doc.get("group", "quasi-identifier")
         except (TypeError, KeyError, ValueError) as exc:
             raise SchemaError(f"malformed column document: {doc!r}") from exc
-        ref = doc.get("taxonomy")
+        typed(name, str, "a column name")
+        ref = typed(doc.get("taxonomy"), (str, type(None)), f"column {name} taxonomy")
         if ref is not None and ref not in taxonomies:
             raise SchemaError(f"column {name}: unknown taxonomy {ref!r}")
         norm = doc.get("normalizer")
@@ -345,14 +337,17 @@ def load_schema(config_text: str) -> SchemaBundle:
         doc = json.loads(config_text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"schema document is not valid JSON: {exc}") from exc
+    typed(doc, dict, "a schema document")
     taxonomies = {
         name: _parse_taxonomy(name, tdoc)
-        for name, tdoc in doc.get("taxonomies", {}).items()
+        for name, tdoc in typed(doc.get("taxonomies", {}), dict,
+                                "schema 'taxonomies'").items()
     }
-    columns = parse_columns(doc.get("columns", []), taxonomies)
+    columns = parse_columns(typed(doc.get("columns", []), list, "schema 'columns'"),
+                            taxonomies)
     patterns = tuple(
         parse_pattern(text, columns, taxonomies, force_negative=True)
-        for text in doc.get("policy", [])
+        for text in shaped(doc.get("policy", []), [str], "schema 'policy'")
     )
     return SchemaBundle(columns, taxonomies, PrivacyPolicy(patterns))
 
@@ -479,9 +474,6 @@ class Correspondence(Record):
     (index in first, index in second)."""
 
     pairs: tuple[tuple[int, int], ...]
-
-    def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
-        object.__setattr__(self, "pairs", pairs)
 
     def __len__(self) -> int:
         return len(self.pairs)

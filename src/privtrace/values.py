@@ -12,7 +12,7 @@ import re
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 
 class ColumnClass(Enum):
@@ -27,25 +27,39 @@ class ColumnClass(Enum):
 class Record:
     """Base of the immutable records.
 
-    A record's fields are its class's own annotations, in order.  Each
-    class writes its `__init__`, which sets every field through
-    `object.__setattr__`; assigning or deleting an attribute afterwards
-    raises AttributeError.  A record equals only a record of the same
-    class with equal fields, and hashes as the tuple of its fields.  A
-    class that writes its own `__eq__` and `__hash__` keeps them: `Atom`,
-    `IntInterval`, `Number`, `Taxon` and `TuplePattern` do, reading their
-    fields directly, since a saturating report hashes each of them
-    hundreds to thousands of times (`Atom` 5,465, `Taxon` 1,578,
-    `TuplePattern` 1,327, `IntInterval` 1,161, `Number` 184 calls on the
-    seed-1 trace-saturate bench report) and the generic `attrgetter` path
-    takes about twice as long per call.
+    A record's fields are its class's own annotations, in order, and a
+    field's default is the value the class body assigns it.  The one
+    constructor binds its arguments to the fields as a function with
+    that signature would: a field left out takes its default, and a
+    missing field, an unknown or repeated keyword or one positional
+    argument too many raises TypeError.  It sets each field through
+    `object.__setattr__` and then calls the class's `_check` hook, if it
+    has one, which rejects bad values with ValueError and may normalise a
+    field in place (a mapping defaulted to None becomes a fresh empty
+    dict, never one shared).  Assigning or deleting an attribute
+    afterwards raises AttributeError.
+
+    A record equals only a record of the same class with equal fields,
+    and hashes as the tuple of its fields.  A class that writes its own
+    `__eq__` and `__hash__` keeps them: `Atom`, `IntInterval`, `Number`,
+    `Taxon` and `TuplePattern` do, reading their fields directly, since
+    a saturating report hashes each of them hundreds to thousands of
+    times (`Atom` 5,465, `Taxon` 1,578, `TuplePattern` 1,327,
+    `IntInterval` 1,161, `Number` 184 calls on the seed-1 trace-saturate
+    bench report) and the generic `attrgetter` path takes about twice as
+    long per call.
     """
 
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+    _check = None
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {
+            name: cls.__dict__[name] for name in fields if name in cls.__dict__
+        }
         if "__eq__" in cls.__dict__:
             return
         if len(fields) > 1:
@@ -65,6 +79,38 @@ class Record:
         cls.__eq__ = __eq__
         cls.__hash__ = __hash__
 
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        check = self._check
+        if check is not None:
+            check()
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """The field values, in order, of a call that is not exactly one
+        positional argument per field."""
+        fields, defaults = self._fields, self._defaults
+        what = f"{type(self).__qualname__}()"
+        if len(args) > len(fields):
+            raise TypeError(f"{what} takes {len(fields)} positional arguments "
+                            f"but {len(args)} were given")
+        bound = list(args)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                bound.append(kwargs.pop(name))
+            elif name in defaults:
+                bound.append(defaults[name])
+            else:
+                raise TypeError(f"{what} missing required argument {name!r}")
+        for name in kwargs:
+            if name in fields:
+                raise TypeError(f"{what} got multiple values for argument {name!r}")
+            raise TypeError(f"{what} got an unexpected keyword argument {name!r}")
+        return bound
+
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(" + ", ".join(
             f"{name}={getattr(self, name)!r}" for name in self._fields
@@ -78,7 +124,8 @@ class Record:
 
     def replace(self, **changes):
         """A new record of this class with `changes` applied to the fields,
-        built through `__init__`, so it is checked and caches nothing."""
+        built through the constructor, so it is checked and caches
+        nothing."""
         for name in self._fields:
             if name not in changes:
                 changes[name] = getattr(self, name)
@@ -90,10 +137,9 @@ class Atom(Record):
 
     value: str
 
-    def __init__(self, value: str) -> None:
-        if not value:
+    def _check(self) -> None:
+        if not self.value:
             raise ValueError("empty atom")
-        object.__setattr__(self, "value", value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -112,11 +158,10 @@ class AtomSet(Record):
 
     values: frozenset[str]
 
-    def __init__(self, values: Iterable[str]) -> None:
-        vals = frozenset(values)
-        if not vals:
+    def _check(self) -> None:
+        object.__setattr__(self, "values", frozenset(self.values))
+        if not self.values:
             raise ValueError("atom set must be nonempty")
-        object.__setattr__(self, "values", vals)
 
     def __str__(self) -> str:
         return "{" + ",".join(sorted(self.values)) + "}"
@@ -128,11 +173,9 @@ class IntInterval(Record):
     lo: int
     hi: int
 
-    def __init__(self, lo: int, hi: int) -> None:
-        if lo > hi:
-            raise ValueError(f"interval [{lo},{hi}] has lo > hi")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+    def _check(self) -> None:
+        if self.lo > self.hi:
+            raise ValueError(f"interval [{self.lo},{self.hi}] has lo > hi")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -155,8 +198,8 @@ class Number(Record):
 
     value: Fraction
 
-    def __init__(self, value) -> None:
-        object.__setattr__(self, "value", Fraction(value))
+    def _check(self) -> None:
+        object.__setattr__(self, "value", Fraction(self.value))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -175,10 +218,6 @@ class Taxon(Record):
 
     tree: str
     node: str
-
-    def __init__(self, tree: str, node: str) -> None:
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "node", node)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -3,7 +3,9 @@
 Each record class gets a `dataclasses.make_dataclass(..., frozen=True)`
 twin with the same fields, built here only.  Over seeded random field
 values, records and twins must agree on equality (across classes too),
-hash, repr, immutability and `replace`.
+hash, repr, immutability and `replace`.  Each class is built through
+`Record`'s one constructor, which must bind arguments as the classes'
+former hand-written `__init__` signatures did.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from fractions import Fraction as F
 import pytest
 
 from privtrace import attack, dltts, privacy, schema, values
+from privtrace.metrics import IntervalMeasureMode
 from privtrace.schema import GROUPS, Row, TuplePattern
 from privtrace.values import STAR, Atom, ColumnClass, Record
 
@@ -111,6 +114,26 @@ RECORDS = {
                                "switched_off"), _pool(5)),
 }
 
+# The default of each field that has one, as the hand-written `__init__`
+# signatures that the one constructor replaced declared them.
+DEFAULTS = {
+    schema.ColumnSchema: {"taxonomy_ref": None, "normalizer": None},
+    schema.DataTable: {"taxonomies": None},
+    schema.TuplePattern: {"negative": False},
+    dltts.Label: {"text": "", "lines": frozenset(), "tuples": frozenset(),
+                  "source": "db"},
+    dltts.Branch: {"label": dltts.Label("", frozenset(), frozenset(), "db")},
+    dltts.Dltts: {"tags": None, "saturated": None, "state_probs": None},
+    privacy.EpsilonResult: {"scale": None, "ratio": None, "unbounded": False,
+                            "both_zero": False, "witness": None},
+    privacy.RhoAdjacency: {"mode": IntervalMeasureMode.INTEGER_SET,
+                           "taxonomies": None, "normalizer": None},
+    privacy.TableAdjacency: {"entries": None},
+    attack.AttackerProfile: {"priors": None, "objective": "", "empirical": False},
+    attack.ResponseEdge: {"assumed": False},
+    attack.AttackDltts: {"off": frozenset()},
+}
+
 TWINS = {
     cls: dataclasses.make_dataclass(cls.__name__, [(f, object) for f in fields],
                                     frozen=True)
@@ -129,6 +152,8 @@ def test_every_record_class_is_covered_with_its_fields():
     assert found == set(RECORDS)
     for cls, (fields, _) in RECORDS.items():
         assert cls._fields == fields, cls
+        # Every class is built by `Record`'s one constructor.
+        assert "__init__" not in cls.__dict__, cls
 
 
 def _draw(rng):
@@ -208,3 +233,45 @@ def test_replace_builds_a_new_record_without_the_cached_values():
     assert "_outgoing" in vars(d)
     e = d.replace(transitions=())
     assert "_outgoing" not in vars(e) and e.outgoing("s0") == ()
+
+
+def test_positional_keyword_and_defaulted_calls_bind_alike():
+    rng = random.Random(13)
+    for cls, (fields, draw) in RECORDS.items():
+        defaults = DEFAULTS.get(cls, {})
+        assert cls._defaults == defaults, cls
+        for _ in range(CASES // 10):
+            vals = draw(rng)
+            rec = cls(*vals)
+            assert cls(**dict(zip(fields, vals))) == rec
+            given = {f: v for f, v in zip(fields, vals) if f not in defaults}
+            try:
+                expected = cls(*(defaults.get(f, v) for f, v in zip(fields, vals)))
+            except ValueError as exc:
+                # The defaults break a check (a taxoral column needs its
+                # taxonomy), which the call leaving them out makes too.
+                with pytest.raises(type(exc)):
+                    cls(**given)
+                continue
+            assert cls(**given) == expected, cls
+
+
+def test_bad_calls_raise_type_error_like_the_twins():
+    rng = random.Random(17)
+    for cls, (fields, draw) in RECORDS.items():
+        vals = draw(rng)
+        kwargs = dict(zip(fields, vals))
+        bad = [
+            lambda c: c(*vals, None),
+            lambda c: c(**kwargs, no_such_field=1),
+        ]
+        if fields:
+            bad.append(lambda c: c(vals[0], **kwargs))
+            required = [f for f in fields if f not in DEFAULTS.get(cls, {})]
+            if required:
+                bad.append(lambda c: c(**{f: v for f, v in kwargs.items()
+                                          if f != required[-1]}))
+        for call in bad:
+            for c in (cls, TWINS[cls]):
+                with pytest.raises(TypeError):
+                    call(c)

@@ -137,6 +137,38 @@ def test_cli_builds_each_system_once(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
 
 
+def test_cli_attack_built_is_checked_against_the_table_it_was_built_from(
+        capsys, tmp_path, monkeypatch):
+    """With no `attack.table`, a tree is built from the first table, and
+    `attack --built` checks it against that same table."""
+    import privtrace.attack
+
+    checked = []
+    real = privtrace.attack.attack_problems
+
+    def recording(attack, db=None):
+        checked.append(None if db is None else db.name)
+        return real(attack, db)
+
+    monkeypatch.setattr(privtrace.attack, "attack_problems", recording)
+    argv = ["attack", "--attacker", "A", "--built", "--scenario"]
+    assert cli_main(argv + [ENTERPRISE]) == 0
+    named = capsys.readouterr().out
+    shutil.copytree(Path(ENTERPRISE).parent, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "scenario.json"
+    doc = json.loads(path.read_text())
+    del doc["analysis"]["attack"]["table"]
+    path.write_text(json.dumps(doc))
+    assert cli_main(argv + [str(path)]) == 0
+    assert capsys.readouterr().out == named
+    assert checked == ["responses", "responses"]
+    # With no table at all there is nothing to build from: exit 2.
+    doc["tables"] = {}
+    path.write_text(json.dumps(doc))
+    assert cli_main(argv + [str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_attack_dot_writes_one_file_per_attacker(capsys, tmp_path, enterprise):
     dot_path = tmp_path / "x.dot"
     assert cli_main(["attack", "--scenario", ENTERPRISE, "--attacker", "A",
@@ -292,6 +324,23 @@ def _hospital_copy(tmp_path, edit=None, **sections) -> str:
     return str(path)
 
 
+def _set_in_schema(*keys, value):
+    """An `edit` of `_hospital_copy` that sets the schema document's item
+    at the path `keys` (the whole document when none) to `value`."""
+    def edit(directory):
+        path = directory / "schema.json"
+        doc = json.loads(path.read_text())
+        if keys:
+            item = doc
+            for key in keys[:-1]:
+                item = item[key]
+            item[keys[-1]] = value
+        else:
+            doc = value
+        path.write_text(json.dumps(doc))
+    return edit
+
+
 @pytest.mark.parametrize("sections", [
     {"mechanisms": {"m": 5}},
     {"tables": {"t": 7}},
@@ -317,6 +366,18 @@ def _hospital_copy(tmp_path, edit=None, **sections) -> str:
     {"analysis": {"metric": {"table": "published", "pairs": [5]}}},
     {"runs": {"trace": {"steps": [{"from": "s0", "action": "q", "branches": [
         {"to": "s1", "prob": "1", "learn": 5}]}]}}},
+    {"edit": _set_in_schema("columns", value=5)},
+    {"edit": _set_in_schema("policy", value=5)},
+    {"edit": _set_in_schema("policy", value=[5])},
+    {"edit": _set_in_schema("taxonomies", value=[1])},
+    {"edit": _set_in_schema("taxonomies", "ailment", "children",
+                            value={"Ailment": 5})},
+    {"edit": _set_in_schema("taxonomies", "ailment", "children",
+                            "Viral-Infection", value="XY")},
+    {"edit": _set_in_schema("taxonomies", "ailment", "root", value=["A"])},
+    {"edit": _set_in_schema("columns", 0, "name", value=["a"])},
+    {"edit": _set_in_schema("columns", 4, "taxonomy", value=["a"])},
+    {"edit": _set_in_schema(value=[1])},
 ])
 def test_cli_malformed_scenario_exits_two(tmp_path, sections):
     done = _cli_process("analyze", "--scenario", _hospital_copy(tmp_path, **sections))

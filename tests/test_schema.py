@@ -67,6 +67,14 @@ def test_load_schema_taxonomy_cycle_rejected():
         load_schema(json.dumps(doc))
 
 
+def test_load_schema_rejects_string_children_as_a_non_array():
+    """A children string is not iterated character by character."""
+    doc = json.loads(json.dumps(SCHEMA_DOC))
+    doc["taxonomies"]["ailment"]["children"]["Viral-Infection"] = "XY"
+    with pytest.raises(SchemaError, match="children of Viral-Infection must be an array"):
+        load_schema(json.dumps(doc))
+
+
 def test_taxoral_column_requires_taxonomy():
     doc = {"columns": [{"name": "A", "class": "taxoral", "group": "sensitive"}]}
     with pytest.raises(SchemaError):
