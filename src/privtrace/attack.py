@@ -153,6 +153,20 @@ class AttackDltts(Record):
         return tuple(out)
 
 
+def _response_switch(
+    node: str, line: str, value: str, assumed: bool = False
+) -> tuple[Transition, ResponseEdge]:
+    """The `response(line)` transition at `node` and its switch; only a
+    synthesized (`assumed`) one takes "assumed" as its label's source."""
+    target = f"{node}r"
+    label = Label(text=f"response({line})={value}",
+                  source="assumed" if assumed else "db")
+    return (
+        Transition(node, f"response({line})", (Branch(target, Fraction(1), label),)),
+        ResponseEdge(node, line, value, target, assumed),
+    )
+
+
 def _sensitive_value(db: DataTable, line_id: str) -> str:
     for i, col in enumerate(db.columns):
         if col.group == "sensitive":
@@ -245,33 +259,11 @@ def build_attack_dltts(db: DataTable, profile: AttackerProfile) -> AttackDltts:
             if (b.to, line) in seen:
                 continue
             seen.add((b.to, line))
-            value = _sensitive_value(db, line)
-            target = f"{b.to}r"
-            transitions.append(
-                Transition(
-                    b.to,
-                    f"response({line})",
-                    (
-                        Branch(
-                            target,
-                            Fraction(1),
-                            Label(text=f"response({line})={value}"),
-                        ),
-                    ),
-                )
-            )
-            responses.append(ResponseEdge(b.to, line, value, target))
+            transition, edge = _response_switch(b.to, line, _sensitive_value(db, line))
+            transitions.append(transition)
+            responses.append(edge)
 
-    states = {"s0", "STOP"}
-    for t in transitions:
-        states.add(t.source)
-        states.update(b.to for b in t.branches)
-    dltts = Dltts(
-        initial="s0",
-        stop="STOP",
-        states=frozenset(states),
-        transitions=tuple(transitions),
-    )
+    dltts = Dltts(initial="s0", stop="STOP", transitions=tuple(transitions))
     return AttackDltts(name=profile.name, dltts=dltts, responses=tuple(responses))
 
 
@@ -296,30 +288,17 @@ def load_attack_dltts(text: str, name: str = "attack") -> AttackDltts:
         line_values.setdefault(line, value)
 
     transitions = list(dltts.transitions)
-    states = set(dltts.states)
     preliminary = AttackDltts(name=name, dltts=dltts, responses=tuple(responses))
     for node, line in preliminary.singleton_nodes():
         if (node, line) in drawn:
             continue
         drawn.add((node, line))
-        value = line_values.get(line, "?")
-        target = f"{node}r"
-        transitions.append(
-            Transition(
-                node,
-                f"response({line})",
-                (
-                    Branch(
-                        target,
-                        Fraction(1),
-                        Label(text=f"response({line})={value}", source="assumed"),
-                    ),
-                ),
-            )
+        transition, edge = _response_switch(
+            node, line, line_values.get(line, "?"), assumed=True
         )
-        states.add(target)
-        responses.append(ResponseEdge(node, line, value, target, assumed=True))
-    dltts = dltts.replace(states=frozenset(states), transitions=tuple(transitions))
+        transitions.append(transition)
+        responses.append(edge)
+    dltts = dltts.replace(transitions=tuple(transitions))
     return AttackDltts(name=name, dltts=dltts, responses=tuple(responses))
 
 

@@ -99,13 +99,12 @@ class Transition(Record):
 
 
 class Dltts(Record):
-    """A tagged probabilistic transition system: states, transitions, the
-    initial and Stop states, and per-state tags, saturated tags and
+    """A tagged probabilistic transition system: the initial and Stop
+    states, transitions, and per-state tags, saturated tags and
     reachability probabilities.  Each mapping left out starts empty."""
 
     initial: str
     stop: str
-    states: frozenset[str]
     transitions: tuple[Transition, ...]
     tags: Mapping[str, Tag] | None = None
     saturated: Mapping[str, Tag] | None = None
@@ -115,6 +114,15 @@ class Dltts(Record):
         for name in ("tags", "saturated", "state_probs"):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, {})
+
+    @cached_property
+    def states(self) -> frozenset[str]:
+        """The initial state, Stop and every transition endpoint."""
+        states = {self.initial, self.stop}
+        for t in self.transitions:
+            states.add(t.source)
+            states.update(b.to for b in t.branches)
+        return frozenset(states)
 
     @cached_property
     def _outgoing(self) -> dict[str, tuple[Transition, ...]]:
@@ -302,29 +310,6 @@ def _is_knowledge(p: TuplePattern) -> bool:
     return not p.negative and bool(p.columns) and p.is_ground()
 
 
-def _tag_rho(tag: Iterable[TuplePattern], secrets, mode, taxonomies, normalizer):
-    """rho between the knowledge tuples of the tag and the secrets."""
-    knowledge = [p.cells for p in tag if _is_knowledge(p)]
-    if not knowledge:
-        return None
-    return rho(knowledge, secrets, mode, taxonomies=taxonomies, normalizer=normalizer)
-
-
-def _verdict(
-    tag: Tag, policy: PrivacyPolicy, epsilon, distance, closed: Tag = frozenset()
-) -> OracleVerdict:
-    """The policy check first, then rho <= epsilon.  `distance()` gives rho;
-    it is None when no secrets are given, and called only when needed.
-    `closed` is a part of `tag` that already passed the policy check."""
-    if not check_consistency(tag, policy, closed=closed):
-        return OracleVerdict.VIOLATION
-    if epsilon is not None and distance is not None:
-        r = distance()
-        if r is not None and r <= epsilon:
-            return OracleVerdict.EPSILON_VIOLATION
-    return OracleVerdict.CONTINUE
-
-
 def oracle_verdict(
     saturated_tag: Tag,
     policy: PrivacyPolicy,
@@ -335,12 +320,18 @@ def oracle_verdict(
     taxonomies: Mapping[str, TaxonomyTree] | None = None,
     normalizer=None,
 ) -> OracleVerdict:
-    def distance() -> Fraction | None:
-        return _tag_rho(saturated_tag, list(secret_set), mode, taxonomies, normalizer)
-
-    return _verdict(
-        saturated_tag, policy, epsilon, None if secret_set is None else distance
-    )
+    """The oracle's ruling on a whole saturated tag: the policy check first,
+    then rho <= epsilon between its knowledge tuples and the secrets, armed
+    only when both are given."""
+    if not check_consistency(saturated_tag, policy):
+        return OracleVerdict.VIOLATION
+    if epsilon is not None and secret_set is not None:
+        knowledge = [p.cells for p in saturated_tag if _is_knowledge(p)]
+        r = rho(knowledge, list(secret_set), mode,
+                taxonomies=taxonomies, normalizer=normalizer)
+        if r is not None and r <= epsilon:
+            return OracleVerdict.EPSILON_VIOLATION
+    return OracleVerdict.CONTINUE
 
 
 class DlttsBuilder:
@@ -348,18 +339,19 @@ class DlttsBuilder:
 
     Tags are computed tightly from branch labels and saturated eagerly at
     state creation, each from its parent's saturated tag, and cached.
-    `oracle_step` checks a state and, on a violation, installs the `delta`
-    transition to Stop as its only outgoing transition.
+    `oracle_step` rules on a state under the oracle configuration the
+    builder was made with (policy, secrets, epsilon, mode, normalizer) and,
+    on a violation, installs the `delta` transition to Stop as its only
+    outgoing transition.
 
     A new state pays only for what it adds to its parent's saturated tag,
     which it contains.  Saturation reads one memo of each premise's R1-R3
     results, valid because the externals, columns and taxonomies are fixed
-    for the builder's life.  When the parent passed the policy check, only
-    the added tuples are checked.  When the parent was examined against the
-    same secrets, mode and normalizer, the state's rho is the minimum of the
-    parent's and the distances of the ground tuples it added; those
-    distances are memoized by the tuple's cells while that key stays the
-    same.
+    for the builder's life.  When the parent's verdict was `continue`, its
+    saturated tag passed both checks, so the state checks only the tuples
+    it added: against the policy, and whether any added ground tuple lies
+    within epsilon of a secret.  That answer is memoized by the tuple's
+    cells, valid because the oracle configuration is fixed too.
     """
 
     def __init__(
@@ -369,6 +361,10 @@ class DlttsBuilder:
         externals: Sequence[DataTable] = (),
         columns: Iterable[ColumnSchema] | None = None,
         taxonomies: Mapping[str, TaxonomyTree] | None = None,
+        secrets: Iterable[Sequence] | None = None,
+        epsilon: Fraction | None = None,
+        mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
+        normalizer=None,
         initial: str = "s0",
         stop: str = "STOP",
     ) -> None:
@@ -376,6 +372,10 @@ class DlttsBuilder:
         self.externals = tuple(externals)
         self.columns = tuple(columns or ())
         self.taxonomies = _merged_taxonomies(self.externals, taxonomies)
+        self.secrets = None if secrets is None else list(secrets)
+        self.epsilon = epsilon
+        self.mode = mode
+        self.normalizer = normalizer
         self.initial = initial
         self.stop = stop
         self.transitions: list[Transition] = []
@@ -389,13 +389,10 @@ class DlttsBuilder:
         self.closed: set[str] = set()
         self._parent: dict[str, str] = {}
         self._sources: set[str] = set()
-        # states whose saturated tag passed the policy check
-        self._consistent: set[str] = set()
-        # state -> ((secrets, mode, normalizer), rho of its saturated tag)
-        self._rho: dict[str, tuple[tuple, Fraction | None]] = {}
-        # ground tuple cells -> rho to the secrets, under `_distance_key`
-        self._distance_key: tuple | None = None
-        self._distances: dict[tuple, Fraction | None] = {}
+        # states whose verdict was `continue`
+        self._continued: set[str] = set()
+        # ground tuple cells -> is the tuple within epsilon of a secret?
+        self._within: dict[tuple, bool] = {}
 
     def add_transition(
         self,
@@ -442,69 +439,49 @@ class DlttsBuilder:
             self._parent[b.to] = source
         return new_states
 
-    def oracle_step(
-        self,
-        state: str,
-        *,
-        secret_set: Iterable[Sequence] | None = None,
-        epsilon: Fraction | None = None,
-        mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
-        normalizer=None,
-    ) -> OracleVerdict:
+    def oracle_step(self, state: str) -> OracleVerdict:
         if state == self.stop:
             raise DlttsError("the oracle never examines Stop")
         tag = self.saturated[state]
         parent = self._parent.get(state)
-
-        def distance() -> Fraction | None:
-            secrets = list(secret_set)
-            key = (secrets, mode, normalizer)
-            if key != self._distance_key:
-                self._distance_key, self._distances = key, {}
-            known = self._rho.get(parent)
-            reuse = known is not None and known[0] == key
-            r = known[1] if reuse else None
-            for p in tag - self.saturated[parent] if reuse else tag:
-                if not _is_knowledge(p):
-                    continue
-                if p.cells not in self._distances:
-                    self._distances[p.cells] = rho(
-                        [p.cells], secrets, mode,
-                        taxonomies=self.taxonomies, normalizer=normalizer,
-                    )
-                d = self._distances[p.cells]
-                if d is not None and (r is None or d < r):
-                    r = d
-            self._rho[state] = (key, r)
-            return r
-
-        verdict = _verdict(
-            tag, self.policy, epsilon, None if secret_set is None else distance,
-            self.saturated[parent] if parent in self._consistent else frozenset(),
-        )
-        if verdict is not OracleVerdict.VIOLATION:
-            self._consistent.add(state)
-        if verdict is not OracleVerdict.CONTINUE:
-            if state in self._sources:
-                raise DlttsError(
-                    f"violating state {state!r} already has outgoing transitions"
-                )
-            self.transitions.append(
-                Transition(state, DELTA, (Branch(self.stop, Fraction(1), Label("δ")),))
+        checked = self.saturated[parent] if parent in self._continued else frozenset()
+        if not check_consistency(tag, self.policy, closed=checked):
+            verdict = OracleVerdict.VIOLATION
+        elif self._within_epsilon(tag - checked):
+            verdict = OracleVerdict.EPSILON_VIOLATION
+        else:
+            self._continued.add(state)
+            return OracleVerdict.CONTINUE
+        if state in self._sources:
+            raise DlttsError(
+                f"violating state {state!r} already has outgoing transitions"
             )
-            self._sources.add(state)
-            self.closed.add(state)
+        self.transitions.append(
+            Transition(state, DELTA, (Branch(self.stop, Fraction(1), Label("δ")),))
+        )
+        self._sources.add(state)
+        self.closed.add(state)
         return verdict
 
+    def _within_epsilon(self, tuples: Iterable[TuplePattern]) -> bool:
+        """Is some ground tuple among `tuples` within epsilon of a secret?
+        Every one is measured, so an uncomparable pair raises whatever order
+        the set is iterated in."""
+        if self.epsilon is None or self.secrets is None:
+            return False
+        knowledge = [p.cells for p in tuples if _is_knowledge(p)]
+        within = self._within
+        for cells in knowledge:
+            if cells not in within:
+                r = rho([cells], self.secrets, self.mode,
+                        taxonomies=self.taxonomies, normalizer=self.normalizer)
+                within[cells] = r is not None and r <= self.epsilon
+        return any(within[cells] for cells in knowledge)
+
     def build(self) -> Dltts:
-        states = {self.initial, self.stop} | set(self.tags)
-        for t in self.transitions:
-            states.add(t.source)
-            states.update(b.to for b in t.branches)
         return Dltts(
             initial=self.initial,
             stop=self.stop,
-            states=frozenset(states),
             transitions=tuple(self.transitions),
             tags=dict(self.tags),
             saturated=dict(self.saturated),
@@ -550,25 +527,17 @@ def reach_stop(dltts: Dltts) -> tuple[bool, tuple[Run, ...]]:
 def validate(dltts: Dltts) -> list[str]:
     """Invariant check; empty list iff the system is well-formed."""
     problems: list[str] = []
-    if dltts.initial not in dltts.states:
-        problems.append(f"initial state {dltts.initial!r} not among states")
-    if dltts.stop not in dltts.states:
-        problems.append(f"stop state {dltts.stop!r} not among states")
     if dltts.tags.get(dltts.stop):
         problems.append("Stop carries a tag")
     seen_distr: set[tuple] = set()
     for t in dltts.transitions:
         if t.source == dltts.stop:
             problems.append("Stop has an outgoing transition")
-        if t.source not in dltts.states:
-            problems.append(f"transition from unknown state {t.source!r}")
         if not t.branches:
             problems.append(f"transition from {t.source!r} has no branches")
             continue
         total = Fraction(0)
         for b in t.branches:
-            if b.to not in dltts.states:
-                problems.append(f"branch to unknown state {b.to!r}")
             if b.prob <= 0:
                 problems.append(
                     f"branch {t.source}->{b.to} has non-positive probability"
@@ -765,16 +734,7 @@ def parse_dltts(text: str, name: str = "dltts") -> Dltts:
         if not branches:
             raise DlttsError(f"{name}:{lineno}: empty branch list")
         transitions.append(Transition(source, action, tuple(branches)))
-    states = {initial, stop}
-    for t in transitions:
-        states.add(t.source)
-        states.update(b.to for b in t.branches)
-    return Dltts(
-        initial=initial,
-        stop=stop,
-        states=frozenset(states),
-        transitions=tuple(transitions),
-    )
+    return Dltts(initial=initial, stop=stop, transitions=tuple(transitions))
 
 
 def render_dltts(dltts: Dltts) -> str:

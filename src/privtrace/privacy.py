@@ -330,7 +330,7 @@ def min_eps_rho_indist(
     *,
     tuples: tuple | None = None,
     taxonomies: Mapping[str, TaxonomyTree] | None = None,
-    normalizer: Fraction | None = None,
+    normalizer: Fraction | Mapping[int, Fraction] | None = None,
 ) -> EpsilonResult:
     """|ln(p/p')| / rho(t,t'): the rho-scaled minimal epsilon.  `tuples`
     supplies the value tuples when the mechanism inputs are opaque keys."""

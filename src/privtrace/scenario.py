@@ -307,11 +307,12 @@ def build_run(
         externals=externals,
         columns=scenario.schema.columns,
         taxonomies=scenario.schema.taxonomies,
+        secrets=secret,
+        epsilon=epsilon,
+        mode=mode,
     )
     verdicts: dict[str, OracleVerdict] = {}
-    verdicts[builder.initial] = builder.oracle_step(
-        builder.initial, secret_set=secret, epsilon=epsilon, mode=mode
-    )
+    verdicts[builder.initial] = builder.oracle_step(builder.initial)
     for step in run.get("steps", []):
         branches = []
         for bdoc in step["branches"]:
@@ -328,9 +329,7 @@ def build_run(
             branches.append((bdoc["to"], prob, label))
         new_states = builder.add_transition(step["from"], step["action"], branches)
         for state in new_states:
-            verdicts[state] = builder.oracle_step(
-                state, secret_set=secret, epsilon=epsilon, mode=mode
-            )
+            verdicts[state] = builder.oracle_step(state)
     return builder.build(), verdicts
 
 
@@ -360,6 +359,7 @@ def metric_section(
     """Pairwise distances; returns False when some pair is uncomparable."""
     table = scenario.table(table_name)
     taxonomies = scenario.schema.taxonomies
+    normalizer = table.normalizers
     all_defined = True
     for a, b in pairs:
         ra, rb = table.row(a), table.row(b)
@@ -369,16 +369,20 @@ def metric_section(
             report.add(f"## metric {table_name} {a} {b} ({mode.value})")
             prefix = f"metric/{table_name}/{a}/{b}/{mode.value}"
             try:
-                vec = d_vector(ra, rb, None, mode, taxonomies=taxonomies)
+                vec = d_vector(
+                    ra, rb, None, mode, taxonomies=taxonomies, normalizer=normalizer
+                )
             except MetricError:
                 all_defined = False
                 report.add("uncomparable pair")
                 report.add()
                 continue
             report.put(f"{prefix}/d_vector", vec, f"d_vector = {_fmt_vec(vec)}")
-            total = d_bar(ra, rb, None, mode, taxonomies=taxonomies)
+            total = d_bar(
+                ra, rb, None, mode, taxonomies=taxonomies, normalizer=normalizer
+            )
             report.put(f"{prefix}/d_bar", total, f"d_bar = {total}")
-            r = rho([ra], [rb], mode, taxonomies=taxonomies)
+            r = rho([ra], [rb], mode, taxonomies=taxonomies, normalizer=normalizer)
             report.put(f"{prefix}/rho", r, f"rho = {r}")
             report.put(f"{prefix}/d_h", dh, f"d_h = {dh}")
             report.add()
@@ -583,6 +587,7 @@ def run_scenario(
             res = min_eps_rho_indist(
                 m, a, b, alpha, rho_mode,
                 tuples=tuples, taxonomies=scenario.schema.taxonomies,
+                normalizer=table.normalizers,
             )
             report.put(
                 f"scaled_indist/{entry['mechanism']}/{a}/{b}/rho/{rho_mode.value}",

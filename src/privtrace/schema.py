@@ -136,12 +136,6 @@ class DataTable(Record):
     def column_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns)
 
-    def column(self, name: str) -> ColumnSchema:
-        for c in self.columns:
-            if c.name == name:
-                return c
-        raise KeyError(f"table {self.name}: no column {name!r}")
-
     @cached_property
     def column_positions(self) -> dict[str, int]:
         """Column name -> cell position (the first column of that name)."""
@@ -180,20 +174,15 @@ class DataTable(Record):
     def line_ids(self) -> tuple[str, ...]:
         return tuple(r.line_id for r in self.rows)
 
-    def effective_normalizer(self, name: str) -> Fraction:
-        """Normalizer for a numerical column: configured value, else the max
-        pairwise spread of the loaded data (1 when that spread is 0)."""
-        col = self.column(name)
-        if col.cls is not ColumnClass.NUMERICAL:
-            raise SchemaError(f"column {name} is not numerical")
-        if col.normalizer is not None:
-            return col.normalizer
-        idx = self.column_index(name)
-        vals = [r.cells[idx].value for r in self.rows]
-        if not vals:
-            return Fraction(1)
-        spread = max(vals) - min(vals)
-        return spread if spread > 0 else Fraction(1)
+    @property
+    def normalizers(self) -> dict[int, Fraction]:
+        """The declared normalizer D of each numerical column, by column
+        index: the per-position form of `metrics.d_vector`, since two rows
+        of one table correspond position by position."""
+        return {
+            i: c.normalizer for i, c in enumerate(self.columns)
+            if c.normalizer is not None
+        }
 
 
 def _cell_matches_class(cell: Value, cls: ColumnClass) -> bool:

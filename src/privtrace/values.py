@@ -93,10 +93,9 @@ class Record:
         """The field values, in order, of a call that is not exactly one
         positional argument per field."""
         fields, defaults = self._fields, self._defaults
-        what = f"{type(self).__qualname__}()"
         if len(args) > len(fields):
-            raise TypeError(f"{what} takes {len(fields)} positional arguments "
-                            f"but {len(args)} were given")
+            raise TypeError(f"{type(self).__qualname__}() takes {len(fields)} "
+                            f"positional arguments but {len(args)} were given")
         bound = list(args)
         for name in fields[len(args):]:
             if name in kwargs:
@@ -104,11 +103,14 @@ class Record:
             elif name in defaults:
                 bound.append(defaults[name])
             else:
-                raise TypeError(f"{what} missing required argument {name!r}")
+                raise TypeError(f"{type(self).__qualname__}() missing required "
+                                f"argument {name!r}")
         for name in kwargs:
             if name in fields:
-                raise TypeError(f"{what} got multiple values for argument {name!r}")
-            raise TypeError(f"{what} got an unexpected keyword argument {name!r}")
+                raise TypeError(f"{type(self).__qualname__}() got multiple "
+                                f"values for argument {name!r}")
+            raise TypeError(f"{type(self).__qualname__}() got an unexpected "
+                            f"keyword argument {name!r}")
         return bound
 
     def __repr__(self) -> str:

@@ -15,6 +15,7 @@ from privtrace.dltts import (
     Transition,
     check_consistency,
     epsilon_equivalent_labels,
+    oracle_verdict,
     parse_dltts,
     reach_stop,
     render_dltts,
@@ -233,12 +234,33 @@ def test_oracle_epsilon_violation(hospital):
         policy=PrivacyPolicy(()),
         columns=published.columns,
         taxonomies=hospital.schema.taxonomies,
+        secrets=[l5.cells],
+        epsilon=F(0),
     )
     b.add_transition("s0", "query", [("s1", F(1), Label(tuples=frozenset({pattern})))])
-    verdict = b.oracle_step("s1", secret_set=[l5.cells], epsilon=F(0))
+    verdict = b.oracle_step("s1")
     assert verdict is OracleVerdict.EPSILON_VIOLATION
     d = b.build()
     assert any(t.action == DELTA and t.source == "s1" for t in d.transitions)
+
+
+def test_oracle_epsilon_check_reads_only_positive_tuples(hospital):
+    """Sibling states learn a secret row and its negation.  Only the first
+    is an epsilon violation, though both add a tuple with the same cells."""
+    published = hospital.table("published")
+    l5 = published.row("l5")
+    pattern = TuplePattern(published.column_names(), l5.cells)
+    b = DlttsBuilder(columns=published.columns, taxonomies=hospital.schema.taxonomies,
+                     secrets=[l5.cells], epsilon=F(0))
+    b.add_transition("s0", "query", [
+        ("s1", F(1, 2), Label(tuples=frozenset({pattern}))),
+        ("s2", F(1, 2), Label(tuples=frozenset({pattern.replace(negative=True)}))),
+    ])
+    for state, verdict in [("s1", OracleVerdict.EPSILON_VIOLATION),
+                           ("s2", OracleVerdict.CONTINUE)]:
+        assert b.oracle_step(state) is verdict
+        assert oracle_verdict(b.saturated[state], b.policy, [l5.cells], F(0),
+                              taxonomies=b.taxonomies) is verdict
 
 
 def test_oracle_rejects_stop(hospital):
@@ -248,7 +270,7 @@ def test_oracle_rejects_stop(hospital):
 
 
 def test_reach_stop_trivial_cases():
-    single = Dltts("s0", "STOP", frozenset({"s0", "STOP"}), ())
+    single = Dltts("s0", "STOP", ())
     assert reach_stop(single) == (False, ())
     no_delta = parse_dltts("s0 -> [(s1, 1, x)] act\n")
     assert reach_stop(no_delta)[0] is False

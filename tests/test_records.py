@@ -95,9 +95,9 @@ RECORDS = {
     dltts.Label: (("text", "lines", "tuples", "source"), _pool(4)),
     dltts.Branch: (("to", "prob", "label"), _pool(3)),
     dltts.Transition: (("source", "action", "branches"), _pool(3)),
-    dltts.Dltts: (("initial", "stop", "states", "transitions", "tags", "saturated",
+    dltts.Dltts: (("initial", "stop", "transitions", "tags", "saturated",
                    "state_probs"),
-                  lambda rng: _pool(4)(rng) + tuple(_mapping(rng) for _ in range(3))),
+                  lambda rng: _pool(3)(rng) + tuple(_mapping(rng) for _ in range(3))),
     dltts.Run: (("states", "actions", "probability"), _pool(3)),
     privacy.Mechanism: (("name", "inputs", "outputs", "table"), _mechanism),
     privacy.EpsilonResult: (("scale", "ratio", "unbounded", "both_zero", "witness"),
@@ -227,7 +227,7 @@ def test_replace_matches_dataclasses_replace():
 
 
 def test_replace_builds_a_new_record_without_the_cached_values():
-    d = dltts.Dltts("s0", "STOP", frozenset({"s0", "STOP"}), (
+    d = dltts.Dltts("s0", "STOP", (
         dltts.Transition("s0", "delta", (dltts.Branch("STOP", F(1)),)),))
     assert d.outgoing("s0")
     assert "_outgoing" in vars(d)

@@ -352,21 +352,21 @@ def _secret_pool(rng, trees):
     ]
 
 
-def _examine(rng, builder, state, secrets, epsilons, verdicts):
-    secret_set = rng.choice(secrets + [None])
-    epsilon = rng.choice(epsilons)
-    mode = rng.choice(MODES)
-    normalizer = rng.choice([None, F(1)])
+def _oracle_config(rng, secrets, epsilons):
+    """One oracle configuration: the settings a builder takes for its life."""
+    return {"secrets": rng.choice(secrets + [None]), "epsilon": rng.choice(epsilons),
+            "mode": rng.choice(MODES), "normalizer": rng.choice([None, F(1)])}
+
+
+def _examine(builder, config, state, verdicts):
     expected = oracle_verdict(
-        builder.saturated[state], builder.policy, secret_set, epsilon, mode,
-        taxonomies=builder.taxonomies, normalizer=normalizer,
+        builder.saturated[state], builder.policy, config["secrets"],
+        config["epsilon"], config["mode"],
+        taxonomies=builder.taxonomies, normalizer=config["normalizer"],
     )
     has_outgoing = any(t.source == state for t in builder.transitions)
     try:
-        got = builder.oracle_step(
-            state, secret_set=None if secret_set is None else iter(secret_set),
-            epsilon=epsilon, mode=mode, normalizer=normalizer,
-        )
+        got = builder.oracle_step(state)
     except DlttsError:
         assert expected is not OracleVerdict.CONTINUE and has_outgoing
         return
@@ -410,13 +410,17 @@ def test_incremental_builder_matches_oracle_verdict_and_naive_closure():
         policy = PrivacyPolicy(tuple(
             _pattern(rng, trees, negative=True) for _ in range(rng.randint(0, 1))
         ))
-        builder = DlttsBuilder(policy=policy, externals=bases, columns=COLUMNS,
-                               taxonomies={"t": tree})
-        secrets = _secret_pool(rng, trees)
-        epsilons = [None, F(0), F(1, 2), F(1), F(2)]
+        config = _oracle_config(
+            rng, _secret_pool(rng, trees), [None, F(0), F(1, 2), F(1), F(2)]
+        )
+        secrets = config["secrets"]
+        builder = DlttsBuilder(
+            policy=policy, externals=bases, columns=COLUMNS, taxonomies={"t": tree},
+            **{**config, "secrets": None if secrets is None else iter(secrets)},
+        )
         states = [builder.initial]
         if rng.random() < 0.7:
-            _examine(rng, builder, builder.initial, secrets, epsilons, verdicts)
+            _examine(builder, config, builder.initial, verdicts)
         for step in range(rng.randint(1, 8)):
             sources = [s for s in states if s not in builder.closed]
             if not sources:
@@ -435,9 +439,9 @@ def test_incremental_builder_matches_oracle_verdict_and_naive_closure():
             for state in new:
                 # some parents are never examined, some states twice
                 for _ in range(rng.choice([0, 1, 1, 1, 2])):
-                    _examine(rng, builder, state, secrets, epsilons, verdicts)
+                    _examine(builder, config, state, verdicts)
             if rng.random() < 0.3:  # re-examine an earlier state
-                _examine(rng, builder, rng.choice(states), secrets, epsilons, verdicts)
+                _examine(builder, config, rng.choice(states), verdicts)
         for state, tag in builder.tags.items():
             assert builder.saturated[state] == naive_saturate(
                 tag, bases, columns=COLUMNS, taxonomies={"t": tree}

@@ -240,6 +240,33 @@ def test_cli_metric_uncomparable_exits_one(tmp_path, capsys):
     assert code == 2
 
 
+def test_declared_column_normalizer_reaches_the_metrics(tmp_path, capsys):
+    """A numerical column's `normalizer` is the D of d_eucl, both for
+    `metric` and for a rho-scaled indistinguishability entry."""
+    shutil.copytree(Path(ENTERPRISE).parent, tmp_path, dirs_exist_ok=True)
+    schema_path = tmp_path / "schema.json"
+    schema = json.loads(schema_path.read_text())
+    schema["columns"][2]["normalizer"] = "10"  # Response
+    schema_path.write_text(json.dumps(schema))
+    path = tmp_path / "scenario.json"
+    doc = json.loads(path.read_text())
+    doc["mechanisms"] = {"m": {"outputs": ["o", "x"], "probs": {
+        "l1": {"o": "1/4", "x": "3/4"}, "l2": {"o": "1/2", "x": "1/2"}}}}
+    doc["analysis"] = {"scaled_indist": [
+        {"mechanism": "m", "pair": ["l1", "l2"], "table": "responses", "alpha": "o"}
+    ]}
+    path.write_text(json.dumps(doc))
+    code = cli_main(["metric", "--scenario", str(path), "--table", "responses",
+                     "--pair", "l1", "l2"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "d_vector = (0, 0, 7/10)" in out
+    assert "rho = 7/10" in out
+    assert cli_main(["analyze", "--scenario", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "rho-scaled min epsilon (integer-set) = (10/7)*ln(2/1)" in out
+
+
 def test_cli_analyze_full_report(capsys):
     code = cli_main(["analyze", "--scenario", HOSPITAL, "--expect-violation"])
     out = capsys.readouterr().out
@@ -642,7 +669,7 @@ def test_export_dot_is_valid_dot_syntax(hospital):
 def test_export_dot_single_state():
     from privtrace.dltts import Dltts
 
-    single = Dltts("s0", "STOP", frozenset({"s0", "STOP"}), ())
+    single = Dltts("s0", "STOP", ())
     dot = export_dot(single)
     assert len([l for l in dot.splitlines() if "[shape=" in l]) == 1
 
@@ -740,6 +767,41 @@ def test_deep_cyclic_transcript_exits_two(tmp_path):
     done = _cli_process("attack", "--scenario", scenario, "--attacker", "chain")
     assert done.returncode == 2 and "Traceback" not in done.stderr
     assert "attack system has a cycle" in done.stderr
+
+
+def test_epsilon_oracle_outcome_does_not_depend_on_set_order(tmp_path, monkeypatch):
+    """State s1 adds two ground tuples: (John,7) is within epsilon 0 of the
+    secret (John), and its R1 join (John,7,Phys) pairs a numerical cell with
+    the secret (5,Chem), which no normalizer makes comparable.  The oracle
+    measures every added tuple, so the run exits 2 under every hash seed,
+    not only when its tag set happens to iterate the join first."""
+    nominal = {"class": "nominal", "group": "quasi-identifier"}
+    name = {"name": "Name", "class": "nominal", "group": "identifier"}
+    salary = {"name": "Salary", "class": "numerical", "group": "quasi-identifier"}
+    (tmp_path / "schema.json").write_text(json.dumps({"columns": [name, salary]}))
+    for table, text in [("depts", "Name,Dept\nJohn,Phys\n"), ("names", "Name\nJohn\n"),
+                        ("pay", "Salary,Dept\n5,Chem\n")]:
+        (tmp_path / f"{table}.csv").write_text(text)
+    (tmp_path / "scenario.json").write_text(json.dumps({
+        "name": "order",
+        "schema": "schema.json",
+        "tables": {
+            "depts": {"file": "depts.csv", "columns": [name, {"name": "Dept", **nominal}]},
+            "names": {"file": "names.csv", "columns": [name]},
+            "pay": {"file": "pay.csv", "columns": [salary, {"name": "Dept", **nominal}]},
+        },
+        "externals": ["depts"],
+        "runs": {"r": {"steps": [{"from": "s0", "action": "q", "branches": [
+            {"to": "s1", "prob": "1", "learn": ["(John,7)"]}]}]}},
+        "analysis": {"runs": ["r"]},
+    }))
+    for seed in range(8):
+        monkeypatch.setenv("PYTHONHASHSEED", str(seed))
+        done = _cli_process("analyze", "--scenario", str(tmp_path / "scenario.json"),
+                            "--epsilon", "0", "--secret", "names:l1",
+                            "--secret", "pay:l1")
+        assert done.returncode == 2, (seed, done.stdout)
+        assert "numerical cells need an explicit normalizer D" in done.stderr
 
 
 def test_cli_analyze_ln_epsilon_exits_two():
