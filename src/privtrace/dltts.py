@@ -310,15 +310,27 @@ def _is_knowledge(p: TuplePattern) -> bool:
     return not p.negative and bool(p.columns) and p.is_ground()
 
 
+def _secret_rho(knowledge, secrets, mode, taxonomies) -> Fraction | None:
+    """rho between the knowledge tuples and the secrets.  A DataTable
+    stands for its rows, measured with its declared normalizers; a bare
+    cell tuple has none."""
+    found = [
+        rho(knowledge, s.rows, mode, taxonomies=taxonomies, normalizer=s.normalizers)
+        if isinstance(s, DataTable)
+        else rho(knowledge, [s], mode, taxonomies=taxonomies)
+        for s in secrets
+    ]
+    return min((r for r in found if r is not None), default=None)
+
+
 def oracle_verdict(
     saturated_tag: Tag,
     policy: PrivacyPolicy,
-    secret_set: Iterable[Sequence] | None = None,
+    secret_set: Iterable[Sequence | DataTable] | None = None,
     epsilon: Fraction | None = None,
     mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
     *,
     taxonomies: Mapping[str, TaxonomyTree] | None = None,
-    normalizer=None,
 ) -> OracleVerdict:
     """The oracle's ruling on a whole saturated tag: the policy check first,
     then rho <= epsilon between its knowledge tuples and the secrets, armed
@@ -327,8 +339,7 @@ def oracle_verdict(
         return OracleVerdict.VIOLATION
     if epsilon is not None and secret_set is not None:
         knowledge = [p.cells for p in saturated_tag if _is_knowledge(p)]
-        r = rho(knowledge, list(secret_set), mode,
-                taxonomies=taxonomies, normalizer=normalizer)
+        r = _secret_rho(knowledge, secret_set, mode, taxonomies)
         if r is not None and r <= epsilon:
             return OracleVerdict.EPSILON_VIOLATION
     return OracleVerdict.CONTINUE
@@ -340,7 +351,7 @@ class DlttsBuilder:
     Tags are computed tightly from branch labels and saturated eagerly at
     state creation, each from its parent's saturated tag, and cached.
     `oracle_step` rules on a state under the oracle configuration the
-    builder was made with (policy, secrets, epsilon, mode, normalizer) and,
+    builder was made with (policy, secrets, epsilon, mode) and,
     on a violation, installs the `delta` transition to Stop as its only
     outgoing transition.
 
@@ -361,10 +372,9 @@ class DlttsBuilder:
         externals: Sequence[DataTable] = (),
         columns: Iterable[ColumnSchema] | None = None,
         taxonomies: Mapping[str, TaxonomyTree] | None = None,
-        secrets: Iterable[Sequence] | None = None,
+        secrets: Iterable[Sequence | DataTable] | None = None,
         epsilon: Fraction | None = None,
         mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
-        normalizer=None,
         initial: str = "s0",
         stop: str = "STOP",
     ) -> None:
@@ -375,7 +385,6 @@ class DlttsBuilder:
         self.secrets = None if secrets is None else list(secrets)
         self.epsilon = epsilon
         self.mode = mode
-        self.normalizer = normalizer
         self.initial = initial
         self.stop = stop
         self.transitions: list[Transition] = []
@@ -473,8 +482,7 @@ class DlttsBuilder:
         within = self._within
         for cells in knowledge:
             if cells not in within:
-                r = rho([cells], self.secrets, self.mode,
-                        taxonomies=self.taxonomies, normalizer=self.normalizer)
+                r = _secret_rho([cells], self.secrets, self.mode, self.taxonomies)
                 within[cells] = r is not None and r <= self.epsilon
         return any(within[cells] for cells in knowledge)
 
@@ -593,15 +601,14 @@ def epsilon_equivalent_labels(
     Each label maps to a mechanism input: through `instance_for` (keyed by
     label text or single line id), else by its single line id, else by its
     text.  Pairwise indistinguishability is not transitive, so classes are
-    the connected components of the pairwise relation.
+    the connected components of the pairwise relation, in the order of
+    their first label.
     """
     from . import privacy
 
-    labels: list[Label] = []
-    for t in dltts.outgoing(state):
-        for b in t.branches:
-            if b.label not in labels:
-                labels.append(b.label)
+    labels = list(dict.fromkeys(
+        b.label for t in dltts.outgoing(state) for b in t.branches
+    ))
     if not labels:
         return []
 
@@ -622,33 +629,25 @@ def epsilon_equivalent_labels(
 
     instances = {label: instance(label) for label in labels}
     if alpha is None:
-        common = None
-        for label in labels:
-            support = set(mechanism.support(instances[label]))
-            common = support if common is None else common & support
-        if not common or len(common) > 1:
-            raise DlttsError(
-                "output alpha is ambiguous; pass it explicitly"
-            )
-        alpha = next(iter(common))
+        common = set(mechanism.outputs).intersection(
+            *map(mechanism.support, instances.values())
+        )
+        if len(common) != 1:
+            raise DlttsError("output alpha is ambiguous; pass it explicitly")
+        (alpha,) = common
 
-    parent = {label: label for label in labels}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
-            if privacy.is_eps_indistinguishable(
-                mechanism, instances[a], instances[b], alpha, epsilon
-            ):
-                parent[find(a)] = find(b)
-    groups: dict[Label, list[Label]] = {}
+    # |ln p - ln p'| <= epsilon relates points of a line, so its connected
+    # components are the runs of the labels sorted by p whose neighbours
+    # are related
+    ranked = sorted(labels, key=lambda label: mechanism.prob(instances[label], alpha))
+    run_of = {ranked[0]: 0}
+    for a, b in zip(ranked, ranked[1:]):
+        run_of[b] = run_of[a] + (not privacy.is_eps_indistinguishable(
+            mechanism, instances[a], instances[b], alpha, epsilon
+        ))
+    groups: dict[int, list[Label]] = {}
     for label in labels:
-        groups.setdefault(find(label), []).append(label)
+        groups.setdefault(run_of[label], []).append(label)
     return [frozenset(g) for g in groups.values()]
 
 

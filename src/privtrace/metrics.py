@@ -156,7 +156,7 @@ def d_vector(
     """Column-wise distance vector over the corresponding cell pairs.
 
     `normalizer` supplies D for numerical pairs: one value for all, or a
-    mapping keyed by the position of the pair in the correspondence.
+    mapping keyed by the cell position in `t2`.
     """
     a, b = _cells(t), _cells(t2)
     if corr is None:
@@ -167,9 +167,9 @@ def d_vector(
     return tuple(
         cell_distance(
             a[i], b[j], mode, taxonomies=taxonomies,
-            normalizer=normalizer.get(k) if per_pair else normalizer,
+            normalizer=normalizer.get(j) if per_pair else normalizer,
         )
-        for k, (i, j) in enumerate(corr.pairs)
+        for i, j in corr.pairs
     )
 
 

@@ -2,9 +2,8 @@
 
 Every probability is an exact Fraction.  Epsilon values are reported in the
 exact form scale*ln(ratio) (both rationals) whenever they arise from rational
-probabilities; comparisons between two exact epsilons use integer
-cross-powers and are exact.  Comparisons against a plain float epsilon use
-an absolute tolerance of 1e-9.
+probabilities.  One comparator, `compare`, orders these values, unbounded
+ones and plain rationals exactly.
 
 Scanning never raises on zero-probability asymmetries: they yield a
 distinguished "unbounded" result value.
@@ -12,17 +11,17 @@ distinguished "unbounded" result value.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .metrics import IntervalMeasureMode, hamming, rho
 from .schema import Row
 from .values import Atom, Record, TaxonomyTree, parse_fraction
-
-EPS_FLOAT_TOL = 1e-9
 
 
 class PrivacyError(ValueError):
@@ -128,49 +127,76 @@ class EpsilonResult(Record):
         return "(" + ", ".join(parts) + ")"
 
 
-def _exceeds(a: EpsilonResult, b: EpsilonResult) -> bool:
-    """a.value > b.value, exactly when both are exact."""
-    if a.unbounded:
-        return not b.unbounded
-    if b.unbounded:
-        return False
-    ra = a.ratio if a.ratio is not None else Fraction(1)
-    rb = b.ratio if b.ratio is not None else Fraction(1)
-    sa = a.scale if a.scale is not None else Fraction(1)
-    sb = b.scale if b.scale is not None else Fraction(1)
-    if ra == 1 or sa == 0:
-        return False
-    if rb == 1 or sb == 0:
-        return True
-    # sa*ln(ra) > sb*ln(rb)  <=>  ra^(sa_n*sb_d) > rb^(sb_n*sa_d)
-    return ra ** (sa.numerator * sb.denominator) > rb ** (sb.numerator * sa.denominator)
+def _cmp(x, y) -> int:
+    return (x > y) - (x < y)
 
 
-def eps_at_least_ln(eps, ratio: Fraction) -> bool:
-    """Is eps >= ln(ratio)?  Exact for EpsilonResult/Fraction-ratio epsilons,
-    tolerance EPS_FLOAT_TOL for plain floats."""
-    if ratio <= 1:
-        return True
-    if isinstance(eps, EpsilonResult):
-        if eps.unbounded:
-            return True
-        if eps.ratio is None or eps.ratio == 1 or eps.scale == 0:
-            return False
-        s = eps.scale
-        return eps.ratio**s.numerator >= ratio**s.denominator
-    ln_ratio = math.log(ratio.numerator) - math.log(ratio.denominator)
-    return ln_ratio <= float(eps) + EPS_FLOAT_TOL
+def _log_form(x) -> tuple | None:
+    """(s, r) for s*ln(r) with r > 1, (q, None) for a rational q, None if unbounded."""
+    if not isinstance(x, EpsilonResult):
+        return Fraction(x), None
+    if x.unbounded:
+        return None
+    s, r = x.scale, x.ratio
+    if r is None or r == 1 or s == 0:
+        return Fraction(0), None
+    return (s, r) if r > 1 else (-s, 1 / r)
+
+
+def _iroot(n: int, k: int) -> int | None:
+    """The integer k-th root of n >= 1, when n is a perfect k-th power."""
+    if k >= n.bit_length():  # n < 2**k; past here, k < bits(n) bounds each power
+        return 1 if n == 1 else None
+    x = 1 << -(-n.bit_length() // k)  # above the root; Newton steps down
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x if x**k == n else None
+
+
+def _bounds(s, r: Fraction | None, prec: int) -> tuple:
+    """(lo, hi) around s*ln(r), or s when r is None: the `prec`-digit ln of
+    the rounded quotient r is off by under an ulp plus 10**(1 - prec)."""
+    if r is None:
+        return s, s
+    ctx = decimal.Context(prec=prec)
+    ln = ctx.ln(ctx.divide(r.numerator, r.denominator))
+    err = Fraction(10) ** (ln.adjusted() - prec + 1) + Fraction(10) ** (1 - prec)
+    return tuple(sorted((s * (Fraction(ln) - err), s * (Fraction(ln) + err))))
+
+
+def compare(a, b) -> int:
+    """The sign of a - b, exact, for EpsilonResults and rationals, with no
+    ratio raised to a power derived from a scale.  With sb/sa = p/q in
+    lowest terms, sa*ln(ra) = sb*ln(rb) only if ra = c**p and rb = c**q.
+    Unequal values part at some precision of the decimal ln bounds, since a
+    rational never equals a non-zero s*ln(r) (Lindemann-Weierstrass)."""
+    fa, fb = _log_form(a), _log_form(b)
+    if fa is None or fb is None:
+        return (fa is None) - (fb is None)
+    (sa, ra), (sb, rb) = fa, fb
+    sign = _cmp(sa, 0)  # a value's sign is its scale's
+    if sign != _cmp(sb, 0) or sign == 0 or ra == rb:
+        return _cmp(sa, sb)
+    if ra is not None and rb is not None:
+        by_scale, by_ratio = _cmp(sa, sb), sign * _cmp(ra, rb)
+        if by_scale * by_ratio >= 0:  # both orders agree, or one is a tie
+            return by_scale or by_ratio
+        t = sb / sa
+        roots = [_iroot(n, k) for r, k in ((ra, t.numerator), (rb, t.denominator))
+                 for n in (r.numerator, r.denominator)]
+        if None not in roots and roots[:2] == roots[2:]:
+            return 0
+    prec = 20
+    while True:
+        (lo_a, hi_a), (lo_b, hi_b) = _bounds(sa, ra, prec), _bounds(sb, rb, prec)
+        if hi_a < lo_b or hi_b < lo_a:
+            return _cmp(lo_a, lo_b)
+        prec *= 2
 
 
 def is_eps_indistinguishable(m: Mechanism, v, v2, alpha, eps) -> bool:
     """Both bounds p <= e^eps * p' and p' <= e^eps * p for output alpha."""
-    p, p2 = m.prob(v, alpha), m.prob(v2, alpha)
-    if p == p2:
-        return True
-    if p == 0 or p2 == 0:
-        return isinstance(eps, EpsilonResult) and eps.unbounded
-    ratio = max(p, p2) / min(p, p2)
-    return eps_at_least_ln(eps, ratio)
+    return compare(eps, min_indist_epsilon(m, v, v2, alpha)) >= 0
 
 
 def min_indist_epsilon(m: Mechanism, v, v2, alpha) -> EpsilonResult:
@@ -220,8 +246,10 @@ def _pair_scan(m: Mechanism, distance) -> EpsilonResult:
                     continue
                 if d == 0:
                     return EpsilonResult(unbounded=True, witness=(*pair, (o,)))
+                if ratio < 1:  # a negative candidate never beats best >= 0
+                    continue
                 cand = EpsilonResult(scale=1 / d, ratio=ratio, witness=(*pair, (o,)))
-                if _exceeds(cand, best):
+                if compare(cand, best) > 0:
                     best = cand
     return best
 
@@ -427,7 +455,7 @@ def build_rr() -> RandomizedResponse:
 
 def parse_epsilon(text: str):
     """Parse an epsilon literal: `ln(a/b)`, `(c/d)*ln(a/b)`, a fraction, or
-    a decimal.  Exact forms return EpsilonResult, decimals return float."""
+    a decimal.  The ln forms return EpsilonResult, the others Fraction."""
     text = text.strip().replace(" ", "")
     m = re.fullmatch(r"(?:\((-?\d+/\d+|-?\d+)\)\*)?ln\((\d+(?:/\d+)?)\)", text)
     try:
@@ -444,7 +472,6 @@ def parse_epsilon(text: str):
         return EpsilonResult(scale=scale, ratio=ratio)
     if frac < 0:
         raise PrivacyError("epsilon must be nonnegative")
-    try:
-        return float(frac)
-    except OverflowError:
-        raise PrivacyError(f"epsilon {text!r} is too large for a float") from None
+    if frac > sys.float_info.max:
+        raise PrivacyError(f"epsilon {text!r} is too large")
+    return frac

@@ -390,14 +390,16 @@ def metric_section(
 
 
 def resolve_secret(scenario: Scenario, refs: list[str]) -> list:
-    """Resolve `table:line` references into row cell tuples."""
-    out = []
+    """Resolve `table:line` references into copies of their tables holding
+    just those rows, so that each secret keeps its table's normalizers."""
+    rows: dict[str, dict] = {}
     for ref in refs:
         table_name, _, line = ref.partition(":")
         if not line:
             raise ScenarioError(f"secret reference {ref!r} is not table:line")
-        out.append(scenario.table(table_name).row(line).cells)
-    return out
+        rows.setdefault(table_name, {})[line] = scenario.table(table_name).row(line)
+    return [scenario.table(name).replace(rows=tuple(by_line.values()))
+            for name, by_line in rows.items()]
 
 
 def _run_section(

@@ -177,8 +177,8 @@ class DataTable(Record):
     @property
     def normalizers(self) -> dict[int, Fraction]:
         """The declared normalizer D of each numerical column, by column
-        index: the per-position form of `metrics.d_vector`, since two rows
-        of one table correspond position by position."""
+        index: the per-position form of `metrics.d_vector` for a row of
+        this table as its second operand."""
         return {
             i: c.normalizer for i, c in enumerate(self.columns)
             if c.normalizer is not None

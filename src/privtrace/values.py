@@ -291,26 +291,14 @@ class TaxonomyTree:
                 raise ValueError(f"taxonomy {name}: unknown parent {p!r}")
         self._depth: dict[str, int] = {root: 1}
         for node in self.parent:
-            self._compute_depth(node)
-        self._paths: dict[str, tuple[str, ...]] = {}
-
-    def _compute_depth(self, node: str) -> int:
-        if node in self._depth:
-            return self._depth[node]
-        seen = []
-        cur = node
-        while cur not in self._depth:
-            if cur in seen:
-                raise ValueError(
-                    f"taxonomy {self.name}: parent chain loops at {cur!r}"
-                )
-            seen.append(cur)
-            cur = self.parent[cur]
-        d = self._depth[cur]
-        for n in reversed(seen):
-            d += 1
-            self._depth[n] = d
-        return self._depth[node]
+            chain: dict[str, None] = {}  # an ordered set: the nodes of unknown depth
+            while node not in self._depth:
+                if node in chain:
+                    raise ValueError(f"taxonomy {name}: parent chain loops at {node!r}")
+                chain[node] = None
+                node = self.parent[node]
+            for n in reversed(chain):
+                self._depth[n] = self._depth[self.parent[n]] + 1
 
     def __contains__(self, node: str) -> bool:
         return node in self.nodes
@@ -320,36 +308,20 @@ class TaxonomyTree:
             raise KeyError(f"node {node!r} not in taxonomy {self.name}")
         return self._depth[node]
 
-    def _root_path(self, node: str) -> tuple[str, ...]:
-        """The nodes from `node` up to the root, inclusive; walked once per
-        node on first use and cached."""
-        path = self._paths.get(node)
-        if path is None:
-            self.depth(node)
-            walk = [node]
-            while walk[-1] != self.root:
-                walk.append(self.parent[walk[-1]])
-            path = self._paths[node] = tuple(walk)
-        return path
-
-    def path_to_root(self, node: str) -> list[str]:
-        return list(self._root_path(node))
-
     def common_ancestor(self, x: str, y: str) -> str:
-        """Deepest common ancestor of x and y: both root paths end at the
-        root, so it is the last node they share, read from the root."""
-        px, py = self._root_path(x), self._root_path(y)
-        shared = 0
-        for a, b in zip(reversed(px), reversed(py)):
-            if a != b:
-                break
-            shared += 1
-        return px[-shared]
+        """Deepest common ancestor of x and y: lift the deeper node to the
+        other's depth, then walk both up until they meet."""
+        x, y = sorted((x, y), key=self.depth)
+        for _ in range(self.depth(y) - self.depth(x)):
+            y = self.parent[y]
+        while x != y:
+            x, y = self.parent[x], self.parent[y]
+        return x
 
     def is_strict_descendant(self, node: str, ancestor: str) -> bool:
-        path = self._root_path(node)
-        depth = self._depth.get(ancestor)
-        return depth is not None and depth < len(path) and path[-depth] == ancestor
+        depth = self.depth(node)
+        return (self._depth.get(ancestor, depth) < depth
+                and self.common_ancestor(node, ancestor) == ancestor)
 
 
 # The largest decimal exponent, in magnitude, that `parse_fraction` accepts.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -22,7 +23,7 @@ from privtrace.dltts import (
     saturate,
     validate,
 )
-from privtrace.privacy import Mechanism
+from privtrace.privacy import EpsilonResult, Mechanism, is_eps_indistinguishable
 from privtrace.schema import (
     PrivacyPolicy,
     TOP,
@@ -429,6 +430,66 @@ def test_epsilon_equivalent_explicit_instance_mapping(viral_mechanism):
         epsilon_equivalent_labels(
             d, "s0", viral_mechanism, 0.0, alpha="Viral-Infection"
         )
+
+
+def union_find_classes(labels, mechanism, instances, alpha, epsilon):
+    """Label classes by union-find over every label pair: the all-pairs
+    algorithm the sorted-run partition replaced."""
+    parent = {label: label for label in labels}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, a in enumerate(labels):
+        for b in labels[i + 1 :]:
+            if is_eps_indistinguishable(
+                mechanism, instances[a], instances[b], alpha, epsilon
+            ):
+                parent[find(a)] = find(b)
+    groups = {}
+    for label in labels:
+        groups.setdefault(find(label), []).append(label)
+    return [frozenset(g) for g in groups.values()]
+
+
+_EPSILONS = (
+    0.0, F(0), F(1, 4), F(1, 2), F(1), F(3),
+    EpsilonResult(scale=F(1), ratio=F(2)),
+    EpsilonResult(scale=F(1), ratio=F(3, 2)),
+    EpsilonResult(scale=F(1, 2), ratio=F(3)),
+    EpsilonResult(unbounded=True),
+)
+
+
+def test_label_classes_match_union_find_over_all_pairs():
+    rng = random.Random(408)
+    for _ in range(500):
+        inputs = [f"v{i}" for i in range(rng.randint(1, 7))]
+        weights = {v: rng.choice((0, 0, 1, 1, 2, 3, 4, 6)) for v in inputs}
+        mechanism = Mechanism.from_rows("m", {
+            v: {"a": F(w, 6), "b": 1 - F(w, 6)} for v, w in weights.items()
+        })
+        # some inputs answer on two branches, some states have two transitions
+        texts = [rng.choice(inputs) for _ in range(rng.randint(1, 8))]
+        builder = DlttsBuilder()
+        cut = rng.randint(1, len(texts))
+        for k, chunk in enumerate((texts[:cut], texts[cut:])):
+            if chunk:
+                builder.add_transition("s0", f"q{k}", [
+                    (f"s{k}_{i}", F(1, len(chunk)), Label(text=t))
+                    for i, t in enumerate(chunk)
+                ])
+        dltts = builder.build()
+        labels = list(dict.fromkeys(b.label for t in dltts.outgoing("s0")
+                                    for b in t.branches))
+        instances = {label: label.text for label in labels}
+        epsilon = rng.choice(_EPSILONS)
+        assert epsilon_equivalent_labels(
+            dltts, "s0", mechanism, epsilon, alpha="a"
+        ) == union_find_classes(labels, mechanism, instances, "a", epsilon)
 
 
 def test_builder_rejects_bad_probability_sums(hospital):

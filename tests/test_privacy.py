@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import decimal
 import math
 import random
 from fractions import Fraction as F
@@ -16,8 +17,9 @@ from privtrace.privacy import (
     PrivacyError,
     RhoAdjacency,
     TableAdjacency,
-    _exceeds,
+    _bounds,
     build_rr,
+    compare,
     is_eps_indistinguishable,
     min_dp_epsilon,
     min_eps_hamming_indist,
@@ -94,6 +96,95 @@ def test_is_eps_monotone_in_epsilon(eps, bump):
     )
     if is_eps_indistinguishable(m, "a", "b", "x", float(eps)):
         assert is_eps_indistinguishable(m, "a", "b", "x", float(eps + bump))
+
+
+def _random_log(rng: random.Random) -> EpsilonResult:
+    """A small s*ln(r) with s >= 0 and r >= 1, sometimes degenerate (no
+    ratio, ratio 1, scale 0) or unbounded."""
+    roll = rng.random()
+    if roll < 0.05:
+        return EpsilonResult(unbounded=True)
+    if roll < 0.1:
+        return EpsilonResult()
+    num = rng.randint(1, 9)
+    ratio = F(num, rng.randint(1, num))
+    return EpsilonResult(scale=F(rng.randint(0, 6), rng.randint(1, 6)), ratio=ratio)
+
+
+def _equal_logs(rng: random.Random) -> tuple[EpsilonResult, EpsilonResult]:
+    """m*ln(c) written as (m/p)*ln(c**p) and (m/q)*ln(c**q)."""
+    c = F(rng.randint(3, 7), rng.choice((1, 2)))
+    m = F(rng.randint(1, 7), rng.randint(1, 7))
+    p, q = rng.randint(1, 7), rng.randint(1, 7)
+    return (EpsilonResult(scale=m / p, ratio=c**p),
+            EpsilonResult(scale=m / q, ratio=c**q))
+
+
+def test_compare_matches_the_big_power_order():
+    rng = random.Random(11)
+    for _ in range(4000):
+        if rng.random() < 0.2:
+            a, b = _equal_logs(rng)
+            assert compare(a, b) == compare(b, a) == 0, (a, b)
+        else:
+            a, b = _random_log(rng), _random_log(rng)
+        want = _exceeds(a, b) - _exceeds(b, a)
+        assert compare(a, b) == want, (a, b)
+        assert compare(b, a) == -want, (a, b)
+
+
+def test_compare_rational_against_log_matches_the_float_order():
+    rng = random.Random(12)
+    checked = 0
+    for _ in range(4000):
+        e = _random_log(rng)
+        q = F(rng.randint(0, 40), rng.randint(1, 20))
+        want = (e.value > q) - (e.value < q)
+        if e.unbounded or abs(e.value - float(q)) > 1e-9 * max(e.value, float(q)):
+            assert compare(e, q) == want, (e, q)
+            assert compare(q, e) == -want, (e, q)
+            checked += 1
+    assert checked > 3500
+
+
+def test_compare_signed_logs_match_the_float_order():
+    """Ratios below 1 give negative values, as the pair scan's reversed
+    candidates do."""
+    rng = random.Random(13)
+    for _ in range(2000):
+        a, b = (
+            EpsilonResult(scale=F(rng.randint(0, 6), rng.randint(1, 6)),
+                          ratio=F(rng.randint(1, 9), rng.randint(1, 9)))
+            for _ in range(2)
+        )
+        if abs(a.value - b.value) > 1e-9 * max(abs(a.value), abs(b.value)):
+            assert compare(a, b) == (a.value > b.value) - (a.value < b.value), (a, b)
+
+
+def test_ln_bounds_contain_ln_at_a_far_higher_precision():
+    reference = decimal.Context(prec=100)
+    rng = random.Random(14)
+    for _ in range(300):
+        num = rng.randint(2, 10**rng.randint(1, 30))
+        r = F(num, rng.randint(1, num - 1))
+        s = F(rng.randint(-5, 5) or 1, rng.randint(1, 5))
+        true = s * F(reference.ln(reference.divide(r.numerator, r.denominator)))
+        for prec in (5, 10, 20):
+            lo, hi = _bounds(s, r, prec)
+            assert lo < true < hi, (s, r, prec)
+
+
+def test_compare_separates_close_logs_and_large_exponents():
+    ln2 = EpsilonResult(scale=F(1), ratio=F(2))
+    # ln(2**40 + 1) / 40 exceeds ln 2 by about 2**-40 / 40
+    close = EpsilonResult(scale=F(1, 40), ratio=F(2**40 + 1))
+    assert compare(close, ln2) == 1 and compare(ln2, close) == -1
+    assert compare(EpsilonResult(scale=F(1, 40), ratio=F(2**40)), ln2) == 0
+    tiny = EpsilonResult(scale=F(1, 100000007), ratio=F(2))
+    assert compare(tiny, EpsilonResult(scale=F(1), ratio=F(3, 2))) == -1
+    assert compare(EpsilonResult(scale=F(100000007), ratio=F(2)), F(10**7)) == 1
+    assert compare(EpsilonResult(unbounded=True), EpsilonResult(unbounded=True)) == 0
+    assert compare(EpsilonResult(unbounded=True), F(10**9)) == 1
 
 
 def test_rr_full_table():
@@ -192,6 +283,25 @@ def test_min_dp_undefined_adjacency_errors():
     m = Mechanism.from_rows("m", {"a": {"x": "1"}, "b": {"x": "1"}})
     with pytest.raises(PrivacyError):
         min_dp_epsilon(m, TableAdjacency())
+
+
+def _exceeds(a: EpsilonResult, b: EpsilonResult) -> bool:
+    """a.value > b.value by integer cross-powers: the big-power order that
+    `compare` replaced, kept as its oracle on small exponents."""
+    if a.unbounded:
+        return not b.unbounded
+    if b.unbounded:
+        return False
+    ra = a.ratio if a.ratio is not None else F(1)
+    rb = b.ratio if b.ratio is not None else F(1)
+    sa = a.scale if a.scale is not None else F(1)
+    sb = b.scale if b.scale is not None else F(1)
+    if ra == 1 or sa == 0:
+        return False
+    if rb == 1 or sb == 0:
+        return True
+    # sa*ln(ra) > sb*ln(rb)  <=>  ra^(sa_n*sb_d) > rb^(sb_n*sa_d)
+    return ra ** (sa.numerator * sb.denominator) > rb ** (sb.numerator * sa.denominator)
 
 
 # Exhaustive scans over every output event: the differential oracle for the
@@ -381,8 +491,8 @@ def test_parse_epsilon_forms():
     assert isinstance(e, EpsilonResult) and e.ratio == 2 and e.scale == 1
     e = parse_epsilon("(20/39)*ln(2)")
     assert e.scale == F(20, 39)
-    assert parse_epsilon("0.6") == 0.6
-    assert parse_epsilon("3/4") == 0.75
+    assert parse_epsilon("0.6") == F(3, 5)
+    assert parse_epsilon("3/4") == F(3, 4)
     for text in ("nope", "1e999999999", "1e4000", "ln(2/0)"):
         with pytest.raises(PrivacyError):
             parse_epsilon(text)

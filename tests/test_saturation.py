@@ -346,23 +346,36 @@ MODES = tuple(IntervalMeasureMode)
 
 def _secret_pool(rng, trees):
     return [
-        [_pattern(rng, trees, ground=True).cells
+        [_pattern(rng, trees, ground=True)
          for _ in range(rng.randint(1, 2))]
         for _ in range(3)
     ]
 
 
+def _as_tables(patterns):
+    """Each secret as a one-row table over its pattern's columns."""
+    return [
+        DataTable(f"secret{k}", tuple(_BY_NAME[c] for c in p.columns),
+                  (Row("l1", p.cells),))
+        for k, p in enumerate(patterns)
+    ]
+
+
 def _oracle_config(rng, secrets, epsilons):
-    """One oracle configuration: the settings a builder takes for its life."""
-    return {"secrets": rng.choice(secrets + [None]), "epsilon": rng.choice(epsilons),
-            "mode": rng.choice(MODES), "normalizer": rng.choice([None, F(1)])}
+    """One oracle configuration: the settings a builder takes for its life.
+    Secrets come as bare cell tuples or as rows of their tables."""
+    config = {"secrets": rng.choice(secrets + [None]), "epsilon": rng.choice(epsilons),
+              "mode": rng.choice(MODES)}
+    chosen, as_tables = config["secrets"], rng.choice([False, True])
+    if chosen is not None:
+        config["secrets"] = _as_tables(chosen) if as_tables else [p.cells for p in chosen]
+    return config
 
 
 def _examine(builder, config, state, verdicts):
     expected = oracle_verdict(
         builder.saturated[state], builder.policy, config["secrets"],
-        config["epsilon"], config["mode"],
-        taxonomies=builder.taxonomies, normalizer=config["normalizer"],
+        config["epsilon"], config["mode"], taxonomies=builder.taxonomies,
     )
     has_outgoing = any(t.source == state for t in builder.transitions)
     try:

@@ -769,12 +769,9 @@ def test_deep_cyclic_transcript_exits_two(tmp_path):
     assert "attack system has a cycle" in done.stderr
 
 
-def test_epsilon_oracle_outcome_does_not_depend_on_set_order(tmp_path, monkeypatch):
-    """State s1 adds two ground tuples: (John,7) is within epsilon 0 of the
-    secret (John), and its R1 join (John,7,Phys) pairs a numerical cell with
-    the secret (5,Chem), which no normalizer makes comparable.  The oracle
-    measures every added tuple, so the run exits 2 under every hash seed,
-    not only when its tag set happens to iterate the join first."""
+def _salary_scenario(tmp_path, pay_salary_extra=()) -> None:
+    """State s1 learns (John,7), and R1 joins it to (John,7,Phys); the
+    secrets are names:l1 (John) and pay:l1 (5,Chem)."""
     nominal = {"class": "nominal", "group": "quasi-identifier"}
     name = {"name": "Name", "class": "nominal", "group": "identifier"}
     salary = {"name": "Salary", "class": "numerical", "group": "quasi-identifier"}
@@ -782,19 +779,29 @@ def test_epsilon_oracle_outcome_does_not_depend_on_set_order(tmp_path, monkeypat
     for table, text in [("depts", "Name,Dept\nJohn,Phys\n"), ("names", "Name\nJohn\n"),
                         ("pay", "Salary,Dept\n5,Chem\n")]:
         (tmp_path / f"{table}.csv").write_text(text)
+    pay_salary = {**salary, **dict(pay_salary_extra)}
     (tmp_path / "scenario.json").write_text(json.dumps({
         "name": "order",
         "schema": "schema.json",
         "tables": {
             "depts": {"file": "depts.csv", "columns": [name, {"name": "Dept", **nominal}]},
             "names": {"file": "names.csv", "columns": [name]},
-            "pay": {"file": "pay.csv", "columns": [salary, {"name": "Dept", **nominal}]},
+            "pay": {"file": "pay.csv", "columns": [pay_salary, {"name": "Dept", **nominal}]},
         },
         "externals": ["depts"],
         "runs": {"r": {"steps": [{"from": "s0", "action": "q", "branches": [
             {"to": "s1", "prob": "1", "learn": ["(John,7)"]}]}]}},
         "analysis": {"runs": ["r"]},
     }))
+
+
+def test_epsilon_oracle_outcome_does_not_depend_on_set_order(tmp_path, monkeypatch):
+    """State s1 adds two ground tuples: (John,7) is within epsilon 0 of the
+    secret (John), and its R1 join (John,7,Phys) pairs a numerical cell with
+    the secret (5,Chem), whose table declares no normalizer.  The oracle
+    measures every added tuple, so the run exits 2 under every hash seed,
+    not only when its tag set happens to iterate the join first."""
+    _salary_scenario(tmp_path)
     for seed in range(8):
         monkeypatch.setenv("PYTHONHASHSEED", str(seed))
         done = _cli_process("analyze", "--scenario", str(tmp_path / "scenario.json"),
@@ -802,6 +809,35 @@ def test_epsilon_oracle_outcome_does_not_depend_on_set_order(tmp_path, monkeypat
                             "--secret", "pay:l1")
         assert done.returncode == 2, (seed, done.stdout)
         assert "numerical cells need an explicit normalizer D" in done.stderr
+
+
+def test_epsilon_oracle_reads_the_secret_tables_normalizer(tmp_path):
+    """With a normalizer declared on pay's Salary, the join (John,7,Phys)
+    is measured against the secret (5,Chem) with D = 10, so the run ends in
+    a report: s1 is an epsilon violation through the secret (John)."""
+    _salary_scenario(tmp_path, {"normalizer": "10"})
+    done = _cli_process("analyze", "--scenario", str(tmp_path / "scenario.json"),
+                        "--epsilon", "0", "--secret", "names:l1",
+                        "--secret", "pay:l1")
+    assert done.returncode == 0, done.stderr
+    assert "oracle at s1: epsilon-violation" in done.stdout
+
+
+def test_label_equivalence_with_a_tiny_ln_epsilon_ends_quickly(tmp_path):
+    """ln(3/2) against (1/100000007)*ln(2): no power of 3/2 is built, so
+    the report comes out at once."""
+    shutil.copytree(Path(HOSPITAL).parent, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "scenario.json"
+    doc = json.loads(path.read_text())
+    doc["mechanisms"]["viral_query"]["probs"] = {
+        "l4": {"Viral-Infection": "2/5", "no-answer": "3/5"},
+        "l5": {"Viral-Infection": "3/5", "no-answer": "2/5"},
+    }
+    doc["analysis"]["label_equivalence"][0]["epsilon"] = "(1/100000007)*ln(2)"
+    path.write_text(json.dumps(doc))
+    done = _cli_process("analyze", "--scenario", str(path), timeout=20)
+    assert done.returncode == 0, done.stderr
+    assert "2 class(es)" in done.stdout
 
 
 def test_cli_analyze_ln_epsilon_exits_two():

