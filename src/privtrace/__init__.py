@@ -12,12 +12,12 @@ __version__ = "0.1.0"
 _LAZY = {
     name: module
     for module, names in {
-        "values": "Atom AtomSet ColumnClass IntInterval Number STAR TaxonomyTree Taxon",
+        "values": "Atom AtomSet ColumnClass IntInterval IntervalMeasureMode Number STAR "
+        "TaxonomyTree Taxon",
         "schema": "ColumnSchema Correspondence DataTable PrivacyPolicy Row "
         "SchemaBundle TOP TuplePattern load_schema load_table match_pattern "
         "parse_pattern type_compatible",
-        "metrics": "IntervalMeasureMode d_bar d_eucl d_nom d_num d_vector d_wp "
-        "hamming rho",
+        "metrics": "d_bar d_eucl d_nom d_num d_vector d_wp hamming rho",
         "dltts": "DELTA Dltts DlttsBuilder Label OracleVerdict Run "
         "check_consistency epsilon_equivalent_labels parse_dltts reach_stop "
         "render_dltts saturate validate",

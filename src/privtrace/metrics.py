@@ -26,7 +26,6 @@ uncomparable operands yield None, never a number.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -34,17 +33,13 @@ from .schema import Correspondence, Row, type_compatible
 from .values import (
     Atom,
     AtomSet,
+    IntervalMeasureMode,
     IntInterval,
     Number,
     TaxonomyTree,
     Taxon,
     Value,
 )
-
-
-class IntervalMeasureMode(Enum):
-    INTEGER_SET = "integer-set"
-    PAPER_COMPAT = "paper-compat"
 
 
 class MetricError(ValueError):

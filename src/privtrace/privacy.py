@@ -3,10 +3,15 @@
 Every probability is an exact Fraction.  Epsilon values are reported in the
 exact form scale*ln(ratio) (both rationals) whenever they arise from rational
 probabilities.  One comparator, `compare`, orders these values, unbounded
-ones and plain rationals exactly.
+ones and plain rationals exactly, and refuses two that agree to
+`MAX_LN_DIGITS` significant digits.
 
 Scanning never raises on zero-probability asymmetries: they yield a
-distinguished "unbounded" result value.
+distinguished "unbounded" result value.  LDP, and Hamming DP over named
+inputs, count only pairs at distance 1, so they take one pass per output
+(O(inputs * outputs)); other adjacencies scan the input pairs.  This
+module imports the metric and schema layers only in the functions that
+measure tuples.
 """
 
 from __future__ import annotations
@@ -19,9 +24,7 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .metrics import IntervalMeasureMode, hamming, rho
-from .schema import Row
-from .values import Atom, Record, TaxonomyTree, parse_fraction
+from .values import Atom, IntervalMeasureMode, Record, TaxonomyTree, parse_fraction
 
 
 class PrivacyError(ValueError):
@@ -154,14 +157,37 @@ def _iroot(n: int, k: int) -> int | None:
 
 
 def _bounds(s, r: Fraction | None, prec: int) -> tuple:
-    """(lo, hi) around s*ln(r), or s when r is None: the `prec`-digit ln of
-    the rounded quotient r is off by under an ulp plus 10**(1 - prec)."""
+    """(lo, hi) around s*ln(r) for r > 1, or s when r is None, less than
+    a relative 10**(3 - prec) apart.  With r = 1 + x: when x has about
+    `prec` or more zeros after the point, x - x*x/2 < ln(r) < x;
+    otherwise the `decimal` ln of the quotient r rounded to prec + zeros
+    digits is off by under an ulp plus 10**(1 - digits), which the extra
+    digits keep small beside ln(r) ~ x."""
     if r is None:
         return s, s
-    ctx = decimal.Context(prec=prec)
+    x = r - 1
+    zeros = max(0, (x.denominator.bit_length() - x.numerator.bit_length()) * 3 // 10)
+    if zeros >= prec:
+        return tuple(sorted((s * (x - x * x / 2), s * x)))
+    ctx = decimal.Context(prec=prec + zeros)
     ln = ctx.ln(ctx.divide(r.numerator, r.denominator))
-    err = Fraction(10) ** (ln.adjusted() - prec + 1) + Fraction(10) ** (1 - prec)
+    err = Fraction(10) ** (ln.adjusted() - ctx.prec + 1) + Fraction(10) ** (1 - ctx.prec)
     return tuple(sorted((s * (Fraction(ln) - err), s * (Fraction(ln) + err))))
+
+
+# The most significant digits `compare` computes a logarithm to (the
+# doubling from 20 stops here): two epsilons whose bounds still overlap
+# agree to about this many digits and are refused, not ordered.  Each ln
+# is then taken to at most twice this many digits: ~0.3 s for a
+# 4,000-digit ratio (input integers may have up to 4,300 digits) under
+# CPython 3.11 on a 2-vCPU Xeon VM.
+MAX_LN_DIGITS = 1280
+
+
+def _brief(x) -> str:
+    """x's exact text, each run of over 40 digits cut to its first 20."""
+    text = x.exact_str() if isinstance(x, EpsilonResult) else str(x)
+    return re.sub(r"\d{41,}", lambda d: f"{d[0][:20]}...({len(d[0])} digits)", text)
 
 
 def compare(a, b) -> int:
@@ -169,7 +195,8 @@ def compare(a, b) -> int:
     ratio raised to a power derived from a scale.  With sb/sa = p/q in
     lowest terms, sa*ln(ra) = sb*ln(rb) only if ra = c**p and rb = c**q.
     Unequal values part at some precision of the decimal ln bounds, since a
-    rational never equals a non-zero s*ln(r) (Lindemann-Weierstrass)."""
+    rational never equals a non-zero s*ln(r) (Lindemann-Weierstrass), but
+    values that agree to `MAX_LN_DIGITS` digits raise PrivacyError."""
     fa, fb = _log_form(a), _log_form(b)
     if fa is None or fb is None:
         return (fa is None) - (fb is None)
@@ -187,11 +214,15 @@ def compare(a, b) -> int:
         if None not in roots and roots[:2] == roots[2:]:
             return 0
     prec = 20
-    while True:
+    while prec <= MAX_LN_DIGITS:
         (lo_a, hi_a), (lo_b, hi_b) = _bounds(sa, ra, prec), _bounds(sb, rb, prec)
         if hi_a < lo_b or hi_b < lo_a:
             return _cmp(lo_a, lo_b)
         prec *= 2
+    raise PrivacyError(
+        f"cannot order epsilons {_brief(a)} and {_brief(b)}: they agree to "
+        f"{MAX_LN_DIGITS} digits"
+    )
 
 
 def is_eps_indistinguishable(m: Mechanism, v, v2, alpha, eps) -> bool:
@@ -212,10 +243,6 @@ def min_indist_epsilon(m: Mechanism, v, v2, alpha) -> EpsilonResult:
         return EpsilonResult(unbounded=True, witness=witness)
     ratio = max(p, p2) / min(p, p2)
     return EpsilonResult(scale=Fraction(1), ratio=ratio, witness=witness)
-
-
-def _shares_output(m: Mechanism, v, v2) -> bool:
-    return bool(set(m.support(v)) & set(m.support(v2)))
 
 
 def _pair_scan(m: Mechanism, distance) -> EpsilonResult:
@@ -254,12 +281,61 @@ def _pair_scan(m: Mechanism, distance) -> EpsilonResult:
     return best
 
 
+def _unit_scan(m: Mechanism, shared: bool) -> EpsilonResult:
+    """What `_pair_scan` returns when every counted pair is at distance 1,
+    in O(inputs * outputs).  The counted pairs are every pair, or, when
+    `shared`, those sharing a positive-probability output.
+
+    The result is unbounded iff some counted pair has different supports;
+    the first such pair is, at some output o, the first input positive at
+    o paired with the first later one whose support differs.  Otherwise
+    the inputs positive at o are counted against each other (supports
+    that meet are equal), so o's best ratio is max p / min p over them,
+    and the pair scan's first (pair, output) reaching the overall best
+    pairs the first input at either extreme with the first at the other.
+    """
+    rows = [[m.prob(v, o) for o in m.outputs] for v in m.inputs]
+    kinds: dict[tuple, int] = {}
+    kind = [kinds.setdefault(tuple(p > 0 for p in row), len(kinds)) for row in rows]
+    columns = range(len(m.outputs))
+    positive = [[i for i, row in enumerate(rows) if row[k] > 0] for k in columns]
+    groups = positive if shared else [range(len(rows))]
+    first = min(
+        ((g[0], j) for g in groups for j in g if kind[j] != kind[g[0]]), default=None
+    )
+    if first is not None:
+        i, j = first
+        k = next(k for k in columns if (rows[i][k] > 0) != (rows[j][k] > 0))
+        pos, zero = (i, j) if rows[i][k] > 0 else (j, i)
+        return EpsilonResult(
+            unbounded=True, witness=(m.inputs[pos], m.inputs[zero], (m.outputs[k],))
+        )
+    found = []  # (i, j, k, ratio, index at max, index at min)
+    for k, at in enumerate(positive):
+        if not at:
+            continue
+        col = [(rows[i][k], i) for i in at]
+        # the first index at each extreme: max keeps the first of equals
+        (lo, a), (hi, b) = min(col), max(col, key=lambda c: c[0])
+        if hi != lo:
+            found.append((min(a, b), max(a, b), k, hi / lo, b, a))
+    if not found:
+        return EpsilonResult(
+            scale=Fraction(1), ratio=Fraction(1), witness=(None, None, ())
+        )
+    top = max(f[3] for f in found)
+    _, _, k, ratio, b, a = min(f for f in found if f[3] == top)
+    return EpsilonResult(
+        scale=Fraction(1),
+        ratio=ratio,
+        witness=(m.inputs[b], m.inputs[a], (m.outputs[k],)),
+    )
+
+
 def min_ldp_epsilon(m: Mechanism) -> EpsilonResult:
     """Minimal epsilon for the local-privacy bound over every input pair
     sharing a positive-probability output and every output event."""
-    return _pair_scan(
-        m, lambda v, v2: Fraction(1) if _shares_output(m, v, v2) else None
-    )
+    return _unit_scan(m, shared=True)
 
 
 class Adjacency:
@@ -271,6 +347,8 @@ class Adjacency:
 
 
 def _as_cells(x) -> tuple:
+    from .schema import Row
+
     if isinstance(x, Row):
         return x.cells
     if isinstance(x, tuple):
@@ -282,6 +360,8 @@ class HammingAdjacency(Adjacency, Record):
     """Generalized Hamming count; opaque atoms count as 1-tuples."""
 
     def distance(self, a, b) -> Fraction | None:
+        from .metrics import hamming
+
         d = hamming(_as_cells(a), _as_cells(b))
         return None if d is None else Fraction(d)
 
@@ -294,6 +374,8 @@ class RhoAdjacency(Adjacency, Record):
     normalizer: Fraction | None = None
 
     def distance(self, a, b) -> Fraction | None:
+        from .metrics import rho
+
         return rho(
             [_as_cells(a)],
             [_as_cells(b)],
@@ -325,7 +407,13 @@ class TableAdjacency(Adjacency, Record):
 
 def min_dp_epsilon(m: Mechanism, adjacency: Adjacency) -> EpsilonResult:
     """Minimal epsilon with Prob[M(D) in S] <= e^(eps*dist(D,D')) * Prob[M(D') in S]
-    for every unordered input pair and every output event."""
+    for every unordered input pair and every output event.  Hamming over
+    non-empty names puts every pair at distance 1 (an empty name is no
+    atom, and raises when the pair scan reaches it)."""
+    if isinstance(adjacency, HammingAdjacency) and all(
+        type(v) is str and v for v in m.inputs
+    ):
+        return _unit_scan(m, shared=False)
 
     def distance(v, v2) -> Fraction:
         d = adjacency.distance(v, v2)
@@ -362,6 +450,8 @@ def min_eps_rho_indist(
 ) -> EpsilonResult:
     """|ln(p/p')| / rho(t,t'): the rho-scaled minimal epsilon.  `tuples`
     supplies the value tuples when the mechanism inputs are opaque keys."""
+    from .metrics import rho
+
     t, t2 = tuples if tuples is not None else (v, v2)
     d = rho(
         [_as_cells(t)],
@@ -379,6 +469,8 @@ def min_eps_hamming_indist(
     m: Mechanism, v, v2, alpha, *, tuples: tuple | None = None
 ) -> EpsilonResult:
     """|ln(p/p')| / d_h(t,t'): the Hamming-scaled counterpart."""
+    from .metrics import hamming
+
     t, t2 = tuples if tuples is not None else (v, v2)
     d = hamming(_as_cells(t), _as_cells(t2))
     if d is None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .metrics import IntervalMeasureMode
+from .values import IntervalMeasureMode
 
 if TYPE_CHECKING:
     from .dltts import Dltts

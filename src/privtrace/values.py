@@ -24,6 +24,13 @@ class ColumnClass(Enum):
     TAXORAL = "taxoral"
 
 
+class IntervalMeasureMode(Enum):
+    """How `metrics.d_num` measures two integer intervals."""
+
+    INTEGER_SET = "integer-set"
+    PAPER_COMPAT = "paper-compat"
+
+
 class Record:
     """Base of the immutable records.
 

@@ -40,23 +40,48 @@ def test_import_privtrace_loads_no_submodule():
     assert _python("import privtrace\n" + LOADED) == "[]\n"
 
 
-def test_dp_check_on_a_mechanism_file_skips_the_system_layers(tmp_path):
-    path = tmp_path / "rr.json"
-    path.write_text(json.dumps({"probs": {
-        "a": {"x": "3/4", "y": "1/4"}, "b": {"x": "1/4", "y": "3/4"}}}))
+def _dp_check_loads(tmp_path, probs: dict, *args: str, code: int = 0,
+                    error: str = "") -> set[str]:
+    """The privtrace modules a `dp-check` of a mechanism file with `probs`
+    loads; it must exit with `code`, its stderr starting with `error`."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"probs": probs}))
     out = _python(
         "import contextlib, io, sys\n"
         "from privtrace.cli import cli_main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli_main(['dp-check', '--mechanism-file', sys.argv[1]]) == 0\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        "    code = cli_main(['dp-check', '--mechanism-file', *sys.argv[3:]])\n"
+        "assert code == int(sys.argv[1]), (code, err.getvalue())\n"
+        "assert err.getvalue().startswith(sys.argv[2]), err.getvalue()\n"
         + LOADED,
-        str(path),
+        str(code), error, str(path), *args,
     )
-    loaded = set(json.loads(out))
+    return set(json.loads(out))
+
+
+RR = {"a": {"x": "3/4", "y": "1/4"}, "b": {"x": "1/4", "y": "3/4"}}
+
+
+def test_dp_check_on_a_mechanism_file_skips_the_system_layers(tmp_path):
+    """Hamming puts every pair of opaque names at distance 1, so neither
+    the metric nor the schema layer is loaded."""
+    assert _dp_check_loads(tmp_path, RR) == {
+        f"privtrace.{m}" for m in ("cli", "values", "privacy", "report")}
+
+
+def test_dp_check_under_rho_loads_the_metric_layer(tmp_path):
+    loaded = _dp_check_loads(tmp_path, RR, "--adjacency", "rho")
+    assert "privtrace.metrics" in loaded
     for layer in ("scenario", "dltts", "attack", "dotexport"):
         assert f"privtrace.{layer}" not in loaded
-    assert loaded == {f"privtrace.{m}" for m in
-                      ("cli", "values", "schema", "metrics", "privacy", "report")}
+
+
+def test_dp_check_of_an_empty_input_name_still_exits_two(tmp_path):
+    """An empty name is no atom, so Hamming DP keeps the pair scan, which
+    measures it."""
+    _dp_check_loads(tmp_path, {"": {"x": "1"}, "b": {"x": "1"}},
+                    code=2, error="error: empty atom")
 
 
 def _analyze_loads(scenario: str, expect: str) -> set[str]:

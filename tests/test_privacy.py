@@ -3,6 +3,7 @@ from __future__ import annotations
 import decimal
 import math
 import random
+import time
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -11,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from privtrace.metrics import IntervalMeasureMode, hamming, rho
 from privtrace.privacy import (
+    MAX_LN_DIGITS,
     EpsilonResult,
     HammingAdjacency,
     Mechanism,
@@ -18,6 +20,7 @@ from privtrace.privacy import (
     RhoAdjacency,
     TableAdjacency,
     _bounds,
+    _pair_scan,
     build_rr,
     compare,
     is_eps_indistinguishable,
@@ -162,16 +165,22 @@ def test_compare_signed_logs_match_the_float_order():
 
 
 def test_ln_bounds_contain_ln_at_a_far_higher_precision():
-    reference = decimal.Context(prec=100)
+    """The bounds hold the value and are tight relative to it, for ratios
+    next to 1 as well (1 + x with x down to 1e-60, where ln(1 + x) - x
+    + x**2/2 is still above the reference's error)."""
+    reference = decimal.Context(prec=300)
     rng = random.Random(14)
     for _ in range(300):
         num = rng.randint(2, 10**rng.randint(1, 30))
         r = F(num, rng.randint(1, num - 1))
+        near_one = 1 + F(1, rng.randint(2, 10**rng.randint(1, 60)))
         s = F(rng.randint(-5, 5) or 1, rng.randint(1, 5))
-        true = s * F(reference.ln(reference.divide(r.numerator, r.denominator)))
-        for prec in (5, 10, 20):
-            lo, hi = _bounds(s, r, prec)
-            assert lo < true < hi, (s, r, prec)
+        for ratio in (r, near_one):
+            true = s * F(reference.ln(reference.divide(ratio.numerator, ratio.denominator)))
+            for prec in (5, 10, 20):
+                lo, hi = _bounds(s, ratio, prec)
+                assert lo < true < hi, (s, ratio, prec)
+                assert hi - lo < abs(true) * F(10) ** (3 - prec), (s, ratio, prec)
 
 
 def test_compare_separates_close_logs_and_large_exponents():
@@ -185,6 +194,17 @@ def test_compare_separates_close_logs_and_large_exponents():
     assert compare(EpsilonResult(scale=F(100000007), ratio=F(2)), F(10**7)) == 1
     assert compare(EpsilonResult(unbounded=True), EpsilonResult(unbounded=True)) == 0
     assert compare(EpsilonResult(unbounded=True), F(10**9)) == 1
+
+
+def test_compare_refuses_values_that_agree_to_the_digit_bound():
+    """10**4000 * ln(1 + 10**-4000) is 1 - 5e-4001: no ln to
+    `MAX_LN_DIGITS` digits parts it from 1."""
+    big = EpsilonResult(scale=F(10**4000), ratio=F(10**4000 + 1, 10**4000))
+    start = time.process_time()
+    with pytest.raises(PrivacyError, match=rf"agree to {MAX_LN_DIGITS} digits"):
+        compare(big, F(1))
+    assert time.process_time() - start < 5
+    assert compare(big, F(999, 1000)) == 1 and compare(F(1001, 1000), big) == 1
 
 
 def test_rr_full_table():
@@ -305,7 +325,8 @@ def _exceeds(a: EpsilonResult, b: EpsilonResult) -> bool:
 
 
 # Exhaustive scans over every output event: the differential oracle for the
-# pointwise pair scan behind min_ldp_epsilon and min_dp_epsilon.
+# pointwise scans behind min_ldp_epsilon and min_dp_epsilon (the pair scan,
+# and the one pass per output at unit distance).
 
 
 def _subsets(outputs):
@@ -403,6 +424,97 @@ def test_pair_scan_matches_exhaustive_subset_scan():
         assert _outcome(min_ldp_epsilon, m) == _outcome(exhaustive_ldp, m)
         adj = rng.choice((HammingAdjacency(), _random_table(rng, m.inputs)))
         assert _outcome(min_dp_epsilon, m, adj) == _outcome(exhaustive_dp, m, adj)
+
+
+def _named_mechanism(rng: random.Random) -> Mechanism:
+    """1-8 named inputs, listed out of name order, over 1-4 outputs.  A
+    third of the mechanisms have no zero weights, a third have scattered
+    zeros, and a third split the outputs into blocks with each input
+    spreading its weight over one block (disjoint support classes, which
+    LDP never compares), sometimes with one stray output.  Weights 1-3
+    make extremes tied across outputs common."""
+    n_in, n_out = rng.randint(1, 8), rng.randint(1, 4)
+    inputs = rng.sample([f"v{i}" for i in range(8)], n_in)
+    outputs = tuple(f"o{k}" for k in range(n_out))
+    shape = rng.choice(("dense", "zeros", "classes"))
+    cuts = sorted(rng.sample(range(1, n_out), rng.randint(0, n_out - 1)))
+    blocks = [range(a, b) for a, b in zip([0, *cuts], [*cuts, n_out])]
+    rows = {}
+    for v in inputs:
+        if shape == "classes":
+            allowed = set(rng.choice(blocks))
+            if rng.random() < 0.15:
+                allowed.add(rng.randrange(n_out))
+        else:
+            allowed = {k for k in range(n_out)
+                       if shape == "dense" or rng.random() > 0.3}
+        weights = [rng.randint(1, 3) if k in allowed else 0 for k in range(n_out)]
+        if not any(weights):
+            weights[rng.randrange(n_out)] = 1
+        total = sum(weights)
+        rows[v] = {o: F(w, total) for o, w in zip(outputs, weights) if w}
+    return Mechanism.from_rows("m", rows, outputs=outputs)
+
+
+def _ldp_pair_scan(m: Mechanism) -> EpsilonResult:
+    support = {v: set(m.support(v)) for v in m.inputs}
+    return _pair_scan(m, lambda v, v2: F(1) if support[v] & support[v2] else None)
+
+
+def _best_ratios(m: Mechanism) -> list[F]:
+    """max p / min p over the inputs positive at each output."""
+    ratios = []
+    for o in m.outputs:
+        ps = [m.prob(v, o) for v in m.inputs if m.prob(v, o) > 0]
+        if ps:
+            ratios.append(max(ps) / min(ps))
+    return ratios
+
+
+def test_unit_scan_matches_the_pair_scan_and_the_subset_scan():
+    """LDP, and Hamming DP over names, take the O(inputs * outputs) scan;
+    every field of its result must be the pair scan's and the exhaustive
+    subset scan's."""
+    rng = random.Random(12)
+    hamming = HammingAdjacency()
+    seen = dict.fromkeys(("late unbounded pair", "tied best outputs",
+                          "classes bounded"), 0)
+    for _ in range(2000):
+        m = _named_mechanism(rng)
+        ldp = _outcome(min_ldp_epsilon, m)
+        dp = _outcome(min_dp_epsilon, m, hamming)
+        assert ldp == _outcome(_ldp_pair_scan, m)
+        assert dp == _outcome(_pair_scan, m, hamming.distance)
+        assert ldp == _outcome(exhaustive_ldp, m)
+        assert dp == _outcome(exhaustive_dp, m, hamming)
+        res = min_dp_epsilon(m, hamming)
+        if res.unbounded and set(res.witness[:2]) != set(m.inputs[:2]):
+            seen["late unbounded pair"] += 1
+        if not res.unbounded and res.ratio > 1:
+            seen["tied best outputs"] += _best_ratios(m).count(res.ratio) > 1
+        res = min_ldp_epsilon(m)
+        kinds = {m.support(v) for v in m.inputs}
+        if not res.unbounded and res.ratio > 1 and len(kinds) > 1:
+            seen["classes bounded"] += 1
+    assert min(seen.values()) >= 25, seen
+
+
+def test_unit_scans_grow_as_inputs_times_outputs():
+    """40 inputs x 400 outputs: 780 pairs, which the pair scan took ~7.5 s
+    over (CPython 3.11, 2-vCPU Xeon VM); one pass per output takes a
+    small fraction of the bound."""
+    rng = random.Random(40)
+    outputs = [f"o{k}" for k in range(400)]
+    rows = {}
+    for i in range(40):
+        weights = [rng.randint(1, 1000) for _ in outputs]
+        total = sum(weights)
+        rows[f"v{i}"] = {o: F(w, total) for o, w in zip(outputs, weights)}
+    m = Mechanism.from_rows("wide", rows, outputs=outputs)
+    start = time.process_time()
+    ldp, dp = min_ldp_epsilon(m), min_dp_epsilon(m, HammingAdjacency())
+    assert time.process_time() - start < 2.0
+    assert ldp == dp and ldp.ratio > 1
 
 
 def test_min_dp_rho_published_pair(published, hospital, viral):

@@ -16,6 +16,7 @@ from privtrace.dltts import (
     DlttsError, OracleVerdict, oracle_verdict, reach_stop, validate,
 )
 from privtrace.dotexport import export_dot
+from privtrace.privacy import MAX_LN_DIGITS
 from privtrace.scenario import (
     ScenarioError, build_run, load_scenario, parse_mode, run_scenario,
 )
@@ -457,6 +458,20 @@ def test_huge_decimal_exponent_exits_two_at_once(tmp_path, where):
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
     assert f"exponent beyond ±{MAX_DECIMAL_EXPONENT}" in done.stderr
+
+
+def test_label_epsilon_agreeing_past_the_digit_bound_exits_two(tmp_path):
+    """(1/k)*ln(2**k + 1) exceeds viral_query's ln(2) by about 2**-k / k,
+    which k = 13300 puts past `MAX_LN_DIGITS`: the label pair is refused
+    instead of computing ln to ever more digits."""
+    k = 13300
+    scenario = _hospital_copy(tmp_path, analysis={"label_equivalence": [
+        {"run": "trace", "state": "s4", "mechanism": "viral_query",
+         "alpha": "Viral-Infection", "epsilon": f"(1/{k})*ln({2**k + 1})"}]})
+    done = _cli_process("analyze", "--scenario", scenario, timeout=20)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: cannot order epsilons (1/13300)*ln(")
+    assert f"and ln(2/1): they agree to {MAX_LN_DIGITS} digits" in done.stderr
 
 
 def test_cli_dp_check_has_no_output_count_limit(capsys, tmp_path):
