@@ -15,19 +15,17 @@ _LAZY = {
         "values": "Atom AtomSet ColumnClass IntInterval IntervalMeasureMode Number STAR "
         "TaxonomyTree Taxon",
         "schema": "ColumnSchema Correspondence DataTable PrivacyPolicy Row "
-        "SchemaBundle TOP TuplePattern load_schema load_table match_pattern "
-        "parse_pattern type_compatible",
+        "SchemaBundle TOP TuplePattern load_schema load_table parse_pattern "
+        "type_compatible",
         "metrics": "d_bar d_eucl d_nom d_num d_vector d_wp hamming rho",
         "dltts": "DELTA Dltts DlttsBuilder Label OracleVerdict Run "
         "check_consistency epsilon_equivalent_labels parse_dltts reach_stop "
-        "render_dltts saturate validate",
+        "saturate validate",
         "privacy": "EpsilonResult HammingAdjacency Mechanism RhoAdjacency "
-        "TableAdjacency build_rr is_eps_indistinguishable min_dp_epsilon "
-        "min_eps_hamming_indist min_eps_rho_indist min_indist_epsilon "
-        "min_ldp_epsilon parse_epsilon",
-        "attack": "AttackDltts AttackerProfile Comparison apply_strategy "
-        "attack_success_points build_attack_dltts derive_baseline_profile "
-        "load_attack_dltts max_pr multiset_compare pr_access threshold_report",
+        "is_eps_indistinguishable min_dp_epsilon min_eps_hamming_indist "
+        "min_eps_rho_indist min_indist_epsilon min_ldp_epsilon parse_epsilon",
+        "attack": "AttackDltts AttackerProfile apply_strategy build_attack_dltts "
+        "load_attack_dltts max_pr pr_access threshold_report",
         "dotexport": "export_dot",
     }.items()
     for name in names.split()

@@ -13,7 +13,6 @@ attacker's access probability at that node beats the baseline's threshold.
 from __future__ import annotations
 
 import re
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -27,26 +26,8 @@ class AttackError(ValueError):
     pass
 
 
-class Comparison(Enum):
-    GREATER = "greater"
-    LESS = "less"
-    EQUAL = "equal"
-
-
 def _priority_key(probs: Iterable[Fraction]) -> tuple[Fraction, ...]:
     return tuple(sorted(probs, reverse=True))
-
-
-def multiset_compare(
-    m1: Iterable[Fraction], m2: Iterable[Fraction]
-) -> Comparison:
-    """Multiset extension of > on rationals, as descending-sorted
-    lexicographic comparison (equivalent over a total base order); a proper
-    prefix is smaller.  EQUAL iff the multisets are identical."""
-    k1, k2 = _priority_key(m1), _priority_key(m2)
-    if k1 == k2:
-        return Comparison.EQUAL
-    return Comparison.GREATER if k1 > k2 else Comparison.LESS
 
 
 class AttackerProfile(Record):
@@ -69,30 +50,6 @@ class AttackerProfile(Record):
                 raise AttackError(
                     f"profile {self.name}: priors for {col} sum to {total}, not 1"
                 )
-
-
-def derive_baseline_profile(db: DataTable, name: str = "baseline") -> AttackerProfile:
-    """Empirical marginal frequencies of every quasi-identifier column."""
-    qid_cols = [c for c in db.columns if c.group == "quasi-identifier"]
-    if not qid_cols:
-        raise AttackError(f"table {db.name} has no quasi-identifier columns")
-    n = len(db.rows)
-    if n == 0:
-        raise AttackError(f"table {db.name} is empty")
-    priors = {}
-    for col in qid_cols:
-        idx = db.column_index(col.name)
-        counts: dict[Value, int] = {}
-        for row in db.rows:
-            counts[row.cells[idx]] = counts.get(row.cells[idx], 0) + 1
-        priors[col.name] = {v: Fraction(c, n) for v, c in counts.items()}
-    return AttackerProfile(
-        name=name,
-        attribute_order=tuple(c.name for c in qid_cols),
-        priors=priors,
-        objective="database distribution only",
-        empirical=True,
-    )
 
 
 _RESPONSE_RE = re.compile(r"^response\((\w+)\)$")
@@ -449,24 +406,6 @@ def apply_strategy(
             off.add((node, line))
         decisions.append(StrategyDecision(node, line, pr, base, blocked))
     return attack.replace(off=frozenset(off)), decisions
-
-
-def attack_success_points(
-    attack: AttackDltts,
-    baseline: AttackDltts,
-    *,
-    baseline_max: Mapping[str, Fraction] | None = None,
-) -> list[tuple[str, str, Fraction, Fraction]]:
-    """(node, line, attacker probability, baseline threshold) wherever the
-    attacker strictly beats the baseline: the nodes `apply_strategy`
-    switches OFF.  `baseline_max` substitutes declared thresholds for
-    computed ones, per line."""
-    _, decisions = apply_strategy(attack, baseline, baseline_max=baseline_max)
-    return [
-        (d.node, d.line, d.probability, d.baseline)
-        for d in decisions
-        if d.switched_off
-    ]
 
 
 def attack_problems(attack: AttackDltts, db: DataTable | None = None) -> list[str]:

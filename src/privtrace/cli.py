@@ -172,7 +172,7 @@ def _cmd_dp_check(scenario: Scenario | None, args) -> int:
             raise ScenarioError(f"{args.mechanism_file}: a mechanism file "
                                 "holds one JSON object")
         name = doc.get("name", Path(args.mechanism_file).stem)
-        m = Mechanism.from_rows(name, doc["probs"], outputs=doc.get("outputs"))
+        m = Mechanism.from_doc(name, doc)
     elif scenario is not None and args.mechanism:
         name = args.mechanism
         m = scenario.mechanism(name)

@@ -323,28 +323,6 @@ def _secret_rho(knowledge, secrets, mode, taxonomies) -> Fraction | None:
     return min((r for r in found if r is not None), default=None)
 
 
-def oracle_verdict(
-    saturated_tag: Tag,
-    policy: PrivacyPolicy,
-    secret_set: Iterable[Sequence | DataTable] | None = None,
-    epsilon: Fraction | None = None,
-    mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
-    *,
-    taxonomies: Mapping[str, TaxonomyTree] | None = None,
-) -> OracleVerdict:
-    """The oracle's ruling on a whole saturated tag: the policy check first,
-    then rho <= epsilon between its knowledge tuples and the secrets, armed
-    only when both are given."""
-    if not check_consistency(saturated_tag, policy):
-        return OracleVerdict.VIOLATION
-    if epsilon is not None and secret_set is not None:
-        knowledge = [p.cells for p in saturated_tag if _is_knowledge(p)]
-        r = _secret_rho(knowledge, secret_set, mode, taxonomies)
-        if r is not None and r <= epsilon:
-            return OracleVerdict.EPSILON_VIOLATION
-    return OracleVerdict.CONTINUE
-
-
 class DlttsBuilder:
     """Single-owner construction of a tagged system.
 
@@ -735,19 +713,3 @@ def parse_dltts(text: str, name: str = "dltts") -> Dltts:
         transitions.append(Transition(source, action, tuple(branches)))
     return Dltts(initial=initial, stop=stop, transitions=tuple(transitions))
 
-
-def render_dltts(dltts: Dltts) -> str:
-    """Serialize back to the transcript format (round-trips)."""
-    out = [f"initial: {dltts.initial}", f"stop: {dltts.stop}"]
-    for t in dltts.transitions:
-        branches = []
-        for b in t.branches:
-            label = str(b.label)
-            if b.label.source != "db":
-                label = f"P_{b.label.source} {label}".strip()
-            elif label:
-                label = f"P_db {label}"
-            part = f"({b.to}, {b.prob}" + (f", {label})" if label else ")")
-            branches.append(part)
-        out.append(f"{t.source} -> [{', '.join(branches)}] {t.action}")
-    return "\n".join(out) + "\n"

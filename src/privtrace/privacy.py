@@ -75,6 +75,14 @@ class Mechanism(Record):
             raise PrivacyError(f"{name}: {exc}") from None
         return cls(name, tuple(rows), tuple(outs), table)
 
+    @classmethod
+    def from_doc(cls, name: str, doc: Mapping):
+        """Build from a mechanism document: its required `probs`, read by
+        `from_rows`, and its optional declared `outputs`."""
+        if "probs" not in doc:
+            raise PrivacyError(f"mechanism {name!r} has no field 'probs'")
+        return cls.from_rows(name, doc["probs"], outputs=doc.get("outputs"))
+
     def prob(self, v, o) -> Fraction:
         return self.table.get((v, o), Fraction(0))
 
@@ -371,7 +379,7 @@ class RhoAdjacency(Adjacency, Record):
 
     mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET
     taxonomies: Mapping[str, TaxonomyTree] | None = None
-    normalizer: Fraction | None = None
+    normalizer: Fraction | Mapping[int, Fraction] | None = None
 
     def distance(self, a, b) -> Fraction | None:
         from .metrics import rho
@@ -383,26 +391,6 @@ class RhoAdjacency(Adjacency, Record):
             taxonomies=self.taxonomies,
             normalizer=self.normalizer,
         )
-
-
-class TableAdjacency(Adjacency, Record):
-    """Explicit symmetric distance table over input pairs; empty when left
-    out."""
-
-    entries: Mapping[frozenset, Fraction] | None = None
-
-    def _check(self) -> None:
-        if self.entries is None:
-            object.__setattr__(self, "entries", {})
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple]):
-        return cls({frozenset((a, b)): Fraction(d) for a, b, d in pairs})
-
-    def distance(self, a, b) -> Fraction | None:
-        if a == b:
-            return Fraction(0)
-        return self.entries.get(frozenset((a, b)))
 
 
 def min_dp_epsilon(m: Mechanism, adjacency: Adjacency) -> EpsilonResult:
@@ -450,16 +438,8 @@ def min_eps_rho_indist(
 ) -> EpsilonResult:
     """|ln(p/p')| / rho(t,t'): the rho-scaled minimal epsilon.  `tuples`
     supplies the value tuples when the mechanism inputs are opaque keys."""
-    from .metrics import rho
-
     t, t2 = tuples if tuples is not None else (v, v2)
-    d = rho(
-        [_as_cells(t)],
-        [_as_cells(t2)],
-        mode,
-        taxonomies=taxonomies,
-        normalizer=normalizer,
-    )
+    d = RhoAdjacency(mode, taxonomies, normalizer).distance(t, t2)
     if d is None:
         raise PrivacyError("tuples are uncomparable; rho is undefined")
     return min_scaled_indist_epsilon(m, v, v2, alpha, d)
@@ -469,80 +449,11 @@ def min_eps_hamming_indist(
     m: Mechanism, v, v2, alpha, *, tuples: tuple | None = None
 ) -> EpsilonResult:
     """|ln(p/p')| / d_h(t,t'): the Hamming-scaled counterpart."""
-    from .metrics import hamming
-
     t, t2 = tuples if tuples is not None else (v, v2)
-    d = hamming(_as_cells(t), _as_cells(t2))
+    d = HammingAdjacency().distance(t, t2)
     if d is None:
         raise PrivacyError("tuples are uncomparable; the Hamming count is undefined")
-    return min_scaled_indist_epsilon(m, v, v2, alpha, Fraction(d))
-
-
-class RandomizedResponse(Record):
-    """The two-coin randomized response mechanism.
-
-    `full` maps the 8 explicit instances (X, F1, F2) deterministically;
-    `marginal` is the coin-marginalized view (X alone, output probabilities
-    3/4 / 1/4) that the privacy bounds are stated over.  The object itself
-    quacks like the marginal mechanism.
-    """
-
-    full: Mechanism
-    marginal: Mechanism
-
-    @property
-    def name(self) -> str:
-        return self.marginal.name
-
-    @property
-    def inputs(self) -> tuple:
-        return self.marginal.inputs
-
-    @property
-    def outputs(self) -> tuple:
-        return self.marginal.outputs
-
-    @property
-    def table(self) -> Mapping[tuple, Fraction]:
-        return self.marginal.table
-
-    def prob(self, v, o) -> Fraction:
-        return self.marginal.prob(v, o)
-
-    def support(self, v) -> tuple:
-        return self.marginal.support(v)
-
-    def event_prob(self, v, event: Iterable) -> Fraction:
-        return self.marginal.event_prob(v, event)
-
-
-def build_rr() -> RandomizedResponse:
-    """Randomized response: output X if F1=H, True if F1=T,F2=H, else False."""
-    one = Fraction(1)
-    full_table = {}
-    instances = []
-    for x in ("True", "False"):
-        for f1 in ("H", "T"):
-            for f2 in ("H", "T"):
-                if f1 == "H":
-                    out = x
-                elif f2 == "H":
-                    out = "True"
-                else:
-                    out = "False"
-                inst = (x, f1, f2)
-                instances.append(inst)
-                full_table[(inst, out)] = one
-    full = Mechanism("rr-instances", tuple(instances), ("True", "False"), full_table)
-    marginal = Mechanism.from_rows(
-        "rr",
-        {
-            "True": {"True": Fraction(3, 4), "False": Fraction(1, 4)},
-            "False": {"True": Fraction(1, 4), "False": Fraction(3, 4)},
-        },
-        outputs=("True", "False"),
-    )
-    return RandomizedResponse(full=full, marginal=marginal)
+    return min_scaled_indist_epsilon(m, v, v2, alpha, d)
 
 
 def parse_epsilon(text: str):

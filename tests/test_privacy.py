@@ -17,11 +17,10 @@ from privtrace.privacy import (
     HammingAdjacency,
     Mechanism,
     PrivacyError,
+    Adjacency,
     RhoAdjacency,
-    TableAdjacency,
     _bounds,
     _pair_scan,
-    build_rr,
     compare,
     is_eps_indistinguishable,
     min_dp_epsilon,
@@ -32,6 +31,7 @@ from privtrace.privacy import (
     parse_epsilon,
 )
 from privtrace.values import Atom
+from reference import randomized_response
 
 PC = IntervalMeasureMode.PAPER_COMPAT
 IS = IntervalMeasureMode.INTEGER_SET
@@ -208,29 +208,29 @@ def test_compare_refuses_values_that_agree_to_the_digit_bound():
 
 
 def test_rr_full_table():
-    rr = build_rr()
-    assert rr.full.prob(("True", "H", "H"), "True") == 1
-    assert rr.full.prob(("False", "T", "T"), "False") == 1
-    assert rr.full.prob(("False", "T", "H"), "True") == 1
-    assert rr.prob("True", "True") == F(3, 4)
-    assert rr.prob("True", "False") == F(1, 4)
-    assert rr.prob("False", "True") == F(1, 4)
+    full, marginal = randomized_response()
+    assert full.prob(("True", "H", "H"), "True") == 1
+    assert full.prob(("False", "T", "T"), "False") == 1
+    assert full.prob(("False", "T", "H"), "True") == 1
+    assert marginal.prob("True", "True") == F(3, 4)
+    assert marginal.prob("True", "False") == F(1, 4)
+    assert marginal.prob("False", "True") == F(1, 4)
 
 
 def test_rr_marginal_matches_coin_average():
-    rr = build_rr()
+    full, marginal = randomized_response()
     for x in ("True", "False"):
         for out in ("True", "False"):
             avg = sum(
-                rr.full.prob((x, f1, f2), out)
+                full.prob((x, f1, f2), out)
                 for f1 in ("H", "T")
                 for f2 in ("H", "T")
             ) / 4
-            assert avg == rr.marginal.prob(x, out)
+            assert avg == marginal.prob(x, out)
 
 
 def test_min_ldp_rr_is_ln3():
-    res = min_ldp_epsilon(build_rr())
+    res = min_ldp_epsilon(randomized_response()[1])
     assert res.scale == 1 and res.ratio == 3
     assert res.exact_str() == "ln(3/1)"
 
@@ -280,7 +280,7 @@ def ldp_oracle(m: Mechanism):
 
 
 def test_min_ldp_agrees_with_oracle_on_rr_and_viral(viral):
-    for m in (build_rr().marginal, viral):
+    for m in (randomized_response()[1], viral):
         res = min_ldp_epsilon(m)
         best, unbounded = ldp_oracle(m)
         assert res.unbounded == unbounded
@@ -289,8 +289,7 @@ def test_min_ldp_agrees_with_oracle_on_rr_and_viral(viral):
 
 
 def test_min_dp_rr_hamming_is_ln3():
-    rr = build_rr()
-    res = min_dp_epsilon(rr.marginal, HammingAdjacency())
+    res = min_dp_epsilon(randomized_response()[1], HammingAdjacency())
     assert res.scale == 1 and res.ratio == 3
 
 
@@ -302,7 +301,7 @@ def test_min_dp_single_input_is_zero():
 def test_min_dp_undefined_adjacency_errors():
     m = Mechanism.from_rows("m", {"a": {"x": "1"}, "b": {"x": "1"}})
     with pytest.raises(PrivacyError):
-        min_dp_epsilon(m, TableAdjacency())
+        min_dp_epsilon(m, TableAdjacency([]))
 
 
 def _exceeds(a: EpsilonResult, b: EpsilonResult) -> bool:
@@ -399,6 +398,19 @@ def _random_mechanism(rng: random.Random) -> Mechanism:
     return Mechanism.from_rows("m", rows, outputs=outputs)
 
 
+class TableAdjacency(Adjacency):
+    """An explicit symmetric distance table over input pairs; a pair it
+    leaves out is undefined."""
+
+    def __init__(self, pairs) -> None:
+        self.entries = {frozenset((a, b)): F(d) for a, b, d in pairs}
+
+    def distance(self, a, b) -> F | None:
+        if a == b:
+            return F(0)
+        return self.entries.get(frozenset((a, b)))
+
+
 def _random_table(rng: random.Random, inputs) -> TableAdjacency:
     """Distances 0, fractional or whole, and sometimes missing."""
     pairs = [
@@ -406,7 +418,7 @@ def _random_table(rng: random.Random, inputs) -> TableAdjacency:
         for a, b in combinations(inputs, 2)
         if rng.random() > 0.05
     ]
-    return TableAdjacency.from_pairs(pairs)
+    return TableAdjacency(pairs)
 
 
 def _outcome(scan, *args):

@@ -104,8 +104,6 @@ RECORDS = {
                             _pool(5)),
     privacy.HammingAdjacency: ((), _pool(0)),
     privacy.RhoAdjacency: (("mode", "taxonomies", "normalizer"), _pool(3)),
-    privacy.TableAdjacency: (("entries",), lambda rng: (_mapping(rng),)),
-    privacy.RandomizedResponse: (("full", "marginal"), _pool(2)),
     attack.AttackerProfile: (("name", "attribute_order", "priors", "objective",
                               "empirical"), _profile),
     attack.ResponseEdge: (("node", "line", "value", "target", "assumed"), _pool(5)),
@@ -128,7 +126,6 @@ DEFAULTS = {
                             "both_zero": False, "witness": None},
     privacy.RhoAdjacency: {"mode": IntervalMeasureMode.INTEGER_SET,
                            "taxonomies": None, "normalizer": None},
-    privacy.TableAdjacency: {"entries": None},
     attack.AttackerProfile: {"priors": None, "objective": "", "empirical": False},
     attack.ResponseEdge: {"assumed": False},
     attack.AttackDltts: {"off": frozenset()},

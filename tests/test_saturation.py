@@ -17,7 +17,6 @@ from privtrace.dltts import (
     Label,
     OracleVerdict,
     check_consistency,
-    oracle_verdict,
     saturate,
     validate,
 )
@@ -40,6 +39,7 @@ from privtrace.values import (
     TaxonomyTree,
     Wildcard,
 )
+from reference import oracle_verdict
 
 CASES = 1500
 BUILDS = 300

@@ -12,9 +12,7 @@ from pathlib import Path
 import pytest
 
 from privtrace.cli import cli_main
-from privtrace.dltts import (
-    DlttsError, OracleVerdict, oracle_verdict, reach_stop, validate,
-)
+from privtrace.dltts import DlttsError, OracleVerdict, reach_stop, validate
 from privtrace.dotexport import export_dot
 from privtrace.privacy import MAX_LN_DIGITS
 from privtrace.scenario import (
@@ -23,6 +21,7 @@ from privtrace.scenario import (
 from privtrace.values import MAX_DECIMAL_EXPONENT
 
 from conftest import SCENARIOS
+from reference import oracle_verdict
 
 HOSPITAL = str(SCENARIOS / "hospital" / "scenario.json")
 ENTERPRISE = str(SCENARIOS / "enterprise" / "scenario.json")
@@ -411,6 +410,69 @@ def test_cli_malformed_scenario_exits_two(tmp_path, sections):
     done = _cli_process("analyze", "--scenario", _hospital_copy(tmp_path, **sections))
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+
+
+def _without(entry: dict, field: str) -> dict:
+    return {k: v for k, v in entry.items() if k != field}
+
+
+def _missing_field_cases() -> list:
+    """(sections of a hospital copy, the error naming the field it lacks);
+    None stands for a standalone mechanism file without `probs`."""
+    doc = json.loads(Path(HOSPITAL).read_text())
+    trace = doc["runs"]["trace"]
+    step, rest = trace["steps"][0], trace["steps"][1:]
+
+    def run(first_step):
+        return {"runs": {"trace": {**trace, "steps": [first_step, *rest]}}}
+
+    cases = [(None, "mechanism 'm' has no field 'probs'"),
+             ({"mechanisms": {"viral_query": _without(
+                 doc["mechanisms"]["viral_query"], "probs")}},
+              "mechanism 'viral_query' has no field 'probs'")]
+    for field in ("from", "action", "branches"):
+        cases.append((run(_without(step, field)),
+                      f"a step of run 'trace' has no field '{field}'"))
+    for field in ("to", "prob"):
+        branch = _without(step["branches"][0], field)
+        cases.append((run({**step, "branches": [branch]}),
+                      f"a branch of run 'trace' has no field '{field}'"))
+    entries = {
+        "metric": {"table": "published", "pairs": [["l4", "l5"]]},
+        "indist": {"mechanism": "viral_query", "pair": ["l4", "l5"],
+                   "alpha": "Viral-Infection"},
+        "scaled_indist": {"mechanism": "viral_query", "pair": ["l4", "l5"],
+                          "alpha": "Viral-Infection", "table": "published"},
+        "label_equivalence": {"run": "trace", "state": "s4",
+                              "mechanism": "viral_query", "epsilon": "ln(2)"},
+        "strategy": {"attacker": "A", "baseline": "C"},
+        "dp_check": {"mechanism": "viral_query"},
+    }
+    for key, entry in entries.items():
+        for field in entry:
+            if field == "pairs" or (key, field) == ("strategy", "baseline"):
+                continue  # optional
+            lacking = _without(entry, field)
+            cases.append(({"analysis": {key: lacking if key == "metric" else [lacking]}},
+                          f"analysis '{key}' has no field '{field}'"))
+    return cases
+
+
+_MISSING_FIELDS = _missing_field_cases()
+
+
+@pytest.mark.parametrize("sections, message", _MISSING_FIELDS,
+                         ids=[message for _, message in _MISSING_FIELDS])
+def test_missing_required_field_exits_two_naming_it(tmp_path, sections, message):
+    if sections is None:
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"outputs": ["a"]}))
+        argv = ["dp-check", "--mechanism-file", str(path)]
+    else:
+        argv = ["analyze", "--scenario", _hospital_copy(tmp_path, **sections)]
+    done = _cli_process(*argv)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == f"error: {message}\n"
 
 
 def _replace_in(name: str, old: str, new: str):

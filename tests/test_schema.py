@@ -1,20 +1,22 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import pytest
 from hypothesis import given, strategies as st
 
+from privtrace.dltts import check_consistency
 from privtrace.schema import (
+    PrivacyPolicy,
     SchemaError,
     load_schema,
     load_table,
-    match_pattern,
     parse_pattern,
-    render_table,
     type_compatible,
 )
-from privtrace.values import Atom, ColumnClass, IntInterval, Number, Taxon
+from privtrace.values import Atom, ColumnClass, IntInterval, Number, Taxon, render_cell
 
 SCHEMA_DOC = {
     "columns": [
@@ -161,34 +163,35 @@ def test_numerical_normalizer_validated_at_load(bundle):
         load_table("Score\n1\n20\n", cols, {}, "bad")  # spread 19 > 10
 
 
+def render_table(table) -> str:
+    """Serialize a table back to CSV, line ids included."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["line"] + list(table.column_names()))
+    for row in table.rows:
+        writer.writerow([row.line_id] + [render_cell(c) for c in row.cells])
+    return buf.getvalue()
+
+
 def test_table_round_trip(bundle):
     table = _published(bundle)
     again = load_table(render_table(table), table.columns, bundle.taxonomies, "published")
     assert again.rows == table.rows
 
 
-def test_match_pattern_running_example(bundle):
-    policy = bundle.policy.patterns[0]
-    john = parse_pattern(
-        "(John,46,M,Physics,CoVid)", bundle.columns, bundle.taxonomies
-    )
-    assert match_pattern(john.cells, policy)
-    aline = parse_pattern(
-        "(Aline,23,F,Physics,Flu)", bundle.columns, bundle.taxonomies
-    )
-    covid_any = parse_pattern(
-        "(*,*,*,*,CoVid)", bundle.columns, bundle.taxonomies
-    )
-    assert not match_pattern(aline.cells, covid_any)
-    all_star = parse_pattern("(*,*,*,*,*)", bundle.columns, bundle.taxonomies)
-    assert match_pattern(john.cells, all_star)
-    assert match_pattern(aline.cells, all_star)
+def test_policy_running_example_through_check_consistency(bundle):
+    """A policy pattern is confirmed only by equal cells at every concrete
+    position; an all-wildcard one by any positive tuple."""
+    def pattern(text, negative=False):
+        return parse_pattern(text, bundle.columns, bundle.taxonomies, negative)
 
-
-def test_match_pattern_arity_error(bundle):
-    pattern = parse_pattern("(*,*,*,*,*)", bundle.columns, bundle.taxonomies)
-    with pytest.raises(SchemaError):
-        match_pattern((Atom("x"),), pattern)
+    aline = pattern("(Aline,23,F,Physics,Flu)")
+    covid_any = PrivacyPolicy((pattern("(*,*,*,*,CoVid)", negative=True),))
+    assert check_consistency(frozenset({aline}), covid_any)
+    assert check_consistency(frozenset({aline}), bundle.policy)
+    all_star = PrivacyPolicy((pattern("(*,*,*,*,*)", negative=True),))
+    for person in (aline, pattern("(John,46,M,Physics,CoVid)")):
+        assert not check_consistency(frozenset({person}), all_star)
 
 
 def test_type_compatible_identity_and_failure():
