@@ -25,7 +25,7 @@ _LAZY = {
         "is_eps_indistinguishable min_dp_epsilon min_eps_hamming_indist "
         "min_eps_rho_indist min_indist_epsilon min_ldp_epsilon parse_epsilon",
         "attack": "AttackDltts AttackerProfile apply_strategy build_attack_dltts "
-        "load_attack_dltts max_pr pr_access threshold_report",
+        "load_attack_dltts max_pr threshold_report",
         "dotexport": "export_dot",
     }.items()
     for name in names.split()

@@ -318,18 +318,11 @@ def _priority_runs(
     return best, pred
 
 
-def pr_access(attack: AttackDltts, node: str, line: str) -> Fraction:
-    """Max probability of reaching `node` from the root along runs that take
-    only priority-maximal transitions at every choice point."""
-    if (node, line) not in attack.singleton_nodes():
-        raise AttackError(f"incoming label at {node!r} is not the singleton {{{line}}}")
-    best, _ = attack._runs
-    return best.get(node, Fraction(0))
-
-
 def max_pr(attack: AttackDltts, line: str) -> Fraction:
-    """Max of pr_access over every node whose incoming label is {line};
-    0 when the line labels no singleton node."""
+    """The max probability, over every node whose incoming label is {line},
+    of reaching it from the root along runs that take only priority-maximal
+    transitions at every choice point; 0 when the line labels no singleton
+    node."""
     return attack._max_pr.get(line, Fraction(0))
 
 

@@ -167,12 +167,9 @@ def _cmd_dp_check(scenario: Scenario | None, args) -> int:
     from .report import Report, ScenarioError, dp_section
 
     if args.mechanism_file:
-        doc = json.loads(Path(args.mechanism_file).read_text())
-        if not isinstance(doc, dict):
-            raise ScenarioError(f"{args.mechanism_file}: a mechanism file "
-                                "holds one JSON object")
-        name = doc.get("name", Path(args.mechanism_file).stem)
-        m = Mechanism.from_doc(name, doc)
+        path = Path(args.mechanism_file)
+        m = Mechanism.from_doc(path.stem, json.loads(path.read_text()))
+        name = m.name
     elif scenario is not None and args.mechanism:
         name = args.mechanism
         m = scenario.mechanism(name)
@@ -210,13 +207,10 @@ def _cmd_attack(scenario: Scenario, args) -> int:
 
 def _cmd_strategy(scenario: Scenario, args) -> int:
     from .dotexport import export_dot
-    from .scenario import Report, ScenarioError, strategy_section
+    from .scenario import Report, strategy_section
 
-    baseline = args.baseline or scenario.baseline
-    if baseline is None:
-        raise ScenarioError("no baseline given and the scenario names none")
     report = Report(scenario.name)
-    updated = strategy_section(scenario, report, args.attacker, baseline)
+    updated = strategy_section(scenario, report, args.attacker, args.baseline)
     _emit(report)
     if args.dot:
         off_edges = frozenset(

@@ -24,11 +24,25 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .values import Atom, IntervalMeasureMode, Record, TaxonomyTree, parse_fraction
+from .values import (
+    Atom,
+    IntervalMeasureMode,
+    Names,
+    Record,
+    Required,
+    TaxonomyTree,
+    parse_fraction,
+    shaped,
+)
 
 
 class PrivacyError(ValueError):
     pass
+
+
+# The shape of a mechanism document, in a scenario or a file of its own:
+# each probability is an exact number that `from_rows` reads.
+MECHANISM = {"name": str, "outputs": [str], "probs": Required(Names(Names(object)))}
 
 
 class Mechanism(Record):
@@ -54,34 +68,25 @@ class Mechanism(Record):
     @classmethod
     def from_rows(cls, name: str, rows: Mapping, outputs: Sequence | None = None):
         """Build from {input: {output: prob}}; probs accept Fraction strings.
-        Outputs keep first-seen order, declared `outputs` first; a document
-        of any other shape raises PrivacyError."""
-        if not isinstance(rows, Mapping) or not all(
-            isinstance(dist, Mapping) for dist in rows.values()
-        ):
-            raise PrivacyError(
-                f"{name}: probs must map each input to an {{output: probability}} object"
-            )
-        if outputs is not None and not isinstance(outputs, (list, tuple)):
-            raise PrivacyError(f"{name}: outputs must be a list")
+        Outputs keep first-seen order, declared `outputs` first."""
         table = {}
-        try:
-            outs = dict.fromkeys(outputs or ())
-            for v, dist in rows.items():
-                for o, p in dist.items():
-                    outs.setdefault(o)
+        outs = dict.fromkeys(outputs or ())
+        for v, dist in rows.items():
+            for o, p in dist.items():
+                outs.setdefault(o)
+                try:
                     table[(v, o)] = parse_fraction(p)
-        except (TypeError, ValueError) as exc:
-            raise PrivacyError(f"{name}: {exc}") from None
+                except ValueError as exc:
+                    where = f"mechanism {name!r} probs.{v}.{o}"
+                    raise PrivacyError(f"{where}: {exc}") from None
         return cls(name, tuple(rows), tuple(outs), table)
 
     @classmethod
-    def from_doc(cls, name: str, doc: Mapping):
-        """Build from a mechanism document: its required `probs`, read by
-        `from_rows`, and its optional declared `outputs`."""
-        if "probs" not in doc:
-            raise PrivacyError(f"mechanism {name!r} has no field 'probs'")
-        return cls.from_rows(name, doc["probs"], outputs=doc.get("outputs"))
+    def from_doc(cls, name: str, doc):
+        """Build from a MECHANISM document, named by its `name` field, else
+        `name`."""
+        shaped(doc, MECHANISM, f"mechanism {name!r}")
+        return cls.from_rows(doc.get("name", name), doc["probs"], doc.get("outputs"))
 
     def prob(self, v, o) -> Fraction:
         return self.table.get((v, o), Fraction(0))

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from .dltts import (
     Dltts,
@@ -26,17 +25,15 @@ from .dltts import (
 from .metrics import IntervalMeasureMode, MetricError, d_vector, hamming
 from .report import Report, ScenarioError, dp_section, parse_mode
 from .schema import (
-    PAIR,
+    COLUMN,
     DataTable,
     SchemaBundle,
     load_schema,
     load_table,
     parse_columns,
     parse_pattern,
-    shaped,
-    typed,
 )
-from .values import parse_cell, parse_fraction
+from .values import PAIR, Names, Required, parse_cell, parse_fraction, shaped
 
 # The attack and mechanism layers load only when a section needs them: each
 # function below that calls one imports it, so `analyze` on a scenario with
@@ -103,66 +100,53 @@ class Scenario:
         return self.table(next(iter(self.tables), None) if name is None else name)
 
 
-# The JSON shape checks of `schema`, raising ScenarioError.
-_typed = partial(typed, error=ScenarioError)
-_shaped = partial(shaped, error=ScenarioError)
-
-
-class _Required:
-    """The shape of a field that every entry must have."""
-
-    def __init__(self, shape) -> None:
-        self.shape = shape
-
-
-# The shape of each field that `build_run` and the analysis sections read
-# from an entry: a JSON type, a tuple of JSON types, `PAIR`, `[shape]` for
-# an array of that shape, or `object` for any value.  A `_Required` field
-# must be present; any other left out is its reader's business, and
-# `label_equivalence` reads a null `alpha` as "infer the common output".
-_STEP_FIELDS = {"from": _Required(str), "action": _Required(str),
-                "branches": _Required([dict])}
-_BRANCH_FIELDS = {"to": _Required(str), "prob": _Required(object), "text": str,
-                  "lines": [str], "learn": [str]}
-
-# The analysis sections by key, with the fields of their entries.
-# "metric" and "attack" are one object each, every other key an array of
-# objects; "runs", an array of run names, is checked on its own.
-_ANALYSIS_FIELDS = {
-    "metric": {"table": _Required(str), "pairs": [PAIR], "modes": [str]},
-    "attack": {"table": str, "attackers": [str]},
-    "indist": {"mechanism": _Required(str), "pair": _Required(PAIR),
-               "alpha": _Required(str)},
-    "scaled_indist": {"mechanism": _Required(str), "pair": _Required(PAIR),
-                      "alpha": _Required(str), "table": _Required(str),
-                      "modes": [str]},
-    "label_equivalence": {"run": _Required(str), "state": _Required(str),
-                          "mechanism": _Required(str),
-                          "alpha": (str, type(None)), "epsilon": _Required(str)},
-    "strategy": {"attacker": _Required(str), "baseline": str},
-    "dp_check": {"mechanism": _Required(str), "adjacency": str, "mode": str},
+# The shape `values.shaped` checks a scenario document against.  Each
+# mechanism is checked against `privacy.MECHANISM` and each profile, in
+# the document or in a file it names, against PROFILE as it loads; a
+# probability, prior or declared baseline is an exact number that
+# `parse_fraction` reads.  `metric` and `attack` are objects, every other
+# analysis key an array of objects, and a null `alpha` of a
+# `label_equivalence` entry means "infer the common output".
+SCENARIO = {
+    "name": str,
+    "schema": Required(str),
+    "tables": Names({"file": Required(str), "columns": [COLUMN]}),
+    "externals": [str],
+    "mechanisms": Names(object),
+    "dltts": Names(str),
+    "attack_dltts": Names(str),
+    "profiles": Names((dict, str)),
+    "baseline": (str, type(None)),
+    "declared_baseline": Names(object),
+    "runs": Names({
+        "externals": [str],
+        "steps": [{
+            "from": Required(str),
+            "action": Required(str),
+            "branches": Required([{"to": Required(str), "prob": Required(object),
+                                   "text": str, "lines": [str], "learn": [str]}]),
+        }],
+    }),
+    "analysis": {
+        "metric": {"table": Required(str), "pairs": [PAIR], "modes": [str]},
+        "attack": {"table": str, "attackers": [str]},
+        "runs": [str],
+        "indist": [{"mechanism": Required(str), "pair": Required(PAIR),
+                    "alpha": Required(str)}],
+        "scaled_indist": [{"mechanism": Required(str), "pair": Required(PAIR),
+                           "alpha": Required(str), "table": Required(str),
+                           "modes": [str], "hamming": bool}],
+        "label_equivalence": [{"run": Required(str), "state": Required(str),
+                               "mechanism": Required(str),
+                               "alpha": (str, type(None)),
+                               "epsilon": Required(str)}],
+        "strategy": [{"attacker": Required(str), "baseline": str}],
+        "dp_check": [{"mechanism": Required(str), "adjacency": str, "mode": str}],
+    },
 }
 
-
-def _fields(entry: Mapping, shapes: Mapping, what: str) -> None:
-    """Check each field of `entry` that `shapes` names: a `_Required` one
-    must be there, any other only when it is."""
-    for key, shape in shapes.items():
-        if isinstance(shape, _Required):
-            if key not in entry:
-                raise ScenarioError(f"{what} has no field {key!r}")
-            shape = shape.shape
-        if key in entry:
-            _shaped(entry[key], shape, f"{what} field {key!r}")
-
-
-def _section(doc: Mapping, key: str, entry_kind) -> dict:
-    """The object `doc[key]` (empty when absent), each of whose entries is
-    checked to be of the JSON type `entry_kind`."""
-    section = _typed(doc.get(key, {}), dict, f"scenario {key!r}")
-    for name, entry in section.items():
-        _typed(entry, entry_kind, f"{key} entry {name!r}")
-    return section
+PROFILE = {"attribute_order": [str], "priors": Names(Names(object)),
+           "objective": str, "empirical": bool}
 
 
 def _fraction(value, where: str) -> Fraction:
@@ -172,130 +156,87 @@ def _fraction(value, where: str) -> Fraction:
         raise ScenarioError(f"{where}: {exc}") from None
 
 
-def _check_run(name: str, run: Mapping) -> None:
-    """The arrays, objects and fields `build_run` reads in a scripted run."""
-    _shaped(run.get("externals", []), [str], f"run {name!r} externals")
-    for step in _shaped(run.get("steps", []), [dict], f"run {name!r} steps"):
-        _fields(step, _STEP_FIELDS, f"a step of run {name!r}")
-        for branch in step["branches"]:
-            _fields(branch, _BRANCH_FIELDS, f"a branch of run {name!r}")
-
-
-def _check_analysis(analysis) -> dict:
-    _typed(analysis, dict, "scenario 'analysis'")
-    _shaped(analysis.get("runs", []), [str], "analysis 'runs'")
-    for key, shapes in _ANALYSIS_FIELDS.items():
-        what = f"analysis {key!r}"
-        if key not in analysis:
-            continue
-        if key in ("metric", "attack"):
-            entries = [_typed(analysis[key], dict, what)]
-        else:
-            entries = _shaped(analysis.get(key, []), [dict], what)
-        for entry in entries:
-            _fields(entry, shapes, what)
-    return analysis
-
-
-def _parse_profile(name: str, doc: Mapping, schema: SchemaBundle) -> AttackerProfile:
+def _parse_profile(name: str, doc, schema: SchemaBundle) -> AttackerProfile:
     from .attack import AttackerProfile
 
-    _typed(doc, dict, f"profile {name}")
-    order = tuple(_shaped(doc.get("attribute_order", []), [str],
-                          f"profile {name} attribute_order"))
+    shaped(doc, PROFILE, f"profile {name!r}")
     columns = {c.name: c for c in schema.columns}
     priors = {}
-    for col_name, table in _typed(doc.get("priors", {}), dict,
-                                  f"profile {name} priors").items():
+    for col_name, table in doc.get("priors", {}).items():
         if col_name not in columns:
             raise ScenarioError(f"profile {name}: unknown column {col_name!r}")
-        _typed(table, dict, f"profile {name} priors of {col_name}")
         col = columns[col_name]
         tree = schema.taxonomies.get(col.taxonomy_ref) if col.taxonomy_ref else None
         priors[col_name] = {
-            parse_cell(k, col.cls, tree): _fraction(v, f"profile {name} prior {k}")
+            parse_cell(k, col.cls, tree):
+                _fraction(v, f"profile {name!r} priors.{col_name}.{k}")
             for k, v in table.items()
         }
     return AttackerProfile(
         name=name,
-        attribute_order=order,
+        attribute_order=tuple(doc.get("attribute_order", ())),
         priors=priors,
         objective=doc.get("objective", ""),
-        empirical=bool(doc.get("empirical", False)),
+        empirical=doc.get("empirical", False),
     )
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Load a scenario document and everything it references.  A section or
-    entry of the wrong JSON type raises ScenarioError."""
+    """Load a scenario document and everything it references.  A document
+    not of the shape SCENARIO raises ShapeError."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot load scenario {path}: {exc}") from exc
-    _typed(doc, dict, "a scenario")
+    shaped(doc, SCENARIO, "scenario")
     base = path.parent
-    if "schema" not in doc:
-        raise ScenarioError("scenario has no schema")
-    schema_file = _typed(doc["schema"], str, "scenario 'schema'")
-    schema = load_schema((base / schema_file).read_text())
+    schema = load_schema((base / doc["schema"]).read_text())
 
     tables: dict[str, DataTable] = {}
-    for name, tdoc in _section(doc, "tables", dict).items():
+    for name, tdoc in doc.get("tables", {}).items():
         if "columns" in tdoc:
-            columns = parse_columns(
-                _typed(tdoc["columns"], list, f"table {name!r} columns"),
-                schema.taxonomies,
-            )
+            columns = parse_columns(tdoc["columns"], schema.taxonomies)
         else:
             columns = schema.columns
-        table_file = _typed(tdoc.get("file"), str, f"table {name!r} file")
         tables[name] = load_table(
-            (base / table_file).read_text(), columns, schema.taxonomies, name
+            (base / tdoc["file"]).read_text(), columns, schema.taxonomies, name
         )
 
     mechanisms = {}
-    for name, mdoc in _section(doc, "mechanisms", dict).items():
+    for name, mdoc in doc.get("mechanisms", {}).items():
         from .privacy import Mechanism
 
         mechanisms[name] = Mechanism.from_doc(name, mdoc)
 
     dltts = {
         name: parse_dltts((base / f).read_text(), name)
-        for name, f in _section(doc, "dltts", str).items()
+        for name, f in doc.get("dltts", {}).items()
     }
     attack_dltts = {}
-    for name, f in _section(doc, "attack_dltts", str).items():
+    for name, f in doc.get("attack_dltts", {}).items():
         from .attack import load_attack_dltts
 
         attack_dltts[name] = load_attack_dltts((base / f).read_text(), name)
-    runs = _section(doc, "runs", dict)
-    for name, run in runs.items():
-        _check_run(name, run)
-    baseline = doc.get("baseline")
-    if baseline is not None:
-        _typed(baseline, str, "scenario 'baseline'")
     scenario = Scenario(
         name=doc.get("name", path.stem),
         base_dir=base,
         schema=schema,
         tables=tables,
-        externals=list(_shaped(doc.get("externals", []), [str],
-                               "scenario 'externals'")),
+        externals=list(doc.get("externals", [])),
         mechanisms=mechanisms,
         dltts=dltts,
         attack_dltts=attack_dltts,
-        baseline=baseline,
+        baseline=doc.get("baseline"),
         declared_baseline={
-            line: _fraction(v, f"declared_baseline {line}")
-            for line, v in _typed(doc.get("declared_baseline", {}), dict,
-                                  "scenario 'declared_baseline'").items()
+            line: _fraction(v, f"scenario declared_baseline.{line}")
+            for line, v in doc.get("declared_baseline", {}).items()
         },
-        runs=runs,
-        analysis=_check_analysis(doc.get("analysis", {})),
+        runs=doc.get("runs", {}),
+        analysis=doc.get("analysis", {}),
     )
     profiles = {}
-    for name, pdoc in _section(doc, "profiles", (dict, str)).items():
+    for name, pdoc in doc.get("profiles", {}).items():
         if isinstance(pdoc, str):
             pdoc = json.loads((base / pdoc).read_text())
         profiles[name] = _parse_profile(name, pdoc, schema)
@@ -331,9 +272,9 @@ def build_run(
     )
     verdicts: dict[str, OracleVerdict] = {}
     verdicts[builder.initial] = builder.oracle_step(builder.initial)
-    for step in run.get("steps", []):
+    for i, step in enumerate(run.get("steps", [])):
         branches = []
-        for bdoc in step["branches"]:
+        for j, bdoc in enumerate(step["branches"]):
             tuples = frozenset(
                 parse_pattern(t, scenario.schema.columns, scenario.schema.taxonomies)
                 for t in bdoc.get("learn", [])
@@ -343,7 +284,9 @@ def build_run(
                 lines=frozenset(bdoc.get("lines", [])),
                 tuples=tuples,
             )
-            prob = _fraction(bdoc["prob"], f"run {run_name} branch to {bdoc['to']}")
+            prob = _fraction(
+                bdoc["prob"], f"scenario runs.{run_name}.steps[{i}].branches[{j}].prob"
+            )
             branches.append((bdoc["to"], prob, label))
         new_states = builder.add_transition(step["from"], step["action"], branches)
         for state in new_states:
@@ -504,12 +447,17 @@ def attack_section(
 
 
 def strategy_section(
-    scenario: Scenario, report: Report, attacker: str, baseline_name: str
+    scenario: Scenario, report: Report, attacker: str, baseline_name: str | None
 ) -> AttackDltts:
-    """Report the blocking strategy against each baseline variant; returns
-    the first variant's updated system."""
+    """Report the blocking strategy against each variant of the baseline
+    `baseline_name`, by default the scenario's; returns the first
+    variant's updated system."""
     from .attack import apply_strategy
 
+    if baseline_name is None:
+        baseline_name = scenario.baseline
+    if baseline_name is None:
+        raise ScenarioError("no baseline given and the scenario names none")
     attack = attack_for(scenario, attacker)
     baseline = attack_for(scenario, baseline_name)
     variants: list[tuple[str, dict[str, Fraction] | None]] = []
@@ -653,10 +601,7 @@ def run_scenario(
             attack_section(scenario, report, name)
 
     for entry in analysis.get("strategy", []):
-        strategy_section(
-            scenario, report, entry["attacker"],
-            entry.get("baseline", scenario.baseline),
-        )
+        strategy_section(scenario, report, entry["attacker"], entry.get("baseline"))
 
     for entry in analysis.get("dp_check", []):
         name = entry["mechanism"]

@@ -17,7 +17,9 @@ from typing import Iterable, Mapping, Sequence
 from .values import (
     Cell,
     ColumnClass,
+    Names,
     Record,
+    Required,
     STAR,
     TaxonomyTree,
     Value,
@@ -25,6 +27,7 @@ from .values import (
     parse_cell,
     parse_fraction,
     render_cell,
+    shaped,
     split_top_level,
     value_kind,
 )
@@ -38,34 +41,13 @@ class SchemaError(ValueError):
     """Malformed schema/table/pattern input."""
 
 
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
-               type(None): "null"}
-
-# A pair: a JSON array of two strings (line ids, or mechanism inputs).
-PAIR = "pair"
-
-
-def typed(value, kind, what: str, error: type[ValueError] = SchemaError):
-    """`value`, checked to be of the JSON type `kind` (a type, or a tuple
-    of types); `error` names what is not."""
-    if not isinstance(value, kind):
-        kinds = kind if isinstance(kind, tuple) else (kind,)
-        raise error(f"{what} must be " + " or ".join(_JSON_TYPES[k] for k in kinds))
-    return value
-
-
-def shaped(value, shape, what: str, error: type[ValueError] = SchemaError):
-    """`value`, checked to have the shape `shape`: a JSON type or a tuple
-    of them, `PAIR`, or `[shape]` for an array of that shape."""
-    if isinstance(shape, list):
-        for item in typed(value, list, what, error):
-            shaped(item, shape[0], f"an item of {what}", error)
-    elif shape is PAIR:
-        if len(shaped(value, [str], what, error)) != 2:
-            raise error(f"{what} must be a pair")
-    else:
-        typed(value, shape, what, error)
-    return value
+# The shapes `values.shaped` checks a schema document against.  A column
+# document, in a schema or a scenario table; its class, group, taxonomy
+# and normalizer values are checked as the column is built.
+COLUMN = {"name": Required(str), "class": Required(str), "group": str,
+          "taxonomy": (str, type(None)), "normalizer": object}
+TAXONOMY = {"root": Required(str), "children": Names([str])}
+SCHEMA = {"columns": [COLUMN], "taxonomies": Names(TAXONOMY), "policy": [str]}
 
 
 class ColumnSchema(Record):
@@ -132,9 +114,6 @@ class DataTable(Record):
                     )
         if self.taxonomies is None:
             object.__setattr__(self, "taxonomies", {})
-
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
 
     @cached_property
     def column_positions(self) -> dict[str, int]:
@@ -267,18 +246,16 @@ class SchemaBundle(Record):
 
 
 def _parse_taxonomy(name: str, doc: Mapping) -> TaxonomyTree:
-    if "root" not in typed(doc, dict, f"taxonomy {name}"):
-        raise SchemaError(f"taxonomy {name}: malformed document")
-    root = typed(doc["root"], str, f"taxonomy {name} root")
-    children = typed(doc.get("children", {}), dict, f"taxonomy {name} children")
+    """The tree a TAXONOMY document describes."""
+    children = doc.get("children", {})
     parent: dict[str, str] = {}
     for node, kids in children.items():
-        for kid in shaped(kids, [str], f"taxonomy {name} children of {node}"):
+        for kid in kids:
             if kid in parent:
                 raise SchemaError(f"taxonomy {name}: node {kid!r} has two parents")
             parent[kid] = node
     try:
-        tree = TaxonomyTree(name, root, parent)
+        tree = TaxonomyTree(name, doc["root"], parent)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     unreachable = set(children) - tree.nodes
@@ -290,26 +267,29 @@ def _parse_taxonomy(name: str, doc: Mapping) -> TaxonomyTree:
 def parse_columns(
     docs: Iterable[Mapping], taxonomies: Mapping[str, TaxonomyTree]
 ) -> tuple[ColumnSchema, ...]:
+    """The columns that COLUMN documents describe."""
     cols = []
     for doc in docs:
+        name = doc["name"]
         try:
             cls = ColumnClass(doc["class"])
-            name = doc["name"]
-            group = doc.get("group", "quasi-identifier")
-        except (TypeError, KeyError, ValueError) as exc:
-            raise SchemaError(f"malformed column document: {doc!r}") from exc
-        typed(name, str, "a column name")
-        ref = typed(doc.get("taxonomy"), (str, type(None)), f"column {name} taxonomy")
+        except ValueError:
+            raise SchemaError(f"column {name}: unknown class {doc['class']!r}") from None
+        ref = doc.get("taxonomy")
         if ref is not None and ref not in taxonomies:
             raise SchemaError(f"column {name}: unknown taxonomy {ref!r}")
         norm = doc.get("normalizer")
+        try:
+            norm = parse_fraction(norm) if norm is not None else None
+        except ValueError as exc:
+            raise SchemaError(f"column {name} normalizer: {exc}") from None
         cols.append(
             ColumnSchema(
                 name=name,
                 cls=cls,
-                group=group,
+                group=doc.get("group", "quasi-identifier"),
                 taxonomy_ref=ref,
-                normalizer=parse_fraction(norm) if norm is not None else None,
+                normalizer=norm,
             )
         )
     if not cols:
@@ -326,17 +306,15 @@ def load_schema(config_text: str) -> SchemaBundle:
         doc = json.loads(config_text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"schema document is not valid JSON: {exc}") from exc
-    typed(doc, dict, "a schema document")
+    shaped(doc, SCHEMA, "schema")
     taxonomies = {
         name: _parse_taxonomy(name, tdoc)
-        for name, tdoc in typed(doc.get("taxonomies", {}), dict,
-                                "schema 'taxonomies'").items()
+        for name, tdoc in doc.get("taxonomies", {}).items()
     }
-    columns = parse_columns(typed(doc.get("columns", []), list, "schema 'columns'"),
-                            taxonomies)
+    columns = parse_columns(doc.get("columns", []), taxonomies)
     patterns = tuple(
         parse_pattern(text, columns, taxonomies, force_negative=True)
-        for text in shaped(doc.get("policy", []), [str], "schema 'policy'")
+        for text in doc.get("policy", [])
     )
     return SchemaBundle(columns, taxonomies, PrivacyPolicy(patterns))
 

@@ -346,10 +346,10 @@ class ExponentError(ValueError):
 
 def parse_fraction(value) -> Fraction:
     """The exact rational an input holds: a fraction or decimal string, or
-    a JSON number.  Anything else, a zero denominator and a non-finite
-    float raise ValueError, and so does a decimal exponent beyond
-    MAX_DECIMAL_EXPONENT (as ExponentError, before any power of ten is
-    built)."""
+    a JSON number.  Anything else (a JSON boolean too), a zero denominator
+    and a non-finite float raise ValueError, and so does a decimal exponent
+    beyond MAX_DECIMAL_EXPONENT (as ExponentError, before any power of ten
+    is built)."""
     if isinstance(value, str):
         m = _EXPONENT_RE.search(value)
         if m:
@@ -360,10 +360,78 @@ def parse_fraction(value) -> Fraction:
                     f"{value!r} has a decimal exponent beyond "
                     f"±{MAX_DECIMAL_EXPONENT}"
                 )
-    try:
-        return Fraction(value)
-    except (TypeError, ZeroDivisionError, OverflowError):
-        raise ValueError(f"{value!r} is not a fraction or decimal") from None
+    if not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (TypeError, ZeroDivisionError, OverflowError):
+            pass
+    raise ValueError(f"{value!r} is not a fraction or decimal")
+
+
+class ShapeError(ValueError):
+    """An input document, or a part of one, of the wrong JSON shape."""
+
+
+class Required:
+    """The shape of a field that every object of its kind must have."""
+
+    def __init__(self, shape) -> None:
+        self.shape = shape
+
+
+class Names:
+    """The shape of an object that maps free names to values of one shape."""
+
+    def __init__(self, shape) -> None:
+        self.shape = shape
+
+
+# A pair: a JSON array of two strings (line ids, or mechanism inputs).
+PAIR = "pair"
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
+               bool: "a boolean", type(None): "null"}
+
+
+def shaped(value, shape, what: str, path: str = ""):
+    """`value`, checked to have the shape `shape`, else ShapeError naming
+    the document `what` and the `path` to the part at fault.  A shape is a
+    JSON type or a tuple of them (`object` for any value, which its reader
+    checks), `PAIR`, `[shape]` for an array of that shape, `Names(shape)`,
+    or a `{key: shape}` dict for an object whose fields, when present,
+    have those shapes; a `Required(shape)` field must be present.  Other
+    fields are ignored.  Each node of `value` the shape reaches is visited
+    once."""
+    where = f"{what} {path}" if path else what
+    if shape is PAIR:
+        if len(shaped(value, [str], what, path)) != 2:
+            raise ShapeError(f"{where} must be a pair")
+        return value
+    if isinstance(shape, (dict, Names)):
+        kind = dict
+    elif isinstance(shape, list):
+        kind = list
+    else:
+        kind = shape
+    if not isinstance(value, kind):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        raise ShapeError(f"{where} must be " + " or ".join(_JSON_TYPES[k] for k in kinds))
+    prefix = f"{path}." if path else ""
+    if isinstance(shape, list):
+        for i, item in enumerate(value):
+            shaped(item, shape[0], what, f"{path}[{i}]")
+    elif isinstance(shape, Names):
+        for name, item in value.items():
+            shaped(item, shape.shape, what, prefix + name)
+    elif isinstance(shape, dict):
+        for key, field in shape.items():
+            if isinstance(field, Required):
+                if key not in value:
+                    raise ShapeError(f"{where} has no field {key!r}")
+                field = field.shape
+            if key in value:
+                shaped(value[key], field, what, prefix + key)
+    return value
 
 
 _INTERVAL_RE = re.compile(r"^\[\s*(-?\d+)\s*-\s*(-?\d+)\s*\]$")

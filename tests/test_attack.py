@@ -13,7 +13,6 @@ from privtrace.attack import (
     build_attack_dltts,
     load_attack_dltts,
     max_pr,
-    pr_access,
     threshold_report,
 )
 from privtrace.schema import load_table
@@ -21,6 +20,15 @@ from privtrace.values import Atom, IntInterval
 from reference import Comparison, multiset_compare
 
 DECLARED = {l: F(3, 16) for l in ("l1", "l2", "l3", "l4")}
+
+
+def pr_access(attack, node: str, line: str) -> F:
+    """Max probability of reaching `node` from the root along runs that take
+    only priority-maximal transitions at every choice point."""
+    if (node, line) not in attack.singleton_nodes():
+        raise AttackError(f"incoming label at {node!r} is not the singleton {{{line}}}")
+    best, _ = attack._runs
+    return best.get(node, F(0))
 
 
 @pytest.fixture(scope="module")

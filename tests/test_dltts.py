@@ -229,7 +229,7 @@ def test_builder_pipeline_and_delta(hospital, main_pattern):
 def test_oracle_epsilon_violation(hospital):
     published = hospital.table("published")
     l5 = published.row("l5")
-    pattern = TuplePattern(published.column_names(), l5.cells)
+    pattern = TuplePattern(tuple(c.name for c in published.columns), l5.cells)
     b = DlttsBuilder(
         policy=PrivacyPolicy(()),
         columns=published.columns,
@@ -249,7 +249,7 @@ def test_oracle_epsilon_check_reads_only_positive_tuples(hospital):
     is an epsilon violation, though both add a tuple with the same cells."""
     published = hospital.table("published")
     l5 = published.row("l5")
-    pattern = TuplePattern(published.column_names(), l5.cells)
+    pattern = TuplePattern(tuple(c.name for c in published.columns), l5.cells)
     b = DlttsBuilder(columns=published.columns, taxonomies=hospital.schema.taxonomies,
                      secrets=[l5.cells], epsilon=F(0))
     b.add_transition("s0", "query", [

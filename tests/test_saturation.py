@@ -65,12 +65,16 @@ def _merged_taxonomies(externals, taxonomies):
     return merged
 
 
+def _column_names(table):
+    return tuple(c.name for c in table.columns)
+
+
 def _row_cell(table, row, column):
     return row.cells[[c.name for c in table.columns].index(column)]
 
 
 def _merge(p, table, row):
-    table_cols = set(table.column_names())
+    table_cols = set(_column_names(table))
     columns = list(p.columns)
     cells = []
     for c, v in zip(p.columns, p.cells):
@@ -78,7 +82,7 @@ def _merge(p, table, row):
             cells.append(_row_cell(table, row, c))
         else:
             cells.append(v)
-    for c in table.column_names():
+    for c in _column_names(table):
         if c not in p.columns:
             columns.append(c)
             cells.append(_row_cell(table, row, c))
@@ -95,7 +99,7 @@ def _count_column(table):
 def _r1_join(p, table, registry):
     if _count_column(table) is not None:
         return []
-    shared = [c for c in p.columns if c in set(table.column_names())]
+    shared = [c for c in p.columns if c in set(_column_names(table))]
     if not shared:
         return []
     out = []
@@ -120,7 +124,7 @@ def _r2_refine(p, table, taxonomies):
     count_col = _count_column(table)
     if count_col is None:
         return []
-    table_cols = set(table.column_names())
+    table_cols = set(_column_names(table))
     out = []
     for c, x in p.concrete_items():
         if not isinstance(x, Taxon) or c not in table_cols:
@@ -165,7 +169,7 @@ def _r3_link(p, table, registry):
     other = [(c, v) for c, v in p.concrete_items() if not is_id(c)]
     if not id_cells or not other:
         return []
-    table_cols = set(table.column_names())
+    table_cols = set(_column_names(table))
     join = [(c, v) for c, v in other if c in table_cols]
     if not join:
         return []

@@ -14,11 +14,13 @@ import pytest
 from privtrace.cli import cli_main
 from privtrace.dltts import DlttsError, OracleVerdict, reach_stop, validate
 from privtrace.dotexport import export_dot
-from privtrace.privacy import MAX_LN_DIGITS
+from privtrace.privacy import MAX_LN_DIGITS, MECHANISM
 from privtrace.scenario import (
-    ScenarioError, build_run, load_scenario, parse_mode, run_scenario,
+    PROFILE, SCENARIO, ScenarioError, build_run, load_scenario, parse_mode,
+    run_scenario,
 )
-from privtrace.values import MAX_DECIMAL_EXPONENT
+from privtrace.schema import SCHEMA
+from privtrace.values import MAX_DECIMAL_EXPONENT, Names, Required, ShapeError
 
 from conftest import SCENARIOS
 from reference import oracle_verdict
@@ -47,7 +49,7 @@ def test_unknown_run_errors(hospital):
 
 def test_empty_scenario_rejected(tmp_path):
     (tmp_path / "scenario.json").write_text("{}")
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ShapeError):
         load_scenario(tmp_path / "scenario.json")
 
 
@@ -329,6 +331,7 @@ def test_cli_dp_check_standalone_mechanism_file(capsys, tmp_path):
     {"probs": {"v": ["1/2", "1/2"]}, "outputs": ["a", "b"]},
     {"probs": {"v": {"a": "1"}}, "outputs": [["a"]]},
     {"probs": {"v": {"a": [1]}}},
+    {"probs": {"a": {"x": True, "y": False}, "b": {"x": "1/2", "y": "1/2"}}},
 ])
 def test_cli_dp_check_malformed_mechanism_file_exits_two(tmp_path, doc):
     path = tmp_path / "m.json"
@@ -393,6 +396,8 @@ def _set_in_schema(*keys, value):
     {"analysis": {"metric": {"table": "published", "pairs": [5]}}},
     {"runs": {"trace": {"steps": [{"from": "s0", "action": "q", "branches": [
         {"to": "s1", "prob": "1", "learn": 5}]}]}}},
+    {"runs": {"trace": {"steps": [{"from": "s0", "action": "q", "branches": [
+        {"to": "s1", "prob": True}]}]}}, "analysis": {"runs": ["trace"]}},
     {"edit": _set_in_schema("columns", value=5)},
     {"edit": _set_in_schema("policy", value=5)},
     {"edit": _set_in_schema("policy", value=[5])},
@@ -432,11 +437,12 @@ def _missing_field_cases() -> list:
               "mechanism 'viral_query' has no field 'probs'")]
     for field in ("from", "action", "branches"):
         cases.append((run(_without(step, field)),
-                      f"a step of run 'trace' has no field '{field}'"))
+                      f"scenario runs.trace.steps[0] has no field '{field}'"))
     for field in ("to", "prob"):
         branch = _without(step["branches"][0], field)
         cases.append((run({**step, "branches": [branch]}),
-                      f"a branch of run 'trace' has no field '{field}'"))
+                      f"scenario runs.trace.steps[0].branches[0] has no field "
+                      f"'{field}'"))
     entries = {
         "metric": {"table": "published", "pairs": [["l4", "l5"]]},
         "indist": {"mechanism": "viral_query", "pair": ["l4", "l5"],
@@ -453,8 +459,9 @@ def _missing_field_cases() -> list:
             if field == "pairs" or (key, field) == ("strategy", "baseline"):
                 continue  # optional
             lacking = _without(entry, field)
+            where = key if key == "metric" else f"{key}[0]"
             cases.append(({"analysis": {key: lacking if key == "metric" else [lacking]}},
-                          f"analysis '{key}' has no field '{field}'"))
+                          f"scenario analysis.{where} has no field '{field}'"))
     return cases
 
 
@@ -473,6 +480,130 @@ def test_missing_required_field_exits_two_naming_it(tmp_path, sections, message)
     done = _cli_process(*argv)
     assert done.returncode == 2, done.stderr
     assert done.stderr == f"error: {message}\n"
+
+
+def _wrong(shape):
+    """A value of the wrong JSON type for `shape`: `true`, since a boolean
+    is neither a string nor a number, or "false" where one is expected."""
+    return "false" if shape is bool else True
+
+
+def _shape_cases(shape, doc, path, seen):
+    """(path, value) for the first place in `doc` that each field of the
+    shape table `shape`, each entry of a `Names` map and each array item
+    reaches: value None drops a `Required` field, and every such part,
+    present in `doc` or not, is also set to a value of the wrong type."""
+    if isinstance(shape, (list, Names)):
+        inner = shape[0] if isinstance(shape, list) else shape.shape
+        for key, item in enumerate(doc) if isinstance(shape, list) else doc.items():
+            if id(shape) not in seen:
+                seen.add(id(shape))
+                yield (*path, key), _wrong(inner)
+            yield from _shape_cases(inner, item, (*path, key), seen)
+    elif isinstance(shape, dict):
+        for key, field in shape.items():
+            required = isinstance(field, Required)
+            field = field.shape if required else field
+            if (id(shape), key) not in seen:
+                seen.add((id(shape), key))
+                if required:
+                    yield (*path, key), None
+                yield (*path, key), _wrong(field)
+            if key in doc:
+                yield from _shape_cases(field, doc[key], (*path, key), seen)
+
+
+def _mechanism_file() -> dict:
+    doc = json.loads(Path(HOSPITAL).read_text())["mechanisms"]["viral_query"]
+    return {"name": "viral_query", **doc}
+
+
+def _shape_table_cases() -> list:
+    """The cases of `_shape_cases` over the bundled documents, each table
+    against the documents that hold its parts: (scenario directory, or
+    None for a mechanism file, file name, path, value)."""
+    def load(scenario, name):
+        return json.loads((SCENARIOS / scenario / name).read_text())
+
+    enterprise = load("enterprise", "scenario.json")
+    docs = [
+        ("SCENARIO", SCENARIO, "hospital", "scenario.json", (),
+         load("hospital", "scenario.json")),
+        ("SCENARIO", SCENARIO, "enterprise", "scenario.json", (), enterprise),
+        ("SCHEMA", SCHEMA, "hospital", "schema.json", (), load("hospital", "schema.json")),
+        *(("PROFILE", PROFILE, "enterprise", "scenario.json", ("profiles", name), doc)
+          for name, doc in enterprise["profiles"].items()),
+        ("MECHANISM", MECHANISM, None, "m.json", (), _mechanism_file()),
+    ]
+    seen: dict[str, set] = {}
+    cases = []
+    for table, shape, scenario, name, at, doc in docs:
+        for path, value in _shape_cases(shape, doc, at, seen.setdefault(table, set())):
+            shown = "dropped" if value is None else json.dumps(value)
+            cases.append(pytest.param(scenario, name, path, value,
+                                      id=f"{table} {'.'.join(map(str, path))} {shown}"))
+    # Inputs that loaded before the tables: "false" read as true, and
+    # neither field was checked.
+    for scenario, path, value in (
+        ("enterprise", ("profiles", "C", "empirical"), "false"),
+        ("enterprise", ("profiles", "C", "objective"), 7),
+        ("hospital", ("name",), ["x"]),
+    ):
+        cases.append(pytest.param(scenario, "scenario.json", path, value,
+                                  id=f"{'.'.join(path)} {json.dumps(value)}"))
+    return cases
+
+
+@pytest.mark.parametrize("scenario, name, path, value", _shape_table_cases())
+def test_shape_tables_refuse_every_missing_or_mistyped_field(
+    tmp_path, capsys, scenario, name, path, value
+):
+    """Every `Required` field dropped from a bundled document, and every
+    part set to a value of the wrong JSON type, exits 2 with an `error:`
+    line that names it."""
+    if scenario is None:
+        doc = _mechanism_file()
+    else:
+        shutil.copytree(SCENARIOS / scenario, tmp_path, dirs_exist_ok=True)
+        doc = json.loads((tmp_path / name).read_text())
+    item = doc
+    for key in path[:-1]:
+        item = item[key]
+    if value is None:
+        del item[path[-1]]
+    else:
+        item[path[-1]] = value
+    (tmp_path / name).write_text(json.dumps(doc))
+    if scenario is None:
+        argv = ["dp-check", "--mechanism-file", str(tmp_path / name)]
+    else:
+        argv = ["analyze", "--scenario", str(tmp_path / "scenario.json")]
+    code = cli_main(argv)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    last = path[-1]
+    if value is None:
+        assert f"has no field '{last}'" in err
+    else:
+        assert (f"[{last}]" if isinstance(last, int) else last) in err
+
+
+def test_strategy_without_any_baseline_exits_two(tmp_path, capsys):
+    """A strategy with no baseline, in a scenario that names none, is
+    refused by `analyze` and by `strategy` alike."""
+    shutil.copytree(SCENARIOS / "enterprise", tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "scenario.json"
+    doc = json.loads(path.read_text())
+    del doc["baseline"]
+    doc["analysis"]["strategy"] = [{"attacker": "A"}]
+    path.write_text(json.dumps(doc))
+    for command in (["analyze"], ["strategy", "--attacker", "A"]):
+        code = cli_main([*command, "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: no baseline given and the scenario names none\n"
+        assert captured.out == ""
 
 
 def _replace_in(name: str, old: str, new: str):

@@ -16,7 +16,9 @@ from privtrace.schema import (
     parse_pattern,
     type_compatible,
 )
-from privtrace.values import Atom, ColumnClass, IntInterval, Number, Taxon, render_cell
+from privtrace.values import (
+    Atom, ColumnClass, IntInterval, Number, ShapeError, Taxon, render_cell,
+)
 
 SCHEMA_DOC = {
     "columns": [
@@ -73,7 +75,8 @@ def test_load_schema_rejects_string_children_as_a_non_array():
     """A children string is not iterated character by character."""
     doc = json.loads(json.dumps(SCHEMA_DOC))
     doc["taxonomies"]["ailment"]["children"]["Viral-Infection"] = "XY"
-    with pytest.raises(SchemaError, match="children of Viral-Infection must be an array"):
+    message = "schema taxonomies.ailment.children.Viral-Infection must be an array"
+    with pytest.raises(ShapeError, match=message):
         load_schema(json.dumps(doc))
 
 
@@ -167,7 +170,7 @@ def render_table(table) -> str:
     """Serialize a table back to CSV, line ids included."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["line"] + list(table.column_names()))
+    writer.writerow(["line"] + [c.name for c in table.columns])
     for row in table.rows:
         writer.writerow([row.line_id] + [render_cell(c) for c in row.cells])
     return buf.getvalue()
