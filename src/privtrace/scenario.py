@@ -22,7 +22,6 @@ from .dltts import (
     reach_stop,
     validate,
 )
-from .metrics import IntervalMeasureMode, MetricError, d_vector, hamming
 from .report import Report, ScenarioError, dp_section, parse_mode
 from .schema import (
     COLUMN,
@@ -33,11 +32,19 @@ from .schema import (
     parse_columns,
     parse_pattern,
 )
-from .values import PAIR, Names, Required, parse_cell, parse_fraction, shaped
+from .values import (
+    PAIR,
+    IntervalMeasureMode,
+    Names,
+    Required,
+    parse_cell,
+    parse_fraction,
+    shaped,
+)
 
-# The attack and mechanism layers load only when a section needs them: each
-# function below that calls one imports it, so `analyze` on a scenario with
-# scripted runs only never imports `attack` or `privacy`.
+# The metric, attack and mechanism layers load only when a section needs
+# them: each function below that calls one imports it, so `analyze` on a
+# scenario with unarmed scripted runs only imports none of them.
 if TYPE_CHECKING:
     from .attack import AttackDltts, AttackerProfile
     from .privacy import Mechanism
@@ -149,9 +156,11 @@ PROFILE = {"attribute_order": [str], "priors": Names(Names(object)),
            "objective": str, "empirical": bool}
 
 
-def _fraction(value, where: str) -> Fraction:
+def _read(where: str, parse, *args):
+    """`parse(*args)`, its ValueError raised as a ScenarioError naming
+    `where`."""
     try:
-        return parse_fraction(value)
+        return parse(*args)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
 
@@ -167,9 +176,10 @@ def _parse_profile(name: str, doc, schema: SchemaBundle) -> AttackerProfile:
             raise ScenarioError(f"profile {name}: unknown column {col_name!r}")
         col = columns[col_name]
         tree = schema.taxonomies.get(col.taxonomy_ref) if col.taxonomy_ref else None
+        where = f"profile {name!r} priors.{col_name}"
         priors[col_name] = {
-            parse_cell(k, col.cls, tree):
-                _fraction(v, f"profile {name!r} priors.{col_name}.{k}")
+            _read(where, parse_cell, k, col.cls, tree):
+                _read(f"{where}.{k}", parse_fraction, v)
             for k, v in table.items()
         }
     return AttackerProfile(
@@ -229,7 +239,7 @@ def load_scenario(path: str | Path) -> Scenario:
         attack_dltts=attack_dltts,
         baseline=doc.get("baseline"),
         declared_baseline={
-            line: _fraction(v, f"scenario declared_baseline.{line}")
+            line: _read(f"scenario declared_baseline.{line}", parse_fraction, v)
             for line, v in doc.get("declared_baseline", {}).items()
         },
         runs=doc.get("runs", {}),
@@ -272,21 +282,22 @@ def build_run(
     )
     verdicts: dict[str, OracleVerdict] = {}
     verdicts[builder.initial] = builder.oracle_step(builder.initial)
+    patterns = {}  # each distinct learn string, parsed once per run
     for i, step in enumerate(run.get("steps", [])):
         branches = []
         for j, bdoc in enumerate(step["branches"]):
-            tuples = frozenset(
-                parse_pattern(t, scenario.schema.columns, scenario.schema.taxonomies)
-                for t in bdoc.get("learn", [])
-            )
+            for t in bdoc.get("learn", []):
+                if t not in patterns:
+                    patterns[t] = parse_pattern(
+                        t, scenario.schema.columns, scenario.schema.taxonomies)
+            tuples = frozenset(patterns[t] for t in bdoc.get("learn", []))
             label = Label(
                 text=bdoc.get("text", ""),
                 lines=frozenset(bdoc.get("lines", [])),
                 tuples=tuples,
             )
-            prob = _fraction(
-                bdoc["prob"], f"scenario runs.{run_name}.steps[{i}].branches[{j}].prob"
-            )
+            prob = _read(f"scenario runs.{run_name}.steps[{i}].branches[{j}].prob",
+                         parse_fraction, bdoc["prob"])
             branches.append((bdoc["to"], prob, label))
         new_states = builder.add_transition(step["from"], step["action"], branches)
         for state in new_states:
@@ -318,6 +329,8 @@ def metric_section(
     scenario: Scenario, report: Report, table_name: str, pairs, modes
 ) -> bool:
     """Pairwise distances; returns False when some pair is uncomparable."""
+    from .metrics import MetricError, d_vector, hamming
+
     table = scenario.table(table_name)
     taxonomies = scenario.schema.taxonomies
     normalizer = table.normalizers

@@ -127,7 +127,7 @@ class DataTable(Record):
         try:
             return self.column_positions[name]
         except KeyError:
-            raise KeyError(f"table {self.name}: no column {name!r}") from None
+            raise SchemaError(f"table {self.name}: no column {name!r}") from None
 
     @cached_property
     def _groups(self) -> dict[tuple[str, ...], dict[tuple, tuple[Row, ...]]]:
@@ -148,16 +148,16 @@ class DataTable(Record):
         for r in self.rows:
             if r.line_id == line_id:
                 return r
-        raise KeyError(f"table {self.name}: no row {line_id!r}")
+        raise SchemaError(f"table {self.name}: no row {line_id!r}")
 
     def line_ids(self) -> tuple[str, ...]:
         return tuple(r.line_id for r in self.rows)
 
-    @property
+    @cached_property
     def normalizers(self) -> dict[int, Fraction]:
         """The declared normalizer D of each numerical column, by column
         index: the per-position form of `metrics.d_vector` for a row of
-        this table as its second operand."""
+        this table as its second operand.  Built once; not to be mutated."""
         return {
             i: c.normalizer for i, c in enumerate(self.columns)
             if c.normalizer is not None
@@ -208,11 +208,6 @@ class TuplePattern(Record):
 
     def is_ground(self) -> bool:
         return all(not isinstance(v, Wildcard) for v in self.cells)
-
-    def replace_cell(self, column: str, value: Cell) -> "TuplePattern":
-        i = self.columns.index(column)
-        cells = self.cells[:i] + (value,) + self.cells[i + 1 :]
-        return TuplePattern(self.columns, cells, self.negative)
 
     def __str__(self) -> str:
         if not self.columns:
@@ -425,21 +420,29 @@ class Correspondence(Record):
 def type_compatible(
     t: Sequence[Value], t2: Sequence[Value]
 ) -> Correspondence | None:
-    """The natural order-preserving, class-matching pairing of two tuples.
-
-    Equal arities must match class-for-class; otherwise the longer tuple is
-    projected onto the first class-matching subsequence covering the shorter
-    one.  Returns None when the tuples are uncomparable.
-    """
+    """The natural order-preserving, class-matching pairing of two tuples
+    (see `corresponding`); None when the tuples are uncomparable."""
     if isinstance(t, Row):
         t = t.cells
     if isinstance(t2, Row):
         t2 = t2.cells
-    k1 = [value_kind(v) for v in t]
-    k2 = [value_kind(v) for v in t2]
+    pairs = corresponding([value_kind(v) for v in t], [value_kind(v) for v in t2])
+    return None if pairs is None else Correspondence(pairs)
+
+
+def corresponding(
+    k1: list[ColumnClass], k2: list[ColumnClass]
+) -> tuple[tuple[int, int], ...] | None:
+    """The positions paired by the natural order-preserving pairing of two
+    kind sequences.
+
+    Equal lengths must match kind-for-kind; otherwise the longer sequence is
+    projected onto the first kind-matching subsequence covering the shorter
+    one.  Returns None when there is no such pairing.
+    """
     if len(k1) == len(k2):
         if k1 == k2:
-            return Correspondence(tuple((i, i) for i in range(len(k1))))
+            return tuple((i, i) for i in range(len(k1)))
         return None
     swap = len(k1) > len(k2)
     short, long_ = (k2, k1) if swap else (k1, k2)
@@ -452,4 +455,4 @@ def type_compatible(
             return None
         pairs.append((j, i) if swap else (i, j))
         j += 1
-    return Correspondence(tuple(pairs))
+    return tuple(pairs)

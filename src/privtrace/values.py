@@ -312,7 +312,7 @@ class TaxonomyTree:
 
     def depth(self, node: str) -> int:
         if node not in self.nodes:
-            raise KeyError(f"node {node!r} not in taxonomy {self.name}")
+            raise ValueError(f"node {node!r} not in taxonomy {self.name}")
         return self._depth[node]
 
     def common_ancestor(self, x: str, y: str) -> str:

@@ -114,12 +114,13 @@ def test_analyze_of_attacks_only_skips_the_mechanism_layer():
     loaded = _analyze_loads(str(SCENARIOS / "enterprise" / "scenario.json"),
                             "## strategy B vs C (declared baseline)")
     assert "privtrace.attack" in loaded
-    for layer in ("privacy", "dotexport"):
+    for layer in ("privacy", "metrics", "dotexport"):
         assert f"privtrace.{layer}" not in loaded
 
 
 def test_analyze_of_runs_only_loads_neither_attack_nor_mechanism_layer(tmp_path):
-    """A scenario whose only analysis is a scripted run: the core path."""
+    """A scenario whose only analysis is an unarmed scripted run: the core
+    path, which measures nothing, so the metric layer stays unloaded."""
     shutil.copytree(Path(HOSPITAL).parent, tmp_path, dirs_exist_ok=True)
     path = tmp_path / "scenario.json"
     doc = json.loads(path.read_text())
@@ -128,7 +129,7 @@ def test_analyze_of_runs_only_loads_neither_attack_nor_mechanism_layer(tmp_path)
     path.write_text(json.dumps(doc))
     loaded = _analyze_loads(str(path), "stop reached: s0 -> s2 -> s4 -> s6 -> STOP")
     assert loaded == {f"privtrace.{m}" for m in (
-        "cli", "report", "scenario", "values", "schema", "metrics", "dltts")}
+        "cli", "report", "scenario", "values", "schema", "dltts")}
 
 
 def test_every_public_name_is_its_module_attribute():

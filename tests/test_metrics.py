@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -17,8 +18,8 @@ from privtrace.metrics import (
     hamming,
     rho,
 )
-from privtrace.schema import type_compatible
-from privtrace.values import Atom, AtomSet, IntInterval, Number, TaxonomyTree
+from privtrace.schema import Row, type_compatible
+from privtrace.values import Atom, AtomSet, IntInterval, Number, Taxon, TaxonomyTree
 
 IS = IntervalMeasureMode.INTEGER_SET
 PC = IntervalMeasureMode.PAPER_COMPAT
@@ -103,7 +104,7 @@ def test_d_wp_examples(tree):
 
 
 def test_d_wp_unknown_node(tree):
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^node 'Plague' not in taxonomy ailment$"):
         d_wp(tree, "Flu", "Plague")
 
 
@@ -232,3 +233,83 @@ def test_hamming_none_when_correspondence_none():
     t2 = (Number(1),)
     assert type_compatible(t, t2) is None
     assert hamming(t, t2, None) is None
+
+
+# -- the bounded rho against the whole-sum one it replaced --------------------
+
+def _random_tuple(rng, trees):
+    """A tuple of 1-4 cells of random kinds: numbers that may lie beyond
+    a normalizer, taxons of either tree and now and then a node in
+    neither."""
+    cells = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            names = rng.sample("abc", rng.randint(1, 2))
+            cells.append(Atom(names[0]) if len(names) == 1 and rng.random() < 0.7
+                         else AtomSet(names))
+        elif kind == 1:
+            lo = rng.randint(0, 4)
+            cells.append(IntInterval(lo, lo + rng.randint(0, 3)))
+        elif kind == 2:
+            cells.append(Number(F(rng.randint(0, 6), rng.choice((1, 2)))))
+        else:
+            tree = rng.choice(trees)
+            node = "zz" if rng.random() < 0.05 else rng.choice(sorted(tree.nodes))
+            cells.append(Taxon(tree.name, node))
+    return tuple(cells)
+
+
+def _random_normalizer(rng):
+    """None, one D for every position, or a D per position with some
+    positions left out; a D may be zero or negative."""
+    def d():
+        return F(rng.choice((-1, 0, 1, 2, 3, 6, 9)), rng.choice((1, 2)))
+
+    choice = rng.randrange(3)
+    if choice == 0:
+        return None
+    if choice == 1:
+        return d()
+    return {j: d() for j in range(4) if rng.random() < 0.7}
+
+
+def _rho_outcome(fn, *args, **kwargs):
+    try:
+        return "value", fn(*args, **kwargs)
+    except (MetricError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_bounded_rho_matches_the_whole_sum_reference():
+    """Same inputs: the same error type and message whatever the bound,
+    the same minimum unbounded, and the reference's minimum under a bound
+    exactly when it lies within it."""
+    from reference import rho as whole_sum_rho
+
+    rng = random.Random(1515)
+    t = TaxonomyTree("t", "n0", {"n1": "n0", "n2": "n0", "n3": "n1", "n4": "n3"})
+    u = TaxonomyTree("u", "m0", {"m1": "m0", "m2": "m1"})
+    seen = {"raised": 0, "uncomparable": 0, "within": 0, "beyond": 0}
+    for _ in range(3000):
+        S = [_random_tuple(rng, (t, u)) for _ in range(rng.randint(1, 3))]
+        S2 = [_random_tuple(rng, (t, u)) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            S2 = [Row(f"r{k}", cells) for k, cells in enumerate(S2)]
+        mode = rng.choice((IS, PC))
+        kw = {"taxonomies": rng.choice((None, {"t": t}, {"t": t, "u": u})),
+              "normalizer": _random_normalizer(rng)}
+        expected = _rho_outcome(whole_sum_rho, S, S2, mode, **kw)
+        for bound in (None, F(-1), F(0), F(1, 2), F(1), F(2), F(7, 2)):
+            got = _rho_outcome(rho, S, S2, mode, at_most=bound, **kw)
+            if expected[0] != "value":
+                assert got == expected
+                continue
+            best = expected[1]
+            within = best is not None and (bound is None or best <= bound)
+            assert got == ("value", best if within else None)
+            if bound is not None:
+                seen["within" if within else "beyond" if best is not None
+                     else "uncomparable"] += 1
+        seen["raised"] += expected[0] != "value"
+    assert min(seen.values()) > 300, seen

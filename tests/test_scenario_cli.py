@@ -242,6 +242,23 @@ def test_cli_metric_uncomparable_exits_one(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_metric_names_a_missing_row_plainly(capsys):
+    """A lookup miss reads as its message, not as a quoted KeyError."""
+    assert cli_main(["metric", "--scenario", HOSPITAL, "--pair", "l9", "l1"]) == 2
+    assert capsys.readouterr().err == "error: table published: no row 'l9'\n"
+
+
+def test_unparsable_prior_key_exits_two_naming_its_place(tmp_path, capsys):
+    shutil.copytree(Path(ENTERPRISE).parent, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "scenario.json"
+    doc = json.loads(path.read_text())
+    doc["profiles"]["A"]["priors"]["Age"] = {"abc": "1"}
+    path.write_text(json.dumps(doc))
+    assert cli_main(["analyze", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: profile 'A' priors.Age: cell 'abc' is not an interval or integer\n")
+
+
 def test_declared_column_normalizer_reaches_the_metrics(tmp_path, capsys):
     """A numerical column's `normalizer` is the D of d_eucl, both for
     `metric` and for a rho-scaled indistinguishability entry."""

@@ -122,7 +122,7 @@ def test_cached_root_paths_match_the_parent_map_walk():
             assert tree.common_ancestor(x, y) == next(a for a in _walk(tree, x) if a in ys)
             assert tree.is_strict_descendant(x, y) == (y in _walk(tree, x)[1:])
         assert not tree.is_strict_descendant(x, "elsewhere")
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="^node 'elsewhere' not in taxonomy t$"):
             tree.common_ancestor(x, "elsewhere")
 
 
