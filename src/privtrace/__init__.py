@@ -14,13 +14,13 @@ _LAZY = {
     for module, names in {
         "values": "Atom AtomSet ColumnClass IntInterval IntervalMeasureMode Number STAR "
         "TaxonomyTree Taxon",
-        "schema": "ColumnSchema Correspondence DataTable PrivacyPolicy Row "
-        "SchemaBundle TOP TuplePattern load_schema load_table parse_pattern "
-        "type_compatible",
-        "metrics": "d_bar d_eucl d_nom d_num d_vector d_wp hamming rho",
-        "dltts": "DELTA Dltts DlttsBuilder Label OracleVerdict Run "
-        "check_consistency epsilon_equivalent_labels parse_dltts reach_stop "
-        "saturate validate",
+        "schema": "ColumnSchema DataTable PrivacyPolicy Row SchemaBundle TOP "
+        "TuplePattern load_schema load_table parse_pattern",
+        "metrics": "Correspondence d_bar d_eucl d_nom d_num d_vector d_wp hamming "
+        "rho type_compatible",
+        "lts": "DELTA Dltts Label Run parse_dltts reach_stop validate",
+        "dltts": "DlttsBuilder OracleVerdict check_consistency "
+        "epsilon_equivalent_labels saturate",
         "privacy": "EpsilonResult HammingAdjacency Mechanism RhoAdjacency "
         "is_eps_indistinguishable min_dp_epsilon min_eps_hamming_indist "
         "min_eps_rho_indist min_indist_epsilon min_ldp_epsilon parse_epsilon",

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .dltts import Branch, Dltts, Label, Transition, parse_dltts
+from .lts import Branch, Dltts, Label, Transition, parse_dltts
 from .schema import DataTable
 from .values import Record, Value, render_cell
 

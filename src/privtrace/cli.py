@@ -245,7 +245,7 @@ def _cmd_export_dot(scenario: Scenario, args) -> int:
 
 def _cmd_validate(scenario: Scenario, args) -> int:
     from .attack import attack_problems
-    from .dltts import validate
+    from .lts import validate
     from .scenario import Report, ScenarioError, build_run
 
     report = Report(scenario.name)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .dltts import Dltts, natural_key
+from .lts import Dltts, natural_key
 
 
 def _quote(s: str) -> str:

@@ -28,9 +28,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .schema import Correspondence, Row, corresponding, type_compatible
 from .values import (
     _KINDS,
     Atom,
@@ -39,11 +38,16 @@ from .values import (
     IntervalMeasureMode,
     IntInterval,
     Number,
+    Record,
     TaxonomyTree,
     Taxon,
     Value,
     value_kind,
 )
+
+# A table row counts as its cells; `schema` loads only where rows are read.
+if TYPE_CHECKING:
+    from .schema import Row
 
 
 class MetricError(ValueError):
@@ -142,7 +146,57 @@ def cell_distance(
 
 
 def _cells(t: Sequence[Value] | Row) -> tuple[Value, ...]:
-    return t.cells if isinstance(t, Row) else tuple(t)
+    """A row's cells, or the values of a plain sequence."""
+    cells = getattr(t, "cells", None)
+    return tuple(t) if cells is None else cells
+
+
+class Correspondence(Record):
+    """Positional pairing between the columns of two type-compatible tuples:
+    (index in first, index in second)."""
+
+    pairs: tuple[tuple[int, int], ...]
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+
+def type_compatible(
+    t: Sequence[Value] | Row, t2: Sequence[Value] | Row
+) -> Correspondence | None:
+    """The natural order-preserving, class-matching pairing of two tuples
+    (see `corresponding`); None when the tuples are uncomparable."""
+    t, t2 = _cells(t), _cells(t2)
+    pairs = corresponding([value_kind(v) for v in t], [value_kind(v) for v in t2])
+    return None if pairs is None else Correspondence(pairs)
+
+
+def corresponding(
+    k1: list[ColumnClass], k2: list[ColumnClass]
+) -> tuple[tuple[int, int], ...] | None:
+    """The positions paired by the natural order-preserving pairing of two
+    kind sequences.
+
+    Equal lengths must match kind-for-kind; otherwise the longer sequence is
+    projected onto the first kind-matching subsequence covering the shorter
+    one.  Returns None when there is no such pairing.
+    """
+    if len(k1) == len(k2):
+        if k1 == k2:
+            return tuple((i, i) for i in range(len(k1)))
+        return None
+    swap = len(k1) > len(k2)
+    short, long_ = (k2, k1) if swap else (k1, k2)
+    pairs = []
+    j = 0
+    for i, kind in enumerate(short):
+        while j < len(long_) and long_[j] != kind:
+            j += 1
+        if j == len(long_):
+            return None
+        pairs.append((j, i) if swap else (i, j))
+        j += 1
+    return tuple(pairs)
 
 
 def d_vector(

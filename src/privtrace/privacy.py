@@ -10,8 +10,8 @@ Scanning never raises on zero-probability asymmetries: they yield a
 distinguished "unbounded" result value.  LDP, and Hamming DP over named
 inputs, count only pairs at distance 1, so they take one pass per output
 (O(inputs * outputs)); other adjacencies scan the input pairs.  This
-module imports the metric and schema layers only in the functions that
-measure tuples.
+module imports the metric layer only in the functions that measure tuples,
+and never the schema layer.
 """
 
 from __future__ import annotations
@@ -360,13 +360,11 @@ class Adjacency:
 
 
 def _as_cells(x) -> tuple:
-    from .schema import Row
-
-    if isinstance(x, Row):
-        return x.cells
+    """A table row's cells, a tuple of cells, or an opaque name as one atom."""
     if isinstance(x, tuple):
         return x
-    return (Atom(str(x)),)
+    cells = getattr(x, "cells", None)
+    return (Atom(str(x)),) if cells is None else cells
 
 
 class HammingAdjacency(Adjacency, Record):

@@ -14,7 +14,7 @@ from . import __version__
 from .values import IntervalMeasureMode
 
 if TYPE_CHECKING:
-    from .dltts import Dltts
+    from .lts import Dltts
     from .privacy import Mechanism
     from .scenario import Scenario
 

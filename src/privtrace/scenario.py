@@ -11,17 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .dltts import (
-    Dltts,
-    DlttsBuilder,
-    Label,
-    OracleVerdict,
-    epsilon_equivalent_labels,
-    natural_key,
-    parse_dltts,
-    reach_stop,
-    validate,
-)
+from .lts import Dltts, Label, natural_key, parse_dltts, reach_stop, validate
 from .report import Report, ScenarioError, dp_section, parse_mode
 from .schema import (
     COLUMN,
@@ -42,11 +32,14 @@ from .values import (
     shaped,
 )
 
-# The metric, attack and mechanism layers load only when a section needs
-# them: each function below that calls one imports it, so `analyze` on a
-# scenario with unarmed scripted runs only imports none of them.
+# The knowledge, metric, attack and mechanism layers load only when a
+# section needs them: each function below that calls one imports it, so
+# `analyze` on a scenario with attack sections only imports no `dltts`,
+# and one with unarmed scripted runs only imports no `metrics`, `attack`
+# or `privacy`.
 if TYPE_CHECKING:
     from .attack import AttackDltts, AttackerProfile
+    from .dltts import OracleVerdict
     from .privacy import Mechanism
 
 
@@ -266,6 +259,8 @@ def build_run(
 ) -> tuple[Dltts, dict[str, OracleVerdict]]:
     """Drive a builder along a scripted query sequence: add each transition,
     saturate the new states, and let the oracle rule on every one of them."""
+    from .dltts import DlttsBuilder
+
     try:
         run = scenario.runs[run_name]
     except KeyError:
@@ -383,6 +378,8 @@ def _run_section(
     secret=None,
     mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
 ) -> None:
+    from .dltts import OracleVerdict
+
     dltts, verdicts = build_run(
         scenario, run_name, epsilon=epsilon, secret=secret, mode=mode
     )
@@ -589,6 +586,7 @@ def run_scenario(
         )
 
     for entry in analysis.get("label_equivalence", []):
+        from .dltts import epsilon_equivalent_labels
         from .privacy import parse_epsilon
 
         dltts, _ = build_run(scenario, entry["run"])

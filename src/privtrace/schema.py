@@ -193,6 +193,11 @@ class TuplePattern(Record):
     def __hash__(self) -> int:
         return hash((self.columns, self.cells, self.negative))
 
+    @cached_property
+    def negation(self) -> TuplePattern:
+        """The same tuple with the other sign, built once per pattern."""
+        return TuplePattern(self.columns, self.cells, not self.negative)
+
     def cell(self, column: str) -> Cell | None:
         try:
             return self.cells[self.columns.index(column)]
@@ -405,54 +410,3 @@ def load_table(
                     f"normalizer {col.normalizer}"
                 )
     return table
-
-
-class Correspondence(Record):
-    """Positional pairing between the columns of two type-compatible tuples:
-    (index in first, index in second)."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-def type_compatible(
-    t: Sequence[Value], t2: Sequence[Value]
-) -> Correspondence | None:
-    """The natural order-preserving, class-matching pairing of two tuples
-    (see `corresponding`); None when the tuples are uncomparable."""
-    if isinstance(t, Row):
-        t = t.cells
-    if isinstance(t2, Row):
-        t2 = t2.cells
-    pairs = corresponding([value_kind(v) for v in t], [value_kind(v) for v in t2])
-    return None if pairs is None else Correspondence(pairs)
-
-
-def corresponding(
-    k1: list[ColumnClass], k2: list[ColumnClass]
-) -> tuple[tuple[int, int], ...] | None:
-    """The positions paired by the natural order-preserving pairing of two
-    kind sequences.
-
-    Equal lengths must match kind-for-kind; otherwise the longer sequence is
-    projected onto the first kind-matching subsequence covering the shorter
-    one.  Returns None when there is no such pairing.
-    """
-    if len(k1) == len(k2):
-        if k1 == k2:
-            return tuple((i, i) for i in range(len(k1)))
-        return None
-    swap = len(k1) > len(k2)
-    short, long_ = (k2, k1) if swap else (k1, k2)
-    pairs = []
-    j = 0
-    for i, kind in enumerate(short):
-        while j < len(long_) and long_[j] != kind:
-            j += 1
-        if j == len(long_):
-            return None
-        pairs.append((j, i) if swap else (i, j))
-        j += 1
-    return tuple(pairs)

@@ -12,12 +12,12 @@ from typing import Iterable, Mapping, Sequence
 from privtrace.attack import _priority_key
 from privtrace.dltts import (
     OracleVerdict,
-    Tag,
     _is_knowledge,
     _merged_taxonomies,
     check_consistency,
 )
-from privtrace.metrics import _cells, d_bar
+from privtrace.lts import Tag
+from privtrace.metrics import _cells, d_bar, type_compatible
 from privtrace.privacy import Mechanism
 from privtrace.schema import (
     ColumnSchema,
@@ -25,7 +25,6 @@ from privtrace.schema import (
     PrivacyPolicy,
     Row,
     TuplePattern,
-    type_compatible,
 )
 from privtrace.values import (
     ColumnClass,

@@ -12,7 +12,8 @@ from fractions import Fraction as F
 from itertools import combinations
 
 from privtrace.attack import apply_strategy, max_pr, threshold_report
-from privtrace.dltts import DlttsBuilder, Label, reach_stop, saturate, validate
+from privtrace.dltts import DlttsBuilder, saturate
+from privtrace.lts import Label, reach_stop, validate
 from privtrace.metrics import (
     IntervalMeasureMode,
     d_eucl,
@@ -471,7 +472,7 @@ def test_criterion_8g_validate_battery():
             elif kind == 1:  # duplicate a distribution
                 bad = d.replace(transitions=d.transitions + (t,))
             else:  # outgoing edge from Stop
-                from privtrace.dltts import Branch, Transition
+                from privtrace.lts import Branch, Transition
 
                 extra = Transition(
                     d.stop, "q", (Branch(t.source, F(1), Label()),)

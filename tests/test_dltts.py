@@ -6,19 +6,21 @@ from fractions import Fraction as F
 import pytest
 
 from privtrace.dltts import (
+    DlttsBuilder,
+    OracleVerdict,
+    check_consistency,
+    epsilon_equivalent_labels,
+    saturate,
+)
+from privtrace.lts import (
     Branch,
     DELTA,
     Dltts,
-    DlttsBuilder,
     DlttsError,
     Label,
-    OracleVerdict,
     Transition,
-    check_consistency,
-    epsilon_equivalent_labels,
     parse_dltts,
     reach_stop,
-    saturate,
     validate,
 )
 from privtrace.privacy import EpsilonResult, Mechanism, is_eps_indistinguishable

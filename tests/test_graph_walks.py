@@ -20,7 +20,7 @@ from privtrace.attack import (
     max_pr,
     threshold_report,
 )
-from privtrace.dltts import Run, reach_stop
+from privtrace.lts import Run, reach_stop
 from privtrace.scenario import load_scenario, run_scenario
 
 from conftest import SCENARIOS

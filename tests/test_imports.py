@@ -71,9 +71,12 @@ def test_dp_check_on_a_mechanism_file_skips_the_system_layers(tmp_path):
 
 
 def test_dp_check_under_rho_loads_the_metric_layer(tmp_path):
+    """Opaque names are 1-tuples of atoms, so rho reads no table row and
+    the schema layer stays unloaded, as do both system layers."""
     loaded = _dp_check_loads(tmp_path, RR, "--adjacency", "rho")
-    assert "privtrace.metrics" in loaded
-    for layer in ("scenario", "dltts", "attack", "dotexport"):
+    assert loaded == {
+        f"privtrace.{m}" for m in ("cli", "values", "privacy", "report", "metrics")}
+    for layer in ("lts", "dltts"):
         assert f"privtrace.{layer}" not in loaded
 
 
@@ -104,17 +107,20 @@ def test_analyze_loads_what_it_runs():
     """Hospital has mechanisms and a label-equivalence section but no
     attack system or profile."""
     loaded = _analyze_loads(HOSPITAL, "stop reached: s0 -> s2 -> s4 -> s6 -> STOP")
-    for layer in ("scenario", "dltts", "privacy"):
+    for layer in ("scenario", "lts", "dltts", "privacy"):
         assert f"privtrace.{layer}" in loaded
     for layer in ("attack", "dotexport"):
         assert f"privtrace.{layer}" not in loaded
 
 
 def test_analyze_of_attacks_only_skips_the_mechanism_layer():
+    """Attack trees are plain transition systems: the core in `lts`, and
+    no tags, so neither the knowledge layer nor the metric layer loads."""
     loaded = _analyze_loads(str(SCENARIOS / "enterprise" / "scenario.json"),
                             "## strategy B vs C (declared baseline)")
-    assert "privtrace.attack" in loaded
-    for layer in ("privacy", "metrics", "dotexport"):
+    for layer in ("attack", "lts"):
+        assert f"privtrace.{layer}" in loaded
+    for layer in ("dltts", "privacy", "metrics", "dotexport"):
         assert f"privtrace.{layer}" not in loaded
 
 
@@ -129,7 +135,24 @@ def test_analyze_of_runs_only_loads_neither_attack_nor_mechanism_layer(tmp_path)
     path.write_text(json.dumps(doc))
     loaded = _analyze_loads(str(path), "stop reached: s0 -> s2 -> s4 -> s6 -> STOP")
     assert loaded == {f"privtrace.{m}" for m in (
-        "cli", "report", "scenario", "values", "schema", "dltts")}
+        "cli", "report", "scenario", "values", "schema", "lts", "dltts")}
+
+
+def test_export_dot_of_an_attack_tree_skips_the_knowledge_layer(tmp_path):
+    out = tmp_path / "a.dot"
+    loaded = set(json.loads(_python(
+        "import contextlib, io, sys\n"
+        "from privtrace.cli import cli_main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli_main(['export-dot', '--scenario', sys.argv[1],\n"
+        "                     '--attacker', 'A', '--dot', sys.argv[2]]) == 0\n"
+        + LOADED,
+        str(SCENARIOS / "enterprise" / "scenario.json"), str(out),
+    )))
+    assert out.read_text().startswith("digraph dltts {")
+    for layer in ("lts", "dotexport"):
+        assert f"privtrace.{layer}" in loaded
+    assert "privtrace.dltts" not in loaded
 
 
 def test_every_public_name_is_its_module_attribute():

@@ -17,8 +17,9 @@ from privtrace.metrics import (
     d_wp,
     hamming,
     rho,
+    type_compatible,
 )
-from privtrace.schema import Row, type_compatible
+from privtrace.schema import Row
 from privtrace.values import Atom, AtomSet, IntInterval, Number, Taxon, TaxonomyTree
 
 IS = IntervalMeasureMode.INTEGER_SET

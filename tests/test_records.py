@@ -16,7 +16,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from privtrace import attack, dltts, privacy, schema, values
+from privtrace import attack, lts, metrics, privacy, schema, values
 from privtrace.metrics import IntervalMeasureMode
 from privtrace.schema import GROUPS, Row, TuplePattern
 from privtrace.values import STAR, Atom, ColumnClass, Record
@@ -91,14 +91,14 @@ RECORDS = {
                            lambda rng: (tuple(TuplePattern(*_pattern(rng, True))
                                               for _ in range(rng.randint(0, 2))),)),
     schema.SchemaBundle: (("columns", "taxonomies", "policy"), _pool(3)),
-    schema.Correspondence: (("pairs",), _pool(1)),
-    dltts.Label: (("text", "lines", "tuples", "source"), _pool(4)),
-    dltts.Branch: (("to", "prob", "label"), _pool(3)),
-    dltts.Transition: (("source", "action", "branches"), _pool(3)),
-    dltts.Dltts: (("initial", "stop", "transitions", "tags", "saturated",
+    metrics.Correspondence: (("pairs",), _pool(1)),
+    lts.Label: (("text", "lines", "tuples", "source"), _pool(4)),
+    lts.Branch: (("to", "prob", "label"), _pool(3)),
+    lts.Transition: (("source", "action", "branches"), _pool(3)),
+    lts.Dltts: (("initial", "stop", "transitions", "tags", "saturated",
                    "state_probs"),
                   lambda rng: _pool(3)(rng) + tuple(_mapping(rng) for _ in range(3))),
-    dltts.Run: (("states", "actions", "probability"), _pool(3)),
+    lts.Run: (("states", "actions", "probability"), _pool(3)),
     privacy.Mechanism: (("name", "inputs", "outputs", "table"), _mechanism),
     privacy.EpsilonResult: (("scale", "ratio", "unbounded", "both_zero", "witness"),
                             _pool(5)),
@@ -118,10 +118,10 @@ DEFAULTS = {
     schema.ColumnSchema: {"taxonomy_ref": None, "normalizer": None},
     schema.DataTable: {"taxonomies": None},
     schema.TuplePattern: {"negative": False},
-    dltts.Label: {"text": "", "lines": frozenset(), "tuples": frozenset(),
+    lts.Label: {"text": "", "lines": frozenset(), "tuples": frozenset(),
                   "source": "db"},
-    dltts.Branch: {"label": dltts.Label("", frozenset(), frozenset(), "db")},
-    dltts.Dltts: {"tags": None, "saturated": None, "state_probs": None},
+    lts.Branch: {"label": lts.Label("", frozenset(), frozenset(), "db")},
+    lts.Dltts: {"tags": None, "saturated": None, "state_probs": None},
     privacy.EpsilonResult: {"scale": None, "ratio": None, "unbounded": False,
                             "both_zero": False, "witness": None},
     privacy.RhoAdjacency: {"mode": IntervalMeasureMode.INTEGER_SET,
@@ -224,8 +224,8 @@ def test_replace_matches_dataclasses_replace():
 
 
 def test_replace_builds_a_new_record_without_the_cached_values():
-    d = dltts.Dltts("s0", "STOP", (
-        dltts.Transition("s0", "delta", (dltts.Branch("STOP", F(1)),)),))
+    d = lts.Dltts("s0", "STOP", (
+        lts.Transition("s0", "delta", (lts.Branch("STOP", F(1)),)),))
     assert d.outgoing("s0")
     assert "_outgoing" in vars(d)
     e = d.replace(transitions=())

@@ -11,15 +11,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from privtrace.dltts import (
-    DlttsBuilder,
-    DlttsError,
-    Label,
-    OracleVerdict,
-    check_consistency,
-    saturate,
-    validate,
-)
+from privtrace.dltts import DlttsBuilder, OracleVerdict, check_consistency, saturate
+from privtrace.lts import DlttsError, Label, validate
 from privtrace.metrics import IntervalMeasureMode
 from privtrace.schema import (
     ColumnSchema,

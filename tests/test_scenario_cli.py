@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from privtrace.cli import cli_main
-from privtrace.dltts import DlttsError, OracleVerdict, reach_stop, validate
+from privtrace.dltts import OracleVerdict
+from privtrace.lts import DlttsError, reach_stop, validate
 from privtrace.dotexport import export_dot
 from privtrace.privacy import MAX_LN_DIGITS, MECHANISM
 from privtrace.scenario import (
@@ -892,7 +893,7 @@ def test_export_dot_is_valid_dot_syntax(hospital):
 
 
 def test_export_dot_single_state():
-    from privtrace.dltts import Dltts
+    from privtrace.lts import Dltts
 
     single = Dltts("s0", "STOP", ())
     dot = export_dot(single)

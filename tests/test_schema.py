@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from privtrace.dltts import check_consistency
+from privtrace.metrics import type_compatible
 from privtrace.schema import (
     PrivacyPolicy,
     SchemaError,
     load_schema,
     load_table,
     parse_pattern,
-    type_compatible,
 )
 from privtrace.values import (
     Atom, ColumnClass, IntInterval, Number, ShapeError, Taxon, render_cell,
