@@ -16,8 +16,7 @@ _LAZY = {
         "TaxonomyTree Taxon",
         "schema": "ColumnSchema DataTable PrivacyPolicy Row SchemaBundle TOP "
         "TuplePattern load_schema load_table parse_pattern",
-        "metrics": "Correspondence d_bar d_eucl d_nom d_num d_vector d_wp hamming "
-        "rho type_compatible",
+        "metrics": "d_bar d_eucl d_nom d_num d_vector d_wp hamming rho",
         "lts": "DELTA Dltts Label Run parse_dltts reach_stop validate",
         "dltts": "DlttsBuilder OracleVerdict check_consistency "
         "epsilon_equivalent_labels saturate",

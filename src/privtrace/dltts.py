@@ -409,13 +409,11 @@ def epsilon_equivalent_labels(
     epsilon,
     *,
     alpha=None,
-    instance_for: Mapping[str, object] | None = None,
 ) -> list[frozenset[Label]]:
     """Partition the outgoing branch labels at `state` into classes of
     pairwise epsilon-indistinguishable query instances.
 
-    Each label maps to a mechanism input: through `instance_for` (keyed by
-    label text or single line id), else by its single line id, else by its
+    Each label maps to a mechanism input: its single line id, else its
     text.  Pairwise indistinguishability is not transitive, so classes are
     the connected components of the pairwise relation, in the order of
     their first label.
@@ -434,10 +432,6 @@ def epsilon_equivalent_labels(
             keys.append(next(iter(label.lines)))
         if label.text:
             keys.append(label.text)
-        if instance_for:
-            for k in keys:
-                if k in instance_for:
-                    return instance_for[k]
         for k in keys:
             if k in mechanism.inputs:
                 return k

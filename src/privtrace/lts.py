@@ -210,6 +210,46 @@ def _parse_label(text: str) -> Label:
     return Label(text=text, lines=lines, source=source)
 
 
+def _parse_transition(line: str) -> Transition:
+    """One transition line: its branch list and optional action."""
+    source, rest = (part.strip() for part in line.split("->", 1))
+    if not rest.startswith("["):
+        raise ValueError("expected a branch list")
+    depth = 0
+    end = None
+    for i, ch in enumerate(rest):
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+            if depth == 0:
+                end = i
+                break
+    if end is None:
+        raise ValueError("unterminated branch list")
+    action = rest[end + 1 :].strip() or "query"
+    branches = []
+    for chunk in split_top_level(rest[1:end]):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        if not (chunk.startswith("(") and chunk.endswith(")")):
+            raise ValueError(f"bad branch {chunk!r}")
+        parts = split_top_level(chunk[1:-1])
+        if len(parts) < 2:
+            raise ValueError("branch needs target and prob")
+        to = parts[0].strip()
+        try:
+            prob = parse_fraction(parts[1].strip())
+        except ValueError as exc:
+            raise ValueError(f"bad probability: {exc}") from exc
+        label = _parse_label(",".join(parts[2:])) if len(parts) > 2 else Label()
+        branches.append(Branch(to, prob, label))
+    if not branches:
+        raise ValueError("empty branch list")
+    return Transition(source, action, tuple(branches))
+
+
 def parse_dltts(text: str, name: str = "dltts") -> Dltts:
     """Parse the explicit transcript format::
 
@@ -220,6 +260,7 @@ def parse_dltts(text: str, name: str = "dltts") -> Dltts:
     Transition lines list branches as (target, probability, label); the
     label may start with a provenance marker (P_db, P_N, P_b, ...) and may
     embed a {line,ids} set.  The action after the bracket list is optional.
+    A malformed line raises DlttsError naming `name` and its line number.
     """
     initial = "s0"
     stop = "STOP"
@@ -236,41 +277,8 @@ def parse_dltts(text: str, name: str = "dltts") -> Dltts:
             continue
         if "->" not in line:
             raise DlttsError(f"{name}:{lineno}: cannot parse {raw!r}")
-        source, rest = (part.strip() for part in line.split("->", 1))
-        if not rest.startswith("["):
-            raise DlttsError(f"{name}:{lineno}: expected a branch list")
-        depth = 0
-        end = None
-        for i, ch in enumerate(rest):
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-                if depth == 0:
-                    end = i
-                    break
-        if end is None:
-            raise DlttsError(f"{name}:{lineno}: unterminated branch list")
-        action = rest[end + 1 :].strip() or "query"
-        branches = []
-        for chunk in split_top_level(rest[1:end]):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            if not (chunk.startswith("(") and chunk.endswith(")")):
-                raise DlttsError(f"{name}:{lineno}: bad branch {chunk!r}")
-            parts = split_top_level(chunk[1:-1])
-            if len(parts) < 2:
-                raise DlttsError(f"{name}:{lineno}: branch needs target and prob")
-            to = parts[0].strip()
-            try:
-                prob = parse_fraction(parts[1].strip())
-            except ValueError as exc:
-                raise DlttsError(f"{name}:{lineno}: bad probability: {exc}") from exc
-            label = _parse_label(",".join(parts[2:])) if len(parts) > 2 else Label()
-            branches.append(Branch(to, prob, label))
-        if not branches:
-            raise DlttsError(f"{name}:{lineno}: empty branch list")
-        transitions.append(Transition(source, action, tuple(branches)))
+        try:
+            transitions.append(_parse_transition(line))
+        except ValueError as exc:
+            raise DlttsError(f"{name}:{lineno}: {exc}") from exc
     return Dltts(initial=initial, stop=stop, transitions=tuple(transitions))
-

@@ -38,7 +38,6 @@ from .values import (
     IntervalMeasureMode,
     IntInterval,
     Number,
-    Record,
     TaxonomyTree,
     Taxon,
     Value,
@@ -119,56 +118,10 @@ def d_wp(tree: TaxonomyTree, x: Taxon | str, y: Taxon | str) -> Fraction:
     return 1 - Fraction(2 * cxy, cx + cy)
 
 
-def cell_distance(
-    v: Value,
-    v2: Value,
-    mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
-    *,
-    taxonomies: Mapping[str, TaxonomyTree] | None = None,
-    normalizer: Fraction | None = None,
-) -> Fraction:
-    """Dispatch to the per-class metric for one corresponding cell pair."""
-    if isinstance(v, (Atom, AtomSet)) and isinstance(v2, (Atom, AtomSet)):
-        return d_nom(v, v2)
-    if isinstance(v, IntInterval) and isinstance(v2, IntInterval):
-        return d_num(v, v2, mode)
-    if isinstance(v, Number) and isinstance(v2, Number):
-        if normalizer is None:
-            raise MetricError("numerical cells need an explicit normalizer D")
-        return d_eucl(v, v2, normalizer)
-    if isinstance(v, Taxon) and isinstance(v2, Taxon):
-        if v.tree != v2.tree:
-            raise MetricError(f"taxons from different trees: {v.tree}, {v2.tree}")
-        if taxonomies is None or v.tree not in taxonomies:
-            raise MetricError(f"no taxonomy named {v.tree!r} supplied")
-        return d_wp(taxonomies[v.tree], v, v2)
-    raise MetricError(f"no distance between {v!r} and {v2!r}")
-
-
 def _cells(t: Sequence[Value] | Row) -> tuple[Value, ...]:
     """A row's cells, or the values of a plain sequence."""
     cells = getattr(t, "cells", None)
     return tuple(t) if cells is None else cells
-
-
-class Correspondence(Record):
-    """Positional pairing between the columns of two type-compatible tuples:
-    (index in first, index in second)."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-def type_compatible(
-    t: Sequence[Value] | Row, t2: Sequence[Value] | Row
-) -> Correspondence | None:
-    """The natural order-preserving, class-matching pairing of two tuples
-    (see `corresponding`); None when the tuples are uncomparable."""
-    t, t2 = _cells(t), _cells(t2)
-    pairs = corresponding([value_kind(v) for v in t], [value_kind(v) for v in t2])
-    return None if pairs is None else Correspondence(pairs)
 
 
 def corresponding(
@@ -199,75 +152,17 @@ def corresponding(
     return tuple(pairs)
 
 
-def d_vector(
-    t: Sequence[Value] | Row,
-    t2: Sequence[Value] | Row,
-    corr: Correspondence | None = None,
-    mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
-    *,
-    taxonomies: Mapping[str, TaxonomyTree] | None = None,
-    normalizer: Fraction | Mapping[int, Fraction] | None = None,
-) -> tuple[Fraction, ...]:
-    """Column-wise distance vector over the corresponding cell pairs.
-
-    `normalizer` supplies D for numerical pairs: one value for all, or a
-    mapping keyed by the cell position in `t2`.
-    """
-    a, b = _cells(t), _cells(t2)
-    if corr is None:
-        corr = type_compatible(a, b)
-    if corr is None:
-        raise MetricError("uncomparable tuples")
-    per_pair = isinstance(normalizer, Mapping)
-    return tuple(
-        cell_distance(
-            a[i], b[j], mode, taxonomies=taxonomies,
-            normalizer=normalizer.get(j) if per_pair else normalizer,
-        )
-        for i, j in corr.pairs
-    )
-
-
-def d_bar(
-    t: Sequence[Value] | Row,
-    t2: Sequence[Value] | Row,
-    corr: Correspondence | None = None,
-    mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
-    *,
-    taxonomies: Mapping[str, TaxonomyTree] | None = None,
-    normalizer: Fraction | Mapping[int, Fraction] | None = None,
-) -> Fraction:
-    """Scalar tuple distance: the sum of the distance vector entries."""
-    return sum(
-        d_vector(t, t2, corr, mode, taxonomies=taxonomies, normalizer=normalizer),
-        Fraction(0),
-    )
-
-
-def hamming(
-    t: Sequence[Value] | Row,
-    t2: Sequence[Value] | Row,
-    corr: Correspondence | None = None,
-) -> int | None:
-    """Generalized Hamming count over corresponding positions; None when the
-    tuples are uncomparable (a partial metric, by design)."""
-    a, b = _cells(t), _cells(t2)
-    if corr is None:
-        corr = type_compatible(a, b)
-    if corr is None:
-        return None
-    return sum(1 for i, j in corr.pairs if a[i] != b[j])
 
 
 def _shape(cells: tuple[Value, ...]) -> tuple:
-    """What rho plans by: each cell's class, a taxon's tree name in its
-    place."""
+    """What a pair is planned by: each cell's class, a taxon's tree name in
+    its place."""
     return tuple(v.tree if v.__class__ is Taxon else v.__class__ for v in cells)
 
 
 @lru_cache(maxsize=1024)
 def _plan(shape, shape2, normalizer) -> tuple | None:
-    """How rho measures two tuples of these shapes; None when they are
+    """How to measure two tuples of these shapes; None when they are
     uncomparable, `_NOT_CELLS` when a shape holds a non-value.  A plan is
     the corresponding positions with each one's D, the positions whose
     values need a check, in cell order (numerical ones with their D,
@@ -306,10 +201,28 @@ _NOT_CELLS = ((), (), None)
 _ZERO = Fraction(0)
 
 
-def _pair_distance(plan, a, b, mode, taxonomies, bound) -> Fraction | None:
-    """d̄(a, b) by `plan`, or None once the sum passes `bound`.  The value
-    checks run first, in cell order, so a pair raises as its whole
-    distance vector would."""
+def _pairs(S, S2, normalizer):
+    """Each pair of cells drawn from S and S2, with its plan; raises
+    TypeError, as `value_kind` does, on a pair that holds a non-value."""
+    rows2 = [(b, _shape(b)) for b in map(_cells, S2)]
+    if not rows2:
+        return
+    if isinstance(normalizer, Mapping):
+        normalizer = tuple(normalizer.items())
+    for a in map(_cells, S):
+        shape = _shape(a)
+        for b, shape2 in rows2:
+            plan = _plan(shape, shape2, normalizer)
+            if plan is _NOT_CELLS:
+                for v in a + b:
+                    value_kind(v)
+            yield a, b, plan
+
+
+def _checked(plan, a, b, taxonomies) -> tuple:
+    """The positions `plan` measures, once the values of a and b passed
+    its checks in cell order and it holds no unavoidable error; raises
+    MetricError at the first check that fails."""
     ops, checks, error = plan
     for i, j, arg in checks:
         x, y = a[i], b[j]
@@ -323,15 +236,64 @@ def _pair_distance(plan, a, b, mode, taxonomies, bound) -> Fraction | None:
             taxonomies[arg].depth(x.node), taxonomies[arg].depth(y.node)
     if error is not None:
         raise MetricError(error)
-    total = _ZERO
-    for i, j, d in ops:
-        if a[i] != b[j]:  # every per-class distance is zero on equal values
-            term = cell_distance(a[i], b[j], mode, taxonomies=taxonomies,
-                                 normalizer=d)
-            total = term if total is _ZERO else total + term
-            if bound is not None and total > bound:
-                return None
-    return None if bound is not None and total > bound else total
+    return ops
+
+
+def _term(x: Value, y: Value, mode, taxonomies, d) -> Fraction:
+    """The per-class distance of two corresponding cells that passed
+    `_checked`, with D the position's normalizer."""
+    cls = x.__class__
+    if cls is IntInterval:
+        return d_num(x, y, mode)
+    if cls is Number:
+        return abs(x.value - y.value) / d
+    if cls is Taxon:
+        return d_wp(taxonomies[x.tree], x, y)
+    return d_nom(x, y)
+
+
+def d_vector(
+    t: Sequence[Value] | Row,
+    t2: Sequence[Value] | Row,
+    mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
+    *,
+    taxonomies: Mapping[str, TaxonomyTree] | None = None,
+    normalizer: Fraction | Mapping[int, Fraction] | None = None,
+) -> tuple[Fraction, ...]:
+    """Column-wise distance vector over the corresponding cell pairs.
+
+    `normalizer` supplies D for numerical pairs: one value for all, or a
+    mapping keyed by the cell position in `t2`.
+    """
+    ((a, b, plan),) = _pairs((t,), (t2,), normalizer)
+    if plan is None:
+        raise MetricError("uncomparable tuples")
+    return tuple(_term(a[i], b[j], mode, taxonomies, d)
+                 for i, j, d in _checked(plan, a, b, taxonomies))
+
+
+def d_bar(
+    t: Sequence[Value] | Row,
+    t2: Sequence[Value] | Row,
+    mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
+    *,
+    taxonomies: Mapping[str, TaxonomyTree] | None = None,
+    normalizer: Fraction | Mapping[int, Fraction] | None = None,
+) -> Fraction:
+    """Scalar tuple distance: the sum of the distance vector entries."""
+    return sum(
+        d_vector(t, t2, mode, taxonomies=taxonomies, normalizer=normalizer), _ZERO
+    )
+
+
+def hamming(t: Sequence[Value] | Row, t2: Sequence[Value] | Row) -> int | None:
+    """Generalized Hamming count over corresponding positions; None when the
+    tuples are uncomparable (a partial metric, by design)."""
+    a, b = _cells(t), _cells(t2)
+    pairs = corresponding([value_kind(v) for v in a], [value_kind(v) for v in b])
+    if pairs is None:
+        return None
+    return sum(1 for i, j in pairs if a[i] != b[j])
 
 
 def rho(
@@ -353,24 +315,18 @@ def rho(
     whatever the bound.  The correspondence, each position's D and every
     error no value can avoid are planned once per pair of shapes.
     """
-    rows2 = [(b, _shape(b)) for b in map(_cells, S2)]
-    if not rows2:
-        return None
-    if isinstance(normalizer, Mapping):
-        normalizer = tuple(normalizer.items())
     best: Fraction | None = None
-    for t in S:
-        a = _cells(t)
-        shape = _shape(a)
-        for b, shape2 in rows2:
-            plan = _plan(shape, shape2, normalizer)
-            if plan is _NOT_CELLS:
-                for v in a + b:
-                    value_kind(v)  # raises as type_compatible would
-            if plan is None:
-                continue
-            d = _pair_distance(plan, a, b, mode, taxonomies,
-                               at_most if best is None else best)
-            if d is not None and (best is None or d < best):
-                best = d
+    for a, b, plan in _pairs(S, S2, normalizer):
+        if plan is None:
+            continue
+        bound = at_most if best is None else best
+        total = _ZERO
+        for i, j, d in _checked(plan, a, b, taxonomies):
+            if a[i] != b[j]:  # every per-class distance is zero on equal values
+                term = _term(a[i], b[j], mode, taxonomies, d)
+                total = term if total is _ZERO else total + term
+                if bound is not None and total > bound:
+                    break
+        if bound is None or total <= bound:
+            best = total
     return best

@@ -26,15 +26,10 @@ class ScenarioError(ValueError):
 class Report:
     """A deterministic report: its text lines and the values behind them."""
 
-    def __init__(
-        self,
-        scenario: str,
-        lines: list[str] | None = None,
-        values: dict[str, object] | None = None,
-    ) -> None:
+    def __init__(self, scenario: str) -> None:
         self.scenario = scenario
-        self.lines: list[str] = [] if lines is None else lines
-        self.values: dict[str, object] = {} if values is None else values
+        self.lines: list[str] = []
+        self.values: dict[str, object] = {}
         # The systems the run sections built, by run name, for `--dot`.
         self.runs: dict[str, Dltts] = {}
 

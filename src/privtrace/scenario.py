@@ -281,18 +281,18 @@ def build_run(
     for i, step in enumerate(run.get("steps", [])):
         branches = []
         for j, bdoc in enumerate(step["branches"]):
-            for t in bdoc.get("learn", []):
+            where = f"scenario runs.{run_name}.steps[{i}].branches[{j}]"
+            for k, t in enumerate(bdoc.get("learn", [])):
                 if t not in patterns:
-                    patterns[t] = parse_pattern(
-                        t, scenario.schema.columns, scenario.schema.taxonomies)
+                    patterns[t] = _read(f"{where}.learn[{k}]", parse_pattern, t,
+                                        scenario.schema.columns, scenario.schema.taxonomies)
             tuples = frozenset(patterns[t] for t in bdoc.get("learn", []))
             label = Label(
                 text=bdoc.get("text", ""),
                 lines=frozenset(bdoc.get("lines", [])),
                 tuples=tuples,
             )
-            prob = _read(f"scenario runs.{run_name}.steps[{i}].branches[{j}].prob",
-                         parse_fraction, bdoc["prob"])
+            prob = _read(f"{where}.prob", parse_fraction, bdoc["prob"])
             branches.append((bdoc["to"], prob, label))
         new_states = builder.add_transition(step["from"], step["action"], branches)
         for state in new_states:
@@ -338,9 +338,7 @@ def metric_section(
             report.add(f"## metric {table_name} {a} {b} ({mode.value})")
             prefix = f"metric/{table_name}/{a}/{b}/{mode.value}"
             try:
-                vec = d_vector(
-                    ra, rb, None, mode, taxonomies=taxonomies, normalizer=normalizer
-                )
+                vec = d_vector(ra, rb, mode, taxonomies=taxonomies, normalizer=normalizer)
             except MetricError:
                 all_defined = False
                 report.add("uncomparable pair")

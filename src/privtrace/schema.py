@@ -312,11 +312,13 @@ def load_schema(config_text: str) -> SchemaBundle:
         for name, tdoc in doc.get("taxonomies", {}).items()
     }
     columns = parse_columns(doc.get("columns", []), taxonomies)
-    patterns = tuple(
-        parse_pattern(text, columns, taxonomies, force_negative=True)
-        for text in doc.get("policy", [])
-    )
-    return SchemaBundle(columns, taxonomies, PrivacyPolicy(patterns))
+    patterns = []
+    for i, text in enumerate(doc.get("policy", [])):
+        try:
+            patterns.append(parse_pattern(text, columns, taxonomies, force_negative=True))
+        except ValueError as exc:
+            raise SchemaError(f"schema policy[{i}]: {exc}") from None
+    return SchemaBundle(columns, taxonomies, PrivacyPolicy(tuple(patterns)))
 
 
 def parse_pattern(

@@ -438,8 +438,8 @@ _INTERVAL_RE = re.compile(r"^\[\s*(-?\d+)\s*-\s*(-?\d+)\s*\]$")
 _SET_RE = re.compile(r"^\{(.*)\}$")
 
 
-def split_top_level(text: str, sep: str = ",") -> list[str]:
-    """Split on `sep` outside any (), [], {} nesting."""
+def split_top_level(text: str) -> list[str]:
+    """Split on commas outside any (), [], {} nesting."""
     parts: list[str] = []
     depth = 0
     cur: list[str] = []
@@ -450,7 +450,7 @@ def split_top_level(text: str, sep: str = ",") -> list[str]:
             depth -= 1
             if depth < 0:
                 raise ValueError(f"unbalanced brackets in {text!r}")
-        if ch == sep and depth == 0:
+        if ch == "," and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:

@@ -1,7 +1,8 @@
 """Reference implementations the tests check the library against: the
-whole-sum rho and the per-premise R1-R3 derivation that the planned ones
-replaced, the oracle's whole-tag ruling, the multiset order on priority
-keys, and the two-coin randomized response mechanism."""
+per-cell distance vector and the whole-sum rho over it, the per-premise
+R1-R3 derivation, which the planned ones replaced, the oracle's whole-tag
+ruling, the multiset order on priority keys, and the two-coin randomized
+response mechanism."""
 
 from __future__ import annotations
 
@@ -17,7 +18,15 @@ from privtrace.dltts import (
     check_consistency,
 )
 from privtrace.lts import Tag
-from privtrace.metrics import _cells, d_bar, type_compatible
+from privtrace.metrics import (
+    MetricError,
+    _cells,
+    corresponding,
+    d_eucl,
+    d_nom,
+    d_num,
+    d_wp,
+)
 from privtrace.privacy import Mechanism
 from privtrace.schema import (
     ColumnSchema,
@@ -27,14 +36,89 @@ from privtrace.schema import (
     TuplePattern,
 )
 from privtrace.values import (
+    Atom,
+    AtomSet,
     ColumnClass,
     IntervalMeasureMode,
+    IntInterval,
     Number,
     Taxon,
     TaxonomyTree,
     Value,
     Wildcard,
+    value_kind,
 )
+
+
+def cell_distance(
+    v: Value,
+    v2: Value,
+    mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
+    *,
+    taxonomies: Mapping[str, TaxonomyTree] | None = None,
+    normalizer: Fraction | None = None,
+) -> Fraction:
+    """The per-class metric of one corresponding cell pair, each operand
+    checked as it is reached."""
+    if isinstance(v, (Atom, AtomSet)) and isinstance(v2, (Atom, AtomSet)):
+        return d_nom(v, v2)
+    if isinstance(v, IntInterval) and isinstance(v2, IntInterval):
+        return d_num(v, v2, mode)
+    if isinstance(v, Number) and isinstance(v2, Number):
+        if normalizer is None:
+            raise MetricError("numerical cells need an explicit normalizer D")
+        return d_eucl(v, v2, normalizer)
+    if isinstance(v, Taxon) and isinstance(v2, Taxon):
+        if v.tree != v2.tree:
+            raise MetricError(f"taxons from different trees: {v.tree}, {v2.tree}")
+        if taxonomies is None or v.tree not in taxonomies:
+            raise MetricError(f"no taxonomy named {v.tree!r} supplied")
+        return d_wp(taxonomies[v.tree], v, v2)
+    raise MetricError(f"no distance between {v!r} and {v2!r}")
+
+
+def type_compatible(
+    t: Sequence[Value] | Row, t2: Sequence[Value] | Row
+) -> tuple[tuple[int, int], ...] | None:
+    """The corresponding positions of two tuples, by their cells' kinds;
+    None when the tuples are uncomparable."""
+    t, t2 = _cells(t), _cells(t2)
+    return corresponding([value_kind(v) for v in t], [value_kind(v) for v in t2])
+
+
+def d_vector(
+    t: Sequence[Value] | Row,
+    t2: Sequence[Value] | Row,
+    mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
+    *,
+    taxonomies: Mapping[str, TaxonomyTree] | None = None,
+    normalizer: Fraction | Mapping[int, Fraction] | None = None,
+) -> tuple[Fraction, ...]:
+    """The distance vector, one `cell_distance` per corresponding pair."""
+    a, b = _cells(t), _cells(t2)
+    pairs = type_compatible(a, b)
+    if pairs is None:
+        raise MetricError("uncomparable tuples")
+    per_pair = isinstance(normalizer, Mapping)
+    return tuple(
+        cell_distance(
+            a[i], b[j], mode, taxonomies=taxonomies,
+            normalizer=normalizer.get(j) if per_pair else normalizer,
+        )
+        for i, j in pairs
+    )
+
+
+def d_bar(t, t2, mode=IntervalMeasureMode.INTEGER_SET, **kwargs) -> Fraction:
+    """The sum of the per-cell distance vector."""
+    return sum(d_vector(t, t2, mode, **kwargs), Fraction(0))
+
+
+def hamming(t: Sequence[Value] | Row, t2: Sequence[Value] | Row) -> int | None:
+    """The count of corresponding positions whose values differ."""
+    a, b = _cells(t), _cells(t2)
+    pairs = type_compatible(a, b)
+    return None if pairs is None else sum(a[i] != b[j] for i, j in pairs)
 
 
 def rho(
@@ -50,10 +134,9 @@ def rho(
     best: Fraction | None = None
     for t in S:
         for t2 in S2:
-            corr = type_compatible(_cells(t), _cells(t2))
-            if corr is None:
+            if type_compatible(t, t2) is None:
                 continue
-            d = d_bar(t, t2, corr, mode, taxonomies=taxonomies, normalizer=normalizer)
+            d = d_bar(t, t2, mode, taxonomies=taxonomies, normalizer=normalizer)
             if best is None or d < best:
                 best = d
     return best

@@ -234,7 +234,7 @@ def test_criterion_8c_rho_below_hamming_battery():
         r = rho([t], [t2], IS, taxonomies={"t": tree}, normalizer=F(100))
         assert dh is not None and r is not None
         assert r <= dh
-        vec = d_vector(t, t2, None, IS, taxonomies={"t": tree}, normalizer=F(100))
+        vec = d_vector(t, t2, IS, taxonomies={"t": tree}, normalizer=F(100))
         for entry, a, b in zip(vec, t, t2):
             assert entry <= (1 if a != b else 0)
         if t != t2 and dh > 0:

@@ -164,7 +164,7 @@ def test_every_public_name_is_its_module_attribute():
         "    assert getattr(privtrace, name) is getattr(module, name), name\n"
         "print(len(privtrace.__all__))\n"
     )
-    assert out == "60\n"
+    assert out == "58\n"
 
 
 def test_unknown_attribute_raises_attribute_error():

@@ -17,10 +17,11 @@ from privtrace.metrics import (
     d_wp,
     hamming,
     rho,
-    type_compatible,
 )
 from privtrace.schema import Row
 from privtrace.values import Atom, AtomSet, IntInterval, Number, Taxon, TaxonomyTree
+
+from reference import type_compatible
 
 IS = IntervalMeasureMode.INTEGER_SET
 PC = IntervalMeasureMode.PAPER_COMPAT
@@ -116,10 +117,10 @@ def _rows(published):
 def test_d_vector_published_l4_l5(published, ailment_tree):
     rows = _rows(published)
     taxo = {"ailment": ailment_tree}
-    vec = d_vector(rows["l4"], rows["l5"], None, PC, taxonomies=taxo)
+    vec = d_vector(rows["l4"], rows["l5"], PC, taxonomies=taxo)
     assert vec == (F(19, 20), 0, 1, 0)
-    assert d_vector(rows["l4"], rows["l4"], None, PC, taxonomies=taxo) == (0, 0, 0, 0)
-    vec_is = d_vector(rows["l1"], rows["l3"], None, IS, taxonomies=taxo)
+    assert d_vector(rows["l4"], rows["l4"], PC, taxonomies=taxo) == (0, 0, 0, 0)
+    vec_is = d_vector(rows["l1"], rows["l3"], IS, taxonomies=taxo)
     # per-column direct evaluation; the last entry is d_wp of depth-2 nodes
     assert vec_is == (0, 0, 1, F(1, 2))
 
@@ -127,9 +128,9 @@ def test_d_vector_published_l4_l5(published, ailment_tree):
 def test_d_bar_published(published, ailment_tree):
     rows = _rows(published)
     taxo = {"ailment": ailment_tree}
-    assert d_bar(rows["l4"], rows["l5"], None, PC, taxonomies=taxo) == F(39, 20)
-    assert d_bar(rows["l4"], rows["l5"], None, IS, taxonomies=taxo) == F(41, 21)
-    assert d_bar(rows["l4"], rows["l4"], None, IS, taxonomies=taxo) == 0
+    assert d_bar(rows["l4"], rows["l5"], PC, taxonomies=taxo) == F(39, 20)
+    assert d_bar(rows["l4"], rows["l5"], IS, taxonomies=taxo) == F(41, 21)
+    assert d_bar(rows["l4"], rows["l4"], IS, taxonomies=taxo) == 0
 
 
 def test_rho_published(published, ailment_tree):
@@ -147,7 +148,7 @@ def test_rho_brute_force_agreement(published, ailment_tree):
     taxo = {"ailment": ailment_tree}
     S, S2 = rows[:3], rows[2:]
     expected = min(
-        d_bar(a, b, None, IS, taxonomies=taxo) for a in S for b in S2
+        d_bar(a, b, IS, taxonomies=taxo) for a in S for b in S2
     )
     assert rho(S, S2, IS, taxonomies=taxo) == expected
 
@@ -166,7 +167,7 @@ def test_rho_symmetric_and_min_property(published, ailment_tree):
     assert r == rho(S2, S, IS, taxonomies=taxo)
     for a in S:
         for b in S2:
-            assert r <= _d_bar(a, b, None, IS, taxonomies=taxo)
+            assert r <= _d_bar(a, b, IS, taxonomies=taxo)
 
 
 def test_hamming_partial_metric_cases():
@@ -187,7 +188,7 @@ def test_domination_d_bar_below_hamming(published, ailment_tree):
     for a in rows:
         for b in rows:
             dh = hamming(a, b)
-            assert d_bar(a, b, None, IS, taxonomies=taxo) <= dh
+            assert d_bar(a, b, IS, taxonomies=taxo) <= dh
 
 
 sets = st.sets(st.sampled_from("abcdef"), min_size=1, max_size=6).map(AtomSet)
@@ -233,10 +234,14 @@ def test_hamming_none_when_correspondence_none():
     t = (Atom("a"),)
     t2 = (Number(1),)
     assert type_compatible(t, t2) is None
-    assert hamming(t, t2, None) is None
+    assert hamming(t, t2) is None
 
 
 # -- the bounded rho against the whole-sum one it replaced --------------------
+
+_TREES = (TaxonomyTree("t", "n0", {"n1": "n0", "n2": "n0", "n3": "n1", "n4": "n3"}),
+          TaxonomyTree("u", "m0", {"m1": "m0", "m2": "m1"}))
+
 
 def _random_tuple(rng, trees):
     """A tuple of 1-4 cells of random kinds: numbers that may lie beyond
@@ -289,8 +294,7 @@ def test_bounded_rho_matches_the_whole_sum_reference():
     from reference import rho as whole_sum_rho
 
     rng = random.Random(1515)
-    t = TaxonomyTree("t", "n0", {"n1": "n0", "n2": "n0", "n3": "n1", "n4": "n3"})
-    u = TaxonomyTree("u", "m0", {"m1": "m0", "m2": "m1"})
+    t, u = _TREES
     seen = {"raised": 0, "uncomparable": 0, "within": 0, "beyond": 0}
     for _ in range(3000):
         S = [_random_tuple(rng, (t, u)) for _ in range(rng.randint(1, 3))]
@@ -314,3 +318,30 @@ def test_bounded_rho_matches_the_whole_sum_reference():
                      else "uncomparable"] += 1
         seen["raised"] += expected[0] != "value"
     assert min(seen.values()) > 300, seen
+
+
+def test_planned_distances_match_the_per_cell_reference():
+    """d_vector, d_bar and hamming read the plan rho reads; each equals
+    the per-cell path's result, or raises its error type and message."""
+    import reference
+
+    rng = random.Random(1717)
+    t, u = _TREES
+    seen = {"raised": 0, "value": 0}
+    for _ in range(1000):
+        a, b = _random_tuple(rng, _TREES), _random_tuple(rng, _TREES)
+        while type_compatible(a, b) is None and rng.random() < 0.9:
+            b = _random_tuple(rng, _TREES)  # mostly comparable pairs
+        if rng.random() < 0.02:
+            a += ("not a value",)
+        if rng.random() < 0.3:
+            b = Row("r", b)
+        mode = rng.choice((IS, PC))
+        kw = {"taxonomies": rng.choice((None, {"t": t}, {"t": t, "u": u})),
+              "normalizer": _random_normalizer(rng)}
+        for fn, ref in ((d_vector, reference.d_vector), (d_bar, reference.d_bar)):
+            expected = _rho_outcome(ref, a, b, mode, **kw)
+            assert _rho_outcome(fn, a, b, mode, **kw) == expected
+        assert _rho_outcome(hamming, a, b) == _rho_outcome(reference.hamming, a, b)
+        seen["value" if expected[0] == "value" else "raised"] += 1
+    assert min(seen.values()) >= 300, seen

@@ -16,7 +16,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from privtrace import attack, lts, metrics, privacy, schema, values
+from privtrace import attack, lts, privacy, schema, values
 from privtrace.metrics import IntervalMeasureMode
 from privtrace.schema import GROUPS, Row, TuplePattern
 from privtrace.values import STAR, Atom, ColumnClass, Record
@@ -91,7 +91,6 @@ RECORDS = {
                            lambda rng: (tuple(TuplePattern(*_pattern(rng, True))
                                               for _ in range(rng.randint(0, 2))),)),
     schema.SchemaBundle: (("columns", "taxonomies", "policy"), _pool(3)),
-    metrics.Correspondence: (("pairs",), _pool(1)),
     lts.Label: (("text", "lines", "tuples", "source"), _pool(4)),
     lts.Branch: (("to", "prob", "label"), _pool(3)),
     lts.Transition: (("source", "action", "branches"), _pool(3)),

@@ -435,6 +435,30 @@ def test_cli_malformed_scenario_exits_two(tmp_path, sections):
     assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
 
 
+def _replace_in(file: str, old: str, new: str):
+    """An `edit` of `_hospital_copy` that replaces `old` by `new` in `file`."""
+    def edit(directory):
+        path = directory / file
+        path.write_text(path.read_text().replace(old, new, 1))
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_replace_in("trace.dltts", "[(s1, 1, M:0", "[((s1, 1, M:0"),
+     "trace:4: unbalanced brackets in '((s1, 1, M:0 {l1,l3})'"),
+    (_replace_in("scenario.json", "(John,*,F,*,*)", "(John,*,F,*)"),
+     "scenario runs.trace.steps[0].branches[0].learn[0]: "
+     "pattern arity 4 does not match schema arity 5"),
+    (_replace_in("schema.json", "!(John,*,*,*,CoVid)", "!(John,*,*,CoVid)"),
+     "schema policy[0]: pattern arity 4 does not match schema arity 5"),
+])
+def test_cli_text_grammar_error_names_its_place(tmp_path, capsys, edit, message):
+    """A transcript line, a run's learn pattern and a policy pattern that
+    do not parse exit 2 with a message naming where they are."""
+    assert cli_main(["analyze", "--scenario", _hospital_copy(tmp_path, edit)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _without(entry: dict, field: str) -> dict:
     return {k: v for k, v in entry.items() if k != field}
 
