@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .lts import Branch, Dltts, Label, Transition, parse_dltts
 from .schema import DataTable
@@ -124,6 +124,23 @@ def _response_switch(
     )
 
 
+def _switched(name: str, dltts: Dltts, responses: Iterable[ResponseEdge],
+              value_of: Callable[[str], str], assumed: bool) -> AttackDltts:
+    """The attack system `name` over `dltts` and its drawn `responses`, plus
+    a response switch, of value `value_of(line)`, at every singleton node
+    that has none."""
+    responses = list(responses)
+    drawn = {(edge.node, edge.line) for edge in responses}
+    transitions = list(dltts.transitions)
+    for node, line in AttackDltts(name, dltts, ()).singleton_nodes():
+        if (node, line) not in drawn:
+            transition, edge = _response_switch(node, line, value_of(line), assumed)
+            transitions.append(transition)
+            responses.append(edge)
+    dltts = dltts.replace(transitions=tuple(transitions))
+    return AttackDltts(name=name, dltts=dltts, responses=tuple(responses))
+
+
 def _sensitive_value(db: DataTable, line_id: str) -> str:
     for i, col in enumerate(db.columns):
         if col.group == "sensitive":
@@ -206,22 +223,9 @@ def build_attack_dltts(db: DataTable, profile: AttackerProfile) -> AttackDltts:
 
     expand("s0", list(db.rows), 0)
 
-    responses: list[ResponseEdge] = []
-    seen: set[tuple[str, str]] = set()
-    for t in list(transitions):
-        for b in t.branches:
-            if len(b.label.lines) != 1:
-                continue
-            line = next(iter(b.label.lines))
-            if (b.to, line) in seen:
-                continue
-            seen.add((b.to, line))
-            transition, edge = _response_switch(b.to, line, _sensitive_value(db, line))
-            transitions.append(transition)
-            responses.append(edge)
-
     dltts = Dltts(initial="s0", stop="STOP", transitions=tuple(transitions))
-    return AttackDltts(name=profile.name, dltts=dltts, responses=tuple(responses))
+    return _switched(profile.name, dltts, (),
+                     lambda line: _sensitive_value(db, line), assumed=False)
 
 
 def load_attack_dltts(text: str, name: str = "attack") -> AttackDltts:
@@ -230,7 +234,6 @@ def load_attack_dltts(text: str, name: str = "attack") -> AttackDltts:
     the response-switch invariant holds on published diagrams too."""
     dltts = parse_dltts(text, name)
     responses: list[ResponseEdge] = []
-    drawn: set[tuple[str, str]] = set()
     line_values: dict[str, str] = {}
     for t in dltts.transitions:
         line = _response_line(t.action)
@@ -241,22 +244,9 @@ def load_attack_dltts(text: str, name: str = "attack") -> AttackDltts:
         m = _RESPONSE_LABEL_RE.search(t.branches[0].label.text)
         value = m.group(2) if m else "?"
         responses.append(ResponseEdge(t.source, line, value, t.branches[0].to))
-        drawn.add((t.source, line))
         line_values.setdefault(line, value)
-
-    transitions = list(dltts.transitions)
-    preliminary = AttackDltts(name=name, dltts=dltts, responses=tuple(responses))
-    for node, line in preliminary.singleton_nodes():
-        if (node, line) in drawn:
-            continue
-        drawn.add((node, line))
-        transition, edge = _response_switch(
-            node, line, line_values.get(line, "?"), assumed=True
-        )
-        transitions.append(transition)
-        responses.append(edge)
-    dltts = dltts.replace(transitions=tuple(transitions))
-    return AttackDltts(name=name, dltts=dltts, responses=tuple(responses))
+    return _switched(name, dltts, responses,
+                     lambda line: line_values.get(line, "?"), assumed=True)
 
 
 def _active_transitions(attack: AttackDltts, state: str) -> list[Transition]:

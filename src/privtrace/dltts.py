@@ -252,24 +252,28 @@ def _secret_rho(knowledge, secrets, mode, taxonomies, at_most) -> Fraction | Non
 
 
 class DlttsBuilder:
-    """Single-owner construction of a tagged system.
+    """Single-owner construction of a tagged system, judged as it grows.
 
     Tags are computed tightly from branch labels and saturated eagerly at
-    state creation, each from its parent's saturated tag, and cached.
-    `oracle_step` rules on a state under the oracle configuration the
-    builder was made with (policy, secrets, epsilon, mode) and,
-    on a violation, installs the `delta` transition to Stop as its only
-    outgoing transition.
+    state creation, each from its parent's saturated tag, and cached.  The
+    oracle rules on every state as the builder makes it, under the
+    configuration the builder was made with (policy, secrets, epsilon,
+    mode), and records the ruling in `verdicts`.  A violating state gets
+    the `delta` transition to Stop as its only outgoing transition.
 
     A new state pays only for what it adds to its parent's saturated tag,
     which it contains.  Saturation reads one memo of each premise's R1-R3
     results, valid because the externals, columns and taxonomies are fixed
-    for the builder's life.  When the parent's verdict was `continue`, its
-    saturated tag passed both checks, so the state checks only the tuples
-    it added: against the policy, and whether any added ground tuple lies
-    within epsilon of a secret.  That answer is memoized by the tuple's
-    cells, valid because the oracle configuration is fixed too.
+    for the builder's life.  Only a state whose verdict was `continue`
+    takes transitions, so a parent's saturated tag passed both checks and
+    a child checks only the tuples it added: against the policy, and
+    whether any added ground tuple lies within epsilon of a secret.  That
+    answer is memoized by the tuple's cells, valid because the oracle
+    configuration is fixed too.
     """
+
+    initial = "s0"
+    stop = "STOP"
 
     def __init__(
         self,
@@ -281,8 +285,6 @@ class DlttsBuilder:
         secrets: Iterable[Sequence | DataTable] | None = None,
         epsilon: Fraction | None = None,
         mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
-        initial: str = "s0",
-        stop: str = "STOP",
     ) -> None:
         self.policy = policy or PrivacyPolicy(())
         self.externals = tuple(externals)
@@ -291,36 +293,30 @@ class DlttsBuilder:
         self.secrets = None if secrets is None else list(secrets)
         self.epsilon = epsilon
         self.mode = mode
-        self.initial = initial
-        self.stop = stop
         self.transitions: list[Transition] = []
         self._derivations: dict[TuplePattern, tuple[TuplePattern, ...]] = {}
         self._plans: dict[tuple, tuple] = {}
-        self.tags: dict[str, Tag] = {initial: frozenset({TOP})}
-        self.saturated: dict[str, Tag] = {initial: self._saturate(frozenset({TOP}))}
-        self.state_probs: dict[str, Fraction] = {initial: Fraction(1)}
-        self.closed: set[str] = set()
-        self._parent: dict[str, str] = {}
-        self._sources: set[str] = set()
-        # states whose verdict was `continue`
-        self._continued: set[str] = set()
+        self.tags: dict[str, Tag] = {self.initial: frozenset({TOP})}
+        self.saturated: dict[str, Tag] = {self.initial: self._saturate(frozenset({TOP}))}
+        self.state_probs: dict[str, Fraction] = {self.initial: Fraction(1)}
+        self.verdicts: dict[str, OracleVerdict] = {}
         # ground tuple cells -> is the tuple within epsilon of a secret?
         self._within: dict[tuple, bool] = {}
+        self.oracle_step(self.initial, frozenset())
 
     def add_transition(
         self,
         source: str,
         action: str,
         branches: Iterable[tuple[str, Fraction, Label]],
-    ) -> list[str]:
+    ) -> None:
         if source == self.stop:
             raise DlttsError("Stop has no outgoing transitions")
-        if source not in self.tags:
+        if source not in self.verdicts:
             raise DlttsError(f"unknown source state {source!r}")
-        if source in self.closed:
+        if self.verdicts[source] is not OracleVerdict.CONTINUE:
             raise DlttsError(f"state {source!r} is closed by a violation")
         branch_objs = []
-        new_states = []
         total = Fraction(0)
         for to, prob, label in branches:
             prob = Fraction(prob)
@@ -330,7 +326,6 @@ class DlttsBuilder:
             if to in self.tags or to == self.stop or to == source:
                 raise DlttsError(f"branch target {to!r} already exists")
             branch_objs.append(Branch(to, prob, label))
-            new_states.append(to)
         if not branch_objs:
             raise DlttsError("transition needs at least one branch")
         if total != 1:
@@ -338,44 +333,35 @@ class DlttsBuilder:
         if len({b.to for b in branch_objs}) != len(branch_objs):
             raise DlttsError("duplicate branch target within one transition")
         self.transitions.append(Transition(source, action, tuple(branch_objs)))
-        self._sources.add(source)
         parent_sat = self.saturated[source]
         for b in branch_objs:
             tag = parent_sat | b.label.tuples
             self.tags[b.to] = tag
             self.saturated[b.to] = self._saturate(tag, parent_sat)
             self.state_probs[b.to] = self.state_probs[source] * b.prob
-            self._parent[b.to] = source
-        return new_states
+        for b in branch_objs:
+            self.oracle_step(b.to, parent_sat)
 
     def _saturate(self, tag: Tag, closed: Tag = frozenset()) -> Tag:
         return saturate(tag, self.externals, columns=self.columns,
                         taxonomies=self.taxonomies, closed=closed,
                         memo=self._derivations, plans=self._plans)
 
-    def oracle_step(self, state: str) -> OracleVerdict:
-        if state == self.stop:
-            raise DlttsError("the oracle never examines Stop")
+    def oracle_step(self, state: str, checked: Tag) -> None:
+        """Rule on the new `state` and record the verdict: `checked` is the
+        part of its saturated tag that already passed both checks."""
         tag = self.saturated[state]
-        parent = self._parent.get(state)
-        checked = self.saturated[parent] if parent in self._continued else frozenset()
         if not check_consistency(tag, self.policy, closed=checked):
             verdict = OracleVerdict.VIOLATION
         elif self._within_epsilon(tag - checked):
             verdict = OracleVerdict.EPSILON_VIOLATION
         else:
-            self._continued.add(state)
-            return OracleVerdict.CONTINUE
-        if state in self._sources:
-            raise DlttsError(
-                f"violating state {state!r} already has outgoing transitions"
+            verdict = OracleVerdict.CONTINUE
+        self.verdicts[state] = verdict
+        if verdict is not OracleVerdict.CONTINUE:
+            self.transitions.append(
+                Transition(state, DELTA, (Branch(self.stop, Fraction(1), Label("δ")),))
             )
-        self.transitions.append(
-            Transition(state, DELTA, (Branch(self.stop, Fraction(1), Label("δ")),))
-        )
-        self._sources.add(state)
-        self.closed.add(state)
-        return verdict
 
     def _within_epsilon(self, tuples: Iterable[TuplePattern]) -> bool:
         """Is some ground tuple among `tuples` within epsilon of a secret?

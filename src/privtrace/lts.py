@@ -116,21 +116,43 @@ class Run(Record):
 
 def reach_stop(dltts: Dltts) -> tuple[bool, tuple[Run, ...]]:
     """All simple runs from the initial state that end in Stop, each with the
-    exact product of its branch probabilities.  Depth-first with an explicit
-    stack, so transcript depth is not bounded by the interpreter's
+    exact product of its branch probabilities.  A reverse walk finds the
+    states that reach Stop; a depth-first walk then extends one shared path
+    into them alone, on an explicit stack, so a chain costs time linear in
+    its length and transcript depth is not bounded by the interpreter's
     recursion limit."""
-    runs: list[Run] = []
-    todo = [((dltts.initial,), (), Fraction(1))]
+    initial, stop = dltts.initial, dltts.stop
+    sources: dict[str, set[str]] = {}
+    for t in dltts.transitions:
+        for b in t.branches:
+            sources.setdefault(b.to, set()).add(t.source)
+    live = {stop}
+    todo = [stop]
     while todo:
-        path, actions, prob = todo.pop()
-        if path[-1] == dltts.stop:
-            runs.append(Run(path, actions, prob))
+        for s in sources.get(todo.pop(), ()):
+            if s not in live:
+                live.add(s)
+                todo.append(s)
+    runs: list[Run] = []
+    path: list[str] = []
+    actions: list[str] = []  # the action into each path state
+    on_path: set[str] = set()
+    todo = [(0, initial, "", Fraction(1))] if initial in live else []
+    while todo:
+        depth, state, action, prob = todo.pop()
+        on_path.difference_update(path[depth:])
+        del path[depth:], actions[depth:]
+        path.append(state)
+        actions.append(action)
+        if state == stop:
+            runs.append(Run(tuple(path), tuple(actions[1:]), prob))
             continue
+        on_path.add(state)
         todo.extend(reversed([
-            (path + (b.to,), actions + (t.action,), prob * b.prob)
-            for t in dltts.outgoing(path[-1])
+            (depth + 1, b.to, t.action, prob * b.prob)
+            for t in dltts.outgoing(state)
             for b in t.branches
-            if b.to not in path
+            if b.to in live and b.to not in on_path
         ]))
     runs.sort(key=lambda r: (-r.probability, r.states))
     return (bool(runs), tuple(runs))

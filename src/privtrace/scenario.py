@@ -26,6 +26,7 @@ from .values import (
     PAIR,
     IntervalMeasureMode,
     Names,
+    Record,
     Required,
     parse_cell,
     parse_fraction,
@@ -43,40 +44,22 @@ if TYPE_CHECKING:
     from .privacy import Mechanism
 
 
-class Scenario:
+class Scenario(Record):
     """A loaded scenario document: schema, tables, mechanisms, systems,
-    attacker profiles, scripted runs and the analyses to perform.  Each
-    collection left out starts empty."""
+    attacker profiles, scripted runs and the analyses to perform."""
 
-    def __init__(
-        self,
-        name: str,
-        base_dir: Path,
-        schema: SchemaBundle,
-        tables: dict[str, DataTable],
-        externals: list[str] | None = None,
-        mechanisms: dict[str, Mechanism] | None = None,
-        dltts: dict[str, Dltts] | None = None,
-        attack_dltts: dict[str, AttackDltts] | None = None,
-        profiles: dict[str, AttackerProfile] | None = None,
-        baseline: str | None = None,
-        declared_baseline: dict[str, Fraction] | None = None,
-        runs: dict[str, dict] | None = None,
-        analysis: dict | None = None,
-    ) -> None:
-        self.name = name
-        self.base_dir = base_dir
-        self.schema = schema
-        self.tables = tables
-        self.externals = [] if externals is None else externals
-        self.mechanisms = {} if mechanisms is None else mechanisms
-        self.dltts = {} if dltts is None else dltts
-        self.attack_dltts = {} if attack_dltts is None else attack_dltts
-        self.profiles = {} if profiles is None else profiles
-        self.baseline = baseline
-        self.declared_baseline = {} if declared_baseline is None else declared_baseline
-        self.runs = {} if runs is None else runs
-        self.analysis = {} if analysis is None else analysis
+    name: str
+    schema: SchemaBundle
+    tables: dict[str, DataTable]
+    externals: list[str]
+    mechanisms: dict[str, Mechanism]
+    dltts: dict[str, Dltts]
+    attack_dltts: dict[str, AttackDltts]
+    profiles: dict[str, AttackerProfile]
+    baseline: str | None
+    declared_baseline: dict[str, Fraction]
+    runs: dict[str, dict]
+    analysis: dict
 
     def table(self, name: str) -> DataTable:
         try:
@@ -221,29 +204,29 @@ def load_scenario(path: str | Path) -> Scenario:
         from .attack import load_attack_dltts
 
         attack_dltts[name] = load_attack_dltts((base / f).read_text(), name)
+    declared_baseline = {
+        line: _read(f"scenario declared_baseline.{line}", parse_fraction, v)
+        for line, v in doc.get("declared_baseline", {}).items()
+    }
+    profiles = {}
+    for name, pdoc in doc.get("profiles", {}).items():
+        if isinstance(pdoc, str):
+            pdoc = json.loads((base / pdoc).read_text())
+        profiles[name] = _parse_profile(name, pdoc, schema)
     scenario = Scenario(
         name=doc.get("name", path.stem),
-        base_dir=base,
         schema=schema,
         tables=tables,
         externals=list(doc.get("externals", [])),
         mechanisms=mechanisms,
         dltts=dltts,
         attack_dltts=attack_dltts,
+        profiles=profiles,
         baseline=doc.get("baseline"),
-        declared_baseline={
-            line: _read(f"scenario declared_baseline.{line}", parse_fraction, v)
-            for line, v in doc.get("declared_baseline", {}).items()
-        },
+        declared_baseline=declared_baseline,
         runs=doc.get("runs", {}),
         analysis=doc.get("analysis", {}),
     )
-    profiles = {}
-    for name, pdoc in doc.get("profiles", {}).items():
-        if isinstance(pdoc, str):
-            pdoc = json.loads((base / pdoc).read_text())
-        profiles[name] = _parse_profile(name, pdoc, schema)
-    scenario.profiles = profiles
     for name in scenario.externals:
         scenario.table(name)
     return scenario
@@ -257,8 +240,8 @@ def build_run(
     secret: list | None = None,
     mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
 ) -> tuple[Dltts, dict[str, OracleVerdict]]:
-    """Drive a builder along a scripted query sequence: add each transition,
-    saturate the new states, and let the oracle rule on every one of them."""
+    """Drive a builder along a scripted query sequence: it saturates each
+    new state and the oracle rules on every one as it is made."""
     from .dltts import DlttsBuilder
 
     try:
@@ -275,8 +258,6 @@ def build_run(
         epsilon=epsilon,
         mode=mode,
     )
-    verdicts: dict[str, OracleVerdict] = {}
-    verdicts[builder.initial] = builder.oracle_step(builder.initial)
     patterns = {}  # each distinct learn string, parsed once per run
     for i, step in enumerate(run.get("steps", [])):
         branches = []
@@ -294,10 +275,8 @@ def build_run(
             )
             prob = _read(f"{where}.prob", parse_fraction, bdoc["prob"])
             branches.append((bdoc["to"], prob, label))
-        new_states = builder.add_transition(step["from"], step["action"], branches)
-        for state in new_states:
-            verdicts[state] = builder.oracle_step(state)
-    return builder.build(), verdicts
+        builder.add_transition(step["from"], step["action"], branches)
+    return builder.build(), builder.verdicts
 
 
 def _fmt_vec(vec) -> str:

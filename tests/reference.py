@@ -248,8 +248,9 @@ def oracle_verdict(
 ) -> OracleVerdict:
     """The oracle's ruling on a whole saturated tag: the policy check first,
     then rho <= epsilon between its knowledge tuples and the secrets, armed
-    only when both are given.  `DlttsBuilder.oracle_step` rules on what a
-    state adds to its parent; this rules on the whole tag."""
+    only when both are given.  `DlttsBuilder` rules on each state as it
+    makes it, on what the state adds to its parent; this rules on the
+    whole tag."""
     if not check_consistency(saturated_tag, policy):
         return OracleVerdict.VIOLATION
     if epsilon is not None and secret_set is not None:

@@ -33,6 +33,7 @@ from privtrace.schema import (
     parse_pattern,
 )
 from privtrace.values import Atom, STAR
+from conftest import SCENARIOS
 from reference import oracle_verdict
 
 
@@ -199,13 +200,13 @@ def _mini_builder(hospital, **kwargs):
 
 def test_builder_pipeline_and_delta(hospital, main_pattern):
     b = _mini_builder(hospital)
-    assert b.oracle_step("s0") is OracleVerdict.CONTINUE
+    assert b.verdicts["s0"] is OracleVerdict.CONTINUE
     b.add_transition(
         "s0", "query:Gender",
         [("s2", F(1), Label("M:1", frozenset({"l2", "l4", "l5"}),
                             frozenset({main_pattern("(John,*,M,*,*)")})))],
     )
-    assert b.oracle_step("s2") is OracleVerdict.CONTINUE
+    assert b.verdicts["s2"] is OracleVerdict.CONTINUE
     b.add_transition(
         "s2", "query:Age",
         [
@@ -215,8 +216,8 @@ def test_builder_pipeline_and_delta(hospital, main_pattern):
                 {main_pattern("(John,[40-50],M,Physics,Viral-Infection)")}))),
         ],
     )
-    assert b.oracle_step("s5") is OracleVerdict.CONTINUE
-    assert b.oracle_step("s6") is OracleVerdict.VIOLATION
+    assert b.verdicts["s5"] is OracleVerdict.CONTINUE
+    assert b.verdicts["s6"] is OracleVerdict.VIOLATION
     with pytest.raises(DlttsError):
         b.add_transition("s6", "query:More", [("s9", F(1), Label())])
     d = b.build()
@@ -240,8 +241,7 @@ def test_oracle_epsilon_violation(hospital):
         epsilon=F(0),
     )
     b.add_transition("s0", "query", [("s1", F(1), Label(tuples=frozenset({pattern})))])
-    verdict = b.oracle_step("s1")
-    assert verdict is OracleVerdict.EPSILON_VIOLATION
+    assert b.verdicts["s1"] is OracleVerdict.EPSILON_VIOLATION
     d = b.build()
     assert any(t.action == DELTA and t.source == "s1" for t in d.transitions)
 
@@ -260,15 +260,16 @@ def test_oracle_epsilon_check_reads_only_positive_tuples(hospital):
     ])
     for state, verdict in [("s1", OracleVerdict.EPSILON_VIOLATION),
                            ("s2", OracleVerdict.CONTINUE)]:
-        assert b.oracle_step(state) is verdict
+        assert b.verdicts[state] is verdict
         assert oracle_verdict(b.saturated[state], b.policy, [l5.cells], F(0),
                               taxonomies=b.taxonomies) is verdict
 
 
 def test_oracle_rejects_stop(hospital):
     b = _mini_builder(hospital)
+    assert "STOP" not in b.verdicts
     with pytest.raises(DlttsError):
-        b.oracle_step("STOP")
+        b.add_transition("s0", "q", [("STOP", F(1), Label())])
 
 
 def test_reach_stop_trivial_cases():
@@ -325,9 +326,9 @@ def test_render_parse_round_trip():
     assert again.states == d.states
 
 
-def test_render_parse_round_trip_with_provenance(enterprise):
+def test_render_parse_round_trip_with_provenance():
     # profile-sourced branch labels (P_b markers) survive the round trip
-    text = (enterprise.base_dir / "attack_b.dltts").read_text()
+    text = (SCENARIOS / "enterprise" / "attack_b.dltts").read_text()
     d = parse_dltts(text, "B")
     again = parse_dltts(render_dltts(d), "B")
     assert again.transitions == d.transitions

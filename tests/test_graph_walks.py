@@ -4,6 +4,7 @@ uncached versions they replaced, which live on here as oracles."""
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -20,7 +21,7 @@ from privtrace.attack import (
     max_pr,
     threshold_report,
 )
-from privtrace.lts import Run, reach_stop
+from privtrace.lts import DELTA, Branch, Dltts, Run, Transition, reach_stop
 from privtrace.scenario import load_scenario, run_scenario
 
 from conftest import SCENARIOS
@@ -209,6 +210,55 @@ def test_walks_match_the_recursive_uncached_oracles():
                 (d.node, d.line) for d in decisions if d.switched_off}
         assert reach_stop(plain.dltts) == oracle_reach_stop(plain.dltts), case
         baseline = switched
+
+
+def random_cyclic_dltts(rng: random.Random) -> Dltts:
+    """A graph over s0..s{n-1} with back edges, self-loops, parallel
+    transitions and a few edges into Stop: many states that reach Stop do
+    so only through a state already on the path that leads to them."""
+    n = rng.randint(1, 7)
+    states = [f"s{i}" for i in range(n)]
+    transitions = []
+    for source in states:
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            outs = rng.sample(states + ["STOP"] * (rng.random() < 0.3),
+                              rng.randint(1, min(3, n)))
+            transitions.append(Transition(source, f"q{rng.randint(0, 1)}", tuple(
+                Branch(to, F(1, rng.choice((1, 2, 3)))) for to in outs)))
+    rng.shuffle(transitions)
+    return Dltts("s0", "STOP", tuple(transitions))
+
+
+def test_reach_stop_matches_the_oracle_on_cyclic_graphs():
+    rng = random.Random(20261019)
+    blocked = 0
+    for case in range(3000):
+        dltts = random_cyclic_dltts(rng)
+        got = reach_stop(dltts)
+        assert got == oracle_reach_stop(dltts), case
+        # Some reached state reaches Stop, but only through a state already
+        # on every path to it, so it lies on no simple run.
+        edges = {(t.source, b.to) for t in dltts.transitions for b in t.branches}
+        live, reached = {"STOP"}, {"s0"}
+        for _ in range(8):  # 8 rounds reach both fixpoints on 8 states
+            live |= {u for u, v in edges if v in live}
+            reached |= {v for u, v in edges if u in reached}
+        blocked += bool(live & reached - {s for r in got[1] for s in r.states})
+    assert blocked > 100
+
+
+@pytest.mark.parametrize("delta", [False, True])
+def test_reach_stop_takes_linear_time_on_a_long_chain(delta):
+    n = 16_000
+    transitions = tuple(
+        Transition(f"s{i}", "q", (Branch(f"s{i + 1}", F(1)),)) for i in range(n)
+    ) + ((Transition(f"s{n}", DELTA, (Branch("STOP", F(1)),)),) if delta else ())
+    dltts = Dltts("s0", "STOP", transitions)
+    start = time.perf_counter()
+    reached, runs = reach_stop(dltts)
+    assert time.perf_counter() - start < 1
+    assert reached is delta
+    assert [len(r.states) for r in runs] == ([n + 2] if delta else [])
 
 
 def test_cycle_is_reported_like_the_oracle():

@@ -16,7 +16,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from privtrace import attack, lts, privacy, schema, values
+from privtrace import attack, lts, privacy, scenario, schema, values
 from privtrace.metrics import IntervalMeasureMode
 from privtrace.schema import GROUPS, Row, TuplePattern
 from privtrace.values import STAR, Atom, ColumnClass, Record
@@ -109,6 +109,9 @@ RECORDS = {
     attack.AttackDltts: (("name", "dltts", "responses", "off"), _pool(4)),
     attack.StrategyDecision: (("node", "line", "probability", "baseline",
                                "switched_off"), _pool(5)),
+    scenario.Scenario: (("name", "schema", "tables", "externals", "mechanisms",
+                         "dltts", "attack_dltts", "profiles", "baseline",
+                         "declared_baseline", "runs", "analysis"), _pool(12)),
 }
 
 # The default of each field that has one, as the hand-written `__init__`

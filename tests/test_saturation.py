@@ -12,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from privtrace.dltts import DlttsBuilder, OracleVerdict, check_consistency, saturate
-from privtrace.lts import DlttsError, Label, validate
+from privtrace.lts import DELTA, DlttsError, Label, validate
 from privtrace.metrics import IntervalMeasureMode
 from privtrace.schema import (
     ColumnSchema,
@@ -388,22 +388,6 @@ def _oracle_config(rng, secrets, epsilons):
     return config
 
 
-def _examine(builder, config, state, verdicts):
-    expected = oracle_verdict(
-        builder.saturated[state], builder.policy, config["secrets"],
-        config["epsilon"], config["mode"], taxonomies=builder.taxonomies,
-    )
-    has_outgoing = any(t.source == state for t in builder.transitions)
-    try:
-        got = builder.oracle_step(state)
-    except DlttsError:
-        assert expected is not OracleVerdict.CONTINUE and has_outgoing
-        return
-    assert got is expected
-    assert got is OracleVerdict.CONTINUE or not has_outgoing
-    verdicts[got] += 1
-
-
 def _flipped(p):
     return TuplePattern(p.columns, p.cells, not p.negative)
 
@@ -448,11 +432,9 @@ def test_incremental_builder_matches_oracle_verdict_and_naive_closure():
             policy=policy, externals=bases, columns=COLUMNS, taxonomies={"t": tree},
             **{**config, "secrets": None if secrets is None else iter(secrets)},
         )
-        states = [builder.initial]
-        if rng.random() < 0.7:
-            _examine(builder, config, builder.initial, verdicts)
         for step in range(rng.randint(1, 8)):
-            sources = [s for s in states if s not in builder.closed]
+            sources = [s for s, v in builder.verdicts.items()
+                       if v is OracleVerdict.CONTINUE]
             if not sources:
                 break
             source = rng.choice(sources)
@@ -464,18 +446,23 @@ def test_incremental_builder_matches_oracle_verdict_and_naive_closure():
                 ) | _contradiction(rng, builder.saturated[source], policy, trees)))
                 for i in range(k)
             ]
-            new = builder.add_transition(source, "q", branches)
-            states += new
-            for state in new:
-                # some parents are never examined, some states twice
-                for _ in range(rng.choice([0, 1, 1, 1, 2])):
-                    _examine(builder, config, state, verdicts)
-            if rng.random() < 0.3:  # re-examine an earlier state
-                _examine(builder, config, rng.choice(states), verdicts)
+            builder.add_transition(source, "q", branches)
+        assert builder.verdicts.keys() == builder.tags.keys()
         for state, tag in builder.tags.items():
             assert builder.saturated[state] == naive_saturate(
                 tag, bases, columns=COLUMNS, taxonomies={"t": tree}
             )
+            expected = oracle_verdict(
+                builder.saturated[state], policy, config["secrets"],
+                config["epsilon"], config["mode"], taxonomies=builder.taxonomies,
+            )
+            assert builder.verdicts[state] is expected
+            verdicts[expected] += 1
+            if expected is not OracleVerdict.CONTINUE:
+                # a violating state's one outgoing transition is delta to Stop
+                (out,) = [t for t in builder.transitions if t.source == state]
+                assert out.action == DELTA
+                assert [b.to for b in out.branches] == [builder.stop]
         assert validate(builder.build()) == []
         derived += _derived_as_the_reference(
             builder._derivations, bases, columns=COLUMNS, taxonomies={"t": tree})
@@ -484,16 +471,16 @@ def test_incremental_builder_matches_oracle_verdict_and_naive_closure():
 
 
 def test_a_violating_parent_never_narrows_a_child_check():
-    """A parent found violating after it got a child is not a consistent
-    base for that child's delta check."""
+    """A state is judged as it is made, and a violating one takes no
+    transition but delta: it never becomes a parent whose tag narrows a
+    child's check."""
     policy = PrivacyPolicy((TuplePattern(("Name",), (Atom("John"),), True),))
     builder = DlttsBuilder(policy=policy, columns=COLUMNS)
     leak = TuplePattern(("Name",), (Atom("John"),))
     builder.add_transition("s0", "q", [("s1", F(1), Label(tuples=frozenset({leak})))])
-    builder.add_transition("s1", "q", [("s2", F(1), Label())])
+    assert builder.verdicts["s1"] is OracleVerdict.VIOLATION
     with pytest.raises(DlttsError):
-        builder.oracle_step("s1")
-    assert builder.oracle_step("s2") is OracleVerdict.VIOLATION
+        builder.add_transition("s1", "q", [("s2", F(1), Label())])
 
 
 def test_delta_consistency_check_matches_the_full_check():
