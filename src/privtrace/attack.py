@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import count
 from typing import Callable, Iterable, Mapping
 
 from .lts import Branch, Dltts, Label, Transition, parse_dltts
-from .schema import DataTable
+from .schema import DataTable, Row
 from .values import Record, Value, render_cell
 
 
@@ -52,8 +53,9 @@ class AttackerProfile(Record):
                 )
 
 
-_RESPONSE_RE = re.compile(r"^response\((\w+)\)$")
-_RESPONSE_LABEL_RE = re.compile(r"response\((\w+)\)\s*=\s*(\S+)")
+# A line id is free text, so a switch names any text in its parentheses.
+_RESPONSE_RE = re.compile(r"^response\((.+)\)$")
+_RESPONSE_LABEL_RE = re.compile(r"response\(.+\)\s*=\s*(\S+)")
 
 
 def _response_line(action: str) -> str | None:
@@ -166,66 +168,44 @@ def build_attack_dltts(db: DataTable, profile: AttackerProfile) -> AttackDltts:
                 f"{sorted(map(str, missing))}"
             )
 
+    # Children are pushed in reverse, so each subtree is built, and its
+    # states named, before its next sibling's: depth-first, as s1, s2, ...
     transitions: list[Transition] = []
-    counter = [0]
-
-    def fresh() -> str:
-        counter[0] += 1
-        return f"s{counter[0]}"
-
-    def level_branches(col: str, rows) -> list[tuple[Value, Fraction, str]]:
-        values: list[Value] = []
-        idx = db.column_index(col)
-        for row in rows:
-            if row.cells[idx] not in values:
-                values.append(row.cells[idx])
-        if len(values) == 1:
-            return [(values[0], Fraction(1), "db")]
-        priors = profile.priors.get(col)
-        if priors is not None:
-            total = sum((priors[v] for v in values), Fraction(0))
-            source = "db" if profile.empirical else profile.name
-            return [(v, priors[v] / total, source) for v in values]
-        n = len(rows)
-        return [
-            (v, Fraction(sum(1 for r in rows if r.cells[idx] == v), n), "db")
-            for v in values
-        ]
-
-    def expand(state: str, rows, depth: int) -> None:
+    serial = count(1)
+    stack = [("s0", db.rows, 0)]
+    while stack:
+        state, rows, depth = stack.pop()
         if depth == len(profile.attribute_order):
-            if len(rows) <= 1:
-                return
-            prob = Fraction(1, len(rows))
-            branches = [
-                Branch(fresh(), prob, Label(lines=frozenset({r.line_id})))
-                for r in rows
-            ]
-            transitions.append(Transition(state, "pick", tuple(branches)))
-            return
+            if len(rows) > 1:
+                prob = Fraction(1, len(rows))
+                transitions.append(Transition(state, "pick", tuple(
+                    Branch(f"s{next(serial)}", prob, Label(lines=frozenset({r.line_id})))
+                    for r in rows
+                )))
+            continue
         col = profile.attribute_order[depth]
         idx = db.column_index(col)
-        branches = []
-        groups = []
-        for v, prob, source in level_branches(col, rows):
-            matching = [r for r in rows if r.cells[idx] == v]
-            label = Label(
-                text=f"{col}={render_cell(v)}",
-                lines=frozenset(r.line_id for r in matching),
-                source=source,
-            )
-            child = fresh()
-            branches.append(Branch(child, prob, label))
-            groups.append((child, matching))
+        groups: dict[Value, list[Row]] = {}
+        for row in rows:
+            groups.setdefault(row.cells[idx], []).append(row)
+        # One present value, or no priors for the column: the rows' counts.
+        priors = profile.priors.get(col) if len(groups) > 1 else None
+        weights = {v: len(g) if priors is None else priors[v] for v, g in groups.items()}
+        total = sum(weights.values(), Fraction(0))
+        source = "db" if priors is None or profile.empirical else profile.name
+        branches, children = [], []
+        for v, group in groups.items():
+            child = f"s{next(serial)}"
+            label = Label(text=f"{col}={render_cell(v)}",
+                          lines=frozenset(r.line_id for r in group), source=source)
+            branches.append(Branch(child, weights[v] / total, label))
+            children.append((child, group, depth + 1))
         transitions.append(Transition(state, f"query:{col}", tuple(branches)))
-        for child, matching in groups:
-            expand(child, matching, depth + 1)
-
-    expand("s0", list(db.rows), 0)
+        stack.extend(reversed(children))
 
     dltts = Dltts(initial="s0", stop="STOP", transitions=tuple(transitions))
-    return _switched(profile.name, dltts, (),
-                     lambda line: _sensitive_value(db, line), assumed=False)
+    return _switched(profile.name, dltts, (), partial(_sensitive_value, db),
+                     assumed=False)
 
 
 def load_attack_dltts(text: str, name: str = "attack") -> AttackDltts:
@@ -242,7 +222,7 @@ def load_attack_dltts(text: str, name: str = "attack") -> AttackDltts:
         if len(t.branches) != 1 or t.branches[0].prob != 1:
             raise AttackError(f"{name}: response at {t.source} must go one way, p=1")
         m = _RESPONSE_LABEL_RE.search(t.branches[0].label.text)
-        value = m.group(2) if m else "?"
+        value = m.group(1) if m else "?"
         responses.append(ResponseEdge(t.source, line, value, t.branches[0].to))
         line_values.setdefault(line, value)
     return _switched(name, dltts, responses,

@@ -8,7 +8,6 @@ pair, unbounded epsilon, empty attack report, validation violations found);
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -165,10 +164,12 @@ def _cmd_analyze(scenario: Scenario, args) -> int:
 def _cmd_dp_check(scenario: Scenario | None, args) -> int:
     from .privacy import Mechanism
     from .report import Report, ScenarioError, dp_section
+    from .values import read_json
 
     if args.mechanism_file:
         path = Path(args.mechanism_file)
-        m = Mechanism.from_doc(path.stem, json.loads(path.read_text()))
+        doc = read_json(path.read_text(), f"mechanism file {path}")
+        m = Mechanism.from_doc(path.stem, doc)
         name = m.name
     elif scenario is not None and args.mechanism:
         name = args.mechanism

@@ -6,7 +6,6 @@ is excluded from comparison)."""
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -30,6 +29,7 @@ from .values import (
     Required,
     parse_cell,
     parse_fraction,
+    read_json,
     shaped,
 )
 
@@ -171,11 +171,7 @@ def load_scenario(path: str | Path) -> Scenario:
     """Load a scenario document and everything it references.  A document
     not of the shape SCENARIO raises ShapeError."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioError(f"cannot load scenario {path}: {exc}") from exc
-    shaped(doc, SCENARIO, "scenario")
+    doc = shaped(read_json(path.read_text(), f"scenario {path}"), SCENARIO, "scenario")
     base = path.parent
     schema = load_schema((base / doc["schema"]).read_text())
 
@@ -211,7 +207,7 @@ def load_scenario(path: str | Path) -> Scenario:
     profiles = {}
     for name, pdoc in doc.get("profiles", {}).items():
         if isinstance(pdoc, str):
-            pdoc = json.loads((base / pdoc).read_text())
+            pdoc = read_json((base / pdoc).read_text(), f"profile {name} file {pdoc}")
         profiles[name] = _parse_profile(name, pdoc, schema)
     scenario = Scenario(
         name=doc.get("name", path.stem),

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -26,6 +25,7 @@ from .values import (
     Wildcard,
     parse_cell,
     parse_fraction,
+    read_json,
     render_cell,
     shaped,
     split_top_level,
@@ -144,11 +144,15 @@ class DataTable(Record):
             self._groups[columns] = {k: tuple(v) for k, v in groups.items()}
         return self._groups[columns]
 
+    @cached_property
+    def _rows_by_line(self) -> dict[str, Row]:
+        return {r.line_id: r for r in self.rows}
+
     def row(self, line_id: str) -> Row:
-        for r in self.rows:
-            if r.line_id == line_id:
-                return r
-        raise SchemaError(f"table {self.name}: no row {line_id!r}")
+        try:
+            return self._rows_by_line[line_id]
+        except KeyError:
+            raise SchemaError(f"table {self.name}: no row {line_id!r}") from None
 
     def line_ids(self) -> tuple[str, ...]:
         return tuple(r.line_id for r in self.rows)
@@ -302,11 +306,7 @@ def parse_columns(
 
 def load_schema(config_text: str) -> SchemaBundle:
     """Parse a schema document: columns, taxonomy trees, privacy policy."""
-    try:
-        doc = json.loads(config_text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"schema document is not valid JSON: {exc}") from exc
-    shaped(doc, SCHEMA, "schema")
+    doc = shaped(read_json(config_text, "schema document"), SCHEMA, "schema")
     taxonomies = {
         name: _parse_taxonomy(name, tdoc)
         for name, tdoc in doc.get("taxonomies", {}).items()
@@ -363,8 +363,10 @@ def load_table(
     schema columns; an extra leading column named line/line_id/id supplies
     row line ids, otherwise l1..lN are generated."""
     taxonomies = taxonomies or {}
-    reader = csv.reader(io.StringIO(csv_text))
-    rows = [r for r in reader if r and any(f.strip() for f in r)]
+    try:
+        rows = [r for r in csv.reader(io.StringIO(csv_text)) if any(f.strip() for f in r)]
+    except csv.Error as exc:
+        raise SchemaError(f"table {name}: {exc}") from None
     if not rows:
         raise SchemaError(f"table {name}: empty CSV")
     header = [h.strip() for h in rows[0]]

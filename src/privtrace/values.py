@@ -8,6 +8,7 @@ exact (`fractions.Fraction`), never floating point.
 
 from __future__ import annotations
 
+import json
 import re
 from enum import Enum
 from fractions import Fraction
@@ -370,6 +371,15 @@ def parse_fraction(value) -> Fraction:
 
 class ShapeError(ValueError):
     """An input document, or a part of one, of the wrong JSON shape."""
+
+
+def read_json(text: str, what: str):
+    """The JSON value `text` holds, else ShapeError naming the document
+    `what`, also when it nests deeper than the decoder can follow."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ShapeError(f"{what} is not readable JSON: {exc}") from None
 
 
 class Required:

@@ -1,8 +1,9 @@
 """Reference implementations the tests check the library against: the
 per-cell distance vector and the whole-sum rho over it, the per-premise
 R1-R3 derivation, which the planned ones replaced, the oracle's whole-tag
-ruling, the multiset order on priority keys, and the two-coin randomized
-response mechanism."""
+ruling, the recursive attack-tree builder, which rescans each level's rows
+per value, the multiset order on priority keys, and the two-coin
+randomized response mechanism."""
 
 from __future__ import annotations
 
@@ -10,14 +11,21 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from privtrace.attack import _priority_key
+from privtrace.attack import (
+    AttackDltts,
+    AttackError,
+    AttackerProfile,
+    _priority_key,
+    _sensitive_value,
+    _switched,
+)
 from privtrace.dltts import (
     OracleVerdict,
     _is_knowledge,
     _merged_taxonomies,
     check_consistency,
 )
-from privtrace.lts import Tag
+from privtrace.lts import Branch, Dltts, Label, Tag, Transition
 from privtrace.metrics import (
     MetricError,
     _cells,
@@ -46,6 +54,7 @@ from privtrace.values import (
     TaxonomyTree,
     Value,
     Wildcard,
+    render_cell,
     value_kind,
 )
 
@@ -266,6 +275,87 @@ def oracle_verdict(
         if r is not None and r <= epsilon:
             return OracleVerdict.EPSILON_VIOLATION
     return OracleVerdict.CONTINUE
+
+
+def build_attack_dltts(db: DataTable, profile: AttackerProfile) -> AttackDltts:
+    """One query level per profile attribute, then a uniform split to
+    singleton leaves, then a response(l) transition at every
+    singleton-labeled node: one recursive call per level, each value's
+    rows found by a rescan of the parent's."""
+    qid_names = {c.name for c in db.columns if c.group == "quasi-identifier"}
+    for col in profile.attribute_order:
+        if col not in qid_names:
+            raise AttackError(f"profile {profile.name}: {col!r} is not a qid column")
+    for col, table in profile.priors.items():
+        idx = db.column_index(col)
+        present = {row.cells[idx] for row in db.rows}
+        missing = present - set(table)
+        if missing:
+            raise AttackError(
+                f"profile {profile.name}: no prior for {col} value(s) "
+                f"{sorted(map(str, missing))}"
+            )
+
+    transitions: list[Transition] = []
+    counter = [0]
+
+    def fresh() -> str:
+        counter[0] += 1
+        return f"s{counter[0]}"
+
+    def level_branches(col: str, rows) -> list[tuple[Value, Fraction, str]]:
+        values: list[Value] = []
+        idx = db.column_index(col)
+        for row in rows:
+            if row.cells[idx] not in values:
+                values.append(row.cells[idx])
+        if len(values) == 1:
+            return [(values[0], Fraction(1), "db")]
+        priors = profile.priors.get(col)
+        if priors is not None:
+            total = sum((priors[v] for v in values), Fraction(0))
+            source = "db" if profile.empirical else profile.name
+            return [(v, priors[v] / total, source) for v in values]
+        n = len(rows)
+        return [
+            (v, Fraction(sum(1 for r in rows if r.cells[idx] == v), n), "db")
+            for v in values
+        ]
+
+    def expand(state: str, rows, depth: int) -> None:
+        if depth == len(profile.attribute_order):
+            if len(rows) <= 1:
+                return
+            prob = Fraction(1, len(rows))
+            branches = [
+                Branch(fresh(), prob, Label(lines=frozenset({r.line_id})))
+                for r in rows
+            ]
+            transitions.append(Transition(state, "pick", tuple(branches)))
+            return
+        col = profile.attribute_order[depth]
+        idx = db.column_index(col)
+        branches = []
+        groups = []
+        for v, prob, source in level_branches(col, rows):
+            matching = [r for r in rows if r.cells[idx] == v]
+            label = Label(
+                text=f"{col}={render_cell(v)}",
+                lines=frozenset(r.line_id for r in matching),
+                source=source,
+            )
+            child = fresh()
+            branches.append(Branch(child, prob, label))
+            groups.append((child, matching))
+        transitions.append(Transition(state, f"query:{col}", tuple(branches)))
+        for child, matching in groups:
+            expand(child, matching, depth + 1)
+
+    expand("s0", list(db.rows), 0)
+
+    dltts = Dltts(initial="s0", stop="STOP", transitions=tuple(transitions))
+    return _switched(profile.name, dltts, (),
+                     lambda line: _sensitive_value(db, line), assumed=False)
 
 
 class Comparison(Enum):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -15,8 +17,9 @@ from privtrace.attack import (
     max_pr,
     threshold_report,
 )
-from privtrace.schema import load_table
-from privtrace.values import Atom, IntInterval
+from privtrace.schema import ColumnSchema, DataTable, Row, load_table
+from privtrace.values import Atom, ColumnClass, IntInterval
+import reference
 from reference import Comparison, multiset_compare
 
 DECLARED = {l: F(3, 16) for l in ("l1", "l2", "l3", "l4")}
@@ -173,6 +176,74 @@ def test_build_attack_partition_invariants(enterprise, responses):
         assert attack_problems(attack, responses) == []
         for t in attack.dltts.transitions:
             assert sum((b.prob for b in t.branches), F(0)) == 1
+
+
+def random_build_case(rng: random.Random) -> tuple[DataTable, AttackerProfile]:
+    """A table of 0-12 rows over 1-3 quasi-identifier columns, mostly with a
+    sensitive column, and a profile over them: orders that repeat a column
+    or are empty, now and then a non-qid column; priors per column, some
+    zero and now and then one missing; `empirical` either way."""
+    pools = {f"Q{i}": [Atom(f"v{k}") for k in range(rng.randint(1, 4))]
+             for i in range(rng.randint(1, 3))}
+    columns = [ColumnSchema(name, ColumnClass.NOMINAL, "quasi-identifier")
+               for name in pools]
+    if rng.random() < 0.9:
+        columns.append(ColumnSchema("S", ColumnClass.NOMINAL, "sensitive"))
+    rows = tuple(
+        Row(f"r-{i}", tuple(rng.choice(pools.get(c.name, [Atom("x"), Atom("y")]))
+                            for c in columns))
+        for i in range(rng.randint(0, 12))
+    )
+    names = list(pools) + ["S"] * (rng.random() < 0.05)
+    order = tuple(rng.choice(names) for _ in range(rng.randint(0, 4)))
+    priors = {}
+    for name, pool in pools.items():
+        if rng.random() < 0.5:
+            weights = [rng.randint(0, 3) for _ in pool]
+            weights[rng.randrange(len(pool))] += 1
+            priors[name] = {v: F(w, sum(weights)) for v, w in zip(pool, weights)}
+            if len(pool) > 1 and rng.random() < 0.1:
+                priors[name].pop(rng.choice(pool))
+                priors[name][Atom("absent")] = 1 - sum(priors[name].values())
+    profile = AttackerProfile("P", order, priors or None,
+                              empirical=rng.random() < 0.3)
+    return DataTable("t", tuple(columns), rows), profile
+
+
+def _built(build, db, profile):
+    try:
+        attack = build(db, profile)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return attack.dltts.transitions, attack.responses
+
+
+def test_build_matches_the_recursive_reference():
+    rng = random.Random(20261019)
+    seen = {"error": 0, "missing prior": 0, "empty": 0, "prior": 0, "repeat": 0}
+    for case in range(1500):
+        db, profile = random_build_case(rng)
+        got = _built(build_attack_dltts, db, profile)
+        assert got == _built(reference.build_attack_dltts, db, profile), case
+        seen["error"] += isinstance(got[0], type)
+        seen["missing prior"] += got[0] is AttackError and "no prior" in got[1]
+        seen["empty"] += not db.rows
+        seen["repeat"] += len(set(profile.attribute_order)) < len(profile.attribute_order)
+        seen["prior"] += not isinstance(got[0], type) and any(
+            b.label.source == "P" for t in got[0] for b in t.branches)
+    assert min(seen.values()) > 50, seen
+
+
+def test_build_takes_near_linear_time_on_many_distinct_values():
+    columns = (ColumnSchema("Q", ColumnClass.NOMINAL, "quasi-identifier"),
+               ColumnSchema("S", ColumnClass.NOMINAL, "sensitive"))
+    rows = tuple(Row(f"l{i}", (Atom(f"v{i % 2000}"), Atom("x"))) for i in range(4000))
+    db = DataTable("t", columns, rows)
+    start = time.perf_counter()
+    attack = build_attack_dltts(db, AttackerProfile("P", ("Q",)))
+    assert time.perf_counter() - start < 1
+    assert len(attack.responses) == 4000
+    assert len(attack.dltts.transitions[0].branches) == 2000
 
 
 def test_pr_access_on_loaded_figures(figures):

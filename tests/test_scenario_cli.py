@@ -389,6 +389,41 @@ def _set_in_schema(*keys, value):
     return edit
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"name":\n'],
+                         ids=["nested", "malformed"])
+@pytest.mark.parametrize("document, what", [
+    ("scenario.json", "scenario "),
+    ("schema.json", "schema document"),
+    ("p.json", "profile P file p.json"),
+    ("m.json", "mechanism file "),
+], ids=["scenario", "schema", "profile", "mechanism"])
+def test_cli_unreadable_json_document_exits_two_naming_it(tmp_path, document, what,
+                                                          text):
+    """Each JSON document, nested past the decoder's recursion limit or not
+    JSON at all, exits 2 with a message naming it."""
+    if document == "m.json":
+        argv = ("dp-check", "--mechanism-file", str(tmp_path / document))
+    else:
+        argv = ("validate", "--scenario",
+                _hospital_copy(tmp_path, profiles={"P": "p.json"}))
+    (tmp_path / document).write_text(text)
+    done = _cli_process(*argv)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(f"error: {what}"), done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def _replace_in(file: str, old: str, new: str):
+    """An `edit` of `_hospital_copy` that replaces the first `old`, which
+    must be there, by `new` in `file`."""
+    def edit(directory):
+        path = directory / file
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+    return edit
+
+
 @pytest.mark.parametrize("sections", [
     {"mechanisms": {"m": 5}},
     {"tables": {"t": 7}},
@@ -428,19 +463,12 @@ def _set_in_schema(*keys, value):
     {"edit": _set_in_schema("columns", 0, "name", value=["a"])},
     {"edit": _set_in_schema("columns", 4, "taxonomy", value=["a"])},
     {"edit": _set_in_schema(value=[1])},
+    {"edit": _replace_in("published.csv", "Heart-Disease", "H" * 200_000)},
 ])
 def test_cli_malformed_scenario_exits_two(tmp_path, sections):
     done = _cli_process("analyze", "--scenario", _hospital_copy(tmp_path, **sections))
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
-
-
-def _replace_in(file: str, old: str, new: str):
-    """An `edit` of `_hospital_copy` that replaces `old` by `new` in `file`."""
-    def edit(directory):
-        path = directory / file
-        path.write_text(path.read_text().replace(old, new, 1))
-    return edit
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -648,15 +676,6 @@ def test_strategy_without_any_baseline_exits_two(tmp_path, capsys):
         assert captured.out == ""
 
 
-def _replace_in(name: str, old: str, new: str):
-    def edit(directory):
-        path = directory / name
-        text = path.read_text()
-        assert old in text
-        path.write_text(text.replace(old, new, 1))
-    return edit
-
-
 HUGE = "1e999999999"
 _RUN = {"trace": {"steps": [{"from": "s0", "action": "q",
                              "branches": [{"to": "s1", "prob": HUGE}]}]}}
@@ -836,6 +855,35 @@ def test_cli_attack_reports(capsys):
     assert code == 0
     assert "Pr(response=3 | M) = 3/5" in out
     assert "Pr(response=1 | F) = 2/5" in out
+
+
+def test_cli_attack_switches_respond_for_any_line_id(capsys, tmp_path):
+    """With the enterprise line ids renamed l-1..l-4, the built trees break
+    no invariant and the transcripts' drawn responses are read, so every
+    attack report is the l1..l4 one under the new names."""
+    shutil.copytree(Path(ENTERPRISE).parent, tmp_path, dirs_exist_ok=True)
+    for path in tmp_path.iterdir():
+        path.write_text(re.sub(r"\bl(\d)\b", r"l-\1", path.read_text()))
+    for built in ([], ["--built"]):
+        reports = []
+        for scenario in (ENTERPRISE, str(tmp_path / "scenario.json")):
+            assert cli_main(["attack", "--scenario", scenario, *built, "--attacker",
+                             "A", "--attacker", "B", "--attacker", "C"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert "Max_pr(l-1) = 2/5" in reports[1]
+        assert reports[1].replace("l-", "l") == reports[0]
+
+
+def test_cli_attack_builds_a_profile_of_three_thousand_levels(capsys, tmp_path):
+    shutil.copytree(Path(ENTERPRISE).parent, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "scenario.json"
+    doc = json.loads(path.read_text())
+    doc["profiles"]["D"] = {"attribute_order": ["Sex", "Age"] * 1500}
+    path.write_text(json.dumps(doc))
+    assert cli_main(["attack", "--scenario", str(path), "--built",
+                     "--attacker", "D"]) == 0
+    out = capsys.readouterr().out
+    assert "Max_pr(l1) = 1/4" in out and "INVALID" not in out
 
 
 def test_cli_export_dot_counts(capsys, tmp_path):
