@@ -46,6 +46,10 @@ class AttackerProfile(Record):
         if self.priors is None:
             object.__setattr__(self, "priors", {})
         for col, table in self.priors.items():
+            for value, prior in table.items():
+                if prior < 0:
+                    raise AttackError(f"profile {self.name}: prior for {col} value "
+                                      f"{render_cell(value)} is {prior}, negative")
             total = sum(table.values(), Fraction(0))
             if total != 1:
                 raise AttackError(
@@ -192,6 +196,10 @@ def build_attack_dltts(db: DataTable, profile: AttackerProfile) -> AttackDltts:
         priors = profile.priors.get(col) if len(groups) > 1 else None
         weights = {v: len(g) if priors is None else priors[v] for v, g in groups.items()}
         total = sum(weights.values(), Fraction(0))
+        if priors is not None and total == 0:
+            raise AttackError(f"profile {profile.name}: {col} values "
+                              f"{sorted(map(str, groups))} at one query level "
+                              "all have prior 0")
         source = "db" if priors is None or profile.empirical else profile.name
         branches, children = [], []
         for v, group in groups.items():

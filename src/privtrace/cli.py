@@ -262,10 +262,9 @@ def _cmd_validate(scenario: Scenario, args) -> int:
         for name in sorted(scenario.attack_dltts):
             for p in attack_problems(scenario.attack_dltts[name]):
                 problems.append(f"{name}: {p}")
+        # a run the builder refuses raises; one it builds is valid by construction
         for run_name in scenario.runs:
-            dltts, _ = build_run(scenario, run_name)
-            for p in validate(dltts):
-                problems.append(f"run {run_name}: {p}")
+            build_run(scenario, run_name)
     for p in problems:
         report.add(f"INVALID: {p}")
     if not problems:

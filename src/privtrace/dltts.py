@@ -1,9 +1,9 @@
 """The knowledge layer of tagged probabilistic transition systems.
 
-On top of the core in `lts`, states carry *tags*: sets of signed ground
-tuples, what the querying agent knows so far.  Tags are kept *tight*: the
-tag of a branch target is the saturated tag of the source plus the branch
-label's tuples.  Saturation closes a tag under three deduction rules
+On top of the core in `lts`, the builder gives states *tags*: sets of
+signed ground tuples, what the querying agent knows so far.  Tags are kept
+*tight*: the tag of a branch target is the saturated tag of the source plus
+the branch label's tuples.  Saturation closes a tag under three deduction rules
 against the external bases:
 
   R1  identifier join: a pattern carrying an identifier value absorbs an
@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 # `parse_dltts`, `reach_stop` and `validate` are not used here: the
 # benchmark's tracer finds them under this module's name.
-from .lts import (DELTA, Branch, Dltts, DlttsError, Label, Tag, Transition,
+from .lts import (DELTA, Branch, Dltts, DlttsError, Label, Transition,
                   parse_dltts, reach_stop, validate)
 from .schema import ColumnSchema, DataTable, PrivacyPolicy, TOP, TuplePattern
 from .values import (ColumnClass, IntervalMeasureMode, Number, TaxonomyTree, Taxon,
@@ -38,6 +38,8 @@ from .values import (ColumnClass, IntervalMeasureMode, Number, TaxonomyTree, Tax
 
 if TYPE_CHECKING:
     from .privacy import Mechanism
+
+Tag = frozenset
 
 
 def __getattr__(name: str):
@@ -254,8 +256,9 @@ def _secret_rho(knowledge, secrets, mode, taxonomies, at_most) -> Fraction | Non
 class DlttsBuilder:
     """Single-owner construction of a tagged system, judged as it grows.
 
-    Tags are computed tightly from branch labels and saturated eagerly at
-    state creation, each from its parent's saturated tag, and cached.  The
+    A state's tag is its parent's saturated tag plus its branch label's
+    tuples.  It is saturated as the state is made, and only the saturated
+    tag is kept, in `saturated`; a built system carries no tags.  The
     oracle rules on every state as the builder makes it, under the
     configuration the builder was made with (policy, secrets, epsilon,
     mode), and records the ruling in `verdicts`.  A violating state gets
@@ -296,7 +299,6 @@ class DlttsBuilder:
         self.transitions: list[Transition] = []
         self._derivations: dict[TuplePattern, tuple[TuplePattern, ...]] = {}
         self._plans: dict[tuple, tuple] = {}
-        self.tags: dict[str, Tag] = {self.initial: frozenset({TOP})}
         self.saturated: dict[str, Tag] = {self.initial: self._saturate(frozenset({TOP}))}
         self.state_probs: dict[str, Fraction] = {self.initial: Fraction(1)}
         self.verdicts: dict[str, OracleVerdict] = {}
@@ -312,6 +314,9 @@ class DlttsBuilder:
     ) -> None:
         if source == self.stop:
             raise DlttsError("Stop has no outgoing transitions")
+        if action == DELTA:
+            raise DlttsError(f"action {DELTA!r} is reserved for the oracle's "
+                             "move to Stop")
         if source not in self.verdicts:
             raise DlttsError(f"unknown source state {source!r}")
         if self.verdicts[source] is not OracleVerdict.CONTINUE:
@@ -323,7 +328,7 @@ class DlttsBuilder:
             if prob <= 0:
                 raise DlttsError(f"branch probability {prob} is not positive")
             total += prob
-            if to in self.tags or to == self.stop or to == source:
+            if to in self.saturated or to == self.stop:
                 raise DlttsError(f"branch target {to!r} already exists")
             branch_objs.append(Branch(to, prob, label))
         if not branch_objs:
@@ -335,9 +340,7 @@ class DlttsBuilder:
         self.transitions.append(Transition(source, action, tuple(branch_objs)))
         parent_sat = self.saturated[source]
         for b in branch_objs:
-            tag = parent_sat | b.label.tuples
-            self.tags[b.to] = tag
-            self.saturated[b.to] = self._saturate(tag, parent_sat)
+            self.saturated[b.to] = self._saturate(parent_sat | b.label.tuples, parent_sat)
             self.state_probs[b.to] = self.state_probs[source] * b.prob
         for b in branch_objs:
             self.oracle_step(b.to, parent_sat)
@@ -378,14 +381,8 @@ class DlttsBuilder:
         return any(within[cells] for cells in knowledge)
 
     def build(self) -> Dltts:
-        return Dltts(
-            initial=self.initial,
-            stop=self.stop,
-            transitions=tuple(self.transitions),
-            tags=dict(self.tags),
-            saturated=dict(self.saturated),
-            state_probs=dict(self.state_probs),
-        )
+        return Dltts(self.initial, self.stop, tuple(self.transitions),
+                     dict(self.state_probs))
 
 
 def epsilon_equivalent_labels(

@@ -2,9 +2,9 @@
 
 A system has a distinguished initial state, probabilistic transitions whose
 branches carry labels (what each possible answer teaches), and a Stop state
-reached only through the violation action `delta`.  A system may carry
-per-state tags, but nothing here computes them: the attack trees use this
-core alone, and `dltts` adds the builder, saturation and the oracle.
+reached only through the violation action `delta`.  The attack trees use
+this core alone; `dltts` adds tags, kept inside its builder, saturation and
+the oracle.  A built system is a tree: `reach_stop` reads parent links.
 
 This module imports only `values`, so a report that builds no tagged
 system does not compile the knowledge layer.
@@ -23,8 +23,6 @@ if TYPE_CHECKING:
     from .schema import TuplePattern
 
 DELTA = "delta"
-
-Tag = frozenset
 
 
 class DlttsError(ValueError):
@@ -65,21 +63,18 @@ class Transition(Record):
 
 
 class Dltts(Record):
-    """A tagged probabilistic transition system: the initial and Stop
-    states, transitions, and per-state tags, saturated tags and
-    reachability probabilities.  Each mapping left out starts empty."""
+    """A probabilistic transition system: the initial and Stop states,
+    transitions, and per-state reachability probabilities (empty when left
+    out)."""
 
     initial: str
     stop: str
     transitions: tuple[Transition, ...]
-    tags: Mapping[str, Tag] | None = None
-    saturated: Mapping[str, Tag] | None = None
     state_probs: Mapping[str, Fraction] | None = None
 
     def _check(self) -> None:
-        for name in ("tags", "saturated", "state_probs"):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, {})
+        if self.state_probs is None:
+            object.__setattr__(self, "state_probs", {})
 
     @cached_property
     def states(self) -> frozenset[str]:
@@ -115,45 +110,37 @@ class Run(Record):
 
 
 def reach_stop(dltts: Dltts) -> tuple[bool, tuple[Run, ...]]:
-    """All simple runs from the initial state that end in Stop, each with the
-    exact product of its branch probabilities.  A reverse walk finds the
-    states that reach Stop; a depth-first walk then extends one shared path
-    into them alone, on an explicit stack, so a chain costs time linear in
-    its length and transcript depth is not bounded by the interpreter's
-    recursion limit."""
+    """All runs from the initial state that end in Stop, each with the exact
+    product of its branch probabilities, most probable first.  In a tree,
+    as the builder makes, each branch into Stop ends at most one run, read
+    by walking parent links up to the initial state in time linear in its
+    length.  A state entered twice raises DlttsError naming it, so a graph
+    that is not a tree never gets a wrong answer."""
     initial, stop = dltts.initial, dltts.stop
-    sources: dict[str, set[str]] = {}
+    if initial == stop:
+        return (True, (Run((stop,), (), Fraction(1)),))
+    parent: dict[str, tuple[Transition, Branch]] = {}
+    into_stop: list[tuple[Transition, Branch]] = []
     for t in dltts.transitions:
         for b in t.branches:
-            sources.setdefault(b.to, set()).add(t.source)
-    live = {stop}
-    todo = [stop]
-    while todo:
-        for s in sources.get(todo.pop(), ()):
-            if s not in live:
-                live.add(s)
-                todo.append(s)
+            if b.to == stop:
+                into_stop.append((t, b))
+            elif b.to in parent or b.to == initial:
+                raise DlttsError(f"state {b.to!r} is entered twice: not a tree")
+            else:
+                parent[b.to] = (t, b)
     runs: list[Run] = []
-    path: list[str] = []
-    actions: list[str] = []  # the action into each path state
-    on_path: set[str] = set()
-    todo = [(0, initial, "", Fraction(1))] if initial in live else []
-    while todo:
-        depth, state, action, prob = todo.pop()
-        on_path.difference_update(path[depth:])
-        del path[depth:], actions[depth:]
-        path.append(state)
-        actions.append(action)
-        if state == stop:
-            runs.append(Run(tuple(path), tuple(actions[1:]), prob))
-            continue
-        on_path.add(state)
-        todo.extend(reversed([
-            (depth + 1, b.to, t.action, prob * b.prob)
-            for t in dltts.outgoing(state)
-            for b in t.branches
-            if b.to in live and b.to not in on_path
-        ]))
+    for edge in into_stop:
+        states, actions, prob = [stop], [], Fraction(1)
+        # a chain longer than the states that have parents is a loop
+        while edge is not None and len(states) <= len(parent) + 1:
+            t, b = edge
+            states.append(t.source)
+            actions.append(t.action)
+            prob *= b.prob
+            edge = parent.get(t.source)
+        if edge is None and states[-1] == initial:
+            runs.append(Run(tuple(reversed(states)), tuple(reversed(actions)), prob))
     runs.sort(key=lambda r: (-r.probability, r.states))
     return (bool(runs), tuple(runs))
 
@@ -161,8 +148,6 @@ def reach_stop(dltts: Dltts) -> tuple[bool, tuple[Run, ...]]:
 def validate(dltts: Dltts) -> list[str]:
     """Invariant check; empty list iff the system is well-formed."""
     problems: list[str] = []
-    if dltts.tags.get(dltts.stop):
-        problems.append("Stop carries a tag")
     seen_distr: set[tuple] = set()
     for t in dltts.transitions:
         if t.source == dltts.stop:
@@ -194,21 +179,6 @@ def validate(dltts: Dltts) -> list[str]:
                 problems.append(f"delta from {t.source!r} must go to Stop alone")
             elif t.branches[0].prob != 1:
                 problems.append(f"delta from {t.source!r} must have probability 1")
-    if dltts.tags:
-        for t in dltts.transitions:
-            src_sat = dltts.saturated.get(t.source)
-            if src_sat is None:
-                continue
-            for b in t.branches:
-                if b.to == dltts.stop:
-                    continue
-                tag = dltts.tags.get(b.to)
-                if tag is None:
-                    problems.append(f"state {b.to!r} has no tag")
-                elif tag != src_sat | b.label.tuples:
-                    problems.append(
-                        f"tag at {b.to!r} is not tight wrt {t.source!r}"
-                    )
     return problems
 
 

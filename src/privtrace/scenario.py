@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .lts import Dltts, Label, natural_key, parse_dltts, reach_stop, validate
+from .lts import Dltts, Label, natural_key, parse_dltts, reach_stop
 from .report import Report, ScenarioError, dp_section, parse_mode
 from .schema import (
     COLUMN,
@@ -237,7 +237,8 @@ def build_run(
     mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
 ) -> tuple[Dltts, dict[str, OracleVerdict]]:
     """Drive a builder along a scripted query sequence: it saturates each
-    new state and the oracle rules on every one as it is made."""
+    new state and the oracle rules on every one as it is made.  A step the
+    builder refuses raises a ScenarioError naming the step."""
     from .dltts import DlttsBuilder
 
     try:
@@ -271,7 +272,8 @@ def build_run(
             )
             prob = _read(f"{where}.prob", parse_fraction, bdoc["prob"])
             branches.append((bdoc["to"], prob, label))
-        builder.add_transition(step["from"], step["action"], branches)
+        _read(f"scenario runs.{run_name}.steps[{i}]", builder.add_transition,
+              step["from"], step["action"], branches)
     return builder.build(), builder.verdicts
 
 
@@ -356,19 +358,13 @@ def _run_section(
     dltts, verdicts = build_run(
         scenario, run_name, epsilon=epsilon, secret=secret, mode=mode
     )
-    problems = validate(dltts)
     report.add(f"## run {run_name}")
     report.runs[run_name] = dltts
-    report.put(f"run/{run_name}/valid", not problems)
-    if problems:
-        for p in problems:
-            report.add(f"INVALID: {p}")
     for state in sorted(verdicts, key=natural_key):
         v = verdicts[state]
         if v is not OracleVerdict.CONTINUE:
-            prob = dltts.state_probs.get(state)
-            suffix = f" (state probability {prob})" if prob is not None else ""
-            report.add(f"oracle at {state}: {v.value}{suffix}")
+            report.add(f"oracle at {state}: {v.value} "
+                       f"(state probability {dltts.state_probs[state]})")
     reached, runs = reach_stop(dltts)
     report.put(f"run/{run_name}/stop_reached", reached)
     report.put(f"run/{run_name}/runs", runs)

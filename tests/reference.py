@@ -21,11 +21,12 @@ from privtrace.attack import (
 )
 from privtrace.dltts import (
     OracleVerdict,
+    Tag,
     _is_knowledge,
     _merged_taxonomies,
     check_consistency,
 )
-from privtrace.lts import Branch, Dltts, Label, Tag, Transition
+from privtrace.lts import Branch, Dltts, Label, Transition
 from privtrace.metrics import (
     MetricError,
     _cells,
@@ -314,6 +315,10 @@ def build_attack_dltts(db: DataTable, profile: AttackerProfile) -> AttackDltts:
         priors = profile.priors.get(col)
         if priors is not None:
             total = sum((priors[v] for v in values), Fraction(0))
+            if values and total == 0:
+                raise AttackError(f"profile {profile.name}: {col} values "
+                                  f"{sorted(map(str, values))} at one query level "
+                                  "all have prior 0")
             source = "db" if profile.empirical else profile.name
             return [(v, priors[v] / total, source) for v in values]
         n = len(rows)

@@ -272,6 +272,13 @@ def test_oracle_rejects_stop(hospital):
         b.add_transition("s0", "q", [("STOP", F(1), Label())])
 
 
+def test_builder_reserves_delta_for_the_oracle(hospital):
+    b = _mini_builder(hospital)
+    with pytest.raises(DlttsError, match="'delta' is reserved"):
+        b.add_transition("s0", DELTA, [("STOP", F(1), Label())])
+    assert b.transitions == []
+
+
 def test_reach_stop_trivial_cases():
     single = Dltts("s0", "STOP", ())
     assert reach_stop(single) == (False, ())
@@ -384,20 +391,6 @@ def test_validate_rejects_each_mutation():
     )
     bad = d.replace(transitions=d.transitions[:4] + (t.replace(branches=bad_branches),) + d.transitions[5:])
     assert any("non-positive" in p for p in validate(bad))
-
-
-def test_validate_tag_tightness_mutation(hospital, main_pattern):
-    b = _mini_builder(hospital)
-    p = main_pattern("(John,*,M,*,*)")
-    b.add_transition(
-        "s0", "q", [("s1", F(1), Label(tuples=frozenset({p})))]
-    )
-    d = b.build()
-    assert validate(d) == []
-    broken_tags = dict(d.tags)
-    broken_tags["s1"] = frozenset({TOP})
-    bad = d.replace(tags=broken_tags)
-    assert any("tight" in p for p in validate(bad))
 
 
 @pytest.fixture(scope="module")

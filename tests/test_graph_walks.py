@@ -1,11 +1,13 @@
-"""The indexed, cached, explicit-stack graph walks against the recursive,
-uncached versions they replaced, which live on here as oracles."""
+"""The indexed, cached, explicit-stack graph walks, and the runs to Stop
+read off a tree's parent links, against the recursive, uncached walks they
+replaced, which live on here as oracles."""
 
 from __future__ import annotations
 
 import random
 import time
 from fractions import Fraction as F
+from itertools import count
 
 import pytest
 
@@ -21,7 +23,8 @@ from privtrace.attack import (
     max_pr,
     threshold_report,
 )
-from privtrace.lts import DELTA, Branch, Dltts, Run, Transition, reach_stop
+from privtrace.lts import (DELTA, Branch, Dltts, DlttsError, Run, Transition,
+                           parse_dltts, reach_stop)
 from privtrace.scenario import load_scenario, run_scenario
 
 from conftest import SCENARIOS
@@ -208,43 +211,59 @@ def test_walks_match_the_recursive_uncached_oracles():
                 attack, best, base_max, declared), case
             assert updated.off == attack.off | {
                 (d.node, d.line) for d in decisions if d.switched_off}
-        assert reach_stop(plain.dltts) == oracle_reach_stop(plain.dltts), case
         baseline = switched
 
 
-def random_cyclic_dltts(rng: random.Random) -> Dltts:
-    """A graph over s0..s{n-1} with back edges, self-loops, parallel
-    transitions and a few edges into Stop: many states that reach Stop do
-    so only through a state already on the path that leads to them."""
-    n = rng.randint(1, 7)
-    states = [f"s{i}" for i in range(n)]
-    transitions = []
-    for source in states:
-        for _ in range(rng.choice((0, 1, 1, 2, 3))):
-            outs = rng.sample(states + ["STOP"] * (rng.random() < 0.3),
-                              rng.randint(1, min(3, n)))
-            transitions.append(Transition(source, f"q{rng.randint(0, 1)}", tuple(
-                Branch(to, F(1, rng.choice((1, 2, 3)))) for to in outs)))
+def random_tree_dltts(rng: random.Random) -> Dltts:
+    """A tree grown as the builder grows one: each transition leaves a
+    state already made, and each of its branches enters a new state or
+    Stop.  Some states take several transitions, some transitions branch
+    into Stop more than once, and branch weights come from a small set, so
+    runs often tie.  Now and then a part that the initial state does not
+    reach is added: a chain from a state nothing enters, or a loop, each
+    with a branch into Stop.  The transitions are shuffled."""
+    made, serial, transitions = ["s0"], count(1), []
+    for _ in range(rng.randint(0, 12)):
+        source = rng.choice(made)
+        outs = [f"s{next(serial)}" if rng.random() < 0.8 else "STOP"
+                for _ in range(rng.randint(1, 3))]
+        made += [to for to in outs if to != "STOP"]
+        weights = [rng.choice((1, 1, 2, 3)) for _ in outs]
+        transitions.append(Transition(source, rng.choice(("q0", "q1", DELTA)), tuple(
+            Branch(to, F(w, sum(weights))) for to, w in zip(outs, weights))))
+    if rng.random() < 0.2:
+        transitions += [Transition("u0", "q0", (Branch("u1", F(1)),)),
+                        Transition("u1", DELTA, (Branch("STOP", F(1)),))]
+    if rng.random() < 0.2:
+        transitions += [Transition("v0", "q0", (Branch("v1", F(1)),)),
+                        Transition("v1", "q0", (Branch("v0", F(1, 2)),
+                                                Branch("STOP", F(1, 2))))]
     rng.shuffle(transitions)
     return Dltts("s0", "STOP", tuple(transitions))
 
 
-def test_reach_stop_matches_the_oracle_on_cyclic_graphs():
+def test_reach_stop_matches_the_oracle_on_random_trees():
     rng = random.Random(20261019)
-    blocked = 0
+    reached = 0
     for case in range(3000):
-        dltts = random_cyclic_dltts(rng)
+        dltts = random_tree_dltts(rng)
         got = reach_stop(dltts)
         assert got == oracle_reach_stop(dltts), case
-        # Some reached state reaches Stop, but only through a state already
-        # on every path to it, so it lies on no simple run.
-        edges = {(t.source, b.to) for t in dltts.transitions for b in t.branches}
-        live, reached = {"STOP"}, {"s0"}
-        for _ in range(8):  # 8 rounds reach both fixpoints on 8 states
-            live |= {u for u, v in edges if v in live}
-            reached |= {v for u, v in edges if u in reached}
-        blocked += bool(live & reached - {s for r in got[1] for s in r.states})
-    assert blocked > 100
+        reached += got[0]
+    assert 1000 < reached < 3000
+
+
+@pytest.mark.parametrize("text, state", [
+    # a diamond: s3 is entered from s1 and from s2
+    ("s0 -> [(s1, 1/2), (s2, 1/2)] q\ns1 -> [(s3, 1)] q\ns2 -> [(s3, 1)] q\n"
+     "s3 -> [(STOP, 1)] delta\n", "s3"),
+    # a branch back into the initial state
+    ("s0 -> [(s1, 1)] q\ns1 -> [(s0, 1/2), (STOP, 1/2)] q\n", "s0"),
+])
+def test_reach_stop_refuses_a_state_entered_twice(text, state):
+    """A system that is not a tree gets no answer rather than a wrong one."""
+    with pytest.raises(DlttsError, match=f"state '{state}' is entered twice"):
+        reach_stop(parse_dltts(text))
 
 
 @pytest.mark.parametrize("delta", [False, True])

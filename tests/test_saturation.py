@@ -12,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from privtrace.dltts import DlttsBuilder, OracleVerdict, check_consistency, saturate
-from privtrace.lts import DELTA, DlttsError, Label, validate
+from privtrace.lts import DELTA, DlttsError, Label, reach_stop, validate
 from privtrace.metrics import IntervalMeasureMode
 from privtrace.schema import (
     ColumnSchema,
@@ -34,6 +34,7 @@ from privtrace.values import (
     Wildcard,
 )
 from reference import derivations, oracle_verdict, replace_cell
+from test_graph_walks import oracle_reach_stop
 
 CASES = 1500
 BUILDS = 300
@@ -447,8 +448,15 @@ def test_incremental_builder_matches_oracle_verdict_and_naive_closure():
                 for i in range(k)
             ]
             builder.add_transition(source, "q", branches)
-        assert builder.verdicts.keys() == builder.tags.keys()
-        for state, tag in builder.tags.items():
+        built = builder.build()
+        # a state's tag: its parent's saturated tag plus its label's tuples
+        tags = {builder.initial: frozenset({TOP})}
+        for t in built.transitions:
+            for b in t.branches:
+                if b.to != built.stop:
+                    tags[b.to] = builder.saturated[t.source] | b.label.tuples
+        assert builder.verdicts.keys() == builder.saturated.keys() == tags.keys()
+        for state, tag in tags.items():
             assert builder.saturated[state] == naive_saturate(
                 tag, bases, columns=COLUMNS, taxonomies={"t": tree}
             )
@@ -463,7 +471,8 @@ def test_incremental_builder_matches_oracle_verdict_and_naive_closure():
                 (out,) = [t for t in builder.transitions if t.source == state]
                 assert out.action == DELTA
                 assert [b.to for b in out.branches] == [builder.stop]
-        assert validate(builder.build()) == []
+        assert validate(built) == []
+        assert reach_stop(built) == oracle_reach_stop(built)
         derived += _derived_as_the_reference(
             builder._derivations, bases, columns=COLUMNS, taxonomies={"t": tree})
     assert min(verdicts.values()) > 20, verdicts

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from privtrace.cli import cli_main
-from privtrace.dltts import OracleVerdict
+from privtrace.dltts import DlttsBuilder, OracleVerdict
 from privtrace.lts import DlttsError, reach_stop, validate
 from privtrace.dotexport import export_dot
 from privtrace.privacy import MAX_LN_DIGITS, MECHANISM
@@ -76,17 +76,22 @@ def test_cli_analyze_epsilon_flags(capsys):
 
 
 @pytest.mark.parametrize("mode", ["integer-set", "paper-compat"])
-def test_cli_analyze_oracle_uses_the_given_mode(capsys, hospital, mode):
+def test_cli_analyze_oracle_uses_the_given_mode(capsys, monkeypatch, hospital, mode):
     """s5's rho against l5 is 39/20 in paper-compat mode and 41/21 in
     integer-set mode, so a bound of 1.951 catches s5 in the former only."""
     assert cli_main(["analyze", "--scenario", HOSPITAL, "--epsilon", "1.951",
                      "--secret", "published:l5", "--mode", mode]) == 0
     reported = dict(re.findall(r"^oracle at (\S+): (\S+)", capsys.readouterr().out,
                                re.MULTILINE))
-    dltts, _ = build_run(hospital, "trace")
+    builders = []
+    build = DlttsBuilder.build
+    monkeypatch.setattr(DlttsBuilder, "build",
+                        lambda self: builders.append(self) or build(self))
+    build_run(hospital, "trace")
+    (builder,) = builders
     secret = [hospital.table("published").row("l5").cells]
     expected = {}
-    for state, tag in dltts.saturated.items():
+    for state, tag in builder.saturated.items():
         verdict = oracle_verdict(tag, hospital.schema.policy, secret, F("1.951"),
                                  parse_mode(mode), taxonomies=hospital.schema.taxonomies)
         if verdict is not OracleVerdict.CONTINUE:
@@ -1171,3 +1176,43 @@ def test_cli_analyze_epsilon_is_an_exact_bound(tmp_path, capsys):
         assert cli_main(["analyze", "--scenario", scenario, "--epsilon", bad,
                          "--secret", "t:l1"]) == 2
         assert "error: --epsilon" in capsys.readouterr().err
+
+
+def _set_sex_priors(priors):
+    return lambda doc: doc["profiles"]["A"]["priors"].update(Sex=priors)
+
+
+def _step_4(change):
+    return lambda doc: change(doc["runs"]["trace"]["steps"][4])
+
+
+@pytest.mark.parametrize("scenario, change, argv, message", [
+    ("hospital", _step_4(lambda step: step.update(action="delta")), ["analyze"],
+     "scenario runs.trace.steps[4]: action 'delta' is reserved for the oracle's "
+     "move to Stop"),
+    ("hospital", _step_4(lambda step: step.update(action="delta")), ["validate"],
+     "scenario runs.trace.steps[4]: action 'delta' is reserved for the oracle's "
+     "move to Stop"),
+    ("hospital", _step_4(lambda step: step["branches"][0].update(prob="1/2")),
+     ["analyze"], "scenario runs.trace.steps[4]: branch probabilities sum to 7/6, "
+     "not 1"),
+    ("enterprise", _set_sex_priors({"F": "1", "M": "-1", "X": "1"}),
+     ["attack", "--built", "--attacker", "A"],
+     "profile A: prior for Sex value M is -1, negative"),
+    ("enterprise", _set_sex_priors({"F": "0", "M": "0", "X": "1"}),
+     ["attack", "--built", "--attacker", "A"],
+     "profile A: Sex values ['F', 'M'] at one query level all have prior 0"),
+])
+def test_cli_refusals_exit_two_naming_their_place(tmp_path, scenario, change, argv,
+                                                  message):
+    """A scripted `delta` step, a step whose branches do not sum to 1, a
+    negative prior and a query level whose values all have prior 0 each
+    exit 2 with one line naming where they are."""
+    shutil.copytree(SCENARIOS / scenario, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "scenario.json"
+    doc = json.loads(path.read_text())
+    change(doc)
+    path.write_text(json.dumps(doc))
+    done = _cli_process(*argv, "--scenario", str(path))
+    assert done.returncode == 2
+    assert done.stderr == f"error: {message}\n"
