@@ -17,14 +17,14 @@ _LAZY = {
         "schema": "ColumnSchema DataTable PrivacyPolicy Row SchemaBundle TOP "
         "TuplePattern load_schema load_table parse_pattern",
         "metrics": "d_bar d_eucl d_nom d_num d_vector d_wp hamming rho",
-        "lts": "DELTA Dltts Label Run parse_dltts reach_stop validate",
-        "dltts": "DlttsBuilder OracleVerdict check_consistency "
-        "epsilon_equivalent_labels saturate",
+        "lts": "DELTA Dltts Label parse_dltts",
+        "dltts": "DlttsBuilder OracleVerdict Run check_consistency "
+        "epsilon_equivalent_labels reach_stop saturate validate",
         "privacy": "EpsilonResult HammingAdjacency Mechanism RhoAdjacency "
         "is_eps_indistinguishable min_dp_epsilon min_eps_hamming_indist "
         "min_eps_rho_indist min_indist_epsilon min_ldp_epsilon parse_epsilon",
-        "attack": "AttackDltts AttackerProfile apply_strategy build_attack_dltts "
-        "load_attack_dltts max_pr threshold_report",
+        "attack": "AttackDltts apply_strategy load_attack_dltts max_pr threshold_report",
+        "profiles": "AttackerProfile build_attack_dltts",
         "dotexport": "export_dot",
     }.items()
     for name in names.split()

@@ -1,10 +1,8 @@
-"""Attack trees over an anonymized table: building them from attacker
-profiles, loading published transcripts verbatim, multiset-priority access
-probabilities, success thresholds, and the response-blocking strategy.
+"""Attack trees over an anonymized table: loading published transcripts
+verbatim, multiset-priority access probabilities, success thresholds, and
+the response-blocking strategy.  Trees built from attacker profiles live
+in `profiles`, which only profiles, `attack --built` and `validate` load.
 
-A built tree queries one quasi-identifier per level; branch probabilities
-come from the profile's priors restricted to the values actually present
-(renormalized) and fall back to the database's conditional frequencies.
 Every node whose incoming label is a singleton {l} carries a response(l)
 switch, ON by default; the protection strategy turns a switch OFF when the
 attacker's access probability at that node beats the baseline's threshold.
@@ -14,13 +12,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cached_property, partial
-from itertools import count
+from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 from .lts import Branch, Dltts, Label, Transition, parse_dltts
-from .schema import DataTable, Row
-from .values import Record, Value, render_cell
+from .values import Record
 
 
 class AttackError(ValueError):
@@ -29,32 +25,6 @@ class AttackError(ValueError):
 
 def _priority_key(probs: Iterable[Fraction]) -> tuple[Fraction, ...]:
     return tuple(sorted(probs, reverse=True))
-
-
-class AttackerProfile(Record):
-    """An attacker: the order it queries attributes in, its prior per
-    attribute value (none when left out), its stated objective, and whether
-    its priors are the database distribution itself."""
-
-    name: str
-    attribute_order: tuple[str, ...]
-    priors: Mapping[str, Mapping[Value, Fraction]] | None = None
-    objective: str = ""
-    empirical: bool = False
-
-    def _check(self) -> None:
-        if self.priors is None:
-            object.__setattr__(self, "priors", {})
-        for col, table in self.priors.items():
-            for value, prior in table.items():
-                if prior < 0:
-                    raise AttackError(f"profile {self.name}: prior for {col} value "
-                                      f"{render_cell(value)} is {prior}, negative")
-            total = sum(table.values(), Fraction(0))
-            if total != 1:
-                raise AttackError(
-                    f"profile {self.name}: priors for {col} sum to {total}, not 1"
-                )
 
 
 # A line id is free text, so a switch names any text in its parentheses.
@@ -145,75 +115,6 @@ def _switched(name: str, dltts: Dltts, responses: Iterable[ResponseEdge],
             responses.append(edge)
     dltts = dltts.replace(transitions=tuple(transitions))
     return AttackDltts(name=name, dltts=dltts, responses=tuple(responses))
-
-
-def _sensitive_value(db: DataTable, line_id: str) -> str:
-    for i, col in enumerate(db.columns):
-        if col.group == "sensitive":
-            return render_cell(db.row(line_id).cells[i])
-    raise AttackError(f"table {db.name} has no sensitive column")
-
-
-def build_attack_dltts(db: DataTable, profile: AttackerProfile) -> AttackDltts:
-    """One query level per profile attribute, then a uniform split to
-    singleton leaves, then a response(l) transition at every
-    singleton-labeled node."""
-    qid_names = {c.name for c in db.columns if c.group == "quasi-identifier"}
-    for col in profile.attribute_order:
-        if col not in qid_names:
-            raise AttackError(f"profile {profile.name}: {col!r} is not a qid column")
-    for col, table in profile.priors.items():
-        idx = db.column_index(col)
-        present = {row.cells[idx] for row in db.rows}
-        missing = present - set(table)
-        if missing:
-            raise AttackError(
-                f"profile {profile.name}: no prior for {col} value(s) "
-                f"{sorted(map(str, missing))}"
-            )
-
-    # Children are pushed in reverse, so each subtree is built, and its
-    # states named, before its next sibling's: depth-first, as s1, s2, ...
-    transitions: list[Transition] = []
-    serial = count(1)
-    stack = [("s0", db.rows, 0)]
-    while stack:
-        state, rows, depth = stack.pop()
-        if depth == len(profile.attribute_order):
-            if len(rows) > 1:
-                prob = Fraction(1, len(rows))
-                transitions.append(Transition(state, "pick", tuple(
-                    Branch(f"s{next(serial)}", prob, Label(lines=frozenset({r.line_id})))
-                    for r in rows
-                )))
-            continue
-        col = profile.attribute_order[depth]
-        idx = db.column_index(col)
-        groups: dict[Value, list[Row]] = {}
-        for row in rows:
-            groups.setdefault(row.cells[idx], []).append(row)
-        # One present value, or no priors for the column: the rows' counts.
-        priors = profile.priors.get(col) if len(groups) > 1 else None
-        weights = {v: len(g) if priors is None else priors[v] for v, g in groups.items()}
-        total = sum(weights.values(), Fraction(0))
-        if priors is not None and total == 0:
-            raise AttackError(f"profile {profile.name}: {col} values "
-                              f"{sorted(map(str, groups))} at one query level "
-                              "all have prior 0")
-        source = "db" if priors is None or profile.empirical else profile.name
-        branches, children = [], []
-        for v, group in groups.items():
-            child = f"s{next(serial)}"
-            label = Label(text=f"{col}={render_cell(v)}",
-                          lines=frozenset(r.line_id for r in group), source=source)
-            branches.append(Branch(child, weights[v] / total, label))
-            children.append((child, group, depth + 1))
-        transitions.append(Transition(state, f"query:{col}", tuple(branches)))
-        stack.extend(reversed(children))
-
-    dltts = Dltts(initial="s0", stop="STOP", transitions=tuple(transitions))
-    return _switched(profile.name, dltts, (), partial(_sensitive_value, db),
-                     assumed=False)
 
 
 def load_attack_dltts(text: str, name: str = "attack") -> AttackDltts:
@@ -319,9 +220,7 @@ def _first_condition(pred: Mapping[str, tuple[str, Branch]], node: str) -> str:
     return text.split("=", 1)[1] if "=" in text else text
 
 
-def threshold_report(
-    attack: AttackDltts,
-) -> dict[tuple[str, str], Fraction]:
+def threshold_report(attack: AttackDltts) -> dict[tuple[str, str], Fraction]:
     """Per (response value, first query condition): the maximal priority-run
     probability of reaching a response node answering with that value."""
     best, pred = attack._runs
@@ -332,16 +231,6 @@ def threshold_report(
         if key not in report or pr > report[key]:
             report[key] = pr
     return report
-
-
-def _baseline_threshold(
-    baseline: AttackDltts,
-    line: str,
-    baseline_max: Mapping[str, Fraction] | None,
-) -> Fraction:
-    if baseline_max is not None and line in baseline_max:
-        return Fraction(baseline_max[line])
-    return max_pr(baseline, line)
 
 
 class StrategyDecision(Record):
@@ -356,66 +245,23 @@ class StrategyDecision(Record):
     switched_off: bool
 
 
-def apply_strategy(
-    attack: AttackDltts,
-    baseline: AttackDltts,
-    *,
-    baseline_max: Mapping[str, Fraction] | None = None,
-) -> tuple[AttackDltts, list[StrategyDecision]]:
+def apply_strategy(attack: AttackDltts, baseline: AttackDltts, *,
+                   baseline_max: Mapping[str, Fraction] | None = None,
+                   ) -> tuple[AttackDltts, list[StrategyDecision]]:
     """Switch OFF response(l) at every singleton node where the attacker's
-    priority-run probability strictly exceeds the baseline threshold;
-    everything else stays ON.  Returns the updated system and the full
-    decision list."""
+    priority-run probability strictly exceeds the baseline threshold, the
+    line's `baseline_max` entry if it has one, else its `max_pr` in
+    `baseline`; everything else stays ON.  Returns the updated system and
+    the full decision list."""
     best, _ = attack._runs
     decisions = []
     off = set(attack.off)
     for node, line in attack.singleton_nodes():
         pr = best.get(node, Fraction(0))
-        base = _baseline_threshold(baseline, line, baseline_max)
+        base = (Fraction(baseline_max[line]) if baseline_max and line in baseline_max
+                else max_pr(baseline, line))
         blocked = pr > base
         if blocked:
             off.add((node, line))
         decisions.append(StrategyDecision(node, line, pr, base, blocked))
     return attack.replace(off=frozenset(off)), decisions
-
-
-def attack_problems(attack: AttackDltts, db: DataTable | None = None) -> list[str]:
-    """Consistency of an attack tree: branch probabilities sum to 1, sibling
-    label sets partition the parent's label set (root: the table's lines
-    when a table is given), responses exist exactly at singleton nodes."""
-    problems = []
-    dltts = attack.dltts
-    incoming_lines: dict[str, frozenset[str]] = {}
-    if db is not None:
-        incoming_lines[dltts.initial] = frozenset(db.line_ids())
-    for t in dltts.transitions:
-        if _response_line(t.action):
-            continue
-        for b in t.branches:
-            incoming_lines[b.to] = b.label.lines
-    for t in dltts.transitions:
-        total = sum((b.prob for b in t.branches), Fraction(0))
-        if total != 1:
-            problems.append(f"{t.source}: branch probabilities sum to {total}")
-        if _response_line(t.action):
-            continue
-        parent = incoming_lines.get(t.source)
-        if parent is None:
-            continue
-        union: set[str] = set()
-        for b in t.branches:
-            if union & b.label.lines:
-                problems.append(f"{t.source}: sibling label sets overlap")
-            union |= b.label.lines
-        if union != set(parent):
-            problems.append(
-                f"{t.source}: children {sorted(union)} do not partition "
-                f"{sorted(parent)}"
-            )
-    response_nodes = {(e.node, e.line) for e in attack.responses}
-    singles = set(attack.singleton_nodes())
-    for node, line in singles - response_nodes:
-        problems.append(f"{node}: singleton {{{line}}} has no response switch")
-    for node, line in response_nodes - singles:
-        problems.append(f"{node}: response({line}) at a non-singleton node")
-    return problems

@@ -104,7 +104,7 @@ def _dot_path(base: str, name: str, names: list[str]) -> Path:
 
 
 def _cmd_metric(scenario: Scenario, args) -> int:
-    from .scenario import Report, ScenarioError, metric_section
+    from .sections import Report, ScenarioError, metric_section
 
     table = args.table or scenario.analysis.get("metric", {}).get("table")
     if table is None:
@@ -126,10 +126,8 @@ def _oracle_bound(text: str) -> Fraction:
     except ExponentError as exc:
         raise ScenarioError(f"--epsilon: {exc}") from None
     except ValueError:
-        raise ScenarioError(
-            f"--epsilon {text!r} is not a fraction or decimal "
-            "(the oracle bounds rho, a distance, not an ln(...) epsilon)"
-        ) from None
+        raise ScenarioError(f"--epsilon {text!r} is not a fraction or decimal (the "
+                            "oracle bounds rho, a distance, not an ln(...) epsilon)") from None
     if bound < 0:
         raise ScenarioError(f"--epsilon {text!r} is negative")
     return bound
@@ -184,7 +182,6 @@ def _cmd_dp_check(scenario: Scenario | None, args) -> int:
 
 
 def _cmd_attack(scenario: Scenario, args) -> int:
-    from .attack import attack_problems
     from .dotexport import export_dot
     from .scenario import Report, attack_section
 
@@ -196,6 +193,8 @@ def _cmd_attack(scenario: Scenario, args) -> int:
         )
         found = has_thresholds or found
         if args.built:
+            from .profiles import attack_problems
+
             for prob in attack_problems(attack, scenario.attack_table()):
                 report.add(f"INVALID: {prob}")
         if args.dot:
@@ -245,8 +244,8 @@ def _cmd_export_dot(scenario: Scenario, args) -> int:
 
 
 def _cmd_validate(scenario: Scenario, args) -> int:
-    from .attack import attack_problems
-    from .lts import validate
+    from .dltts import validate
+    from .profiles import attack_problems
     from .scenario import Report, ScenarioError, build_run
 
     report = Report(scenario.name)

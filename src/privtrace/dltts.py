@@ -20,6 +20,9 @@ R2 reads them, and the record-linkage rules R1/R3 skip them.
 
 All three fire on single tag premises (uniqueness in R3 is counted over the
 fixed external base), so saturation is monotone and idempotent.
+
+A built system is a tree: `reach_stop` reads its runs to Stop off parent
+links.  `validate` checks the structure of an explicit transcript.
 """
 
 from __future__ import annotations
@@ -28,13 +31,12 @@ from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-# `parse_dltts`, `reach_stop` and `validate` are not used here: the
-# benchmark's tracer finds them under this module's name.
-from .lts import (DELTA, Branch, Dltts, DlttsError, Label, Transition,
-                  parse_dltts, reach_stop, validate)
+# `parse_dltts` is not used here: the benchmark's tracer finds it under
+# this module's name.
+from .lts import DELTA, Branch, Dltts, DlttsError, Label, Transition, parse_dltts
 from .schema import ColumnSchema, DataTable, PrivacyPolicy, TOP, TuplePattern
-from .values import (ColumnClass, IntervalMeasureMode, Number, TaxonomyTree, Taxon,
-                     Wildcard)
+from .values import (ColumnClass, IntervalMeasureMode, Number, Record, TaxonomyTree,
+                     Taxon, Wildcard)
 
 if TYPE_CHECKING:
     from .privacy import Mechanism
@@ -383,6 +385,83 @@ class DlttsBuilder:
     def build(self) -> Dltts:
         return Dltts(self.initial, self.stop, tuple(self.transitions),
                      dict(self.state_probs))
+
+
+class Run(Record):
+    """One run into Stop: its states, actions and exact probability."""
+
+    states: tuple[str, ...]
+    actions: tuple[str, ...]
+    probability: Fraction
+
+
+def reach_stop(dltts: Dltts) -> tuple[bool, tuple[Run, ...]]:
+    """All runs from the initial state that end in Stop, each with the exact
+    product of its branch probabilities, most probable first.  In a tree,
+    as the builder makes, each branch into Stop ends at most one run, read
+    by walking parent links up to the initial state in time linear in its
+    length.  A state entered twice raises DlttsError naming it, so a graph
+    that is not a tree never gets a wrong answer."""
+    initial, stop = dltts.initial, dltts.stop
+    if initial == stop:
+        return (True, (Run((stop,), (), Fraction(1)),))
+    parent: dict[str, tuple[Transition, Branch]] = {}
+    into_stop: list[tuple[Transition, Branch]] = []
+    for t in dltts.transitions:
+        for b in t.branches:
+            if b.to == stop:
+                into_stop.append((t, b))
+            elif b.to in parent or b.to == initial:
+                raise DlttsError(f"state {b.to!r} is entered twice: not a tree")
+            else:
+                parent[b.to] = (t, b)
+    runs: list[Run] = []
+    for edge in into_stop:
+        states, actions, prob = [stop], [], Fraction(1)
+        # a chain longer than the states that have parents is a loop
+        while edge is not None and len(states) <= len(parent) + 1:
+            t, b = edge
+            states.append(t.source)
+            actions.append(t.action)
+            prob *= b.prob
+            edge = parent.get(t.source)
+        if edge is None and states[-1] == initial:
+            runs.append(Run(tuple(reversed(states)), tuple(reversed(actions)), prob))
+    runs.sort(key=lambda r: (-r.probability, r.states))
+    return (bool(runs), tuple(runs))
+
+
+def validate(dltts: Dltts) -> list[str]:
+    """Invariant check; empty list iff the system is well-formed."""
+    problems: list[str] = []
+    seen_distr: set[tuple] = set()
+    for t in dltts.transitions:
+        if t.source == dltts.stop:
+            problems.append("Stop has an outgoing transition")
+        if not t.branches:
+            problems.append(f"transition from {t.source!r} has no branches")
+            continue
+        total = Fraction(0)
+        for b in t.branches:
+            if b.prob <= 0:
+                problems.append(f"branch {t.source}->{b.to} has non-positive probability")
+            total += b.prob
+        if total != 1:
+            problems.append(
+                f"probabilities from {t.source!r} under {t.action!r} sum to {total}"
+            )
+        if len({b.to for b in t.branches}) != len(t.branches):
+            problems.append(f"duplicate branch target from {t.source!r}")
+        key = (t.source, frozenset((b.to, b.prob) for b in t.branches))
+        if key in seen_distr:
+            problems.append(f"two transitions from {t.source!r} share one distribution")
+        seen_distr.add(key)
+        if t.action == DELTA:
+            if len(t.branches) != 1 or t.branches[0].to != dltts.stop:
+                problems.append(f"delta from {t.source!r} must go to Stop alone")
+            elif t.branches[0].prob != 1:
+                problems.append(f"delta from {t.source!r} must have probability 1")
+    return problems
 
 
 def epsilon_equivalent_labels(

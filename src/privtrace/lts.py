@@ -1,10 +1,11 @@
-"""Probabilistic labelled transition systems: the core under the tags.
+"""Probabilistic labelled transition systems: the core under the tags, and
+the reader of the explicit transcript format.
 
 A system has a distinguished initial state, probabilistic transitions whose
 branches carry labels (what each possible answer teaches), and a Stop state
 reached only through the violation action `delta`.  The attack trees use
-this core alone; `dltts` adds tags, kept inside its builder, saturation and
-the oracle.  A built system is a tree: `reach_stop` reads parent links.
+this core alone; `dltts` adds tags, kept inside its builder, saturation,
+the oracle and the runs to Stop.
 
 This module imports only `values`, so a report that builds no tagged
 system does not compile the knowledge layer.
@@ -17,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
-from .values import Record, parse_fraction, split_top_level
+from .values import Record, parse_fraction
 
 if TYPE_CHECKING:
     from .schema import TuplePattern
@@ -101,144 +102,88 @@ def natural_key(name: str) -> list:
     return [int(p) if p.isdigit() else p for p in re.split(r"(\d+)", name)]
 
 
-class Run(Record):
-    """One run into Stop: its states, actions and exact probability."""
-
-    states: tuple[str, ...]
-    actions: tuple[str, ...]
-    probability: Fraction
-
-
-def reach_stop(dltts: Dltts) -> tuple[bool, tuple[Run, ...]]:
-    """All runs from the initial state that end in Stop, each with the exact
-    product of its branch probabilities, most probable first.  In a tree,
-    as the builder makes, each branch into Stop ends at most one run, read
-    by walking parent links up to the initial state in time linear in its
-    length.  A state entered twice raises DlttsError naming it, so a graph
-    that is not a tree never gets a wrong answer."""
-    initial, stop = dltts.initial, dltts.stop
-    if initial == stop:
-        return (True, (Run((stop,), (), Fraction(1)),))
-    parent: dict[str, tuple[Transition, Branch]] = {}
-    into_stop: list[tuple[Transition, Branch]] = []
-    for t in dltts.transitions:
-        for b in t.branches:
-            if b.to == stop:
-                into_stop.append((t, b))
-            elif b.to in parent or b.to == initial:
-                raise DlttsError(f"state {b.to!r} is entered twice: not a tree")
-            else:
-                parent[b.to] = (t, b)
-    runs: list[Run] = []
-    for edge in into_stop:
-        states, actions, prob = [stop], [], Fraction(1)
-        # a chain longer than the states that have parents is a loop
-        while edge is not None and len(states) <= len(parent) + 1:
-            t, b = edge
-            states.append(t.source)
-            actions.append(t.action)
-            prob *= b.prob
-            edge = parent.get(t.source)
-        if edge is None and states[-1] == initial:
-            runs.append(Run(tuple(reversed(states)), tuple(reversed(actions)), prob))
-    runs.sort(key=lambda r: (-r.probability, r.states))
-    return (bool(runs), tuple(runs))
-
-
-def validate(dltts: Dltts) -> list[str]:
-    """Invariant check; empty list iff the system is well-formed."""
-    problems: list[str] = []
-    seen_distr: set[tuple] = set()
-    for t in dltts.transitions:
-        if t.source == dltts.stop:
-            problems.append("Stop has an outgoing transition")
-        if not t.branches:
-            problems.append(f"transition from {t.source!r} has no branches")
-            continue
-        total = Fraction(0)
-        for b in t.branches:
-            if b.prob <= 0:
-                problems.append(
-                    f"branch {t.source}->{b.to} has non-positive probability"
-                )
-            total += b.prob
-        if total != 1:
-            problems.append(
-                f"probabilities from {t.source!r} under {t.action!r} sum to {total}"
-            )
-        if len({b.to for b in t.branches}) != len(t.branches):
-            problems.append(f"duplicate branch target from {t.source!r}")
-        key = (t.source, frozenset((b.to, b.prob) for b in t.branches))
-        if key in seen_distr:
-            problems.append(
-                f"two transitions from {t.source!r} share one distribution"
-            )
-        seen_distr.add(key)
-        if t.action == DELTA:
-            if len(t.branches) != 1 or t.branches[0].to != dltts.stop:
-                problems.append(f"delta from {t.source!r} must go to Stop alone")
-            elif t.branches[0].prob != 1:
-                problems.append(f"delta from {t.source!r} must have probability 1")
-    return problems
-
-
-_PROVENANCE_RE = re.compile(r"^P_(\w+)\s+")
+# A token is the run of other text before a whole branch "(target,
+# probability[, label])", a bracket, a comma or the end, as in the `re`
+# docs' tokenizer recipe.  A bracket pair holding no bracket is text, so a
+# label's {line,ids}, [lo-hi] and response(l) cost no token.
+_OTHER, _FLAT = r"[^][(){},]", r"\[[^][(){}]*\]|\{[^][(){}]*\}"
+_TOKEN = re.compile(
+    _OTHER + "*(?:(?:" + _FLAT + ")" + _OTHER + r"*)*(?:\((" + _OTHER + "*),("
+    + _OTHER + r"*)(?:,((?:[^][(){}]|" + _FLAT + r"|\([^][(){}]*\))*))?\)|([][(){},]|\Z))")
+# A label: a provenance marker, then text around its first {line,ids} set.
+_LABEL_RE = re.compile(r"(?:P_(\w+)\s+)?(.*?)(?:\{([^{}]*)\}(.*))?")
 
 
 def _parse_label(text: str) -> Label:
-    text = text.strip()
-    source = "db"
-    m = _PROVENANCE_RE.match(text)
-    if m:
-        source = "db" if m.group(1).lower() == "db" else m.group(1)
-        text = text[m.end() :].strip()
-    lines: frozenset[str] = frozenset()
-    lm = re.search(r"\{([^{}]*)\}", text)
-    if lm:
-        lines = frozenset(
-            part.strip() for part in lm.group(1).split(",") if part.strip()
-        )
-        text = (text[: lm.start()] + text[lm.end() :]).strip()
-    return Label(text=text, lines=lines, source=source)
+    m = _LABEL_RE.fullmatch(text.strip())
+    source = m.group(1) or "db"
+    return Label((m.group(2) + (m.group(4) or "")).strip(),
+                 frozenset(filter(None, map(str.strip, (m.group(3) or "").split(",")))),
+                 frozenset(), "db" if source.lower() == "db" else source)
 
 
-def _parse_transition(line: str) -> Transition:
-    """One transition line: its branch list and optional action."""
-    source, rest = (part.strip() for part in line.split("->", 1))
+def _parse_transition(line: str, probs: dict[str, Fraction]) -> Transition:
+    """One transition line; `probs` caches the probabilities read so far."""
+    source, _, rest = map(str.strip, line.partition("->"))
     if not rest.startswith("["):
         raise ValueError("expected a branch list")
-    depth = 0
-    end = None
-    for i, ch in enumerate(rest):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
+    # `depth` counts the open brackets of every kind and `square` the square
+    # ones, so the list ends where `square` would fall to 0.  A branch is
+    # marked by its start, end, first return to depth 0 and depth-1 commas.
+    depth, square, unbalanced, marks = 0, 1, False, [[1, -1, -1]]
+    for m in _TOKEN.finditer(rest, 1):
+        c, at, mark = m.group(4), m.end() - 1, marks[-1]
+        if c is None:
+            if depth == 0:  # a whole branch, balanced
+                mark[2] = at if mark[2] < 0 else mark[2]
+                mark += m.end(1), m.end(2)
+        elif c == ",":
             if depth == 0:
-                end = i
-                break
-    if end is None:
-        raise ValueError("unterminated branch list")
-    action = rest[end + 1 :].strip() or "query"
+                mark[1] = at
+                marks.append([at + 1, -1, -1])
+            elif depth == 1:
+                mark.append(at)
+        elif not c:
+            raise ValueError("unterminated branch list")
+        elif c == "]" and square == 1:
+            break
+        else:
+            step = 1 if c in "([{" else -1
+            depth, square = depth + step, square + step * (c in "[]")
+            unbalanced |= depth < 0
+            mark[2] = at if depth == 0 and mark[2] < 0 else mark[2]
+    if unbalanced or depth:
+        raise ValueError(f"unbalanced brackets in {rest[1:at]!r}")
+    marks[-1][1] = at
     branches = []
-    for chunk in split_top_level(rest[1:end]):
-        chunk = chunk.strip()
+    for start, end, close, *commas in marks:
+        raw = rest[start:end]
+        chunk = raw.strip()
         if not chunk:
             continue
-        if not (chunk.startswith("(") and chunk.endswith(")")):
+        if chunk[0] != "(" or chunk[-1] != ")":
             raise ValueError(f"bad branch {chunk!r}")
-        parts = split_top_level(chunk[1:-1])
-        if len(parts) < 2:
+        stop = start + len(raw.rstrip()) - 1
+        if close != stop:
+            raise ValueError(f"unbalanced brackets in {chunk[1:-1]!r}")
+        if not commas:
             raise ValueError("branch needs target and prob")
-        to = parts[0].strip()
-        try:
-            prob = parse_fraction(parts[1].strip())
-        except ValueError as exc:
-            raise ValueError(f"bad probability: {exc}") from exc
-        label = _parse_label(",".join(parts[2:])) if len(parts) > 2 else Label()
-        branches.append(Branch(to, prob, label))
+        first, second = (commas + [stop])[:2]
+        text = rest[first + 1 : second].strip()
+        if text not in probs:
+            try:
+                probs[text] = parse_fraction(text)
+            except ValueError as exc:
+                raise ValueError(f"bad probability: {exc}") from None
+        branches.append(Branch(rest[end - len(raw.lstrip()) + 1 : first].strip(),
+                               probs[text], _parse_label(rest[second + 1 : stop])))
+    action = rest[at + 1 :].strip() or "query"
     if not branches:
         raise ValueError("empty branch list")
+    if "[" in action or "]" in action:
+        raise ValueError(f"action {action!r} holds a square bracket")
+    if not source or not all(b.to for b in branches):
+        raise ValueError(f"empty {'target' if source else 'source'} state")
     return Transition(source, action, tuple(branches))
 
 
@@ -249,28 +194,34 @@ def parse_dltts(text: str, name: str = "dltts") -> Dltts:
         stop: STOP
         s0 -> [(s1, 3/4, P_db age=[30-40] {l1,l2,l3}), (s2, 1/4, ...)] query:Age
 
-    Transition lines list branches as (target, probability, label); the
-    label may start with a provenance marker (P_db, P_N, P_b, ...) and may
-    embed a {line,ids} set.  The action after the bracket list is optional.
-    A malformed line raises DlttsError naming `name` and its line number.
-    """
-    initial = "s0"
-    stop = "STOP"
+    A branch is (target, probability, label); a label may start with a
+    provenance marker (P_db, P_N, P_b, ...) and may embed a {line,ids} set.
+    The action is optional and holds no square bracket.  No state name is
+    empty, and some transition, if any, leaves the initial state: else
+    DlttsError names `name` and the line."""
+    initial, stop, where = "s0", "STOP", 0
     transitions: list[Transition] = []
+    probs: dict[str, Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.lower().startswith("initial:"):
-            initial = line.split(":", 1)[1].strip()
-            continue
-        if line.lower().startswith("stop:"):
-            stop = line.split(":", 1)[1].strip()
-            continue
-        if "->" not in line:
-            raise DlttsError(f"{name}:{lineno}: cannot parse {raw!r}")
+        line = raw.partition("#")[0].strip()
+        key = line.lower()
         try:
-            transitions.append(_parse_transition(line))
+            if key.startswith(("initial:", "stop:")):
+                state = line.partition(":")[2].strip()
+                if not state:
+                    raise ValueError(f"empty {key[:-1]} state")
+                if key[0] == "i":
+                    initial, where = state, lineno
+                else:
+                    stop = state
+            elif "->" in line:
+                transitions.append(_parse_transition(line, probs))
+                where = where or lineno
+            elif line:
+                raise ValueError(f"cannot parse {raw!r}")
         except ValueError as exc:
-            raise DlttsError(f"{name}:{lineno}: {exc}") from exc
-    return Dltts(initial=initial, stop=stop, transitions=tuple(transitions))
+            raise DlttsError(f"{name}:{lineno}: {exc}") from None
+    if transitions and all(t.source != initial for t in transitions):
+        raise DlttsError(f"{name}:{where}: no transition leaves the initial "
+                         f"state {initial!r}")
+    return Dltts(initial, stop, tuple(transitions), {})

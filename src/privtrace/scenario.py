@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .lts import Dltts, Label, natural_key, parse_dltts, reach_stop
+from .lts import Dltts, Label, natural_key, parse_dltts
 from .report import Report, ScenarioError, dp_section, parse_mode
 from .schema import (
     COLUMN,
@@ -27,21 +27,22 @@ from .values import (
     Names,
     Record,
     Required,
-    parse_cell,
     parse_fraction,
     read_json,
     shaped,
 )
 
-# The knowledge, metric, attack and mechanism layers load only when a
-# section needs them: each function below that calls one imports it, so
-# `analyze` on a scenario with attack sections only imports no `dltts`,
-# and one with unarmed scripted runs only imports no `metrics`, `attack`
-# or `privacy`.
+# The knowledge, metric, attack, profile and mechanism layers, and the
+# metric section, load only when a section needs them: each function below
+# that calls one imports it, so `analyze` on a scenario with attack
+# transcripts only imports no `dltts`, `profiles` or `sections`, and one
+# with unarmed scripted runs only imports no `metrics`, `attack`,
+# `privacy` or `sections`.
 if TYPE_CHECKING:
-    from .attack import AttackDltts, AttackerProfile
+    from .attack import AttackDltts
     from .dltts import OracleVerdict
     from .privacy import Mechanism
+    from .profiles import AttackerProfile
 
 
 class Scenario(Record):
@@ -85,10 +86,10 @@ class Scenario(Record):
 
 # The shape `values.shaped` checks a scenario document against.  Each
 # mechanism is checked against `privacy.MECHANISM` and each profile, in
-# the document or in a file it names, against PROFILE as it loads; a
-# probability, prior or declared baseline is an exact number that
-# `parse_fraction` reads.  `metric` and `attack` are objects, every other
-# analysis key an array of objects, and a null `alpha` of a
+# the document or in a file it names, against `profiles.PROFILE` as it
+# loads; a probability, prior or declared baseline is an exact number
+# that `parse_fraction` reads.  `metric` and `attack` are objects, every
+# other analysis key an array of objects, and a null `alpha` of a
 # `label_equivalence` entry means "infer the common output".
 SCENARIO = {
     "name": str,
@@ -128,9 +129,6 @@ SCENARIO = {
     },
 }
 
-PROFILE = {"attribute_order": [str], "priors": Names(Names(object)),
-           "objective": str, "empirical": bool}
-
 
 def _read(where: str, parse, *args):
     """`parse(*args)`, its ValueError raised as a ScenarioError naming
@@ -139,32 +137,6 @@ def _read(where: str, parse, *args):
         return parse(*args)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
-
-
-def _parse_profile(name: str, doc, schema: SchemaBundle) -> AttackerProfile:
-    from .attack import AttackerProfile
-
-    shaped(doc, PROFILE, f"profile {name!r}")
-    columns = {c.name: c for c in schema.columns}
-    priors = {}
-    for col_name, table in doc.get("priors", {}).items():
-        if col_name not in columns:
-            raise ScenarioError(f"profile {name}: unknown column {col_name!r}")
-        col = columns[col_name]
-        tree = schema.taxonomies.get(col.taxonomy_ref) if col.taxonomy_ref else None
-        where = f"profile {name!r} priors.{col_name}"
-        priors[col_name] = {
-            _read(where, parse_cell, k, col.cls, tree):
-                _read(f"{where}.{k}", parse_fraction, v)
-            for k, v in table.items()
-        }
-    return AttackerProfile(
-        name=name,
-        attribute_order=tuple(doc.get("attribute_order", ())),
-        priors=priors,
-        objective=doc.get("objective", ""),
-        empirical=doc.get("empirical", False),
-    )
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -208,7 +180,9 @@ def load_scenario(path: str | Path) -> Scenario:
     for name, pdoc in doc.get("profiles", {}).items():
         if isinstance(pdoc, str):
             pdoc = read_json((base / pdoc).read_text(), f"profile {name} file {pdoc}")
-        profiles[name] = _parse_profile(name, pdoc, schema)
+        from .profiles import parse_profile
+
+        profiles[name] = parse_profile(name, pdoc, schema)
     scenario = Scenario(
         name=doc.get("name", path.stem),
         schema=schema,
@@ -228,14 +202,10 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario
 
 
-def build_run(
-    scenario: Scenario,
-    run_name: str,
-    *,
-    epsilon: Fraction | None = None,
-    secret: list | None = None,
-    mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
-) -> tuple[Dltts, dict[str, OracleVerdict]]:
+def build_run(scenario: Scenario, run_name: str, *, epsilon: Fraction | None = None,
+              secret: list | None = None,
+              mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
+              ) -> tuple[Dltts, dict[str, OracleVerdict]]:
     """Drive a builder along a scripted query sequence: it saturates each
     new state and the oracle rules on every one as it is made.  A step the
     builder refuses raises a ScenarioError naming the step."""
@@ -245,16 +215,11 @@ def build_run(
         run = scenario.runs[run_name]
     except KeyError:
         raise ScenarioError(f"scenario has no run {run_name!r}")
-    externals = scenario.external_tables(run.get("externals"))
-    builder = DlttsBuilder(
-        policy=scenario.schema.policy,
-        externals=externals,
-        columns=scenario.schema.columns,
-        taxonomies=scenario.schema.taxonomies,
-        secrets=secret,
-        epsilon=epsilon,
-        mode=mode,
-    )
+    schema = scenario.schema
+    builder = DlttsBuilder(policy=schema.policy, columns=schema.columns,
+                           externals=scenario.external_tables(run.get("externals")),
+                           taxonomies=schema.taxonomies, secrets=secret,
+                           epsilon=epsilon, mode=mode)
     patterns = {}  # each distinct learn string, parsed once per run
     for i, step in enumerate(run.get("steps", [])):
         branches = []
@@ -263,22 +228,14 @@ def build_run(
             for k, t in enumerate(bdoc.get("learn", [])):
                 if t not in patterns:
                     patterns[t] = _read(f"{where}.learn[{k}]", parse_pattern, t,
-                                        scenario.schema.columns, scenario.schema.taxonomies)
-            tuples = frozenset(patterns[t] for t in bdoc.get("learn", []))
-            label = Label(
-                text=bdoc.get("text", ""),
-                lines=frozenset(bdoc.get("lines", [])),
-                tuples=tuples,
-            )
+                                        schema.columns, schema.taxonomies)
+            label = Label(bdoc.get("text", ""), frozenset(bdoc.get("lines", [])),
+                          frozenset(patterns[t] for t in bdoc.get("learn", [])), "db")
             prob = _read(f"{where}.prob", parse_fraction, bdoc["prob"])
             branches.append((bdoc["to"], prob, label))
         _read(f"scenario runs.{run_name}.steps[{i}]", builder.add_transition,
               step["from"], step["action"], branches)
     return builder.build(), builder.verdicts
-
-
-def _fmt_vec(vec) -> str:
-    return "(" + ", ".join(str(d) for d in vec) + ")"
 
 
 def _echo_inputs(scenario: Scenario, report: Report) -> None:
@@ -297,67 +254,12 @@ def _echo_inputs(scenario: Scenario, report: Report) -> None:
     report.add()
 
 
-def metric_section(
-    scenario: Scenario, report: Report, table_name: str, pairs, modes
-) -> bool:
-    """Pairwise distances; returns False when some pair is uncomparable."""
-    from .metrics import MetricError, d_vector, hamming
+def _run_section(scenario: Scenario, report: Report, run_name: str, **oracle) -> None:
+    """Build the run `run_name`, its oracle armed by `oracle` (see
+    `build_run`), and report its verdicts and runs to Stop."""
+    from .dltts import OracleVerdict, reach_stop
 
-    table = scenario.table(table_name)
-    taxonomies = scenario.schema.taxonomies
-    normalizer = table.normalizers
-    all_defined = True
-    for a, b in pairs:
-        ra, rb = table.row(a), table.row(b)
-        dh = hamming(ra, rb)
-        for mode_name in modes:
-            mode = parse_mode(mode_name)
-            report.add(f"## metric {table_name} {a} {b} ({mode.value})")
-            prefix = f"metric/{table_name}/{a}/{b}/{mode.value}"
-            try:
-                vec = d_vector(ra, rb, mode, taxonomies=taxonomies, normalizer=normalizer)
-            except MetricError:
-                all_defined = False
-                report.add("uncomparable pair")
-                report.add()
-                continue
-            report.put(f"{prefix}/d_vector", vec, f"d_vector = {_fmt_vec(vec)}")
-            # rho of two single rows is their d_bar, the sum of d_vector
-            total = sum(vec, Fraction(0))
-            report.put(f"{prefix}/d_bar", total, f"d_bar = {total}")
-            report.put(f"{prefix}/rho", total, f"rho = {total}")
-            report.put(f"{prefix}/d_h", dh, f"d_h = {dh}")
-            report.add()
-    return all_defined
-
-
-def resolve_secret(scenario: Scenario, refs: list[str]) -> list:
-    """Resolve `table:line` references into copies of their tables holding
-    just those rows, so that each secret keeps its table's normalizers."""
-    rows: dict[str, dict] = {}
-    for ref in refs:
-        table_name, _, line = ref.partition(":")
-        if not line:
-            raise ScenarioError(f"secret reference {ref!r} is not table:line")
-        rows.setdefault(table_name, {})[line] = scenario.table(table_name).row(line)
-    return [scenario.table(name).replace(rows=tuple(by_line.values()))
-            for name, by_line in rows.items()]
-
-
-def _run_section(
-    scenario: Scenario,
-    report: Report,
-    run_name: str,
-    *,
-    epsilon=None,
-    secret=None,
-    mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
-) -> None:
-    from .dltts import OracleVerdict
-
-    dltts, verdicts = build_run(
-        scenario, run_name, epsilon=epsilon, secret=secret, mode=mode
-    )
+    dltts, verdicts = build_run(scenario, run_name, **oracle)
     report.add(f"## run {run_name}")
     report.runs[run_name] = dltts
     for state in sorted(verdicts, key=natural_key):
@@ -379,9 +281,9 @@ def _run_section(
 
 
 def attack_for(scenario: Scenario, name: str, built: bool = False) -> AttackDltts:
-    from .attack import build_attack_dltts
-
     if built:
+        from .profiles import build_attack_dltts
+
         profile = scenario.profiles.get(name)
         if profile is None:
             raise ScenarioError(f"no profile named {name!r}")
@@ -402,11 +304,8 @@ def attack_section(
     report.add(f"## attack {name}" + (" (built)" if built else ""))
     thresholds = threshold_report(attack)
     for (value, cond), pr in sorted(thresholds.items()):
-        report.put(
-            f"attack/{name}/threshold/{value}|{cond}",
-            pr,
-            f"Pr(response={value} | {cond}) = {pr}",
-        )
+        report.put(f"attack/{name}/threshold/{value}|{cond}", pr,
+                   f"Pr(response={value} | {cond}) = {pr}")
     lines = sorted({line for _, line in attack.singleton_nodes()}, key=natural_key)
     for line in lines:
         computed = max_pr(attack, line)
@@ -415,10 +314,8 @@ def attack_section(
         if name == scenario.baseline and declared is not None:
             extra = f" (declared {declared})"
             if declared != computed:
-                extra += (
-                    "  NOTE: computed value differs from the declared baseline;"
-                    " the transcript is preserved verbatim"
-                )
+                extra += ("  NOTE: computed value differs from the declared baseline;"
+                          " the transcript is preserved verbatim")
         report.put(f"attack/{name}/max_pr/{line}", computed)
         report.add(f"Max_pr({line}) = {computed}{extra}")
     report.add()
@@ -446,9 +343,7 @@ def strategy_section(
     drawn = None
     for variant, baseline_max in variants:
         report.add(f"## strategy {attacker} vs {baseline_name} ({variant} baseline)")
-        updated, decisions = apply_strategy(
-            attack, baseline, baseline_max=baseline_max
-        )
+        updated, decisions = apply_strategy(attack, baseline, baseline_max=baseline_max)
         if drawn is None:
             drawn = updated
         off = []
@@ -464,10 +359,8 @@ def strategy_section(
                 f"{cmp_str} baseline {d.baseline} -> {verdict}"
             )
         report.put(f"strategy/{attacker}/{baseline_name}/{variant}/off", off)
-        report.add(
-            "switched off: "
-            + (", ".join(f"{n}:{l}" for n, l in off) if off else "none")
-        )
+        report.add("switched off: "
+                   + (", ".join(f"{n}:{l}" for n, l in off) if off else "none"))
         if off:
             report.add(
                 "refused: "
@@ -489,12 +382,18 @@ def run_scenario(
     `epsilon` plus `secret` (a list of table:line references) arm the
     oracle's epsilon-violation check on every scripted run.
     """
-    secret_rows = resolve_secret(scenario, secret) if secret else None
+    secret_rows = None
+    if secret:
+        from .sections import resolve_secret
+
+        secret_rows = resolve_secret(scenario, secret)
     report = Report(scenario.name)
     _echo_inputs(scenario, report)
     analysis = scenario.analysis
 
     if "metric" in analysis:
+        from .sections import metric_section
+
         spec = analysis["metric"]
         metric_section(
             scenario,
@@ -511,11 +410,8 @@ def run_scenario(
         a, b = entry["pair"]
         res = min_indist_epsilon(m, a, b, entry["alpha"])
         report.add(f"## indistinguishability {entry['mechanism']} {a} {b}")
-        report.put(
-            f"indist/{entry['mechanism']}/{a}/{b}",
-            res,
-            f"min epsilon wrt {entry['alpha']} = {res}",
-        )
+        report.put(f"indist/{entry['mechanism']}/{a}/{b}", res,
+                   f"min epsilon wrt {entry['alpha']} = {res}")
         report.add()
 
     for entry in analysis.get("scaled_indist", []):
@@ -529,30 +425,20 @@ def run_scenario(
         report.add(f"## scaled indistinguishability {entry['mechanism']} {a} {b}")
         for mode_name in entry.get("modes", ["integer-set"]):
             rho_mode = parse_mode(mode_name)
-            res = min_eps_rho_indist(
-                m, a, b, alpha, rho_mode,
-                tuples=tuples, taxonomies=scenario.schema.taxonomies,
-                normalizer=table.normalizers,
-            )
-            report.put(
-                f"scaled_indist/{entry['mechanism']}/{a}/{b}/rho/{rho_mode.value}",
-                res,
-                f"rho-scaled min epsilon ({rho_mode.value}) = {res}",
-            )
+            res = min_eps_rho_indist(m, a, b, alpha, rho_mode, tuples=tuples,
+                                     taxonomies=scenario.schema.taxonomies,
+                                     normalizer=table.normalizers)
+            report.put(f"scaled_indist/{entry['mechanism']}/{a}/{b}/rho/{rho_mode.value}",
+                       res, f"rho-scaled min epsilon ({rho_mode.value}) = {res}")
         if entry.get("hamming"):
             res = min_eps_hamming_indist(m, a, b, alpha, tuples=tuples)
-            report.put(
-                f"scaled_indist/{entry['mechanism']}/{a}/{b}/hamming",
-                res,
-                f"hamming-scaled min epsilon = {res}",
-            )
+            report.put(f"scaled_indist/{entry['mechanism']}/{a}/{b}/hamming", res,
+                       f"hamming-scaled min epsilon = {res}")
         report.add()
 
     for run_name in analysis.get("runs", []):
-        _run_section(
-            scenario, report, run_name,
-            epsilon=epsilon, secret=secret_rows, mode=mode,
-        )
+        _run_section(scenario, report, run_name, epsilon=epsilon, secret=secret_rows,
+                     mode=mode)
 
     for entry in analysis.get("label_equivalence", []):
         from .dltts import epsilon_equivalent_labels
@@ -561,19 +447,14 @@ def run_scenario(
         dltts, _ = build_run(scenario, entry["run"])
         m = scenario.mechanism(entry["mechanism"])
         eps = parse_epsilon(entry["epsilon"])
-        classes = epsilon_equivalent_labels(
-            dltts, entry["state"], m, eps, alpha=entry.get("alpha")
-        )
+        classes = epsilon_equivalent_labels(dltts, entry["state"], m, eps,
+                                            alpha=entry.get("alpha"))
         report.add(f"## label equivalence {entry['run']} at {entry['state']}")
-        rendered = sorted(
-            "{" + ", ".join(sorted(str(l) for l in cls)) + "}" for cls in classes
-        )
-        report.put(
-            f"label_equivalence/{entry['run']}/{entry['state']}",
-            classes,
-            f"epsilon {entry['epsilon']}: {len(classes)} class(es): "
-            + "; ".join(rendered),
-        )
+        rendered = sorted("{" + ", ".join(sorted(str(l) for l in cls)) + "}"
+                          for cls in classes)
+        report.put(f"label_equivalence/{entry['run']}/{entry['state']}", classes,
+                   f"epsilon {entry['epsilon']}: {len(classes)} class(es): "
+                   + "; ".join(rendered))
         report.add()
 
     if "attack" in analysis:
@@ -585,10 +466,8 @@ def run_scenario(
 
     for entry in analysis.get("dp_check", []):
         name = entry["mechanism"]
-        dp_section(
-            scenario, report, name, scenario.mechanism(name),
-            entry.get("adjacency", "hamming"), entry.get("mode", "integer-set"),
-        )
+        dp_section(scenario, report, name, scenario.mechanism(name),
+                   entry.get("adjacency", "hamming"), entry.get("mode", "integer-set"))
         report.add()
 
     return report

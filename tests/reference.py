@@ -2,23 +2,18 @@
 per-cell distance vector and the whole-sum rho over it, the per-premise
 R1-R3 derivation, which the planned ones replaced, the oracle's whole-tag
 ruling, the recursive attack-tree builder, which rescans each level's rows
-per value, the multiset order on priority keys, and the two-coin
+per value, the per-character transcript parser, which the one-pass
+tokenizer replaced, the multiset order on priority keys, and the two-coin
 randomized response mechanism."""
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from privtrace.attack import (
-    AttackDltts,
-    AttackError,
-    AttackerProfile,
-    _priority_key,
-    _sensitive_value,
-    _switched,
-)
+from privtrace.attack import AttackDltts, AttackError, _priority_key, _switched
 from privtrace.dltts import (
     OracleVerdict,
     Tag,
@@ -26,7 +21,7 @@ from privtrace.dltts import (
     _merged_taxonomies,
     check_consistency,
 )
-from privtrace.lts import Branch, Dltts, Label, Transition
+from privtrace.lts import Branch, Dltts, DlttsError, Label, Transition
 from privtrace.metrics import (
     MetricError,
     _cells,
@@ -37,6 +32,7 @@ from privtrace.metrics import (
     d_wp,
 )
 from privtrace.privacy import Mechanism
+from privtrace.profiles import AttackerProfile, _sensitive_value
 from privtrace.schema import (
     ColumnSchema,
     DataTable,
@@ -55,7 +51,9 @@ from privtrace.values import (
     TaxonomyTree,
     Value,
     Wildcard,
+    parse_fraction,
     render_cell,
+    split_top_level,
     value_kind,
 )
 
@@ -361,6 +359,102 @@ def build_attack_dltts(db: DataTable, profile: AttackerProfile) -> AttackDltts:
     dltts = Dltts(initial="s0", stop="STOP", transitions=tuple(transitions))
     return _switched(profile.name, dltts, (),
                      lambda line: _sensitive_value(db, line), assumed=False)
+
+
+_PROVENANCE_RE = re.compile(r"^P_(\w+)\s+")
+
+
+def _parse_label(text: str) -> Label:
+    text = text.strip()
+    source = "db"
+    m = _PROVENANCE_RE.match(text)
+    if m:
+        source = "db" if m.group(1).lower() == "db" else m.group(1)
+        text = text[m.end() :].strip()
+    lines: frozenset[str] = frozenset()
+    lm = re.search(r"\{([^{}]*)\}", text)
+    if lm:
+        lines = frozenset(
+            part.strip() for part in lm.group(1).split(",") if part.strip()
+        )
+        text = (text[: lm.start()] + text[lm.end() :]).strip()
+    return Label(text=text, lines=lines, source=source)
+
+
+def _parse_transition(line: str) -> Transition:
+    """One transition line: its branch list and optional action."""
+    source, rest = (part.strip() for part in line.split("->", 1))
+    if not rest.startswith("["):
+        raise ValueError("expected a branch list")
+    depth = 0
+    end = None
+    for i, ch in enumerate(rest):
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+            if depth == 0:
+                end = i
+                break
+    if end is None:
+        raise ValueError("unterminated branch list")
+    action = rest[end + 1 :].strip() or "query"
+    branches = []
+    for chunk in split_top_level(rest[1:end]):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        if not (chunk.startswith("(") and chunk.endswith(")")):
+            raise ValueError(f"bad branch {chunk!r}")
+        parts = split_top_level(chunk[1:-1])
+        if len(parts) < 2:
+            raise ValueError("branch needs target and prob")
+        to = parts[0].strip()
+        try:
+            prob = parse_fraction(parts[1].strip())
+        except ValueError as exc:
+            raise ValueError(f"bad probability: {exc}") from exc
+        label = _parse_label(",".join(parts[2:])) if len(parts) > 2 else Label()
+        branches.append(Branch(to, prob, label))
+    if not branches:
+        raise ValueError("empty branch list")
+    return Transition(source, action, tuple(branches))
+
+
+def parse_dltts(text: str, name: str = "dltts") -> Dltts:
+    """The transcript parser before the tokenizer, which splits each
+    bracket level by a walk over its characters.  It reads the explicit
+    transcript format::
+
+        initial: s0
+        stop: STOP
+        s0 -> [(s1, 3/4, P_db age=[30-40] {l1,l2,l3}), (s2, 1/4, ...)] query:Age
+
+    Transition lines list branches as (target, probability, label); the
+    label may start with a provenance marker (P_db, P_N, P_b, ...) and may
+    embed a {line,ids} set.  The action after the bracket list is optional.
+    A malformed line raises DlttsError naming `name` and its line number.
+    """
+    initial = "s0"
+    stop = "STOP"
+    transitions: list[Transition] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.lower().startswith("initial:"):
+            initial = line.split(":", 1)[1].strip()
+            continue
+        if line.lower().startswith("stop:"):
+            stop = line.split(":", 1)[1].strip()
+            continue
+        if "->" not in line:
+            raise DlttsError(f"{name}:{lineno}: cannot parse {raw!r}")
+        try:
+            transitions.append(_parse_transition(line))
+        except ValueError as exc:
+            raise DlttsError(f"{name}:{lineno}: {exc}") from exc
+    return Dltts(initial=initial, stop=stop, transitions=tuple(transitions))
 
 
 class Comparison(Enum):

@@ -12,8 +12,8 @@ from fractions import Fraction as F
 from itertools import combinations
 
 from privtrace.attack import apply_strategy, max_pr, threshold_report
-from privtrace.dltts import DlttsBuilder, saturate
-from privtrace.lts import Label, reach_stop, validate
+from privtrace.dltts import DlttsBuilder, reach_stop, saturate, validate
+from privtrace.lts import Label
 from privtrace.metrics import (
     IntervalMeasureMode,
     d_eucl,

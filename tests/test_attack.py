@@ -9,14 +9,12 @@ from hypothesis import given, strategies as st
 
 from privtrace.attack import (
     AttackError,
-    AttackerProfile,
     apply_strategy,
-    attack_problems,
-    build_attack_dltts,
     load_attack_dltts,
     max_pr,
     threshold_report,
 )
+from privtrace.profiles import AttackerProfile, attack_problems, build_attack_dltts
 from privtrace.schema import ColumnSchema, DataTable, Row, load_table
 from privtrace.values import Atom, ColumnClass, IntInterval
 import reference

@@ -10,7 +10,9 @@ from privtrace.dltts import (
     OracleVerdict,
     check_consistency,
     epsilon_equivalent_labels,
+    reach_stop,
     saturate,
+    validate,
 )
 from privtrace.lts import (
     Branch,
@@ -20,8 +22,6 @@ from privtrace.lts import (
     Label,
     Transition,
     parse_dltts,
-    reach_stop,
-    validate,
 )
 from privtrace.privacy import EpsilonResult, Mechanism, is_eps_indistinguishable
 from privtrace.schema import (

@@ -23,8 +23,8 @@ from privtrace.attack import (
     max_pr,
     threshold_report,
 )
-from privtrace.lts import (DELTA, Branch, Dltts, DlttsError, Run, Transition,
-                           parse_dltts, reach_stop)
+from privtrace.dltts import Run, reach_stop
+from privtrace.lts import DELTA, Branch, Dltts, DlttsError, Transition, parse_dltts
 from privtrace.scenario import load_scenario, run_scenario
 
 from conftest import SCENARIOS

@@ -120,7 +120,7 @@ def test_analyze_of_attacks_only_skips_the_mechanism_layer():
                             "## strategy B vs C (declared baseline)")
     for layer in ("attack", "lts"):
         assert f"privtrace.{layer}" in loaded
-    for layer in ("dltts", "privacy", "metrics", "dotexport"):
+    for layer in ("dltts", "privacy", "metrics", "dotexport", "sections"):
         assert f"privtrace.{layer}" not in loaded
 
 
@@ -136,6 +136,47 @@ def test_analyze_of_runs_only_loads_neither_attack_nor_mechanism_layer(tmp_path)
     loaded = _analyze_loads(str(path), "stop reached: s0 -> s2 -> s4 -> s6 -> STOP")
     assert loaded == {f"privtrace.{m}" for m in (
         "cli", "report", "scenario", "values", "schema", "lts", "dltts")}
+
+
+def _compiled_lines(*argv: str) -> int:
+    """The lines of privtrace source that the CLI run `argv` loads, and so
+    compiles at every start where no bytecode cache can be written (as under
+    `PYTHONDONTWRITEBYTECODE=1`); the run must exit 0."""
+    return int(_python(
+        "import contextlib, io, sys\n"
+        "from privtrace.cli import cli_main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli_main(sys.argv[1:]) == 0\n"
+        "print(sum(open(m.__file__).read().count('\\n') for n, m in sys.modules.items()\n"
+        "          if n.partition('.')[0] == 'privtrace'))\n",
+        *argv,
+    ))
+
+
+def test_compiled_source_lines_per_path(tmp_path):
+    """An attack-only report loaded 2,674 lines, 781 of them in functions it
+    never calls, until the metric section, the profile builder, the runs to
+    Stop and `validate` left its modules: it now stays within 2,400.  The
+    mechanism-file and unarmed-runs paths stay within what they loaded
+    then, 1,450 and 2,697 lines."""
+    shutil.copytree(SCENARIOS / "enterprise", tmp_path / "attacks")
+    path = tmp_path / "attacks" / "scenario.json"
+    doc = json.loads(path.read_text())
+    del doc["profiles"]
+    path.write_text(json.dumps(doc))
+    assert _compiled_lines("analyze", "--scenario", str(path)) <= 2400
+
+    mechanism = tmp_path / "m.json"
+    mechanism.write_text(json.dumps({"probs": RR}))
+    assert _compiled_lines("dp-check", "--mechanism-file", str(mechanism)) <= 1450
+
+    shutil.copytree(Path(HOSPITAL).parent, tmp_path / "runs")
+    path = tmp_path / "runs" / "scenario.json"
+    doc = json.loads(path.read_text())
+    del doc["mechanisms"]
+    doc["analysis"] = {"runs": ["trace"]}
+    path.write_text(json.dumps(doc))
+    assert _compiled_lines("analyze", "--scenario", str(path)) <= 2697
 
 
 def test_export_dot_of_an_attack_tree_skips_the_knowledge_layer(tmp_path):

@@ -16,7 +16,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from privtrace import attack, lts, privacy, scenario, schema, values
+from privtrace import attack, dltts, lts, privacy, profiles, scenario, schema, values
 from privtrace.metrics import IntervalMeasureMode
 from privtrace.schema import GROUPS, Row, TuplePattern
 from privtrace.values import STAR, Atom, ColumnClass, Record
@@ -96,13 +96,13 @@ RECORDS = {
     lts.Transition: (("source", "action", "branches"), _pool(3)),
     lts.Dltts: (("initial", "stop", "transitions", "state_probs"),
                   lambda rng: _pool(3)(rng) + (_mapping(rng),)),
-    lts.Run: (("states", "actions", "probability"), _pool(3)),
+    dltts.Run: (("states", "actions", "probability"), _pool(3)),
     privacy.Mechanism: (("name", "inputs", "outputs", "table"), _mechanism),
     privacy.EpsilonResult: (("scale", "ratio", "unbounded", "both_zero", "witness"),
                             _pool(5)),
     privacy.HammingAdjacency: ((), _pool(0)),
     privacy.RhoAdjacency: (("mode", "taxonomies", "normalizer"), _pool(3)),
-    attack.AttackerProfile: (("name", "attribute_order", "priors", "objective",
+    profiles.AttackerProfile: (("name", "attribute_order", "priors", "objective",
                               "empirical"), _profile),
     attack.ResponseEdge: (("node", "line", "value", "target", "assumed"), _pool(5)),
     attack.AttackDltts: (("name", "dltts", "responses", "off"), _pool(4)),
@@ -127,7 +127,7 @@ DEFAULTS = {
                             "both_zero": False, "witness": None},
     privacy.RhoAdjacency: {"mode": IntervalMeasureMode.INTEGER_SET,
                            "taxonomies": None, "normalizer": None},
-    attack.AttackerProfile: {"priors": None, "objective": "", "empirical": False},
+    profiles.AttackerProfile: {"priors": None, "objective": "", "empirical": False},
     attack.ResponseEdge: {"assumed": False},
     attack.AttackDltts: {"off": frozenset()},
 }

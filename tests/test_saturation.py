@@ -11,8 +11,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from privtrace.dltts import DlttsBuilder, OracleVerdict, check_consistency, saturate
-from privtrace.lts import DELTA, DlttsError, Label, reach_stop, validate
+from privtrace.dltts import (DlttsBuilder, OracleVerdict, check_consistency,
+                             reach_stop, saturate, validate)
+from privtrace.lts import DELTA, DlttsError, Label
 from privtrace.metrics import IntervalMeasureMode
 from privtrace.schema import (
     ColumnSchema,

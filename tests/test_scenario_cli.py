@@ -12,13 +12,13 @@ from pathlib import Path
 import pytest
 
 from privtrace.cli import cli_main
-from privtrace.dltts import DlttsBuilder, OracleVerdict
-from privtrace.lts import DlttsError, reach_stop, validate
+from privtrace.dltts import DlttsBuilder, OracleVerdict, reach_stop, validate
+from privtrace.lts import DlttsError
 from privtrace.dotexport import export_dot
 from privtrace.privacy import MAX_LN_DIGITS, MECHANISM
+from privtrace.profiles import PROFILE
 from privtrace.scenario import (
-    PROFILE, SCENARIO, ScenarioError, build_run, load_scenario, parse_mode,
-    run_scenario,
+    SCENARIO, ScenarioError, build_run, load_scenario, parse_mode, run_scenario,
 )
 from privtrace.schema import SCHEMA
 from privtrace.values import MAX_DECIMAL_EXPONENT, Names, Required, ShapeError
@@ -114,7 +114,7 @@ def test_cli_analyze_dot_draws_the_epsilon_armed_system(capsys, tmp_path):
 
 
 def test_cli_builds_each_system_once(capsys, tmp_path, monkeypatch):
-    import privtrace.attack
+    import privtrace.profiles
     import privtrace.scenario
 
     built = []
@@ -126,7 +126,7 @@ def test_cli_builds_each_system_once(capsys, tmp_path, monkeypatch):
         return wrapper
 
     for module, name in ((privtrace.scenario, "build_run"),
-                         (privtrace.attack, "build_attack_dltts")):
+                         (privtrace.profiles, "build_attack_dltts")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     run_scenario(load_scenario(HOSPITAL))
     report_builds = list(built)
@@ -149,16 +149,16 @@ def test_cli_attack_built_is_checked_against_the_table_it_was_built_from(
         capsys, tmp_path, monkeypatch):
     """With no `attack.table`, a tree is built from the first table, and
     `attack --built` checks it against that same table."""
-    import privtrace.attack
+    import privtrace.profiles
 
     checked = []
-    real = privtrace.attack.attack_problems
+    real = privtrace.profiles.attack_problems
 
     def recording(attack, db=None):
         checked.append(None if db is None else db.name)
         return real(attack, db)
 
-    monkeypatch.setattr(privtrace.attack, "attack_problems", recording)
+    monkeypatch.setattr(privtrace.profiles, "attack_problems", recording)
     argv = ["attack", "--attacker", "A", "--built", "--scenario"]
     assert cli_main(argv + [ENTERPRISE]) == 0
     named = capsys.readouterr().out
@@ -1216,3 +1216,22 @@ def test_cli_refusals_exit_two_naming_their_place(tmp_path, scenario, change, ar
     done = _cli_process(*argv, "--scenario", str(path))
     assert done.returncode == 2
     assert done.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("initial: s0", "initial: s00", "A:2: no transition leaves the initial state 's00'"),
+    ("initial: s0", "initial:", "A:2: empty initial state"),
+    ("] query:Sex", "] ] query:Sex",
+     "A:3: action '] query:Sex' holds a square bracket"),
+])
+@pytest.mark.parametrize("argv", [["analyze"], ["attack", "--attacker", "A"],
+                                  ["validate"]])
+def test_cli_transcript_refusals_exit_two(tmp_path, old, new, message, argv):
+    """A wrong or empty initial state gave an all-zero attack report, and
+    junk after the branch list was read as the action; each now exits 2
+    naming the transcript and line."""
+    shutil.copytree(SCENARIOS / "enterprise", tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "attack_a.dltts"
+    path.write_text(path.read_text().replace(old, new, 1))
+    done = _cli_process(*argv, "--scenario", str(tmp_path / "scenario.json"))
+    assert (done.returncode, done.stderr) == (2, f"error: {message}\n")
