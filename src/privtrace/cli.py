@@ -18,9 +18,9 @@ if TYPE_CHECKING:
     from .report import Report
     from .scenario import Scenario
 
-# Every layer's error class subclasses ValueError, so this needs no import
-# of the layers: each subcommand imports only what it calls.
-INPUT_ERRORS = (OSError, KeyError, ValueError)
+# Every layer's error class subclasses ValueError, so this imports no layer;
+# a lookup an input can reach raises one too, so a KeyError is a bug.
+INPUT_ERRORS = (OSError, ValueError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,13 +94,15 @@ def _emit(report: Report) -> None:
     sys.stdout.write(report.text())
 
 
-def _dot_path(base: str, name: str, names: list[str]) -> Path:
-    """Where `--dot` draws `name`'s system: the path itself when only one
-    system is drawn, else `stem-name.suffix` beside it."""
+def _write_dot(base: str, dltts, name: str = "", names=(), **options) -> None:
+    """Draw `dltts` as DOT at `base`, or at `stem-name.suffix` beside it when
+    `names` holds several systems; a report loads `dotexport` only here."""
+    from .dotexport import export_dot
+
     path = Path(base)
-    if len(names) == 1:
-        return path
-    return path.with_name(f"{path.stem}-{name}{path.suffix}")
+    if len(names) > 1:
+        path = path.with_name(f"{path.stem}-{name}{path.suffix}")
+    path.write_text(export_dot(dltts, **options))
 
 
 def _cmd_metric(scenario: Scenario, args) -> int:
@@ -145,11 +147,9 @@ def _cmd_analyze(scenario: Scenario, args) -> int:
     )
     _emit(report)
     if args.dot:
-        from .dotexport import export_dot
-
         runs = scenario.analysis.get("runs", [])
         for name in runs:
-            _dot_path(args.dot, name, runs).write_text(export_dot(report.runs[name]))
+            _write_dot(args.dot, report.runs[name], name, runs)
     if args.expect_violation:
         reached = any(
             report.values.get(f"run/{name}/stop_reached")
@@ -182,7 +182,6 @@ def _cmd_dp_check(scenario: Scenario | None, args) -> int:
 
 
 def _cmd_attack(scenario: Scenario, args) -> int:
-    from .dotexport import export_dot
     from .scenario import Report, attack_section
 
     report = Report(scenario.name)
@@ -198,15 +197,12 @@ def _cmd_attack(scenario: Scenario, args) -> int:
             for prob in attack_problems(attack, scenario.attack_table()):
                 report.add(f"INVALID: {prob}")
         if args.dot:
-            _dot_path(args.dot, name, args.attacker).write_text(
-                export_dot(attack.dltts)
-            )
+            _write_dot(args.dot, attack.dltts, name, args.attacker)
     _emit(report)
     return 0 if found else 1
 
 
 def _cmd_strategy(scenario: Scenario, args) -> int:
-    from .dotexport import export_dot
     from .scenario import Report, strategy_section
 
     report = Report(scenario.name)
@@ -217,7 +213,7 @@ def _cmd_strategy(scenario: Scenario, args) -> int:
             (e.node, e.target) for e in updated.responses
             if not updated.switched_on(e.node, e.line)
         )
-        Path(args.dot).write_text(export_dot(updated.dltts, off_edges=off_edges))
+        _write_dot(args.dot, updated.dltts, off_edges=off_edges)
     return 0
 
 
@@ -258,8 +254,8 @@ def _cmd_validate(scenario: Scenario, args) -> int:
         for p in validate(dltts):
             problems.append(f"{name}: {p}")
     if not args.dltts:
-        for name in sorted(scenario.attack_dltts):
-            for p in attack_problems(scenario.attack_dltts[name]):
+        for name, attack in sorted(scenario.attack_dltts.items()):
+            for p in validate(attack.dltts) + attack_problems(attack):
                 problems.append(f"{name}: {p}")
         # a run the builder refuses raises; one it builds is valid by construction
         for run_name in scenario.runs:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
-from .values import Record, parse_fraction
+from .values import Record, parse_fraction, split_top_level
 
 if TYPE_CHECKING:
     from .schema import TuplePattern
@@ -102,14 +102,7 @@ def natural_key(name: str) -> list:
     return [int(p) if p.isdigit() else p for p in re.split(r"(\d+)", name)]
 
 
-# A token is the run of other text before a whole branch "(target,
-# probability[, label])", a bracket, a comma or the end, as in the `re`
-# docs' tokenizer recipe.  A bracket pair holding no bracket is text, so a
-# label's {line,ids}, [lo-hi] and response(l) cost no token.
-_OTHER, _FLAT = r"[^][(){},]", r"\[[^][(){}]*\]|\{[^][(){}]*\}"
-_TOKEN = re.compile(
-    _OTHER + "*(?:(?:" + _FLAT + ")" + _OTHER + r"*)*(?:\((" + _OTHER + "*),("
-    + _OTHER + r"*)(?:,((?:[^][(){}]|" + _FLAT + r"|\([^][(){}]*\))*))?\)|([][(){},]|\Z))")
+_SQUARE_RE = re.compile(r"[][]")
 # A label: a provenance marker, then text around its first {line,ids} set.
 _LABEL_RE = re.compile(r"(?:P_(\w+)\s+)?(.*?)(?:\{([^{}]*)\}(.*))?")
 
@@ -127,57 +120,32 @@ def _parse_transition(line: str, probs: dict[str, Fraction]) -> Transition:
     source, _, rest = map(str.strip, line.partition("->"))
     if not rest.startswith("["):
         raise ValueError("expected a branch list")
-    # `depth` counts the open brackets of every kind and `square` the square
-    # ones, so the list ends where `square` would fall to 0.  A branch is
-    # marked by its start, end, first return to depth 0 and depth-1 commas.
-    depth, square, unbalanced, marks = 0, 1, False, [[1, -1, -1]]
-    for m in _TOKEN.finditer(rest, 1):
-        c, at, mark = m.group(4), m.end() - 1, marks[-1]
-        if c is None:
-            if depth == 0:  # a whole branch, balanced
-                mark[2] = at if mark[2] < 0 else mark[2]
-                mark += m.end(1), m.end(2)
-        elif c == ",":
-            if depth == 0:
-                mark[1] = at
-                marks.append([at + 1, -1, -1])
-            elif depth == 1:
-                mark.append(at)
-        elif not c:
-            raise ValueError("unterminated branch list")
-        elif c == "]" and square == 1:
+    depth = 0  # the list ends where its square brackets balance
+    for m in _SQUARE_RE.finditer(rest):
+        depth += 1 if m.group() == "[" else -1
+        if not depth:
             break
-        else:
-            step = 1 if c in "([{" else -1
-            depth, square = depth + step, square + step * (c in "[]")
-            unbalanced |= depth < 0
-            mark[2] = at if depth == 0 and mark[2] < 0 else mark[2]
-    if unbalanced or depth:
-        raise ValueError(f"unbalanced brackets in {rest[1:at]!r}")
-    marks[-1][1] = at
+    else:
+        raise ValueError("unterminated branch list")
     branches = []
-    for start, end, close, *commas in marks:
-        raw = rest[start:end]
-        chunk = raw.strip()
+    for chunk in split_top_level(rest[1 : m.start()]):
+        chunk = chunk.strip()
         if not chunk:
             continue
         if chunk[0] != "(" or chunk[-1] != ")":
             raise ValueError(f"bad branch {chunk!r}")
-        stop = start + len(raw.rstrip()) - 1
-        if close != stop:
-            raise ValueError(f"unbalanced brackets in {chunk[1:-1]!r}")
-        if not commas:
+        parts = split_top_level(chunk[1:-1])
+        if len(parts) < 2:
             raise ValueError("branch needs target and prob")
-        first, second = (commas + [stop])[:2]
-        text = rest[first + 1 : second].strip()
+        text = parts[1].strip()
         if text not in probs:
             try:
                 probs[text] = parse_fraction(text)
             except ValueError as exc:
                 raise ValueError(f"bad probability: {exc}") from None
-        branches.append(Branch(rest[end - len(raw.lstrip()) + 1 : first].strip(),
-                               probs[text], _parse_label(rest[second + 1 : stop])))
-    action = rest[at + 1 :].strip() or "query"
+        branches.append(Branch(parts[0].strip(), probs[text],
+                               _parse_label(",".join(parts[2:]))))
+    action = rest[m.end() :].strip() or "query"
     if not branches:
         raise ValueError("empty branch list")
     if "[" in action or "]" in action:

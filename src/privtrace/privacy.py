@@ -117,6 +117,9 @@ class EpsilonResult(Record):
             return math.inf
         if self.ratio is None or self.ratio == 1 or self.scale == 0:
             return 0.0
+        if self.scale > sys.float_info.max:  # past the float range: bound it exactly
+            lo = _bounds(self.scale, self.ratio, 20)[0]
+            return float(lo) if lo <= sys.float_info.max else math.inf
         return float(self.scale) * (
             math.log(self.ratio.numerator) - math.log(self.ratio.denominator)
         )

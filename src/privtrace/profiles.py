@@ -140,9 +140,10 @@ def build_attack_dltts(db: DataTable, profile: AttackerProfile) -> AttackDltts:
 
 
 def attack_problems(attack: AttackDltts, db: DataTable | None = None) -> list[str]:
-    """Consistency of an attack tree: branch probabilities sum to 1, sibling
-    label sets partition the parent's label set (root: the table's lines
-    when a table is given), responses exist exactly at singleton nodes."""
+    """Consistency of an attack tree beyond `dltts.validate`'s distribution
+    rules: sibling label sets partition the parent's label set (root: the
+    table's lines when a table is given), responses exist exactly at
+    singleton nodes."""
     problems = []
     dltts = attack.dltts
     incoming_lines: dict[str, frozenset[str]] = {}
@@ -154,9 +155,6 @@ def attack_problems(attack: AttackDltts, db: DataTable | None = None) -> list[st
         for b in t.branches:
             incoming_lines[b.to] = b.label.lines
     for t in dltts.transitions:
-        total = sum((b.prob for b in t.branches), Fraction(0))
-        if total != 1:
-            problems.append(f"{t.source}: branch probabilities sum to {total}")
         if _response_line(t.action):
             continue
         parent = incoming_lines.get(t.source)

@@ -446,29 +446,29 @@ def shaped(value, shape, what: str, path: str = ""):
 
 _INTERVAL_RE = re.compile(r"^\[\s*(-?\d+)\s*-\s*(-?\d+)\s*\]$")
 _SET_RE = re.compile(r"^\{(.*)\}$")
+# A match is the text up to a comma, a bracket or the end, where a bracket
+# pair holding no bracket is text: {a,b} or [lo-hi] costs no match.
+_SPLIT_RE = re.compile(r"(?:[^][(){},]|\[[^][(){}]*\]|\{[^][(){}]*\}|\([^][(){}]*\))*"
+                       r"([][(){},]|\Z)")
 
 
 def split_top_level(text: str) -> list[str]:
-    """Split on commas outside any (), [], {} nesting."""
+    """Split on commas outside any (), [], {} nesting, in one pass."""
     parts: list[str] = []
-    depth = 0
-    cur: list[str] = []
-    for ch in text:
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
+    start = depth = 0
+    for m in _SPLIT_RE.finditer(text):
+        token = m.group(1)
+        if token == ",":
+            if not depth:
+                parts.append(text[start : m.start(1)])
+                start = m.end()
+        elif token:
+            depth += 1 if token in "([{" else -1
             if depth < 0:
-                raise ValueError(f"unbalanced brackets in {text!r}")
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
+                break
+    if depth:
         raise ValueError(f"unbalanced brackets in {text!r}")
-    parts.append("".join(cur))
-    return parts
+    return parts + [text[start:]]
 
 
 def parse_cell(

@@ -2,9 +2,10 @@
 per-cell distance vector and the whole-sum rho over it, the per-premise
 R1-R3 derivation, which the planned ones replaced, the oracle's whole-tag
 ruling, the recursive attack-tree builder, which rescans each level's rows
-per value, the per-character transcript parser, which the one-pass
-tokenizer replaced, the multiset order on priority keys, and the two-coin
-randomized response mechanism."""
+per value, the transcript parser over a per-character bracket walk, whose
+`split_top_level` is also the oracle of the library's one-pass scanner,
+the multiset order on priority keys, and the two-coin randomized response
+mechanism."""
 
 from __future__ import annotations
 
@@ -53,7 +54,6 @@ from privtrace.values import (
     Wildcard,
     parse_fraction,
     render_cell,
-    split_top_level,
     value_kind,
 )
 
@@ -361,6 +361,30 @@ def build_attack_dltts(db: DataTable, profile: AttackerProfile) -> AttackDltts:
                      lambda line: _sensitive_value(db, line), assumed=False)
 
 
+def split_top_level(text: str) -> list[str]:
+    """Split on commas outside any (), [], {} nesting, by a walk over the
+    characters: the oracle for the library's one-pass scanner."""
+    parts: list[str] = []
+    depth = 0
+    cur: list[str] = []
+    for ch in text:
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+            if depth < 0:
+                raise ValueError(f"unbalanced brackets in {text!r}")
+        if ch == "," and depth == 0:
+            parts.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    if depth != 0:
+        raise ValueError(f"unbalanced brackets in {text!r}")
+    parts.append("".join(cur))
+    return parts
+
+
 _PROVENANCE_RE = re.compile(r"^P_(\w+)\s+")
 
 
@@ -422,8 +446,8 @@ def _parse_transition(line: str) -> Transition:
 
 
 def parse_dltts(text: str, name: str = "dltts") -> Dltts:
-    """The transcript parser before the tokenizer, which splits each
-    bracket level by a walk over its characters.  It reads the explicit
+    """The transcript parser that splits each bracket level by a walk over
+    its characters (`split_top_level` above).  It reads the explicit
     transcript format::
 
         initial: s0

@@ -196,6 +196,25 @@ def test_export_dot_of_an_attack_tree_skips_the_knowledge_layer(tmp_path):
     assert "privtrace.dltts" not in loaded
 
 
+def test_attack_and_strategy_load_the_dot_layer_only_under_dot(tmp_path):
+    """`attack` and `strategy` import `dotexport` only when `--dot` asks
+    for a drawing, as `analyze` does."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from privtrace.cli import cli_main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli_main(sys.argv[1:]) == 0\n"
+        + LOADED
+    )
+    scenario = ["--scenario", str(SCENARIOS / "enterprise" / "scenario.json")]
+    for argv in (["attack", "--attacker", "A"], ["strategy", "--attacker", "B"]):
+        assert "privtrace.dotexport" not in json.loads(_python(code, *argv, *scenario))
+        dot = tmp_path / f"{argv[0]}.dot"
+        loaded = json.loads(_python(code, *argv, *scenario, "--dot", str(dot)))
+        assert "privtrace.dotexport" in loaded
+        assert dot.read_text().startswith("digraph dltts {")
+
+
 def test_every_public_name_is_its_module_attribute():
     out = _python(
         "import importlib, privtrace\n"

@@ -1,9 +1,10 @@
-"""The one-pass transcript tokenizer against the per-character parser it
-replaced (`tests/reference.py`): seeded well-formed and mutated transcripts
-give an equal `Dltts` or an equal error.  The exceptions are the refusals
-the tokenizer added, each asserted by name: an empty state name, an action
-holding a square bracket, and transitions none of which leaves the initial
-state."""
+"""The transcript parser, which splits through the one bracket scanner
+`values.split_top_level`, against the reference parser, which splits by a
+walk over the characters (`tests/reference.py`): seeded well-formed and
+mutated transcripts give an equal `Dltts` or an equal error.  The
+exceptions are the refusals the reference lacks, each asserted by name: an
+empty state name, an action holding a square bracket, and transitions none
+of which leaves the initial state."""
 
 from __future__ import annotations
 

@@ -207,6 +207,15 @@ def test_compare_refuses_values_that_agree_to_the_digit_bound():
     assert compare(big, F(999, 1000)) == 1 and compare(F(1001, 1000), big) == 1
 
 
+def test_value_of_a_scale_past_the_float_range():
+    """Where float(scale) overflows, the value comes from the exact bounds:
+    a finite product reads as a float, one past the float range as inf."""
+    big = EpsilonResult(scale=F(10**400), ratio=1 + F(3, 10**400))
+    assert big.value == 3.0 and str(big).endswith(" ≈ 3")
+    assert EpsilonResult(scale=F(10**400), ratio=F(2)).value == math.inf
+    assert EpsilonResult(scale=F(10**300), ratio=F(2)).value == 10**300 * math.log(2)
+
+
 def test_rr_full_table():
     full, marginal = randomized_response()
     assert full.prob(("True", "H", "H"), "True") == 1

@@ -492,6 +492,25 @@ def test_cli_text_grammar_error_names_its_place(tmp_path, capsys, edit, message)
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("edit, error", [
+    (_replace_in("trace.dltts", "] delta\n", "] delta\ns0 -> [(s1, 1, " + "x" * 100_000),
+     "error: trace:10: unterminated branch list\n"),
+    (_replace_in("trace.dltts", "] delta\n", "] delta\ns0 -> [" + "(" * 100_000 + "]"),
+     "error: trace:10: unbalanced brackets in '((((("),
+    (_replace_in("scenario.json", "(John,*,F,*,*)", "(John,*,F,*," + "{a" * 50_000 + ")"),
+     "error: scenario runs.trace.steps[0].branches[0].learn[0]: unbalanced brackets "
+     "in 'John,*,F,*,{a{a{a"),
+], ids=["unterminated-list", "open-brackets", "learn-pattern"])
+def test_cli_long_bracket_text_is_refused_in_time(tmp_path, edit, error):
+    """Transcripts and patterns share one bracket scanner, which makes one
+    pass over the text: a 100,000-character line is refused, exit 2, well
+    within the timeout."""
+    done = _cli_process("analyze", "--scenario", _hospital_copy(tmp_path, edit),
+                        timeout=20)
+    assert done.returncode == 2, done.stderr[:300]
+    assert done.stderr.startswith(error), done.stderr[:300]
+
+
 def _without(entry: dict, field: str) -> dict:
     return {k: v for k, v in entry.items() if k != field}
 
@@ -946,6 +965,55 @@ def test_cli_validate_flags_invalid_system(capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == 1
     assert "INVALID" in out
+
+
+def test_cli_validate_checks_the_attack_transcripts(capsys, tmp_path):
+    """A's first branches -1/2 and 3/2 still sum to 1, but a negative
+    probability breaks the distribution rules `validate` checks on every
+    transcript, attack transcripts included."""
+    shutil.copytree(Path(ENTERPRISE).parent, tmp_path, dirs_exist_ok=True)
+    _replace_in("attack_a.dltts", "(s1, 1/5,", "(s1, -1/2,")(tmp_path)
+    _replace_in("attack_a.dltts", "(s2, 4/5,", "(s2, 3/2,")(tmp_path)
+    assert cli_main(["validate", "--scenario", str(tmp_path / "scenario.json")]) == 1
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "INVALID: A: branch s0->s1 has non-positive probability",
+        "INVALID: C: s1: children ['l1', 'l2', 'l3', 'l4'] do not partition "
+        "['l1', 'l2', 'l3']",
+    ]
+
+
+def test_cli_a_key_error_is_a_bug_not_an_input_error(monkeypatch, capsys):
+    """Every lookup an input can reach raises a named ValueError, so a
+    KeyError inside a command is a program fault: it escapes `cli_main`
+    instead of printing `error:` and exiting 2."""
+    import privtrace.cli
+
+    def broken(scenario, args):
+        raise KeyError("no such entry")
+
+    monkeypatch.setitem(privtrace.cli._COMMANDS, "validate", broken)
+    with pytest.raises(KeyError, match="no such entry"):
+        cli_main(["validate", "--scenario", HOSPITAL])
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_scaled_epsilon_past_the_float_range_prints_inf(tmp_path, capsys):
+    """A normalizer of 1e400 puts rho at 1e-400 and the scale 1/rho past the
+    float range: the approximation reads `inf` instead of raising."""
+    (tmp_path / "schema.json").write_text(json.dumps({"columns": [
+        {"name": "Age", "class": "numerical", "group": "quasi-identifier",
+         "normalizer": "1e400"}]}))
+    (tmp_path / "t.csv").write_text("Line,Age\nl1,1\nl2,2\n")
+    (tmp_path / "scenario.json").write_text(json.dumps({
+        "name": "huge", "schema": "schema.json", "tables": {"t": {"file": "t.csv"}},
+        "mechanisms": {"m": {"outputs": ["y", "n"], "probs": {
+            "l1": {"y": "1/3", "n": "2/3"}, "l2": {"y": "2/3", "n": "1/3"}}}},
+        "analysis": {"scaled_indist": [
+            {"mechanism": "m", "pair": ["l1", "l2"], "alpha": "y", "table": "t"}]},
+    }))
+    assert cli_main(["analyze", "--scenario", str(tmp_path / "scenario.json")]) == 0
+    line = f"rho-scaled min epsilon (integer-set) = ({10 ** 400}/1)*ln(2/1) ≈ inf"
+    assert line in capsys.readouterr().out.splitlines()
 
 
 def test_cli_unknown_flag_exits_two(capsys):

@@ -162,3 +162,40 @@ def test_split_top_level_respects_nesting():
     with pytest.raises(ValueError):
         split_top_level("a,{b")
 
+
+
+# Pieces of a random string: text, commas, every bracket alone (stray or
+# mismatched), flat pairs, nested pairs and pairs of the wrong kinds.
+PIECES = ["a", "bc", " ", ",", ",", "(", ")", "[", "]", "{", "}", "{a,b}", "[1-2]",
+          "(x,y)", "()", "[]", "{}", "({a,b})", "[(,)]", "{[}]", "(]", "[)", "((", "))"]
+
+
+def _bracket_string(rng: random.Random) -> str:
+    if rng.random() < 0.4:  # balanced: some pair kind around a shorter string
+        inner = ",".join(_bracket_string(rng) for _ in range(rng.randint(0, 2)))
+        opener, closer = rng.choice(["()", "[]", "{}", "(}", "[)"])
+        return rng.choice(PIECES[:3]) + opener + inner + closer
+    return "".join(rng.choice(PIECES) for _ in range(rng.randint(0, 6)))
+
+
+def _split_outcome(split, text: str) -> list[str] | str:
+    try:
+        return split(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_split_top_level_matches_the_character_walk():
+    """The one-pass scanner against the character walk it replaced
+    (`tests/reference.py`): equal parts, or an equal error text."""
+    from reference import split_top_level as walk
+
+    rng = random.Random(20261019)
+    counts = {"empty": 0, "error": 0, "whole": 0, "split": 0}
+    for _ in range(100_000):
+        text = _bracket_string(rng)
+        got = _split_outcome(split_top_level, text)
+        assert got == _split_outcome(walk, text), text
+        counts["empty" if not text else "error" if isinstance(got, str)
+               else "split" if len(got) > 1 else "whole"] += 1
+    assert min(counts.values()) > 1000, counts
