@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
-from .lts import Branch, Dltts, Label, Transition, parse_dltts
+from .lts import Branch, Dltts, Label, Transition, parse_dltts, transition_problems
 from .values import Record
 
 
@@ -153,7 +153,8 @@ def _priority_runs(
 ) -> tuple[dict[str, Fraction], dict[str, tuple[str, Branch]]]:
     """Best run probability per state, restricted at every choice point to
     the priority-maximal outgoing transitions; predecessors for path
-    recovery.  Requires an acyclic system.  Read it through `attack._runs`."""
+    recovery.  Requires an acyclic system whose queries keep `lts`'s rules
+    (else AttackError names it).  Read it through `attack._runs`."""
     dltts = attack.dltts
     # Depth-first post-order with an explicit stack; a `True` entry closes
     # its state once every child pushed above it is done.
@@ -174,6 +175,12 @@ def _priority_runs(
             raise AttackError("attack system has a cycle")
         onstack.add(state)
         todo.append((state, True))
+        for t in dltts.outgoing(state):
+            # switches were checked as loaded or made; one at Stop is no query
+            if _response_line(t.action) is None:
+                problem = next(transition_problems(t, dltts.stop), None)
+                if problem is not None:
+                    raise AttackError(f"{attack.name}: {problem}")
         todo.extend(reversed(
             [(b.to, False) for t in dltts.outgoing(state) for b in t.branches]
         ))

@@ -11,11 +11,9 @@ import argparse
 import sys
 from fractions import Fraction
 from pathlib import Path
-
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .report import Report
     from .scenario import Scenario
 
 # Every layer's error class subclasses ValueError, so this imports no layer;
@@ -90,10 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: Report) -> None:
-    sys.stdout.write(report.text())
-
-
 def _write_dot(base: str, dltts, name: str = "", names=(), **options) -> None:
     """Draw `dltts` as DOT at `base`, or at `stem-name.suffix` beside it when
     `names` holds several systems; a report loads `dotexport` only here."""
@@ -113,7 +107,7 @@ def _cmd_metric(scenario: Scenario, args) -> int:
         raise ScenarioError("no table given and the scenario names none")
     report = Report(scenario.name)
     ok = metric_section(scenario, report, table, [tuple(args.pair)], [args.mode])
-    _emit(report)
+    sys.stdout.write(report.text())
     return 0 if ok else 1
 
 
@@ -145,7 +139,7 @@ def _cmd_analyze(scenario: Scenario, args) -> int:
         scenario, epsilon=epsilon, secret=args.secret or None,
         mode=parse_mode(args.mode),
     )
-    _emit(report)
+    sys.stdout.write(report.text())
     if args.dot:
         runs = scenario.analysis.get("runs", [])
         for name in runs:
@@ -162,11 +156,11 @@ def _cmd_analyze(scenario: Scenario, args) -> int:
 def _cmd_dp_check(scenario: Scenario | None, args) -> int:
     from .privacy import Mechanism
     from .report import Report, ScenarioError, dp_section
-    from .values import read_json
+    from .values import read_json, read_text
 
     if args.mechanism_file:
         path = Path(args.mechanism_file)
-        doc = read_json(path.read_text(), f"mechanism file {path}")
+        doc = read_json(read_text(path), f"mechanism file {path}")
         m = Mechanism.from_doc(path.stem, doc)
         name = m.name
     elif scenario is not None and args.mechanism:
@@ -177,7 +171,7 @@ def _cmd_dp_check(scenario: Scenario | None, args) -> int:
                             "plus --mechanism")
     report = Report(scenario.name if scenario else name)
     bounded = dp_section(scenario, report, name, m, args.adjacency, args.mode)
-    _emit(report)
+    sys.stdout.write(report.text())
     return 0 if bounded else 1
 
 
@@ -198,7 +192,7 @@ def _cmd_attack(scenario: Scenario, args) -> int:
                 report.add(f"INVALID: {prob}")
         if args.dot:
             _write_dot(args.dot, attack.dltts, name, args.attacker)
-    _emit(report)
+    sys.stdout.write(report.text())
     return 0 if found else 1
 
 
@@ -207,7 +201,7 @@ def _cmd_strategy(scenario: Scenario, args) -> int:
 
     report = Report(scenario.name)
     updated = strategy_section(scenario, report, args.attacker, args.baseline)
-    _emit(report)
+    sys.stdout.write(report.text())
     if args.dot:
         off_edges = frozenset(
             (e.node, e.target) for e in updated.responses
@@ -264,7 +258,7 @@ def _cmd_validate(scenario: Scenario, args) -> int:
         report.add(f"INVALID: {p}")
     if not problems:
         report.add("all systems valid")
-    _emit(report)
+    sys.stdout.write(report.text())
     return 1 if problems else 0
 
 

@@ -33,7 +33,8 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 # `parse_dltts` is not used here: the benchmark's tracer finds it under
 # this module's name.
-from .lts import DELTA, Branch, Dltts, DlttsError, Label, Transition, parse_dltts
+from .lts import (DELTA, Branch, Dltts, DlttsError, Label, Transition, parse_dltts,
+                  transition_problems)
 from .schema import ColumnSchema, DataTable, PrivacyPolicy, TOP, TuplePattern
 from .values import (ColumnClass, IntervalMeasureMode, Number, Record, TaxonomyTree,
                      Taxon, Wildcard)
@@ -302,7 +303,6 @@ class DlttsBuilder:
         self._derivations: dict[TuplePattern, tuple[TuplePattern, ...]] = {}
         self._plans: dict[tuple, tuple] = {}
         self.saturated: dict[str, Tag] = {self.initial: self._saturate(frozenset({TOP}))}
-        self.state_probs: dict[str, Fraction] = {self.initial: Fraction(1)}
         self.verdicts: dict[str, OracleVerdict] = {}
         # ground tuple cells -> is the tuple within epsilon of a secret?
         self._within: dict[tuple, bool] = {}
@@ -314,37 +314,29 @@ class DlttsBuilder:
         action: str,
         branches: Iterable[tuple[str, Fraction, Label]],
     ) -> None:
-        if source == self.stop:
-            raise DlttsError("Stop has no outgoing transitions")
-        if action == DELTA:
-            raise DlttsError(f"action {DELTA!r} is reserved for the oracle's "
-                             "move to Stop")
-        if source not in self.verdicts:
-            raise DlttsError(f"unknown source state {source!r}")
-        if self.verdicts[source] is not OracleVerdict.CONTINUE:
-            raise DlttsError(f"state {source!r} is closed by a violation")
-        branch_objs = []
-        total = Fraction(0)
-        for to, prob, label in branches:
-            prob = Fraction(prob)
-            if prob <= 0:
-                raise DlttsError(f"branch probability {prob} is not positive")
-            total += prob
-            if to in self.saturated or to == self.stop:
-                raise DlttsError(f"branch target {to!r} already exists")
-            branch_objs.append(Branch(to, prob, label))
-        if not branch_objs:
-            raise DlttsError("transition needs at least one branch")
-        if total != 1:
-            raise DlttsError(f"branch probabilities sum to {total}, not 1")
-        if len({b.to for b in branch_objs}) != len(branch_objs):
-            raise DlttsError("duplicate branch target within one transition")
-        self.transitions.append(Transition(source, action, tuple(branch_objs)))
+        """The builder's own rules come before the transition's (`lts`), but
+        a transition out of Stop is refused as such."""
+        t = Transition(source, action, tuple(
+            Branch(to, Fraction(prob), label) for to, prob, label in branches))
+        if source != self.stop:
+            if action == DELTA:
+                raise DlttsError(f"action {DELTA!r} is reserved for the oracle's "
+                                 "move to Stop")
+            if source not in self.verdicts:
+                raise DlttsError(f"unknown source state {source!r}")
+            if self.verdicts[source] is not OracleVerdict.CONTINUE:
+                raise DlttsError(f"state {source!r} is closed by a violation")
+            for b in t.branches:
+                if b.to in self.saturated or b.to == self.stop:
+                    raise DlttsError(f"branch target {b.to!r} already exists")
+        problem = next(transition_problems(t, self.stop), None)
+        if problem is not None:
+            raise DlttsError(problem)
+        self.transitions.append(t)
         parent_sat = self.saturated[source]
-        for b in branch_objs:
+        for b in t.branches:
             self.saturated[b.to] = self._saturate(parent_sat | b.label.tuples, parent_sat)
-            self.state_probs[b.to] = self.state_probs[source] * b.prob
-        for b in branch_objs:
+        for b in t.branches:
             self.oracle_step(b.to, parent_sat)
 
     def _saturate(self, tag: Tag, closed: Tag = frozenset()) -> Tag:
@@ -383,8 +375,7 @@ class DlttsBuilder:
         return any(within[cells] for cells in knowledge)
 
     def build(self) -> Dltts:
-        return Dltts(self.initial, self.stop, tuple(self.transitions),
-                     dict(self.state_probs))
+        return Dltts(self.initial, self.stop, tuple(self.transitions))
 
 
 class Run(Record):
@@ -432,35 +423,16 @@ def reach_stop(dltts: Dltts) -> tuple[bool, tuple[Run, ...]]:
 
 
 def validate(dltts: Dltts) -> list[str]:
-    """Invariant check; empty list iff the system is well-formed."""
+    """Each transition's problems (`lts`), then whether it shares its
+    distribution with an earlier transition from its state; empty iff valid."""
     problems: list[str] = []
     seen_distr: set[tuple] = set()
     for t in dltts.transitions:
-        if t.source == dltts.stop:
-            problems.append("Stop has an outgoing transition")
-        if not t.branches:
-            problems.append(f"transition from {t.source!r} has no branches")
-            continue
-        total = Fraction(0)
-        for b in t.branches:
-            if b.prob <= 0:
-                problems.append(f"branch {t.source}->{b.to} has non-positive probability")
-            total += b.prob
-        if total != 1:
-            problems.append(
-                f"probabilities from {t.source!r} under {t.action!r} sum to {total}"
-            )
-        if len({b.to for b in t.branches}) != len(t.branches):
-            problems.append(f"duplicate branch target from {t.source!r}")
+        problems += transition_problems(t, dltts.stop)
         key = (t.source, frozenset((b.to, b.prob) for b in t.branches))
-        if key in seen_distr:
+        if t.branches and key in seen_distr:
             problems.append(f"two transitions from {t.source!r} share one distribution")
         seen_distr.add(key)
-        if t.action == DELTA:
-            if len(t.branches) != 1 or t.branches[0].to != dltts.stop:
-                problems.append(f"delta from {t.source!r} must go to Stop alone")
-            elif t.branches[0].prob != 1:
-                problems.append(f"delta from {t.source!r} must have probability 1")
     return problems
 
 

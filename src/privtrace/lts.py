@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterator
 
 from .values import Record, parse_fraction, split_top_level
 
@@ -63,19 +63,32 @@ class Transition(Record):
     branches: tuple[Branch, ...]
 
 
+def transition_problems(t: Transition, stop: str) -> Iterator[str]:
+    """The rules one transition breaks, in order, each naming its source: it
+    leaves no Stop, has a branch, positive probabilities summing to exactly
+    1 and distinct targets, and `delta` goes to Stop alone.  Lazy."""
+    if t.source == stop:
+        yield "Stop has an outgoing transition"
+    if not t.branches:
+        yield f"transition from {t.source!r} has no branches"
+        return
+    for b in t.branches:
+        if b.prob <= 0:
+            yield f"branch {t.source}->{b.to} has non-positive probability"
+    if (total := sum(b.prob for b in t.branches)) != 1:
+        yield f"branch probabilities from {t.source!r} sum to {total}, not 1"
+    if len({b.to for b in t.branches}) != len(t.branches):
+        yield f"duplicate branch target from {t.source!r}"
+    if t.action == DELTA and (len(t.branches) != 1 or t.branches[0].to != stop):
+        yield f"delta from {t.source!r} must go to Stop alone"
+
+
 class Dltts(Record):
-    """A probabilistic transition system: the initial and Stop states,
-    transitions, and per-state reachability probabilities (empty when left
-    out)."""
+    """A probabilistic transition system: initial and Stop states, transitions."""
 
     initial: str
     stop: str
     transitions: tuple[Transition, ...]
-    state_probs: Mapping[str, Fraction] | None = None
-
-    def _check(self) -> None:
-        if self.state_probs is None:
-            object.__setattr__(self, "state_probs", {})
 
     @cached_property
     def states(self) -> frozenset[str]:
@@ -192,4 +205,4 @@ def parse_dltts(text: str, name: str = "dltts") -> Dltts:
     if transitions and all(t.source != initial for t in transitions):
         raise DlttsError(f"{name}:{where}: no transition leaves the initial "
                          f"state {initial!r}")
-    return Dltts(initial, stop, tuple(transitions), {})
+    return Dltts(initial, stop, tuple(transitions))

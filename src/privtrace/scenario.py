@@ -29,6 +29,7 @@ from .values import (
     Required,
     parse_fraction,
     read_json,
+    read_text,
     shaped,
 )
 
@@ -143,9 +144,9 @@ def load_scenario(path: str | Path) -> Scenario:
     """Load a scenario document and everything it references.  A document
     not of the shape SCENARIO raises ShapeError."""
     path = Path(path)
-    doc = shaped(read_json(path.read_text(), f"scenario {path}"), SCENARIO, "scenario")
+    doc = shaped(read_json(read_text(path), f"scenario {path}"), SCENARIO, "scenario")
     base = path.parent
-    schema = load_schema((base / doc["schema"]).read_text())
+    schema = load_schema(read_text(base / doc["schema"]))
 
     tables: dict[str, DataTable] = {}
     for name, tdoc in doc.get("tables", {}).items():
@@ -154,7 +155,7 @@ def load_scenario(path: str | Path) -> Scenario:
         else:
             columns = schema.columns
         tables[name] = load_table(
-            (base / tdoc["file"]).read_text(), columns, schema.taxonomies, name
+            read_text(base / tdoc["file"]), columns, schema.taxonomies, name
         )
 
     mechanisms = {}
@@ -164,14 +165,14 @@ def load_scenario(path: str | Path) -> Scenario:
         mechanisms[name] = Mechanism.from_doc(name, mdoc)
 
     dltts = {
-        name: parse_dltts((base / f).read_text(), name)
+        name: parse_dltts(read_text(base / f), name)
         for name, f in doc.get("dltts", {}).items()
     }
     attack_dltts = {}
     for name, f in doc.get("attack_dltts", {}).items():
         from .attack import load_attack_dltts
 
-        attack_dltts[name] = load_attack_dltts((base / f).read_text(), name)
+        attack_dltts[name] = load_attack_dltts(read_text(base / f), name)
     declared_baseline = {
         line: _read(f"scenario declared_baseline.{line}", parse_fraction, v)
         for line, v in doc.get("declared_baseline", {}).items()
@@ -179,7 +180,7 @@ def load_scenario(path: str | Path) -> Scenario:
     profiles = {}
     for name, pdoc in doc.get("profiles", {}).items():
         if isinstance(pdoc, str):
-            pdoc = read_json((base / pdoc).read_text(), f"profile {name} file {pdoc}")
+            pdoc = read_json(read_text(base / pdoc), f"profile {name} file {pdoc}")
         from .profiles import parse_profile
 
         profiles[name] = parse_profile(name, pdoc, schema)
@@ -262,12 +263,14 @@ def _run_section(scenario: Scenario, report: Report, run_name: str, **oracle) ->
     dltts, verdicts = build_run(scenario, run_name, **oracle)
     report.add(f"## run {run_name}")
     report.runs[run_name] = dltts
+    reached, runs = reach_stop(dltts)
+    # a violating state's one run ends in its delta, of probability 1
+    at_state = {r.states[-2]: r.probability for r in runs}
     for state in sorted(verdicts, key=natural_key):
         v = verdicts[state]
         if v is not OracleVerdict.CONTINUE:
             report.add(f"oracle at {state}: {v.value} "
-                       f"(state probability {dltts.state_probs[state]})")
-    reached, runs = reach_stop(dltts)
+                       f"(state probability {at_state[state]})")
     report.put(f"run/{run_name}/stop_reached", reached)
     report.put(f"run/{run_name}/runs", runs)
     if reached:
@@ -444,7 +447,10 @@ def run_scenario(
         from .dltts import epsilon_equivalent_labels
         from .privacy import parse_epsilon
 
-        dltts, _ = build_run(scenario, entry["run"])
+        if entry["run"] in report.runs and (epsilon is None or secret_rows is None):
+            dltts = report.runs[entry["run"]]  # built unarmed above
+        else:
+            dltts, _ = build_run(scenario, entry["run"])
         m = scenario.mechanism(entry["mechanism"])
         eps = parse_epsilon(entry["epsilon"])
         classes = epsilon_equivalent_labels(dltts, entry["state"], m, eps,

@@ -254,8 +254,7 @@ class Wildcard:
     def __repr__(self) -> str:
         return "*"
 
-    def __str__(self) -> str:
-        return "*"
+    __str__ = __repr__
 
 
 STAR = Wildcard()
@@ -371,6 +370,14 @@ def parse_fraction(value) -> Fraction:
 
 class ShapeError(ValueError):
     """An input document, or a part of one, of the wrong JSON shape."""
+
+
+def read_text(path) -> str:
+    """The text of the file at `path`; undecodable bytes raise ValueError naming it."""
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"file {path}: {exc}") from None
 
 
 def read_json(text: str, what: str):

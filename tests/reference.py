@@ -4,8 +4,10 @@ R1-R3 derivation, which the planned ones replaced, the oracle's whole-tag
 ruling, the recursive attack-tree builder, which rescans each level's rows
 per value, the transcript parser over a per-character bracket walk, whose
 `split_top_level` is also the oracle of the library's one-pass scanner,
-the multiset order on priority keys, and the two-coin randomized response
-mechanism."""
+the multiset order on priority keys, the builder's inline transition checks
+and the transcript validator, which `lts.transition_problems` replaced as
+the one statement of a transition's rules, and the two-coin randomized
+response mechanism."""
 
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from privtrace.dltts import (
     _merged_taxonomies,
     check_consistency,
 )
-from privtrace.lts import Branch, Dltts, DlttsError, Label, Transition
+from privtrace.lts import DELTA, Branch, Dltts, DlttsError, Label, Transition
 from privtrace.metrics import (
     MetricError,
     _cells,
@@ -359,6 +361,80 @@ def build_attack_dltts(db: DataTable, profile: AttackerProfile) -> AttackDltts:
     dltts = Dltts(initial="s0", stop="STOP", transitions=tuple(transitions))
     return _switched(profile.name, dltts, (),
                      lambda line: _sensitive_value(db, line), assumed=False)
+
+
+def builder_refusal(
+    source: str,
+    action: str,
+    branches: Iterable[tuple[str, Fraction, Label]],
+    *,
+    stop: str,
+    verdicts: Mapping[str, OracleVerdict],
+    existing: Iterable[str],
+) -> str | None:
+    """What the builder's `add_transition` refused, with its states ruled
+    by `verdicts` and the states in `existing` made, checking each rule
+    inline and in its own wording; None when it accepts the transition."""
+    if source == stop:
+        return "Stop has no outgoing transitions"
+    if action == DELTA:
+        return f"action {DELTA!r} is reserved for the oracle's move to Stop"
+    if source not in verdicts:
+        return f"unknown source state {source!r}"
+    if verdicts[source] is not OracleVerdict.CONTINUE:
+        return f"state {source!r} is closed by a violation"
+    existing = set(existing)
+    targets = []
+    total = Fraction(0)
+    for to, prob, _ in branches:
+        prob = Fraction(prob)
+        if prob <= 0:
+            return f"branch probability {prob} is not positive"
+        total += prob
+        if to in existing or to == stop:
+            return f"branch target {to!r} already exists"
+        targets.append(to)
+    if not targets:
+        return "transition needs at least one branch"
+    if total != 1:
+        return f"branch probabilities sum to {total}, not 1"
+    if len(set(targets)) != len(targets):
+        return "duplicate branch target within one transition"
+    return None
+
+
+def validate(dltts: Dltts) -> list[str]:
+    """Every structural problem of a transcript, each rule checked inline
+    per transition, in the order the checks run."""
+    problems: list[str] = []
+    seen_distr: set[tuple] = set()
+    for t in dltts.transitions:
+        if t.source == dltts.stop:
+            problems.append("Stop has an outgoing transition")
+        if not t.branches:
+            problems.append(f"transition from {t.source!r} has no branches")
+            continue
+        total = Fraction(0)
+        for b in t.branches:
+            if b.prob <= 0:
+                problems.append(f"branch {t.source}->{b.to} has non-positive probability")
+            total += b.prob
+        if total != 1:
+            problems.append(
+                f"probabilities from {t.source!r} under {t.action!r} sum to {total}"
+            )
+        if len({b.to for b in t.branches}) != len(t.branches):
+            problems.append(f"duplicate branch target from {t.source!r}")
+        key = (t.source, frozenset((b.to, b.prob) for b in t.branches))
+        if key in seen_distr:
+            problems.append(f"two transitions from {t.source!r} share one distribution")
+        seen_distr.add(key)
+        if t.action == DELTA:
+            if len(t.branches) != 1 or t.branches[0].to != dltts.stop:
+                problems.append(f"delta from {t.source!r} must go to Stop alone")
+            elif t.branches[0].prob != 1:
+                problems.append(f"delta from {t.source!r} must have probability 1")
+    return problems
 
 
 def split_top_level(text: str) -> list[str]:

@@ -94,8 +94,7 @@ RECORDS = {
     lts.Label: (("text", "lines", "tuples", "source"), _pool(4)),
     lts.Branch: (("to", "prob", "label"), _pool(3)),
     lts.Transition: (("source", "action", "branches"), _pool(3)),
-    lts.Dltts: (("initial", "stop", "transitions", "state_probs"),
-                  lambda rng: _pool(3)(rng) + (_mapping(rng),)),
+    lts.Dltts: (("initial", "stop", "transitions"), _pool(3)),
     dltts.Run: (("states", "actions", "probability"), _pool(3)),
     privacy.Mechanism: (("name", "inputs", "outputs", "table"), _mechanism),
     privacy.EpsilonResult: (("scale", "ratio", "unbounded", "both_zero", "witness"),
@@ -122,7 +121,6 @@ DEFAULTS = {
     lts.Label: {"text": "", "lines": frozenset(), "tuples": frozenset(),
                   "source": "db"},
     lts.Branch: {"label": lts.Label("", frozenset(), frozenset(), "db")},
-    lts.Dltts: {"state_probs": None},
     privacy.EpsilonResult: {"scale": None, "ratio": None, "unbounded": False,
                             "both_zero": False, "witness": None},
     privacy.RhoAdjacency: {"mode": IntervalMeasureMode.INTEGER_SET,

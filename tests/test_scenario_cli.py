@@ -982,6 +982,53 @@ def test_cli_validate_checks_the_attack_transcripts(capsys, tmp_path):
     ]
 
 
+@pytest.mark.parametrize("argv", [["analyze"], ["attack", "--attacker", "A"],
+                                  ["strategy", "--attacker", "A"]])
+def test_cli_reports_refuse_an_attack_transcript_that_breaks_a_rule(capsys, tmp_path,
+                                                                    argv):
+    """The priority runs that every attack report reads check each
+    transition they reach, so the negative branch `validate` lists stops
+    `analyze`, `attack` and `strategy` with exit 2 instead of a report
+    built from it; `export-dot` still draws the transcript."""
+    shutil.copytree(Path(ENTERPRISE).parent, tmp_path, dirs_exist_ok=True)
+    _replace_in("attack_a.dltts", "(s1, 1/5,", "(s1, -1/2,")(tmp_path)
+    _replace_in("attack_a.dltts", "(s2, 4/5,", "(s2, 3/2,")(tmp_path)
+    scenario = str(tmp_path / "scenario.json")
+    assert cli_main([*argv, "--scenario", scenario]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: A: branch s0->s1 has non-positive probability\n"
+    assert captured.out == ""
+    assert cli_main(["export-dot", "--scenario", scenario, "--attacker", "A"]) == 0
+    assert '"s0" -> "s1"' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, builds", [
+    ([], 1), (["--epsilon", "0", "--secret", "published:l4"], 2),
+])
+def test_analyze_builds_each_run_once(monkeypatch, capsys, argv, builds):
+    """Unarmed, the label-equivalence section reads the run the run
+    section built; armed, that run is another system, so the unarmed one
+    is built too.  The report is the one a fresh build gives."""
+    made = []
+    init = DlttsBuilder.__init__
+
+    def counted(self, **kwargs):
+        made.append(self)
+        init(self, **kwargs)
+
+    def label_section(text):
+        return text[text.index("## label equivalence"):].split("\n\n")[0]
+
+    monkeypatch.setattr(DlttsBuilder, "__init__", counted)
+    assert cli_main(["analyze", "--scenario", HOSPITAL, *argv]) == 0
+    assert len(made) == builds
+    hospital = load_scenario(HOSPITAL)
+    alone = hospital.replace(analysis={
+        k: v for k, v in hospital.analysis.items() if k != "runs"})
+    assert label_section(capsys.readouterr().out) == label_section(
+        run_scenario(alone).text())
+
+
 def test_cli_a_key_error_is_a_bug_not_an_input_error(monkeypatch, capsys):
     """Every lookup an input can reach raises a named ValueError, so a
     KeyError inside a command is a program fault: it escapes `cli_main`
@@ -1262,8 +1309,8 @@ def _step_4(change):
      "scenario runs.trace.steps[4]: action 'delta' is reserved for the oracle's "
      "move to Stop"),
     ("hospital", _step_4(lambda step: step["branches"][0].update(prob="1/2")),
-     ["analyze"], "scenario runs.trace.steps[4]: branch probabilities sum to 7/6, "
-     "not 1"),
+     ["analyze"], "scenario runs.trace.steps[4]: branch probabilities from 's4' sum "
+     "to 7/6, not 1"),
     ("enterprise", _set_sex_priors({"F": "1", "M": "-1", "X": "1"}),
      ["attack", "--built", "--attacker", "A"],
      "profile A: prior for Sex value M is -1, negative"),
@@ -1284,6 +1331,48 @@ def test_cli_refusals_exit_two_naming_their_place(tmp_path, scenario, change, ar
     done = _cli_process(*argv, "--scenario", str(path))
     assert done.returncode == 2
     assert done.stderr == f"error: {message}\n"
+
+
+def _profile_file(directory: Path) -> str:
+    """Move the enterprise profile A into its own file; returns its name."""
+    path = directory / "scenario.json"
+    doc = json.loads(path.read_text())
+    (directory / "profile_a.json").write_text(json.dumps(doc["profiles"]["A"]))
+    doc["profiles"]["A"] = "profile_a.json"
+    path.write_text(json.dumps(doc))
+    return "profile_a.json"
+
+
+def _mechanism_json(directory: Path) -> str:
+    (directory / "m.json").write_text(json.dumps(
+        {"outputs": ["y", "n"], "probs": {"a": {"y": "1/2", "n": "1/2"}}}))
+    return "m.json"
+
+
+@pytest.mark.parametrize("scenario, bad, argv", [
+    ("hospital", "scenario.json", ["analyze", "--scenario", "scenario.json"]),
+    ("hospital", "schema.json", ["analyze", "--scenario", "scenario.json"]),
+    ("hospital", "published.csv", ["analyze", "--scenario", "scenario.json"]),
+    ("hospital", "trace.dltts", ["validate", "--scenario", "scenario.json"]),
+    ("enterprise", "attack_a.dltts", ["attack", "--scenario", "scenario.json",
+                                      "--attacker", "A"]),
+    ("enterprise", _profile_file, ["attack", "--scenario", "scenario.json",
+                                   "--built", "--attacker", "A"]),
+    ("enterprise", _mechanism_json, ["dp-check", "--mechanism-file", "m.json"]),
+])
+def test_cli_a_file_that_is_not_text_is_named(tmp_path, scenario, bad, argv):
+    """A byte that does not decode, in any file a command reads, exits 2
+    with one `error:` line naming that file."""
+    shutil.copytree(SCENARIOS / scenario, tmp_path, dirs_exist_ok=True)
+    name = bad if isinstance(bad, str) else bad(tmp_path)
+    with open(tmp_path / name, "ab") as f:
+        f.write(b"\xff")
+    done = _cli_process(*(str(tmp_path / a) if a.endswith(".json") else a
+                          for a in argv))
+    assert done.returncode == 2
+    assert done.stderr.startswith(f"error: file {tmp_path / name}: ")
+    assert "can't decode byte 0xff" in done.stderr
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("old, new, message", [
