@@ -11,9 +11,11 @@ import argparse
 import sys
 from fractions import Fraction
 from pathlib import Path
+
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from .report import Report
     from .scenario import Scenario
 
 # Every layer's error class subclasses ValueError, so this imports no layer;
@@ -88,6 +90,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(report: Report) -> None:
+    sys.stdout.write(report.text())
+
+
 def _write_dot(base: str, dltts, name: str = "", names=(), **options) -> None:
     """Draw `dltts` as DOT at `base`, or at `stem-name.suffix` beside it when
     `names` holds several systems; a report loads `dotexport` only here."""
@@ -107,7 +113,7 @@ def _cmd_metric(scenario: Scenario, args) -> int:
         raise ScenarioError("no table given and the scenario names none")
     report = Report(scenario.name)
     ok = metric_section(scenario, report, table, [tuple(args.pair)], [args.mode])
-    sys.stdout.write(report.text())
+    _emit(report)
     return 0 if ok else 1
 
 
@@ -139,7 +145,7 @@ def _cmd_analyze(scenario: Scenario, args) -> int:
         scenario, epsilon=epsilon, secret=args.secret or None,
         mode=parse_mode(args.mode),
     )
-    sys.stdout.write(report.text())
+    _emit(report)
     if args.dot:
         runs = scenario.analysis.get("runs", [])
         for name in runs:
@@ -171,7 +177,7 @@ def _cmd_dp_check(scenario: Scenario | None, args) -> int:
                             "plus --mechanism")
     report = Report(scenario.name if scenario else name)
     bounded = dp_section(scenario, report, name, m, args.adjacency, args.mode)
-    sys.stdout.write(report.text())
+    _emit(report)
     return 0 if bounded else 1
 
 
@@ -192,7 +198,7 @@ def _cmd_attack(scenario: Scenario, args) -> int:
                 report.add(f"INVALID: {prob}")
         if args.dot:
             _write_dot(args.dot, attack.dltts, name, args.attacker)
-    sys.stdout.write(report.text())
+    _emit(report)
     return 0 if found else 1
 
 
@@ -201,7 +207,7 @@ def _cmd_strategy(scenario: Scenario, args) -> int:
 
     report = Report(scenario.name)
     updated = strategy_section(scenario, report, args.attacker, args.baseline)
-    sys.stdout.write(report.text())
+    _emit(report)
     if args.dot:
         off_edges = frozenset(
             (e.node, e.target) for e in updated.responses
@@ -258,7 +264,7 @@ def _cmd_validate(scenario: Scenario, args) -> int:
         report.add(f"INVALID: {p}")
     if not problems:
         report.add("all systems valid")
-    sys.stdout.write(report.text())
+    _emit(report)
     return 1 if problems else 0
 
 
@@ -280,15 +286,12 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        # every subcommand but dp-check requires --scenario
         scenario = None
-        if args.scenario:
+        if args.scenario is not None:
             from .scenario import load_scenario
 
             scenario = load_scenario(args.scenario)
-        elif args.command != "dp-check":
-            from .report import ScenarioError
-
-            raise ScenarioError("--scenario is required")
         return _COMMANDS[args.command](scenario, args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

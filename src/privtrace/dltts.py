@@ -235,6 +235,12 @@ class OracleVerdict(Enum):
     EPSILON_VIOLATION = "epsilon-violation"
 
 
+def oracle_armed(epsilon: Fraction | None, secrets) -> bool:
+    """Does the oracle check epsilon?  Only with both a bound and secrets:
+    without either, a builder makes the unarmed system."""
+    return epsilon is not None and secrets is not None
+
+
 def _is_knowledge(p: TuplePattern) -> bool:
     """Does rho read p: a star-free positive tuple over some columns?"""
     return not p.negative and bool(p.columns) and p.is_ground()
@@ -364,7 +370,7 @@ class DlttsBuilder:
         """Is some ground tuple among `tuples` within epsilon of a secret?
         Every one is measured, so an uncomparable pair raises whatever order
         the set is iterated in."""
-        if self.epsilon is None or self.secrets is None:
+        if not oracle_armed(self.epsilon, self.secrets):
             return False
         knowledge = [p.cells for p in tuples if _is_knowledge(p)]
         within = self._within

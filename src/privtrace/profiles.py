@@ -82,7 +82,7 @@ def _sensitive_value(db: DataTable, line_id: str) -> str:
 def build_attack_dltts(db: DataTable, profile: AttackerProfile) -> AttackDltts:
     """One query level per profile attribute, then a uniform split to
     singleton leaves, then a response(l) transition at every
-    singleton-labeled node."""
+    singleton-labeled node.  A zero prior where a level splits is refused."""
     qid_names = {c.name for c in db.columns if c.group == "quasi-identifier"}
     for col in profile.attribute_order:
         if col not in qid_names:
@@ -102,7 +102,7 @@ def build_attack_dltts(db: DataTable, profile: AttackerProfile) -> AttackDltts:
     stack = [("s0", db.rows, 0)]
     while stack:
         state, rows, depth = stack.pop()
-        if depth == len(profile.attribute_order):
+        if depth == len(profile.attribute_order) or not rows:
             if len(rows) > 1:
                 prob = Fraction(1, len(rows))
                 transitions.append(Transition(state, "pick", tuple(
@@ -118,11 +118,12 @@ def build_attack_dltts(db: DataTable, profile: AttackerProfile) -> AttackDltts:
         # One present value, or no priors for the column: the rows' counts.
         priors = profile.priors.get(col) if len(groups) > 1 else None
         weights = {v: len(g) if priors is None else priors[v] for v, g in groups.items()}
+        # a branch of probability 0 is no branch: the level cannot split there
+        if zero := sorted(str(v) for v, w in weights.items() if w == 0):
+            every = " all" if len(zero) == len(groups) else ""
+            raise AttackError(f"profile {profile.name}: {col} values {zero} at one "
+                              f"query level{every} have prior 0")
         total = sum(weights.values(), Fraction(0))
-        if priors is not None and total == 0:
-            raise AttackError(f"profile {profile.name}: {col} values "
-                              f"{sorted(map(str, groups))} at one query level "
-                              "all have prior 0")
         source = "db" if priors is None or profile.empirical else profile.name
         branches, children = [], []
         for v, group in groups.items():

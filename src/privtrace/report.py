@@ -41,11 +41,14 @@ class Report:
         if line is not None:
             self.lines.append(line)
 
+    def header(self) -> str:
+        return f"# privtrace {__version__}"
+
     def body(self) -> str:
         return "\n".join([f"report: {self.scenario}"] + self.lines) + "\n"
 
     def text(self) -> str:
-        return f"# privtrace {__version__}\n" + self.body()
+        return self.header() + "\n" + self.body()
 
 
 _MODES = {m.value: m for m in IntervalMeasureMode}

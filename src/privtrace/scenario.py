@@ -444,10 +444,10 @@ def run_scenario(
                      mode=mode)
 
     for entry in analysis.get("label_equivalence", []):
-        from .dltts import epsilon_equivalent_labels
+        from .dltts import epsilon_equivalent_labels, oracle_armed
         from .privacy import parse_epsilon
 
-        if entry["run"] in report.runs and (epsilon is None or secret_rows is None):
+        if entry["run"] in report.runs and not oracle_armed(epsilon, secret_rows):
             dltts = report.runs[entry["run"]]  # built unarmed above
         else:
             dltts, _ = build_run(scenario, entry["run"])

@@ -254,8 +254,6 @@ class Wildcard:
     def __repr__(self) -> str:
         return "*"
 
-    __str__ = __repr__
-
 
 STAR = Wildcard()
 

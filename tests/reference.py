@@ -314,11 +314,12 @@ def build_attack_dltts(db: DataTable, profile: AttackerProfile) -> AttackDltts:
             return [(values[0], Fraction(1), "db")]
         priors = profile.priors.get(col)
         if priors is not None:
+            zero = sorted(str(v) for v in values if priors[v] == 0)
+            if zero:
+                every = " all" if len(zero) == len(values) else ""
+                raise AttackError(f"profile {profile.name}: {col} values {zero} at "
+                                  f"one query level{every} have prior 0")
             total = sum((priors[v] for v in values), Fraction(0))
-            if values and total == 0:
-                raise AttackError(f"profile {profile.name}: {col} values "
-                                  f"{sorted(map(str, values))} at one query level "
-                                  "all have prior 0")
             source = "db" if profile.empirical else profile.name
             return [(v, priors[v] / total, source) for v in values]
         n = len(rows)
@@ -328,7 +329,7 @@ def build_attack_dltts(db: DataTable, profile: AttackerProfile) -> AttackDltts:
         ]
 
     def expand(state: str, rows, depth: int) -> None:
-        if depth == len(profile.attribute_order):
+        if depth == len(profile.attribute_order) or not rows:
             if len(rows) <= 1:
                 return
             prob = Fraction(1, len(rows))

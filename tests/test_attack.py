@@ -218,13 +218,15 @@ def _built(build, db, profile):
 
 def test_build_matches_the_recursive_reference():
     rng = random.Random(20261019)
-    seen = {"error": 0, "missing prior": 0, "empty": 0, "prior": 0, "repeat": 0}
+    seen = {"error": 0, "missing prior": 0, "zero prior": 0, "empty": 0, "prior": 0,
+            "repeat": 0}
     for case in range(1500):
         db, profile = random_build_case(rng)
         got = _built(build_attack_dltts, db, profile)
         assert got == _built(reference.build_attack_dltts, db, profile), case
         seen["error"] += isinstance(got[0], type)
         seen["missing prior"] += got[0] is AttackError and "no prior" in got[1]
+        seen["zero prior"] += got[0] is AttackError and "have prior 0" in got[1]
         seen["empty"] += not db.rows
         seen["repeat"] += len(set(profile.attribute_order)) < len(profile.attribute_order)
         seen["prior"] += not isinstance(got[0], type) and any(
@@ -242,6 +244,15 @@ def test_build_takes_near_linear_time_on_many_distinct_values():
     assert time.perf_counter() - start < 1
     assert len(attack.responses) == 4000
     assert len(attack.dltts.transitions[0].branches) == 2000
+
+
+def test_built_tree_over_an_empty_table_has_no_query():
+    """A query level needs a branch, so an empty table builds none, and the
+    priority runs read the bare tree."""
+    columns = (ColumnSchema("Q", ColumnClass.NOMINAL, "quasi-identifier"),)
+    attack = build_attack_dltts(DataTable("t", columns, ()), AttackerProfile("P", ("Q",)))
+    assert attack.dltts.transitions == ()
+    assert threshold_report(attack) == {}
 
 
 def test_pr_access_on_loaded_figures(figures):

@@ -1317,12 +1317,15 @@ def _step_4(change):
     ("enterprise", _set_sex_priors({"F": "0", "M": "0", "X": "1"}),
      ["attack", "--built", "--attacker", "A"],
      "profile A: Sex values ['F', 'M'] at one query level all have prior 0"),
+    ("enterprise", _set_sex_priors({"F": "1", "M": "0"}),
+     ["attack", "--built", "--attacker", "A"],
+     "profile A: Sex values ['M'] at one query level have prior 0"),
 ])
 def test_cli_refusals_exit_two_naming_their_place(tmp_path, scenario, change, argv,
                                                   message):
     """A scripted `delta` step, a step whose branches do not sum to 1, a
-    negative prior and a query level whose values all have prior 0 each
-    exit 2 with one line naming where they are."""
+    negative prior and a query level where some or all values have prior 0
+    each exit 2 with one line naming where they are."""
     shutil.copytree(SCENARIOS / scenario, tmp_path, dirs_exist_ok=True)
     path = tmp_path / "scenario.json"
     doc = json.loads(path.read_text())
