@@ -20,9 +20,10 @@ _LAZY = {
         "lts": "DELTA Dltts Label parse_dltts",
         "dltts": "DlttsBuilder OracleVerdict Run check_consistency "
         "epsilon_equivalent_labels reach_stop saturate validate",
-        "privacy": "EpsilonResult HammingAdjacency Mechanism RhoAdjacency "
-        "is_eps_indistinguishable min_dp_epsilon min_eps_hamming_indist "
-        "min_eps_rho_indist min_indist_epsilon min_ldp_epsilon parse_epsilon",
+        "privacy": "EpsilonResult HammingAdjacency Mechanism min_dp_epsilon "
+        "min_ldp_epsilon",
+        "indist": "RhoAdjacency is_eps_indistinguishable min_eps_hamming_indist "
+        "min_eps_rho_indist min_indist_epsilon parse_epsilon",
         "attack": "AttackDltts apply_strategy load_attack_dltts max_pr threshold_report",
         "profiles": "AttackerProfile build_attack_dltts",
         "dotexport": "export_dot",

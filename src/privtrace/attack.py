@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 from .lts import Branch, Dltts, Label, Transition, parse_dltts, transition_problems
-from .values import Record
+from .records import Record
 
 
 class AttackError(ValueError):
@@ -75,13 +75,14 @@ class AttackDltts(Record):
         return out
 
     def singleton_nodes(self) -> tuple[tuple[str, str], ...]:
-        """(node, line) for every node whose incoming label is {line}."""
+        """(node, line) for every node but Stop whose incoming label is
+        {line}: Stop has no outgoing transition, so no response switch."""
         out: dict[tuple[str, str], None] = {}
         for t in self.dltts.transitions:
             if _response_line(t.action):
                 continue
             for b in t.branches:
-                if len(b.label.lines) == 1:
+                if len(b.label.lines) == 1 and b.to != self.dltts.stop:
                     out[(b.to, next(iter(b.label.lines)))] = None
         return tuple(out)
 

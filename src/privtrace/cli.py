@@ -121,7 +121,7 @@ def _oracle_bound(text: str) -> Fraction:
     """The oracle's bound on rho, a distance: an exact non-negative
     fraction or decimal, so a state at exactly the typed bound is caught."""
     from .report import ScenarioError
-    from .values import ExponentError, parse_fraction
+    from .records import ExponentError, parse_fraction
 
     try:
         bound = parse_fraction(text.strip().replace(" ", ""))
@@ -161,8 +161,8 @@ def _cmd_analyze(scenario: Scenario, args) -> int:
 
 def _cmd_dp_check(scenario: Scenario | None, args) -> int:
     from .privacy import Mechanism
+    from .records import read_json, read_text
     from .report import Report, ScenarioError, dp_section
-    from .values import read_json, read_text
 
     if args.mechanism_file:
         path = Path(args.mechanism_file)

@@ -35,9 +35,10 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 # this module's name.
 from .lts import (DELTA, Branch, Dltts, DlttsError, Label, Transition, parse_dltts,
                   transition_problems)
+from .records import Record
 from .schema import ColumnSchema, DataTable, PrivacyPolicy, TOP, TuplePattern
-from .values import (ColumnClass, IntervalMeasureMode, Number, Record, TaxonomyTree,
-                     Taxon, Wildcard)
+from .values import (ColumnClass, IntervalMeasureMode, Number, TaxonomyTree, Taxon,
+                     Wildcard)
 
 if TYPE_CHECKING:
     from .privacy import Mechanism
@@ -458,7 +459,7 @@ def epsilon_equivalent_labels(
     the connected components of the pairwise relation, in the order of
     their first label.
     """
-    from . import privacy
+    from .indist import is_eps_indistinguishable
 
     labels = list(dict.fromkeys(
         b.label for t in dltts.outgoing(state) for b in t.branches
@@ -492,7 +493,7 @@ def epsilon_equivalent_labels(
     ranked = sorted(labels, key=lambda label: mechanism.prob(instances[label], alpha))
     run_of = {ranked[0]: 0}
     for a, b in zip(ranked, ranked[1:]):
-        run_of[b] = run_of[a] + (not privacy.is_eps_indistinguishable(
+        run_of[b] = run_of[a] + (not is_eps_indistinguishable(
             mechanism, instances[a], instances[b], alpha, epsilon
         ))
     groups: dict[int, list[Label]] = {}

@@ -7,8 +7,8 @@ reached only through the violation action `delta`.  The attack trees use
 this core alone; `dltts` adds tags, kept inside its builder, saturation,
 the oracle and the runs to Stop.
 
-This module imports only `values`, so a report that builds no tagged
-system does not compile the knowledge layer.
+This module imports only `records` and `values`, so a report that builds
+no tagged system does not compile the knowledge layer.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterator
 
-from .values import Record, parse_fraction, split_top_level
+from .records import Record, parse_fraction
+from .values import split_top_level
 
 if TYPE_CHECKING:
     from .schema import TuplePattern

@@ -1,39 +1,26 @@
-"""Mechanisms as finite probabilistic maps, and the epsilon calculus.
+"""Mechanisms as finite probabilistic maps, and their LDP and DP epsilons.
 
 Every probability is an exact Fraction.  Epsilon values are reported in the
 exact form scale*ln(ratio) (both rationals) whenever they arise from rational
-probabilities.  One comparator, `compare`, orders these values, unbounded
-ones and plain rationals exactly, and refuses two that agree to
-`MAX_LN_DIGITS` significant digits.
+probabilities; `indist` orders them.
 
 Scanning never raises on zero-probability asymmetries: they yield a
 distinguished "unbounded" result value.  LDP, and Hamming DP over named
 inputs, count only pairs at distance 1, so they take one pass per output
-(O(inputs * outputs)); other adjacencies scan the input pairs.  This
-module imports the metric layer only in the functions that measure tuples,
-and never the schema layer.
+(O(inputs * outputs)); other adjacencies scan the input pairs in `indist`.
+This module imports `indist` only for that scan and for a scale past the
+float range, the metric and cell layers only in the functions that
+measure tuples, and never the schema layer.
 """
 
 from __future__ import annotations
 
-import decimal
-import itertools
 import math
-import re
 import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .values import (
-    Atom,
-    IntervalMeasureMode,
-    Names,
-    Record,
-    Required,
-    TaxonomyTree,
-    parse_fraction,
-    shaped,
-)
+from .records import Names, Record, Required, parse_fraction, shaped
 
 
 class PrivacyError(ValueError):
@@ -118,6 +105,8 @@ class EpsilonResult(Record):
         if self.ratio is None or self.ratio == 1 or self.scale == 0:
             return 0.0
         if self.scale > sys.float_info.max:  # past the float range: bound it exactly
+            from .indist import _bounds
+
             lo = _bounds(self.scale, self.ratio, 20)[0]
             return float(lo) if lo <= sys.float_info.max else math.inf
         return float(self.scale) * (
@@ -144,157 +133,6 @@ class EpsilonResult(Record):
             return "none"
         parts = [repr(w) if isinstance(w, str) else str(w) for w in self.witness]
         return "(" + ", ".join(parts) + ")"
-
-
-def _cmp(x, y) -> int:
-    return (x > y) - (x < y)
-
-
-def _log_form(x) -> tuple | None:
-    """(s, r) for s*ln(r) with r > 1, (q, None) for a rational q, None if unbounded."""
-    if not isinstance(x, EpsilonResult):
-        return Fraction(x), None
-    if x.unbounded:
-        return None
-    s, r = x.scale, x.ratio
-    if r is None or r == 1 or s == 0:
-        return Fraction(0), None
-    return (s, r) if r > 1 else (-s, 1 / r)
-
-
-def _iroot(n: int, k: int) -> int | None:
-    """The integer k-th root of n >= 1, when n is a perfect k-th power."""
-    if k >= n.bit_length():  # n < 2**k; past here, k < bits(n) bounds each power
-        return 1 if n == 1 else None
-    x = 1 << -(-n.bit_length() // k)  # above the root; Newton steps down
-    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
-        x = y
-    return x if x**k == n else None
-
-
-def _bounds(s, r: Fraction | None, prec: int) -> tuple:
-    """(lo, hi) around s*ln(r) for r > 1, or s when r is None, less than
-    a relative 10**(3 - prec) apart.  With r = 1 + x: when x has about
-    `prec` or more zeros after the point, x - x*x/2 < ln(r) < x;
-    otherwise the `decimal` ln of the quotient r rounded to prec + zeros
-    digits is off by under an ulp plus 10**(1 - digits), which the extra
-    digits keep small beside ln(r) ~ x."""
-    if r is None:
-        return s, s
-    x = r - 1
-    zeros = max(0, (x.denominator.bit_length() - x.numerator.bit_length()) * 3 // 10)
-    if zeros >= prec:
-        return tuple(sorted((s * (x - x * x / 2), s * x)))
-    ctx = decimal.Context(prec=prec + zeros)
-    ln = ctx.ln(ctx.divide(r.numerator, r.denominator))
-    err = Fraction(10) ** (ln.adjusted() - ctx.prec + 1) + Fraction(10) ** (1 - ctx.prec)
-    return tuple(sorted((s * (Fraction(ln) - err), s * (Fraction(ln) + err))))
-
-
-# The most significant digits `compare` computes a logarithm to (the
-# doubling from 20 stops here): two epsilons whose bounds still overlap
-# agree to about this many digits and are refused, not ordered.  Each ln
-# is then taken to at most twice this many digits: ~0.3 s for a
-# 4,000-digit ratio (input integers may have up to 4,300 digits) under
-# CPython 3.11 on a 2-vCPU Xeon VM.
-MAX_LN_DIGITS = 1280
-
-
-def _brief(x) -> str:
-    """x's exact text, each run of over 40 digits cut to its first 20."""
-    text = x.exact_str() if isinstance(x, EpsilonResult) else str(x)
-    return re.sub(r"\d{41,}", lambda d: f"{d[0][:20]}...({len(d[0])} digits)", text)
-
-
-def compare(a, b) -> int:
-    """The sign of a - b, exact, for EpsilonResults and rationals, with no
-    ratio raised to a power derived from a scale.  With sb/sa = p/q in
-    lowest terms, sa*ln(ra) = sb*ln(rb) only if ra = c**p and rb = c**q.
-    Unequal values part at some precision of the decimal ln bounds, since a
-    rational never equals a non-zero s*ln(r) (Lindemann-Weierstrass), but
-    values that agree to `MAX_LN_DIGITS` digits raise PrivacyError."""
-    fa, fb = _log_form(a), _log_form(b)
-    if fa is None or fb is None:
-        return (fa is None) - (fb is None)
-    (sa, ra), (sb, rb) = fa, fb
-    sign = _cmp(sa, 0)  # a value's sign is its scale's
-    if sign != _cmp(sb, 0) or sign == 0 or ra == rb:
-        return _cmp(sa, sb)
-    if ra is not None and rb is not None:
-        by_scale, by_ratio = _cmp(sa, sb), sign * _cmp(ra, rb)
-        if by_scale * by_ratio >= 0:  # both orders agree, or one is a tie
-            return by_scale or by_ratio
-        t = sb / sa
-        roots = [_iroot(n, k) for r, k in ((ra, t.numerator), (rb, t.denominator))
-                 for n in (r.numerator, r.denominator)]
-        if None not in roots and roots[:2] == roots[2:]:
-            return 0
-    prec = 20
-    while prec <= MAX_LN_DIGITS:
-        (lo_a, hi_a), (lo_b, hi_b) = _bounds(sa, ra, prec), _bounds(sb, rb, prec)
-        if hi_a < lo_b or hi_b < lo_a:
-            return _cmp(lo_a, lo_b)
-        prec *= 2
-    raise PrivacyError(
-        f"cannot order epsilons {_brief(a)} and {_brief(b)}: they agree to "
-        f"{MAX_LN_DIGITS} digits"
-    )
-
-
-def is_eps_indistinguishable(m: Mechanism, v, v2, alpha, eps) -> bool:
-    """Both bounds p <= e^eps * p' and p' <= e^eps * p for output alpha."""
-    return compare(eps, min_indist_epsilon(m, v, v2, alpha)) >= 0
-
-
-def min_indist_epsilon(m: Mechanism, v, v2, alpha) -> EpsilonResult:
-    """The minimal epsilon making v and v' indistinguishable wrt alpha:
-    |ln(p/p')|, reported exactly as ln(max/min)."""
-    p, p2 = m.prob(v, alpha), m.prob(v2, alpha)
-    witness = (v, v2, alpha)
-    if p == 0 and p2 == 0:
-        return EpsilonResult(
-            scale=Fraction(1), ratio=Fraction(1), both_zero=True, witness=witness
-        )
-    if p == 0 or p2 == 0:
-        return EpsilonResult(unbounded=True, witness=witness)
-    ratio = max(p, p2) / min(p, p2)
-    return EpsilonResult(scale=Fraction(1), ratio=ratio, witness=witness)
-
-
-def _pair_scan(m: Mechanism, distance) -> EpsilonResult:
-    """Max over unordered input pairs of ln(Pr[M(v) = o] / Pr[M(v') = o]) / d,
-    with d = distance(v, v') (None skips the pair).
-
-    For pure epsilon-DP over a finite output space the maximum over events S
-    equals the maximum over single outputs (the mediant inequality: a sum's
-    ratio never exceeds its largest term's), so single outputs suffice.  A
-    witness event is the 1-tuple (o,).
-    """
-    best = EpsilonResult(
-        scale=Fraction(1), ratio=Fraction(1), witness=(None, None, ())
-    )
-    for v, v2 in itertools.combinations(m.inputs, 2):
-        d = distance(v, v2)
-        if d is None:
-            continue
-        for o in m.outputs:
-            a, b = m.prob(v, o), m.prob(v2, o)
-            for hi, lo, pair in ((a, b, (v, v2)), (b, a, (v2, v))):
-                if hi == 0:
-                    continue
-                if lo == 0:
-                    return EpsilonResult(unbounded=True, witness=(*pair, (o,)))
-                ratio = hi / lo
-                if ratio == 1:
-                    continue
-                if d == 0:
-                    return EpsilonResult(unbounded=True, witness=(*pair, (o,)))
-                if ratio < 1:  # a negative candidate never beats best >= 0
-                    continue
-                cand = EpsilonResult(scale=1 / d, ratio=ratio, witness=(*pair, (o,)))
-                if compare(cand, best) > 0:
-                    best = cand
-    return best
 
 
 def _unit_scan(m: Mechanism, shared: bool) -> EpsilonResult:
@@ -366,6 +204,8 @@ def _as_cells(x) -> tuple:
     """A table row's cells, a tuple of cells, or an opaque name as one atom."""
     if isinstance(x, tuple):
         return x
+    from .values import Atom
+
     cells = getattr(x, "cells", None)
     return (Atom(str(x)),) if cells is None else cells
 
@@ -380,25 +220,6 @@ class HammingAdjacency(Adjacency, Record):
         return None if d is None else Fraction(d)
 
 
-class RhoAdjacency(Adjacency, Record):
-    """Value-wise tuple distance rho under the selected interval mode."""
-
-    mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET
-    taxonomies: Mapping[str, TaxonomyTree] | None = None
-    normalizer: Fraction | Mapping[int, Fraction] | None = None
-
-    def distance(self, a, b) -> Fraction | None:
-        from .metrics import rho
-
-        return rho(
-            [_as_cells(a)],
-            [_as_cells(b)],
-            self.mode,
-            taxonomies=self.taxonomies,
-            normalizer=self.normalizer,
-        )
-
-
 def min_dp_epsilon(m: Mechanism, adjacency: Adjacency) -> EpsilonResult:
     """Minimal epsilon with Prob[M(D) in S] <= e^(eps*dist(D,D')) * Prob[M(D') in S]
     for every unordered input pair and every output event.  Hamming over
@@ -408,6 +229,7 @@ def min_dp_epsilon(m: Mechanism, adjacency: Adjacency) -> EpsilonResult:
         type(v) is str and v for v in m.inputs
     ):
         return _unit_scan(m, shared=False)
+    from .indist import _pair_scan
 
     def distance(v, v2) -> Fraction:
         d = adjacency.distance(v, v2)
@@ -416,71 +238,3 @@ def min_dp_epsilon(m: Mechanism, adjacency: Adjacency) -> EpsilonResult:
         return d
 
     return _pair_scan(m, distance)
-
-
-def min_scaled_indist_epsilon(
-    m: Mechanism, v, v2, alpha, dist: Fraction
-) -> EpsilonResult:
-    """Minimal epsilon with both bounds p <= e^(eps*dist) * p'; the core of
-    the distance-scaled indistinguishability notions."""
-    base = min_indist_epsilon(m, v, v2, alpha)
-    if base.unbounded or base.ratio == 1:
-        return base
-    if dist == 0:
-        return EpsilonResult(unbounded=True, witness=base.witness)
-    return EpsilonResult(scale=Fraction(1) / dist, ratio=base.ratio, witness=base.witness)
-
-
-def min_eps_rho_indist(
-    m: Mechanism,
-    v,
-    v2,
-    alpha,
-    mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
-    *,
-    tuples: tuple | None = None,
-    taxonomies: Mapping[str, TaxonomyTree] | None = None,
-    normalizer: Fraction | Mapping[int, Fraction] | None = None,
-) -> EpsilonResult:
-    """|ln(p/p')| / rho(t,t'): the rho-scaled minimal epsilon.  `tuples`
-    supplies the value tuples when the mechanism inputs are opaque keys."""
-    t, t2 = tuples if tuples is not None else (v, v2)
-    d = RhoAdjacency(mode, taxonomies, normalizer).distance(t, t2)
-    if d is None:
-        raise PrivacyError("tuples are uncomparable; rho is undefined")
-    return min_scaled_indist_epsilon(m, v, v2, alpha, d)
-
-
-def min_eps_hamming_indist(
-    m: Mechanism, v, v2, alpha, *, tuples: tuple | None = None
-) -> EpsilonResult:
-    """|ln(p/p')| / d_h(t,t'): the Hamming-scaled counterpart."""
-    t, t2 = tuples if tuples is not None else (v, v2)
-    d = HammingAdjacency().distance(t, t2)
-    if d is None:
-        raise PrivacyError("tuples are uncomparable; the Hamming count is undefined")
-    return min_scaled_indist_epsilon(m, v, v2, alpha, d)
-
-
-def parse_epsilon(text: str):
-    """Parse an epsilon literal: `ln(a/b)`, `(c/d)*ln(a/b)`, a fraction, or
-    a decimal.  The ln forms return EpsilonResult, the others Fraction."""
-    text = text.strip().replace(" ", "")
-    m = re.fullmatch(r"(?:\((-?\d+/\d+|-?\d+)\)\*)?ln\((\d+(?:/\d+)?)\)", text)
-    try:
-        if m:
-            scale = parse_fraction(m.group(1) or 1)
-            ratio = parse_fraction(m.group(2))
-        else:
-            frac = parse_fraction(text)
-    except ValueError as exc:
-        raise PrivacyError(f"cannot parse epsilon: {exc}") from None
-    if m:
-        if ratio < 1 or scale < 0:
-            raise PrivacyError(f"epsilon {text!r} is negative")
-        return EpsilonResult(scale=scale, ratio=ratio)
-    if frac < 0:
-        raise PrivacyError("epsilon must be nonnegative")
-    if frac > sys.float_info.max:
-        raise PrivacyError(f"epsilon {text!r} is too large")
-    return frac

@@ -15,12 +15,13 @@ from typing import Mapping
 
 from .attack import AttackDltts, AttackError, _response_line, _switched
 from .lts import Branch, Dltts, Label, Transition
+from .records import Names, Record, parse_fraction, shaped
 from .report import ScenarioError
 from .scenario import _read
 from .schema import DataTable, Row, SchemaBundle
-from .values import Names, Record, Value, parse_cell, parse_fraction, render_cell, shaped
+from .values import Value, parse_cell, render_cell
 
-# The shape `values.shaped` checks a profile against, in the scenario
+# The shape `records.shaped` checks a profile against, in the scenario
 # document or in a file it names; a prior is an exact number that
 # `parse_fraction` reads.
 PROFILE = {"attribute_order": [str], "priors": Names(Names(object)),

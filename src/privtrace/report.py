@@ -1,9 +1,10 @@
 """The report every subcommand writes, and the dp-check section.
 
 This module imports neither the transition-system nor the attack layers,
-and imports `privacy` only inside `dp_section`, so a report loads the
-mechanism layer only when it has a dp-check section.  `scenario`
-re-exports every name defined here.
+and imports `privacy` only inside `dp_section` and `values` only inside
+`parse_mode`, so a report loads the mechanism layer only when it has a
+dp-check section, and the cell layer only when it reads a mode.
+`scenario` re-exports every name defined here.
 """
 
 from __future__ import annotations
@@ -11,12 +12,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .values import IntervalMeasureMode
 
 if TYPE_CHECKING:
     from .lts import Dltts
     from .privacy import Mechanism
     from .scenario import Scenario
+    from .values import IntervalMeasureMode
 
 
 class ScenarioError(ValueError):
@@ -51,15 +52,15 @@ class Report:
         return self.header() + "\n" + self.body()
 
 
-_MODES = {m.value: m for m in IntervalMeasureMode}
-
-
 def parse_mode(name: str) -> IntervalMeasureMode:
+    from .values import IntervalMeasureMode
+
+    modes = {m.value: m for m in IntervalMeasureMode}
     try:
-        return _MODES[name]
+        return modes[name]
     except KeyError:
         raise ScenarioError(
-            f"unknown mode {name!r}; expected one of {sorted(_MODES)}"
+            f"unknown mode {name!r}; expected one of {sorted(modes)}"
         )
 
 
@@ -84,7 +85,9 @@ def dp_section(
         adj = privacy.HammingAdjacency()
     else:
         taxonomies = scenario.schema.taxonomies if scenario else {}
-        adj = privacy.RhoAdjacency(parse_mode(mode_name), taxonomies=taxonomies)
+        from .indist import RhoAdjacency
+
+        adj = RhoAdjacency(parse_mode(mode_name), taxonomies=taxonomies)
     dp = privacy.min_dp_epsilon(m, adj)
     report.put(f"dp/{name}/dp/{adjacency}", dp, f"min DP epsilon ({adjacency}) = {dp}")
     report.add(f"  witness: {dp.witness_str()}")

@@ -21,9 +21,8 @@ from .schema import (
     parse_columns,
     parse_pattern,
 )
-from .values import (
+from .records import (
     PAIR,
-    IntervalMeasureMode,
     Names,
     Record,
     Required,
@@ -32,6 +31,7 @@ from .values import (
     read_text,
     shaped,
 )
+from .values import IntervalMeasureMode
 
 # The knowledge, metric, attack, profile and mechanism layers, and the
 # metric section, load only when a section needs them: each function below
@@ -85,7 +85,7 @@ class Scenario(Record):
         return self.table(next(iter(self.tables), None) if name is None else name)
 
 
-# The shape `values.shaped` checks a scenario document against.  Each
+# The shape `records.shaped` checks a scenario document against.  Each
 # mechanism is checked against `privacy.MECHANISM` and each profile, in
 # the document or in a file it names, against `profiles.PROFILE` as it
 # loads; a probability, prior or declared baseline is an exact number
@@ -407,7 +407,7 @@ def run_scenario(
         )
 
     for entry in analysis.get("indist", []):
-        from .privacy import min_indist_epsilon
+        from .indist import min_indist_epsilon
 
         m = scenario.mechanism(entry["mechanism"])
         a, b = entry["pair"]
@@ -418,7 +418,7 @@ def run_scenario(
         report.add()
 
     for entry in analysis.get("scaled_indist", []):
-        from .privacy import min_eps_hamming_indist, min_eps_rho_indist
+        from .indist import min_eps_hamming_indist, min_eps_rho_indist
 
         m = scenario.mechanism(entry["mechanism"])
         a, b = entry["pair"]
@@ -445,7 +445,7 @@ def run_scenario(
 
     for entry in analysis.get("label_equivalence", []):
         from .dltts import epsilon_equivalent_labels, oracle_armed
-        from .privacy import parse_epsilon
+        from .indist import parse_epsilon
 
         if entry["run"] in report.runs and not oracle_armed(epsilon, secret_rows):
             dltts = report.runs[entry["run"]]  # built unarmed above

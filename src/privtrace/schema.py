@@ -13,21 +13,16 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
+from .records import Names, Record, Required, parse_fraction, read_json, shaped
 from .values import (
     Cell,
     ColumnClass,
-    Names,
-    Record,
-    Required,
     STAR,
     TaxonomyTree,
     Value,
     Wildcard,
     parse_cell,
-    parse_fraction,
-    read_json,
     render_cell,
-    shaped,
     split_top_level,
     value_kind,
 )
@@ -41,7 +36,7 @@ class SchemaError(ValueError):
     """Malformed schema/table/pattern input."""
 
 
-# The shapes `values.shaped` checks a schema document against.  A column
+# The shapes `records.shaped` checks a schema document against.  A column
 # document, in a schema or a scenario table; its class, group, taxonomy
 # and normalizer values are checked as the column is built.
 COLUMN = {"name": Required(str), "class": Required(str), "group": str,

@@ -36,6 +36,7 @@ from privtrace.metrics import (
 )
 from privtrace.privacy import Mechanism
 from privtrace.profiles import AttackerProfile, _sensitive_value
+from privtrace.records import parse_fraction
 from privtrace.schema import (
     ColumnSchema,
     DataTable,
@@ -54,7 +55,6 @@ from privtrace.values import (
     TaxonomyTree,
     Value,
     Wildcard,
-    parse_fraction,
     render_cell,
     value_kind,
 )

@@ -23,12 +23,14 @@ from privtrace.metrics import (
     hamming,
     rho,
 )
-from privtrace.privacy import (
-    Mechanism,
-    min_dp_epsilon,
+from privtrace.indist import (
     min_eps_hamming_indist,
     min_eps_rho_indist,
     min_indist_epsilon,
+)
+from privtrace.privacy import (
+    Mechanism,
+    min_dp_epsilon,
     min_ldp_epsilon,
     HammingAdjacency,
 )

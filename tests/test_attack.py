@@ -14,6 +14,7 @@ from privtrace.attack import (
     max_pr,
     threshold_report,
 )
+from privtrace.dltts import validate
 from privtrace.profiles import AttackerProfile, attack_problems, build_attack_dltts
 from privtrace.schema import ColumnSchema, DataTable, Row, load_table
 from privtrace.values import Atom, ColumnClass, IntInterval
@@ -367,6 +368,17 @@ def test_off_response_not_traversed(figures):
     best, _ = _priority_runs(updated)
     assert "s9" not in best
     assert max_pr(updated, "l3") == F(3, 5)
+
+
+def test_a_branch_into_stop_gets_no_response_switch():
+    """Stop has no outgoing transition, so a singleton label into Stop
+    marks no node for a response switch."""
+    attack = load_attack_dltts("initial: s0\ns0 -> [(s1, 1/2, P_db x {l1,l2}), "
+                               "(STOP, 1/2, P_db y {l3})] q\n", "X")
+    assert attack.singleton_nodes() == ()
+    assert validate(attack.dltts) == []
+    assert threshold_report(attack) == {}
+    assert attack_problems(attack) == []
 
 
 def test_empty_attack_report():

@@ -23,7 +23,8 @@ from privtrace.lts import (
     Transition,
     parse_dltts,
 )
-from privtrace.privacy import EpsilonResult, Mechanism, is_eps_indistinguishable
+from privtrace.indist import is_eps_indistinguishable
+from privtrace.privacy import EpsilonResult, Mechanism
 from privtrace.schema import (
     PrivacyPolicy,
     TOP,
@@ -404,7 +405,7 @@ def viral_mechanism():
 
 
 def test_epsilon_equivalent_labels_figure_state(viral_mechanism):
-    from privtrace.privacy import parse_epsilon
+    from privtrace.indist import parse_epsilon
 
     d = _figure_one()
     classes = epsilon_equivalent_labels(

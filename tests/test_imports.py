@@ -63,19 +63,25 @@ def _dp_check_loads(tmp_path, probs: dict, *args: str, code: int = 0,
 RR = {"a": {"x": "3/4", "y": "1/4"}, "b": {"x": "1/4", "y": "3/4"}}
 
 
+def test_import_privacy_loads_neither_cells_nor_the_indistinguishability_calculus():
+    loaded = set(json.loads(_python("import privtrace.privacy\n" + LOADED)))
+    assert loaded == {"privtrace.privacy", "privtrace.records"}
+
+
 def test_dp_check_on_a_mechanism_file_skips_the_system_layers(tmp_path):
     """Hamming puts every pair of opaque names at distance 1, so neither
-    the metric nor the schema layer is loaded."""
+    the metric, the cell nor the schema layer is loaded, nor the pair scan
+    in `indist`."""
     assert _dp_check_loads(tmp_path, RR) == {
-        f"privtrace.{m}" for m in ("cli", "values", "privacy", "report")}
+        f"privtrace.{m}" for m in ("cli", "records", "privacy", "report")}
 
 
 def test_dp_check_under_rho_loads_the_metric_layer(tmp_path):
     """Opaque names are 1-tuples of atoms, so rho reads no table row and
     the schema layer stays unloaded, as do both system layers."""
     loaded = _dp_check_loads(tmp_path, RR, "--adjacency", "rho")
-    assert loaded == {
-        f"privtrace.{m}" for m in ("cli", "values", "privacy", "report", "metrics")}
+    assert loaded == {f"privtrace.{m}" for m in (
+        "cli", "records", "privacy", "report", "indist", "metrics", "values")}
     for layer in ("lts", "dltts"):
         assert f"privtrace.{layer}" not in loaded
 
@@ -135,7 +141,7 @@ def test_analyze_of_runs_only_loads_neither_attack_nor_mechanism_layer(tmp_path)
     path.write_text(json.dumps(doc))
     loaded = _analyze_loads(str(path), "stop reached: s0 -> s2 -> s4 -> s6 -> STOP")
     assert loaded == {f"privtrace.{m}" for m in (
-        "cli", "report", "scenario", "values", "schema", "lts", "dltts")}
+        "cli", "report", "scenario", "records", "values", "schema", "lts", "dltts")}
 
 
 def _compiled_lines(*argv: str) -> int:
@@ -156,9 +162,11 @@ def _compiled_lines(*argv: str) -> int:
 def test_compiled_source_lines_per_path(tmp_path):
     """An attack-only report loaded 2,674 lines, 781 of them in functions it
     never calls, until the metric section, the profile builder, the runs to
-    Stop and `validate` left its modules: it now stays within 2,400.  The
-    mechanism-file and unarmed-runs paths stay within what they loaded
-    then, 1,450 and 2,697 lines."""
+    Stop and `validate` left its modules: it now stays within 2,400.  A
+    mechanism file's dp-check loaded 1,450 lines until the record base left
+    `values` for `records` and the indistinguishability calculus left
+    `privacy` for `indist`: it now stays within 1,000.  The unarmed-runs path stays within the 2,697 lines
+    it loaded then."""
     shutil.copytree(SCENARIOS / "enterprise", tmp_path / "attacks")
     path = tmp_path / "attacks" / "scenario.json"
     doc = json.loads(path.read_text())
@@ -168,7 +176,7 @@ def test_compiled_source_lines_per_path(tmp_path):
 
     mechanism = tmp_path / "m.json"
     mechanism.write_text(json.dumps({"probs": RR}))
-    assert _compiled_lines("dp-check", "--mechanism-file", str(mechanism)) <= 1450
+    assert _compiled_lines("dp-check", "--mechanism-file", str(mechanism)) <= 1000
 
     shutil.copytree(Path(HOSPITAL).parent, tmp_path / "runs")
     path = tmp_path / "runs" / "scenario.json"

@@ -11,26 +11,29 @@ import pytest
 from hypothesis import given, strategies as st
 
 from privtrace.metrics import IntervalMeasureMode, hamming, rho
-from privtrace.privacy import (
+from privtrace.indist import (
     MAX_LN_DIGITS,
-    EpsilonResult,
-    HammingAdjacency,
-    Mechanism,
-    PrivacyError,
-    Adjacency,
     RhoAdjacency,
     _bounds,
     _pair_scan,
     compare,
     is_eps_indistinguishable,
-    min_dp_epsilon,
     min_eps_hamming_indist,
     min_eps_rho_indist,
     min_indist_epsilon,
-    min_ldp_epsilon,
+    min_scaled_indist_epsilon,
     parse_epsilon,
 )
-from privtrace.values import Atom
+from privtrace.privacy import (
+    EpsilonResult,
+    HammingAdjacency,
+    Mechanism,
+    PrivacyError,
+    Adjacency,
+    min_dp_epsilon,
+    min_ldp_epsilon,
+)
+from privtrace.values import Atom, Number
 from reference import randomized_response
 
 PC = IntervalMeasureMode.PAPER_COMPAT
@@ -579,6 +582,16 @@ def test_min_eps_rho_uncomparable_raises(viral):
         )
 
 
+def test_scaled_indist_at_distance_zero_or_undefined(viral):
+    """Inputs told apart at distance 0 have no finite epsilon, and tuples
+    with no Hamming count are refused."""
+    res = min_scaled_indist_epsilon(viral, "l4", "l5", "Viral-Infection", F(0))
+    assert res.unbounded and res.witness == ("l4", "l5", "Viral-Infection")
+    with pytest.raises(PrivacyError, match="the Hamming count is undefined"):
+        min_eps_hamming_indist(viral, "l4", "l5", "Viral-Infection",
+                               tuples=((Atom("a"),), (Number(1),)))
+
+
 def test_rho_never_exceeds_hamming_on_published(published, hospital):
     taxo = hospital.schema.taxonomies
     rows = list(published.rows)
@@ -628,6 +641,9 @@ def test_parse_epsilon_forms():
     assert parse_epsilon("3/4") == F(3, 4)
     for text in ("nope", "1e999999999", "1e4000", "ln(2/0)"):
         with pytest.raises(PrivacyError):
+            parse_epsilon(text)
+    for text in ("ln(1/2)", "(-1/2)*ln(2)", "-1/2"):
+        with pytest.raises(PrivacyError, match="negative"):
             parse_epsilon(text)
 
 

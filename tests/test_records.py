@@ -16,10 +16,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from privtrace import attack, dltts, lts, privacy, profiles, scenario, schema, values
+from privtrace import (attack, dltts, indist, lts, privacy, profiles, scenario, schema,
+                       values)
 from privtrace.metrics import IntervalMeasureMode
 from privtrace.schema import GROUPS, Row, TuplePattern
-from privtrace.values import STAR, Atom, ColumnClass, Record
+from privtrace.records import Record
+from privtrace.values import STAR, Atom, ColumnClass
 
 CASES = 300
 
@@ -100,7 +102,7 @@ RECORDS = {
     privacy.EpsilonResult: (("scale", "ratio", "unbounded", "both_zero", "witness"),
                             _pool(5)),
     privacy.HammingAdjacency: ((), _pool(0)),
-    privacy.RhoAdjacency: (("mode", "taxonomies", "normalizer"), _pool(3)),
+    indist.RhoAdjacency: (("mode", "taxonomies", "normalizer"), _pool(3)),
     profiles.AttackerProfile: (("name", "attribute_order", "priors", "objective",
                               "empirical"), _profile),
     attack.ResponseEdge: (("node", "line", "value", "target", "assumed"), _pool(5)),
@@ -123,7 +125,7 @@ DEFAULTS = {
     lts.Branch: {"label": lts.Label("", frozenset(), frozenset(), "db")},
     privacy.EpsilonResult: {"scale": None, "ratio": None, "unbounded": False,
                             "both_zero": False, "witness": None},
-    privacy.RhoAdjacency: {"mode": IntervalMeasureMode.INTEGER_SET,
+    indist.RhoAdjacency: {"mode": IntervalMeasureMode.INTEGER_SET,
                            "taxonomies": None, "normalizer": None},
     profiles.AttackerProfile: {"priors": None, "objective": "", "empirical": False},
     attack.ResponseEdge: {"assumed": False},

@@ -15,13 +15,14 @@ from privtrace.cli import cli_main
 from privtrace.dltts import DlttsBuilder, OracleVerdict, reach_stop, validate
 from privtrace.lts import DlttsError
 from privtrace.dotexport import export_dot
-from privtrace.privacy import MAX_LN_DIGITS, MECHANISM
+from privtrace.indist import MAX_LN_DIGITS
+from privtrace.privacy import MECHANISM
 from privtrace.profiles import PROFILE
+from privtrace.records import MAX_DECIMAL_EXPONENT, Names, Required, ShapeError
 from privtrace.scenario import (
     SCENARIO, ScenarioError, build_run, load_scenario, parse_mode, run_scenario,
 )
 from privtrace.schema import SCHEMA
-from privtrace.values import MAX_DECIMAL_EXPONENT, Names, Required, ShapeError
 
 from conftest import SCENARIOS
 from reference import oracle_verdict
@@ -355,6 +356,7 @@ def test_cli_dp_check_standalone_mechanism_file(capsys, tmp_path):
     {"probs": {"v": {"a": "1"}}, "outputs": [["a"]]},
     {"probs": {"v": {"a": [1]}}},
     {"probs": {"a": {"x": True, "y": False}, "b": {"x": "1/2", "y": "1/2"}}},
+    {"probs": {"a": {"x": "3/2", "y": "-1/2"}}},
 ])
 def test_cli_dp_check_malformed_mechanism_file_exits_two(tmp_path, doc):
     path = tmp_path / "m.json"
@@ -1320,12 +1322,17 @@ def _step_4(change):
     ("enterprise", _set_sex_priors({"F": "1", "M": "0"}),
      ["attack", "--built", "--attacker", "A"],
      "profile A: Sex values ['M'] at one query level have prior 0"),
+    ("hospital", lambda doc: doc["analysis"]["indist"][0].update(pair=["l4"]),
+     ["analyze"], "scenario analysis.indist[0].pair must be a pair"),
+    ("hospital", lambda doc: None, ["dp-check"],
+     "dp-check needs --mechanism-file, or --scenario plus --mechanism"),
 ])
 def test_cli_refusals_exit_two_naming_their_place(tmp_path, scenario, change, argv,
                                                   message):
     """A scripted `delta` step, a step whose branches do not sum to 1, a
-    negative prior and a query level where some or all values have prior 0
-    each exit 2 with one line naming where they are."""
+    negative prior, a query level where some or all values have prior 0, a
+    pair of one line id and a `dp-check` that names no mechanism each exit
+    2 with one line naming where they are."""
     shutil.copytree(SCENARIOS / scenario, tmp_path, dirs_exist_ok=True)
     path = tmp_path / "scenario.json"
     doc = json.loads(path.read_text())
@@ -1383,13 +1390,14 @@ def test_cli_a_file_that_is_not_text_is_named(tmp_path, scenario, bad, argv):
     ("initial: s0", "initial:", "A:2: empty initial state"),
     ("] query:Sex", "] ] query:Sex",
      "A:3: action '] query:Sex' holds a square bracket"),
+    ("s2 -> [(s3, 1, P_db age=[30-40] {l1,l2})]", "s2 -> []", "A:5: empty branch list"),
 ])
 @pytest.mark.parametrize("argv", [["analyze"], ["attack", "--attacker", "A"],
                                   ["validate"]])
 def test_cli_transcript_refusals_exit_two(tmp_path, old, new, message, argv):
     """A wrong or empty initial state gave an all-zero attack report, and
-    junk after the branch list was read as the action; each now exits 2
-    naming the transcript and line."""
+    junk after the branch list was read as the action; each, and an empty
+    branch list, now exits 2 naming the transcript and line."""
     shutil.copytree(SCENARIOS / "enterprise", tmp_path, dirs_exist_ok=True)
     path = tmp_path / "attack_a.dltts"
     path.write_text(path.read_text().replace(old, new, 1))

@@ -15,8 +15,9 @@ from privtrace.schema import (
     load_table,
     parse_pattern,
 )
+from privtrace.records import ShapeError
 from privtrace.values import (
-    Atom, ColumnClass, IntInterval, Number, ShapeError, Taxon, render_cell,
+    Atom, ColumnClass, IntInterval, Number, Taxon, render_cell,
 )
 
 from reference import type_compatible

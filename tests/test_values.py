@@ -6,18 +6,16 @@ from fractions import Fraction
 
 import pytest
 
+from privtrace.records import MAX_DECIMAL_EXPONENT, ExponentError, parse_fraction
 from privtrace.values import (
-    MAX_DECIMAL_EXPONENT,
     Atom,
     AtomSet,
     ColumnClass,
-    ExponentError,
     IntInterval,
     Number,
     TaxonomyTree,
     Taxon,
     parse_cell,
-    parse_fraction,
     render_cell,
     split_top_level,
 )
