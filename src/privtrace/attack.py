@@ -154,8 +154,9 @@ def _priority_runs(
 ) -> tuple[dict[str, Fraction], dict[str, tuple[str, Branch]]]:
     """Best run probability per state, restricted at every choice point to
     the priority-maximal outgoing transitions; predecessors for path
-    recovery.  Requires an acyclic system whose queries keep `lts`'s rules
-    (else AttackError names it).  Read it through `attack._runs`."""
+    recovery.  Requires an acyclic system whose transitions, response
+    switches included, keep `lts`'s rules (else AttackError names it).
+    Read it through `attack._runs`."""
     dltts = attack.dltts
     # Depth-first post-order with an explicit stack; a `True` entry closes
     # its state once every child pushed above it is done.
@@ -177,11 +178,9 @@ def _priority_runs(
         onstack.add(state)
         todo.append((state, True))
         for t in dltts.outgoing(state):
-            # switches were checked as loaded or made; one at Stop is no query
-            if _response_line(t.action) is None:
-                problem = next(transition_problems(t, dltts.stop), None)
-                if problem is not None:
-                    raise AttackError(f"{attack.name}: {problem}")
+            problem = next(transition_problems(t, dltts.stop), None)
+            if problem is not None:
+                raise AttackError(f"{attack.name}: {problem}")
         todo.extend(reversed(
             [(b.to, False) for t in dltts.outgoing(state) for b in t.branches]
         ))

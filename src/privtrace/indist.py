@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Mapping
 
 from .privacy import (
-    Adjacency,
     EpsilonResult,
     HammingAdjacency,
     Mechanism,
@@ -180,7 +179,7 @@ def _pair_scan(m: Mechanism, distance) -> EpsilonResult:
     return best
 
 
-class RhoAdjacency(Adjacency, Record):
+class RhoAdjacency(Record):
     """Value-wise tuple distance rho under the selected interval mode."""
 
     mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET

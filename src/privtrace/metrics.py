@@ -205,8 +205,6 @@ def _pairs(S, S2, normalizer):
     """Each pair of cells drawn from S and S2, with its plan; raises
     TypeError, as `value_kind` does, on a pair that holds a non-value."""
     rows2 = [(b, _shape(b)) for b in map(_cells, S2)]
-    if not rows2:
-        return
     if isinstance(normalizer, Mapping):
         normalizer = tuple(normalizer.items())
     for a in map(_cells, S):

@@ -192,14 +192,6 @@ def min_ldp_epsilon(m: Mechanism) -> EpsilonResult:
     return _unit_scan(m, shared=True)
 
 
-class Adjacency:
-    """A symmetric nonnegative distance over mechanism inputs; None marks an
-    undefined (uncomparable) pair."""
-
-    def distance(self, a, b) -> Fraction | None:
-        raise NotImplementedError
-
-
 def _as_cells(x) -> tuple:
     """A table row's cells, a tuple of cells, or an opaque name as one atom."""
     if isinstance(x, tuple):
@@ -210,7 +202,7 @@ def _as_cells(x) -> tuple:
     return (Atom(str(x)),) if cells is None else cells
 
 
-class HammingAdjacency(Adjacency, Record):
+class HammingAdjacency(Record):
     """Generalized Hamming count; opaque atoms count as 1-tuples."""
 
     def distance(self, a, b) -> Fraction | None:
@@ -220,9 +212,11 @@ class HammingAdjacency(Adjacency, Record):
         return None if d is None else Fraction(d)
 
 
-def min_dp_epsilon(m: Mechanism, adjacency: Adjacency) -> EpsilonResult:
+def min_dp_epsilon(m: Mechanism, adjacency) -> EpsilonResult:
     """Minimal epsilon with Prob[M(D) in S] <= e^(eps*dist(D,D')) * Prob[M(D') in S]
-    for every unordered input pair and every output event.  Hamming over
+    for every unordered input pair and every output event.  `adjacency`
+    has a `distance(a, b)`: a symmetric nonnegative Fraction, or None for
+    an undefined (uncomparable) pair.  Hamming over
     non-empty names puts every pair at distance 1 (an empty name is no
     atom, and raises when the pair scan reaches it)."""
     if isinstance(adjacency, HammingAdjacency) and all(

@@ -144,8 +144,8 @@ def build_attack_dltts(db: DataTable, profile: AttackerProfile) -> AttackDltts:
 def attack_problems(attack: AttackDltts, db: DataTable | None = None) -> list[str]:
     """Consistency of an attack tree beyond `dltts.validate`'s distribution
     rules: sibling label sets partition the parent's label set (root: the
-    table's lines when a table is given), responses exist exactly at
-    singleton nodes."""
+    table's lines when a table is given), responses are drawn only at
+    singleton nodes (loading gives every singleton node a switch)."""
     problems = []
     dltts = attack.dltts
     incoming_lines: dict[str, frozenset[str]] = {}
@@ -171,9 +171,6 @@ def attack_problems(attack: AttackDltts, db: DataTable | None = None) -> list[st
             problems.append(f"{t.source}: children {sorted(union)} do not partition "
                             f"{sorted(parent)}")
     response_nodes = {(e.node, e.line) for e in attack.responses}
-    singles = set(attack.singleton_nodes())
-    for node, line in singles - response_nodes:
-        problems.append(f"{node}: singleton {{{line}}} has no response switch")
-    for node, line in response_nodes - singles:
+    for node, line in response_nodes - set(attack.singleton_nodes()):
         problems.append(f"{node}: response({line}) at a non-singleton node")
     return problems

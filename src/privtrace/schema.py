@@ -378,8 +378,6 @@ def load_table(
     for i, raw in enumerate(rows[1:], start=1):
         raw = [f.strip() for f in raw]
         if line_col is not None:
-            if not raw:
-                raise SchemaError(f"table {name}: blank row {i}")
             line_id, raw = raw[0], raw[1:]
         else:
             line_id = f"l{i}"

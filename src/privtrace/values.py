@@ -275,13 +275,12 @@ def parse_cell(
         return IntInterval(a, a)
     if cls is ColumnClass.NUMERICAL:
         return Number(parse_fraction(text))
-    if cls is ColumnClass.TAXORAL:
-        if tree is None:
-            raise ValueError("taxoral cell requires a taxonomy")
-        if text not in tree:
-            raise ValueError(f"node {text!r} not in taxonomy {tree.name}")
-        return Taxon(tree.name, text)
-    raise ValueError(f"unknown column class {cls}")
+    # ColumnClass.TAXORAL, the one class left
+    if tree is None:
+        raise ValueError("taxoral cell requires a taxonomy")
+    if text not in tree:
+        raise ValueError(f"node {text!r} not in taxonomy {tree.name}")
+    return Taxon(tree.name, text)
 
 
 def render_cell(cell: Cell) -> str:

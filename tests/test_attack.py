@@ -315,6 +315,13 @@ def test_loaded_transcripts_consistency(figures):
     assert len(problems) == 1 and "do not partition" in problems[0]
 
 
+def test_overlapping_sibling_label_sets_are_flagged():
+    attack = load_attack_dltts("initial: s0\n"
+                               "s0 -> [(s1, 1, x {l1,l2,l3})] q\n"
+                               "s1 -> [(s2, 1/2, y {l1,l2}), (s3, 1/2, z {l2,l3})] r\n")
+    assert attack_problems(attack) == ["s1: sibling label sets overlap"]
+
+
 def test_apply_strategy_declared_baseline(figures):
     C = figures["C"]
     cases = [
@@ -379,6 +386,18 @@ def test_a_branch_into_stop_gets_no_response_switch():
     assert validate(attack.dltts) == []
     assert threshold_report(attack) == {}
     assert attack_problems(attack) == []
+
+
+def test_a_drawn_response_switch_at_stop_breaks_the_rules():
+    """A switch drawn at Stop is a transition out of Stop, which reports
+    refuse as they refuse any other broken rule."""
+    attack = load_attack_dltts("initial: s0\ns0 -> [(s1, 1/2, P_db x {l1,l2}), "
+                               "(STOP, 1/2, P_db y {l3})] q\n"
+                               "STOP -> [(STOPr, 1, P_db response(l3)=1)] response(l3)\n",
+                               "X")
+    assert validate(attack.dltts) == ["Stop has an outgoing transition"]
+    with pytest.raises(AttackError, match="^X: Stop has an outgoing transition$"):
+        threshold_report(attack)
 
 
 def test_empty_attack_report():

@@ -8,6 +8,7 @@ import pytest
 from privtrace.dltts import (
     DlttsBuilder,
     OracleVerdict,
+    Run,
     check_consistency,
     epsilon_equivalent_labels,
     reach_stop,
@@ -282,6 +283,7 @@ def test_builder_reserves_delta_for_the_oracle(hospital):
 def test_reach_stop_trivial_cases():
     single = Dltts("s0", "STOP", ())
     assert reach_stop(single) == (False, ())
+    assert reach_stop(Dltts("STOP", "STOP", ())) == (True, (Run(("STOP",), (), F(1)),))
     no_delta = parse_dltts("s0 -> [(s1, 1, x)] act\n")
     assert reach_stop(no_delta)[0] is False
 
@@ -424,6 +426,18 @@ def test_epsilon_equivalent_single_branch(viral_mechanism):
         d, "s0", viral_mechanism, 0.0, alpha="Viral-Infection"
     )
     assert len(classes) == 1 and len(classes[0]) == 1
+
+
+def test_epsilon_equivalent_labels_at_a_leaf_and_with_alpha_inferred(viral_mechanism):
+    """A state with no outgoing branch has no labels to class; with no
+    alpha given, the one output both instances can give is taken."""
+    d = _figure_one()
+    assert epsilon_equivalent_labels(d, "s5", viral_mechanism, 0.0) == []
+    m = Mechanism.from_rows("m", {"l4": {"v": F(1, 2), "a": F(1, 2)},
+                                  "l5": {"v": F(1, 4), "b": F(3, 4)}})
+    classes = epsilon_equivalent_labels(d, "s4", m, 0.0)
+    assert classes == epsilon_equivalent_labels(d, "s4", m, 0.0, alpha="v")
+    assert len(classes) == 2
 
 
 def test_epsilon_equivalent_explicit_instance_mapping(viral_mechanism):

@@ -32,6 +32,8 @@ def test_d_nom_examples():
     assert d_nom(Atom("Maths"), Atom("Physics")) == 1
     # exhaustive sets: delta = {a,c}, union = {a,b,c}
     assert d_nom(AtomSet({"a", "b"}), AtomSet({"b", "c"})) == F(2, 3)
+    with pytest.raises(MetricError, match=r"^not a nominal value: Number\("):
+        d_nom(Atom("a"), Number(1))
 
 
 def test_d_num_paper_compat_shared_endpoint():

@@ -29,7 +29,6 @@ from privtrace.privacy import (
     HammingAdjacency,
     Mechanism,
     PrivacyError,
-    Adjacency,
     min_dp_epsilon,
     min_ldp_epsilon,
 )
@@ -410,7 +409,7 @@ def _random_mechanism(rng: random.Random) -> Mechanism:
     return Mechanism.from_rows("m", rows, outputs=outputs)
 
 
-class TableAdjacency(Adjacency):
+class TableAdjacency:
     """An explicit symmetric distance table over input pairs; a pair it
     leaves out is undefined."""
 
@@ -652,3 +651,4 @@ def test_epsilon_result_rendering():
     assert r.exact_str() == "(20/39)*ln(2/1)"
     assert "0.355" in str(r)
     assert str(EpsilonResult(unbounded=True)) == "unbounded"
+    assert EpsilonResult().exact_str() == "0"

@@ -241,8 +241,14 @@ def test_cli_metric_prints_published_value(capsys):
 
 
 def test_cli_metric_uncomparable_exits_one(tmp_path, capsys):
-    # two rows of different shapes living in one nominal-only table cannot
-    # happen via CSV; exercise the exit path with a missing row instead
+    # a numerical column with no normalizer has no d_eucl: enterprise's
+    # Response column makes every pair of its rows uncomparable
+    code = cli_main(["metric", "--scenario", ENTERPRISE, "--table", "responses",
+                     "--pair", "l1", "l2"])
+    assert code == 1
+    assert capsys.readouterr().out.endswith(
+        "## metric responses l1 l2 (integer-set)\nuncomparable pair\n\n")
+    # a missing row is an input error
     code = cli_main(
         ["metric", "--scenario", HOSPITAL, "--pair", "l4", "nope"]
     )
@@ -930,6 +936,10 @@ def test_cli_export_dot_counts(capsys, tmp_path):
     assert code == 0
     assert len([l for l in out.splitlines() if "[shape=" in l]) == 12
 
+    # the system a scripted run builds, here the same as the drawn trace
+    assert cli_main(["export-dot", "--scenario", HOSPITAL, "--run", "trace"]) == 0
+    assert capsys.readouterr().out == dot
+
 
 def test_cli_validate_ok_and_malformed(capsys, tmp_path):
     assert cli_main(["validate", "--scenario", HOSPITAL]) == 0
@@ -1322,6 +1332,11 @@ def _step_4(change):
     ("enterprise", _set_sex_priors({"F": "1", "M": "0"}),
      ["attack", "--built", "--attacker", "A"],
      "profile A: Sex values ['M'] at one query level have prior 0"),
+    ("enterprise", _set_sex_priors({"F": "1/2", "M": "1/4"}),
+     ["attack", "--built", "--attacker", "A"],
+     "profile A: priors for Sex sum to 3/4, not 1"),
+    ("enterprise", lambda doc: doc["profiles"]["A"]["priors"].update(Dept={"x": "1"}),
+     ["attack", "--built", "--attacker", "A"], "profile A: unknown column 'Dept'"),
     ("hospital", lambda doc: doc["analysis"]["indist"][0].update(pair=["l4"]),
      ["analyze"], "scenario analysis.indist[0].pair must be a pair"),
     ("hospital", lambda doc: None, ["dp-check"],
@@ -1330,9 +1345,10 @@ def _step_4(change):
 def test_cli_refusals_exit_two_naming_their_place(tmp_path, scenario, change, argv,
                                                   message):
     """A scripted `delta` step, a step whose branches do not sum to 1, a
-    negative prior, a query level where some or all values have prior 0, a
-    pair of one line id and a `dp-check` that names no mechanism each exit
-    2 with one line naming where they are."""
+    negative prior, a query level where some or all values have prior 0,
+    priors that do not sum to 1 or name no column, a pair of one line id
+    and a `dp-check` that names no mechanism each exit 2 with one line
+    naming where they are."""
     shutil.copytree(SCENARIOS / scenario, tmp_path, dirs_exist_ok=True)
     path = tmp_path / "scenario.json"
     doc = json.loads(path.read_text())
@@ -1341,6 +1357,31 @@ def test_cli_refusals_exit_two_naming_their_place(tmp_path, scenario, change, ar
     done = _cli_process(*argv, "--scenario", str(path))
     assert done.returncode == 2
     assert done.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("scenario, argv, message", [
+    (ENTERPRISE, ["metric", "--pair", "l1", "l2"],
+     "no table given and the scenario names none"),
+    (ENTERPRISE, ["attack", "--attacker", "Z"], "no attack transcript named 'Z'"),
+    (ENTERPRISE, ["attack", "--built", "--attacker", "Z"], "no profile named 'Z'"),
+    (HOSPITAL, ["dp-check", "--mechanism", "m"],
+     "scenario references unknown mechanism 'm'"),
+    (HOSPITAL, ["export-dot"], "export-dot needs --dltts, --attacker, or --run"),
+    (HOSPITAL, ["export-dot", "--dltts", "t"], "no explicit system named 't'"),
+    (HOSPITAL, ["validate", "--dltts", "t"], "no explicit system named 't'"),
+    (HOSPITAL, ["analyze", "--epsilon", "0", "--secret", "published"],
+     "secret reference 'published' is not table:line"),
+    (lambda tmp_path: _hospital_copy(tmp_path, analysis={"metric": {
+        "table": "published", "pairs": [["l4", "l5"]], "modes": ["exact"]}}),
+     ["analyze"], "unknown mode 'exact'; expected one of ['integer-set', 'paper-compat']"),
+])
+def test_cli_names_what_it_cannot_find(tmp_path, capsys, scenario, argv, message):
+    """A command that names no table, system or export target, or a
+    transcript, profile, mechanism, secret row or interval mode the
+    scenario does not hold, exits 2 with one line saying so."""
+    path = scenario if isinstance(scenario, str) else scenario(tmp_path)
+    assert cli_main([*argv, "--scenario", path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _profile_file(directory: Path) -> str:
@@ -1391,15 +1432,40 @@ def test_cli_a_file_that_is_not_text_is_named(tmp_path, scenario, bad, argv):
     ("] query:Sex", "] ] query:Sex",
      "A:3: action '] query:Sex' holds a square bracket"),
     ("s2 -> [(s3, 1, P_db age=[30-40] {l1,l2})]", "s2 -> []", "A:5: empty branch list"),
+    ("(s10, 1, P_db response(l4)=7)",
+     "(s10, 1/2, P_db response(l4)=7), (s11, 1/2, P_db response(l4)=8)",
+     "A: response at s8 must go one way, p=1"),
 ])
 @pytest.mark.parametrize("argv", [["analyze"], ["attack", "--attacker", "A"],
                                   ["validate"]])
 def test_cli_transcript_refusals_exit_two(tmp_path, old, new, message, argv):
     """A wrong or empty initial state gave an all-zero attack report, and
     junk after the branch list was read as the action; each, and an empty
-    branch list, now exits 2 naming the transcript and line."""
+    branch list, now exits 2 naming the transcript and line.  A drawn
+    response that may go two ways exits 2 naming its state."""
     shutil.copytree(SCENARIOS / "enterprise", tmp_path, dirs_exist_ok=True)
     path = tmp_path / "attack_a.dltts"
     path.write_text(path.read_text().replace(old, new, 1))
     done = _cli_process(*argv, "--scenario", str(tmp_path / "scenario.json"))
     assert (done.returncode, done.stderr) == (2, f"error: {message}\n")
+
+
+def test_cli_a_drawn_response_switch_at_stop_is_refused(tmp_path, capsys):
+    """Stop has no outgoing transition, a response switch included: reports
+    refuse one drawn there as they refuse any other broken rule, and
+    `validate` lists it, with the response at a node that is no singleton
+    (a branch into Stop marks none)."""
+    shutil.copytree(SCENARIOS / "enterprise", tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "attack_a.dltts"
+    path.write_text(path.read_text().replace(
+        "s7 -> [(s9, 1, P_db response(l3)=3)] response(l3)",
+        "s7 -> [(STOP, 1, P_db {l3})] pick\n"
+        "STOP -> [(s9, 1, P_db response(l3)=3)] response(l3)"))
+    scenario = str(tmp_path / "scenario.json")
+    for argv in (["analyze"], ["attack", "--attacker", "A"]):
+        assert cli_main([*argv, "--scenario", scenario]) == 2
+        assert capsys.readouterr().err == "error: A: Stop has an outgoing transition\n"
+    assert cli_main(["validate", "--scenario", scenario]) == 1
+    out = capsys.readouterr().out
+    assert "INVALID: A: Stop has an outgoing transition\n" in out
+    assert "INVALID: A: STOP: response(l3) at a non-singleton node\n" in out

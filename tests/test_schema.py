@@ -9,7 +9,9 @@ from hypothesis import given, strategies as st
 
 from privtrace.dltts import check_consistency
 from privtrace.schema import (
+    DataTable,
     PrivacyPolicy,
+    Row,
     SchemaError,
     load_schema,
     load_table,
@@ -82,6 +84,62 @@ def test_load_schema_rejects_string_children_as_a_non_array():
         load_schema(json.dumps(doc))
 
 
+def _schema_with(*keys, value):
+    """SCHEMA_DOC with the item at the path `keys` set to `value`."""
+    doc = json.loads(json.dumps(SCHEMA_DOC))
+    item = doc
+    for key in keys[:-1]:
+        item = item[key]
+    item[keys[-1]] = value
+    return doc
+
+
+AILMENT_CHILDREN = SCHEMA_DOC["taxonomies"]["ailment"]["children"]
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_schema_with("columns", 2, "group", value="public"),
+     "column Gender: unknown group 'public'"),
+    (_schema_with("columns", 0, "class", value="text"), "column Name: unknown class 'text'"),
+    (_schema_with("columns", 4, "taxonomy", value="disease"),
+     "column Ailment: unknown taxonomy 'disease'"),
+    (_schema_with("columns", 3, "name", value="Gender"), "duplicate column names"),
+    (_schema_with("columns", value=[*SCHEMA_DOC["columns"], {
+        "name": "Score", "class": "numerical", "group": "sensitive", "normalizer": "0"}]),
+     "column Score: normalizer must be positive"),
+    (_schema_with("taxonomies", "ailment", "children", "Ailment",
+                  value=["Heart-Disease", "Cancer", "Viral-Infection", "Flu"]),
+     "taxonomy ailment: node 'Flu' has two parents"),
+    (_schema_with("taxonomies", "ailment", "children",
+                  value={**AILMENT_CHILDREN, "Orphan": []}),
+     "taxonomy ailment: unreachable nodes ['Orphan']"),
+    (_schema_with("taxonomies", "ailment", "children",
+                  value={**AILMENT_CHILDREN, "Orphan": ["Kid"]}),
+     "taxonomy ailment: unknown parent 'Orphan'"),
+    (_schema_with("policy", value=["!John,*,*,*,CoVid"]),
+     "schema policy[0]: pattern 'John,*,*,*,CoVid' must be parenthesized"),
+])
+def test_load_schema_refusals_name_their_cause(doc, message):
+    with pytest.raises(SchemaError) as err:
+        load_schema(json.dumps(doc))
+    assert str(err.value) == message
+
+
+def test_policy_and_table_records_check_their_parts(bundle):
+    """What the loaders cannot produce, the records refuse when built
+    directly: a positive policy pattern, a row of the wrong arity, a cell
+    of the wrong class."""
+    pattern = parse_pattern("(John,*,*,*,CoVid)", bundle.columns, bundle.taxonomies)
+    with pytest.raises(SchemaError, match="^privacy policy patterns must be negative$"):
+        PrivacyPolicy((pattern,))
+    columns = bundle.columns[2:4]
+    with pytest.raises(SchemaError, match=r"^table t: row l1 has arity 1, expected 2$"):
+        DataTable("t", columns, (Row("l1", (Atom("F"),)),))
+    with pytest.raises(SchemaError, match=r"^table t: row l1, column Dept: "
+                                          r"Number\(.*\) does not match class nominal$"):
+        DataTable("t", columns, (Row("l1", (Atom("F"), Number(1))),))
+
+
 def test_taxoral_column_requires_taxonomy():
     doc = {"columns": [{"name": "A", "class": "taxoral", "group": "sensitive"}]}
     with pytest.raises(SchemaError):
@@ -133,6 +191,9 @@ def test_load_table_secret_numerval_single(bundle):
 
 
 def test_load_table_errors(bundle):
+    for text in ("", "\n , \n"):
+        with pytest.raises(SchemaError, match="^table table: empty CSV$"):
+            load_table(text, bundle.columns, bundle.taxonomies)
     with pytest.raises(SchemaError):  # header mismatch
         load_table("X,Y\n1,2\n", bundle.columns, bundle.taxonomies)
     with pytest.raises(SchemaError):  # arity

@@ -154,6 +154,17 @@ def test_taxon_parse_checks_membership():
         parse_cell("nope", ColumnClass.TAXORAL, tree)
 
 
+@pytest.mark.parametrize("text, cls, message", [
+    (" ", ColumnClass.NOMINAL, "empty cell"),
+    ("{a,}", ColumnClass.NOMINAL, "bad atom set '{a,}'"),
+    ("leaf", ColumnClass.TAXORAL, "taxoral cell requires a taxonomy"),
+])
+def test_parse_cell_refusals(text, cls, message):
+    with pytest.raises(ValueError) as err:
+        parse_cell(text, cls)
+    assert str(err.value) == message
+
+
 def test_split_top_level_respects_nesting():
     assert split_top_level("a,{b,c},[1-2]") == ["a", "{b,c}", "[1-2]"]
     assert split_top_level("(x,y),z") == ["(x,y)", "z"]
