@@ -16,11 +16,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 from .lts import Branch, Dltts, Label, Transition, parse_dltts, transition_problems
-from .records import Record
-
-
-class AttackError(ValueError):
-    pass
+from .records import InputError, Record
 
 
 def _priority_key(probs: Iterable[Fraction]) -> tuple[Fraction, ...]:
@@ -130,7 +126,7 @@ def load_attack_dltts(text: str, name: str = "attack") -> AttackDltts:
         if line is None:
             continue
         if len(t.branches) != 1 or t.branches[0].prob != 1:
-            raise AttackError(f"{name}: response at {t.source} must go one way, p=1")
+            raise InputError(f"{name}: response at {t.source} must go one way, p=1")
         m = _RESPONSE_LABEL_RE.search(t.branches[0].label.text)
         value = m.group(1) if m else "?"
         responses.append(ResponseEdge(t.source, line, value, t.branches[0].to))
@@ -155,7 +151,7 @@ def _priority_runs(
     """Best run probability per state, restricted at every choice point to
     the priority-maximal outgoing transitions; predecessors for path
     recovery.  Requires an acyclic system whose transitions, response
-    switches included, keep `lts`'s rules (else AttackError names it).
+    switches included, keep `lts`'s rules (else InputError names it).
     Read it through `attack._runs`."""
     dltts = attack.dltts
     # Depth-first post-order with an explicit stack; a `True` entry closes
@@ -174,13 +170,13 @@ def _priority_runs(
         if state in seen:
             continue
         if state in onstack:
-            raise AttackError("attack system has a cycle")
+            raise InputError("attack system has a cycle")
         onstack.add(state)
         todo.append((state, True))
         for t in dltts.outgoing(state):
             problem = next(transition_problems(t, dltts.stop), None)
             if problem is not None:
-                raise AttackError(f"{attack.name}: {problem}")
+                raise InputError(f"{attack.name}: {problem}")
         todo.extend(reversed(
             [(b.to, False) for t in dltts.outgoing(state) for b in t.branches]
         ))

@@ -14,13 +14,14 @@ from pathlib import Path
 
 from typing import TYPE_CHECKING
 
+from .records import InputError, parse_fraction, read_json, read_text
+
 if TYPE_CHECKING:
-    from .report import Report
     from .scenario import Scenario
 
-# Every layer's error class subclasses ValueError, so this imports no layer;
-# a lookup an input can reach raises one too, so a KeyError is a bug.
-INPUT_ERRORS = (OSError, ValueError)
+# Every refusal of an input, a lookup an input can reach included, raises
+# InputError; any other exception, a KeyError or a bare ValueError, is a bug.
+INPUT_ERRORS = (OSError, InputError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,8 +91,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: Report) -> None:
-    sys.stdout.write(report.text())
+def _emit(text: str) -> None:
+    try:
+        sys.stdout.write(text)
+    except UnicodeEncodeError as exc:  # a lone surrogate, from a JSON escape
+        raise InputError(str(exc)) from None
 
 
 def _write_dot(base: str, dltts, name: str = "", names=(), **options) -> None:
@@ -99,53 +103,52 @@ def _write_dot(base: str, dltts, name: str = "", names=(), **options) -> None:
     `names` holds several systems; a report loads `dotexport` only here."""
     from .dotexport import export_dot
 
+    text = export_dot(dltts, **options)
     path = Path(base)
-    if len(names) > 1:
-        path = path.with_name(f"{path.stem}-{name}{path.suffix}")
-    path.write_text(export_dot(dltts, **options))
+    try:
+        if len(names) > 1:
+            path = path.with_name(f"{path.stem}-{name}{path.suffix}")
+        path.write_text(text)
+    except ValueError as exc:  # a name pathlib refuses, or text it cannot encode
+        raise InputError(str(exc)) from None
 
 
 def _cmd_metric(scenario: Scenario, args) -> int:
-    from .sections import Report, ScenarioError, metric_section
+    from .sections import Report, metric_section
 
     table = args.table or scenario.analysis.get("metric", {}).get("table")
     if table is None:
-        raise ScenarioError("no table given and the scenario names none")
+        raise InputError("no table given and the scenario names none")
     report = Report(scenario.name)
     ok = metric_section(scenario, report, table, [tuple(args.pair)], [args.mode])
-    _emit(report)
+    _emit(report.text())
     return 0 if ok else 1
 
 
 def _oracle_bound(text: str) -> Fraction:
     """The oracle's bound on rho, a distance: an exact non-negative
     fraction or decimal, so a state at exactly the typed bound is caught."""
-    from .report import ScenarioError
-    from .records import ExponentError, parse_fraction
-
     try:
         bound = parse_fraction(text.strip().replace(" ", ""))
-    except ExponentError as exc:
-        raise ScenarioError(f"--epsilon: {exc}") from None
-    except ValueError:
-        raise ScenarioError(f"--epsilon {text!r} is not a fraction or decimal (the "
-                            "oracle bounds rho, a distance, not an ln(...) epsilon)") from None
+    except InputError as exc:
+        raise InputError(f"--epsilon {text!r}: {exc}; the oracle bounds rho, a "
+                         "distance, not an ln(...) epsilon") from None
     if bound < 0:
-        raise ScenarioError(f"--epsilon {text!r} is negative")
+        raise InputError(f"--epsilon {text!r} is negative")
     return bound
 
 
 def _cmd_analyze(scenario: Scenario, args) -> int:
-    from .scenario import ScenarioError, parse_mode, run_scenario
+    from .scenario import parse_mode, run_scenario
 
     epsilon = _oracle_bound(args.epsilon) if args.epsilon else None
     if epsilon is not None and not args.secret:
-        raise ScenarioError("--epsilon needs at least one --secret TABLE:LINE")
+        raise InputError("--epsilon needs at least one --secret TABLE:LINE")
     report = run_scenario(
         scenario, epsilon=epsilon, secret=args.secret or None,
         mode=parse_mode(args.mode),
     )
-    _emit(report)
+    _emit(report.text())
     if args.dot:
         runs = scenario.analysis.get("runs", [])
         for name in runs:
@@ -161,8 +164,7 @@ def _cmd_analyze(scenario: Scenario, args) -> int:
 
 def _cmd_dp_check(scenario: Scenario | None, args) -> int:
     from .privacy import Mechanism
-    from .records import read_json, read_text
-    from .report import Report, ScenarioError, dp_section
+    from .report import Report, dp_section
 
     if args.mechanism_file:
         path = Path(args.mechanism_file)
@@ -173,11 +175,11 @@ def _cmd_dp_check(scenario: Scenario | None, args) -> int:
         name = args.mechanism
         m = scenario.mechanism(name)
     else:
-        raise ScenarioError("dp-check needs --mechanism-file, or --scenario "
-                            "plus --mechanism")
+        raise InputError("dp-check needs --mechanism-file, or --scenario "
+                         "plus --mechanism")
     report = Report(scenario.name if scenario else name)
     bounded = dp_section(scenario, report, name, m, args.adjacency, args.mode)
-    _emit(report)
+    _emit(report.text())
     return 0 if bounded else 1
 
 
@@ -198,7 +200,7 @@ def _cmd_attack(scenario: Scenario, args) -> int:
                 report.add(f"INVALID: {prob}")
         if args.dot:
             _write_dot(args.dot, attack.dltts, name, args.attacker)
-    _emit(report)
+    _emit(report.text())
     return 0 if found else 1
 
 
@@ -207,7 +209,7 @@ def _cmd_strategy(scenario: Scenario, args) -> int:
 
     report = Report(scenario.name)
     updated = strategy_section(scenario, report, args.attacker, args.baseline)
-    _emit(report)
+    _emit(report.text())
     if args.dot:
         off_edges = frozenset(
             (e.node, e.target) for e in updated.responses
@@ -219,30 +221,29 @@ def _cmd_strategy(scenario: Scenario, args) -> int:
 
 def _cmd_export_dot(scenario: Scenario, args) -> int:
     from .dotexport import export_dot
-    from .scenario import ScenarioError, attack_for, build_run
+    from .scenario import attack_for, build_run
 
     if args.dltts:
         dltts = scenario.dltts.get(args.dltts)
         if dltts is None:
-            raise ScenarioError(f"no explicit system named {args.dltts!r}")
+            raise InputError(f"no explicit system named {args.dltts!r}")
     elif args.attacker:
         dltts = attack_for(scenario, args.attacker).dltts
     elif args.run:
         dltts, _ = build_run(scenario, args.run)
     else:
-        raise ScenarioError("export-dot needs --dltts, --attacker, or --run")
-    text = export_dot(dltts)
+        raise InputError("export-dot needs --dltts, --attacker, or --run")
     if args.dot:
-        Path(args.dot).write_text(text)
+        _write_dot(args.dot, dltts)
     else:
-        sys.stdout.write(text)
+        _emit(export_dot(dltts))
     return 0
 
 
 def _cmd_validate(scenario: Scenario, args) -> int:
     from .dltts import validate
     from .profiles import attack_problems
-    from .scenario import Report, ScenarioError, build_run
+    from .scenario import Report, build_run
 
     report = Report(scenario.name)
     problems: list[str] = []
@@ -250,7 +251,7 @@ def _cmd_validate(scenario: Scenario, args) -> int:
     for name in names:
         dltts = scenario.dltts.get(name)
         if dltts is None:
-            raise ScenarioError(f"no explicit system named {name!r}")
+            raise InputError(f"no explicit system named {name!r}")
         for p in validate(dltts):
             problems.append(f"{name}: {p}")
     if not args.dltts:
@@ -264,7 +265,7 @@ def _cmd_validate(scenario: Scenario, args) -> int:
         report.add(f"INVALID: {p}")
     if not problems:
         report.add("all systems valid")
-    _emit(report)
+    _emit(report.text())
     return 1 if problems else 0
 
 
@@ -295,6 +296,14 @@ def cli_main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](scenario, args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        # The interpreter's refusal to print an integer of too many digits:
+        # any section may format an exact number its input made that long.
+        if "integer string conversion" not in str(exc):
+            raise
+        print("error: an exact number in the report has more than "
+              f"{sys.get_int_max_str_digits()} digits", file=sys.stderr)
         return 2
 
 

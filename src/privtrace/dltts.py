@@ -33,9 +33,9 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 # `parse_dltts` is not used here: the benchmark's tracer finds it under
 # this module's name.
-from .lts import (DELTA, Branch, Dltts, DlttsError, Label, Transition, parse_dltts,
+from .lts import (DELTA, Branch, Dltts, Label, Transition, parse_dltts,
                   transition_problems)
-from .records import Record
+from .records import InputError, Record
 from .schema import ColumnSchema, DataTable, PrivacyPolicy, TOP, TuplePattern
 from .values import (ColumnClass, IntervalMeasureMode, Number, TaxonomyTree, Taxon,
                      Wildcard)
@@ -163,7 +163,7 @@ def saturate(
     may keep either across calls only while `externals`, `columns` and
     `taxonomies` stay the same.
 
-    Raises DlttsError if the fixpoint is not reached within `max_rounds`
+    Raises InputError if the fixpoint is not reached within `max_rounds`
     (which would signal a rule bug: the closure is finite by construction).
     """
     memo = {} if memo is None else memo
@@ -197,7 +197,7 @@ def saturate(
             return frozenset(current)
         current |= new
         frontier = new
-    raise DlttsError(f"saturation did not reach a fixpoint in {max_rounds} rounds")
+    raise InputError(f"saturation did not reach a fixpoint in {max_rounds} rounds")
 
 
 def _matches_negative(p: TuplePattern, negative: TuplePattern) -> bool:
@@ -327,18 +327,18 @@ class DlttsBuilder:
             Branch(to, Fraction(prob), label) for to, prob, label in branches))
         if source != self.stop:
             if action == DELTA:
-                raise DlttsError(f"action {DELTA!r} is reserved for the oracle's "
+                raise InputError(f"action {DELTA!r} is reserved for the oracle's "
                                  "move to Stop")
             if source not in self.verdicts:
-                raise DlttsError(f"unknown source state {source!r}")
+                raise InputError(f"unknown source state {source!r}")
             if self.verdicts[source] is not OracleVerdict.CONTINUE:
-                raise DlttsError(f"state {source!r} is closed by a violation")
+                raise InputError(f"state {source!r} is closed by a violation")
             for b in t.branches:
                 if b.to in self.saturated or b.to == self.stop:
-                    raise DlttsError(f"branch target {b.to!r} already exists")
+                    raise InputError(f"branch target {b.to!r} already exists")
         problem = next(transition_problems(t, self.stop), None)
         if problem is not None:
-            raise DlttsError(problem)
+            raise InputError(problem)
         self.transitions.append(t)
         parent_sat = self.saturated[source]
         for b in t.branches:
@@ -398,7 +398,7 @@ def reach_stop(dltts: Dltts) -> tuple[bool, tuple[Run, ...]]:
     product of its branch probabilities, most probable first.  In a tree,
     as the builder makes, each branch into Stop ends at most one run, read
     by walking parent links up to the initial state in time linear in its
-    length.  A state entered twice raises DlttsError naming it, so a graph
+    length.  A state entered twice raises InputError naming it, so a graph
     that is not a tree never gets a wrong answer."""
     initial, stop = dltts.initial, dltts.stop
     if initial == stop:
@@ -410,7 +410,7 @@ def reach_stop(dltts: Dltts) -> tuple[bool, tuple[Run, ...]]:
             if b.to == stop:
                 into_stop.append((t, b))
             elif b.to in parent or b.to == initial:
-                raise DlttsError(f"state {b.to!r} is entered twice: not a tree")
+                raise InputError(f"state {b.to!r} is entered twice: not a tree")
             else:
                 parent[b.to] = (t, b)
     runs: list[Run] = []
@@ -476,7 +476,7 @@ def epsilon_equivalent_labels(
         for k in keys:
             if k in mechanism.inputs:
                 return k
-        raise DlttsError(f"no mechanism instance for label {label}")
+        raise InputError(f"no mechanism instance for label {label}")
 
     instances = {label: instance(label) for label in labels}
     if alpha is None:
@@ -484,7 +484,7 @@ def epsilon_equivalent_labels(
             *map(mechanism.support, instances.values())
         )
         if len(common) != 1:
-            raise DlttsError("output alpha is ambiguous; pass it explicitly")
+            raise InputError("output alpha is ambiguous; pass it explicitly")
         (alpha,) = common
 
     # |ln p - ln p'| <= epsilon relates points of a line, so its connected

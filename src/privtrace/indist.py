@@ -17,14 +17,8 @@ import sys
 from fractions import Fraction
 from typing import Mapping
 
-from .privacy import (
-    EpsilonResult,
-    HammingAdjacency,
-    Mechanism,
-    PrivacyError,
-    _as_cells,
-)
-from .records import Record, parse_fraction
+from .privacy import EpsilonResult, HammingAdjacency, Mechanism, _as_cells
+from .records import InputError, Record, parse_fraction
 from .values import IntervalMeasureMode, TaxonomyTree
 
 
@@ -94,7 +88,7 @@ def compare(a, b) -> int:
     lowest terms, sa*ln(ra) = sb*ln(rb) only if ra = c**p and rb = c**q.
     Unequal values part at some precision of the decimal ln bounds, since a
     rational never equals a non-zero s*ln(r) (Lindemann-Weierstrass), but
-    values that agree to `MAX_LN_DIGITS` digits raise PrivacyError."""
+    values that agree to `MAX_LN_DIGITS` digits raise InputError."""
     fa, fb = _log_form(a), _log_form(b)
     if fa is None or fb is None:
         return (fa is None) - (fb is None)
@@ -117,7 +111,7 @@ def compare(a, b) -> int:
         if hi_a < lo_b or hi_b < lo_a:
             return _cmp(lo_a, lo_b)
         prec *= 2
-    raise PrivacyError(
+    raise InputError(
         f"cannot order epsilons {_brief(a)} and {_brief(b)}: they agree to "
         f"{MAX_LN_DIGITS} digits"
     )
@@ -227,7 +221,7 @@ def min_eps_rho_indist(
     t, t2 = tuples if tuples is not None else (v, v2)
     d = RhoAdjacency(mode, taxonomies, normalizer).distance(t, t2)
     if d is None:
-        raise PrivacyError("tuples are uncomparable; rho is undefined")
+        raise InputError("tuples are uncomparable; rho is undefined")
     return min_scaled_indist_epsilon(m, v, v2, alpha, d)
 
 
@@ -238,7 +232,7 @@ def min_eps_hamming_indist(
     t, t2 = tuples if tuples is not None else (v, v2)
     d = HammingAdjacency().distance(t, t2)
     if d is None:
-        raise PrivacyError("tuples are uncomparable; the Hamming count is undefined")
+        raise InputError("tuples are uncomparable; the Hamming count is undefined")
     return min_scaled_indist_epsilon(m, v, v2, alpha, d)
 
 
@@ -253,14 +247,14 @@ def parse_epsilon(text: str):
             ratio = parse_fraction(m.group(2))
         else:
             frac = parse_fraction(text)
-    except ValueError as exc:
-        raise PrivacyError(f"cannot parse epsilon: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"cannot parse epsilon: {exc}") from None
     if m:
         if ratio < 1 or scale < 0:
-            raise PrivacyError(f"epsilon {text!r} is negative")
+            raise InputError(f"epsilon {text!r} is negative")
         return EpsilonResult(scale=scale, ratio=ratio)
     if frac < 0:
-        raise PrivacyError("epsilon must be nonnegative")
+        raise InputError("epsilon must be nonnegative")
     if frac > sys.float_info.max:
-        raise PrivacyError(f"epsilon {text!r} is too large")
+        raise InputError(f"epsilon {text!r} is too large")
     return frac

@@ -18,17 +18,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterator
 
-from .records import Record, parse_fraction
+from .records import InputError, Record, parse_fraction
 from .values import split_top_level
 
 if TYPE_CHECKING:
     from .schema import TuplePattern
 
 DELTA = "delta"
-
-
-class DlttsError(ValueError):
-    pass
 
 
 class Label(Record):
@@ -112,8 +108,10 @@ class Dltts(Record):
 
 
 def natural_key(name: str) -> list:
-    """Sort key that orders embedded numbers by value: s2 before s10."""
-    return [int(p) if p.isdigit() else p for p in re.split(r"(\d+)", name)]
+    """Sort key that orders embedded numbers by value: s2 before s10.  Each
+    run of decimal digits is at an odd index of the split; `str.isdigit`
+    would also pass a name like "²", which `int` cannot read."""
+    return [int(p) if i % 2 else p for i, p in enumerate(re.split(r"(\d+)", name))]
 
 
 _SQUARE_RE = re.compile(r"[][]")
@@ -133,39 +131,39 @@ def _parse_transition(line: str, probs: dict[str, Fraction]) -> Transition:
     """One transition line; `probs` caches the probabilities read so far."""
     source, _, rest = map(str.strip, line.partition("->"))
     if not rest.startswith("["):
-        raise ValueError("expected a branch list")
+        raise InputError("expected a branch list")
     depth = 0  # the list ends where its square brackets balance
     for m in _SQUARE_RE.finditer(rest):
         depth += 1 if m.group() == "[" else -1
         if not depth:
             break
     else:
-        raise ValueError("unterminated branch list")
+        raise InputError("unterminated branch list")
     branches = []
     for chunk in split_top_level(rest[1 : m.start()]):
         chunk = chunk.strip()
         if not chunk:
             continue
         if chunk[0] != "(" or chunk[-1] != ")":
-            raise ValueError(f"bad branch {chunk!r}")
+            raise InputError(f"bad branch {chunk!r}")
         parts = split_top_level(chunk[1:-1])
         if len(parts) < 2:
-            raise ValueError("branch needs target and prob")
+            raise InputError("branch needs target and prob")
         text = parts[1].strip()
         if text not in probs:
             try:
                 probs[text] = parse_fraction(text)
-            except ValueError as exc:
-                raise ValueError(f"bad probability: {exc}") from None
+            except InputError as exc:
+                raise InputError(f"bad probability: {exc}") from None
         branches.append(Branch(parts[0].strip(), probs[text],
                                _parse_label(",".join(parts[2:]))))
     action = rest[m.end() :].strip() or "query"
     if not branches:
-        raise ValueError("empty branch list")
+        raise InputError("empty branch list")
     if "[" in action or "]" in action:
-        raise ValueError(f"action {action!r} holds a square bracket")
+        raise InputError(f"action {action!r} holds a square bracket")
     if not source or not all(b.to for b in branches):
-        raise ValueError(f"empty {'target' if source else 'source'} state")
+        raise InputError(f"empty {'target' if source else 'source'} state")
     return Transition(source, action, tuple(branches))
 
 
@@ -180,7 +178,7 @@ def parse_dltts(text: str, name: str = "dltts") -> Dltts:
     provenance marker (P_db, P_N, P_b, ...) and may embed a {line,ids} set.
     The action is optional and holds no square bracket.  No state name is
     empty, and some transition, if any, leaves the initial state: else
-    DlttsError names `name` and the line."""
+    InputError names `name` and the line."""
     initial, stop, where = "s0", "STOP", 0
     transitions: list[Transition] = []
     probs: dict[str, Fraction] = {}
@@ -191,7 +189,7 @@ def parse_dltts(text: str, name: str = "dltts") -> Dltts:
             if key.startswith(("initial:", "stop:")):
                 state = line.partition(":")[2].strip()
                 if not state:
-                    raise ValueError(f"empty {key[:-1]} state")
+                    raise InputError(f"empty {key[:-1]} state")
                 if key[0] == "i":
                     initial, where = state, lineno
                 else:
@@ -200,10 +198,10 @@ def parse_dltts(text: str, name: str = "dltts") -> Dltts:
                 transitions.append(_parse_transition(line, probs))
                 where = where or lineno
             elif line:
-                raise ValueError(f"cannot parse {raw!r}")
-        except ValueError as exc:
-            raise DlttsError(f"{name}:{lineno}: {exc}") from None
+                raise InputError(f"cannot parse {raw!r}")
+        except InputError as exc:
+            raise InputError(f"{name}:{lineno}: {exc}") from None
     if transitions and all(t.source != initial for t in transitions):
-        raise DlttsError(f"{name}:{where}: no transition leaves the initial "
+        raise InputError(f"{name}:{where}: no transition leaves the initial "
                          f"state {initial!r}")
     return Dltts(initial, stop, tuple(transitions))

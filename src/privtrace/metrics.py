@@ -30,6 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from .records import InputError
 from .values import (
     _KINDS,
     Atom,
@@ -49,16 +50,12 @@ if TYPE_CHECKING:
     from .schema import Row
 
 
-class MetricError(ValueError):
-    """Operands outside a distance function's domain."""
-
-
 def _as_atom_set(v: Atom | AtomSet) -> frozenset[str]:
     if isinstance(v, Atom):
         return frozenset({v.value})
     if isinstance(v, AtomSet):
         return v.values
-    raise MetricError(f"not a nominal value: {v!r}")
+    raise InputError(f"not a nominal value: {v!r}")
 
 
 def d_nom(v: Atom | AtomSet, v2: Atom | AtomSet) -> Fraction:
@@ -102,10 +99,10 @@ def d_eucl(x: Number | Fraction, x2: Number | Fraction, big_d: Fraction) -> Frac
     b = x2.value if isinstance(x2, Number) else Fraction(x2)
     big_d = Fraction(big_d)
     if big_d <= 0:
-        raise MetricError("normalizer D must be positive")
+        raise InputError("normalizer D must be positive")
     diff = abs(a - b)
     if diff > big_d:
-        raise MetricError(f"|x - x'| = {diff} exceeds the normalizer {big_d}")
+        raise InputError(f"|x - x'| = {diff} exceeds the normalizer {big_d}")
     return diff / big_d
 
 
@@ -220,20 +217,20 @@ def _pairs(S, S2, normalizer):
 def _checked(plan, a, b, taxonomies) -> tuple:
     """The positions `plan` measures, once the values of a and b passed
     its checks in cell order and it holds no unavoidable error; raises
-    MetricError at the first check that fails."""
+    InputError at the first check that fails."""
     ops, checks, error = plan
     for i, j, arg in checks:
         x, y = a[i], b[j]
         if x.__class__ is Number:
             diff = abs(x.value - y.value)
             if diff > arg:
-                raise MetricError(f"|x - x'| = {diff} exceeds the normalizer {arg}")
+                raise InputError(f"|x - x'| = {diff} exceeds the normalizer {arg}")
         elif taxonomies is None or arg not in taxonomies:
-            raise MetricError(f"no taxonomy named {arg!r} supplied")
+            raise InputError(f"no taxonomy named {arg!r} supplied")
         else:
             taxonomies[arg].depth(x.node), taxonomies[arg].depth(y.node)
     if error is not None:
-        raise MetricError(error)
+        raise InputError(error)
     return ops
 
 
@@ -265,7 +262,7 @@ def d_vector(
     """
     ((a, b, plan),) = _pairs((t,), (t2,), normalizer)
     if plan is None:
-        raise MetricError("uncomparable tuples")
+        raise InputError("uncomparable tuples")
     return tuple(_term(a[i], b[j], mode, taxonomies, d)
                  for i, j, d in _checked(plan, a, b, taxonomies))
 
@@ -308,7 +305,7 @@ def rho(
 
     With `at_most`, only the pairs with d̄ <= at_most count, the others as
     if uncomparable.  Each pair's sum stops once it passes that bound, or
-    the least d̄ found so far; a pair still raises MetricError exactly as
+    the least d̄ found so far; a pair still raises InputError exactly as
     its distance vector would, after its value checks, so an input raises
     whatever the bound.  The correspondence, each position's D and every
     error no value can avoid are planned once per pair of shapes.

@@ -20,11 +20,7 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .records import Names, Record, Required, parse_fraction, shaped
-
-
-class PrivacyError(ValueError):
-    pass
+from .records import InputError, Names, Record, Required, parse_fraction, shaped
 
 
 # The shape of a mechanism document, in a scenario or a file of its own:
@@ -47,10 +43,10 @@ class Mechanism(Record):
             for o in self.outputs:
                 p = table.get((v, o), Fraction(0))
                 if p < 0 or p > 1:
-                    raise PrivacyError(f"{name}: probability {p} out of range")
+                    raise InputError(f"{name}: probability {p} out of range")
                 total += p
             if total != 1:
-                raise PrivacyError(f"{name}: input {v!r} distributes {total}, not 1")
+                raise InputError(f"{name}: input {v!r} distributes {total}, not 1")
 
     @classmethod
     def from_rows(cls, name: str, rows: Mapping, outputs: Sequence | None = None):
@@ -63,9 +59,9 @@ class Mechanism(Record):
                 outs.setdefault(o)
                 try:
                     table[(v, o)] = parse_fraction(p)
-                except ValueError as exc:
+                except InputError as exc:
                     where = f"mechanism {name!r} probs.{v}.{o}"
-                    raise PrivacyError(f"{where}: {exc}") from None
+                    raise InputError(f"{where}: {exc}") from None
         return cls(name, tuple(rows), tuple(outs), table)
 
     @classmethod
@@ -228,7 +224,7 @@ def min_dp_epsilon(m: Mechanism, adjacency) -> EpsilonResult:
     def distance(v, v2) -> Fraction:
         d = adjacency.distance(v, v2)
         if d is None:
-            raise PrivacyError(f"adjacency undefined on pair ({v!r}, {v2!r})")
+            raise InputError(f"adjacency undefined on pair ({v!r}, {v2!r})")
         return d
 
     return _pair_scan(m, distance)

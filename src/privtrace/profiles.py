@@ -13,11 +13,9 @@ from functools import partial
 from itertools import count
 from typing import Mapping
 
-from .attack import AttackDltts, AttackError, _response_line, _switched
+from .attack import AttackDltts, _response_line, _switched
 from .lts import Branch, Dltts, Label, Transition
-from .records import Names, Record, parse_fraction, shaped
-from .report import ScenarioError
-from .scenario import _read
+from .records import InputError, Names, Record, located, parse_fraction, shaped
 from .schema import DataTable, Row, SchemaBundle
 from .values import Value, parse_cell, render_cell
 
@@ -45,12 +43,12 @@ class AttackerProfile(Record):
         for col, table in self.priors.items():
             for value, prior in table.items():
                 if prior < 0:
-                    raise AttackError(f"profile {self.name}: prior for {col} value "
-                                      f"{render_cell(value)} is {prior}, negative")
+                    raise InputError(f"profile {self.name}: prior for {col} value "
+                                     f"{render_cell(value)} is {prior}, negative")
             total = sum(table.values(), Fraction(0))
             if total != 1:
-                raise AttackError(f"profile {self.name}: priors for {col} sum to "
-                                  f"{total}, not 1")
+                raise InputError(f"profile {self.name}: priors for {col} sum to "
+                                 f"{total}, not 1")
 
 
 def parse_profile(name: str, doc, schema: SchemaBundle) -> AttackerProfile:
@@ -60,13 +58,13 @@ def parse_profile(name: str, doc, schema: SchemaBundle) -> AttackerProfile:
     priors = {}
     for col_name, table in doc.get("priors", {}).items():
         if col_name not in columns:
-            raise ScenarioError(f"profile {name}: unknown column {col_name!r}")
+            raise InputError(f"profile {name}: unknown column {col_name!r}")
         col = columns[col_name]
         tree = schema.taxonomies.get(col.taxonomy_ref) if col.taxonomy_ref else None
         where = f"profile {name!r} priors.{col_name}"
         priors[col_name] = {
-            _read(where, parse_cell, k, col.cls, tree):
-                _read(f"{where}.{k}", parse_fraction, v)
+            located(where, parse_cell, k, col.cls, tree):
+                located(f"{where}.{k}", parse_fraction, v)
             for k, v in table.items()
         }
     return AttackerProfile(name, tuple(doc.get("attribute_order", ())), priors,
@@ -77,7 +75,7 @@ def _sensitive_value(db: DataTable, line_id: str) -> str:
     for i, col in enumerate(db.columns):
         if col.group == "sensitive":
             return render_cell(db.row(line_id).cells[i])
-    raise AttackError(f"table {db.name} has no sensitive column")
+    raise InputError(f"table {db.name} has no sensitive column")
 
 
 def build_attack_dltts(db: DataTable, profile: AttackerProfile) -> AttackDltts:
@@ -87,14 +85,14 @@ def build_attack_dltts(db: DataTable, profile: AttackerProfile) -> AttackDltts:
     qid_names = {c.name for c in db.columns if c.group == "quasi-identifier"}
     for col in profile.attribute_order:
         if col not in qid_names:
-            raise AttackError(f"profile {profile.name}: {col!r} is not a qid column")
+            raise InputError(f"profile {profile.name}: {col!r} is not a qid column")
     for col, table in profile.priors.items():
         idx = db.column_index(col)
         present = {row.cells[idx] for row in db.rows}
         missing = present - set(table)
         if missing:
-            raise AttackError(f"profile {profile.name}: no prior for {col} value(s) "
-                              f"{sorted(map(str, missing))}")
+            raise InputError(f"profile {profile.name}: no prior for {col} value(s) "
+                             f"{sorted(map(str, missing))}")
 
     # Children are pushed in reverse, so each subtree is built, and its
     # states named, before its next sibling's: depth-first, as s1, s2, ...
@@ -122,8 +120,8 @@ def build_attack_dltts(db: DataTable, profile: AttackerProfile) -> AttackDltts:
         # a branch of probability 0 is no branch: the level cannot split there
         if zero := sorted(str(v) for v, w in weights.items() if w == 0):
             every = " all" if len(zero) == len(groups) else ""
-            raise AttackError(f"profile {profile.name}: {col} values {zero} at one "
-                              f"query level{every} have prior 0")
+            raise InputError(f"profile {profile.name}: {col} values {zero} at one "
+                             f"query level{every} have prior 0")
         total = sum(weights.values(), Fraction(0))
         source = "db" if priors is None or profile.empirical else profile.name
         branches, children = [], []

@@ -2,7 +2,8 @@
 
 `Record` is the base of the immutable records; `parse_fraction` reads
 the exact rationals of every input; `read_text`, `read_json` and the shape
-walker `shaped` read input documents.  This module imports no other
+walker `shaped` read input documents; `InputError` is the one error every
+layer raises for an input it refuses.  This module imports no other
 privtrace module, so a mechanism file's `dp-check` loads neither the cell
 values nor the taxonomies.
 """
@@ -14,6 +15,13 @@ import re
 from fractions import Fraction
 from operator import attrgetter
 
+
+class InputError(ValueError):
+    """An input the analyser refuses: its message names the input and what
+    is wrong with it.  The CLI turns it, and only it and OSError, into
+    `error:` and exit 2."""
+
+
 class Record:
     """Base of the immutable records.
 
@@ -24,7 +32,7 @@ class Record:
     missing field, an unknown or repeated keyword or one positional
     argument too many raises TypeError.  It sets each field through
     `object.__setattr__` and then calls the class's `_check` hook, if it
-    has one, which rejects bad values with ValueError and may normalise a
+    has one, which rejects bad values with InputError and may normalise a
     field in place (a mapping defaulted to None becomes a fresh empty
     dict, never one shared).  Assigning or deleting an attribute
     afterwards raises AttributeError.
@@ -133,53 +141,56 @@ MAX_DECIMAL_EXPONENT = 4300
 _EXPONENT_RE = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
-class ExponentError(ValueError):
-    """A decimal exponent beyond MAX_DECIMAL_EXPONENT in magnitude."""
-
-
 def parse_fraction(value) -> Fraction:
     """The exact rational an input holds: a fraction or decimal string, or
-    a JSON number.  Anything else (a JSON boolean too), a zero denominator
-    and a non-finite float raise ValueError, and so does a decimal exponent
-    beyond MAX_DECIMAL_EXPONENT (as ExponentError, before any power of ten
-    is built)."""
+    a JSON number.  Anything else (a JSON boolean too), a zero denominator,
+    a non-finite float and a decimal exponent beyond MAX_DECIMAL_EXPONENT
+    (checked before any power of ten is built) raise InputError."""
     if isinstance(value, str):
         m = _EXPONENT_RE.search(value)
         if m:
             digits = m.group(1).replace("_", "").lstrip("0")
             if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
                     or int(digits or 0) > MAX_DECIMAL_EXPONENT):
-                raise ExponentError(
+                raise InputError(
                     f"{value!r} has a decimal exponent beyond "
                     f"±{MAX_DECIMAL_EXPONENT}"
                 )
     if not isinstance(value, bool):
         try:
             return Fraction(value)
+        except ValueError as exc:  # a bad literal, or past the digit limit
+            raise InputError(str(exc)) from None
         except (TypeError, ZeroDivisionError, OverflowError):
             pass
-    raise ValueError(f"{value!r} is not a fraction or decimal")
+    raise InputError(f"{value!r} is not a fraction or decimal")
 
 
-class ShapeError(ValueError):
-    """An input document, or a part of one, of the wrong JSON shape."""
+def located(where: str, parse, *args):
+    """`parse(*args)`, its InputError raised again naming `where`."""
+    try:
+        return parse(*args)
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from None
 
 
 def read_text(path) -> str:
-    """The text of the file at `path`; undecodable bytes raise ValueError naming it."""
+    """The text of the file at `path`; a name the system cannot open (one
+    holding a NUL) or bytes that do not decode raise InputError naming it."""
     try:
         return path.read_text()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"file {path}: {exc}") from None
+    except ValueError as exc:
+        raise InputError(f"file {path}: {exc}") from None
 
 
 def read_json(text: str, what: str):
-    """The JSON value `text` holds, else ShapeError naming the document
-    `what`, also when it nests deeper than the decoder can follow."""
+    """The JSON value `text` holds, else InputError naming the document
+    `what`, also when it nests deeper than the decoder can follow or holds
+    an integer past the interpreter's limit on digits."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ShapeError(f"{what} is not readable JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{what} is not readable JSON: {exc}") from None
 
 
 class Required:
@@ -204,7 +215,7 @@ _JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
 
 
 def shaped(value, shape, what: str, path: str = ""):
-    """`value`, checked to have the shape `shape`, else ShapeError naming
+    """`value`, checked to have the shape `shape`, else InputError naming
     the document `what` and the `path` to the part at fault.  A shape is a
     JSON type or a tuple of them (`object` for any value, which its reader
     checks), `PAIR`, `[shape]` for an array of that shape, `Names(shape)`,
@@ -215,7 +226,7 @@ def shaped(value, shape, what: str, path: str = ""):
     where = f"{what} {path}" if path else what
     if shape is PAIR:
         if len(shaped(value, [str], what, path)) != 2:
-            raise ShapeError(f"{where} must be a pair")
+            raise InputError(f"{where} must be a pair")
         return value
     if isinstance(shape, (dict, Names)):
         kind = dict
@@ -225,7 +236,7 @@ def shaped(value, shape, what: str, path: str = ""):
         kind = shape
     if not isinstance(value, kind):
         kinds = kind if isinstance(kind, tuple) else (kind,)
-        raise ShapeError(f"{where} must be " + " or ".join(_JSON_TYPES[k] for k in kinds))
+        raise InputError(f"{where} must be " + " or ".join(_JSON_TYPES[k] for k in kinds))
     prefix = f"{path}." if path else ""
     if isinstance(shape, list):
         for i, item in enumerate(value):
@@ -237,7 +248,7 @@ def shaped(value, shape, what: str, path: str = ""):
         for key, field in shape.items():
             if isinstance(field, Required):
                 if key not in value:
-                    raise ShapeError(f"{where} has no field {key!r}")
+                    raise InputError(f"{where} has no field {key!r}")
                 field = field.shape
             if key in value:
                 shaped(value[key], field, what, prefix + key)

@@ -12,16 +12,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from . import __version__
+from .records import InputError
 
 if TYPE_CHECKING:
     from .lts import Dltts
     from .privacy import Mechanism
     from .scenario import Scenario
     from .values import IntervalMeasureMode
-
-
-class ScenarioError(ValueError):
-    pass
 
 
 class Report:
@@ -59,7 +56,7 @@ def parse_mode(name: str) -> IntervalMeasureMode:
     try:
         return modes[name]
     except KeyError:
-        raise ScenarioError(
+        raise InputError(
             f"unknown mode {name!r}; expected one of {sorted(modes)}"
         )
 

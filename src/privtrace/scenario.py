@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .lts import Dltts, Label, natural_key, parse_dltts
-from .report import Report, ScenarioError, dp_section, parse_mode
+from .report import Report, dp_section, parse_mode
 from .schema import (
     COLUMN,
     DataTable,
@@ -23,9 +23,11 @@ from .schema import (
 )
 from .records import (
     PAIR,
+    InputError,
     Names,
     Record,
     Required,
+    located,
     parse_fraction,
     read_json,
     read_text,
@@ -67,13 +69,13 @@ class Scenario(Record):
         try:
             return self.tables[name]
         except KeyError:
-            raise ScenarioError(f"scenario references unknown table {name!r}")
+            raise InputError(f"scenario references unknown table {name!r}")
 
     def mechanism(self, name: str) -> Mechanism:
         try:
             return self.mechanisms[name]
         except KeyError:
-            raise ScenarioError(f"scenario references unknown mechanism {name!r}")
+            raise InputError(f"scenario references unknown mechanism {name!r}")
 
     def external_tables(self, names=None) -> list[DataTable]:
         return [self.table(n) for n in (names if names is not None else self.externals)]
@@ -131,18 +133,9 @@ SCENARIO = {
 }
 
 
-def _read(where: str, parse, *args):
-    """`parse(*args)`, its ValueError raised as a ScenarioError naming
-    `where`."""
-    try:
-        return parse(*args)
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
-
-
 def load_scenario(path: str | Path) -> Scenario:
     """Load a scenario document and everything it references.  A document
-    not of the shape SCENARIO raises ShapeError."""
+    not of the shape SCENARIO raises InputError."""
     path = Path(path)
     doc = shaped(read_json(read_text(path), f"scenario {path}"), SCENARIO, "scenario")
     base = path.parent
@@ -174,7 +167,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
         attack_dltts[name] = load_attack_dltts(read_text(base / f), name)
     declared_baseline = {
-        line: _read(f"scenario declared_baseline.{line}", parse_fraction, v)
+        line: located(f"scenario declared_baseline.{line}", parse_fraction, v)
         for line, v in doc.get("declared_baseline", {}).items()
     }
     profiles = {}
@@ -209,13 +202,13 @@ def build_run(scenario: Scenario, run_name: str, *, epsilon: Fraction | None = N
               ) -> tuple[Dltts, dict[str, OracleVerdict]]:
     """Drive a builder along a scripted query sequence: it saturates each
     new state and the oracle rules on every one as it is made.  A step the
-    builder refuses raises a ScenarioError naming the step."""
+    builder refuses raises an InputError naming the step."""
     from .dltts import DlttsBuilder
 
     try:
         run = scenario.runs[run_name]
     except KeyError:
-        raise ScenarioError(f"scenario has no run {run_name!r}")
+        raise InputError(f"scenario has no run {run_name!r}")
     schema = scenario.schema
     builder = DlttsBuilder(policy=schema.policy, columns=schema.columns,
                            externals=scenario.external_tables(run.get("externals")),
@@ -228,14 +221,14 @@ def build_run(scenario: Scenario, run_name: str, *, epsilon: Fraction | None = N
             where = f"scenario runs.{run_name}.steps[{i}].branches[{j}]"
             for k, t in enumerate(bdoc.get("learn", [])):
                 if t not in patterns:
-                    patterns[t] = _read(f"{where}.learn[{k}]", parse_pattern, t,
-                                        schema.columns, schema.taxonomies)
+                    patterns[t] = located(f"{where}.learn[{k}]", parse_pattern, t,
+                                          schema.columns, schema.taxonomies)
             label = Label(bdoc.get("text", ""), frozenset(bdoc.get("lines", [])),
                           frozenset(patterns[t] for t in bdoc.get("learn", [])), "db")
-            prob = _read(f"{where}.prob", parse_fraction, bdoc["prob"])
+            prob = located(f"{where}.prob", parse_fraction, bdoc["prob"])
             branches.append((bdoc["to"], prob, label))
-        _read(f"scenario runs.{run_name}.steps[{i}]", builder.add_transition,
-              step["from"], step["action"], branches)
+        located(f"scenario runs.{run_name}.steps[{i}]", builder.add_transition,
+                step["from"], step["action"], branches)
     return builder.build(), builder.verdicts
 
 
@@ -289,11 +282,11 @@ def attack_for(scenario: Scenario, name: str, built: bool = False) -> AttackDltt
 
         profile = scenario.profiles.get(name)
         if profile is None:
-            raise ScenarioError(f"no profile named {name!r}")
+            raise InputError(f"no profile named {name!r}")
         return build_attack_dltts(scenario.attack_table(), profile)
     if name in scenario.attack_dltts:
         return scenario.attack_dltts[name]
-    raise ScenarioError(f"no attack transcript named {name!r}")
+    raise InputError(f"no attack transcript named {name!r}")
 
 
 def attack_section(
@@ -336,7 +329,7 @@ def strategy_section(
     if baseline_name is None:
         baseline_name = scenario.baseline
     if baseline_name is None:
-        raise ScenarioError("no baseline given and the scenario names none")
+        raise InputError("no baseline given and the scenario names none")
     attack = attack_for(scenario, attacker)
     baseline = attack_for(scenario, baseline_name)
     variants: list[tuple[str, dict[str, Fraction] | None]] = []

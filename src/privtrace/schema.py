@@ -13,7 +13,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .records import Names, Record, Required, parse_fraction, read_json, shaped
+from .records import (InputError, Names, Record, Required, located, parse_fraction,
+                      read_json, shaped)
 from .values import (
     Cell,
     ColumnClass,
@@ -30,10 +31,6 @@ from .values import (
 GROUPS = ("identifier", "quasi-identifier", "sensitive")
 
 _LINE_ID_NAMES = {"line", "line_id", "id"}
-
-
-class SchemaError(ValueError):
-    """Malformed schema/table/pattern input."""
 
 
 # The shapes `records.shaped` checks a schema document against.  A column
@@ -58,19 +55,19 @@ class ColumnSchema(Record):
     def _check(self) -> None:
         name = self.name
         if self.group not in GROUPS:
-            raise SchemaError(f"column {name}: unknown group {self.group!r}")
+            raise InputError(f"column {name}: unknown group {self.group!r}")
         if (self.taxonomy_ref is not None) != (self.cls is ColumnClass.TAXORAL):
-            raise SchemaError(
+            raise InputError(
                 f"column {name}: taxonomy reference is required exactly "
                 f"for taxoral columns"
             )
         if self.normalizer is not None:
             if self.cls is not ColumnClass.NUMERICAL:
-                raise SchemaError(
+                raise InputError(
                     f"column {name}: normalizer only applies to numerical columns"
                 )
             if self.normalizer <= 0:
-                raise SchemaError(f"column {name}: normalizer must be positive")
+                raise InputError(f"column {name}: normalizer must be positive")
 
 
 class Row(Record):
@@ -94,16 +91,16 @@ class DataTable(Record):
         seen: set[str] = set()
         for row in self.rows:
             if row.line_id in seen:
-                raise SchemaError(f"table {name}: duplicate line id {row.line_id}")
+                raise InputError(f"table {name}: duplicate line id {row.line_id}")
             seen.add(row.line_id)
             if len(row.cells) != len(columns):
-                raise SchemaError(
+                raise InputError(
                     f"table {name}: row {row.line_id} has arity "
                     f"{len(row.cells)}, expected {len(columns)}"
                 )
             for cell, col in zip(row.cells, columns):
                 if not _cell_matches_class(cell, col.cls):
-                    raise SchemaError(
+                    raise InputError(
                         f"table {name}: row {row.line_id}, column {col.name}: "
                         f"{cell!r} does not match class {col.cls.value}"
                     )
@@ -122,7 +119,7 @@ class DataTable(Record):
         try:
             return self.column_positions[name]
         except KeyError:
-            raise SchemaError(f"table {self.name}: no column {name!r}") from None
+            raise InputError(f"table {self.name}: no column {name!r}") from None
 
     @cached_property
     def _groups(self) -> dict[tuple[str, ...], dict[tuple, tuple[Row, ...]]]:
@@ -147,7 +144,7 @@ class DataTable(Record):
         try:
             return self._rows_by_line[line_id]
         except KeyError:
-            raise SchemaError(f"table {self.name}: no row {line_id!r}") from None
+            raise InputError(f"table {self.name}: no row {line_id!r}") from None
 
     def line_ids(self) -> tuple[str, ...]:
         return tuple(r.line_id for r in self.rows)
@@ -181,7 +178,7 @@ class TuplePattern(Record):
 
     def _check(self) -> None:
         if len(self.columns) != len(self.cells):
-            raise SchemaError("pattern arity does not match its column list")
+            raise InputError("pattern arity does not match its column list")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -233,7 +230,7 @@ class PrivacyPolicy(Record):
     def _check(self) -> None:
         for p in self.patterns:
             if not p.negative:
-                raise SchemaError("privacy policy patterns must be negative")
+                raise InputError("privacy policy patterns must be negative")
 
 
 class SchemaBundle(Record):
@@ -251,15 +248,12 @@ def _parse_taxonomy(name: str, doc: Mapping) -> TaxonomyTree:
     for node, kids in children.items():
         for kid in kids:
             if kid in parent:
-                raise SchemaError(f"taxonomy {name}: node {kid!r} has two parents")
+                raise InputError(f"taxonomy {name}: node {kid!r} has two parents")
             parent[kid] = node
-    try:
-        tree = TaxonomyTree(name, doc["root"], parent)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    tree = TaxonomyTree(name, doc["root"], parent)
     unreachable = set(children) - tree.nodes
     if unreachable:
-        raise SchemaError(f"taxonomy {name}: unreachable nodes {sorted(unreachable)}")
+        raise InputError(f"taxonomy {name}: unreachable nodes {sorted(unreachable)}")
     return tree
 
 
@@ -273,15 +267,13 @@ def parse_columns(
         try:
             cls = ColumnClass(doc["class"])
         except ValueError:
-            raise SchemaError(f"column {name}: unknown class {doc['class']!r}") from None
+            raise InputError(f"column {name}: unknown class {doc['class']!r}") from None
         ref = doc.get("taxonomy")
         if ref is not None and ref not in taxonomies:
-            raise SchemaError(f"column {name}: unknown taxonomy {ref!r}")
+            raise InputError(f"column {name}: unknown taxonomy {ref!r}")
         norm = doc.get("normalizer")
-        try:
-            norm = parse_fraction(norm) if norm is not None else None
-        except ValueError as exc:
-            raise SchemaError(f"column {name} normalizer: {exc}") from None
+        if norm is not None:
+            norm = located(f"column {name} normalizer", parse_fraction, norm)
         cols.append(
             ColumnSchema(
                 name=name,
@@ -292,10 +284,10 @@ def parse_columns(
             )
         )
     if not cols:
-        raise SchemaError("schema has no columns")
+        raise InputError("schema has no columns")
     names = [c.name for c in cols]
     if len(set(names)) != len(names):
-        raise SchemaError("duplicate column names")
+        raise InputError("duplicate column names")
     return tuple(cols)
 
 
@@ -311,8 +303,8 @@ def load_schema(config_text: str) -> SchemaBundle:
     for i, text in enumerate(doc.get("policy", [])):
         try:
             patterns.append(parse_pattern(text, columns, taxonomies, force_negative=True))
-        except ValueError as exc:
-            raise SchemaError(f"schema policy[{i}]: {exc}") from None
+        except InputError as exc:
+            raise InputError(f"schema policy[{i}]: {exc}") from None
     return SchemaBundle(columns, taxonomies, PrivacyPolicy(tuple(patterns)))
 
 
@@ -330,10 +322,10 @@ def parse_pattern(
         negative = True
         text = text[1:].strip()
     if not (text.startswith("(") and text.endswith(")")):
-        raise SchemaError(f"pattern {text!r} must be parenthesized")
+        raise InputError(f"pattern {text!r} must be parenthesized")
     parts = [p.strip() for p in split_top_level(text[1:-1])]
     if len(parts) != len(columns):
-        raise SchemaError(
+        raise InputError(
             f"pattern arity {len(parts)} does not match schema arity {len(columns)}"
         )
     cells: list[Cell] = []
@@ -361,9 +353,9 @@ def load_table(
     try:
         rows = [r for r in csv.reader(io.StringIO(csv_text)) if any(f.strip() for f in r)]
     except csv.Error as exc:
-        raise SchemaError(f"table {name}: {exc}") from None
+        raise InputError(f"table {name}: {exc}") from None
     if not rows:
-        raise SchemaError(f"table {name}: empty CSV")
+        raise InputError(f"table {name}: empty CSV")
     header = [h.strip() for h in rows[0]]
     line_col = None
     if header and header[0].lower() in _LINE_ID_NAMES:
@@ -371,7 +363,7 @@ def load_table(
         header = header[1:]
     expected = [c.name for c in columns]
     if header != expected:
-        raise SchemaError(
+        raise InputError(
             f"table {name}: header {header} does not match schema columns {expected}"
         )
     out = []
@@ -382,7 +374,7 @@ def load_table(
         else:
             line_id = f"l{i}"
         if len(raw) != len(columns):
-            raise SchemaError(
+            raise InputError(
                 f"table {name}: row {line_id} has {len(raw)} cells, "
                 f"expected {len(columns)}"
             )
@@ -391,8 +383,8 @@ def load_table(
             tree = taxonomies.get(col.taxonomy_ref) if col.taxonomy_ref else None
             try:
                 cells.append(parse_cell(text, col.cls, tree))
-            except ValueError as exc:
-                raise SchemaError(
+            except InputError as exc:
+                raise InputError(
                     f"table {name}: row {line_id}, column {col.name}: {exc}"
                 ) from exc
         out.append(Row(line_id, tuple(cells)))
@@ -402,7 +394,7 @@ def load_table(
             idx = table.column_index(col.name)
             vals = [r.cells[idx].value for r in table.rows]
             if vals and max(vals) - min(vals) > col.normalizer:
-                raise SchemaError(
+                raise InputError(
                     f"table {name}: column {col.name} spread exceeds its "
                     f"normalizer {col.normalizer}"
                 )

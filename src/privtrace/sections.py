@@ -8,7 +8,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .report import Report, ScenarioError, parse_mode
+from .records import InputError
+from .report import Report, parse_mode
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -17,7 +18,7 @@ if TYPE_CHECKING:
 def metric_section(scenario: Scenario, report: Report, table_name: str, pairs,
                    modes) -> bool:
     """Pairwise distances; returns False when some pair is uncomparable."""
-    from .metrics import MetricError, d_vector, hamming
+    from .metrics import d_vector, hamming
 
     table = scenario.table(table_name)
     taxonomies = scenario.schema.taxonomies
@@ -32,7 +33,7 @@ def metric_section(scenario: Scenario, report: Report, table_name: str, pairs,
             prefix = f"metric/{table_name}/{a}/{b}/{mode.value}"
             try:
                 vec = d_vector(ra, rb, mode, taxonomies=taxonomies, normalizer=normalizer)
-            except MetricError:
+            except InputError:
                 all_defined = False
                 report.add("uncomparable pair")
                 report.add()
@@ -55,7 +56,7 @@ def resolve_secret(scenario: Scenario, refs: list[str]) -> list:
     for ref in refs:
         table_name, _, line = ref.partition(":")
         if not line:
-            raise ScenarioError(f"secret reference {ref!r} is not table:line")
+            raise InputError(f"secret reference {ref!r} is not table:line")
         rows.setdefault(table_name, {})[line] = scenario.table(table_name).row(line)
     return [scenario.table(name).replace(rows=tuple(by_line.values()))
             for name, by_line in rows.items()]

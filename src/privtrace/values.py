@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .records import Record, parse_fraction
+from .records import InputError, Record, parse_fraction
 
 
 class ColumnClass(Enum):
@@ -39,7 +39,7 @@ class Atom(Record):
 
     def _check(self) -> None:
         if not self.value:
-            raise ValueError("empty atom")
+            raise InputError("empty atom")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -61,7 +61,7 @@ class AtomSet(Record):
     def _check(self) -> None:
         object.__setattr__(self, "values", frozenset(self.values))
         if not self.values:
-            raise ValueError("atom set must be nonempty")
+            raise InputError("atom set must be nonempty")
 
     def __str__(self) -> str:
         return "{" + ",".join(sorted(self.values)) + "}"
@@ -75,7 +75,7 @@ class IntInterval(Record):
 
     def _check(self) -> None:
         if self.lo > self.hi:
-            raise ValueError(f"interval [{self.lo},{self.hi}] has lo > hi")
+            raise InputError(f"interval [{self.lo},{self.hi}] has lo > hi")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -176,20 +176,20 @@ class TaxonomyTree:
 
     def __init__(self, name: str, root: str, parent: Mapping[str, str]) -> None:
         if root in parent:
-            raise ValueError(f"taxonomy {name}: root {root!r} has a parent")
+            raise InputError(f"taxonomy {name}: root {root!r} has a parent")
         self.name = name
         self.root = root
         self.parent = dict(parent)
         self.nodes = {root} | set(self.parent)
         for p in self.parent.values():
             if p not in self.nodes:
-                raise ValueError(f"taxonomy {name}: unknown parent {p!r}")
+                raise InputError(f"taxonomy {name}: unknown parent {p!r}")
         self._depth: dict[str, int] = {root: 1}
         for node in self.parent:
             chain: dict[str, None] = {}  # an ordered set: the nodes of unknown depth
             while node not in self._depth:
                 if node in chain:
-                    raise ValueError(f"taxonomy {name}: parent chain loops at {node!r}")
+                    raise InputError(f"taxonomy {name}: parent chain loops at {node!r}")
                 chain[node] = None
                 node = self.parent[node]
             for n in reversed(chain):
@@ -200,7 +200,7 @@ class TaxonomyTree:
 
     def depth(self, node: str) -> int:
         if node not in self.nodes:
-            raise ValueError(f"node {node!r} not in taxonomy {self.name}")
+            raise InputError(f"node {node!r} not in taxonomy {self.name}")
         return self._depth[node]
 
     def common_ancestor(self, x: str, y: str) -> str:
@@ -242,7 +242,7 @@ def split_top_level(text: str) -> list[str]:
             if depth < 0:
                 break
     if depth:
-        raise ValueError(f"unbalanced brackets in {text!r}")
+        raise InputError(f"unbalanced brackets in {text!r}")
     return parts + [text[start:]]
 
 
@@ -255,31 +255,35 @@ def parse_cell(
     token otherwise, directed by the column class."""
     text = text.strip()
     if not text:
-        raise ValueError("empty cell")
+        raise InputError("empty cell")
     if cls is ColumnClass.NOMINAL:
         m = _SET_RE.match(text)
         if m:
             atoms = [a.strip() for a in m.group(1).split(",")]
             if any(not a for a in atoms):
-                raise ValueError(f"bad atom set {text!r}")
+                raise InputError(f"bad atom set {text!r}")
             return AtomSet(atoms)
         return Atom(text)
     if cls is ColumnClass.NUMERVAL:
         m = _INTERVAL_RE.match(text)
         if m:
-            return IntInterval(int(m.group(1)), int(m.group(2)))
+            try:
+                lo, hi = int(m.group(1)), int(m.group(2))
+            except ValueError as exc:  # an endpoint past the digit limit
+                raise InputError(str(exc)) from None
+            return IntInterval(lo, hi)
         try:
             a = int(text)
         except ValueError:
-            raise ValueError(f"cell {text!r} is not an interval or integer") from None
+            raise InputError(f"cell {text!r} is not an interval or integer") from None
         return IntInterval(a, a)
     if cls is ColumnClass.NUMERICAL:
         return Number(parse_fraction(text))
     # ColumnClass.TAXORAL, the one class left
     if tree is None:
-        raise ValueError("taxoral cell requires a taxonomy")
+        raise InputError("taxoral cell requires a taxonomy")
     if text not in tree:
-        raise ValueError(f"node {text!r} not in taxonomy {tree.name}")
+        raise InputError(f"node {text!r} not in taxonomy {tree.name}")
     return Taxon(tree.name, text)
 
 

@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from privtrace.attack import AttackDltts, AttackError, _priority_key, _switched
+from privtrace.attack import AttackDltts, _priority_key, _switched
 from privtrace.dltts import (
     OracleVerdict,
     Tag,
@@ -24,9 +24,8 @@ from privtrace.dltts import (
     _merged_taxonomies,
     check_consistency,
 )
-from privtrace.lts import DELTA, Branch, Dltts, DlttsError, Label, Transition
+from privtrace.lts import DELTA, Branch, Dltts, Label, Transition
 from privtrace.metrics import (
-    MetricError,
     _cells,
     corresponding,
     d_eucl,
@@ -36,7 +35,7 @@ from privtrace.metrics import (
 )
 from privtrace.privacy import Mechanism
 from privtrace.profiles import AttackerProfile, _sensitive_value
-from privtrace.records import parse_fraction
+from privtrace.records import InputError, parse_fraction
 from privtrace.schema import (
     ColumnSchema,
     DataTable,
@@ -76,15 +75,15 @@ def cell_distance(
         return d_num(v, v2, mode)
     if isinstance(v, Number) and isinstance(v2, Number):
         if normalizer is None:
-            raise MetricError("numerical cells need an explicit normalizer D")
+            raise InputError("numerical cells need an explicit normalizer D")
         return d_eucl(v, v2, normalizer)
     if isinstance(v, Taxon) and isinstance(v2, Taxon):
         if v.tree != v2.tree:
-            raise MetricError(f"taxons from different trees: {v.tree}, {v2.tree}")
+            raise InputError(f"taxons from different trees: {v.tree}, {v2.tree}")
         if taxonomies is None or v.tree not in taxonomies:
-            raise MetricError(f"no taxonomy named {v.tree!r} supplied")
+            raise InputError(f"no taxonomy named {v.tree!r} supplied")
         return d_wp(taxonomies[v.tree], v, v2)
-    raise MetricError(f"no distance between {v!r} and {v2!r}")
+    raise InputError(f"no distance between {v!r} and {v2!r}")
 
 
 def type_compatible(
@@ -108,7 +107,7 @@ def d_vector(
     a, b = _cells(t), _cells(t2)
     pairs = type_compatible(a, b)
     if pairs is None:
-        raise MetricError("uncomparable tuples")
+        raise InputError("uncomparable tuples")
     per_pair = isinstance(normalizer, Mapping)
     return tuple(
         cell_distance(
@@ -286,13 +285,13 @@ def build_attack_dltts(db: DataTable, profile: AttackerProfile) -> AttackDltts:
     qid_names = {c.name for c in db.columns if c.group == "quasi-identifier"}
     for col in profile.attribute_order:
         if col not in qid_names:
-            raise AttackError(f"profile {profile.name}: {col!r} is not a qid column")
+            raise InputError(f"profile {profile.name}: {col!r} is not a qid column")
     for col, table in profile.priors.items():
         idx = db.column_index(col)
         present = {row.cells[idx] for row in db.rows}
         missing = present - set(table)
         if missing:
-            raise AttackError(
+            raise InputError(
                 f"profile {profile.name}: no prior for {col} value(s) "
                 f"{sorted(map(str, missing))}"
             )
@@ -317,8 +316,8 @@ def build_attack_dltts(db: DataTable, profile: AttackerProfile) -> AttackDltts:
             zero = sorted(str(v) for v in values if priors[v] == 0)
             if zero:
                 every = " all" if len(zero) == len(values) else ""
-                raise AttackError(f"profile {profile.name}: {col} values {zero} at "
-                                  f"one query level{every} have prior 0")
+                raise InputError(f"profile {profile.name}: {col} values {zero} at "
+                                 f"one query level{every} have prior 0")
             total = sum((priors[v] for v in values), Fraction(0))
             source = "db" if profile.empirical else profile.name
             return [(v, priors[v] / total, source) for v in values]
@@ -534,7 +533,7 @@ def parse_dltts(text: str, name: str = "dltts") -> Dltts:
     Transition lines list branches as (target, probability, label); the
     label may start with a provenance marker (P_db, P_N, P_b, ...) and may
     embed a {line,ids} set.  The action after the bracket list is optional.
-    A malformed line raises DlttsError naming `name` and its line number.
+    A malformed line raises InputError naming `name` and its line number.
     """
     initial = "s0"
     stop = "STOP"
@@ -550,11 +549,11 @@ def parse_dltts(text: str, name: str = "dltts") -> Dltts:
             stop = line.split(":", 1)[1].strip()
             continue
         if "->" not in line:
-            raise DlttsError(f"{name}:{lineno}: cannot parse {raw!r}")
+            raise InputError(f"{name}:{lineno}: cannot parse {raw!r}")
         try:
             transitions.append(_parse_transition(line))
         except ValueError as exc:
-            raise DlttsError(f"{name}:{lineno}: {exc}") from exc
+            raise InputError(f"{name}:{lineno}: {exc}") from exc
     return Dltts(initial=initial, stop=stop, transitions=tuple(transitions))
 
 

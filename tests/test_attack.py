@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from privtrace.attack import (
-    AttackError,
     apply_strategy,
     load_attack_dltts,
     max_pr,
@@ -16,6 +15,7 @@ from privtrace.attack import (
 )
 from privtrace.dltts import validate
 from privtrace.profiles import AttackerProfile, attack_problems, build_attack_dltts
+from privtrace.records import InputError
 from privtrace.schema import ColumnSchema, DataTable, Row, load_table
 from privtrace.values import Atom, ColumnClass, IntInterval
 import reference
@@ -28,7 +28,7 @@ def pr_access(attack, node: str, line: str) -> F:
     """Max probability of reaching `node` from the root along runs that take
     only priority-maximal transitions at every choice point."""
     if (node, line) not in attack.singleton_nodes():
-        raise AttackError(f"incoming label at {node!r} is not the singleton {{{line}}}")
+        raise InputError(f"incoming label at {node!r} is not the singleton {{{line}}}")
     best, _ = attack._runs
     return best.get(node, F(0))
 
@@ -165,7 +165,7 @@ def test_build_attack_baseline_all_db_provenance(responses):
 
 def test_build_attack_missing_prior_errors(responses):
     profile = AttackerProfile("bad", ("Sex",), {"Sex": {Atom("F"): F(1)}})
-    with pytest.raises(AttackError):
+    with pytest.raises(InputError):
         build_attack_dltts(responses, profile)
 
 
@@ -226,8 +226,8 @@ def test_build_matches_the_recursive_reference():
         got = _built(build_attack_dltts, db, profile)
         assert got == _built(reference.build_attack_dltts, db, profile), case
         seen["error"] += isinstance(got[0], type)
-        seen["missing prior"] += got[0] is AttackError and "no prior" in got[1]
-        seen["zero prior"] += got[0] is AttackError and "have prior 0" in got[1]
+        seen["missing prior"] += got[0] is InputError and "no prior" in got[1]
+        seen["zero prior"] += got[0] is InputError and "have prior 0" in got[1]
         seen["empty"] += not db.rows
         seen["repeat"] += len(set(profile.attribute_order)) < len(profile.attribute_order)
         seen["prior"] += not isinstance(got[0], type) and any(
@@ -265,7 +265,7 @@ def test_pr_access_on_loaded_figures(figures):
 
 
 def test_pr_access_requires_singleton(figures):
-    with pytest.raises(AttackError):
+    with pytest.raises(InputError):
         pr_access(figures["C"], "s1", "l1")
 
 
@@ -396,7 +396,7 @@ def test_a_drawn_response_switch_at_stop_breaks_the_rules():
                                "STOP -> [(STOPr, 1, P_db response(l3)=1)] response(l3)\n",
                                "X")
     assert validate(attack.dltts) == ["Stop has an outgoing transition"]
-    with pytest.raises(AttackError, match="^X: Stop has an outgoing transition$"):
+    with pytest.raises(InputError, match="^X: Stop has an outgoing transition$"):
         threshold_report(attack)
 
 

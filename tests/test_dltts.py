@@ -19,13 +19,13 @@ from privtrace.lts import (
     Branch,
     DELTA,
     Dltts,
-    DlttsError,
     Label,
     Transition,
     parse_dltts,
 )
 from privtrace.indist import is_eps_indistinguishable
 from privtrace.privacy import EpsilonResult, Mechanism
+from privtrace.records import InputError
 from privtrace.schema import (
     PrivacyPolicy,
     TOP,
@@ -158,7 +158,7 @@ def test_saturate_idempotent_and_monotone(pub_pattern, covid_cases):
 
 def test_saturate_round_budget(pub_pattern, covid_cases):
     tag = frozenset({pub_pattern("([40-50],M,Physics,Viral-Infection)")})
-    with pytest.raises(DlttsError):
+    with pytest.raises(InputError):
         saturate(tag, [covid_cases], max_rounds=0)
 
 
@@ -220,7 +220,7 @@ def test_builder_pipeline_and_delta(hospital, main_pattern):
     )
     assert b.verdicts["s5"] is OracleVerdict.CONTINUE
     assert b.verdicts["s6"] is OracleVerdict.VIOLATION
-    with pytest.raises(DlttsError):
+    with pytest.raises(InputError):
         b.add_transition("s6", "query:More", [("s9", F(1), Label())])
     d = b.build()
     assert validate(d) == []
@@ -269,13 +269,13 @@ def test_oracle_epsilon_check_reads_only_positive_tuples(hospital):
 def test_oracle_rejects_stop(hospital):
     b = _mini_builder(hospital)
     assert "STOP" not in b.verdicts
-    with pytest.raises(DlttsError):
+    with pytest.raises(InputError):
         b.add_transition("s0", "q", [("STOP", F(1), Label())])
 
 
 def test_builder_reserves_delta_for_the_oracle(hospital):
     b = _mini_builder(hospital)
-    with pytest.raises(DlttsError, match="'delta' is reserved"):
+    with pytest.raises(InputError, match="'delta' is reserved"):
         b.add_transition("s0", DELTA, [("STOP", F(1), Label())])
     assert b.transitions == []
 
@@ -443,7 +443,7 @@ def test_epsilon_equivalent_labels_at_a_leaf_and_with_alpha_inferred(viral_mecha
 def test_epsilon_equivalent_explicit_instance_mapping(viral_mechanism):
     # labels carry no line ids, and their texts name no mechanism input
     d = parse_dltts("s0 -> [(s1, 1/3, old-answer), (s2, 2/3, young-answer)] act\n")
-    with pytest.raises(DlttsError):
+    with pytest.raises(InputError):
         epsilon_equivalent_labels(
             d, "s0", viral_mechanism, 0.0, alpha="Viral-Infection"
         )
@@ -511,7 +511,7 @@ def test_label_classes_match_union_find_over_all_pairs():
 
 def test_builder_rejects_bad_probability_sums(hospital):
     b = _mini_builder(hospital)
-    with pytest.raises(DlttsError):
+    with pytest.raises(InputError):
         b.add_transition(
             "s0", "q",
             [("a", F(1, 2), Label()), ("b", F(1, 3), Label())],

@@ -13,7 +13,6 @@ import pytest
 
 import privtrace.attack as attack_mod
 from privtrace.attack import (
-    AttackError,
     StrategyDecision,
     _active_transitions,
     _first_condition,
@@ -24,7 +23,8 @@ from privtrace.attack import (
     threshold_report,
 )
 from privtrace.dltts import Run, reach_stop
-from privtrace.lts import DELTA, Branch, Dltts, DlttsError, Transition, parse_dltts
+from privtrace.lts import DELTA, Branch, Dltts, Transition, parse_dltts
+from privtrace.records import InputError
 from privtrace.scenario import load_scenario, run_scenario
 
 from conftest import SCENARIOS
@@ -46,7 +46,7 @@ def oracle_priority_runs(attack):
         if state in seen:
             return
         if state in onstack:
-            raise AttackError("attack system has a cycle")
+            raise InputError("attack system has a cycle")
         onstack.add(state)
         for t in _scan_outgoing(dltts, state):
             for b in t.branches:
@@ -262,7 +262,7 @@ def test_reach_stop_matches_the_oracle_on_random_trees():
 ])
 def test_reach_stop_refuses_a_state_entered_twice(text, state):
     """A system that is not a tree gets no answer rather than a wrong one."""
-    with pytest.raises(DlttsError, match=f"state '{state}' is entered twice"):
+    with pytest.raises(InputError, match=f"state '{state}' is entered twice"):
         reach_stop(parse_dltts(text))
 
 
@@ -283,9 +283,9 @@ def test_reach_stop_takes_linear_time_on_a_long_chain(delta):
 def test_cycle_is_reported_like_the_oracle():
     text = "initial: s0\ns0 -> [(s1, 1, x {l1})] q\ns1 -> [(s0, 1, y)] q\n"
     attack = load_attack_dltts(text)
-    with pytest.raises(AttackError, match="cycle"):
+    with pytest.raises(InputError, match="cycle"):
         oracle_priority_runs(attack)
-    with pytest.raises(AttackError, match="cycle"):
+    with pytest.raises(InputError, match="cycle"):
         max_pr(attack, "l1")
 
 

@@ -26,7 +26,7 @@ def test_the_census_names_each_kind_of_problem():
     """Fed lines run by hand, the census reports a listed line that is
     gone, a listed line that ran, and an unreached line not listed."""
     ran = {str(path): executable_lines(path) for path in PACKAGE.glob("*.py")}
-    target = 'raise ScenarioError("no table given and the scenario names none")'
+    target = 'raise InputError("no table given and the scenario names none")'
     n = [line.strip() for line in module_lines("cli.py")].index(target) + 1
     ran[str(PACKAGE / "cli.py")].discard(n)
     entries = [("cli.py", "main()", "runs"), ("cli.py", "gone()", "is gone")]

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from privtrace.metrics import (
     IntervalMeasureMode,
-    MetricError,
     d_bar,
     d_eucl,
     d_nom,
@@ -18,6 +17,7 @@ from privtrace.metrics import (
     hamming,
     rho,
 )
+from privtrace.records import InputError
 from privtrace.schema import Row
 from privtrace.values import Atom, AtomSet, IntInterval, Number, Taxon, TaxonomyTree
 
@@ -32,7 +32,7 @@ def test_d_nom_examples():
     assert d_nom(Atom("Maths"), Atom("Physics")) == 1
     # exhaustive sets: delta = {a,c}, union = {a,b,c}
     assert d_nom(AtomSet({"a", "b"}), AtomSet({"b", "c"})) == F(2, 3)
-    with pytest.raises(MetricError, match=r"^not a nominal value: Number\("):
+    with pytest.raises(InputError, match=r"^not a nominal value: Number\("):
         d_nom(Atom("a"), Number(1))
 
 
@@ -76,9 +76,9 @@ def test_d_eucl_examples():
     assert d_eucl(Number(24), Number(24), F(100)) == 0
     assert d_eucl(Number(24), Number(53), F(100)) == F(29, 100)
     assert d_eucl(Number(0), Number(100), F(100)) == 1
-    with pytest.raises(MetricError):
+    with pytest.raises(InputError):
         d_eucl(Number(0), Number(5), F(0))
-    with pytest.raises(MetricError):
+    with pytest.raises(InputError):
         d_eucl(Number(0), Number(200), F(100))
 
 
@@ -228,7 +228,7 @@ def test_d_vector_normalizer_per_position():
 
 
 def test_vector_requires_comparable():
-    with pytest.raises(MetricError):
+    with pytest.raises(InputError):
         d_vector((Atom("a"),), (Number(1),))
 
 
@@ -285,7 +285,7 @@ def _random_normalizer(rng):
 def _rho_outcome(fn, *args, **kwargs):
     try:
         return "value", fn(*args, **kwargs)
-    except (MetricError, ValueError, TypeError) as exc:
+    except (InputError, ValueError, TypeError) as exc:
         return type(exc), str(exc)
 
 

@@ -14,7 +14,8 @@ import re
 import pytest
 import reference
 
-from privtrace.lts import Dltts, DlttsError, parse_dltts
+from privtrace.lts import Dltts, natural_key, parse_dltts
+from privtrace.records import InputError
 
 PROBS = ["1", "1/2", " 3/4 ", "0.25", "2/8", "1e-1", "-1/3", "0", "x", "1/0", "",
          "1e99999", "9" * 5000, "1_000/2_000", "(1)", "[1]"]
@@ -74,7 +75,7 @@ def _mutate(rng: random.Random, line: str) -> str:
 def _outcome(parse, text: str) -> Dltts | str:
     try:
         return parse(text, "t")
-    except DlttsError as exc:
+    except InputError as exc:
         return str(exc)
 
 
@@ -141,7 +142,7 @@ def test_tokenizer_matches_the_reference_parser():
     ("\ns1 -> [(s2, 1)]\n", "t:2: no transition leaves the initial state 's0'"),
 ])
 def test_refusals_name_their_line(text, error):
-    with pytest.raises(DlttsError) as exc:
+    with pytest.raises(InputError) as exc:
         parse_dltts(text, "t")
     assert str(exc.value) == error
     assert isinstance(_outcome(reference.parse_dltts, text), Dltts)
@@ -153,3 +154,10 @@ def test_a_transcript_without_transitions_and_round_brackets_in_actions_load():
     assert dltts.transitions[0].action == "response(l-1)"
     assert dltts == reference.parse_dltts(
         "s0 -> [(s1, 1, P_db response(l-1)=3)] response(l-1)\n")
+
+
+def test_natural_key_orders_digit_runs_by_value_and_keys_any_name():
+    """A state name or line id is free text: "²" passes `str.isdigit` but
+    is no decimal digit, and is ordered as text."""
+    names = ["s10", "²", "s2", "s1x", "s²", "l٣"]
+    assert sorted(names, key=natural_key) == ["l٣", "s1x", "s2", "s10", "s²", "²"]

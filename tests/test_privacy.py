@@ -28,10 +28,10 @@ from privtrace.privacy import (
     EpsilonResult,
     HammingAdjacency,
     Mechanism,
-    PrivacyError,
     min_dp_epsilon,
     min_ldp_epsilon,
 )
+from privtrace.records import InputError
 from privtrace.values import Atom, Number
 from reference import randomized_response
 
@@ -51,7 +51,7 @@ def viral():
 
 
 def test_mechanism_rows_must_sum_to_one():
-    with pytest.raises(PrivacyError):
+    with pytest.raises(InputError):
         Mechanism.from_rows("bad", {"a": {"x": "1/2", "y": "1/3"}})
 
 
@@ -203,7 +203,7 @@ def test_compare_refuses_values_that_agree_to_the_digit_bound():
     `MAX_LN_DIGITS` digits parts it from 1."""
     big = EpsilonResult(scale=F(10**4000), ratio=F(10**4000 + 1, 10**4000))
     start = time.process_time()
-    with pytest.raises(PrivacyError, match=rf"agree to {MAX_LN_DIGITS} digits"):
+    with pytest.raises(InputError, match=rf"agree to {MAX_LN_DIGITS} digits"):
         compare(big, F(1))
     assert time.process_time() - start < 5
     assert compare(big, F(999, 1000)) == 1 and compare(F(1001, 1000), big) == 1
@@ -311,7 +311,7 @@ def test_min_dp_single_input_is_zero():
 
 def test_min_dp_undefined_adjacency_errors():
     m = Mechanism.from_rows("m", {"a": {"x": "1"}, "b": {"x": "1"}})
-    with pytest.raises(PrivacyError):
+    with pytest.raises(InputError):
         min_dp_epsilon(m, TableAdjacency([]))
 
 
@@ -367,7 +367,7 @@ def exhaustive_dp(m: Mechanism, adjacency) -> EpsilonResult:
     for v, v2 in combinations(m.inputs, 2):
         d = adjacency.distance(v, v2)
         if d is None:
-            raise PrivacyError(f"adjacency undefined on pair ({v!r}, {v2!r})")
+            raise InputError(f"adjacency undefined on pair ({v!r}, {v2!r})")
         for S in _subsets(m.outputs):
             a, b = m.event_prob(v, S), m.event_prob(v2, S)
             for hi, lo, pair in ((a, b, (v, v2)), (b, a, (v2, v))):
@@ -435,7 +435,7 @@ def _random_table(rng: random.Random, inputs) -> TableAdjacency:
 def _outcome(scan, *args):
     try:
         res = scan(*args)
-    except PrivacyError as exc:
+    except InputError as exc:
         return ("error", str(exc))
     return (str(res), res.exact_str(), res.witness_str(), res.unbounded)
 
@@ -574,7 +574,7 @@ def test_min_eps_rho_indist_published(published, hospital, viral):
 def test_min_eps_rho_uncomparable_raises(viral):
     from privtrace.values import Atom, Number
 
-    with pytest.raises(PrivacyError):
+    with pytest.raises(InputError):
         min_eps_rho_indist(
             viral, "l4", "l5", "Viral-Infection", IS,
             tuples=((Atom("a"),), (Number(1),)),
@@ -586,7 +586,7 @@ def test_scaled_indist_at_distance_zero_or_undefined(viral):
     with no Hamming count are refused."""
     res = min_scaled_indist_epsilon(viral, "l4", "l5", "Viral-Infection", F(0))
     assert res.unbounded and res.witness == ("l4", "l5", "Viral-Infection")
-    with pytest.raises(PrivacyError, match="the Hamming count is undefined"):
+    with pytest.raises(InputError, match="the Hamming count is undefined"):
         min_eps_hamming_indist(viral, "l4", "l5", "Viral-Infection",
                                tuples=((Atom("a"),), (Number(1),)))
 
@@ -639,10 +639,10 @@ def test_parse_epsilon_forms():
     assert parse_epsilon("0.6") == F(3, 5)
     assert parse_epsilon("3/4") == F(3, 4)
     for text in ("nope", "1e999999999", "1e4000", "ln(2/0)"):
-        with pytest.raises(PrivacyError):
+        with pytest.raises(InputError):
             parse_epsilon(text)
     for text in ("ln(1/2)", "(-1/2)*ln(2)", "-1/2"):
-        with pytest.raises(PrivacyError, match="negative"):
+        with pytest.raises(InputError, match="negative"):
             parse_epsilon(text)
 
 

@@ -13,14 +13,14 @@ import pytest
 
 from privtrace.dltts import (DlttsBuilder, OracleVerdict, check_consistency,
                              reach_stop, saturate, validate)
-from privtrace.lts import DELTA, DlttsError, Label
+from privtrace.lts import DELTA, Label
 from privtrace.metrics import IntervalMeasureMode
+from privtrace.records import InputError
 from privtrace.schema import (
     ColumnSchema,
     DataTable,
     PrivacyPolicy,
     Row,
-    SchemaError,
     TOP,
     TuplePattern,
 )
@@ -197,7 +197,7 @@ def naive_saturate(tag, externals=(), *, columns=None, taxonomies=None,
         if not new:
             return frozenset(current)
         current |= new
-    raise DlttsError(f"saturation did not reach a fixpoint in {max_rounds} rounds")
+    raise InputError(f"saturation did not reach a fixpoint in {max_rounds} rounds")
 
 
 # -- random tags and bases ----------------------------------------------------
@@ -295,7 +295,7 @@ def _derived_as_the_reference(memo, bases, **kw) -> int:
 def _outcome(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except DlttsError as exc:
+    except InputError as exc:
         return str(exc)
 
 
@@ -353,7 +353,7 @@ def test_data_table_caches_its_row_groups():
     assert table.rows_by(("Dept",)) is groups
     assert table.rows_by(("Dept", "Name"))[(Atom("Phys"), Atom("Joan"))] == rows[1:]
     assert table.column_index("Dept") == 1
-    with pytest.raises(SchemaError, match="^table staff: no column 'Age'$"):
+    with pytest.raises(InputError, match="^table staff: no column 'Age'$"):
         table.column_index("Age")
 
 
@@ -489,7 +489,7 @@ def test_a_violating_parent_never_narrows_a_child_check():
     leak = TuplePattern(("Name",), (Atom("John"),))
     builder.add_transition("s0", "q", [("s1", F(1), Label(tuples=frozenset({leak})))])
     assert builder.verdicts["s1"] is OracleVerdict.VIOLATION
-    with pytest.raises(DlttsError):
+    with pytest.raises(InputError):
         builder.add_transition("s1", "q", [("s2", F(1), Label())])
 
 

@@ -1,27 +1,28 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from privtrace.cli import cli_main
 from privtrace.dltts import DlttsBuilder, OracleVerdict, reach_stop, validate
-from privtrace.lts import DlttsError
 from privtrace.dotexport import export_dot
 from privtrace.indist import MAX_LN_DIGITS
 from privtrace.privacy import MECHANISM
 from privtrace.profiles import PROFILE
-from privtrace.records import MAX_DECIMAL_EXPONENT, Names, Required, ShapeError
-from privtrace.scenario import (
-    SCENARIO, ScenarioError, build_run, load_scenario, parse_mode, run_scenario,
-)
+from privtrace.records import MAX_DECIMAL_EXPONENT, InputError, Names, Required
+from privtrace.scenario import SCENARIO, build_run, load_scenario, parse_mode, run_scenario
 from privtrace.schema import SCHEMA
 
 from conftest import SCENARIOS
@@ -45,13 +46,13 @@ def test_hospital_run_reaches_stop(hospital):
 
 
 def test_unknown_run_errors(hospital):
-    with pytest.raises(ScenarioError):
+    with pytest.raises(InputError):
         build_run(hospital, "nope")
 
 
 def test_empty_scenario_rejected(tmp_path):
     (tmp_path / "scenario.json").write_text("{}")
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         load_scenario(tmp_path / "scenario.json")
 
 
@@ -402,8 +403,8 @@ def _set_in_schema(*keys, value):
     return edit
 
 
-@pytest.mark.parametrize("text", ["[" * 100_000, '{"name":\n'],
-                         ids=["nested", "malformed"])
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"name":\n', "1" * 5000],
+                         ids=["nested", "malformed", "digits"])
 @pytest.mark.parametrize("document, what", [
     ("scenario.json", "scenario "),
     ("schema.json", "schema document"),
@@ -412,8 +413,9 @@ def _set_in_schema(*keys, value):
 ], ids=["scenario", "schema", "profile", "mechanism"])
 def test_cli_unreadable_json_document_exits_two_naming_it(tmp_path, document, what,
                                                           text):
-    """Each JSON document, nested past the decoder's recursion limit or not
-    JSON at all, exits 2 with a message naming it."""
+    """Each JSON document, nested past the decoder's recursion limit, not
+    JSON at all or holding an integer past the interpreter's 4,300-digit
+    limit, exits 2 with a message naming it."""
     if document == "m.json":
         argv = ("dp-check", "--mechanism-file", str(tmp_path / document))
     else:
@@ -477,11 +479,23 @@ def _replace_in(file: str, old: str, new: str):
     {"edit": _set_in_schema("columns", 4, "taxonomy", value=["a"])},
     {"edit": _set_in_schema(value=[1])},
     {"edit": _replace_in("published.csv", "Heart-Disease", "H" * 200_000)},
+    # an integer literal past the interpreter's 4,300-digit limit, in a
+    # field nothing reads; `json.dumps` cannot write one
+    {"edit": _replace_in("schema.json", '"columns"', f'"digits": {"1" * 5000}, "columns"')},
 ])
 def test_cli_malformed_scenario_exits_two(tmp_path, sections):
     done = _cli_process("analyze", "--scenario", _hospital_copy(tmp_path, **sections))
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+
+
+def _digit_limit_error(digits: int) -> str:
+    """The interpreter's own words on reading an integer of `digits` digits."""
+    try:
+        int("1" * digits)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{digits} digits are within the limit")
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -492,10 +506,13 @@ def test_cli_malformed_scenario_exits_two(tmp_path, sections):
      "pattern arity 4 does not match schema arity 5"),
     (_replace_in("schema.json", "!(John,*,*,*,CoVid)", "!(John,*,*,CoVid)"),
      "schema policy[0]: pattern arity 4 does not match schema arity 5"),
+    (_replace_in("published.csv", "[20-30]", f"[20-{'1' * 5000}]"),
+     f"table published: row l1, column Age: {_digit_limit_error(5000)}"),
 ])
 def test_cli_text_grammar_error_names_its_place(tmp_path, capsys, edit, message):
-    """A transcript line, a run's learn pattern and a policy pattern that
-    do not parse exit 2 with a message naming where they are."""
+    """A transcript line, a run's learn pattern, a policy pattern and an
+    interval endpoint past the interpreter's digit limit that do not parse
+    exit 2 with a message naming where they are."""
     assert cli_main(["analyze", "--scenario", _hospital_copy(tmp_path, edit)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -1042,18 +1059,42 @@ def test_analyze_builds_each_run_once(monkeypatch, capsys, argv, builds):
 
 
 def test_cli_a_key_error_is_a_bug_not_an_input_error(monkeypatch, capsys):
-    """Every lookup an input can reach raises a named ValueError, so a
-    KeyError inside a command is a program fault: it escapes `cli_main`
-    instead of printing `error:` and exiting 2."""
+    """Every refusal of an input, a lookup an input can reach included,
+    raises InputError, so a KeyError or a bare ValueError inside a command
+    is a program fault: it escapes `cli_main` instead of printing `error:`
+    and exiting 2."""
     import privtrace.cli
 
-    def broken(scenario, args):
-        raise KeyError("no such entry")
+    for error in (KeyError, ValueError):
+        def broken(scenario, args):
+            raise error("no such entry")
 
-    monkeypatch.setitem(privtrace.cli._COMMANDS, "validate", broken)
-    with pytest.raises(KeyError, match="no such entry"):
-        cli_main(["validate", "--scenario", HOSPITAL])
-    assert capsys.readouterr().err == ""
+        monkeypatch.setitem(privtrace.cli._COMMANDS, "validate", broken)
+        with pytest.raises(error, match="no such entry"):
+            cli_main(["validate", "--scenario", HOSPITAL])
+        assert capsys.readouterr().err == ""
+
+
+def test_cli_output_it_cannot_write_exits_two(tmp_path):
+    """A `--dot` path with no file name to put a system's name beside, and
+    a report or drawing holding a lone surrogate (which a JSON escape can
+    put in a name or a label, and no UTF-8 output can encode) each exit 2
+    with one `error:` line."""
+    shutil.copytree(SCENARIOS / "hospital", tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "scenario.json"
+    doc = json.loads(path.read_text())
+    doc["name"] = "\ud800"
+    doc["runs"]["trace"]["steps"][0]["branches"][0]["text"] = "\ud800"
+    path.write_text(json.dumps(doc))
+    for argv in (["attack", "--scenario", ENTERPRISE, "--attacker", "A",
+                  "--attacker", "B", "--dot", "/"],
+                 ["analyze", "--scenario", str(path)],
+                 ["export-dot", "--scenario", str(path), "--run", "trace"],
+                 ["export-dot", "--scenario", str(path), "--run", "trace",
+                  "--dot", str(tmp_path / "trace.dot")]):
+        done = _cli_process(*argv)
+        assert done.returncode == 2, (argv, done.stderr)
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, argv
 
 
 def test_cli_scaled_epsilon_past_the_float_range_prints_inf(tmp_path, capsys):
@@ -1120,7 +1161,7 @@ def test_label_equivalence_null_alpha_is_left_out_alpha(tmp_path):
     for i, alpha in enumerate([{}, {"alpha": None}]):
         analysis = {"runs": ["trace"], "label_equivalence": [{**entry, **alpha}]}
         scenario = load_scenario(_hospital_copy(tmp_path / str(i), analysis=analysis))
-        with pytest.raises(DlttsError) as err:
+        with pytest.raises(InputError) as err:
             run_scenario(scenario)
         errors.append(str(err.value))
     assert errors[0] == errors[1] == "output alpha is ambiguous; pass it explicitly"
@@ -1313,6 +1354,19 @@ def _step_4(change):
     return lambda doc: change(doc["runs"]["trace"]["steps"][4])
 
 
+def _long_run_probability(doc):
+    """Steps 1 and 4 each split (N-1)/N and 1/N, N = 10**4200 + 1: each
+    number reads within the digit limit, but s6's run probability has
+    about 8,400 digits."""
+    n = 10**4200 + 1
+    steps = doc["runs"]["trace"]["steps"]
+    (branch,) = steps[1]["branches"]
+    branch["prob"] = f"{n - 1}/{n}"
+    steps[1]["branches"].append(dict(branch, to="s7", prob=f"1/{n}"))
+    steps[4]["branches"][0]["prob"] = f"1/{n}"
+    steps[4]["branches"][1]["prob"] = f"{n - 1}/{n}"
+
+
 @pytest.mark.parametrize("scenario, change, argv, message", [
     ("hospital", _step_4(lambda step: step.update(action="delta")), ["analyze"],
      "scenario runs.trace.steps[4]: action 'delta' is reserved for the oracle's "
@@ -1341,14 +1395,20 @@ def _step_4(change):
      ["analyze"], "scenario analysis.indist[0].pair must be a pair"),
     ("hospital", lambda doc: None, ["dp-check"],
      "dp-check needs --mechanism-file, or --scenario plus --mechanism"),
+    # absolute, so that the message does not depend on the directory
+    ("hospital", lambda doc: doc.update(schema="/sche\u0000ma.json"), ["analyze"],
+     "file /sche\u0000ma.json: embedded null byte"),
+    ("hospital", _long_run_probability, ["analyze"],
+     "an exact number in the report has more than 4300 digits"),
 ])
 def test_cli_refusals_exit_two_naming_their_place(tmp_path, scenario, change, argv,
                                                   message):
     """A scripted `delta` step, a step whose branches do not sum to 1, a
     negative prior, a query level where some or all values have prior 0,
-    priors that do not sum to 1 or name no column, a pair of one line id
-    and a `dp-check` that names no mechanism each exit 2 with one line
-    naming where they are."""
+    priors that do not sum to 1 or name no column, a pair of one line id,
+    a `dp-check` that names no mechanism and a file name holding a NUL
+    each exit 2 with one line naming where they are; a report number past
+    the interpreter's digit limit, with one line saying so."""
     shutil.copytree(SCENARIOS / scenario, tmp_path, dirs_exist_ok=True)
     path = tmp_path / "scenario.json"
     doc = json.loads(path.read_text())
@@ -1469,3 +1529,73 @@ def test_cli_a_drawn_response_switch_at_stop_is_refused(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "INVALID: A: Stop has an outgoing transition\n" in out
     assert "INVALID: A: STOP: response(l3) at a non-singleton node\n" in out
+
+
+# The subcommand forms the mutation test runs on each bundled scenario;
+# DOT stands for a file in the scenario's directory.
+_FORMS = {
+    "hospital": (["analyze"], ["validate"], ["export-dot", "--run", "trace"],
+                 ["analyze", "--dot", "DOT"],
+                 ["metric", "--pair", "l4", "l5", "--table", "published"],
+                 ["dp-check", "--mechanism", "viral_query", "--adjacency", "rho"],
+                 ["analyze", "--epsilon", "1/2", "--secret", "published:l4"]),
+    "enterprise": (["analyze"], ["validate"], ["attack", "--built", "--attacker", "A"],
+                   ["attack", "--attacker", "A", "--attacker", "B", "--dot", "DOT"],
+                   ["strategy", "--attacker", "B", "--baseline", "C"]),
+}
+# What a mutation writes in place of a JSON leaf, and into a span of text;
+# a JSON string may also hold a lone surrogate, written as an escape.
+_WORDS = ["", "0", "1", "-1", "1/2", "1/0", "2/1", "1e5000", "x", "*", "l1", "l4", "s0",
+          "STOP", "delta", "A", "[1-2]", "{a,b}", "(a,b)", "nominal", "taxoral",
+          "identifier", "Ailment", "published", "trace", "²", "a/b"]
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2, 2), st.floats(),
+                    st.sampled_from(_WORDS), st.just([]), st.just({}),
+                    st.text(st.characters(blacklist_categories=()), max_size=4))
+_PIECES = st.lists(st.sampled_from(_WORDS + list("()[]{},-/!#: ") + ["->", "P_db"]),
+                   max_size=3).map("".join)
+
+
+def _leaf_paths(doc, path=()):
+    """The path of every node of a JSON document, the root's last."""
+    if isinstance(doc, (dict, list)):
+        for key, item in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _leaf_paths(item, path + (key,))
+    yield path
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_cli_a_mutated_scenario_ends_in_a_report_or_one_error_line(data):
+    """One JSON node of a bundled scenario or schema document replaced, or
+    one span of a table or transcript line: every subcommand form exits 0,
+    1 or 2 without raising, with an empty stderr or one `error:` line."""
+    scenario = data.draw(st.sampled_from(sorted(_FORMS)))
+    files = {p.name: p.read_text() for p in (SCENARIOS / scenario).iterdir()}
+    name = data.draw(st.sampled_from(sorted(files)))
+    if name.endswith(".json"):
+        doc = json.loads(files[name])
+        *keys, last = data.draw(st.sampled_from(list(_leaf_paths(doc))[:-1]))
+        item = doc
+        for key in keys:
+            item = item[key]
+        item[last] = data.draw(_LEAVES)
+        files[name] = json.dumps(doc)
+    else:
+        lines = files[name].split("\n")
+        k = data.draw(st.integers(0, len(lines) - 1))
+        i = data.draw(st.integers(0, len(lines[k])))
+        j = data.draw(st.integers(i, len(lines[k])))
+        lines[k] = lines[k][:i] + data.draw(_PIECES) + lines[k][j:]
+        files[name] = "\n".join(lines)
+    form = data.draw(st.sampled_from(_FORMS[scenario]))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for file, text in files.items():
+            Path(tmp, file).write_text(text)
+        argv = [str(Path(tmp, "out.dot")) if a == "DOT" else a for a in form]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main([*argv, "--scenario", str(Path(tmp, "scenario.json"))])
+    assert code in (0, 1, 2)
+    error = err.getvalue()
+    assert error == "" or (error.startswith("error: ") and error.count("\n") == 1
+                           and error.endswith("\n")), error

@@ -12,12 +12,11 @@ from privtrace.schema import (
     DataTable,
     PrivacyPolicy,
     Row,
-    SchemaError,
     load_schema,
     load_table,
     parse_pattern,
 )
-from privtrace.records import ShapeError
+from privtrace.records import InputError
 from privtrace.values import (
     Atom, ColumnClass, IntInterval, Number, Taxon, render_cell,
 )
@@ -62,7 +61,7 @@ def test_load_schema_running_example():
 
 
 def test_load_schema_empty_columns_rejected():
-    with pytest.raises(SchemaError):
+    with pytest.raises(InputError):
         load_schema(json.dumps({"columns": [], "taxonomies": {}}))
 
 
@@ -71,7 +70,7 @@ def test_load_schema_taxonomy_cycle_rejected():
         "columns": [{"name": "A", "class": "nominal", "group": "identifier"}],
         "taxonomies": {"t": {"root": "x", "children": {"x": ["y"], "y": ["x"]}}},
     }
-    with pytest.raises(SchemaError):
+    with pytest.raises(InputError):
         load_schema(json.dumps(doc))
 
 
@@ -80,7 +79,7 @@ def test_load_schema_rejects_string_children_as_a_non_array():
     doc = json.loads(json.dumps(SCHEMA_DOC))
     doc["taxonomies"]["ailment"]["children"]["Viral-Infection"] = "XY"
     message = "schema taxonomies.ailment.children.Viral-Infection must be an array"
-    with pytest.raises(ShapeError, match=message):
+    with pytest.raises(InputError, match=message):
         load_schema(json.dumps(doc))
 
 
@@ -120,7 +119,7 @@ AILMENT_CHILDREN = SCHEMA_DOC["taxonomies"]["ailment"]["children"]
      "schema policy[0]: pattern 'John,*,*,*,CoVid' must be parenthesized"),
 ])
 def test_load_schema_refusals_name_their_cause(doc, message):
-    with pytest.raises(SchemaError) as err:
+    with pytest.raises(InputError) as err:
         load_schema(json.dumps(doc))
     assert str(err.value) == message
 
@@ -130,19 +129,19 @@ def test_policy_and_table_records_check_their_parts(bundle):
     directly: a positive policy pattern, a row of the wrong arity, a cell
     of the wrong class."""
     pattern = parse_pattern("(John,*,*,*,CoVid)", bundle.columns, bundle.taxonomies)
-    with pytest.raises(SchemaError, match="^privacy policy patterns must be negative$"):
+    with pytest.raises(InputError, match="^privacy policy patterns must be negative$"):
         PrivacyPolicy((pattern,))
     columns = bundle.columns[2:4]
-    with pytest.raises(SchemaError, match=r"^table t: row l1 has arity 1, expected 2$"):
+    with pytest.raises(InputError, match=r"^table t: row l1 has arity 1, expected 2$"):
         DataTable("t", columns, (Row("l1", (Atom("F"),)),))
-    with pytest.raises(SchemaError, match=r"^table t: row l1, column Dept: "
-                                          r"Number\(.*\) does not match class nominal$"):
+    with pytest.raises(InputError, match=r"^table t: row l1, column Dept: "
+                                         r"Number\(.*\) does not match class nominal$"):
         DataTable("t", columns, (Row("l1", (Atom("F"), Number(1))),))
 
 
 def test_taxoral_column_requires_taxonomy():
     doc = {"columns": [{"name": "A", "class": "taxoral", "group": "sensitive"}]}
-    with pytest.raises(SchemaError):
+    with pytest.raises(InputError):
         load_schema(json.dumps(doc))
 
 
@@ -192,23 +191,23 @@ def test_load_table_secret_numerval_single(bundle):
 
 def test_load_table_errors(bundle):
     for text in ("", "\n , \n"):
-        with pytest.raises(SchemaError, match="^table table: empty CSV$"):
+        with pytest.raises(InputError, match="^table table: empty CSV$"):
             load_table(text, bundle.columns, bundle.taxonomies)
-    with pytest.raises(SchemaError):  # header mismatch
+    with pytest.raises(InputError):  # header mismatch
         load_table("X,Y\n1,2\n", bundle.columns, bundle.taxonomies)
-    with pytest.raises(SchemaError):  # arity
+    with pytest.raises(InputError):  # arity
         load_table(
             "Name,Age,Gender,Dept,Ailment\nJoan,24,F\n",
             bundle.columns,
             bundle.taxonomies,
         )
-    with pytest.raises(SchemaError):  # node not in tree
+    with pytest.raises(InputError):  # node not in tree
         load_table(
             "Name,Age,Gender,Dept,Ailment\nJoan,24,F,Chemistry,Plague\n",
             bundle.columns,
             bundle.taxonomies,
         )
-    with pytest.raises(SchemaError):  # duplicate line id
+    with pytest.raises(InputError):  # duplicate line id
         load_table(
             "Line,Age,Gender,Dept,Ailment\nl1,24,F,Chem,Flu\nl1,25,M,Chem,Flu\n",
             [c for c in bundle.columns if c.name != "Name"],
@@ -225,7 +224,7 @@ def test_numerical_normalizer_validated_at_load(bundle):
         {},
     )
     load_table("Score\n1\n9\n", cols, {}, "ok")  # spread 8 <= 10
-    with pytest.raises(SchemaError):
+    with pytest.raises(InputError):
         load_table("Score\n1\n20\n", cols, {}, "bad")  # spread 19 > 10
 
 

@@ -17,7 +17,8 @@ import pytest
 
 import reference
 from privtrace.dltts import DlttsBuilder, OracleVerdict, validate
-from privtrace.lts import DELTA, Branch, Dltts, DlttsError, Label, Transition
+from privtrace.lts import DELTA, Branch, Dltts, Label, Transition
+from privtrace.records import InputError
 
 STATES = ("s0", "s1", "s2", "s3", "s4", "s5", "STOP")
 ACTIONS = ("query", "query:Age", DELTA)
@@ -170,10 +171,10 @@ def test_builder_refuses_what_the_inline_checks_refused():
             accepted += 1
             continue
         got = _outcome(b.add_transition, t.source, t.action, branches)
-        if isinstance(want, ValueError) and not isinstance(got, DlttsError):
+        if isinstance(want, ValueError) and not isinstance(got, InputError):
             assert _same_error(want, got), (t, want, got)
             continue
-        assert isinstance(got, DlttsError), (t, want)
+        assert isinstance(got, InputError), (t, want)
         got = str(got)
         nonpositive = [br for br in t.branches if br.prob <= 0]
         if isinstance(want, ValueError):
@@ -206,6 +207,6 @@ def test_builder_refuses_what_the_inline_checks_refused():
 ])
 def test_builder_names_the_source_in_each_transition_rule(branches, message):
     b = _builder()
-    with pytest.raises(DlttsError) as caught:
+    with pytest.raises(InputError) as caught:
         b.add_transition("s1", "query", [(to, p, Label()) for to, p in branches])
     assert str(caught.value) == message
