@@ -1,20 +1,19 @@
 """Command-line front end.
 
-Exit codes: 0 success; 1 when the requested finding is absent (uncomparable
-pair, unbounded epsilon, empty attack report, validation violations found);
-2 on input or usage errors.
+Exit codes: 0 success or help; 1 when the requested finding is absent
+(uncomparable pair, unbounded epsilon, empty attack report, validation
+violations found); 2 on input or usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from typing import TYPE_CHECKING
 
-from .records import InputError, parse_fraction, read_json, read_text
+from .records import InputError, Record, read_json, read_text
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -24,92 +23,10 @@ if TYPE_CHECKING:
 INPUT_ERRORS = (OSError, InputError)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="privtrace",
-        description="privacy analysis over anonymized tables and query traces",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--scenario", required=True, help="scenario JSON file")
-
-    p = sub.add_parser("metric", help="pairwise distances over table rows")
-    common(p)
-    p.add_argument("--pair", nargs=2, metavar=("LINE", "LINE"), required=True)
-    p.add_argument("--mode", choices=["integer-set", "paper-compat"],
-                   default="integer-set")
-    p.add_argument("--table", help="table name (default: the scenario's metric table)")
-
-    p = sub.add_parser("analyze", help="full scenario report (runs + oracle)")
-    common(p)
-    p.add_argument("--epsilon", help="arm the epsilon-violation oracle: "
-                   "an exact bound on rho, as a fraction or decimal")
-    p.add_argument("--secret", action="append", default=[],
-                   metavar="TABLE:LINE", help="secret rows for the epsilon check")
-    p.add_argument("--mode", choices=["integer-set", "paper-compat"],
-                   default="integer-set")
-    p.add_argument("--dot", help="write each scripted run as DOT next to this path")
-    p.add_argument("--expect-violation", action="store_true",
-                   help="exit 1 unless some run reaches Stop")
-
-    p = sub.add_parser("dp-check", help="LDP/DP epsilon bounds for a mechanism")
-    p.add_argument("--scenario", help="scenario JSON file (for named mechanisms)")
-    p.add_argument("--mechanism", help="mechanism name within the scenario")
-    p.add_argument("--mechanism-file",
-                   help="standalone mechanism JSON (outputs + probs table)")
-    p.add_argument("--adjacency", choices=["hamming", "rho"], default="hamming")
-    p.add_argument("--mode", choices=["integer-set", "paper-compat"],
-                   default="integer-set")
-
-    p = sub.add_parser("attack", help="threshold report for attackers")
-    common(p)
-    p.add_argument("--attacker", action="append", required=True)
-    p.add_argument("--built", action="store_true",
-                   help="build from the profile instead of loading the transcript")
-    p.add_argument("--dot", help="write each attack system as DOT to this "
-                   "path, or next to it when there are several")
-
-    p = sub.add_parser("strategy", help="response-blocking strategy report")
-    common(p)
-    p.add_argument("--attacker", required=True)
-    p.add_argument("--baseline", help="baseline name (default from the scenario)")
-    p.add_argument("--dot", help="write the post-strategy system (OFF edges "
-                   "dashed) to this path")
-
-    p = sub.add_parser("export-dot", help="DOT rendering of a named system")
-    common(p)
-    p.add_argument("--dltts", help="explicit transcript name")
-    p.add_argument("--attacker", help="attack transcript name")
-    p.add_argument("--run", help="scripted run name (built first)")
-    p.add_argument("--dot", help="output path (default: stdout)")
-
-    p = sub.add_parser("validate", help="validate scenario inputs and systems")
-    common(p)
-    p.add_argument("--dltts", help="check one named system only")
-
-    return parser
-
-
 def _emit(text: str) -> None:
     try:
         sys.stdout.write(text)
     except UnicodeEncodeError as exc:  # a lone surrogate, from a JSON escape
-        raise InputError(str(exc)) from None
-
-
-def _write_dot(base: str, dltts, name: str = "", names=(), **options) -> None:
-    """Draw `dltts` as DOT at `base`, or at `stem-name.suffix` beside it when
-    `names` holds several systems; a report loads `dotexport` only here."""
-    from .dotexport import export_dot
-
-    text = export_dot(dltts, **options)
-    path = Path(base)
-    try:
-        if len(names) > 1:
-            path = path.with_name(f"{path.stem}-{name}{path.suffix}")
-        path.write_text(text)
-    except ValueError as exc:  # a name pathlib refuses, or text it cannot encode
         raise InputError(str(exc)) from None
 
 
@@ -125,39 +42,26 @@ def _cmd_metric(scenario: Scenario, args) -> int:
     return 0 if ok else 1
 
 
-def _oracle_bound(text: str) -> Fraction:
-    """The oracle's bound on rho, a distance: an exact non-negative
-    fraction or decimal, so a state at exactly the typed bound is caught."""
-    try:
-        bound = parse_fraction(text.strip().replace(" ", ""))
-    except InputError as exc:
-        raise InputError(f"--epsilon {text!r}: {exc}; the oracle bounds rho, a "
-                         "distance, not an ln(...) epsilon") from None
-    if bound < 0:
-        raise InputError(f"--epsilon {text!r} is negative")
-    return bound
-
-
 def _cmd_analyze(scenario: Scenario, args) -> int:
     from .scenario import parse_mode, run_scenario
 
-    epsilon = _oracle_bound(args.epsilon) if args.epsilon else None
-    if epsilon is not None and not args.secret:
-        raise InputError("--epsilon needs at least one --secret TABLE:LINE")
-    report = run_scenario(
-        scenario, epsilon=epsilon, secret=args.secret or None,
-        mode=parse_mode(args.mode),
-    )
+    epsilon = None
+    if args.epsilon:
+        from .sections import oracle_bound
+
+        epsilon = oracle_bound(args.epsilon, args.secret)
+    report = run_scenario(scenario, epsilon=epsilon, secret=args.secret or None,
+                          mode=parse_mode(args.mode))
     _emit(report.text())
     if args.dot:
+        from .dotexport import write_dot
+
         runs = scenario.analysis.get("runs", [])
         for name in runs:
-            _write_dot(args.dot, report.runs[name], name, runs)
+            write_dot(args.dot, report.runs[name], name, runs)
     if args.expect_violation:
-        reached = any(
-            report.values.get(f"run/{name}/stop_reached")
-            for name in scenario.analysis.get("runs", [])
-        )
+        reached = any(report.values.get(f"run/{name}/stop_reached")
+                      for name in scenario.analysis.get("runs", []))
         return 0 if reached else 1
     return 0
 
@@ -175,8 +79,7 @@ def _cmd_dp_check(scenario: Scenario | None, args) -> int:
         name = args.mechanism
         m = scenario.mechanism(name)
     else:
-        raise InputError("dp-check needs --mechanism-file, or --scenario "
-                         "plus --mechanism")
+        raise InputError("dp-check needs --mechanism-file, or --scenario plus --mechanism")
     report = Report(scenario.name if scenario else name)
     bounded = dp_section(scenario, report, name, m, args.adjacency, args.mode)
     _emit(report.text())
@@ -189,9 +92,7 @@ def _cmd_attack(scenario: Scenario, args) -> int:
     report = Report(scenario.name)
     found = False
     for name in args.attacker:
-        attack, has_thresholds = attack_section(
-            scenario, report, name, built=args.built
-        )
+        attack, has_thresholds = attack_section(scenario, report, name, built=args.built)
         found = has_thresholds or found
         if args.built:
             from .profiles import attack_problems
@@ -199,7 +100,9 @@ def _cmd_attack(scenario: Scenario, args) -> int:
             for prob in attack_problems(attack, scenario.attack_table()):
                 report.add(f"INVALID: {prob}")
         if args.dot:
-            _write_dot(args.dot, attack.dltts, name, args.attacker)
+            from .dotexport import write_dot
+
+            write_dot(args.dot, attack.dltts, name, args.attacker)
     _emit(report.text())
     return 0 if found else 1
 
@@ -211,16 +114,16 @@ def _cmd_strategy(scenario: Scenario, args) -> int:
     updated = strategy_section(scenario, report, args.attacker, args.baseline)
     _emit(report.text())
     if args.dot:
-        off_edges = frozenset(
-            (e.node, e.target) for e in updated.responses
-            if not updated.switched_on(e.node, e.line)
-        )
-        _write_dot(args.dot, updated.dltts, off_edges=off_edges)
+        from .dotexport import write_dot
+
+        off_edges = frozenset((e.node, e.target) for e in updated.responses
+                              if not updated.switched_on(e.node, e.line))
+        write_dot(args.dot, updated.dltts, off_edges=off_edges)
     return 0
 
 
 def _cmd_export_dot(scenario: Scenario, args) -> int:
-    from .dotexport import export_dot
+    from .dotexport import export_dot, write_dot
     from .scenario import attack_for, build_run
 
     if args.dltts:
@@ -234,7 +137,7 @@ def _cmd_export_dot(scenario: Scenario, args) -> int:
     else:
         raise InputError("export-dot needs --dltts, --attacker, or --run")
     if args.dot:
-        _write_dot(args.dot, dltts)
+        write_dot(args.dot, dltts)
     else:
         _emit(export_dot(dltts))
     return 0
@@ -252,12 +155,11 @@ def _cmd_validate(scenario: Scenario, args) -> int:
         dltts = scenario.dltts.get(name)
         if dltts is None:
             raise InputError(f"no explicit system named {name!r}")
-        for p in validate(dltts):
-            problems.append(f"{name}: {p}")
+        problems += [f"{name}: {p}" for p in validate(dltts)]
     if not args.dltts:
         for name, attack in sorted(scenario.attack_dltts.items()):
-            for p in validate(attack.dltts) + attack_problems(attack):
-                problems.append(f"{name}: {p}")
+            problems += [f"{name}: {p}"
+                         for p in validate(attack.dltts) + attack_problems(attack)]
         # a run the builder refuses raises; one it builds is valid by construction
         for run_name in scenario.runs:
             build_run(scenario, run_name)
@@ -269,23 +171,161 @@ def _cmd_validate(scenario: Scenario, args) -> int:
     return 1 if problems else 0
 
 
-_COMMANDS = {
-    "metric": _cmd_metric,
-    "analyze": _cmd_analyze,
-    "dp-check": _cmd_dp_check,
-    "attack": _cmd_attack,
-    "strategy": _cmd_strategy,
-    "export-dot": _cmd_export_dot,
-    "validate": _cmd_validate,
+# How many values each kind of option takes.
+ARITY = {"flag": 0, "value": 1, "repeat": 1, "pair": 2}
+
+
+class Option(Record):
+    """A command's option: `--name`, kind (a repeatable one keeps every value,
+    any other its last), help, whether it is required, the values it accepts
+    (any when empty), its value when absent and its value's name in help."""
+
+    name: str
+    kind: str
+    help: str
+    required: bool = False
+    choices: tuple[str, ...] = ()
+    default: object = None
+    metavar: str = ""
+
+
+_HELP = Option("--help", "flag", "show this help and exit")
+_SCENARIO = Option("--scenario", "value", "scenario JSON file", True)
+_MODE = Option("--mode", "value", "interval measure", choices=("integer-set", "paper-compat"),
+               default="integer-set")
+_DOT = "write {} as DOT to this path, or next to it when there are several"
+
+# The command line is read against this table in the grammar of Python's
+# option parser, whose import and parsers cost more than some whole reports.
+COMMANDS = {
+    "metric": (_cmd_metric, "pairwise distances over table rows", (
+        _SCENARIO, Option("--pair", "pair", "the two rows' line ids", True, metavar="LINE LINE"),
+        _MODE, Option("--table", "value", "table name (default: the scenario's metric table)"))),
+    "analyze": (_cmd_analyze, "full scenario report (runs + oracle)", (
+        _SCENARIO, Option("--epsilon", "value", "arm the epsilon-violation oracle: an "
+                          "exact bound on rho, as a fraction or decimal"),
+        Option("--secret", "repeat", "a secret row for the epsilon check", metavar="TABLE:LINE"),
+        _MODE, Option("--dot", "value", _DOT.format("each scripted run")),
+        Option("--expect-violation", "flag", "exit 1 if no run reaches Stop", default=False))),
+    "dp-check": (_cmd_dp_check, "LDP/DP epsilon bounds for a mechanism", (
+        Option("--scenario", "value", "scenario JSON file (for named mechanisms)"),
+        Option("--mechanism", "value", "mechanism name within the scenario"),
+        Option("--mechanism-file", "value", "standalone mechanism JSON (outputs + probs)"),
+        Option("--adjacency", "value", "which inputs are neighbours",
+               choices=("hamming", "rho"), default="hamming"), _MODE)),
+    "attack": (_cmd_attack, "threshold report for attackers", (
+        _SCENARIO, Option("--attacker", "repeat", "an attacker's name", True),
+        Option("--built", "flag", "build from the profile, not the transcript", default=False),
+        Option("--dot", "value", _DOT.format("each attack system")))),
+    "strategy": (_cmd_strategy, "response-blocking strategy report", (
+        _SCENARIO, Option("--attacker", "value", "the attacker's name", True),
+        Option("--baseline", "value", "baseline name (default from the scenario)"),
+        Option("--dot", "value", "write the post-strategy system (OFF edges dashed) here"))),
+    "export-dot": (_cmd_export_dot, "DOT rendering of a named system", (
+        _SCENARIO, Option("--dltts", "value", "explicit transcript name"),
+        Option("--attacker", "value", "attack transcript name"),
+        Option("--run", "value", "scripted run name (built first)"),
+        Option("--dot", "value", "output path (default: stdout)"))),
+    "validate": (_cmd_validate, "validate scenario inputs and systems", (
+        _SCENARIO, Option("--dltts", "value", "check one named system only"))),
 }
 
 
+class UsageError(Exception):
+    """A command line `read_argv` refuses; `cli_main` prints it, exit 2."""
+
+
+class HelpWanted(Exception):
+    """-h or --help before any usage error: `cli_main` prints help, exit 0."""
+
+
+def _option_at(token: str, names: dict[str, Option]):
+    """The option parser's reading of `token` against option `names`: None
+    for a value, else the option (None if unknown) and the value after
+    `=` (or None).  A `--` name may be cut to a prefix no other name
+    shares; `-1`, `-.5` and text with a space are values."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return names[token], None
+    name, eq, value = token.partition("=")
+    if eq and name in names:
+        return names[name], value
+    if token[1] == "-":
+        found = [n for n in names if n.startswith(name)]
+        if len(found) > 1:
+            raise UsageError(f"ambiguous option {name}: {', '.join(found)}")
+        if found:
+            return names[found[0]], value if eq else None
+    whole, dot, part = token[1:].partition(".")
+    number = (part if dot else whole).isdecimal() and (not whole or whole.isdecimal())
+    return None if number or " " in token else (None, None)
+
+
+def _take(command: str | None, tokens: list, read: list, values: dict, extras: list) -> None:
+    """Take each option of `tokens`, as `read` reads it, into `values` by
+    name, left to right, and what no option takes into `extras`."""
+    at = 0
+    while at < len(tokens):
+        option, value = read[at] or (None, None)
+        at += 1
+        if option is None:
+            extras.append(tokens[at - 1])
+            continue
+        arity = ARITY[option.kind]
+        taken, span = ([value], []) if value is not None else \
+            (tokens[at:at + arity], read[at:at + arity])
+        if len(taken) != arity or any(span):  # a value is no option and no `--`
+            raise UsageError(f"option {option.name} takes {arity} value(s)")
+        at += len(span)
+        if option is _HELP:
+            raise HelpWanted(command)
+        if option.choices and taken[0] not in option.choices:
+            raise UsageError(f"{option.name}: {taken[0]!r} is not one of {option.choices}")
+        if option.kind == "repeat":
+            taken = values[option.name] + taken
+        values[option.name] = taken[0] if option.kind == "value" else taken or True
+
+
+def read_argv(argv: list[str]) -> SimpleNamespace:
+    """The command and its options' values, read from `argv` as Python's
+    option parser reads them.  A usage error raises UsageError; -h or
+    --help, read before one, raises HelpWanted."""
+    names, extras = {"-h": _HELP, "--help": _HELP}, []
+    read = [None if token == "--" else _option_at(token, names) for token in argv]
+    at = read.index(None) if None in read else len(argv)  # the command's place
+    _take(None, argv[:at], read, {}, extras)
+    if at == len(argv) or argv[at] not in COMMANDS:
+        raise UsageError(f"{'no command' if at == len(argv) else repr(argv[at])}: "
+                         f"choose a command from {', '.join(COMMANDS)}")
+    command, tokens = argv[at], argv[at + 1:]
+    options = COMMANDS[command][2]
+    names |= {o.name: o for o in options}
+    # Every token is read before any is taken, so an ambiguous prefix is an
+    # error even after -h.  From `--` on, no token is an option or a value.
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    read = [_option_at(t, names) for t in tokens[:end]] + [(None, None)] * (len(tokens) - end)
+    values = {o.name: [] if o.kind == "repeat" else o.default for o in options}
+    _take(command, tokens, read, values, extras)
+    missing = [o.name for o in options if o.required and values[o.name] in (None, [])]
+    if missing or extras:
+        raise UsageError(f"{command}: missing {', '.join(missing)}" if missing
+                         else f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command, **{
+        name[2:].replace("-", "_"): value for name, value in values.items()})
+
+
 def cli_main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        args = read_argv(sys.argv[1:] if argv is None else argv)
+    except HelpWanted as exc:
+        from .usage import help_text
+
+        _emit(help_text(COMMANDS, _HELP, *exc.args))
+        return 0
+    except UsageError as exc:
+        print(f"privtrace: error: {exc}", file=sys.stderr)
+        return 2
     try:
         # every subcommand but dp-check requires --scenario
         scenario = None
@@ -293,7 +333,7 @@ def cli_main(argv: list[str] | None = None) -> int:
             from .scenario import load_scenario
 
             scenario = load_scenario(args.scenario)
-        return _COMMANDS[args.command](scenario, args)
+        return COMMANDS[args.command][0](scenario, args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

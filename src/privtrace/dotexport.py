@@ -1,8 +1,12 @@
-"""DOT rendering of transition systems, stable enough to diff."""
+"""DOT rendering of transition systems, stable enough to diff, and the
+`--dot` writer; a report loads this module only to draw."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from .lts import Dltts, natural_key
+from .records import InputError
 
 
 def _quote(s: str) -> str:
@@ -55,3 +59,16 @@ def export_dot(dltts: Dltts, *, off_edges: frozenset | None = None) -> str:
     lines.extend(e[2] for e in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def write_dot(base: str, dltts, name: str = "", names=(), **options) -> None:
+    """Draw `dltts` as DOT at `base`, or at `stem-name.suffix` beside it when
+    `names` holds several systems."""
+    text = export_dot(dltts, **options)
+    path = Path(base)
+    try:
+        if len(names) > 1:
+            path = path.with_name(f"{path.stem}-{name}{path.suffix}")
+        path.write_text(text)
+    except ValueError as exc:  # a name pathlib refuses, or text it cannot encode
+        raise InputError(str(exc)) from None

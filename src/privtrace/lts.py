@@ -73,6 +73,10 @@ def transition_problems(t: Transition, stop: str) -> Iterator[str]:
         if b.prob <= 0:
             yield f"branch {t.source}->{b.to} has non-positive probability"
     if (total := sum(b.prob for b in t.branches)) != 1:
+        try:
+            total = str(total)
+        except ValueError:  # past the interpreter's limit on the digits it prints
+            total = "a number too long to print"
         yield f"branch probabilities from {t.source!r} sum to {total}, not 1"
     if len({b.to for b in t.branches}) != len(t.branches):
         yield f"duplicate branch target from {t.source!r}"

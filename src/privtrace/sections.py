@@ -1,14 +1,14 @@
-"""The report section that measures rows, the pairwise metrics, and the
-`--secret` rows that arm the scripted runs' oracle.  `scenario` imports
-this module only for a `metric` section or under `--secret`, so a report
-on attack transcripts alone does not compile it."""
+"""The report section that measures rows, the pairwise metrics, and what
+arms the scripted runs' oracle: the `--secret` rows and the `--epsilon`
+bound.  Only a `metric` section, `--secret` or `--epsilon` loads this
+module, so a report on attack transcripts alone does not compile it."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .records import InputError
+from .records import InputError, parse_fraction
 from .report import Report, parse_mode
 
 if TYPE_CHECKING:
@@ -60,3 +60,19 @@ def resolve_secret(scenario: Scenario, refs: list[str]) -> list:
         rows.setdefault(table_name, {})[line] = scenario.table(table_name).row(line)
     return [scenario.table(name).replace(rows=tuple(by_line.values()))
             for name, by_line in rows.items()]
+
+
+def oracle_bound(text: str, secret: list[str]) -> Fraction:
+    """The oracle's bound on rho, a distance: an exact non-negative
+    fraction or decimal, so a state at exactly the typed bound is caught.
+    It measures the `secret` rows, so at least one must be given."""
+    try:
+        bound = parse_fraction(text.strip().replace(" ", ""))
+    except InputError as exc:
+        raise InputError(f"--epsilon {text!r}: {exc}; the oracle bounds rho, a "
+                         "distance, not an ln(...) epsilon") from None
+    if bound < 0:
+        raise InputError(f"--epsilon {text!r} is negative")
+    if not secret:
+        raise InputError("--epsilon needs at least one --secret TABLE:LINE")
+    return bound

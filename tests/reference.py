@@ -6,11 +6,13 @@ per value, the transcript parser over a per-character bracket walk, whose
 `split_top_level` is also the oracle of the library's one-pass scanner,
 the multiset order on priority keys, the builder's inline transition checks
 and the transcript validator, which `lts.transition_problems` replaced as
-the one statement of a transition's rules, and the two-coin randomized
-response mechanism."""
+the one statement of a transition's rules, the two-coin randomized
+response mechanism, and the argparse parser the command line was read
+with before `cli.read_argv` (the oracle of its differential test)."""
 
 from __future__ import annotations
 
+import argparse
 import re
 from enum import Enum
 from fractions import Fraction
@@ -600,3 +602,70 @@ def randomized_response() -> tuple[Mechanism, Mechanism]:
         outputs=("True", "False"),
     )
     return full, marginal
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="privtrace",
+        description="privacy analysis over anonymized tables and query traces",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p):
+        p.add_argument("--scenario", required=True, help="scenario JSON file")
+
+    p = sub.add_parser("metric", help="pairwise distances over table rows")
+    common(p)
+    p.add_argument("--pair", nargs=2, metavar=("LINE", "LINE"), required=True)
+    p.add_argument("--mode", choices=["integer-set", "paper-compat"],
+                   default="integer-set")
+    p.add_argument("--table", help="table name (default: the scenario's metric table)")
+
+    p = sub.add_parser("analyze", help="full scenario report (runs + oracle)")
+    common(p)
+    p.add_argument("--epsilon", help="arm the epsilon-violation oracle: "
+                   "an exact bound on rho, as a fraction or decimal")
+    p.add_argument("--secret", action="append", default=[],
+                   metavar="TABLE:LINE", help="secret rows for the epsilon check")
+    p.add_argument("--mode", choices=["integer-set", "paper-compat"],
+                   default="integer-set")
+    p.add_argument("--dot", help="write each scripted run as DOT next to this path")
+    p.add_argument("--expect-violation", action="store_true",
+                   help="exit 1 unless some run reaches Stop")
+
+    p = sub.add_parser("dp-check", help="LDP/DP epsilon bounds for a mechanism")
+    p.add_argument("--scenario", help="scenario JSON file (for named mechanisms)")
+    p.add_argument("--mechanism", help="mechanism name within the scenario")
+    p.add_argument("--mechanism-file",
+                   help="standalone mechanism JSON (outputs + probs table)")
+    p.add_argument("--adjacency", choices=["hamming", "rho"], default="hamming")
+    p.add_argument("--mode", choices=["integer-set", "paper-compat"],
+                   default="integer-set")
+
+    p = sub.add_parser("attack", help="threshold report for attackers")
+    common(p)
+    p.add_argument("--attacker", action="append", required=True)
+    p.add_argument("--built", action="store_true",
+                   help="build from the profile instead of loading the transcript")
+    p.add_argument("--dot", help="write each attack system as DOT to this "
+                   "path, or next to it when there are several")
+
+    p = sub.add_parser("strategy", help="response-blocking strategy report")
+    common(p)
+    p.add_argument("--attacker", required=True)
+    p.add_argument("--baseline", help="baseline name (default from the scenario)")
+    p.add_argument("--dot", help="write the post-strategy system (OFF edges "
+                   "dashed) to this path")
+
+    p = sub.add_parser("export-dot", help="DOT rendering of a named system")
+    common(p)
+    p.add_argument("--dltts", help="explicit transcript name")
+    p.add_argument("--attacker", help="attack transcript name")
+    p.add_argument("--run", help="scripted run name (built first)")
+    p.add_argument("--dot", help="output path (default: stdout)")
+
+    p = sub.add_parser("validate", help="validate scenario inputs and systems")
+    common(p)
+    p.add_argument("--dltts", help="check one named system only")
+
+    return parser

@@ -26,11 +26,13 @@ def _python(code: str, *args: str) -> str:
 
 
 # Prints the privtrace modules loaded, after checking that `dataclasses`
-# and `inspect` (which `dataclasses` imports) are not: records are plain
-# classes, and neither module is on any subcommand's path.
+# and `inspect` (which `dataclasses` imports) are not, nor `argparse` and
+# the `gettext` and `locale` it imports: records are plain classes, the
+# command line is read from a table, and none of these modules is on any
+# subcommand's path.
 LOADED = (
     "import json, sys\n"
-    "unwanted = {'dataclasses', 'inspect'} & set(sys.modules)\n"
+    "unwanted = {'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'} & set(sys.modules)\n"
     "assert not unwanted, sorted(unwanted)\n"
     "print(json.dumps(sorted(m for m in sys.modules if m.startswith('privtrace.'))))\n"
 )

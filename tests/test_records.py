@@ -16,8 +16,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from privtrace import (attack, dltts, indist, lts, privacy, profiles, scenario, schema,
-                       values)
+from privtrace import (attack, cli, dltts, indist, lts, privacy, profiles, scenario,
+                       schema, values)
 from privtrace.metrics import IntervalMeasureMode
 from privtrace.schema import GROUPS, Row, TuplePattern
 from privtrace.records import Record
@@ -112,6 +112,8 @@ RECORDS = {
     scenario.Scenario: (("name", "schema", "tables", "externals", "mechanisms",
                          "dltts", "attack_dltts", "profiles", "baseline",
                          "declared_baseline", "runs", "analysis"), _pool(12)),
+    cli.Option: (("name", "kind", "help", "required", "choices", "default", "metavar"),
+                 _pool(7)),
 }
 
 # The default of each field that has one, as the hand-written `__init__`
@@ -130,6 +132,7 @@ DEFAULTS = {
     profiles.AttackerProfile: {"priors": None, "objective": "", "empirical": False},
     attack.ResponseEdge: {"assumed": False},
     attack.AttackDltts: {"off": frozenset()},
+    cli.Option: {"required": False, "choices": (), "default": None, "metavar": ""},
 }
 
 TWINS = {

@@ -1069,7 +1069,8 @@ def test_cli_a_key_error_is_a_bug_not_an_input_error(monkeypatch, capsys):
         def broken(scenario, args):
             raise error("no such entry")
 
-        monkeypatch.setitem(privtrace.cli._COMMANDS, "validate", broken)
+        _, about, options = privtrace.cli.COMMANDS["validate"]
+        monkeypatch.setitem(privtrace.cli.COMMANDS, "validate", (broken, about, options))
         with pytest.raises(error, match="no such entry"):
             cli_main(["validate", "--scenario", HOSPITAL])
         assert capsys.readouterr().err == ""
@@ -1367,6 +1368,14 @@ def _long_run_probability(doc):
     steps[4]["branches"][1]["prob"] = f"{n - 1}/{n}"
 
 
+def _long_branch_sum(step):
+    """Branches 1/A and 1/B, A = 10**4200 + 1 and B = 10**4200 + 3: each
+    reads within the digit limit, but their sum has about 8,400 digits."""
+    a = 10**4200 + 1
+    step["branches"][0]["prob"] = f"1/{a}"
+    step["branches"][1]["prob"] = f"1/{a + 2}"
+
+
 @pytest.mark.parametrize("scenario, change, argv, message", [
     ("hospital", _step_4(lambda step: step.update(action="delta")), ["analyze"],
      "scenario runs.trace.steps[4]: action 'delta' is reserved for the oracle's "
@@ -1400,6 +1409,8 @@ def _long_run_probability(doc):
      "file /sche\u0000ma.json: embedded null byte"),
     ("hospital", _long_run_probability, ["analyze"],
      "an exact number in the report has more than 4300 digits"),
+    ("hospital", _step_4(_long_branch_sum), ["analyze"], "scenario runs.trace.steps[4]: "
+     "branch probabilities from 's4' sum to a number too long to print, not 1"),
 ])
 def test_cli_refusals_exit_two_naming_their_place(tmp_path, scenario, change, argv,
                                                   message):
@@ -1407,8 +1418,9 @@ def test_cli_refusals_exit_two_naming_their_place(tmp_path, scenario, change, ar
     negative prior, a query level where some or all values have prior 0,
     priors that do not sum to 1 or name no column, a pair of one line id,
     a `dp-check` that names no mechanism and a file name holding a NUL
-    each exit 2 with one line naming where they are; a report number past
-    the interpreter's digit limit, with one line saying so."""
+    each exit 2 with one line naming where they are, as does a branch sum
+    too long to print; a report number past the interpreter's digit limit
+    exits 2 with one line saying so."""
     shutil.copytree(SCENARIOS / scenario, tmp_path, dirs_exist_ok=True)
     path = tmp_path / "scenario.json"
     doc = json.loads(path.read_text())
