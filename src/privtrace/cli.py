@@ -81,7 +81,7 @@ def _cmd_dp_check(scenario: Scenario | None, args) -> int:
     else:
         raise InputError("dp-check needs --mechanism-file, or --scenario plus --mechanism")
     report = Report(scenario.name if scenario else name)
-    bounded = dp_section(scenario, report, name, m, args.adjacency, args.mode)
+    bounded = dp_section(report, name, m, args.adjacency, args.mode)
     _emit(report.text())
     return 0 if bounded else 1
 

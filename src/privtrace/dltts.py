@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 # `parse_dltts` is not used here: the benchmark's tracer finds it under
 # this module's name.
@@ -37,8 +37,7 @@ from .lts import (DELTA, Branch, Dltts, Label, Transition, parse_dltts,
                   transition_problems)
 from .records import InputError, Record
 from .schema import ColumnSchema, DataTable, PrivacyPolicy, TOP, TuplePattern
-from .values import (ColumnClass, IntervalMeasureMode, Number, TaxonomyTree, Taxon,
-                     Wildcard)
+from .values import ColumnClass, IntervalMeasureMode, Number, Taxon, Wildcard
 
 if TYPE_CHECKING:
     from .privacy import Mechanism
@@ -56,18 +55,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _merged_taxonomies(
-    externals: Sequence[DataTable],
-    taxonomies: Mapping[str, TaxonomyTree] | None,
-) -> dict[str, TaxonomyTree]:
-    merged = dict(taxonomies or {})
-    for table in externals:
-        for name, tree in table.taxonomies.items():
-            merged.setdefault(name, tree)
-    return merged
-
-
-def _plan(columns, mask, table: DataTable, is_id, taxonomies):
+def _plan(columns, mask, table: DataTable, is_id):
     """What R1-R3 derive against one base from a premise over `columns`
     whose wildcards sit where `mask` is true, as a function of the
     premise's cells: the cells the base shares, the R1 key, the R3 join,
@@ -126,16 +114,15 @@ def _plan(columns, mask, table: DataTable, is_id, taxonomies):
     def derive(cells):
         for at, k, i, join, join_columns in moves:
             x = cells[k]
-            tree = taxonomies.get(x.tree) if isinstance(x, Taxon) else None
-            if tree is None:
+            if not isinstance(x, Taxon):
                 continue
             for row in table.rows_by(join_columns).get(
                     tuple(cells[m] for m in join) + one, ()):
                 y = row.cells[i]
                 if (
                     isinstance(y, Taxon)
-                    and y.tree == x.tree
-                    and tree.is_strict_descendant(y.node, x.node)
+                    and y.tree.name == x.tree.name
+                    and x.tree.is_strict_descendant(y.node, x.node)
                 ):
                     yield TuplePattern(columns, cells[:at] + (y,) + cells[at + 1:])
     return derive
@@ -146,7 +133,6 @@ def saturate(
     externals: Sequence[DataTable] = (),
     *,
     columns: Iterable[ColumnSchema] | None = None,
-    taxonomies: Mapping[str, TaxonomyTree] | None = None,
     closed: Tag = frozenset(),
     memo: dict[TuplePattern, tuple[TuplePattern, ...]] | None = None,
     plans: dict[tuple, tuple] | None = None,
@@ -160,16 +146,16 @@ def saturate(
     saturated tag); it never enters the first round.  `memo` maps a premise
     to what R1-R3 derive from it, and `plans` a premise's shape (its
     columns and wildcard mask) to its `_plan` against each base; a caller
-    may keep either across calls only while `externals`, `columns` and
-    `taxonomies` stay the same.
+    may keep either across calls only while `externals` and `columns` stay
+    the same.  R2 refines a taxon in the tree the taxon carries.
 
     Raises InputError if the fixpoint is not reached within `max_rounds`
     (which would signal a rule bug: the closure is finite by construction).
     """
     memo = {} if memo is None else memo
     plans = {} if plans is None else plans
-    # only a new plan reads the column groups and the trees
-    is_id = trees = None
+    # only a new plan reads the column groups
+    is_id = None
     current = set(tag)
     frontier = current - closed
     for _ in range(max_rounds + 1):
@@ -187,9 +173,8 @@ def saturate(
                         for col in [*(columns or ()),
                                     *(c for t in externals for c in t.columns)]:
                             is_id.setdefault(col.name, col.group == "identifier")
-                        trees = _merged_taxonomies(externals, taxonomies)
                     rules = plans[shape] = tuple(
-                        _plan(*shape, t, is_id, trees) for t in externals)
+                        _plan(*shape, t, is_id) for t in externals)
                 derived = memo[p] = tuple(q for rule in rules for q in rule(p.cells))
             new.update(derived)
         new -= current
@@ -247,17 +232,16 @@ def _is_knowledge(p: TuplePattern) -> bool:
     return not p.negative and bool(p.columns) and p.is_ground()
 
 
-def _secret_rho(knowledge, secrets, mode, taxonomies, at_most) -> Fraction | None:
+def _secret_rho(knowledge, secrets, mode, at_most) -> Fraction | None:
     """rho between the knowledge tuples and the secrets, over the pairs
     within `at_most`.  A DataTable stands for its rows, measured with its
     declared normalizers; a bare cell tuple has none."""
     from .metrics import rho
 
     found = [
-        rho(knowledge, s.rows, mode, taxonomies=taxonomies,
-            normalizer=s.normalizers, at_most=at_most)
+        rho(knowledge, s.rows, mode, normalizer=s.normalizers, at_most=at_most)
         if isinstance(s, DataTable)
-        else rho(knowledge, [s], mode, taxonomies=taxonomies, at_most=at_most)
+        else rho(knowledge, [s], mode, at_most=at_most)
         for s in secrets
     ]
     return min((r for r in found if r is not None), default=None)
@@ -276,8 +260,8 @@ class DlttsBuilder:
 
     A new state pays only for what it adds to its parent's saturated tag,
     which it contains.  Saturation reads one memo of each premise's R1-R3
-    results, valid because the externals, columns and taxonomies are fixed
-    for the builder's life.  Only a state whose verdict was `continue`
+    results, valid because the externals and columns are fixed for the
+    builder's life.  Only a state whose verdict was `continue`
     takes transitions, so a parent's saturated tag passed both checks and
     a child checks only the tuples it added: against the policy, and
     whether any added ground tuple lies within epsilon of a secret.  That
@@ -294,7 +278,6 @@ class DlttsBuilder:
         policy: PrivacyPolicy | None = None,
         externals: Sequence[DataTable] = (),
         columns: Iterable[ColumnSchema] | None = None,
-        taxonomies: Mapping[str, TaxonomyTree] | None = None,
         secrets: Iterable[Sequence | DataTable] | None = None,
         epsilon: Fraction | None = None,
         mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
@@ -302,7 +285,6 @@ class DlttsBuilder:
         self.policy = policy or PrivacyPolicy(())
         self.externals = tuple(externals)
         self.columns = tuple(columns or ())
-        self.taxonomies = _merged_taxonomies(self.externals, taxonomies)
         self.secrets = None if secrets is None else list(secrets)
         self.epsilon = epsilon
         self.mode = mode
@@ -347,8 +329,7 @@ class DlttsBuilder:
             self.oracle_step(b.to, parent_sat)
 
     def _saturate(self, tag: Tag, closed: Tag = frozenset()) -> Tag:
-        return saturate(tag, self.externals, columns=self.columns,
-                        taxonomies=self.taxonomies, closed=closed,
+        return saturate(tag, self.externals, columns=self.columns, closed=closed,
                         memo=self._derivations, plans=self._plans)
 
     def oracle_step(self, state: str, checked: Tag) -> None:
@@ -378,7 +359,7 @@ class DlttsBuilder:
         for cells in knowledge:
             if cells not in within:
                 within[cells] = _secret_rho([cells], self.secrets, self.mode,
-                                            self.taxonomies, self.epsilon) is not None
+                                            self.epsilon) is not None
         return any(within[cells] for cells in knowledge)
 
     def build(self) -> Dltts:

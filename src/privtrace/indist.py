@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .privacy import EpsilonResult, HammingAdjacency, Mechanism, _as_cells
 from .records import InputError, Record, parse_fraction
-from .values import IntervalMeasureMode, TaxonomyTree
+from .values import IntervalMeasureMode
 
 
 def _cmp(x, y) -> int:
@@ -177,7 +177,6 @@ class RhoAdjacency(Record):
     """Value-wise tuple distance rho under the selected interval mode."""
 
     mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET
-    taxonomies: Mapping[str, TaxonomyTree] | None = None
     normalizer: Fraction | Mapping[int, Fraction] | None = None
 
     def distance(self, a, b) -> Fraction | None:
@@ -187,7 +186,6 @@ class RhoAdjacency(Record):
             [_as_cells(a)],
             [_as_cells(b)],
             self.mode,
-            taxonomies=self.taxonomies,
             normalizer=self.normalizer,
         )
 
@@ -213,13 +211,12 @@ def min_eps_rho_indist(
     mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
     *,
     tuples: tuple | None = None,
-    taxonomies: Mapping[str, TaxonomyTree] | None = None,
     normalizer: Fraction | Mapping[int, Fraction] | None = None,
 ) -> EpsilonResult:
     """|ln(p/p')| / rho(t,t'): the rho-scaled minimal epsilon.  `tuples`
     supplies the value tuples when the mechanism inputs are opaque keys."""
     t, t2 = tuples if tuples is not None else (v, v2)
-    d = RhoAdjacency(mode, taxonomies, normalizer).distance(t, t2)
+    d = RhoAdjacency(mode, normalizer).distance(t, t2)
     if d is None:
         raise InputError("tuples are uncomparable; rho is undefined")
     return min_scaled_indist_epsilon(m, v, v2, alpha, d)

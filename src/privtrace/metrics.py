@@ -154,18 +154,18 @@ def corresponding(
 def _shape(cells: tuple[Value, ...]) -> tuple:
     """What a pair is planned by: each cell's class, a taxon's tree name in
     its place."""
-    return tuple(v.tree if v.__class__ is Taxon else v.__class__ for v in cells)
+    return tuple(v.tree.name if v.__class__ is Taxon else v.__class__ for v in cells)
 
 
 @lru_cache(maxsize=1024)
 def _plan(shape, shape2, normalizer) -> tuple | None:
     """How to measure two tuples of these shapes; None when they are
     uncomparable, `_NOT_CELLS` when a shape holds a non-value.  A plan is
-    the corresponding positions with each one's D, the positions whose
-    values need a check, in cell order (numerical ones with their D,
-    taxoral ones with their tree name), and the message of the first error
-    no value can avoid, which ends those checks.  `normalizer` is one D,
-    or a mapping's items as a tuple."""
+    the corresponding positions with each one's D, the numerical positions
+    with their D, whose values need a check, in cell order, and the message
+    of the first error no value can avoid, which ends those checks.  A
+    taxon holds a node of its own tree, so a taxoral position needs no
+    check.  `normalizer` is one D, or a mapping's items as a tuple."""
     kinds = [[_KINDS.get(s) if isinstance(s, type) else ColumnClass.TAXORAL
               for s in sh] for sh in (shape, shape2)]
     if None in kinds[0] + kinds[1]:
@@ -185,11 +185,9 @@ def _plan(shape, shape2, normalizer) -> tuple | None:
             if d <= 0:
                 return (), tuple(checks), "normalizer D must be positive"
             checks.append((i, j, d))
-        elif kind is ColumnClass.TAXORAL:
-            if shape[i] != shape2[j]:
-                return (), tuple(checks), (
-                    f"taxons from different trees: {shape[i]}, {shape2[j]}")
-            checks.append((i, j, shape[i]))
+        elif kind is ColumnClass.TAXORAL and shape[i] != shape2[j]:
+            return (), tuple(checks), (
+                f"taxons from different trees: {shape[i]}, {shape2[j]}")
         ops.append((i, j, d))
     return tuple(ops), tuple(checks), None
 
@@ -214,27 +212,21 @@ def _pairs(S, S2, normalizer):
             yield a, b, plan
 
 
-def _checked(plan, a, b, taxonomies) -> tuple:
-    """The positions `plan` measures, once the values of a and b passed
-    its checks in cell order and it holds no unavoidable error; raises
-    InputError at the first check that fails."""
+def _checked(plan, a, b) -> tuple:
+    """The positions `plan` measures, once the numerical values of a and b
+    passed its checks in cell order and it holds no unavoidable error;
+    raises InputError at the first check that fails."""
     ops, checks, error = plan
-    for i, j, arg in checks:
-        x, y = a[i], b[j]
-        if x.__class__ is Number:
-            diff = abs(x.value - y.value)
-            if diff > arg:
-                raise InputError(f"|x - x'| = {diff} exceeds the normalizer {arg}")
-        elif taxonomies is None or arg not in taxonomies:
-            raise InputError(f"no taxonomy named {arg!r} supplied")
-        else:
-            taxonomies[arg].depth(x.node), taxonomies[arg].depth(y.node)
+    for i, j, d in checks:
+        diff = abs(a[i].value - b[j].value)
+        if diff > d:
+            raise InputError(f"|x - x'| = {diff} exceeds the normalizer {d}")
     if error is not None:
         raise InputError(error)
     return ops
 
 
-def _term(x: Value, y: Value, mode, taxonomies, d) -> Fraction:
+def _term(x: Value, y: Value, mode, d) -> Fraction:
     """The per-class distance of two corresponding cells that passed
     `_checked`, with D the position's normalizer."""
     cls = x.__class__
@@ -243,7 +235,7 @@ def _term(x: Value, y: Value, mode, taxonomies, d) -> Fraction:
     if cls is Number:
         return abs(x.value - y.value) / d
     if cls is Taxon:
-        return d_wp(taxonomies[x.tree], x, y)
+        return d_wp(x.tree, x, y)
     return d_nom(x, y)
 
 
@@ -252,7 +244,6 @@ def d_vector(
     t2: Sequence[Value] | Row,
     mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
     *,
-    taxonomies: Mapping[str, TaxonomyTree] | None = None,
     normalizer: Fraction | Mapping[int, Fraction] | None = None,
 ) -> tuple[Fraction, ...]:
     """Column-wise distance vector over the corresponding cell pairs.
@@ -263,8 +254,7 @@ def d_vector(
     ((a, b, plan),) = _pairs((t,), (t2,), normalizer)
     if plan is None:
         raise InputError("uncomparable tuples")
-    return tuple(_term(a[i], b[j], mode, taxonomies, d)
-                 for i, j, d in _checked(plan, a, b, taxonomies))
+    return tuple(_term(a[i], b[j], mode, d) for i, j, d in _checked(plan, a, b))
 
 
 def d_bar(
@@ -272,13 +262,10 @@ def d_bar(
     t2: Sequence[Value] | Row,
     mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
     *,
-    taxonomies: Mapping[str, TaxonomyTree] | None = None,
     normalizer: Fraction | Mapping[int, Fraction] | None = None,
 ) -> Fraction:
     """Scalar tuple distance: the sum of the distance vector entries."""
-    return sum(
-        d_vector(t, t2, mode, taxonomies=taxonomies, normalizer=normalizer), _ZERO
-    )
+    return sum(d_vector(t, t2, mode, normalizer=normalizer), _ZERO)
 
 
 def hamming(t: Sequence[Value] | Row, t2: Sequence[Value] | Row) -> int | None:
@@ -296,7 +283,6 @@ def rho(
     S2: Iterable[Sequence[Value] | Row],
     mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
     *,
-    taxonomies: Mapping[str, TaxonomyTree] | None = None,
     normalizer: Fraction | Mapping[int, Fraction] | None = None,
     at_most: Fraction | None = None,
 ) -> Fraction | None:
@@ -316,9 +302,9 @@ def rho(
             continue
         bound = at_most if best is None else best
         total = _ZERO
-        for i, j, d in _checked(plan, a, b, taxonomies):
+        for i, j, d in _checked(plan, a, b):
             if a[i] != b[j]:  # every per-class distance is zero on equal values
-                term = _term(a[i], b[j], mode, taxonomies, d)
+                term = _term(a[i], b[j], mode, d)
                 total = term if total is _ZERO else total + term
                 if bound is not None and total > bound:
                     break

@@ -60,10 +60,9 @@ def parse_profile(name: str, doc, schema: SchemaBundle) -> AttackerProfile:
         if col_name not in columns:
             raise InputError(f"profile {name}: unknown column {col_name!r}")
         col = columns[col_name]
-        tree = schema.taxonomies.get(col.taxonomy_ref) if col.taxonomy_ref else None
         where = f"profile {name!r} priors.{col_name}"
         priors[col_name] = {
-            located(where, parse_cell, k, col.cls, tree):
+            located(where, parse_cell, k, col.cls, col.taxonomy):
                 located(f"{where}.{k}", parse_fraction, v)
             for k, v in table.items()
         }

@@ -17,7 +17,6 @@ from .records import InputError
 if TYPE_CHECKING:
     from .lts import Dltts
     from .privacy import Mechanism
-    from .scenario import Scenario
     from .values import IntervalMeasureMode
 
 
@@ -62,7 +61,6 @@ def parse_mode(name: str) -> IntervalMeasureMode:
 
 
 def dp_section(
-    scenario: Scenario | None,
     report: Report,
     name: str,
     m: Mechanism,
@@ -71,7 +69,7 @@ def dp_section(
 ) -> bool:
     """LDP and DP epsilon bounds with witnesses; returns False when either
     is unbounded.  Any adjacency other than "hamming" is rho under
-    `mode_name`, over the scenario's taxonomies (none without a scenario)."""
+    `mode_name`; a taxon input carries the tree it is measured in."""
     from . import privacy
 
     report.add(f"## dp-check {name}")
@@ -81,10 +79,9 @@ def dp_section(
     if adjacency == "hamming":
         adj = privacy.HammingAdjacency()
     else:
-        taxonomies = scenario.schema.taxonomies if scenario else {}
         from .indist import RhoAdjacency
 
-        adj = RhoAdjacency(parse_mode(mode_name), taxonomies=taxonomies)
+        adj = RhoAdjacency(parse_mode(mode_name))
     dp = privacy.min_dp_epsilon(m, adj)
     report.put(f"dp/{name}/dp/{adjacency}", dp, f"min DP epsilon ({adjacency}) = {dp}")
     report.add(f"  witness: {dp.witness_str()}")

@@ -147,9 +147,7 @@ def load_scenario(path: str | Path) -> Scenario:
             columns = parse_columns(tdoc["columns"], schema.taxonomies)
         else:
             columns = schema.columns
-        tables[name] = load_table(
-            read_text(base / tdoc["file"]), columns, schema.taxonomies, name
-        )
+        tables[name] = load_table(read_text(base / tdoc["file"]), columns, name)
 
     mechanisms = {}
     for name, mdoc in doc.get("mechanisms", {}).items():
@@ -212,7 +210,7 @@ def build_run(scenario: Scenario, run_name: str, *, epsilon: Fraction | None = N
     schema = scenario.schema
     builder = DlttsBuilder(policy=schema.policy, columns=schema.columns,
                            externals=scenario.external_tables(run.get("externals")),
-                           taxonomies=schema.taxonomies, secrets=secret,
+                           secrets=secret,
                            epsilon=epsilon, mode=mode)
     patterns = {}  # each distinct learn string, parsed once per run
     for i, step in enumerate(run.get("steps", [])):
@@ -222,7 +220,7 @@ def build_run(scenario: Scenario, run_name: str, *, epsilon: Fraction | None = N
             for k, t in enumerate(bdoc.get("learn", [])):
                 if t not in patterns:
                     patterns[t] = located(f"{where}.learn[{k}]", parse_pattern, t,
-                                          schema.columns, schema.taxonomies)
+                                          schema.columns)
             label = Label(bdoc.get("text", ""), frozenset(bdoc.get("lines", [])),
                           frozenset(patterns[t] for t in bdoc.get("learn", [])), "db")
             prob = located(f"{where}.prob", parse_fraction, bdoc["prob"])
@@ -422,7 +420,6 @@ def run_scenario(
         for mode_name in entry.get("modes", ["integer-set"]):
             rho_mode = parse_mode(mode_name)
             res = min_eps_rho_indist(m, a, b, alpha, rho_mode, tuples=tuples,
-                                     taxonomies=scenario.schema.taxonomies,
                                      normalizer=table.normalizers)
             report.put(f"scaled_indist/{entry['mechanism']}/{a}/{b}/rho/{rho_mode.value}",
                        res, f"rho-scaled min epsilon ({rho_mode.value}) = {res}")
@@ -465,7 +462,7 @@ def run_scenario(
 
     for entry in analysis.get("dp_check", []):
         name = entry["mechanism"]
-        dp_section(scenario, report, name, scenario.mechanism(name),
+        dp_section(report, name, scenario.mechanism(name),
                    entry.get("adjacency", "hamming"), entry.get("mode", "integer-set"))
         report.add()
 

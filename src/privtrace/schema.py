@@ -43,20 +43,21 @@ SCHEMA = {"columns": [COLUMN], "taxonomies": Names(TAXONOMY), "policy": [str]}
 
 
 class ColumnSchema(Record):
-    """One column: its name, value class, group, taxonomy (taxoral columns
-    only) and optional normalizer D (numerical columns only)."""
+    """One column: its name, value class, group, the taxonomy tree its
+    cells are nodes of (taxoral columns only) and optional normalizer D
+    (numerical columns only)."""
 
     name: str
     cls: ColumnClass
     group: str
-    taxonomy_ref: str | None = None
+    taxonomy: TaxonomyTree | None = None
     normalizer: Fraction | None = None
 
     def _check(self) -> None:
         name = self.name
         if self.group not in GROUPS:
             raise InputError(f"column {name}: unknown group {self.group!r}")
-        if (self.taxonomy_ref is not None) != (self.cls is ColumnClass.TAXORAL):
+        if (self.taxonomy is not None) != (self.cls is ColumnClass.TAXORAL):
             raise InputError(
                 f"column {name}: taxonomy reference is required exactly "
                 f"for taxoral columns"
@@ -78,13 +79,12 @@ class Row(Record):
 
 
 class DataTable(Record):
-    """A named table of rows over a column schema, with the taxonomies its
-    taxoral cells refer to (empty when left out)."""
+    """A named table of rows over a column schema; a taxoral cell carries
+    its own tree."""
 
     name: str
     columns: tuple[ColumnSchema, ...]
     rows: tuple[Row, ...]
-    taxonomies: Mapping[str, TaxonomyTree] | None = None
 
     def _check(self) -> None:
         name, columns = self.name, self.columns
@@ -104,8 +104,6 @@ class DataTable(Record):
                         f"table {name}: row {row.line_id}, column {col.name}: "
                         f"{cell!r} does not match class {col.cls.value}"
                     )
-        if self.taxonomies is None:
-            object.__setattr__(self, "taxonomies", {})
 
     @cached_property
     def column_positions(self) -> dict[str, int]:
@@ -260,7 +258,8 @@ def _parse_taxonomy(name: str, doc: Mapping) -> TaxonomyTree:
 def parse_columns(
     docs: Iterable[Mapping], taxonomies: Mapping[str, TaxonomyTree]
 ) -> tuple[ColumnSchema, ...]:
-    """The columns that COLUMN documents describe."""
+    """The columns that COLUMN documents describe, each taxoral one with
+    the tree it names."""
     cols = []
     for doc in docs:
         name = doc["name"]
@@ -279,7 +278,7 @@ def parse_columns(
                 name=name,
                 cls=cls,
                 group=doc.get("group", "quasi-identifier"),
-                taxonomy_ref=ref,
+                taxonomy=None if ref is None else taxonomies[ref],
                 normalizer=norm,
             )
         )
@@ -302,7 +301,7 @@ def load_schema(config_text: str) -> SchemaBundle:
     patterns = []
     for i, text in enumerate(doc.get("policy", [])):
         try:
-            patterns.append(parse_pattern(text, columns, taxonomies, force_negative=True))
+            patterns.append(parse_pattern(text, columns, force_negative=True))
         except InputError as exc:
             raise InputError(f"schema policy[{i}]: {exc}") from None
     return SchemaBundle(columns, taxonomies, PrivacyPolicy(tuple(patterns)))
@@ -311,7 +310,6 @@ def load_schema(config_text: str) -> SchemaBundle:
 def parse_pattern(
     text: str,
     columns: Sequence[ColumnSchema],
-    taxonomies: Mapping[str, TaxonomyTree],
     force_negative: bool = False,
 ) -> TuplePattern:
     """Parse `(John,*,M,*,CoVid)` positionally over `columns`; a leading
@@ -333,8 +331,7 @@ def parse_pattern(
         if part in ("*", "⋆"):
             cells.append(STAR)
         else:
-            tree = taxonomies.get(col.taxonomy_ref) if col.taxonomy_ref else None
-            cells.append(parse_cell(part, col.cls, tree))
+            cells.append(parse_cell(part, col.cls, col.taxonomy))
     return TuplePattern(
         tuple(c.name for c in columns), tuple(cells), negative or force_negative
     )
@@ -343,13 +340,11 @@ def parse_pattern(
 def load_table(
     csv_text: str,
     columns: Sequence[ColumnSchema],
-    taxonomies: Mapping[str, TaxonomyTree] | None = None,
     name: str = "table",
 ) -> DataTable:
     """Load a CSV table against a schema.  The header row must name the
     schema columns; an extra leading column named line/line_id/id supplies
     row line ids, otherwise l1..lN are generated."""
-    taxonomies = taxonomies or {}
     try:
         rows = [r for r in csv.reader(io.StringIO(csv_text)) if any(f.strip() for f in r)]
     except csv.Error as exc:
@@ -380,15 +375,14 @@ def load_table(
             )
         cells = []
         for text, col in zip(raw, columns):
-            tree = taxonomies.get(col.taxonomy_ref) if col.taxonomy_ref else None
             try:
-                cells.append(parse_cell(text, col.cls, tree))
+                cells.append(parse_cell(text, col.cls, col.taxonomy))
             except InputError as exc:
                 raise InputError(
                     f"table {name}: row {line_id}, column {col.name}: {exc}"
                 ) from exc
         out.append(Row(line_id, tuple(cells)))
-    table = DataTable(name, tuple(columns), tuple(out), taxonomies)
+    table = DataTable(name, tuple(columns), tuple(out))
     for col in columns:
         if col.cls is ColumnClass.NUMERICAL and col.normalizer is not None:
             idx = table.column_index(col.name)

@@ -21,7 +21,6 @@ def metric_section(scenario: Scenario, report: Report, table_name: str, pairs,
     from .metrics import d_vector, hamming
 
     table = scenario.table(table_name)
-    taxonomies = scenario.schema.taxonomies
     normalizer = table.normalizers
     all_defined = True
     for a, b in pairs:
@@ -32,7 +31,7 @@ def metric_section(scenario: Scenario, report: Report, table_name: str, pairs,
             report.add(f"## metric {table_name} {a} {b} ({mode.value})")
             prefix = f"metric/{table_name}/{a}/{b}/{mode.value}"
             try:
-                vec = d_vector(ra, rb, mode, taxonomies=taxonomies, normalizer=normalizer)
+                vec = d_vector(ra, rb, mode, normalizer=normalizer)
             except InputError:
                 all_defined = False
                 report.add("uncomparable pair")

@@ -114,18 +114,24 @@ class Number(Record):
 
 
 class Taxon(Record):
-    """A node of the taxonomy tree named `tree`."""
+    """A node of the taxonomy tree `tree`, the tree it is measured and
+    refined in.  Taxons compare by tree name and node, so the cells of two
+    loads of one scenario are equal."""
 
-    tree: str
+    tree: TaxonomyTree
     node: str
+
+    def _check(self) -> None:
+        if self.node not in self.tree:
+            raise InputError(f"node {self.node!r} not in taxonomy {self.tree.name}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self.tree == other.tree and self.node == other.node
+            return self.tree.name == other.tree.name and self.node == other.node
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.tree, self.node))
+        return hash((self.tree.name, self.node))
 
     def __str__(self) -> str:
         return self.node
@@ -194,6 +200,9 @@ class TaxonomyTree:
                 node = self.parent[node]
             for n in reversed(chain):
                 self._depth[n] = self._depth[self.parent[n]] + 1
+
+    def __repr__(self) -> str:  # a taxon's repr names its tree, not an address
+        return f"<TaxonomyTree {self.name!r}>"
 
     def __contains__(self, node: str) -> bool:
         return node in self.nodes
@@ -282,9 +291,7 @@ def parse_cell(
     # ColumnClass.TAXORAL, the one class left
     if tree is None:
         raise InputError("taxoral cell requires a taxonomy")
-    if text not in tree:
-        raise InputError(f"node {text!r} not in taxonomy {tree.name}")
-    return Taxon(tree.name, text)
+    return Taxon(tree, text)
 
 
 def render_cell(cell: Cell) -> str:

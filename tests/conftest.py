@@ -22,8 +22,3 @@ def enterprise() -> Scenario:
 @pytest.fixture(scope="session")
 def published(hospital):
     return hospital.table("published")
-
-
-@pytest.fixture(scope="session")
-def ailment_tree(hospital):
-    return hospital.schema.taxonomies["ailment"]

@@ -23,7 +23,6 @@ from privtrace.dltts import (
     OracleVerdict,
     Tag,
     _is_knowledge,
-    _merged_taxonomies,
     check_consistency,
 )
 from privtrace.lts import DELTA, Branch, Dltts, Label, Transition
@@ -53,7 +52,6 @@ from privtrace.values import (
     IntInterval,
     Number,
     Taxon,
-    TaxonomyTree,
     Value,
     Wildcard,
     render_cell,
@@ -66,11 +64,11 @@ def cell_distance(
     v2: Value,
     mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
     *,
-    taxonomies: Mapping[str, TaxonomyTree] | None = None,
     normalizer: Fraction | None = None,
 ) -> Fraction:
     """The per-class metric of one corresponding cell pair, each operand
-    checked as it is reached."""
+    checked as it is reached; a taxon pair is measured in the first
+    taxon's tree."""
     if isinstance(v, (Atom, AtomSet)) and isinstance(v2, (Atom, AtomSet)):
         return d_nom(v, v2)
     if isinstance(v, IntInterval) and isinstance(v2, IntInterval):
@@ -80,11 +78,10 @@ def cell_distance(
             raise InputError("numerical cells need an explicit normalizer D")
         return d_eucl(v, v2, normalizer)
     if isinstance(v, Taxon) and isinstance(v2, Taxon):
-        if v.tree != v2.tree:
-            raise InputError(f"taxons from different trees: {v.tree}, {v2.tree}")
-        if taxonomies is None or v.tree not in taxonomies:
-            raise InputError(f"no taxonomy named {v.tree!r} supplied")
-        return d_wp(taxonomies[v.tree], v, v2)
+        if v.tree.name != v2.tree.name:
+            raise InputError(
+                f"taxons from different trees: {v.tree.name}, {v2.tree.name}")
+        return d_wp(v.tree, v, v2)
     raise InputError(f"no distance between {v!r} and {v2!r}")
 
 
@@ -102,7 +99,6 @@ def d_vector(
     t2: Sequence[Value] | Row,
     mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
     *,
-    taxonomies: Mapping[str, TaxonomyTree] | None = None,
     normalizer: Fraction | Mapping[int, Fraction] | None = None,
 ) -> tuple[Fraction, ...]:
     """The distance vector, one `cell_distance` per corresponding pair."""
@@ -113,7 +109,7 @@ def d_vector(
     per_pair = isinstance(normalizer, Mapping)
     return tuple(
         cell_distance(
-            a[i], b[j], mode, taxonomies=taxonomies,
+            a[i], b[j], mode,
             normalizer=normalizer.get(j) if per_pair else normalizer,
         )
         for i, j in pairs
@@ -137,7 +133,6 @@ def rho(
     S2: Iterable[Sequence[Value] | Row],
     mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
     *,
-    taxonomies: Mapping[str, TaxonomyTree] | None = None,
     normalizer: Fraction | Mapping[int, Fraction] | None = None,
 ) -> Fraction | None:
     """min { d̄(t,t') : t in S, t' in S' } over type-compatible pairs, each
@@ -147,7 +142,7 @@ def rho(
         for t2 in S2:
             if type_compatible(t, t2) is None:
                 continue
-            d = d_bar(t, t2, mode, taxonomies=taxonomies, normalizer=normalizer)
+            d = d_bar(t, t2, mode, normalizer=normalizer)
             if best is None or d < best:
                 best = d
     return best
@@ -187,7 +182,6 @@ def _derive(
     table: DataTable,
     count_col: str | None,
     is_id: Mapping[str, bool],
-    taxonomies: Mapping[str, TaxonomyTree],
 ) -> Iterable[TuplePattern]:
     """The tuples R1-R3 derive from the one premise p against one base,
     through the base's cached row groupings."""
@@ -210,10 +204,9 @@ def _derive(
                 yield _merge(p, table, matches[0])
         return
     # R2: count-1 rows agreeing on every other shared column move a taxon
-    # cell down to their strictly deeper node.
+    # cell down to their strictly deeper node, in the taxon's own tree.
     for c, x in shared:
-        tree = taxonomies.get(x.tree) if isinstance(x, Taxon) else None
-        if tree is None:
+        if not isinstance(x, Taxon):
             continue
         join = [
             (jc, v) for jc, v in zip(p.columns, p.cells)
@@ -226,8 +219,8 @@ def _derive(
             y = row.cells[positions[c]]
             if (
                 isinstance(y, Taxon)
-                and y.tree == x.tree
-                and tree.is_strict_descendant(y.node, x.node)
+                and y.tree.name == x.tree.name
+                and x.tree.is_strict_descendant(y.node, x.node)
             ):
                 yield replace_cell(p, c, y)
 
@@ -236,16 +229,14 @@ def derivations(
     p: TuplePattern,
     externals: Sequence[DataTable],
     columns: Iterable[ColumnSchema] | None = None,
-    taxonomies: Mapping[str, TaxonomyTree] | None = None,
 ) -> tuple[TuplePattern, ...]:
     """What R1-R3 derive from the premise p against every base, in order,
-    with the identifier columns and trees `saturate` reads."""
+    with the identifier columns `saturate` reads."""
     is_id: dict[str, bool] = {}
     for col in [*(columns or ()), *(c for t in externals for c in t.columns)]:
         is_id.setdefault(col.name, col.group == "identifier")
-    trees = _merged_taxonomies(externals, taxonomies)
     return tuple(q for table in externals
-                 for q in _derive(p, table, _count_column(table), is_id, trees))
+                 for q in _derive(p, table, _count_column(table), is_id))
 
 
 def oracle_verdict(
@@ -254,8 +245,6 @@ def oracle_verdict(
     secret_set: Iterable[Sequence | DataTable] | None = None,
     epsilon: Fraction | None = None,
     mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
-    *,
-    taxonomies: Mapping[str, TaxonomyTree] | None = None,
 ) -> OracleVerdict:
     """The oracle's ruling on a whole saturated tag: the policy check first,
     then rho <= epsilon between its knowledge tuples and the secrets, armed
@@ -267,10 +256,9 @@ def oracle_verdict(
     if epsilon is not None and secret_set is not None:
         knowledge = [p.cells for p in saturated_tag if _is_knowledge(p)]
         found = [
-            rho(knowledge, s.rows, mode, taxonomies=taxonomies,
-                normalizer=s.normalizers)
+            rho(knowledge, s.rows, mode, normalizer=s.normalizers)
             if isinstance(s, DataTable)
-            else rho(knowledge, [s], mode, taxonomies=taxonomies)
+            else rho(knowledge, [s], mode)
             for s in secret_set
         ]
         r = min((r for r in found if r is not None), default=None)

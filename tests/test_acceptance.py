@@ -58,21 +58,17 @@ def _ok(n: int, what: str) -> None:
     print(f"[acceptance] criterion {n}: PASS: {what}")
 
 
-def test_criterion_1_metric_modes(hospital, published):
-    taxo = hospital.schema.taxonomies
+def test_criterion_1_metric_modes(published):
     l4, l5 = published.row("l4"), published.row("l5")
-    assert rho([l4], [l5], PC, taxonomies=taxo) == F(39, 20)
-    assert rho([l4], [l5], IS, taxonomies=taxo) == F(41, 21)
+    assert rho([l4], [l5], PC) == F(39, 20)
+    assert rho([l4], [l5], IS) == F(41, 21)
     _ok(1, "rho(l4,l5) = 39/20 paper-compat, 41/21 integer-set")
 
 
 def test_criterion_2_scaled_epsilon_values(hospital, published):
-    taxo = hospital.schema.taxonomies
     m = hospital.mechanism("viral_query")
     tuples = (published.row("l4"), published.row("l5"))
-    res = min_eps_rho_indist(
-        m, "l4", "l5", "Viral-Infection", PC, tuples=tuples, taxonomies=taxo
-    )
+    res = min_eps_rho_indist(m, "l4", "l5", "Viral-Infection", PC, tuples=tuples)
     assert math.isclose(res.value, F(20, 39) * math.log(2), abs_tol=1e-9)
     assert res.exact_str() == "(20/39)*ln(2/1)"
     ham = min_eps_hamming_indist(m, "l4", "l5", "Viral-Infection", tuples=tuples)
@@ -219,7 +215,7 @@ def _random_comparable_pair(rng: random.Random, tree: TaxonomyTree):
             return IntInterval(*sorted(rng.randint(0, 50) for _ in range(2)))
         if kind == 2:
             return Number(F(rng.randint(0, 100)))
-        return Taxon("t", rng.choice(nodes))
+        return Taxon(tree, rng.choice(nodes))
 
     return tuple(cell(k) for k in kinds), tuple(cell(k) for k in kinds)
 
@@ -233,10 +229,10 @@ def test_criterion_8c_rho_below_hamming_battery():
         tree = _random_tree(rng, max_nodes=8)
         t, t2 = _random_comparable_pair(rng, tree)
         dh = hamming(t, t2)
-        r = rho([t], [t2], IS, taxonomies={"t": tree}, normalizer=F(100))
+        r = rho([t], [t2], IS, normalizer=F(100))
         assert dh is not None and r is not None
         assert r <= dh
-        vec = d_vector(t, t2, IS, taxonomies={"t": tree}, normalizer=F(100))
+        vec = d_vector(t, t2, IS, normalizer=F(100))
         for entry, a, b in zip(vec, t, t2):
             assert entry <= (1 if a != b else 0)
         if t != t2 and dh > 0:
@@ -249,9 +245,7 @@ def test_criterion_8c_rho_below_hamming_battery():
                 "pairm",
                 {t: {"o": p, "x": 1 - p}, t2: {"o": q, "x": 1 - q}},
             )
-            e_rho = min_eps_rho_indist(
-                m, t, t2, "o", IS, taxonomies={"t": tree}, normalizer=F(100)
-            )
+            e_rho = min_eps_rho_indist(m, t, t2, "o", IS, normalizer=F(100))
             e_ham = min_eps_hamming_indist(m, t, t2, "o")
             if r == 0:
                 assert e_rho.unbounded or e_rho.value == 0
@@ -353,10 +347,13 @@ def test_criterion_8e_ldp_oracle_battery():
     _ok(8, f"pointwise LDP scan matches the independent oracle on {cases} mechanisms")
 
 
+# The drawn taxons carry their own random trees; saturation reads only
+# the column groups here.
 _SAT_COLUMNS = (
     ColumnSchema("Name", ColumnClass.NOMINAL, "identifier"),
     ColumnSchema("Dept", ColumnClass.NOMINAL, "quasi-identifier"),
-    ColumnSchema("Ailment", ColumnClass.TAXORAL, "sensitive", taxonomy_ref="t"),
+    ColumnSchema("Ailment", ColumnClass.TAXORAL, "sensitive",
+                 taxonomy=TaxonomyTree("t", "n0", {})),
 )
 
 
@@ -365,13 +362,12 @@ def _random_tag_and_bases(rng: random.Random):
     nodes = sorted(tree.nodes)
     names = ["John", "Joan"]
     depts = ["Phys", "Chem"]
-    taxo = {"t": tree}
 
     def pattern():
         cells = (
             rng.choice([STAR, Atom(rng.choice(names))]),
             rng.choice([STAR, Atom(rng.choice(depts))]),
-            rng.choice([STAR, Taxon("t", rng.choice(nodes))]),
+            rng.choice([STAR, Taxon(tree, rng.choice(nodes))]),
         )
         return TuplePattern(("Name", "Dept", "Ailment"), cells)
 
@@ -388,12 +384,11 @@ def _random_tag_and_bases(rng: random.Random):
             Row(f"r{i}", (Atom(rng.choice(names)), Atom(rng.choice(depts))))
             for i in range(rng.randint(1, 2))
         ),
-        taxo,
     )
     count_cols = (
         ColumnSchema("Dept", ColumnClass.NOMINAL, "quasi-identifier"),
         ColumnSchema("Count", ColumnClass.NUMERICAL, "quasi-identifier"),
-        ColumnSchema("Ailment", ColumnClass.TAXORAL, "sensitive", taxonomy_ref="t"),
+        ColumnSchema("Ailment", ColumnClass.TAXORAL, "sensitive", taxonomy=tree),
     )
     counts = DataTable(
         "counts",
@@ -404,28 +399,25 @@ def _random_tag_and_bases(rng: random.Random):
                 (
                     Atom(rng.choice(depts)),
                     Number(F(rng.randint(0, 2))),
-                    Taxon("t", rng.choice(nodes)),
+                    Taxon(tree, rng.choice(nodes)),
                 ),
             )
             for i in range(rng.randint(0, 2))
         ),
-        taxo,
     )
     externals = [t for t in (records, counts) if rng.random() < 0.8]
-    return tag, extra, externals, taxo
+    return tag, extra, externals
 
 
 def test_criterion_8f_saturation_battery():
     rng = random.Random(85)
     cases = 0
     for _ in range(CASES):
-        tag, extra, externals, taxo = _random_tag_and_bases(rng)
-        sat = saturate(tag, externals, columns=_SAT_COLUMNS, taxonomies=taxo)
-        again = saturate(sat, externals, columns=_SAT_COLUMNS, taxonomies=taxo)
+        tag, extra, externals = _random_tag_and_bases(rng)
+        sat = saturate(tag, externals, columns=_SAT_COLUMNS)
+        again = saturate(sat, externals, columns=_SAT_COLUMNS)
         assert again == sat
-        bigger = saturate(
-            tag | extra, externals, columns=_SAT_COLUMNS, taxonomies=taxo
-        )
+        bigger = saturate(tag | extra, externals, columns=_SAT_COLUMNS)
         assert sat <= bigger
         cases += 1
     assert cases >= CASES

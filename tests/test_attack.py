@@ -135,8 +135,7 @@ def test_build_attack_a_thresholds(enterprise, responses):
 
 def test_build_attack_single_attribute_single_row(enterprise):
     cols = enterprise.table("responses").columns
-    taxo = enterprise.schema.taxonomies
-    table = load_table("Line,Sex,Age,Response\nl1,F,[30-40],2\n", cols, taxo, "t")
+    table = load_table("Line,Sex,Age,Response\nl1,F,[30-40],2\n", cols, "t")
     profile = AttackerProfile("tiny", ("Sex",), {"Sex": {Atom("F"): F(1)}})
     attack = build_attack_dltts(table, profile)
     assert len(attack.responses) == 1

@@ -49,10 +49,7 @@ def pub_pattern(hospital):
     published = hospital.table("published")
 
     def make(text, negative=False):
-        return parse_pattern(
-            text, published.columns, hospital.schema.taxonomies,
-            force_negative=negative,
-        )
+        return parse_pattern(text, published.columns, force_negative=negative)
 
     return make
 
@@ -60,9 +57,7 @@ def pub_pattern(hospital):
 @pytest.fixture(scope="module")
 def main_pattern(hospital):
     def make(text):
-        return parse_pattern(
-            text, hospital.schema.columns, hospital.schema.taxonomies
-        )
+        return parse_pattern(text, hospital.schema.columns)
 
     return make
 
@@ -97,7 +92,7 @@ def test_saturate_count_above_one_does_not_refine(hospital, pub_pattern):
     )
     table = load_table(
         "Dept,Gender,Count,Ailment\nPhysics,M,2,CoVid\n",
-        cols, hospital.schema.taxonomies, "counts2",
+        cols, "counts2",
     )
     tag = frozenset({pub_pattern("([40-50],M,Physics,Viral-Infection)")})
     assert saturate(tag, [table]) == tag
@@ -114,7 +109,7 @@ def staff_table(hospital):
     )
     return load_table(
         "Name,Dept\nJohn,Physics\nJoan,Chemistry\n",
-        cols, hospital.schema.taxonomies, "staff",
+        cols, "staff",
     )
 
 
@@ -195,7 +190,6 @@ def _mini_builder(hospital, **kwargs):
         policy=hospital.schema.policy,
         externals=[hospital.table("covid_cases")],
         columns=hospital.schema.columns,
-        taxonomies=hospital.schema.taxonomies,
         **kwargs,
     )
 
@@ -237,7 +231,6 @@ def test_oracle_epsilon_violation(hospital):
     b = DlttsBuilder(
         policy=PrivacyPolicy(()),
         columns=published.columns,
-        taxonomies=hospital.schema.taxonomies,
         secrets=[l5.cells],
         epsilon=F(0),
     )
@@ -253,8 +246,7 @@ def test_oracle_epsilon_check_reads_only_positive_tuples(hospital):
     published = hospital.table("published")
     l5 = published.row("l5")
     pattern = TuplePattern(tuple(c.name for c in published.columns), l5.cells)
-    b = DlttsBuilder(columns=published.columns, taxonomies=hospital.schema.taxonomies,
-                     secrets=[l5.cells], epsilon=F(0))
+    b = DlttsBuilder(columns=published.columns, secrets=[l5.cells], epsilon=F(0))
     b.add_transition("s0", "query", [
         ("s1", F(1, 2), Label(tuples=frozenset({pattern}))),
         ("s2", F(1, 2), Label(tuples=frozenset({pattern.replace(negative=True)}))),
@@ -262,8 +254,8 @@ def test_oracle_epsilon_check_reads_only_positive_tuples(hospital):
     for state, verdict in [("s1", OracleVerdict.EPSILON_VIOLATION),
                            ("s2", OracleVerdict.CONTINUE)]:
         assert b.verdicts[state] is verdict
-        assert oracle_verdict(b.saturated[state], b.policy, [l5.cells], F(0),
-                              taxonomies=b.taxonomies) is verdict
+        assert oracle_verdict(b.saturated[state], b.policy, [l5.cells],
+                              F(0)) is verdict
 
 
 def test_oracle_rejects_stop(hospital):

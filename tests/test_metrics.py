@@ -116,60 +116,55 @@ def _rows(published):
     return {r.line_id: r for r in published.rows}
 
 
-def test_d_vector_published_l4_l5(published, ailment_tree):
+def test_d_vector_published_l4_l5(published):
     rows = _rows(published)
-    taxo = {"ailment": ailment_tree}
-    vec = d_vector(rows["l4"], rows["l5"], PC, taxonomies=taxo)
+    vec = d_vector(rows["l4"], rows["l5"], PC)
     assert vec == (F(19, 20), 0, 1, 0)
-    assert d_vector(rows["l4"], rows["l4"], PC, taxonomies=taxo) == (0, 0, 0, 0)
-    vec_is = d_vector(rows["l1"], rows["l3"], IS, taxonomies=taxo)
+    assert d_vector(rows["l4"], rows["l4"], PC) == (0, 0, 0, 0)
+    vec_is = d_vector(rows["l1"], rows["l3"], IS)
     # per-column direct evaluation; the last entry is d_wp of depth-2 nodes
     assert vec_is == (0, 0, 1, F(1, 2))
 
 
-def test_d_bar_published(published, ailment_tree):
+def test_d_bar_published(published):
     rows = _rows(published)
-    taxo = {"ailment": ailment_tree}
-    assert d_bar(rows["l4"], rows["l5"], PC, taxonomies=taxo) == F(39, 20)
-    assert d_bar(rows["l4"], rows["l5"], IS, taxonomies=taxo) == F(41, 21)
-    assert d_bar(rows["l4"], rows["l4"], IS, taxonomies=taxo) == 0
+    assert d_bar(rows["l4"], rows["l5"], PC) == F(39, 20)
+    assert d_bar(rows["l4"], rows["l5"], IS) == F(41, 21)
+    assert d_bar(rows["l4"], rows["l4"], IS) == 0
 
 
-def test_rho_published(published, ailment_tree):
+def test_rho_published(published):
     rows = _rows(published)
-    taxo = {"ailment": ailment_tree}
-    assert rho([rows["l4"]], [rows["l5"]], PC, taxonomies=taxo) == F(39, 20)
+    assert rho([rows["l4"]], [rows["l5"]], PC) == F(39, 20)
     S = [rows["l1"], rows["l2"]]
-    assert rho(S, S, IS, taxonomies=taxo) == 0
+    assert rho(S, S, IS) == 0
     # brute force over the four pairs froze this minimum (pair l2/l5)
-    assert rho(S, [rows["l4"], rows["l5"]], IS, taxonomies=taxo) == F(3, 2)
+    assert rho(S, [rows["l4"], rows["l5"]], IS) == F(3, 2)
 
 
-def test_rho_brute_force_agreement(published, ailment_tree):
+def test_rho_brute_force_agreement(published):
     rows = list(published.rows)
-    taxo = {"ailment": ailment_tree}
     S, S2 = rows[:3], rows[2:]
     expected = min(
-        d_bar(a, b, IS, taxonomies=taxo) for a in S for b in S2
+        d_bar(a, b, IS) for a in S for b in S2
     )
-    assert rho(S, S2, IS, taxonomies=taxo) == expected
+    assert rho(S, S2, IS) == expected
 
 
 def test_rho_uncomparable_is_none():
     assert rho([(Atom("a"),)], [(Number(1),)]) is None
 
 
-def test_rho_symmetric_and_min_property(published, ailment_tree):
+def test_rho_symmetric_and_min_property(published):
     from privtrace.metrics import d_bar as _d_bar
 
     rows = list(published.rows)
-    taxo = {"ailment": ailment_tree}
     S, S2 = rows[:2], rows[3:]
-    r = rho(S, S2, IS, taxonomies=taxo)
-    assert r == rho(S2, S, IS, taxonomies=taxo)
+    r = rho(S, S2, IS)
+    assert r == rho(S2, S, IS)
     for a in S:
         for b in S2:
-            assert r <= _d_bar(a, b, IS, taxonomies=taxo)
+            assert r <= _d_bar(a, b, IS)
 
 
 def test_hamming_partial_metric_cases():
@@ -184,13 +179,12 @@ def test_hamming_published_l4_l5(published):
     assert hamming(rows["l4"], rows["l5"]) == 2
 
 
-def test_domination_d_bar_below_hamming(published, ailment_tree):
-    taxo = {"ailment": ailment_tree}
+def test_domination_d_bar_below_hamming(published):
     rows = list(published.rows)
     for a in rows:
         for b in rows:
             dh = hamming(a, b)
-            assert d_bar(a, b, IS, taxonomies=taxo) <= dh
+            assert d_bar(a, b, IS) <= dh
 
 
 sets = st.sets(st.sampled_from("abcdef"), min_size=1, max_size=6).map(AtomSet)
@@ -247,8 +241,7 @@ _TREES = (TaxonomyTree("t", "n0", {"n1": "n0", "n2": "n0", "n3": "n1", "n4": "n3
 
 def _random_tuple(rng, trees):
     """A tuple of 1-4 cells of random kinds: numbers that may lie beyond
-    a normalizer, taxons of either tree and now and then a node in
-    neither."""
+    a normalizer, and taxons of either tree."""
     cells = []
     for _ in range(rng.randint(1, 4)):
         kind = rng.randrange(4)
@@ -263,8 +256,7 @@ def _random_tuple(rng, trees):
             cells.append(Number(F(rng.randint(0, 6), rng.choice((1, 2)))))
         else:
             tree = rng.choice(trees)
-            node = "zz" if rng.random() < 0.05 else rng.choice(sorted(tree.nodes))
-            cells.append(Taxon(tree.name, node))
+            cells.append(Taxon(tree, rng.choice(sorted(tree.nodes))))
     return tuple(cells)
 
 
@@ -296,16 +288,14 @@ def test_bounded_rho_matches_the_whole_sum_reference():
     from reference import rho as whole_sum_rho
 
     rng = random.Random(1515)
-    t, u = _TREES
     seen = {"raised": 0, "uncomparable": 0, "within": 0, "beyond": 0}
     for _ in range(3000):
-        S = [_random_tuple(rng, (t, u)) for _ in range(rng.randint(1, 3))]
-        S2 = [_random_tuple(rng, (t, u)) for _ in range(rng.randint(1, 3))]
+        S = [_random_tuple(rng, _TREES) for _ in range(rng.randint(1, 3))]
+        S2 = [_random_tuple(rng, _TREES) for _ in range(rng.randint(1, 3))]
         if rng.random() < 0.3:
             S2 = [Row(f"r{k}", cells) for k, cells in enumerate(S2)]
         mode = rng.choice((IS, PC))
-        kw = {"taxonomies": rng.choice((None, {"t": t}, {"t": t, "u": u})),
-              "normalizer": _random_normalizer(rng)}
+        kw = {"normalizer": _random_normalizer(rng)}
         expected = _rho_outcome(whole_sum_rho, S, S2, mode, **kw)
         for bound in (None, F(-1), F(0), F(1, 2), F(1), F(2), F(7, 2)):
             got = _rho_outcome(rho, S, S2, mode, at_most=bound, **kw)
@@ -328,7 +318,6 @@ def test_planned_distances_match_the_per_cell_reference():
     import reference
 
     rng = random.Random(1717)
-    t, u = _TREES
     seen = {"raised": 0, "value": 0}
     for _ in range(1000):
         a, b = _random_tuple(rng, _TREES), _random_tuple(rng, _TREES)
@@ -339,8 +328,7 @@ def test_planned_distances_match_the_per_cell_reference():
         if rng.random() < 0.3:
             b = Row("r", b)
         mode = rng.choice((IS, PC))
-        kw = {"taxonomies": rng.choice((None, {"t": t}, {"t": t, "u": u})),
-              "normalizer": _random_normalizer(rng)}
+        kw = {"normalizer": _random_normalizer(rng)}
         for fn, ref in ((d_vector, reference.d_vector), (d_bar, reference.d_bar)):
             expected = _rho_outcome(ref, a, b, mode, **kw)
             assert _rho_outcome(fn, a, b, mode, **kw) == expected

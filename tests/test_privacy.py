@@ -540,8 +540,7 @@ def test_unit_scans_grow_as_inputs_times_outputs():
     assert ldp == dp and ldp.ratio > 1
 
 
-def test_min_dp_rho_published_pair(published, hospital, viral):
-    taxo = hospital.schema.taxonomies
+def test_min_dp_rho_published_pair(published, viral):
     l4, l5 = published.row("l4"), published.row("l5")
     m = Mechanism.from_rows(
         "viral_rows",
@@ -550,15 +549,14 @@ def test_min_dp_rho_published_pair(published, hospital, viral):
             l5.cells: {"Viral-Infection": "2/3", "no-answer": "1/3"},
         },
     )
-    res = min_dp_epsilon(m, RhoAdjacency(PC, taxonomies=taxo))
+    res = min_dp_epsilon(m, RhoAdjacency(PC))
     assert res.scale == F(20, 39) and res.ratio == 2
 
 
-def test_min_eps_rho_indist_published(published, hospital, viral):
-    taxo = hospital.schema.taxonomies
+def test_min_eps_rho_indist_published(published, viral):
     tuples = (published.row("l4"), published.row("l5"))
     res = min_eps_rho_indist(
-        viral, "l4", "l5", "Viral-Infection", PC, tuples=tuples, taxonomies=taxo
+        viral, "l4", "l5", "Viral-Infection", PC, tuples=tuples
     )
     assert res.scale == F(20, 39) and res.ratio == 2
     assert math.isclose(res.value, F(20, 39) * math.log(2), abs_tol=1e-9)
@@ -566,7 +564,7 @@ def test_min_eps_rho_indist_published(published, hospital, viral):
     assert h.scale == F(1, 2) and h.ratio == 2
     same = min_eps_rho_indist(
         viral, "l4", "l4", "Viral-Infection", PC,
-        tuples=(tuples[0], tuples[0]), taxonomies=taxo,
+        tuples=(tuples[0], tuples[0]),
     )
     assert same.value == 0
 
@@ -591,20 +589,18 @@ def test_scaled_indist_at_distance_zero_or_undefined(viral):
                                tuples=((Atom("a"),), (Number(1),)))
 
 
-def test_rho_never_exceeds_hamming_on_published(published, hospital):
-    taxo = hospital.schema.taxonomies
+def test_rho_never_exceeds_hamming_on_published(published):
     rows = list(published.rows)
     for a, b in combinations(rows, 2):
         dh = hamming(a, b)
-        r = rho([a], [b], IS, taxonomies=taxo)
+        r = rho([a], [b], IS)
         assert r is not None and dh is not None
         assert r <= dh
 
 
-def test_dp_bound_finer_under_rho_than_hamming(published, hospital):
+def test_dp_bound_finer_under_rho_than_hamming(published):
     # rho <= d_h per pair, so the minimal epsilon scaled by rho dominates
     # the Hamming-scaled one: satisfying the rho bound implies the other
-    taxo = hospital.schema.taxonomies
     rows = {r.line_id: r for r in published.rows}
     m = Mechanism.from_rows(
         "rows",
@@ -614,18 +610,17 @@ def test_dp_bound_finer_under_rho_than_hamming(published, hospital):
             rows["l2"].cells: {"VI": "1/6", "no": "5/6"},
         },
     )
-    dp_rho = min_dp_epsilon(m, RhoAdjacency(IS, taxonomies=taxo))
+    dp_rho = min_dp_epsilon(m, RhoAdjacency(IS))
     dp_ham = min_dp_epsilon(m, HammingAdjacency())
     assert dp_rho.value >= dp_ham.value
 
 
-def test_rho_indist_implies_hamming_indist(published, hospital, viral):
+def test_rho_indist_implies_hamming_indist(published, viral):
     # scaled by a smaller distance means a larger minimal epsilon, hence any
     # epsilon satisfying the rho bound satisfies the hamming bound
-    taxo = hospital.schema.taxonomies
     tuples = (published.row("l4"), published.row("l5"))
     r = min_eps_rho_indist(
-        viral, "l4", "l5", "Viral-Infection", IS, tuples=tuples, taxonomies=taxo
+        viral, "l4", "l5", "Viral-Infection", IS, tuples=tuples
     )
     h = min_eps_hamming_indist(viral, "l4", "l5", "Viral-Infection", tuples=tuples)
     assert h.value <= r.value

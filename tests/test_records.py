@@ -21,7 +21,7 @@ from privtrace import (attack, cli, dltts, indist, lts, privacy, profiles, scena
 from privtrace.metrics import IntervalMeasureMode
 from privtrace.schema import GROUPS, Row, TuplePattern
 from privtrace.records import Record
-from privtrace.values import STAR, Atom, ColumnClass
+from privtrace.values import STAR, Atom, ColumnClass, TaxonomyTree
 
 CASES = 300
 
@@ -39,11 +39,15 @@ def _interval(rng):
     return (lo, lo + rng.randint(0, 1))
 
 
+# The tree of every drawn taxon and taxoral column.
+TREE = TaxonomyTree("t", "r", {"a": "r", "b": "r"})
+
+
 def _column(rng):
     cls = rng.choice(list(ColumnClass))
     numerical = cls is ColumnClass.NUMERICAL
     return (rng.choice("ab"), cls, rng.choice(GROUPS),
-            "t" if cls is ColumnClass.TAXORAL else None,
+            TREE if cls is ColumnClass.TAXORAL else None,
             F(rng.randint(1, 2)) if numerical and rng.random() < 0.5 else None)
 
 
@@ -67,13 +71,9 @@ def _profile(rng):
             rng.choice(("", "o")), rng.random() < 0.5)
 
 
-def _mapping(rng):
-    return rng.choice(({}, {"s": F(1)}, {"s": F(1, 2)}))
-
-
 def _table(rng):
     rows = tuple(Row(f"l{i}", ()) for i in range(rng.randint(0, 2)))
-    return (rng.choice("ab"), (), rows, _mapping(rng))
+    return (rng.choice("ab"), (), rows)
 
 
 # Every record class: its fields, in order, and a draw of valid values.
@@ -83,11 +83,11 @@ RECORDS = {
                      lambda rng: (frozenset(rng.sample("abc", rng.randint(1, 2))),)),
     values.IntInterval: (("lo", "hi"), _interval),
     values.Number: (("value",), lambda rng: (F(rng.randint(0, 2), 2),)),
-    values.Taxon: (("tree", "node"), _pool(2)),
-    schema.ColumnSchema: (("name", "cls", "group", "taxonomy_ref", "normalizer"),
+    values.Taxon: (("tree", "node"), lambda rng: (TREE, rng.choice("rab"))),
+    schema.ColumnSchema: (("name", "cls", "group", "taxonomy", "normalizer"),
                           _column),
     schema.Row: (("line_id", "cells"), _pool(2)),
-    schema.DataTable: (("name", "columns", "rows", "taxonomies"), _table),
+    schema.DataTable: (("name", "columns", "rows"), _table),
     schema.TuplePattern: (("columns", "cells", "negative"), _pattern),
     schema.PrivacyPolicy: (("patterns",),
                            lambda rng: (tuple(TuplePattern(*_pattern(rng, True))
@@ -102,7 +102,7 @@ RECORDS = {
     privacy.EpsilonResult: (("scale", "ratio", "unbounded", "both_zero", "witness"),
                             _pool(5)),
     privacy.HammingAdjacency: ((), _pool(0)),
-    indist.RhoAdjacency: (("mode", "taxonomies", "normalizer"), _pool(3)),
+    indist.RhoAdjacency: (("mode", "normalizer"), _pool(2)),
     profiles.AttackerProfile: (("name", "attribute_order", "priors", "objective",
                               "empirical"), _profile),
     attack.ResponseEdge: (("node", "line", "value", "target", "assumed"), _pool(5)),
@@ -119,8 +119,7 @@ RECORDS = {
 # The default of each field that has one, as the hand-written `__init__`
 # signatures that the one constructor replaced declared them.
 DEFAULTS = {
-    schema.ColumnSchema: {"taxonomy_ref": None, "normalizer": None},
-    schema.DataTable: {"taxonomies": None},
+    schema.ColumnSchema: {"taxonomy": None, "normalizer": None},
     schema.TuplePattern: {"negative": False},
     lts.Label: {"text": "", "lines": frozenset(), "tuples": frozenset(),
                   "source": "db"},
@@ -128,16 +127,20 @@ DEFAULTS = {
     privacy.EpsilonResult: {"scale": None, "ratio": None, "unbounded": False,
                             "both_zero": False, "witness": None},
     indist.RhoAdjacency: {"mode": IntervalMeasureMode.INTEGER_SET,
-                           "taxonomies": None, "normalizer": None},
+                           "normalizer": None},
     profiles.AttackerProfile: {"priors": None, "objective": "", "empirical": False},
     attack.ResponseEdge: {"assumed": False},
     attack.AttackDltts: {"off": frozenset()},
     cli.Option: {"required": False, "choices": (), "default": None, "metavar": ""},
 }
 
+# A taxon hashes by its tree's name, not the tree, so that the cells of two
+# loads of one scenario are equal; its twin over the one tree `TREE` does too.
 TWINS = {
-    cls: dataclasses.make_dataclass(cls.__name__, [(f, object) for f in fields],
-                                    frozen=True)
+    cls: dataclasses.make_dataclass(
+        cls.__name__, [(f, object) for f in fields], frozen=True,
+        namespace={"__hash__": lambda self: hash((self.tree.name, self.node))}
+        if cls is values.Taxon else None)
     for cls, (fields, _) in RECORDS.items()
 }
 

@@ -53,14 +53,6 @@ def _column_registry(externals, columns):
     return registry
 
 
-def _merged_taxonomies(externals, taxonomies):
-    merged = dict(taxonomies or {})
-    for table in externals:
-        for name, tree in table.taxonomies.items():
-            merged.setdefault(name, tree)
-    return merged
-
-
 def _column_names(table):
     return tuple(c.name for c in table.columns)
 
@@ -116,7 +108,7 @@ def _r1_join(p, table, registry):
     return out
 
 
-def _r2_refine(p, table, taxonomies):
+def _r2_refine(p, table):
     count_col = _count_column(table)
     if count_col is None:
         return []
@@ -125,17 +117,14 @@ def _r2_refine(p, table, taxonomies):
     for c, x in p.concrete_items():
         if not isinstance(x, Taxon) or c not in table_cols:
             continue
-        tree = taxonomies.get(x.tree)
-        if tree is None:
-            continue
         join_cols = [
             jc for jc in p.columns if jc in table_cols and jc not in (c, count_col)
         ]
         for row in table.rows:
             y = _row_cell(table, row, c)
-            if not isinstance(y, Taxon) or y.tree != x.tree:
+            if not isinstance(y, Taxon) or y.tree.name != x.tree.name:
                 continue
-            if not tree.is_strict_descendant(y.node, x.node):
+            if not x.tree.is_strict_descendant(y.node, x.node):
                 continue
             count = _row_cell(table, row, count_col)
             if not isinstance(count, Number) or count.value != 1:
@@ -179,10 +168,8 @@ def _r3_link(p, table, registry):
     return [_merge(p, table, matches[0])]
 
 
-def naive_saturate(tag, externals=(), *, columns=None, taxonomies=None,
-                   max_rounds=1000):
+def naive_saturate(tag, externals=(), *, columns=None, max_rounds=1000):
     registry = _column_registry(externals, columns)
-    trees = _merged_taxonomies(externals, taxonomies)
     current = set(tag)
     for _ in range(max_rounds + 1):
         new = set()
@@ -191,7 +178,7 @@ def naive_saturate(tag, externals=(), *, columns=None, taxonomies=None,
                 continue
             for table in externals:
                 for rule in (_r1_join(p, table, registry),
-                             _r2_refine(p, table, trees),
+                             _r2_refine(p, table),
                              _r3_link(p, table, registry)):
                     new.update(q for q in rule if q not in current)
         if not new:
@@ -202,11 +189,14 @@ def naive_saturate(tag, externals=(), *, columns=None, taxonomies=None,
 
 # -- random tags and bases ----------------------------------------------------
 
+# A column's tree is the one its loader parses cells in; the cells drawn
+# here are built directly and carry the random trees they are nodes of.
 COLUMNS = (
     ColumnSchema("Name", ColumnClass.NOMINAL, "identifier"),
     ColumnSchema("Dept", ColumnClass.NOMINAL, "quasi-identifier"),
     ColumnSchema("Age", ColumnClass.NUMERVAL, "quasi-identifier"),
-    ColumnSchema("Ailment", ColumnClass.TAXORAL, "sensitive", taxonomy_ref="t"),
+    ColumnSchema("Ailment", ColumnClass.TAXORAL, "sensitive",
+                 taxonomy=TaxonomyTree("t", "n0", {})),
 )
 _BY_NAME = {c.name: c for c in COLUMNS}
 _COUNT = ColumnSchema("Count", ColumnClass.NUMERICAL, "quasi-identifier")
@@ -229,7 +219,7 @@ def _value(rng, column, trees):
         return rng.choice(AGES)
     # mostly tree t; sometimes a taxon from another tree
     tree = trees["t"] if rng.random() < 0.85 else trees["u"]
-    return Taxon(tree.name, rng.choice(sorted(tree.nodes)))
+    return Taxon(tree, rng.choice(sorted(tree.nodes)))
 
 
 def _pattern(rng, trees, *, ground=False, negative=False):
@@ -255,9 +245,6 @@ def _random_tag(rng, trees):
 def _random_bases(rng, trees):
     """A record base (no Count column; R1 and R3 read it), sometimes a
     second one, and a count base (R2 reads it)."""
-    taxonomies = {"t": trees["t"]}
-    if rng.random() < 0.5:
-        taxonomies["u"] = trees["u"]
     bases = []
     for k in range(rng.randint(1, 2)):
         names = [c for c in ("Name", "Dept", "Age", "Ailment") if rng.random() < 0.6]
@@ -268,7 +255,7 @@ def _random_bases(rng, trees):
             Row(f"r{i}", tuple(_value(rng, c, trees) for c in names))
             for i in range(rng.randint(0, 4))
         )
-        bases.append(DataTable(f"records{k}", cols, rows, taxonomies))
+        bases.append(DataTable(f"records{k}", cols, rows))
     names = [c for c in ("Dept", "Age") if rng.random() < 0.7] + ["Count", "Ailment"]
     cols = tuple(_COUNT if c == "Count" else _BY_NAME[c] for c in names)
     rows = tuple(
@@ -278,7 +265,7 @@ def _random_bases(rng, trees):
         ))
         for i in range(rng.randint(0, 5))
     )
-    bases.append(DataTable("counts", cols, rows, taxonomies))
+    bases.append(DataTable("counts", cols, rows))
     rng.shuffle(bases)
     return [b for b in bases if rng.random() < 0.9]
 
@@ -308,8 +295,7 @@ def test_semi_naive_saturation_matches_the_naive_fixpoint():
     for _ in range(CASES):
         trees = {"t": _random_tree(rng, "t"), "u": _random_tree(rng, "u")}
         bases = _random_bases(rng, trees)
-        kw = {"columns": COLUMNS if rng.random() < 0.7 else None,
-              "taxonomies": {"t": trees["t"]} if rng.random() < 0.5 else None}
+        kw = {"columns": COLUMNS if rng.random() < 0.7 else None}
         a, b = _random_tag(rng, trees), _random_tag(rng, trees)
         rounds = rng.choice([0, 1, 2, 1000])
         assert _outcome(saturate, a | b, bases, max_rounds=rounds, **kw) == (
@@ -431,7 +417,7 @@ def test_incremental_builder_matches_oracle_verdict_and_naive_closure():
         )
         secrets = config["secrets"]
         builder = DlttsBuilder(
-            policy=policy, externals=bases, columns=COLUMNS, taxonomies={"t": tree},
+            policy=policy, externals=bases, columns=COLUMNS,
             **{**config, "secrets": None if secrets is None else iter(secrets)},
         )
         for step in range(rng.randint(1, 8)):
@@ -458,12 +444,10 @@ def test_incremental_builder_matches_oracle_verdict_and_naive_closure():
                     tags[b.to] = builder.saturated[t.source] | b.label.tuples
         assert builder.verdicts.keys() == builder.saturated.keys() == tags.keys()
         for state, tag in tags.items():
-            assert builder.saturated[state] == naive_saturate(
-                tag, bases, columns=COLUMNS, taxonomies={"t": tree}
-            )
+            assert builder.saturated[state] == naive_saturate(tag, bases, columns=COLUMNS)
             expected = oracle_verdict(
                 builder.saturated[state], policy, config["secrets"],
-                config["epsilon"], config["mode"], taxonomies=builder.taxonomies,
+                config["epsilon"], config["mode"],
             )
             assert builder.verdicts[state] is expected
             verdicts[expected] += 1
@@ -475,7 +459,7 @@ def test_incremental_builder_matches_oracle_verdict_and_naive_closure():
         assert validate(built) == []
         assert reach_stop(built) == oracle_reach_stop(built)
         derived += _derived_as_the_reference(
-            builder._derivations, bases, columns=COLUMNS, taxonomies={"t": tree})
+            builder._derivations, bases, columns=COLUMNS)
     assert min(verdicts.values()) > 20, verdicts
     assert derived > BUILDS
 

@@ -24,6 +24,7 @@ from privtrace.profiles import PROFILE
 from privtrace.records import MAX_DECIMAL_EXPONENT, InputError, Names, Required
 from privtrace.scenario import SCENARIO, build_run, load_scenario, parse_mode, run_scenario
 from privtrace.schema import SCHEMA
+from privtrace.values import Taxon
 
 from conftest import SCENARIOS
 from reference import oracle_verdict
@@ -95,7 +96,7 @@ def test_cli_analyze_oracle_uses_the_given_mode(capsys, monkeypatch, hospital, m
     expected = {}
     for state, tag in builder.saturated.items():
         verdict = oracle_verdict(tag, hospital.schema.policy, secret, F("1.951"),
-                                 parse_mode(mode), taxonomies=hospital.schema.taxonomies)
+                                 parse_mode(mode))
         if verdict is not OracleVerdict.CONTINUE:
             expected[state] = verdict.value
     assert reported == expected
@@ -1429,6 +1430,57 @@ def test_cli_refusals_exit_two_naming_their_place(tmp_path, scenario, change, ar
     done = _cli_process(*argv, "--scenario", str(path))
     assert done.returncode == 2
     assert done.stderr == f"error: {message}\n"
+
+
+def _replace_in(name, old, new):
+    """An edit of the copied hospital scenario's file `name`."""
+    def edit(root):
+        path = root / name
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_replace_in("published.csv", "Heart-Disease", "Heart-Diseas"),
+     "table published: row l1, column Ailment: node 'Heart-Diseas' not in "
+     "taxonomy ailment"),
+    (_replace_in("schema.json", "!(John,*,*,*,CoVid)", "!(John,*,*,*,Plague)"),
+     "schema policy[0]: node 'Plague' not in taxonomy ailment"),
+    (_replace_in("scenario.json", "(John,*,F,*,*)", "(John,*,F,*,Plague)"),
+     "scenario runs.trace.steps[0].branches[0].learn[0]: node 'Plague' not in "
+     "taxonomy ailment"),
+    (_replace_in("scenario.json", '"runs":',
+                 '"profiles": {"P": {"attribute_order": ["Gender"], '
+                 '"priors": {"Ailment": {"Plague": "1"}}}}, "runs":'),
+     "profile 'P' priors.Ailment: node 'Plague' not in taxonomy ailment"),
+])
+def test_cli_an_out_of_tree_node_exits_two_naming_its_place(tmp_path, edit, message):
+    """A taxoral cell is checked against its column's tree wherever one is
+    parsed: a table cell, a policy pattern, a run's learned pattern and a
+    profile prior each exit 2 with one line naming the place and the node."""
+    shutil.copytree(SCENARIOS / "hospital", tmp_path, dirs_exist_ok=True)
+    edit(tmp_path)
+    for command in ("analyze", "validate"):
+        done = _cli_process(command, "--scenario", str(tmp_path / "scenario.json"))
+        assert done.returncode == 2
+        assert done.stderr == f"error: {message}\n"
+
+
+def test_cells_of_two_loads_compare_equal_and_hash_alike():
+    """Each load builds its own trees, and its taxons carry them; cells
+    still compare by tree name and node, so two loads' rows are equal."""
+    first, second = load_scenario(HOSPITAL), load_scenario(HOSPITAL)
+    tree1, tree2 = (s.schema.taxonomies["ailment"] for s in (first, second))
+    assert tree1 is not tree2
+    for name in ("published", "secret", "covid_cases"):
+        rows1, rows2 = first.table(name).rows, second.table(name).rows
+        assert rows1 == rows2
+        assert [hash(r.cells) for r in rows1] == [hash(r.cells) for r in rows2]
+        taxons = [c for r in rows1 for c in r.cells if isinstance(c, Taxon)]
+        assert taxons and all(c.tree is tree1 for c in taxons)
+    assert first.schema.policy == second.schema.policy
 
 
 @pytest.mark.parametrize("scenario, argv, message", [

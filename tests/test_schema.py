@@ -53,6 +53,8 @@ def test_load_schema_running_example():
     assert bundle.columns[0].group == "identifier"
     assert bundle.columns[4].cls is ColumnClass.TAXORAL
     tree = bundle.taxonomies["ailment"]
+    assert bundle.columns[4].taxonomy is tree
+    assert all(c.taxonomy is None for c in bundle.columns[:4])
     assert tree.root == "Ailment"
     assert tree.depth("Viral-Infection") == 2
     assert tree.depth("CoVid") == 3
@@ -106,6 +108,8 @@ AILMENT_CHILDREN = SCHEMA_DOC["taxonomies"]["ailment"]["children"]
     (_schema_with("columns", value=[*SCHEMA_DOC["columns"], {
         "name": "Score", "class": "numerical", "group": "sensitive", "normalizer": "0"}]),
      "column Score: normalizer must be positive"),
+    (_schema_with("columns", 2, "normalizer", value="10"),
+     "column Gender: normalizer only applies to numerical columns"),
     (_schema_with("taxonomies", "ailment", "children", "Ailment",
                   value=["Heart-Disease", "Cancer", "Viral-Infection", "Flu"]),
      "taxonomy ailment: node 'Flu' has two parents"),
@@ -128,7 +132,7 @@ def test_policy_and_table_records_check_their_parts(bundle):
     """What the loaders cannot produce, the records refuse when built
     directly: a positive policy pattern, a row of the wrong arity, a cell
     of the wrong class."""
-    pattern = parse_pattern("(John,*,*,*,CoVid)", bundle.columns, bundle.taxonomies)
+    pattern = parse_pattern("(John,*,*,*,CoVid)", bundle.columns)
     with pytest.raises(InputError, match="^privacy policy patterns must be negative$"):
         PrivacyPolicy((pattern,))
     columns = bundle.columns[2:4]
@@ -165,7 +169,7 @@ def _published(bundle):
         "l4,[50-60],M,Maths,Viral-Infection\n"
         "l5,[40-50],M,Physics,Viral-Infection\n"
     )
-    return load_table(csv_text, columns, bundle.taxonomies, "published")
+    return load_table(csv_text, columns, "published")
 
 
 def test_load_table_published_row(bundle):
@@ -175,7 +179,7 @@ def test_load_table_published_row(bundle):
         IntInterval(50, 60),
         Atom("M"),
         Atom("Maths"),
-        Taxon("ailment", "Viral-Infection"),
+        Taxon(bundle.taxonomies["ailment"], "Viral-Infection"),
     )
 
 
@@ -184,7 +188,7 @@ def test_load_table_secret_numerval_single(bundle):
         "Name,Age,Gender,Dept,Ailment\n"
         "Joan,24,F,Chemistry,Heart-Disease\n"
     )
-    table = load_table(csv_text, bundle.columns, bundle.taxonomies, "secret")
+    table = load_table(csv_text, bundle.columns, "secret")
     assert table.rows[0].cells[1] == IntInterval(24, 24)
     assert table.rows[0].line_id == "l1"
 
@@ -192,26 +196,23 @@ def test_load_table_secret_numerval_single(bundle):
 def test_load_table_errors(bundle):
     for text in ("", "\n , \n"):
         with pytest.raises(InputError, match="^table table: empty CSV$"):
-            load_table(text, bundle.columns, bundle.taxonomies)
+            load_table(text, bundle.columns)
     with pytest.raises(InputError):  # header mismatch
-        load_table("X,Y\n1,2\n", bundle.columns, bundle.taxonomies)
+        load_table("X,Y\n1,2\n", bundle.columns)
     with pytest.raises(InputError):  # arity
         load_table(
             "Name,Age,Gender,Dept,Ailment\nJoan,24,F\n",
             bundle.columns,
-            bundle.taxonomies,
         )
     with pytest.raises(InputError):  # node not in tree
         load_table(
             "Name,Age,Gender,Dept,Ailment\nJoan,24,F,Chemistry,Plague\n",
             bundle.columns,
-            bundle.taxonomies,
         )
     with pytest.raises(InputError):  # duplicate line id
         load_table(
             "Line,Age,Gender,Dept,Ailment\nl1,24,F,Chem,Flu\nl1,25,M,Chem,Flu\n",
             [c for c in bundle.columns if c.name != "Name"],
-            bundle.taxonomies,
         )
 
 
@@ -223,9 +224,9 @@ def test_numerical_normalizer_validated_at_load(bundle):
           "normalizer": "10"}],
         {},
     )
-    load_table("Score\n1\n9\n", cols, {}, "ok")  # spread 8 <= 10
+    load_table("Score\n1\n9\n", cols, "ok")  # spread 8 <= 10
     with pytest.raises(InputError):
-        load_table("Score\n1\n20\n", cols, {}, "bad")  # spread 19 > 10
+        load_table("Score\n1\n20\n", cols, "bad")  # spread 19 > 10
 
 
 def render_table(table) -> str:
@@ -240,7 +241,7 @@ def render_table(table) -> str:
 
 def test_table_round_trip(bundle):
     table = _published(bundle)
-    again = load_table(render_table(table), table.columns, bundle.taxonomies, "published")
+    again = load_table(render_table(table), table.columns, "published")
     assert again.rows == table.rows
 
 
@@ -248,7 +249,7 @@ def test_policy_running_example_through_check_consistency(bundle):
     """A policy pattern is confirmed only by equal cells at every concrete
     position; an all-wildcard one by any positive tuple."""
     def pattern(text, negative=False):
-        return parse_pattern(text, bundle.columns, bundle.taxonomies, negative)
+        return parse_pattern(text, bundle.columns, negative)
 
     aline = pattern("(Aline,23,F,Physics,Flu)")
     covid_any = PrivacyPolicy((pattern("(*,*,*,*,CoVid)", negative=True),))

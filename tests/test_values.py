@@ -149,9 +149,32 @@ def test_taxonomy_root_cannot_have_parent():
 
 def test_taxon_parse_checks_membership():
     tree = TaxonomyTree("t", "root", {"leaf": "root"})
-    assert parse_cell("leaf", ColumnClass.TAXORAL, tree) == Taxon("t", "leaf")
-    with pytest.raises(ValueError):
+    cell = parse_cell("leaf", ColumnClass.TAXORAL, tree)
+    assert cell == Taxon(tree, "leaf") and cell.tree is tree
+    with pytest.raises(InputError, match="^node 'nope' not in taxonomy t$"):
         parse_cell("nope", ColumnClass.TAXORAL, tree)
+
+
+def test_taxon_refuses_a_node_outside_its_tree():
+    tree = TaxonomyTree("t", "root", {"leaf": "root"})
+    with pytest.raises(InputError, match="^node 'x' not in taxonomy t$"):
+        Taxon(tree, "x")
+    # the root and a leaf are both nodes of the tree
+    assert [Taxon(tree, n).node for n in ("root", "leaf")] == ["root", "leaf"]
+
+
+def test_taxons_compare_by_tree_name_and_node():
+    """Two trees of one name, as two loads of one scenario make: their
+    taxons of one node are equal, hash alike and print alike; another name
+    or node is another taxon."""
+    t1 = TaxonomyTree("t", "root", {"leaf": "root"})
+    t2 = TaxonomyTree("t", "root", {"leaf": "root"})
+    other = TaxonomyTree("u", "root", {"leaf": "root"})
+    assert Taxon(t1, "leaf") == Taxon(t2, "leaf")
+    assert hash(Taxon(t1, "leaf")) == hash(Taxon(t2, "leaf"))
+    assert repr(Taxon(t1, "leaf")) == "Taxon(tree=<TaxonomyTree 't'>, node='leaf')"
+    assert Taxon(t1, "leaf") != Taxon(other, "leaf")
+    assert Taxon(t1, "leaf") != Taxon(t2, "root")
 
 
 @pytest.mark.parametrize("text, cls, message", [
