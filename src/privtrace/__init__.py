@@ -17,13 +17,14 @@ _LAZY = {
         "schema": "ColumnSchema DataTable PrivacyPolicy Row SchemaBundle TOP "
         "TuplePattern load_schema load_table parse_pattern",
         "metrics": "d_bar d_eucl d_nom d_num d_vector d_wp hamming rho",
-        "lts": "DELTA Dltts Label parse_dltts",
-        "dltts": "DlttsBuilder OracleVerdict Run check_consistency "
-        "epsilon_equivalent_labels reach_stop saturate validate",
+        "lts": "DELTA Dltts Label",
+        "transcript": "parse_dltts",
+        "dltts": "DlttsBuilder OracleVerdict Run check_consistency reach_stop saturate "
+        "validate",
         "privacy": "EpsilonResult HammingAdjacency Mechanism min_dp_epsilon "
         "min_ldp_epsilon",
-        "indist": "RhoAdjacency is_eps_indistinguishable min_eps_hamming_indist "
-        "min_eps_rho_indist min_indist_epsilon parse_epsilon",
+        "indist": "RhoAdjacency epsilon_equivalent_labels is_eps_indistinguishable "
+        "min_eps_hamming_indist min_eps_rho_indist min_indist_epsilon parse_epsilon",
         "attack": "AttackDltts apply_strategy load_attack_dltts max_pr threshold_report",
         "profiles": "AttackerProfile build_attack_dltts",
         "dotexport": "export_dot",

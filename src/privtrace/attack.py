@@ -15,8 +15,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
-from .lts import Branch, Dltts, Label, Transition, parse_dltts, transition_problems
+from .lts import Branch, Dltts, Label, Transition, transition_problems
 from .records import InputError, Record
+from .transcript import parse_dltts
 
 
 def _priority_key(probs: Iterable[Fraction]) -> tuple[Fraction, ...]:

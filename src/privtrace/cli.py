@@ -14,6 +14,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .records import InputError, Record, read_json, read_text
+from .report import Report, dp_section, emit
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -23,36 +24,17 @@ if TYPE_CHECKING:
 INPUT_ERRORS = (OSError, InputError)
 
 
-def _emit(text: str) -> None:
-    try:
-        sys.stdout.write(text)
-    except UnicodeEncodeError as exc:  # a lone surrogate, from a JSON escape
-        raise InputError(str(exc)) from None
-
-
-def _cmd_metric(scenario: Scenario, args) -> int:
-    from .sections import Report, metric_section
-
-    table = args.table or scenario.analysis.get("metric", {}).get("table")
-    if table is None:
-        raise InputError("no table given and the scenario names none")
-    report = Report(scenario.name)
-    ok = metric_section(scenario, report, table, [tuple(args.pair)], [args.mode])
-    _emit(report.text())
-    return 0 if ok else 1
-
-
 def _cmd_analyze(scenario: Scenario, args) -> int:
     from .scenario import parse_mode, run_scenario
 
     epsilon = None
     if args.epsilon:
-        from .sections import oracle_bound
+        from .dltts import oracle_bound
 
         epsilon = oracle_bound(args.epsilon, args.secret)
     report = run_scenario(scenario, epsilon=epsilon, secret=args.secret or None,
                           mode=parse_mode(args.mode))
-    _emit(report.text())
+    emit(report.text())
     if args.dot:
         from .dotexport import write_dot
 
@@ -68,7 +50,6 @@ def _cmd_analyze(scenario: Scenario, args) -> int:
 
 def _cmd_dp_check(scenario: Scenario | None, args) -> int:
     from .privacy import Mechanism
-    from .report import Report, dp_section
 
     if args.mechanism_file:
         path = Path(args.mechanism_file)
@@ -82,93 +63,18 @@ def _cmd_dp_check(scenario: Scenario | None, args) -> int:
         raise InputError("dp-check needs --mechanism-file, or --scenario plus --mechanism")
     report = Report(scenario.name if scenario else name)
     bounded = dp_section(report, name, m, args.adjacency, args.mode)
-    _emit(report.text())
+    emit(report.text())
     return 0 if bounded else 1
 
 
-def _cmd_attack(scenario: Scenario, args) -> int:
-    from .scenario import Report, attack_section
+def _in_commands(handler: str):
+    """The handler `handler` of `commands`, which is imported when it runs,
+    so that no report path compiles that module."""
+    def run(scenario: Scenario, args) -> int:
+        from . import commands
 
-    report = Report(scenario.name)
-    found = False
-    for name in args.attacker:
-        attack, has_thresholds = attack_section(scenario, report, name, built=args.built)
-        found = has_thresholds or found
-        if args.built:
-            from .profiles import attack_problems
-
-            for prob in attack_problems(attack, scenario.attack_table()):
-                report.add(f"INVALID: {prob}")
-        if args.dot:
-            from .dotexport import write_dot
-
-            write_dot(args.dot, attack.dltts, name, args.attacker)
-    _emit(report.text())
-    return 0 if found else 1
-
-
-def _cmd_strategy(scenario: Scenario, args) -> int:
-    from .scenario import Report, strategy_section
-
-    report = Report(scenario.name)
-    updated = strategy_section(scenario, report, args.attacker, args.baseline)
-    _emit(report.text())
-    if args.dot:
-        from .dotexport import write_dot
-
-        off_edges = frozenset((e.node, e.target) for e in updated.responses
-                              if not updated.switched_on(e.node, e.line))
-        write_dot(args.dot, updated.dltts, off_edges=off_edges)
-    return 0
-
-
-def _cmd_export_dot(scenario: Scenario, args) -> int:
-    from .dotexport import export_dot, write_dot
-    from .scenario import attack_for, build_run
-
-    if args.dltts:
-        dltts = scenario.dltts.get(args.dltts)
-        if dltts is None:
-            raise InputError(f"no explicit system named {args.dltts!r}")
-    elif args.attacker:
-        dltts = attack_for(scenario, args.attacker).dltts
-    elif args.run:
-        dltts, _ = build_run(scenario, args.run)
-    else:
-        raise InputError("export-dot needs --dltts, --attacker, or --run")
-    if args.dot:
-        write_dot(args.dot, dltts)
-    else:
-        _emit(export_dot(dltts))
-    return 0
-
-
-def _cmd_validate(scenario: Scenario, args) -> int:
-    from .dltts import validate
-    from .profiles import attack_problems
-    from .scenario import Report, build_run
-
-    report = Report(scenario.name)
-    problems: list[str] = []
-    names = [args.dltts] if args.dltts else sorted(scenario.dltts)
-    for name in names:
-        dltts = scenario.dltts.get(name)
-        if dltts is None:
-            raise InputError(f"no explicit system named {name!r}")
-        problems += [f"{name}: {p}" for p in validate(dltts)]
-    if not args.dltts:
-        for name, attack in sorted(scenario.attack_dltts.items()):
-            problems += [f"{name}: {p}"
-                         for p in validate(attack.dltts) + attack_problems(attack)]
-        # a run the builder refuses raises; one it builds is valid by construction
-        for run_name in scenario.runs:
-            build_run(scenario, run_name)
-    for p in problems:
-        report.add(f"INVALID: {p}")
-    if not problems:
-        report.add("all systems valid")
-    _emit(report.text())
-    return 1 if problems else 0
+        return getattr(commands, handler)(scenario, args)
+    return run
 
 
 # How many values each kind of option takes.
@@ -198,7 +104,7 @@ _DOT = "write {} as DOT to this path, or next to it when there are several"
 # The command line is read against this table in the grammar of Python's
 # option parser, whose import and parsers cost more than some whole reports.
 COMMANDS = {
-    "metric": (_cmd_metric, "pairwise distances over table rows", (
+    "metric": (_in_commands("metric_command"), "pairwise distances over table rows", (
         _SCENARIO, Option("--pair", "pair", "the two rows' line ids", True, metavar="LINE LINE"),
         _MODE, Option("--table", "value", "table name (default: the scenario's metric table)"))),
     "analyze": (_cmd_analyze, "full scenario report (runs + oracle)", (
@@ -213,20 +119,20 @@ COMMANDS = {
         Option("--mechanism-file", "value", "standalone mechanism JSON (outputs + probs)"),
         Option("--adjacency", "value", "which inputs are neighbours",
                choices=("hamming", "rho"), default="hamming"), _MODE)),
-    "attack": (_cmd_attack, "threshold report for attackers", (
+    "attack": (_in_commands("attack_command"), "threshold report for attackers", (
         _SCENARIO, Option("--attacker", "repeat", "an attacker's name", True),
         Option("--built", "flag", "build from the profile, not the transcript", default=False),
         Option("--dot", "value", _DOT.format("each attack system")))),
-    "strategy": (_cmd_strategy, "response-blocking strategy report", (
+    "strategy": (_in_commands("strategy_command"), "response-blocking strategy report", (
         _SCENARIO, Option("--attacker", "value", "the attacker's name", True),
         Option("--baseline", "value", "baseline name (default from the scenario)"),
         Option("--dot", "value", "write the post-strategy system (OFF edges dashed) here"))),
-    "export-dot": (_cmd_export_dot, "DOT rendering of a named system", (
+    "export-dot": (_in_commands("export_dot_command"), "DOT rendering of a named system", (
         _SCENARIO, Option("--dltts", "value", "explicit transcript name"),
         Option("--attacker", "value", "attack transcript name"),
         Option("--run", "value", "scripted run name (built first)"),
         Option("--dot", "value", "output path (default: stdout)"))),
-    "validate": (_cmd_validate, "validate scenario inputs and systems", (
+    "validate": (_in_commands("validate_command"), "validate scenario inputs and systems", (
         _SCENARIO, Option("--dltts", "value", "check one named system only"))),
 }
 
@@ -321,7 +227,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except HelpWanted as exc:
         from .usage import help_text
 
-        _emit(help_text(COMMANDS, _HELP, *exc.args))
+        emit(help_text(COMMANDS, _HELP, *exc.args))
         return 0
     except UsageError as exc:
         print(f"privtrace: error: {exc}", file=sys.stderr)

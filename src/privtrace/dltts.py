@@ -23,35 +23,36 @@ fixed external base), so saturation is monotone and idempotent.
 
 A built system is a tree: `reach_stop` reads its runs to Stop off parent
 links.  `validate` checks the structure of an explicit transcript.
+`oracle_bound` and `resolve_secret` read what arms the oracle: the
+`--epsilon` bound and the `--secret` rows.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-# `parse_dltts` is not used here: the benchmark's tracer finds it under
-# this module's name.
-from .lts import (DELTA, Branch, Dltts, Label, Transition, parse_dltts,
-                  transition_problems)
-from .records import InputError, Record
+from .lts import DELTA, Branch, Dltts, Label, Transition, transition_problems
+from .records import InputError, Record, parse_fraction
 from .schema import ColumnSchema, DataTable, PrivacyPolicy, TOP, TuplePattern
 from .values import ColumnClass, IntervalMeasureMode, Number, Taxon, Wildcard
-
-if TYPE_CHECKING:
-    from .privacy import Mechanism
 
 Tag = frozenset
 
 
 def __getattr__(name: str):
-    # `dltts.rho` names the metric layer's `rho`, as the benchmark's tracer
-    # expects; that layer loads only when an armed oracle first measures
-    # (see `_secret_rho`)
+    # `dltts.rho` and `dltts.parse_dltts` name the metric layer's `rho` and
+    # the transcript reader, as the benchmark's tracer expects.  Neither
+    # module is imported at load, so a report loads `metrics` only when an
+    # armed oracle first measures (see `_secret_rho`), and `transcript`
+    # only when its scenario names transcripts
     if name == "rho":
         from .metrics import rho
         return rho
+    if name == "parse_dltts":
+        from .transcript import parse_dltts
+        return parse_dltts
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -225,6 +226,36 @@ def oracle_armed(epsilon: Fraction | None, secrets) -> bool:
     """Does the oracle check epsilon?  Only with both a bound and secrets:
     without either, a builder makes the unarmed system."""
     return epsilon is not None and secrets is not None
+
+
+def oracle_bound(text: str, secret: list[str]) -> Fraction:
+    """The oracle's bound on rho, a distance: an exact non-negative
+    fraction or decimal, so a state at exactly the typed bound is caught.
+    It measures the `secret` rows, so at least one must be given."""
+    try:
+        bound = parse_fraction(text.strip().replace(" ", ""))
+    except InputError as exc:
+        raise InputError(f"--epsilon {text!r}: {exc}; the oracle bounds rho, a "
+                         "distance, not an ln(...) epsilon") from None
+    if bound < 0:
+        raise InputError(f"--epsilon {text!r} is negative")
+    if not secret:
+        raise InputError("--epsilon needs at least one --secret TABLE:LINE")
+    return bound
+
+
+def resolve_secret(table: Callable[[str], DataTable], refs: list[str]) -> list[DataTable]:
+    """Resolve `table:line` references, each table found by name with
+    `table`, into copies of their tables holding just those rows, so that
+    each secret keeps its table's normalizers."""
+    rows: dict[str, dict] = {}
+    for ref in refs:
+        table_name, _, line = ref.partition(":")
+        if not line:
+            raise InputError(f"secret reference {ref!r} is not table:line")
+        rows.setdefault(table_name, {})[line] = table(table_name).row(line)
+    return [table(name).replace(rows=tuple(by_line.values()))
+            for name, by_line in rows.items()]
 
 
 def _is_knowledge(p: TuplePattern) -> bool:
@@ -422,62 +453,3 @@ def validate(dltts: Dltts) -> list[str]:
             problems.append(f"two transitions from {t.source!r} share one distribution")
         seen_distr.add(key)
     return problems
-
-
-def epsilon_equivalent_labels(
-    dltts: Dltts,
-    state: str,
-    mechanism: Mechanism,
-    epsilon,
-    *,
-    alpha=None,
-) -> list[frozenset[Label]]:
-    """Partition the outgoing branch labels at `state` into classes of
-    pairwise epsilon-indistinguishable query instances.
-
-    Each label maps to a mechanism input: its single line id, else its
-    text.  Pairwise indistinguishability is not transitive, so classes are
-    the connected components of the pairwise relation, in the order of
-    their first label.
-    """
-    from .indist import is_eps_indistinguishable
-
-    labels = list(dict.fromkeys(
-        b.label for t in dltts.outgoing(state) for b in t.branches
-    ))
-    if not labels:
-        return []
-
-    def instance(label: Label):
-        keys = []
-        if len(label.lines) == 1:
-            keys.append(next(iter(label.lines)))
-        if label.text:
-            keys.append(label.text)
-        for k in keys:
-            if k in mechanism.inputs:
-                return k
-        raise InputError(f"no mechanism instance for label {label}")
-
-    instances = {label: instance(label) for label in labels}
-    if alpha is None:
-        common = set(mechanism.outputs).intersection(
-            *map(mechanism.support, instances.values())
-        )
-        if len(common) != 1:
-            raise InputError("output alpha is ambiguous; pass it explicitly")
-        (alpha,) = common
-
-    # |ln p - ln p'| <= epsilon relates points of a line, so its connected
-    # components are the runs of the labels sorted by p whose neighbours
-    # are related
-    ranked = sorted(labels, key=lambda label: mechanism.prob(instances[label], alpha))
-    run_of = {ranked[0]: 0}
-    for a, b in zip(ranked, ranked[1:]):
-        run_of[b] = run_of[a] + (not is_eps_indistinguishable(
-            mechanism, instances[a], instances[b], alpha, epsilon
-        ))
-    groups: dict[int, list[Label]] = {}
-    for label in labels:
-        groups.setdefault(run_of[label], []).append(label)
-    return [frozenset(g) for g in groups.values()]

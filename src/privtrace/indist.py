@@ -1,6 +1,7 @@
 """The indistinguishability calculus over mechanisms: the exact order on
-epsilons, the scan over input pairs, rho adjacency, and the per-output and
-distance-scaled indistinguishability bounds.
+epsilons, the scan over input pairs, rho adjacency, the per-output and
+distance-scaled indistinguishability bounds, and the classes of a state's
+epsilon-equivalent branch labels.
 
 One comparator, `compare`, orders epsilons (scale*ln(ratio)), unbounded
 ones and plain rationals exactly, and refuses two that agree to
@@ -15,11 +16,14 @@ import itertools
 import re
 import sys
 from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .privacy import EpsilonResult, HammingAdjacency, Mechanism, _as_cells
 from .records import InputError, Record, parse_fraction
 from .values import IntervalMeasureMode
+
+if TYPE_CHECKING:
+    from .lts import Dltts, Label
 
 
 def _cmp(x, y) -> int:
@@ -255,3 +259,60 @@ def parse_epsilon(text: str):
     if frac > sys.float_info.max:
         raise InputError(f"epsilon {text!r} is too large")
     return frac
+
+
+def epsilon_equivalent_labels(
+    dltts: Dltts,
+    state: str,
+    mechanism: Mechanism,
+    epsilon,
+    *,
+    alpha=None,
+) -> list[frozenset[Label]]:
+    """Partition the outgoing branch labels at `state` into classes of
+    pairwise epsilon-indistinguishable query instances.
+
+    Each label maps to a mechanism input: its single line id, else its
+    text.  Pairwise indistinguishability is not transitive, so classes are
+    the connected components of the pairwise relation, in the order of
+    their first label.
+    """
+    labels = list(dict.fromkeys(
+        b.label for t in dltts.outgoing(state) for b in t.branches
+    ))
+    if not labels:
+        return []
+
+    def instance(label: Label):
+        keys = []
+        if len(label.lines) == 1:
+            keys.append(next(iter(label.lines)))
+        if label.text:
+            keys.append(label.text)
+        for k in keys:
+            if k in mechanism.inputs:
+                return k
+        raise InputError(f"no mechanism instance for label {label}")
+
+    instances = {label: instance(label) for label in labels}
+    if alpha is None:
+        common = set(mechanism.outputs).intersection(
+            *map(mechanism.support, instances.values())
+        )
+        if len(common) != 1:
+            raise InputError("output alpha is ambiguous; pass it explicitly")
+        (alpha,) = common
+
+    # |ln p - ln p'| <= epsilon relates points of a line, so its connected
+    # components are the runs of the labels sorted by p whose neighbours
+    # are related
+    ranked = sorted(labels, key=lambda label: mechanism.prob(instances[label], alpha))
+    run_of = {ranked[0]: 0}
+    for a, b in zip(ranked, ranked[1:]):
+        run_of[b] = run_of[a] + (not is_eps_indistinguishable(
+            mechanism, instances[a], instances[b], alpha, epsilon
+        ))
+    groups: dict[int, list[Label]] = {}
+    for label in labels:
+        groups.setdefault(run_of[label], []).append(label)
+    return [frozenset(g) for g in groups.values()]

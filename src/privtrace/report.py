@@ -1,14 +1,16 @@
-"""The report every subcommand writes, and the dp-check section.
+"""The report every subcommand writes, the writing of its text, and the
+dp-check section.
 
 This module imports neither the transition-system nor the attack layers,
 and imports `privacy` only inside `dp_section` and `values` only inside
 `parse_mode`, so a report loads the mechanism layer only when it has a
 dp-check section, and the cell layer only when it reads a mode.
-`scenario` re-exports every name defined here.
+`scenario` re-exports `Report`, `dp_section` and `parse_mode`.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -46,6 +48,15 @@ class Report:
 
     def text(self) -> str:
         return self.header() + "\n" + self.body()
+
+
+def emit(text: str) -> None:
+    """Write `text` to standard output: a character the stream cannot
+    encode is an input error."""
+    try:
+        sys.stdout.write(text)
+    except UnicodeEncodeError as exc:  # a lone surrogate, from a JSON escape
+        raise InputError(str(exc)) from None
 
 
 def parse_mode(name: str) -> IntervalMeasureMode:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .lts import Dltts, Label, natural_key, parse_dltts
+from .lts import Dltts, Label, natural_key
 from .report import Report, dp_section, parse_mode
 from .schema import (
     COLUMN,
@@ -35,12 +35,13 @@ from .records import (
 )
 from .values import IntervalMeasureMode
 
-# The knowledge, metric, attack, profile and mechanism layers, and the
-# metric section, load only when a section needs them: each function below
-# that calls one imports it, so `analyze` on a scenario with attack
-# transcripts only imports no `dltts`, `profiles` or `sections`, and one
-# with unarmed scripted runs only imports no `metrics`, `attack`,
-# `privacy` or `sections`.
+# The knowledge, metric, attack, profile and mechanism layers, the
+# transcript reader and the sections in `sections` load only when a section
+# needs them: each function below that calls one imports it, so `analyze`
+# on a scenario with attack transcripts only imports no `dltts`, `profiles`
+# or `sections`, and one with scripted runs only imports no `attack`,
+# `transcript`, `privacy` or `sections`, nor `metrics` unless its oracle is
+# armed.
 if TYPE_CHECKING:
     from .attack import AttackDltts
     from .dltts import OracleVerdict
@@ -155,10 +156,11 @@ def load_scenario(path: str | Path) -> Scenario:
 
         mechanisms[name] = Mechanism.from_doc(name, mdoc)
 
-    dltts = {
-        name: parse_dltts(read_text(base / f), name)
-        for name, f in doc.get("dltts", {}).items()
-    }
+    dltts = {}
+    for name, f in doc.get("dltts", {}).items():
+        from .transcript import parse_dltts
+
+        dltts[name] = parse_dltts(read_text(base / f), name)
     attack_dltts = {}
     for name, f in doc.get("attack_dltts", {}).items():
         from .attack import load_attack_dltts
@@ -378,9 +380,9 @@ def run_scenario(
     """
     secret_rows = None
     if secret:
-        from .sections import resolve_secret
+        from .dltts import resolve_secret
 
-        secret_rows = resolve_secret(scenario, secret)
+        secret_rows = resolve_secret(scenario.table, secret)
     report = Report(scenario.name)
     _echo_inputs(scenario, report)
     analysis = scenario.analysis
@@ -398,60 +400,23 @@ def run_scenario(
         )
 
     for entry in analysis.get("indist", []):
-        from .indist import min_indist_epsilon
+        from .sections import indist_section
 
-        m = scenario.mechanism(entry["mechanism"])
-        a, b = entry["pair"]
-        res = min_indist_epsilon(m, a, b, entry["alpha"])
-        report.add(f"## indistinguishability {entry['mechanism']} {a} {b}")
-        report.put(f"indist/{entry['mechanism']}/{a}/{b}", res,
-                   f"min epsilon wrt {entry['alpha']} = {res}")
-        report.add()
+        indist_section(scenario, report, entry)
 
     for entry in analysis.get("scaled_indist", []):
-        from .indist import min_eps_hamming_indist, min_eps_rho_indist
+        from .sections import scaled_indist_section
 
-        m = scenario.mechanism(entry["mechanism"])
-        a, b = entry["pair"]
-        table = scenario.table(entry["table"])
-        tuples = (table.row(a), table.row(b))
-        alpha = entry["alpha"]
-        report.add(f"## scaled indistinguishability {entry['mechanism']} {a} {b}")
-        for mode_name in entry.get("modes", ["integer-set"]):
-            rho_mode = parse_mode(mode_name)
-            res = min_eps_rho_indist(m, a, b, alpha, rho_mode, tuples=tuples,
-                                     normalizer=table.normalizers)
-            report.put(f"scaled_indist/{entry['mechanism']}/{a}/{b}/rho/{rho_mode.value}",
-                       res, f"rho-scaled min epsilon ({rho_mode.value}) = {res}")
-        if entry.get("hamming"):
-            res = min_eps_hamming_indist(m, a, b, alpha, tuples=tuples)
-            report.put(f"scaled_indist/{entry['mechanism']}/{a}/{b}/hamming", res,
-                       f"hamming-scaled min epsilon = {res}")
-        report.add()
+        scaled_indist_section(scenario, report, entry)
 
     for run_name in analysis.get("runs", []):
         _run_section(scenario, report, run_name, epsilon=epsilon, secret=secret_rows,
                      mode=mode)
 
     for entry in analysis.get("label_equivalence", []):
-        from .dltts import epsilon_equivalent_labels, oracle_armed
-        from .indist import parse_epsilon
+        from .sections import label_equivalence_section
 
-        if entry["run"] in report.runs and not oracle_armed(epsilon, secret_rows):
-            dltts = report.runs[entry["run"]]  # built unarmed above
-        else:
-            dltts, _ = build_run(scenario, entry["run"])
-        m = scenario.mechanism(entry["mechanism"])
-        eps = parse_epsilon(entry["epsilon"])
-        classes = epsilon_equivalent_labels(dltts, entry["state"], m, eps,
-                                            alpha=entry.get("alpha"))
-        report.add(f"## label equivalence {entry['run']} at {entry['state']}")
-        rendered = sorted("{" + ", ".join(sorted(str(l) for l in cls)) + "}"
-                          for cls in classes)
-        report.put(f"label_equivalence/{entry['run']}/{entry['state']}", classes,
-                   f"epsilon {entry['epsilon']}: {len(classes)} class(es): "
-                   + "; ".join(rendered))
-        report.add()
+        label_equivalence_section(scenario, report, entry, epsilon, secret_rows)
 
     if "attack" in analysis:
         for name in analysis["attack"].get("attackers", []):

@@ -1,14 +1,18 @@
-"""The report section that measures rows, the pairwise metrics, and what
-arms the scripted runs' oracle: the `--secret` rows and the `--epsilon`
-bound.  Only a `metric` section, `--secret` or `--epsilon` loads this
-module, so a report on attack transcripts alone does not compile it."""
+"""The report sections that measure rows and mechanisms: the pairwise
+metrics, and the indistinguishability, distance-scaled and label
+equivalence bounds of a scenario's mechanisms.  Only a `metric` command or
+a scenario that asks for one of these sections loads this module, so a
+report on attack transcripts or scripted runs alone does not compile it.
+
+Each section but `metric_section` reports one entry of its list in the
+scenario's `analysis`."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .records import InputError, parse_fraction
+from .records import InputError
 from .report import Report, parse_mode
 
 if TYPE_CHECKING:
@@ -48,30 +52,65 @@ def metric_section(scenario: Scenario, report: Report, table_name: str, pairs,
     return all_defined
 
 
-def resolve_secret(scenario: Scenario, refs: list[str]) -> list:
-    """Resolve `table:line` references into copies of their tables holding
-    just those rows, so that each secret keeps its table's normalizers."""
-    rows: dict[str, dict] = {}
-    for ref in refs:
-        table_name, _, line = ref.partition(":")
-        if not line:
-            raise InputError(f"secret reference {ref!r} is not table:line")
-        rows.setdefault(table_name, {})[line] = scenario.table(table_name).row(line)
-    return [scenario.table(name).replace(rows=tuple(by_line.values()))
-            for name, by_line in rows.items()]
+def indist_section(scenario: Scenario, report: Report, entry: dict) -> None:
+    """The least epsilon for which a mechanism's two inputs are
+    indistinguishable with respect to one output."""
+    from .indist import min_indist_epsilon
+
+    m = scenario.mechanism(entry["mechanism"])
+    a, b = entry["pair"]
+    res = min_indist_epsilon(m, a, b, entry["alpha"])
+    report.add(f"## indistinguishability {entry['mechanism']} {a} {b}")
+    report.put(f"indist/{entry['mechanism']}/{a}/{b}", res,
+               f"min epsilon wrt {entry['alpha']} = {res}")
+    report.add()
 
 
-def oracle_bound(text: str, secret: list[str]) -> Fraction:
-    """The oracle's bound on rho, a distance: an exact non-negative
-    fraction or decimal, so a state at exactly the typed bound is caught.
-    It measures the `secret` rows, so at least one must be given."""
-    try:
-        bound = parse_fraction(text.strip().replace(" ", ""))
-    except InputError as exc:
-        raise InputError(f"--epsilon {text!r}: {exc}; the oracle bounds rho, a "
-                         "distance, not an ln(...) epsilon") from None
-    if bound < 0:
-        raise InputError(f"--epsilon {text!r} is negative")
-    if not secret:
-        raise InputError("--epsilon needs at least one --secret TABLE:LINE")
-    return bound
+def scaled_indist_section(scenario: Scenario, report: Report, entry: dict) -> None:
+    """That epsilon scaled by the distance between the two inputs' rows:
+    rho in each named mode, and Hamming when asked."""
+    from .indist import min_eps_hamming_indist, min_eps_rho_indist
+
+    m = scenario.mechanism(entry["mechanism"])
+    a, b = entry["pair"]
+    table = scenario.table(entry["table"])
+    tuples = (table.row(a), table.row(b))
+    alpha = entry["alpha"]
+    report.add(f"## scaled indistinguishability {entry['mechanism']} {a} {b}")
+    for mode_name in entry.get("modes", ["integer-set"]):
+        rho_mode = parse_mode(mode_name)
+        res = min_eps_rho_indist(m, a, b, alpha, rho_mode, tuples=tuples,
+                                 normalizer=table.normalizers)
+        report.put(f"scaled_indist/{entry['mechanism']}/{a}/{b}/rho/{rho_mode.value}",
+                   res, f"rho-scaled min epsilon ({rho_mode.value}) = {res}")
+    if entry.get("hamming"):
+        res = min_eps_hamming_indist(m, a, b, alpha, tuples=tuples)
+        report.put(f"scaled_indist/{entry['mechanism']}/{a}/{b}/hamming", res,
+                   f"hamming-scaled min epsilon = {res}")
+    report.add()
+
+
+def label_equivalence_section(scenario: Scenario, report: Report, entry: dict,
+                              epsilon, secret) -> None:
+    """The classes of epsilon-equivalent branch labels at a state of a
+    scripted run, built unarmed: the report's own run when `epsilon` and
+    `secret` left its oracle unarmed, else built again."""
+    from .dltts import oracle_armed
+    from .indist import epsilon_equivalent_labels, parse_epsilon
+    from .scenario import build_run
+
+    if entry["run"] in report.runs and not oracle_armed(epsilon, secret):
+        dltts = report.runs[entry["run"]]  # built unarmed above
+    else:
+        dltts, _ = build_run(scenario, entry["run"])
+    m = scenario.mechanism(entry["mechanism"])
+    eps = parse_epsilon(entry["epsilon"])
+    classes = epsilon_equivalent_labels(dltts, entry["state"], m, eps,
+                                        alpha=entry.get("alpha"))
+    report.add(f"## label equivalence {entry['run']} at {entry['state']}")
+    rendered = sorted("{" + ", ".join(sorted(str(l) for l in cls)) + "}"
+                      for cls in classes)
+    report.put(f"label_equivalence/{entry['run']}/{entry['state']}", classes,
+               f"epsilon {entry['epsilon']}: {len(classes)} class(es): "
+               + "; ".join(rendered))
+    report.add()

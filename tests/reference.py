@@ -4,7 +4,10 @@ R1-R3 derivation, which the planned ones replaced, the oracle's whole-tag
 ruling, the recursive attack-tree builder, which rescans each level's rows
 per value, the transcript parser over a per-character bracket walk, whose
 `split_top_level` is also the oracle of the library's one-pass scanner,
-the multiset order on priority keys, the builder's inline transition checks
+the sort key that read each run of digits in a name with `int`, which
+`lts.natural_key` replaced so that a run past the interpreter's limit on
+the digits it converts is still a name, the multiset order on priority
+keys, the builder's inline transition checks
 and the transcript validator, which `lts.transition_problems` replaced as
 the one statement of a transition's rules, the two-coin randomized
 response mechanism, and the argparse parser the command line was read
@@ -545,6 +548,11 @@ def parse_dltts(text: str, name: str = "dltts") -> Dltts:
         except ValueError as exc:
             raise InputError(f"{name}:{lineno}: {exc}") from exc
     return Dltts(initial=initial, stop=stop, transitions=tuple(transitions))
+
+
+def natural_key(name: str) -> list:
+    """Sort key that orders embedded numbers by value: s2 before s10."""
+    return [int(p) if i % 2 else p for i, p in enumerate(re.split(r"(\d+)", name))]
 
 
 class Comparison(Enum):

@@ -10,7 +10,6 @@ from privtrace.dltts import (
     OracleVerdict,
     Run,
     check_consistency,
-    epsilon_equivalent_labels,
     reach_stop,
     saturate,
     validate,
@@ -21,9 +20,8 @@ from privtrace.lts import (
     Dltts,
     Label,
     Transition,
-    parse_dltts,
 )
-from privtrace.indist import is_eps_indistinguishable
+from privtrace.indist import epsilon_equivalent_labels, is_eps_indistinguishable
 from privtrace.privacy import EpsilonResult, Mechanism
 from privtrace.records import InputError
 from privtrace.schema import (
@@ -34,6 +32,7 @@ from privtrace.schema import (
     parse_columns,
     parse_pattern,
 )
+from privtrace.transcript import parse_dltts
 from privtrace.values import Atom, STAR
 from conftest import SCENARIOS
 from reference import oracle_verdict

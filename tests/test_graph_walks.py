@@ -23,9 +23,10 @@ from privtrace.attack import (
     threshold_report,
 )
 from privtrace.dltts import Run, reach_stop
-from privtrace.lts import DELTA, Branch, Dltts, Transition, parse_dltts
+from privtrace.lts import DELTA, Branch, Dltts, Transition
 from privtrace.records import InputError
 from privtrace.scenario import load_scenario, run_scenario
+from privtrace.transcript import parse_dltts
 
 from conftest import SCENARIOS
 

@@ -112,12 +112,12 @@ def _analyze_loads(scenario: str, expect: str) -> set[str]:
 
 
 def test_analyze_loads_what_it_runs():
-    """Hospital has mechanisms and a label-equivalence section but no
-    attack system or profile."""
+    """Hospital has mechanisms, a transcript and a label-equivalence
+    section but no attack system or profile."""
     loaded = _analyze_loads(HOSPITAL, "stop reached: s0 -> s2 -> s4 -> s6 -> STOP")
-    for layer in ("scenario", "lts", "dltts", "privacy"):
+    for layer in ("scenario", "lts", "transcript", "dltts", "privacy", "sections"):
         assert f"privtrace.{layer}" in loaded
-    for layer in ("attack", "dotexport"):
+    for layer in ("attack", "dotexport", "commands"):
         assert f"privtrace.{layer}" not in loaded
 
 
@@ -126,22 +126,45 @@ def test_analyze_of_attacks_only_skips_the_mechanism_layer():
     no tags, so neither the knowledge layer nor the metric layer loads."""
     loaded = _analyze_loads(str(SCENARIOS / "enterprise" / "scenario.json"),
                             "## strategy B vs C (declared baseline)")
-    for layer in ("attack", "lts"):
+    for layer in ("attack", "lts", "transcript"):
         assert f"privtrace.{layer}" in loaded
-    for layer in ("dltts", "privacy", "metrics", "dotexport", "sections"):
+    for layer in ("dltts", "privacy", "metrics", "dotexport", "sections", "commands"):
         assert f"privtrace.{layer}" not in loaded
+
+
+def _attacks_only(directory: Path) -> str:
+    """A copy of the enterprise scenario without profiles: attack
+    transcripts and their attack and strategy sections alone."""
+    shutil.copytree(SCENARIOS / "enterprise", directory)
+    path = directory / "scenario.json"
+    doc = json.loads(path.read_text())
+    del doc["profiles"]
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _runs_only(directory: Path) -> str:
+    """A copy of the hospital scenario whose only analysis is its scripted
+    run, and which names neither a mechanism nor a transcript, as a
+    generated trace-saturate input does not."""
+    shutil.copytree(Path(HOSPITAL).parent, directory)
+    path = directory / "scenario.json"
+    doc = json.loads(path.read_text())
+    del doc["mechanisms"], doc["dltts"]
+    doc["analysis"] = {"runs": ["trace"]}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+ARMED = ("--epsilon", "0", "--secret", "published:l4")
 
 
 def test_analyze_of_runs_only_loads_neither_attack_nor_mechanism_layer(tmp_path):
     """A scenario whose only analysis is an unarmed scripted run: the core
-    path, which measures nothing, so the metric layer stays unloaded."""
-    shutil.copytree(Path(HOSPITAL).parent, tmp_path, dirs_exist_ok=True)
-    path = tmp_path / "scenario.json"
-    doc = json.loads(path.read_text())
-    del doc["mechanisms"]
-    doc["analysis"] = {"runs": ["trace"]}
-    path.write_text(json.dumps(doc))
-    loaded = _analyze_loads(str(path), "stop reached: s0 -> s2 -> s4 -> s6 -> STOP")
+    path, which measures nothing, so the metric layer stays unloaded, and
+    names no transcript, so the transcript reader stays unloaded too."""
+    path = _runs_only(tmp_path / "runs")
+    loaded = _analyze_loads(path, "stop reached: s0 -> s2 -> s4 -> s6 -> STOP")
     assert loaded == {f"privtrace.{m}" for m in (
         "cli", "report", "scenario", "records", "values", "schema", "lts", "dltts")}
 
@@ -164,29 +187,51 @@ def _compiled_lines(*argv: str) -> int:
 def test_compiled_source_lines_per_path(tmp_path):
     """An attack-only report loaded 2,674 lines, 781 of them in functions it
     never calls, until the metric section, the profile builder, the runs to
-    Stop and `validate` left its modules: it now stays within 2,400.  A
-    mechanism file's dp-check loaded 1,450 lines until the record base left
-    `values` for `records` and the indistinguishability calculus left
-    `privacy` for `indist`: it now stays within 1,000.  The unarmed-runs path stays within the 2,697 lines
-    it loaded then."""
-    shutil.copytree(SCENARIOS / "enterprise", tmp_path / "attacks")
-    path = tmp_path / "attacks" / "scenario.json"
-    doc = json.loads(path.read_text())
-    del doc["profiles"]
-    path.write_text(json.dumps(doc))
-    assert _compiled_lines("analyze", "--scenario", str(path)) <= 2400
+    Stop and `validate` left its modules, and 2,391 until the handlers of
+    the commands that write no `analyze` or `dp-check` report left `cli`
+    for `commands` and the mechanism sections left `scenario` for
+    `sections`: it now stays within 2,330.  A mechanism file's dp-check
+    loaded 1,450 lines until the record base left `values` for `records`
+    and the indistinguishability calculus left `privacy` for `indist`, and
+    976 until those handlers left `cli`: it now stays within 900.  The
+    armed scripted run loaded 2,994 lines until the transcript reader left
+    `lts` for `transcript`, `epsilon_equivalent_labels` left `dltts` for
+    `indist`, the oracle's arming left `sections` for `dltts` and those
+    handlers and sections left `cli` and `scenario`: it now stays within
+    2,700, and the unarmed run, held to 2,697 lines when it loaded 2,604,
+    within 2,390."""
+    path = _attacks_only(tmp_path / "attacks")
+    assert _compiled_lines("analyze", "--scenario", path) <= 2330
 
     mechanism = tmp_path / "m.json"
     mechanism.write_text(json.dumps({"probs": RR}))
-    assert _compiled_lines("dp-check", "--mechanism-file", str(mechanism)) <= 1000
+    assert _compiled_lines("dp-check", "--mechanism-file", str(mechanism)) <= 900
 
-    shutil.copytree(Path(HOSPITAL).parent, tmp_path / "runs")
-    path = tmp_path / "runs" / "scenario.json"
-    doc = json.loads(path.read_text())
-    del doc["mechanisms"]
-    doc["analysis"] = {"runs": ["trace"]}
-    path.write_text(json.dumps(doc))
-    assert _compiled_lines("analyze", "--scenario", str(path)) <= 2697
+    path = _runs_only(tmp_path / "runs")
+    assert _compiled_lines("analyze", "--scenario", path, *ARMED) <= 2700
+    assert _compiled_lines("analyze", "--scenario", path) <= 2390
+
+
+def test_no_report_path_compiles_the_cli_twice(tmp_path):
+    """Under `python -m privtrace.cli` the front end runs as `__main__`, so
+    a module that imported `privtrace.cli` would compile it a second time:
+    `-X importtime`, which lists every module imported, lists no
+    `privtrace.cli` on the attack-only, dp-check and armed-run paths."""
+    mechanism = tmp_path / "m.json"
+    mechanism.write_text(json.dumps({"probs": RR}))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    for argv in (["analyze", "--scenario", _attacks_only(tmp_path / "attacks")],
+                 ["dp-check", "--mechanism-file", str(mechanism)],
+                 ["analyze", "--scenario", _runs_only(tmp_path / "runs"), *ARMED]):
+        done = subprocess.run([sys.executable, "-X", "importtime", "-m", "privtrace.cli",
+                               *argv], capture_output=True, text=True, env=env,
+                              cwd=tmp_path, timeout=120)
+        assert done.returncode == 0, done.stderr
+        imported = [line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "privtrace.report" in imported, argv
+        assert "privtrace.cli" not in imported, argv
 
 
 def test_export_dot_of_an_attack_tree_skips_the_knowledge_layer(tmp_path):

@@ -27,11 +27,11 @@ def test_the_census_names_each_kind_of_problem():
     gone, a listed line that ran, and an unreached line not listed."""
     ran = {str(path): executable_lines(path) for path in PACKAGE.glob("*.py")}
     target = 'raise InputError("no table given and the scenario names none")'
-    n = [line.strip() for line in module_lines("cli.py")].index(target) + 1
-    ran[str(PACKAGE / "cli.py")].discard(n)
+    n = [line.strip() for line in module_lines("commands.py")].index(target) + 1
+    ran[str(PACKAGE / "commands.py")].discard(n)
     entries = [("cli.py", "main()", "runs"), ("cli.py", "gone()", "is gone")]
     assert census(ran, entries) == [
         "listed but no longer exists: cli.py | gone()",
         "listed but ran: cli.py | main()",
-        f"never ran, not listed (cli.py:{n}): {target}",
+        f"never ran, not listed (commands.py:{n}): {target}",
     ]

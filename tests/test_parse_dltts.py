@@ -14,8 +14,9 @@ import re
 import pytest
 import reference
 
-from privtrace.lts import Dltts, natural_key, parse_dltts
+from privtrace.lts import Dltts, natural_key
 from privtrace.records import InputError
+from privtrace.transcript import parse_dltts
 
 PROBS = ["1", "1/2", " 3/4 ", "0.25", "2/8", "1e-1", "-1/3", "0", "x", "1/0", "",
          "1e99999", "9" * 5000, "1_000/2_000", "(1)", "[1]"]
@@ -161,3 +162,44 @@ def test_natural_key_orders_digit_runs_by_value_and_keys_any_name():
     is no decimal digit, and is ordered as text."""
     names = ["s10", "²", "s2", "s1x", "s²", "l٣"]
     assert sorted(names, key=natural_key) == ["l٣", "s1x", "s2", "s10", "s²", "²"]
+
+
+def _seeded_name(rng: random.Random) -> str:
+    """Text and digit runs: ASCII, Arabic-Indic, Devanagari and fullwidth
+    digits, leading zeros, runs up to 60 digits long, and "²"."""
+    parts = []
+    for _ in range(rng.randint(0, 4)):
+        if rng.random() < 0.5:
+            parts.append(rng.choice(["s", "l", "-", "x", "²", "", "S"]))
+        else:
+            run = "0" * rng.choice([0, 0, 1, 3]) + str(rng.randrange(10 ** rng.randint(1, 60)))
+            parts.append("".join(rng.choice([d, d, d, chr(0x660 + int(d)), chr(0x966 + int(d)),
+                                             chr(0xFF10 + int(d))]) for d in run))
+    return "".join(parts)
+
+
+def test_natural_key_orders_every_pair_as_the_int_key_did():
+    """`natural_key` keys a digit run by its significant digits, not by
+    `int`; on seeded names within the interpreter's digit limit it orders
+    and ties every pair as the `int` key does, so sorting gives the same
+    list."""
+    rng = random.Random(30)
+    names = [_seeded_name(rng) for _ in range(300)]
+    new = [natural_key(n) for n in names]
+    old = [reference.natural_key(n) for n in names]
+    for i in range(len(names)):
+        for j in range(len(names)):
+            assert (new[i] < new[j], new[i] == new[j]) == (old[i] < old[j], old[i] == old[j]), \
+                (names[i], names[j])
+    assert sorted(names, key=natural_key) == sorted(names, key=reference.natural_key)
+
+
+def test_natural_key_keys_a_digit_run_past_the_int_limit():
+    """A name is no number: its digit run may be longer than `int` reads,
+    and still sorts by value after every shorter run."""
+    long = "1" * 5000
+    with pytest.raises(ValueError):
+        reference.natural_key("s" + long)
+    names = ["s" + long[:-1] + "2", "s" + long, "s2", "s0" + long]
+    assert sorted(names, key=natural_key) == ["s2", "s" + long, "s0" + long,
+                                              "s" + long[:-1] + "2"]

@@ -1432,6 +1432,28 @@ def test_cli_refusals_exit_two_naming_their_place(tmp_path, scenario, change, ar
     assert done.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("scenario, old", [("hospital", "s6"), ("enterprise", "l1")])
+def test_a_name_whose_digits_int_cannot_read_is_reported(tmp_path, capsys, scenario, old):
+    """A state name or line id is text: one whose digit run is longer than
+    the interpreter converts to an integer (here `old` with its number
+    made 5,000 ones) is reported, not refused as a number too long, and
+    sorts by the value of its digits, after every shorter run."""
+    long = old[0] + "1" * 5000
+    shutil.copytree(SCENARIOS / scenario, tmp_path, dirs_exist_ok=True)
+    for path in tmp_path.iterdir():
+        path.write_text(re.sub(rf"\b{old}\b", long, path.read_text()))
+    assert cli_main(["analyze", "--scenario", str(SCENARIOS / scenario / "scenario.json")]) == 0
+    before = re.sub(rf"\b{old}\b", long, capsys.readouterr().out)
+    assert cli_main(["analyze", "--scenario", str(tmp_path / "scenario.json")]) == 0
+    out = capsys.readouterr().out
+    if scenario == "hospital":
+        assert out == before
+        assert f"oracle at {long}: violation (state probability 2/3)" in out
+    else:  # the long line id now sorts last in each attack section
+        assert sorted(out.splitlines()) == sorted(before.splitlines())
+        assert re.findall(r"^Max_pr\((l\d+)\)", out, re.M) == ["l2", "l3", "l4", long] * 3
+
+
 def _replace_in(name, old, new):
     """An edit of the copied hospital scenario's file `name`."""
     def edit(root):
