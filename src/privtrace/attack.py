@@ -27,11 +27,7 @@ def _priority_key(probs: Iterable[Fraction]) -> tuple[Fraction, ...]:
 # A line id is free text, so a switch names any text in its parentheses.
 _RESPONSE_RE = re.compile(r"^response\((.+)\)$")
 _RESPONSE_LABEL_RE = re.compile(r"response\(.+\)\s*=\s*(\S+)")
-
-
-def _response_line(action: str) -> str | None:
-    m = _RESPONSE_RE.match(action)
-    return m.group(1) if m else None
+_ZERO = Fraction(0)
 
 
 class ResponseEdge(Record):
@@ -68,15 +64,27 @@ class AttackDltts(Record):
         best, _ = self._runs
         out: dict[str, Fraction] = {}
         for node, line in self.singleton_nodes():
-            out[line] = max(out.get(line, Fraction(0)), best.get(node, Fraction(0)))
+            out[line] = max(out.get(line, _ZERO), best.get(node, _ZERO))
         return out
+
+    @cached_property
+    def _switch_lines(self) -> dict[str, str]:
+        """The line that each response-switch action of the system names,
+        `response(l)` naming l; the pattern runs once per distinct action."""
+        matches = map(_RESPONSE_RE.match, {t.action for t in self.dltts.transitions})
+        return {m.string: m.group(1) for m in matches if m}
 
     def singleton_nodes(self) -> tuple[tuple[str, str], ...]:
         """(node, line) for every node but Stop whose incoming label is
         {line}: Stop has no outgoing transition, so no response switch."""
+        return self._singletons
+
+    @cached_property
+    def _singletons(self) -> tuple[tuple[str, str], ...]:
         out: dict[tuple[str, str], None] = {}
+        switches = self._switch_lines
         for t in self.dltts.transitions:
-            if _response_line(t.action):
+            if t.action in switches:
                 continue
             for b in t.branches:
                 if len(b.label.lines) == 1 and b.to != self.dltts.stop:
@@ -84,46 +92,41 @@ class AttackDltts(Record):
         return tuple(out)
 
 
-def _response_switch(
-    node: str, line: str, value: str, assumed: bool = False
-) -> tuple[Transition, ResponseEdge]:
-    """The `response(line)` transition at `node` and its switch; only a
-    synthesized (`assumed`) one takes "assumed" as its label's source."""
-    target = f"{node}r"
-    label = Label(text=f"response({line})={value}",
-                  source="assumed" if assumed else "db")
-    return (
-        Transition(node, f"response({line})", (Branch(target, Fraction(1), label),)),
-        ResponseEdge(node, line, value, target, assumed),
-    )
-
-
-def _switched(name: str, dltts: Dltts, responses: Iterable[ResponseEdge],
+def _switched(attack: AttackDltts, responses: Iterable[ResponseEdge],
               value_of: Callable[[str], str], assumed: bool) -> AttackDltts:
-    """The attack system `name` over `dltts` and its drawn `responses`, plus
-    a response switch, of value `value_of(line)`, at every singleton node
-    that has none."""
+    """`attack` with its drawn `responses`, plus a response switch, of
+    value `value_of(line)`, at every singleton node that has none.  A
+    switch at `node` goes to the first of `{node}r`, `{node}rr`, ... that
+    names no state; only a synthesized (`assumed`) one takes "assumed" as
+    its label's source."""
     responses = list(responses)
     drawn = {(edge.node, edge.line) for edge in responses}
-    transitions = list(dltts.transitions)
-    for node, line in AttackDltts(name, dltts, ()).singleton_nodes():
+    transitions = list(attack.dltts.transitions)
+    taken = set(attack.dltts.states)
+    for node, line in attack.singleton_nodes():
         if (node, line) not in drawn:
-            transition, edge = _response_switch(node, line, value_of(line), assumed)
-            transitions.append(transition)
-            responses.append(edge)
-    dltts = dltts.replace(transitions=tuple(transitions))
-    return AttackDltts(name=name, dltts=dltts, responses=tuple(responses))
+            target = f"{node}r"
+            while target in taken:
+                target += "r"
+            taken.add(target)
+            value = value_of(line)
+            label = Label(f"response({line})={value}", source="assumed" if assumed else "db")
+            transitions.append(Transition(node, f"response({line})",
+                                          (Branch(target, Fraction(1), label),)))
+            responses.append(ResponseEdge(node, line, value, target, assumed))
+    return AttackDltts(attack.name, attack.dltts.replace(transitions=tuple(transitions)),
+                       tuple(responses))
 
 
 def load_attack_dltts(text: str, name: str = "attack") -> AttackDltts:
     """Load a transcript verbatim; nodes drawn with a singleton incoming
     label but no response edge get one synthesized (flagged `assumed`), so
     the response-switch invariant holds on published diagrams too."""
-    dltts = parse_dltts(text, name)
+    attack = AttackDltts(name, parse_dltts(text, name), ())
     responses: list[ResponseEdge] = []
     line_values: dict[str, str] = {}
-    for t in dltts.transitions:
-        line = _response_line(t.action)
+    for t in attack.dltts.transitions:
+        line = attack._switch_lines.get(t.action)
         if line is None:
             continue
         if len(t.branches) != 1 or t.branches[0].prob != 1:
@@ -132,28 +135,18 @@ def load_attack_dltts(text: str, name: str = "attack") -> AttackDltts:
         value = m.group(1) if m else "?"
         responses.append(ResponseEdge(t.source, line, value, t.branches[0].to))
         line_values.setdefault(line, value)
-    return _switched(name, dltts, responses,
-                     lambda line: line_values.get(line, "?"), assumed=True)
-
-
-def _active_transitions(attack: AttackDltts, state: str) -> list[Transition]:
-    out = []
-    for t in attack.dltts.outgoing(state):
-        line = _response_line(t.action)
-        if line is not None and not attack.switched_on(state, line):
-            continue
-        out.append(t)
-    return out
+    return _switched(attack, responses, lambda line: line_values.get(line, "?"),
+                     assumed=True)
 
 
 def _priority_runs(
     attack: AttackDltts,
 ) -> tuple[dict[str, Fraction], dict[str, tuple[str, Branch]]]:
     """Best run probability per state, restricted at every choice point to
-    the priority-maximal outgoing transitions; predecessors for path
-    recovery.  Requires an acyclic system whose transitions, response
-    switches included, keep `lts`'s rules (else InputError names it).
-    Read it through `attack._runs`."""
+    the priority-maximal outgoing transitions, switches that are OFF left
+    out; predecessors for path recovery.  Requires an acyclic system whose
+    transitions, response switches included, keep `lts`'s rules (else
+    InputError names it).  Read it through `attack._runs`."""
     dltts = attack.dltts
     # Depth-first post-order with an explicit stack; a `True` entry closes
     # its state once every child pushed above it is done.
@@ -181,21 +174,23 @@ def _priority_runs(
         todo.extend(reversed(
             [(b.to, False) for t in dltts.outgoing(state) for b in t.branches]
         ))
+    switches = attack._switch_lines
     best: dict[str, Fraction] = {dltts.initial: Fraction(1)}
     pred: dict[str, tuple[str, Branch]] = {}
     for state in reversed(order):
-        if state not in best:
+        reached = best.get(state)
+        if reached is None:
             continue
-        active = _active_transitions(attack, state)
-        if not active:
-            continue
-        top = max(_priority_key(b.prob for b in t.branches) for t in active)
+        active = [t for t in dltts.outgoing(state) if t.action not in switches
+                  or attack.switched_on(state, switches[t.action])]
+        if len(active) > 1:  # a choice point: only the priority-maximal stay
+            keys = [_priority_key(b.prob for b in t.branches) for t in active]
+            top = max(keys)
+            active = [t for t, key in zip(active, keys) if key == top]
         for t in active:
-            if _priority_key(b.prob for b in t.branches) != top:
-                continue
             for b in t.branches:
-                p = best[state] * b.prob
-                if p > best.get(b.to, Fraction(0)):
+                p = reached * b.prob
+                if b.to not in best or p > best[b.to]:
                     best[b.to] = p
                     pred[b.to] = (state, b)
     return best, pred
@@ -206,21 +201,16 @@ def max_pr(attack: AttackDltts, line: str) -> Fraction:
     of reaching it from the root along runs that take only priority-maximal
     transitions at every choice point; 0 when the line labels no singleton
     node."""
-    return attack._max_pr.get(line, Fraction(0))
+    return attack._max_pr.get(line, _ZERO)
 
 
 def _first_condition(pred: Mapping[str, tuple[str, Branch]], node: str) -> str:
     """The first query condition on the best run to `node`; the value part
     of `col=value` labels, matching the published report keys."""
-    path: list[Branch] = []
-    cur = node
-    while cur in pred:
-        state, branch = pred[cur]
-        path.append(branch)
-        cur = state
-    if not path:
-        return ""
-    text = path[-1].label.text
+    text = ""
+    while node in pred:  # back to the root: the last label read is the first
+        node, branch = pred[node]
+        text = branch.label.text
     return text.split("=", 1)[1] if "=" in text else text
 
 
@@ -230,7 +220,7 @@ def threshold_report(attack: AttackDltts) -> dict[tuple[str, str], Fraction]:
     best, pred = attack._runs
     report: dict[tuple[str, str], Fraction] = {}
     for edge in attack.responses:
-        pr = best.get(edge.node, Fraction(0))
+        pr = best.get(edge.node, _ZERO)
         key = (edge.value, _first_condition(pred, edge.node))
         if key not in report or pr > report[key]:
             report[key] = pr
@@ -261,7 +251,7 @@ def apply_strategy(attack: AttackDltts, baseline: AttackDltts, *,
     decisions = []
     off = set(attack.off)
     for node, line in attack.singleton_nodes():
-        pr = best.get(node, Fraction(0))
+        pr = best.get(node, _ZERO)
         base = (Fraction(baseline_max[line]) if baseline_max and line in baseline_max
                 else max_pr(baseline, line))
         blocked = pr > base

@@ -71,7 +71,7 @@ def transition_problems(t: Transition, stop: str) -> Iterator[str]:
     for b in t.branches:
         if b.prob <= 0:
             yield f"branch {t.source}->{b.to} has non-positive probability"
-    if (total := sum(b.prob for b in t.branches)) != 1:
+    if (total := sum((b.prob for b in t.branches[1:]), t.branches[0].prob)) != 1:
         try:
             total = str(total)
         except ValueError:  # past the interpreter's limit on the digits it prints

@@ -13,7 +13,7 @@ from functools import partial
 from itertools import count
 from typing import Mapping
 
-from .attack import AttackDltts, _response_line, _switched
+from .attack import AttackDltts, _switched
 from .lts import Branch, Dltts, Label, Transition
 from .records import InputError, Names, Record, located, parse_fraction, shaped
 from .schema import DataTable, Row, SchemaBundle
@@ -134,8 +134,8 @@ def build_attack_dltts(db: DataTable, profile: AttackerProfile) -> AttackDltts:
         stack.extend(reversed(children))
 
     dltts = Dltts(initial="s0", stop="STOP", transitions=tuple(transitions))
-    return _switched(profile.name, dltts, (), partial(_sensitive_value, db),
-                     assumed=False)
+    return _switched(AttackDltts(profile.name, dltts, ()), (),
+                     partial(_sensitive_value, db), assumed=False)
 
 
 def attack_problems(attack: AttackDltts, db: DataTable | None = None) -> list[str]:
@@ -144,17 +144,17 @@ def attack_problems(attack: AttackDltts, db: DataTable | None = None) -> list[st
     table's lines when a table is given), responses are drawn only at
     singleton nodes (loading gives every singleton node a switch)."""
     problems = []
-    dltts = attack.dltts
+    dltts, switches = attack.dltts, attack._switch_lines
     incoming_lines: dict[str, frozenset[str]] = {}
     if db is not None:
         incoming_lines[dltts.initial] = frozenset(db.line_ids())
     for t in dltts.transitions:
-        if _response_line(t.action):
+        if t.action in switches:
             continue
         for b in t.branches:
             incoming_lines[b.to] = b.label.lines
     for t in dltts.transitions:
-        if _response_line(t.action):
+        if t.action in switches:
             continue
         parent = incoming_lines.get(t.source)
         if parent is None:

@@ -19,18 +19,58 @@ from .values import split_top_level
 _SQUARE_RE = re.compile(r"[][]")
 # A label: a provenance marker, then text around its first {line,ids} set.
 _LABEL_RE = re.compile(r"(?:P_(\w+)\s+)?(.*?)(?:\{([^{}]*)\}(.*))?")
+# A branch (target, probability[, label]): the target is not blank, neither
+# it nor the probability holds a bracket or a comma, and the label's
+# brackets are unnested [lo-hi], {…} and (…) groups.  A line of such
+# branches has a source without ">", so its "->" is the line's first, and
+# an action without square brackets.  Each quantifier is greedy and ends at
+# one place a char class forces, so a match or a miss takes linear time.
+_BRANCH = (r"\(\s*([^][(){},\s][^][(){},]*),([^][(){},]*)(?:,([^][(){}]*(?:(?:\[[^][(){}]*\]"
+           r"|\{[^][(){}]*\}|\([^][(){}]*\))[^][(){}]*)*))?\)")
+_BRANCH_RE = re.compile(_BRANCH)
+_LINE_RE = re.compile(rf"(?P<source>[^>\s][^>]*)->\s*\[\s*(?P<branches>(?:{_BRANCH}\s*"
+                      rf"(?:,\s*(?=\()|(?=\])))+)\]\s*(?P<action>[^][]*)")
 
 
-def _parse_label(text: str) -> Label:
-    m = _LABEL_RE.fullmatch(text.strip())
-    source = m.group(1) or "db"
-    return Label((m.group(2) + (m.group(4) or "")).strip(),
-                 frozenset(filter(None, map(str.strip, (m.group(3) or "").split(",")))),
-                 frozenset(), "db" if source.lower() == "db" else source)
+def _label(text: str, labels: dict[str, Label]) -> Label:
+    """The label `text` reads as; `labels` caches the labels read so far."""
+    if text not in labels:
+        marker, before, lines, after = _LABEL_RE.fullmatch(text.strip()).groups()
+        labels[text] = Label((before + (after or "")).strip(),
+                             frozenset(filter(None, map(str.strip, (lines or "").split(",")))),
+                             frozenset(), marker if marker and marker.lower() != "db" else "db")
+    return labels[text]
 
 
-def _parse_transition(line: str, probs: dict[str, Fraction]) -> Transition:
-    """One transition line; `probs` caches the probabilities read so far."""
+def _prob(text: str, probs: dict[str, Fraction]) -> Fraction:
+    """The probability `text` reads as; `probs` caches those read so far."""
+    if text not in probs:
+        try:
+            probs[text] = parse_fraction(text)
+        except InputError as exc:
+            raise InputError(f"bad probability: {exc}") from None
+    return probs[text]
+
+
+def _parse_transition(line: str, probs: dict[str, Fraction],
+                      labels: dict[str, Label]) -> Transition:
+    """One transition line, read from one `_LINE_RE` match and its
+    branches; a line that does not match, or whose probabilities do not
+    all read, goes to the scanner, which makes every refusal."""
+    m = _LINE_RE.fullmatch(line)
+    if m is not None:
+        try:
+            return Transition(m["source"].strip(), m["action"] or "query", tuple(
+                Branch(to.strip(), _prob(prob.strip(), probs), _label(text, labels))
+                for to, prob, text in _BRANCH_RE.findall(m["branches"])))
+        except InputError:
+            pass
+    return _scan_transition(line, probs, labels)
+
+
+def _scan_transition(line: str, probs: dict[str, Fraction],
+                     labels: dict[str, Label]) -> Transition:
+    """One transition line, split through `values.split_top_level`."""
     source, _, rest = map(str.strip, line.partition("->"))
     if not rest.startswith("["):
         raise InputError("expected a branch list")
@@ -51,14 +91,8 @@ def _parse_transition(line: str, probs: dict[str, Fraction]) -> Transition:
         parts = split_top_level(chunk[1:-1])
         if len(parts) < 2:
             raise InputError("branch needs target and prob")
-        text = parts[1].strip()
-        if text not in probs:
-            try:
-                probs[text] = parse_fraction(text)
-            except InputError as exc:
-                raise InputError(f"bad probability: {exc}") from None
-        branches.append(Branch(parts[0].strip(), probs[text],
-                               _parse_label(",".join(parts[2:]))))
+        branches.append(Branch(parts[0].strip(), _prob(parts[1].strip(), probs),
+                               _label(",".join(parts[2:]), labels)))
     action = rest[m.end() :].strip() or "query"
     if not branches:
         raise InputError("empty branch list")
@@ -84,6 +118,7 @@ def parse_dltts(text: str, name: str = "dltts") -> Dltts:
     initial, stop, where = "s0", "STOP", 0
     transitions: list[Transition] = []
     probs: dict[str, Fraction] = {}
+    labels: dict[str, Label] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].strip()
         key = line.lower()
@@ -97,7 +132,7 @@ def parse_dltts(text: str, name: str = "dltts") -> Dltts:
                 else:
                     stop = state
             elif "->" in line:
-                transitions.append(_parse_transition(line, probs))
+                transitions.append(_parse_transition(line, probs, labels))
                 where = where or lineno
             elif line:
                 raise InputError(f"cannot parse {raw!r}")

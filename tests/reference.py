@@ -352,7 +352,7 @@ def build_attack_dltts(db: DataTable, profile: AttackerProfile) -> AttackDltts:
     expand("s0", list(db.rows), 0)
 
     dltts = Dltts(initial="s0", stop="STOP", transitions=tuple(transitions))
-    return _switched(profile.name, dltts, (),
+    return _switched(AttackDltts(profile.name, dltts, ()), (),
                      lambda line: _sensitive_value(db, line), assumed=False)
 
 

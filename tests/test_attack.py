@@ -403,3 +403,22 @@ def test_empty_attack_report():
     attack = load_attack_dltts("initial: s0\ns0 -> [(s1, 1, x {l1,l2})] query\n")
     assert threshold_report(attack) == {}
     assert max_pr(attack, "l1") == 0
+
+
+def test_a_synthesized_switch_target_never_names_a_drawn_state():
+    """The switch synthesized at `s1` goes to `s1r` unless a state already
+    has that name: here the drawn `s1r` answers l2 with probability 1/4, so
+    a switch into it would add s1's 3/4 to Max_pr(l2).  The target is the
+    first of `s1r`, `s1rr`, ... that names no state, and the report equals
+    the one where the drawn state has another name."""
+    drawn = ("s0 -> [(s1, 3/4, P_a {l1}), (s1r, 1/4, P_a {l2})] pick\n"
+             "s1r -> [(s2, 1, P_db response(l2)=5)] response(l2)\n")
+    attack = load_attack_dltts(drawn, "X")
+    assert max_pr(attack, "l2") == F(1, 4)
+    assert max_pr(attack, "l1") == F(3, 4)
+    assert [(e.node, e.target, e.assumed) for e in attack.responses] == [
+        ("s1r", "s2", False), ("s1", "s1rr", True)]
+    renamed = load_attack_dltts(drawn.replace("s1r", "x9"), "X")
+    assert threshold_report(attack) == threshold_report(renamed)
+    taken = load_attack_dltts(drawn + "s2 -> [(s1rr, 1, P_db q)] q\n", "X")
+    assert [e.target for e in taken.responses if e.assumed] == ["s1rrr"]

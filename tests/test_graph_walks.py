@@ -14,7 +14,6 @@ import pytest
 import privtrace.attack as attack_mod
 from privtrace.attack import (
     StrategyDecision,
-    _active_transitions,
     _first_condition,
     _priority_key,
     apply_strategy,
@@ -35,6 +34,17 @@ from conftest import SCENARIOS
 
 def _scan_outgoing(dltts, state):
     return tuple(t for t in dltts.transitions if t.source == state)
+
+
+def _active_transitions(attack, state):
+    """The transitions from `state`, less each response switch that is
+    OFF: every action is matched against the pattern again."""
+    out = []
+    for t in _scan_outgoing(attack.dltts, state):
+        m = attack_mod._RESPONSE_RE.match(t.action)
+        if m is None or attack.switched_on(state, m.group(1)):
+            out.append(t)
+    return out
 
 
 def oracle_priority_runs(attack):

@@ -1,7 +1,8 @@
-"""The transcript parser, which splits through the one bracket scanner
-`values.split_top_level`, against the reference parser, which splits by a
-walk over the characters (`tests/reference.py`): seeded well-formed and
-mutated transcripts give an equal `Dltts` or an equal error.  The
+"""The transcript parser, which reads a line in one match or else splits
+it through the one bracket scanner `values.split_top_level`, against the
+reference parser, which splits by a walk over the characters
+(`tests/reference.py`): seeded well-formed and mutated transcripts give an
+equal `Dltts` or an equal error, whichever path reads each line.  The
 exceptions are the refusals the reference lacks, each asserted by name: an
 empty state name, an action holding a square bracket, and transitions none
 of which leaves the initial state."""
@@ -14,21 +15,30 @@ import re
 import pytest
 import reference
 
+import privtrace.transcript as transcript
 from privtrace.lts import Dltts, natural_key
 from privtrace.records import InputError
 from privtrace.transcript import parse_dltts
 
-PROBS = ["1", "1/2", " 3/4 ", "0.25", "2/8", "1e-1", "-1/3", "0", "x", "1/0", "",
-         "1e99999", "9" * 5000, "1_000/2_000", "(1)", "[1]"]
+PROBS = ["1", "1/2", " 3/4 ", "0.25", "2/8", "1e-1", "-1/3", "0", "1_000/2_000"]
+UNREAD = ["x", "1/0", "", "1e99999", "9" * 5000, "(1)", "[1]"]
 LABELS = ["", "P_db age=[30-40] {l1,l2,l3}", "P_b response(l4)=7", "P_a sex=F {l1}",
           "x, y", "{l1, ,l2}", "P_Db  text {a}", "P_x", "q {a{b}} c", "P_N {l-1} tail",
-          "response(l-1)=v", "a=[1-2] b=[3-4]", "{}", "P_db  ", "t {x} u {y}"]
+          "response(l-1)=v", "a=[1-2] b=[3-4]", "{}", "P_db  ", "t {x} u {y}",
+          # shapes of the one-match path: plain text, unnested [lo-hi], {…}
+          # and (…) groups, and commas outside them
+          "P_a {l7}", "P_a dept=Ops {l2,l24}", " P_db response(l12)=6 ", "f(x), g(y) {l1}",
+          "P_b age=[20-30] {l1, l2} [x] (y)", "a,,b", "{l1}{l2}", "(){}[]", "P_q\tw {l3}"]
 ACTIONS = ["", "query:Age", "response(l1)", "pick", "delta", "q r", "q[1]"]
 MUTATIONS = "[](){},"
 
 
 def _state(rng: random.Random, names: int) -> str:
-    return "" if rng.random() < 0.02 else f"s{rng.randrange(names)}"
+    """A state name, now and then empty or with white space around or in it."""
+    if rng.random() < 0.02:
+        return ""
+    name = f"s{rng.randrange(names)}"
+    return rng.choice([name] * 7 + [f" {name}  ", f"{name}\t", f"x {name}"])
 
 
 def _transcript(rng: random.Random) -> list[str]:
@@ -42,7 +52,7 @@ def _transcript(rng: random.Random) -> list[str]:
     for k in range(rng.randint(0, 4)):
         branches = []
         for _ in range(rng.randint(1, 3)):
-            parts = [_state(rng, 10), rng.choice(PROBS)]
+            parts = [_state(rng, 10), rng.choice(UNREAD if rng.random() < 0.1 else PROBS)]
             if rng.random() < 0.7:
                 parts.append(rng.choice(LABELS))
             branches.append("(" + ", ".join(parts) + ")")
@@ -105,7 +115,23 @@ def _refused(text: str, lineno: int, rule: str, kind: str | None) -> bool:
     return "[" in last.action or "]" in last.action
 
 
-def test_tokenizer_matches_the_reference_parser():
+def test_tokenizer_matches_the_reference_parser(monkeypatch):
+    """Both paths are well exercised: at least 1,000 transition lines are
+    read in one match, and at least 1,000 go to the scanner."""
+    read = {"one match": 0, "scanner": 0}
+    scan, parse = transcript._scan_transition, transcript._parse_transition
+
+    def counted_parse(line, probs, labels):
+        read["one match"] += 1
+        return parse(line, probs, labels)
+
+    def counted_scan(line, probs, labels):
+        read["one match"] -= 1
+        read["scanner"] += 1
+        return scan(line, probs, labels)
+
+    monkeypatch.setattr(transcript, "_parse_transition", counted_parse)
+    monkeypatch.setattr(transcript, "_scan_transition", counted_scan)
     rng = random.Random(20261019)
     counts = {"equal": 0, "error": 0}
     refusals: dict[str, int] = {}
@@ -127,6 +153,7 @@ def test_tokenizer_matches_the_reference_parser():
     # both outcomes, and every refusal, are well exercised
     assert min(counts.values()) > 300, counts
     assert set(refusals) == {"initial", "stop", "source", "target", "action", "no"}, refusals
+    assert min(read.values()) >= 1000, read
 
 
 @pytest.mark.parametrize("text, error", [
