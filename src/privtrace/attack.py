@@ -24,8 +24,8 @@ def _priority_key(probs: Iterable[Fraction]) -> tuple[Fraction, ...]:
     return tuple(sorted(probs, reverse=True))
 
 
-# A line id is free text, so a switch names any text in its parentheses.
-_RESPONSE_RE = re.compile(r"^response\((.+)\)$")
+# A line id is free text, newlines included: a switch names all its parentheses hold.
+_RESPONSE_RE = re.compile(r"^response\((.+)\)\Z", re.DOTALL)
 _RESPONSE_LABEL_RE = re.compile(r"response\(.+\)\s*=\s*(\S+)")
 _ZERO = Fraction(0)
 

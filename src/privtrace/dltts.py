@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Sequence
 
 from .lts import DELTA, Branch, Dltts, Label, Transition, transition_problems
 from .records import InputError, Record, parse_fraction
-from .schema import ColumnSchema, DataTable, PrivacyPolicy, TOP, TuplePattern
+from .schema import ColumnSchema, DataTable, PrivacyPolicy, Row, TOP, TuplePattern
 from .values import ColumnClass, IntervalMeasureMode, Number, Taxon, Wildcard
 
 Tag = frozenset
@@ -45,7 +45,7 @@ def __getattr__(name: str):
     # `dltts.rho` and `dltts.parse_dltts` name the metric layer's `rho` and
     # the transcript reader, as the benchmark's tracer expects.  Neither
     # module is imported at load, so a report loads `metrics` only when an
-    # armed oracle first measures (see `_secret_rho`), and `transcript`
+    # armed oracle first measures (see `_within_epsilon`), and `transcript`
     # only when its scenario names transcripts
     if name == "rho":
         from .metrics import rho
@@ -244,38 +244,22 @@ def oracle_bound(text: str, secret: list[str]) -> Fraction:
     return bound
 
 
-def resolve_secret(table: Callable[[str], DataTable], refs: list[str]) -> list[DataTable]:
+def resolve_secret(table: Callable[[str], DataTable], refs: list[str]) -> list[Row]:
     """Resolve `table:line` references, each table found by name with
-    `table`, into copies of their tables holding just those rows, so that
-    each secret keeps its table's normalizers."""
+    `table`, into their rows: grouped by table, in the order the tables
+    and then their lines are first named."""
     rows: dict[str, dict] = {}
     for ref in refs:
         table_name, _, line = ref.partition(":")
         if not line:
             raise InputError(f"secret reference {ref!r} is not table:line")
         rows.setdefault(table_name, {})[line] = table(table_name).row(line)
-    return [table(name).replace(rows=tuple(by_line.values()))
-            for name, by_line in rows.items()]
+    return [row for by_line in rows.values() for row in by_line.values()]
 
 
 def _is_knowledge(p: TuplePattern) -> bool:
     """Does rho read p: a star-free positive tuple over some columns?"""
     return not p.negative and bool(p.columns) and p.is_ground()
-
-
-def _secret_rho(knowledge, secrets, mode, at_most) -> Fraction | None:
-    """rho between the knowledge tuples and the secrets, over the pairs
-    within `at_most`.  A DataTable stands for its rows, measured with its
-    declared normalizers; a bare cell tuple has none."""
-    from .metrics import rho
-
-    found = [
-        rho(knowledge, s.rows, mode, normalizer=s.normalizers, at_most=at_most)
-        if isinstance(s, DataTable)
-        else rho(knowledge, [s], mode, at_most=at_most)
-        for s in secrets
-    ]
-    return min((r for r in found if r is not None), default=None)
 
 
 class DlttsBuilder:
@@ -297,7 +281,8 @@ class DlttsBuilder:
     a child checks only the tuples it added: against the policy, and
     whether any added ground tuple lies within epsilon of a secret.  That
     answer is memoized by the tuple's cells, valid because the oracle
-    configuration is fixed too.
+    configuration is fixed too.  The secrets are rows or cell tuples; a
+    secret's number holds the D that rho measures a known number against.
     """
 
     initial = "s0"
@@ -309,7 +294,7 @@ class DlttsBuilder:
         policy: PrivacyPolicy | None = None,
         externals: Sequence[DataTable] = (),
         columns: Iterable[ColumnSchema] | None = None,
-        secrets: Iterable[Sequence | DataTable] | None = None,
+        secrets: Iterable[Sequence | Row] | None = None,
         epsilon: Fraction | None = None,
         mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
     ) -> None:
@@ -385,12 +370,14 @@ class DlttsBuilder:
         the set is iterated in."""
         if not oracle_armed(self.epsilon, self.secrets):
             return False
+        from .metrics import rho
+
         knowledge = [p.cells for p in tuples if _is_knowledge(p)]
         within = self._within
         for cells in knowledge:
             if cells not in within:
-                within[cells] = _secret_rho([cells], self.secrets, self.mode,
-                                            self.epsilon) is not None
+                within[cells] = rho([cells], self.secrets, self.mode,
+                                    at_most=self.epsilon) is not None
         return any(within[cells] for cells in knowledge)
 
     def build(self) -> Dltts:

@@ -16,7 +16,7 @@ import itertools
 import re
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from .privacy import EpsilonResult, HammingAdjacency, Mechanism, _as_cells
 from .records import InputError, Record, parse_fraction
@@ -181,17 +181,11 @@ class RhoAdjacency(Record):
     """Value-wise tuple distance rho under the selected interval mode."""
 
     mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET
-    normalizer: Fraction | Mapping[int, Fraction] | None = None
 
     def distance(self, a, b) -> Fraction | None:
         from .metrics import rho
 
-        return rho(
-            [_as_cells(a)],
-            [_as_cells(b)],
-            self.mode,
-            normalizer=self.normalizer,
-        )
+        return rho([_as_cells(a)], [_as_cells(b)], self.mode)
 
 
 def min_scaled_indist_epsilon(
@@ -215,12 +209,11 @@ def min_eps_rho_indist(
     mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
     *,
     tuples: tuple | None = None,
-    normalizer: Fraction | Mapping[int, Fraction] | None = None,
 ) -> EpsilonResult:
     """|ln(p/p')| / rho(t,t'): the rho-scaled minimal epsilon.  `tuples`
     supplies the value tuples when the mechanism inputs are opaque keys."""
     t, t2 = tuples if tuples is not None else (v, v2)
-    d = RhoAdjacency(mode, normalizer).distance(t, t2)
+    d = RhoAdjacency(mode).distance(t, t2)
     if d is None:
         raise InputError("tuples are uncomparable; rho is undefined")
     return min_scaled_indist_epsilon(m, v, v2, alpha, d)

@@ -12,7 +12,8 @@ Per-class metrics (all exact rationals in [0,1]):
           measure (len + len' - overlap).  PAPER_COMPAT is not claimed to
           satisfy the triangle inequality and is only selected explicitly.
   d_eucl  normalized |x - x'| / D for plain numbers, with D a fixed positive
-          bound on the column's spread.
+          bound on the column's spread.  The tuple distances below read D
+          from the second operand's number, which holds its column's D.
   d_wp    taxonomy distance 1 - 2*c_xy / (c_x + c_y), where c_x is the node
           count from the root to x inclusive and c_xy the depth of the
           deepest common ancestor.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .records import InputError
 from .values import (
@@ -158,14 +159,13 @@ def _shape(cells: tuple[Value, ...]) -> tuple:
 
 
 @lru_cache(maxsize=1024)
-def _plan(shape, shape2, normalizer) -> tuple | None:
+def _plan(shape, shape2) -> tuple | None:
     """How to measure two tuples of these shapes; None when they are
     uncomparable, `_NOT_CELLS` when a shape holds a non-value.  A plan is
-    the corresponding positions with each one's D, the numerical positions
-    with their D, whose values need a check, in cell order, and the message
-    of the first error no value can avoid, which ends those checks.  A
-    taxon holds a node of its own tree, so a taxoral position needs no
-    check.  `normalizer` is one D, or a mapping's items as a tuple."""
+    the corresponding positions, the numerical ones among them, whose
+    values need a check, in cell order, and the message of the first
+    error no value can avoid, which ends those checks.  A taxon holds a
+    node of its own tree, so a taxoral position needs no check."""
     kinds = [[_KINDS.get(s) if isinstance(s, type) else ColumnClass.TAXORAL
               for s in sh] for sh in (shape, shape2)]
     if None in kinds[0] + kinds[1]:
@@ -173,39 +173,29 @@ def _plan(shape, shape2, normalizer) -> tuple | None:
     pairs = corresponding(*kinds)
     if pairs is None:
         return None
-    by_position = dict(normalizer) if isinstance(normalizer, tuple) else None
-    ops, checks = [], []
+    checks = []
     for i, j in pairs:
-        kind, d = kinds[0][i], None
+        kind = kinds[0][i]
         if kind is ColumnClass.NUMERICAL:
-            d = normalizer if by_position is None else by_position.get(j)
-            if d is None:
-                return (), tuple(checks), "numerical cells need an explicit normalizer D"
-            d = Fraction(d)
-            if d <= 0:
-                return (), tuple(checks), "normalizer D must be positive"
-            checks.append((i, j, d))
+            checks.append((i, j))
         elif kind is ColumnClass.TAXORAL and shape[i] != shape2[j]:
             return (), tuple(checks), (
                 f"taxons from different trees: {shape[i]}, {shape2[j]}")
-        ops.append((i, j, d))
-    return tuple(ops), tuple(checks), None
+    return pairs, tuple(checks), None
 
 
 _NOT_CELLS = ((), (), None)
 _ZERO = Fraction(0)
 
 
-def _pairs(S, S2, normalizer):
+def _pairs(S, S2):
     """Each pair of cells drawn from S and S2, with its plan; raises
     TypeError, as `value_kind` does, on a pair that holds a non-value."""
     rows2 = [(b, _shape(b)) for b in map(_cells, S2)]
-    if isinstance(normalizer, Mapping):
-        normalizer = tuple(normalizer.items())
     for a in map(_cells, S):
         shape = _shape(a)
         for b, shape2 in rows2:
-            plan = _plan(shape, shape2, normalizer)
+            plan = _plan(shape, shape2)
             if plan is _NOT_CELLS:
                 for v in a + b:
                     value_kind(v)
@@ -213,11 +203,15 @@ def _pairs(S, S2, normalizer):
 
 
 def _checked(plan, a, b) -> tuple:
-    """The positions `plan` measures, once the numerical values of a and b
-    passed its checks in cell order and it holds no unavoidable error;
-    raises InputError at the first check that fails."""
+    """The positions `plan` measures, once each numerical pair of a and b
+    passed its checks in cell order (b's number holds a D, and the values
+    lie within it) and the plan holds no unavoidable error; raises
+    InputError at the first check that fails."""
     ops, checks, error = plan
-    for i, j, d in checks:
+    for i, j in checks:
+        d = b[j].bound
+        if d is None:
+            raise InputError("numerical cells need an explicit normalizer D")
         diff = abs(a[i].value - b[j].value)
         if diff > d:
             raise InputError(f"|x - x'| = {diff} exceeds the normalizer {d}")
@@ -226,14 +220,14 @@ def _checked(plan, a, b) -> tuple:
     return ops
 
 
-def _term(x: Value, y: Value, mode, d) -> Fraction:
+def _term(x: Value, y: Value, mode) -> Fraction:
     """The per-class distance of two corresponding cells that passed
-    `_checked`, with D the position's normalizer."""
+    `_checked`; two numbers are measured against the second one's D."""
     cls = x.__class__
     if cls is IntInterval:
         return d_num(x, y, mode)
     if cls is Number:
-        return abs(x.value - y.value) / d
+        return abs(x.value - y.value) / y.bound
     if cls is Taxon:
         return d_wp(x.tree, x, y)
     return d_nom(x, y)
@@ -243,29 +237,22 @@ def d_vector(
     t: Sequence[Value] | Row,
     t2: Sequence[Value] | Row,
     mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
-    *,
-    normalizer: Fraction | Mapping[int, Fraction] | None = None,
 ) -> tuple[Fraction, ...]:
-    """Column-wise distance vector over the corresponding cell pairs.
-
-    `normalizer` supplies D for numerical pairs: one value for all, or a
-    mapping keyed by the cell position in `t2`.
-    """
-    ((a, b, plan),) = _pairs((t,), (t2,), normalizer)
+    """Column-wise distance vector over the corresponding cell pairs; a
+    numerical pair is measured against the D of its number in `t2`."""
+    ((a, b, plan),) = _pairs((t,), (t2,))
     if plan is None:
         raise InputError("uncomparable tuples")
-    return tuple(_term(a[i], b[j], mode, d) for i, j, d in _checked(plan, a, b))
+    return tuple(_term(a[i], b[j], mode) for i, j in _checked(plan, a, b))
 
 
 def d_bar(
     t: Sequence[Value] | Row,
     t2: Sequence[Value] | Row,
     mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
-    *,
-    normalizer: Fraction | Mapping[int, Fraction] | None = None,
 ) -> Fraction:
     """Scalar tuple distance: the sum of the distance vector entries."""
-    return sum(d_vector(t, t2, mode, normalizer=normalizer), _ZERO)
+    return sum(d_vector(t, t2, mode), _ZERO)
 
 
 def hamming(t: Sequence[Value] | Row, t2: Sequence[Value] | Row) -> int | None:
@@ -283,7 +270,6 @@ def rho(
     S2: Iterable[Sequence[Value] | Row],
     mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
     *,
-    normalizer: Fraction | Mapping[int, Fraction] | None = None,
     at_most: Fraction | None = None,
 ) -> Fraction | None:
     """min { d̄(t,t') : t in S, t' in S' } over type-compatible pairs; None
@@ -293,18 +279,18 @@ def rho(
     if uncomparable.  Each pair's sum stops once it passes that bound, or
     the least d̄ found so far; a pair still raises InputError exactly as
     its distance vector would, after its value checks, so an input raises
-    whatever the bound.  The correspondence, each position's D and every
-    error no value can avoid are planned once per pair of shapes.
+    whatever the bound.  The correspondence and every error no value can
+    avoid are planned once per pair of shapes.
     """
     best: Fraction | None = None
-    for a, b, plan in _pairs(S, S2, normalizer):
+    for a, b, plan in _pairs(S, S2):
         if plan is None:
             continue
         bound = at_most if best is None else best
         total = _ZERO
-        for i, j, d in _checked(plan, a, b):
+        for i, j in _checked(plan, a, b):
             if a[i] != b[j]:  # every per-class distance is zero on equal values
-                term = _term(a[i], b[j], mode, d)
+                term = _term(a[i], b[j], mode)
                 total = term if total is _ZERO else total + term
                 if bound is not None and total > bound:
                     break

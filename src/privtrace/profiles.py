@@ -62,7 +62,7 @@ def parse_profile(name: str, doc, schema: SchemaBundle) -> AttackerProfile:
         col = columns[col_name]
         where = f"profile {name!r} priors.{col_name}"
         priors[col_name] = {
-            located(where, parse_cell, k, col.cls, col.taxonomy):
+            located(where, parse_cell, k, col.cls, col.taxonomy, col.normalizer):
                 located(f"{where}.{k}", parse_fraction, v)
             for k, v in table.items()
         }

@@ -425,10 +425,15 @@ def run_scenario(
     for entry in analysis.get("strategy", []):
         strategy_section(scenario, report, entry["attacker"], entry.get("baseline"))
 
-    for entry in analysis.get("dp_check", []):
-        name = entry["mechanism"]
-        dp_section(report, name, scenario.mechanism(name),
-                   entry.get("adjacency", "hamming"), entry.get("mode", "integer-set"))
+    for i, entry in enumerate(analysis.get("dp_check", [])):
+        name, where = entry["mechanism"], f"scenario analysis.dp_check[{i}]"
+        adjacency = entry.get("adjacency", "hamming")
+        mode_name = entry.get("mode", "integer-set")
+        if adjacency not in ("hamming", "rho"):  # the choices of dp-check --adjacency
+            raise InputError(f"{where}: unknown adjacency {adjacency!r}; expected one "
+                             "of ['hamming', 'rho']")
+        located(where, parse_mode, mode_name)  # read under rho only, checked always
+        dp_section(report, name, scenario.mechanism(name), adjacency, mode_name)
         report.add()
 
     return report

@@ -80,7 +80,7 @@ class Row(Record):
 
 class DataTable(Record):
     """A named table of rows over a column schema; a taxoral cell carries
-    its own tree."""
+    its own tree, a numerical cell its column's D."""
 
     name: str
     columns: tuple[ColumnSchema, ...]
@@ -146,16 +146,6 @@ class DataTable(Record):
 
     def line_ids(self) -> tuple[str, ...]:
         return tuple(r.line_id for r in self.rows)
-
-    @cached_property
-    def normalizers(self) -> dict[int, Fraction]:
-        """The declared normalizer D of each numerical column, by column
-        index: the per-position form of `metrics.d_vector` for a row of
-        this table as its second operand.  Built once; not to be mutated."""
-        return {
-            i: c.normalizer for i, c in enumerate(self.columns)
-            if c.normalizer is not None
-        }
 
 
 def _cell_matches_class(cell: Value, cls: ColumnClass) -> bool:
@@ -331,7 +321,7 @@ def parse_pattern(
         if part in ("*", "⋆"):
             cells.append(STAR)
         else:
-            cells.append(parse_cell(part, col.cls, col.taxonomy))
+            cells.append(parse_cell(part, col.cls, col.taxonomy, col.normalizer))
     return TuplePattern(
         tuple(c.name for c in columns), tuple(cells), negative or force_negative
     )
@@ -376,7 +366,7 @@ def load_table(
         cells = []
         for text, col in zip(raw, columns):
             try:
-                cells.append(parse_cell(text, col.cls, col.taxonomy))
+                cells.append(parse_cell(text, col.cls, col.taxonomy, col.normalizer))
             except InputError as exc:
                 raise InputError(
                     f"table {name}: row {line_id}, column {col.name}: {exc}"

@@ -25,7 +25,6 @@ def metric_section(scenario: Scenario, report: Report, table_name: str, pairs,
     from .metrics import d_vector, hamming
 
     table = scenario.table(table_name)
-    normalizer = table.normalizers
     all_defined = True
     for a, b in pairs:
         ra, rb = table.row(a), table.row(b)
@@ -35,7 +34,7 @@ def metric_section(scenario: Scenario, report: Report, table_name: str, pairs,
             report.add(f"## metric {table_name} {a} {b} ({mode.value})")
             prefix = f"metric/{table_name}/{a}/{b}/{mode.value}"
             try:
-                vec = d_vector(ra, rb, mode, normalizer=normalizer)
+                vec = d_vector(ra, rb, mode)
             except InputError:
                 all_defined = False
                 report.add("uncomparable pair")
@@ -79,8 +78,7 @@ def scaled_indist_section(scenario: Scenario, report: Report, entry: dict) -> No
     report.add(f"## scaled indistinguishability {entry['mechanism']} {a} {b}")
     for mode_name in entry.get("modes", ["integer-set"]):
         rho_mode = parse_mode(mode_name)
-        res = min_eps_rho_indist(m, a, b, alpha, rho_mode, tuples=tuples,
-                                 normalizer=table.normalizers)
+        res = min_eps_rho_indist(m, a, b, alpha, rho_mode, tuples=tuples)
         report.put(f"scaled_indist/{entry['mechanism']}/{a}/{b}/rho/{rho_mode.value}",
                    res, f"rho-scaled min epsilon ({rho_mode.value}) = {res}")
     if entry.get("hamming"):

@@ -94,12 +94,16 @@ class IntInterval(Record):
 
 
 class Number(Record):
-    """An exact rational value of a numerical column."""
+    """An exact rational value of a numerical column and that column's D,
+    `bound` (None: none declared); numbers compare by value alone."""
 
     value: Fraction
+    bound: Fraction | None = None
 
     def _check(self) -> None:
         object.__setattr__(self, "value", Fraction(self.value))
+        if self.bound is not None and self.bound <= 0:
+            raise InputError("normalizer D must be positive")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -259,9 +263,10 @@ def parse_cell(
     text: str,
     cls: ColumnClass,
     tree: TaxonomyTree | None = None,
+    bound: Fraction | None = None,
 ) -> Value:
     """Parse one cell per the grammar: `[lo-hi]` interval, `{a,b}` set, bare
-    token otherwise, directed by the column class."""
+    token otherwise, directed by the column class, whose tree or D it holds."""
     text = text.strip()
     if not text:
         raise InputError("empty cell")
@@ -287,7 +292,7 @@ def parse_cell(
             raise InputError(f"cell {text!r} is not an interval or integer") from None
         return IntInterval(a, a)
     if cls is ColumnClass.NUMERICAL:
-        return Number(parse_fraction(text))
+        return Number(parse_fraction(text), bound)
     # ColumnClass.TAXORAL, the one class left
     if tree is None:
         raise InputError("taxoral cell requires a taxonomy")

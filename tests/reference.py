@@ -66,20 +66,18 @@ def cell_distance(
     v: Value,
     v2: Value,
     mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
-    *,
-    normalizer: Fraction | None = None,
 ) -> Fraction:
     """The per-class metric of one corresponding cell pair, each operand
-    checked as it is reached; a taxon pair is measured in the first
-    taxon's tree."""
+    checked as it is reached; a number pair is measured against the
+    second number's D, a taxon pair in the first taxon's tree."""
     if isinstance(v, (Atom, AtomSet)) and isinstance(v2, (Atom, AtomSet)):
         return d_nom(v, v2)
     if isinstance(v, IntInterval) and isinstance(v2, IntInterval):
         return d_num(v, v2, mode)
     if isinstance(v, Number) and isinstance(v2, Number):
-        if normalizer is None:
+        if v2.bound is None:
             raise InputError("numerical cells need an explicit normalizer D")
-        return d_eucl(v, v2, normalizer)
+        return d_eucl(v, v2, v2.bound)
     if isinstance(v, Taxon) and isinstance(v2, Taxon):
         if v.tree.name != v2.tree.name:
             raise InputError(
@@ -101,27 +99,18 @@ def d_vector(
     t: Sequence[Value] | Row,
     t2: Sequence[Value] | Row,
     mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
-    *,
-    normalizer: Fraction | Mapping[int, Fraction] | None = None,
 ) -> tuple[Fraction, ...]:
     """The distance vector, one `cell_distance` per corresponding pair."""
     a, b = _cells(t), _cells(t2)
     pairs = type_compatible(a, b)
     if pairs is None:
         raise InputError("uncomparable tuples")
-    per_pair = isinstance(normalizer, Mapping)
-    return tuple(
-        cell_distance(
-            a[i], b[j], mode,
-            normalizer=normalizer.get(j) if per_pair else normalizer,
-        )
-        for i, j in pairs
-    )
+    return tuple(cell_distance(a[i], b[j], mode) for i, j in pairs)
 
 
-def d_bar(t, t2, mode=IntervalMeasureMode.INTEGER_SET, **kwargs) -> Fraction:
+def d_bar(t, t2, mode=IntervalMeasureMode.INTEGER_SET) -> Fraction:
     """The sum of the per-cell distance vector."""
-    return sum(d_vector(t, t2, mode, **kwargs), Fraction(0))
+    return sum(d_vector(t, t2, mode), Fraction(0))
 
 
 def hamming(t: Sequence[Value] | Row, t2: Sequence[Value] | Row) -> int | None:
@@ -135,8 +124,6 @@ def rho(
     S: Iterable[Sequence[Value] | Row],
     S2: Iterable[Sequence[Value] | Row],
     mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
-    *,
-    normalizer: Fraction | Mapping[int, Fraction] | None = None,
 ) -> Fraction | None:
     """min { d̄(t,t') : t in S, t' in S' } over type-compatible pairs, each
     pair's whole distance vector summed; None when no pair is comparable."""
@@ -145,7 +132,7 @@ def rho(
         for t2 in S2:
             if type_compatible(t, t2) is None:
                 continue
-            d = d_bar(t, t2, mode, normalizer=normalizer)
+            d = d_bar(t, t2, mode)
             if best is None or d < best:
                 best = d
     return best
@@ -245,7 +232,7 @@ def derivations(
 def oracle_verdict(
     saturated_tag: Tag,
     policy: PrivacyPolicy,
-    secret_set: Iterable[Sequence | DataTable] | None = None,
+    secret_set: Iterable[Sequence | Row] | None = None,
     epsilon: Fraction | None = None,
     mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
 ) -> OracleVerdict:
@@ -258,13 +245,7 @@ def oracle_verdict(
         return OracleVerdict.VIOLATION
     if epsilon is not None and secret_set is not None:
         knowledge = [p.cells for p in saturated_tag if _is_knowledge(p)]
-        found = [
-            rho(knowledge, s.rows, mode, normalizer=s.normalizers)
-            if isinstance(s, DataTable)
-            else rho(knowledge, [s], mode)
-            for s in secret_set
-        ]
-        r = min((r for r in found if r is not None), default=None)
+        r = rho(knowledge, secret_set, mode)
         if r is not None and r <= epsilon:
             return OracleVerdict.EPSILON_VIOLATION
     return OracleVerdict.CONTINUE

@@ -214,7 +214,7 @@ def _random_comparable_pair(rng: random.Random, tree: TaxonomyTree):
         if kind == 1:
             return IntInterval(*sorted(rng.randint(0, 50) for _ in range(2)))
         if kind == 2:
-            return Number(F(rng.randint(0, 100)))
+            return Number(F(rng.randint(0, 100)), F(100))  # the column's D: 100
         return Taxon(tree, rng.choice(nodes))
 
     return tuple(cell(k) for k in kinds), tuple(cell(k) for k in kinds)
@@ -229,10 +229,10 @@ def test_criterion_8c_rho_below_hamming_battery():
         tree = _random_tree(rng, max_nodes=8)
         t, t2 = _random_comparable_pair(rng, tree)
         dh = hamming(t, t2)
-        r = rho([t], [t2], IS, normalizer=F(100))
+        r = rho([t], [t2], IS)
         assert dh is not None and r is not None
         assert r <= dh
-        vec = d_vector(t, t2, IS, normalizer=F(100))
+        vec = d_vector(t, t2, IS)
         for entry, a, b in zip(vec, t, t2):
             assert entry <= (1 if a != b else 0)
         if t != t2 and dh > 0:
@@ -245,7 +245,7 @@ def test_criterion_8c_rho_below_hamming_battery():
                 "pairm",
                 {t: {"o": p, "x": 1 - p}, t2: {"o": q, "x": 1 - q}},
             )
-            e_rho = min_eps_rho_indist(m, t, t2, "o", IS, normalizer=F(100))
+            e_rho = min_eps_rho_indist(m, t, t2, "o", IS)
             e_ham = min_eps_hamming_indist(m, t, t2, "o")
             if r == 0:
                 assert e_rho.unbounded or e_rho.value == 0

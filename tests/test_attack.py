@@ -399,6 +399,26 @@ def test_a_drawn_response_switch_at_stop_breaks_the_rules():
         threshold_report(attack)
 
 
+def test_a_line_id_holding_a_newline_names_its_response_switch(enterprise):
+    """A quoted CSV line id may hold a newline.  The switch response(l\\n1)
+    that the builder draws for it is read as a switch: the built tree keeps
+    its partition rules, and the strategy's OFF switch cuts its target off
+    the priority runs."""
+    cols = enterprise.table("responses").columns
+    table = load_table('Line,Sex,Age,Response\nl1,F,[30-40],2\n"l\n1",M,[30-40],3\n',
+                       cols, "t")
+    attack = build_attack_dltts(table, AttackerProfile("P", ("Sex",)))
+    assert attack_problems(attack, table) == []
+    assert sorted(attack._switch_lines.values()) == ["l\n1", "l1"]
+    (edge,) = [e for e in attack.responses if e.line == "l\n1"]
+    updated, decisions = apply_strategy(attack, attack,
+                                        baseline_max={"l1": F(1), "l\n1": F(0)})
+    assert [(d.node, d.switched_off) for d in decisions if d.line == "l\n1"] == [
+        (edge.node, True)]
+    assert edge.target in attack._runs[0]
+    assert edge.target not in updated._runs[0]
+
+
 def test_empty_attack_report():
     attack = load_attack_dltts("initial: s0\ns0 -> [(s1, 1, x {l1,l2})] query\n")
     assert threshold_report(attack) == {}

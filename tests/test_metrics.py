@@ -216,9 +216,13 @@ def test_d_num_integer_set_metric_axioms(x, y, z):
 
 
 def test_d_vector_normalizer_per_position():
-    t, t2 = (Number(0), Atom("a"), Number(0)), (Number(1), Atom("a"), Number(1))
-    assert d_vector(t, t2, normalizer={0: F(2), 2: F(4)}) == (F(1, 2), 0, F(1, 4))
-    assert d_vector(t, t2, normalizer=F(2)) == (F(1, 2), 0, F(1, 2))
+    """Each numerical position is measured against the D its number in
+    the second operand holds; the first operand's D is never read."""
+    t = (Number(0, F(9)), Atom("a"), Number(0))
+    t2 = (Number(1, F(2)), Atom("a"), Number(1, F(4)))
+    assert d_vector(t, t2) == (F(1, 2), 0, F(1, 4))
+    with pytest.raises(InputError, match="^numerical cells need an explicit normalizer D$"):
+        d_vector(t2, t)
 
 
 def test_vector_requires_comparable():
@@ -262,7 +266,8 @@ def _random_tuple(rng, trees):
 
 def _random_normalizer(rng):
     """None, one D for every position, or a D per position with some
-    positions left out; a D may be zero or negative."""
+    positions left out; a D may be zero or negative.  `_bounded` puts it
+    on a tuple's numbers."""
     def d():
         return F(rng.choice((-1, 0, 1, 2, 3, 6, 9)), rng.choice((1, 2)))
 
@@ -272,6 +277,22 @@ def _random_normalizer(rng):
     if choice == 1:
         return d()
     return {j: d() for j in range(4) if rng.random() < 0.7}
+
+
+def _bounded(t, normalizer):
+    """t, a tuple or a row, with each number holding its position's D in
+    `normalizer`; a number refuses a D that is not positive, and then
+    stays without one, like a number whose position has none."""
+    cells = []
+    for j, v in enumerate(getattr(t, "cells", t)):
+        d = normalizer.get(j) if isinstance(normalizer, dict) else normalizer
+        if isinstance(v, Number) and d is not None:
+            try:
+                v = Number(v.value, d)
+            except InputError as exc:
+                assert d <= 0 and str(exc) == "normalizer D must be positive"
+        cells.append(v)
+    return t.replace(cells=tuple(cells)) if isinstance(t, Row) else tuple(cells)
 
 
 def _rho_outcome(fn, *args, **kwargs):
@@ -295,10 +316,14 @@ def test_bounded_rho_matches_the_whole_sum_reference():
         if rng.random() < 0.3:
             S2 = [Row(f"r{k}", cells) for k, cells in enumerate(S2)]
         mode = rng.choice((IS, PC))
-        kw = {"normalizer": _random_normalizer(rng)}
-        expected = _rho_outcome(whole_sum_rho, S, S2, mode, **kw)
+        # D is the second operand's: a first-operand D that were read
+        # would change the outcome
+        normalizer = _random_normalizer(rng)
+        S = [_bounded(t, F(1, 3)) for t in S]
+        S2 = [_bounded(t, normalizer) for t in S2]
+        expected = _rho_outcome(whole_sum_rho, S, S2, mode)
         for bound in (None, F(-1), F(0), F(1, 2), F(1), F(2), F(7, 2)):
-            got = _rho_outcome(rho, S, S2, mode, at_most=bound, **kw)
+            got = _rho_outcome(rho, S, S2, mode, at_most=bound)
             if expected[0] != "value":
                 assert got == expected
                 continue
@@ -328,10 +353,10 @@ def test_planned_distances_match_the_per_cell_reference():
         if rng.random() < 0.3:
             b = Row("r", b)
         mode = rng.choice((IS, PC))
-        kw = {"normalizer": _random_normalizer(rng)}
+        a, b = _bounded(a, F(1, 3)), _bounded(b, _random_normalizer(rng))
         for fn, ref in ((d_vector, reference.d_vector), (d_bar, reference.d_bar)):
-            expected = _rho_outcome(ref, a, b, mode, **kw)
-            assert _rho_outcome(fn, a, b, mode, **kw) == expected
+            expected = _rho_outcome(ref, a, b, mode)
+            assert _rho_outcome(fn, a, b, mode) == expected
         assert _rho_outcome(hamming, a, b) == _rho_outcome(reference.hamming, a, b)
         seen["value" if expected[0] == "value" else "raised"] += 1
     assert min(seen.values()) >= 300, seen

@@ -82,7 +82,8 @@ RECORDS = {
     values.AtomSet: (("values",),
                      lambda rng: (frozenset(rng.sample("abc", rng.randint(1, 2))),)),
     values.IntInterval: (("lo", "hi"), _interval),
-    values.Number: (("value",), lambda rng: (F(rng.randint(0, 2), 2),)),
+    values.Number: (("value", "bound"),
+                    lambda rng: (F(rng.randint(0, 2), 2), rng.choice((None, F(1), F(2))))),
     values.Taxon: (("tree", "node"), lambda rng: (TREE, rng.choice("rab"))),
     schema.ColumnSchema: (("name", "cls", "group", "taxonomy", "normalizer"),
                           _column),
@@ -102,7 +103,7 @@ RECORDS = {
     privacy.EpsilonResult: (("scale", "ratio", "unbounded", "both_zero", "witness"),
                             _pool(5)),
     privacy.HammingAdjacency: ((), _pool(0)),
-    indist.RhoAdjacency: (("mode", "normalizer"), _pool(2)),
+    indist.RhoAdjacency: (("mode",), _pool(1)),
     profiles.AttackerProfile: (("name", "attribute_order", "priors", "objective",
                               "empirical"), _profile),
     attack.ResponseEdge: (("node", "line", "value", "target", "assumed"), _pool(5)),
@@ -120,14 +121,14 @@ RECORDS = {
 # signatures that the one constructor replaced declared them.
 DEFAULTS = {
     schema.ColumnSchema: {"taxonomy": None, "normalizer": None},
+    values.Number: {"bound": None},
     schema.TuplePattern: {"negative": False},
     lts.Label: {"text": "", "lines": frozenset(), "tuples": frozenset(),
                   "source": "db"},
     lts.Branch: {"label": lts.Label("", frozenset(), frozenset(), "db")},
     privacy.EpsilonResult: {"scale": None, "ratio": None, "unbounded": False,
                             "both_zero": False, "witness": None},
-    indist.RhoAdjacency: {"mode": IntervalMeasureMode.INTEGER_SET,
-                           "normalizer": None},
+    indist.RhoAdjacency: {"mode": IntervalMeasureMode.INTEGER_SET},
     profiles.AttackerProfile: {"priors": None, "objective": "", "empirical": False},
     attack.ResponseEdge: {"assumed": False},
     attack.AttackDltts: {"off": frozenset()},
@@ -136,11 +137,20 @@ DEFAULTS = {
 
 # A taxon hashes by its tree's name, not the tree, so that the cells of two
 # loads of one scenario are equal; its twin over the one tree `TREE` does too.
+# A number compares and hashes by its value alone, not its column's D.
+NAMESPACES = {
+    values.Taxon: {"__hash__": lambda self: hash((self.tree.name, self.node))},
+    values.Number: {
+        "__eq__": lambda self, other: (other.value == self.value
+                                       if other.__class__ is self.__class__
+                                       else NotImplemented),
+        "__hash__": lambda self: hash((self.value,)),
+    },
+}
 TWINS = {
     cls: dataclasses.make_dataclass(
         cls.__name__, [(f, object) for f in fields], frozen=True,
-        namespace={"__hash__": lambda self: hash((self.tree.name, self.node))}
-        if cls is values.Taxon else None)
+        namespace=NAMESPACES.get(cls))
     for cls, (fields, _) in RECORDS.items()
 }
 

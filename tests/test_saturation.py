@@ -356,23 +356,19 @@ def _secret_pool(rng, trees):
     ]
 
 
-def _as_tables(patterns):
-    """Each secret as a one-row table over its pattern's columns."""
-    return [
-        DataTable(f"secret{k}", tuple(_BY_NAME[c] for c in p.columns),
-                  (Row("l1", p.cells),))
-        for k, p in enumerate(patterns)
-    ]
+def _as_rows(patterns):
+    """Each secret as a table row holding its pattern's cells."""
+    return [Row(f"l{k}", p.cells) for k, p in enumerate(patterns)]
 
 
 def _oracle_config(rng, secrets, epsilons):
     """One oracle configuration: the settings a builder takes for its life.
-    Secrets come as bare cell tuples or as rows of their tables."""
+    Secrets come as bare cell tuples or as table rows."""
     config = {"secrets": rng.choice(secrets + [None]), "epsilon": rng.choice(epsilons),
               "mode": rng.choice(MODES)}
-    chosen, as_tables = config["secrets"], rng.choice([False, True])
+    chosen, as_rows = config["secrets"], rng.choice([False, True])
     if chosen is not None:
-        config["secrets"] = _as_tables(chosen) if as_tables else [p.cells for p in chosen]
+        config["secrets"] = _as_rows(chosen) if as_rows else [p.cells for p in chosen]
     return config
 
 

@@ -801,6 +801,22 @@ def test_cli_dp_check_has_no_output_count_limit(capsys, tmp_path):
     ]
 
 
+@pytest.mark.parametrize("entry, error", [
+    ({"adjacency": "hamm"},
+     "unknown adjacency 'hamm'; expected one of ['hamming', 'rho']"),
+    ({"adjacency": "hamming", "mode": "bogus"},
+     "unknown mode 'bogus'; expected one of ['integer-set', 'paper-compat']"),
+], ids=["adjacency", "mode"])
+def test_analyze_refuses_an_unknown_dp_check_adjacency_or_mode(tmp_path, capsys,
+                                                               entry, error):
+    """A dp_check entry is measured only under an adjacency and a mode the
+    report knows, even where that adjacency never reads the mode."""
+    path = _hospital_copy(tmp_path, analysis={"dp_check": [
+        {"mechanism": "viral_query"}, {"mechanism": "viral_query", **entry}]})
+    assert cli_main(["analyze", "--scenario", path]) == 2
+    assert capsys.readouterr().err == f"error: scenario analysis.dp_check[1]: {error}\n"
+
+
 def test_analyze_dp_check_entries(tmp_path):
     (tmp_path / "schema.json").write_text(json.dumps(
         {"columns": [{"name": "X", "class": "nominal", "group": "identifier"}]}
@@ -1242,13 +1258,15 @@ def test_deep_cyclic_transcript_exits_two(tmp_path):
     assert "attack system has a cycle" in done.stderr
 
 
-def _salary_scenario(tmp_path, pay_salary_extra=()) -> None:
-    """State s1 learns (John,7), and R1 joins it to (John,7,Phys); the
-    secrets are names:l1 (John) and pay:l1 (5,Chem)."""
+def _salary_scenario(tmp_path, pay_salary_extra=(), schema_salary_extra=()) -> None:
+    """State s1 learns (John,7), read under the schema's Salary, and R1
+    joins it to (John,7,Phys); the secrets are names:l1 (John) and pay:l1
+    (5,Chem).  Each `_extra` adds to a Salary column's document."""
     nominal = {"class": "nominal", "group": "quasi-identifier"}
     name = {"name": "Name", "class": "nominal", "group": "identifier"}
     salary = {"name": "Salary", "class": "numerical", "group": "quasi-identifier"}
-    (tmp_path / "schema.json").write_text(json.dumps({"columns": [name, salary]}))
+    (tmp_path / "schema.json").write_text(json.dumps(
+        {"columns": [name, {**salary, **dict(schema_salary_extra)}]}))
     for table, text in [("depts", "Name,Dept\nJohn,Phys\n"), ("names", "Name\nJohn\n"),
                         ("pay", "Salary,Dept\n5,Chem\n")]:
         (tmp_path / f"{table}.csv").write_text(text)
@@ -1294,6 +1312,19 @@ def test_epsilon_oracle_reads_the_secret_tables_normalizer(tmp_path):
                         "--secret", "pay:l1")
     assert done.returncode == 0, done.stderr
     assert "oracle at s1: epsilon-violation" in done.stdout
+
+
+def test_epsilon_oracle_reads_no_normalizer_from_the_knowledge_side(tmp_path):
+    """D is the secret's: with a normalizer on the schema's Salary, which
+    the learned (John,7) is read under, and none on pay's Salary, the join
+    (John,7,Phys) still has no D against the secret (5,Chem)."""
+    _salary_scenario(tmp_path, schema_salary_extra={"normalizer": "10"})
+    done = _cli_process("analyze", "--scenario", str(tmp_path / "scenario.json"),
+                        "--epsilon", "0", "--secret", "names:l1",
+                        "--secret", "pay:l1")
+    assert done.returncode == 2, done.stdout
+    assert done.stderr == ("error: scenario runs.r.steps[0]: numerical cells need "
+                           "an explicit normalizer D\n")
 
 
 def test_label_equivalence_with_a_tiny_ln_epsilon_ends_quickly(tmp_path):

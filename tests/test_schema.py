@@ -217,14 +217,22 @@ def test_load_table_errors(bundle):
 
 
 def test_numerical_normalizer_validated_at_load(bundle):
-    from privtrace.schema import parse_columns
+    from privtrace.profiles import parse_profile
+    from privtrace.schema import SchemaBundle, parse_columns
 
     cols = parse_columns(
         [{"name": "Score", "class": "numerical", "group": "sensitive",
           "normalizer": "10"}],
         {},
     )
-    load_table("Score\n1\n9\n", cols, "ok")  # spread 8 <= 10
+    table = load_table("Score\n1\n9\n", cols, "ok")  # spread 8 <= 10
+    # every number read in the column holds its D: a row's, a pattern's
+    # and a profile prior's
+    assert [row.cells[0].bound for row in table.rows] == [10, 10]
+    assert parse_pattern("(3)", cols).cells[0].bound == 10
+    profile = parse_profile("P", {"priors": {"Score": {"3": "1"}}},
+                            SchemaBundle(cols, {}, PrivacyPolicy(())))
+    assert [cell.bound for cell in profile.priors["Score"]] == [10]
     with pytest.raises(InputError):
         load_table("Score\n1\n20\n", cols, "bad")  # spread 19 > 10
 

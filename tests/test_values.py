@@ -177,6 +177,20 @@ def test_taxons_compare_by_tree_name_and_node():
     assert Taxon(t1, "leaf") != Taxon(t2, "root")
 
 
+def test_numbers_compare_by_value_not_by_their_columns_d():
+    """A number holds its column's D, which parse_cell hands it; one value
+    read in two columns is one value, and a D that is not positive is
+    refused."""
+    assert Number(5, Fraction(10)) == Number(5)
+    assert hash(Number(5, Fraction(10))) == hash(Number(5))
+    assert Number(5, Fraction(10)) != Number(6, Fraction(10))
+    cell = parse_cell("5", ColumnClass.NUMERICAL, None, Fraction(10))
+    assert cell.bound == 10 and parse_cell("5", ColumnClass.NUMERICAL).bound is None
+    for bad in (0, Fraction(-1, 2)):
+        with pytest.raises(InputError, match="^normalizer D must be positive$"):
+            Number(1, bad)
+
+
 @pytest.mark.parametrize("text, cls, message", [
     (" ", ColumnClass.NOMINAL, "empty cell"),
     ("{a,}", ColumnClass.NOMINAL, "bad atom set '{a,}'"),
