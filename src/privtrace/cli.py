@@ -27,13 +27,12 @@ INPUT_ERRORS = (OSError, InputError)
 def _cmd_analyze(scenario: Scenario, args) -> int:
     from .scenario import parse_mode, run_scenario
 
-    epsilon = None
-    if args.epsilon:
-        from .dltts import oracle_bound
+    oracle = None
+    if args.epsilon is not None or args.secret:
+        from .dltts import Oracle
 
-        epsilon = oracle_bound(args.epsilon, args.secret)
-    report = run_scenario(scenario, epsilon=epsilon, secret=args.secret or None,
-                          mode=parse_mode(args.mode))
+        oracle = Oracle.arm(scenario.table, args.epsilon, args.secret, parse_mode(args.mode))
+    report = run_scenario(scenario, oracle=oracle)
     emit(report.text())
     if args.dot:
         from .dotexport import write_dot

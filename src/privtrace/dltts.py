@@ -23,8 +23,8 @@ fixed external base), so saturation is monotone and idempotent.
 
 A built system is a tree: `reach_stop` reads its runs to Stop off parent
 links.  `validate` checks the structure of an explicit transcript.
-`oracle_bound` and `resolve_secret` read what arms the oracle: the
-`--epsilon` bound and the `--secret` rows.
+`Oracle` is the armed oracle's epsilon check, one value: the bound, the
+secret rows and the interval mode, read from `--epsilon` and `--secret`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Sequence
 
 from .lts import DELTA, Branch, Dltts, Label, Transition, transition_problems
 from .records import InputError, Record, parse_fraction
-from .schema import ColumnSchema, DataTable, PrivacyPolicy, Row, TOP, TuplePattern
+from .schema import ColumnSchema, DataTable, PrivacyPolicy, TOP, TuplePattern
 from .values import ColumnClass, IntervalMeasureMode, Number, Taxon, Wildcard
 
 Tag = frozenset
@@ -45,7 +45,7 @@ def __getattr__(name: str):
     # `dltts.rho` and `dltts.parse_dltts` name the metric layer's `rho` and
     # the transcript reader, as the benchmark's tracer expects.  Neither
     # module is imported at load, so a report loads `metrics` only when an
-    # armed oracle first measures (see `_within_epsilon`), and `transcript`
+    # armed oracle first measures (see `Oracle.within`), and `transcript`
     # only when its scenario names transcripts
     if name == "rho":
         from .metrics import rho
@@ -222,39 +222,50 @@ class OracleVerdict(Enum):
     EPSILON_VIOLATION = "epsilon-violation"
 
 
-def oracle_armed(epsilon: Fraction | None, secrets) -> bool:
-    """Does the oracle check epsilon?  Only with both a bound and secrets:
-    without either, a builder makes the unarmed system."""
-    return epsilon is not None and secrets is not None
+class Oracle(Record):
+    """The armed oracle's epsilon check: a state is an epsilon violation
+    when a ground tuple it knows lies within `epsilon` of a secret, by rho
+    in `mode`.  The secrets are rows or cell tuples; a secret's number
+    holds the D that rho measures a known number against."""
 
+    epsilon: Fraction
+    secrets: tuple
+    mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET
 
-def oracle_bound(text: str, secret: list[str]) -> Fraction:
-    """The oracle's bound on rho, a distance: an exact non-negative
-    fraction or decimal, so a state at exactly the typed bound is caught.
-    It measures the `secret` rows, so at least one must be given."""
-    try:
-        bound = parse_fraction(text.strip().replace(" ", ""))
-    except InputError as exc:
-        raise InputError(f"--epsilon {text!r}: {exc}; the oracle bounds rho, a "
-                         "distance, not an ln(...) epsilon") from None
-    if bound < 0:
-        raise InputError(f"--epsilon {text!r} is negative")
-    if not secret:
-        raise InputError("--epsilon needs at least one --secret TABLE:LINE")
-    return bound
+    @classmethod
+    def arm(cls, table: Callable[[str], DataTable], text: str | None, refs: list[str],
+            mode: IntervalMeasureMode) -> Oracle | None:
+        """The oracle `--epsilon text` arms, None without it: an exact bound
+        on rho, a distance, so a state at exactly the typed bound is caught,
+        over the rows of the `--secret` references `refs`, each table found
+        by name with `table`.  Every reference is resolved, armed or not;
+        the rows are grouped by table, in the order tables and lines are
+        first named."""
+        bound = None
+        if text is not None:
+            try:
+                bound = parse_fraction(text.strip().replace(" ", ""))
+            except InputError as exc:
+                raise InputError(f"--epsilon {text!r}: {exc}; the oracle bounds rho, a "
+                                 "distance, not an ln(...) epsilon") from None
+            if bound < 0:
+                raise InputError(f"--epsilon {text!r} is negative")
+            if not refs:
+                raise InputError("--epsilon needs at least one --secret TABLE:LINE")
+        rows: dict[str, dict] = {}
+        for ref in refs:
+            table_name, _, line = ref.partition(":")
+            if not line:
+                raise InputError(f"secret reference {ref!r} is not table:line")
+            rows.setdefault(table_name, {})[line] = table(table_name).row(line)
+        secrets = tuple(row for by_line in rows.values() for row in by_line.values())
+        return None if bound is None else cls(bound, secrets, mode)
 
+    def within(self, cells: Sequence) -> bool:
+        """Is the ground tuple `cells` within epsilon of a secret?"""
+        from .metrics import rho
 
-def resolve_secret(table: Callable[[str], DataTable], refs: list[str]) -> list[Row]:
-    """Resolve `table:line` references, each table found by name with
-    `table`, into their rows: grouped by table, in the order the tables
-    and then their lines are first named."""
-    rows: dict[str, dict] = {}
-    for ref in refs:
-        table_name, _, line = ref.partition(":")
-        if not line:
-            raise InputError(f"secret reference {ref!r} is not table:line")
-        rows.setdefault(table_name, {})[line] = table(table_name).row(line)
-    return [row for by_line in rows.values() for row in by_line.values()]
+        return rho([cells], self.secrets, self.mode, at_most=self.epsilon) is not None
 
 
 def _is_knowledge(p: TuplePattern) -> bool:
@@ -268,9 +279,9 @@ class DlttsBuilder:
     A state's tag is its parent's saturated tag plus its branch label's
     tuples.  It is saturated as the state is made, and only the saturated
     tag is kept, in `saturated`; a built system carries no tags.  The
-    oracle rules on every state as the builder makes it, under the
-    configuration the builder was made with (policy, secrets, epsilon,
-    mode), and records the ruling in `verdicts`.  A violating state gets
+    oracle rules on every state as the builder makes it, under the policy
+    and the armed `oracle` (none: no epsilon check) the builder was made
+    with, and records the ruling in `verdicts`.  A violating state gets
     the `delta` transition to Stop as its only outgoing transition.
 
     A new state pays only for what it adds to its parent's saturated tag,
@@ -280,9 +291,8 @@ class DlttsBuilder:
     takes transitions, so a parent's saturated tag passed both checks and
     a child checks only the tuples it added: against the policy, and
     whether any added ground tuple lies within epsilon of a secret.  That
-    answer is memoized by the tuple's cells, valid because the oracle
-    configuration is fixed too.  The secrets are rows or cell tuples; a
-    secret's number holds the D that rho measures a known number against.
+    answer is memoized by the tuple's cells, valid because the oracle is
+    fixed too.
     """
 
     initial = "s0"
@@ -294,16 +304,12 @@ class DlttsBuilder:
         policy: PrivacyPolicy | None = None,
         externals: Sequence[DataTable] = (),
         columns: Iterable[ColumnSchema] | None = None,
-        secrets: Iterable[Sequence | Row] | None = None,
-        epsilon: Fraction | None = None,
-        mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
+        oracle: Oracle | None = None,
     ) -> None:
         self.policy = policy or PrivacyPolicy(())
         self.externals = tuple(externals)
         self.columns = tuple(columns or ())
-        self.secrets = None if secrets is None else list(secrets)
-        self.epsilon = epsilon
-        self.mode = mode
+        self.oracle = oracle
         self.transitions: list[Transition] = []
         self._derivations: dict[TuplePattern, tuple[TuplePattern, ...]] = {}
         self._plans: dict[tuple, tuple] = {}
@@ -367,18 +373,22 @@ class DlttsBuilder:
     def _within_epsilon(self, tuples: Iterable[TuplePattern]) -> bool:
         """Is some ground tuple among `tuples` within epsilon of a secret?
         Every one is measured, so an uncomparable pair raises whatever order
-        the set is iterated in."""
-        if not oracle_armed(self.epsilon, self.secrets):
+        the set is iterated in; after a refusal the rest are measured in the
+        order of their cells' classes and texts, to raise that order's first."""
+        if self.oracle is None:
             return False
-        from .metrics import rho
-
         knowledge = [p.cells for p in tuples if _is_knowledge(p)]
-        within = self._within
+        try:
+            self._measure(knowledge)
+        except InputError:
+            self._measure(sorted(knowledge, key=lambda cells: [
+                (c.__class__.__name__, str(c)) for c in cells]))
+        return any(self._within[cells] for cells in knowledge)
+
+    def _measure(self, knowledge: list) -> None:
         for cells in knowledge:
-            if cells not in within:
-                within[cells] = rho([cells], self.secrets, self.mode,
-                                    at_most=self.epsilon) is not None
-        return any(within[cells] for cells in knowledge)
+            if cells not in self._within:
+                self._within[cells] = self.oracle.within(cells)
 
     def build(self) -> Dltts:
         return Dltts(self.initial, self.stop, tuple(self.transitions))

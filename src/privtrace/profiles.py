@@ -141,8 +141,8 @@ def build_attack_dltts(db: DataTable, profile: AttackerProfile) -> AttackDltts:
 def attack_problems(attack: AttackDltts, db: DataTable | None = None) -> list[str]:
     """Consistency of an attack tree beyond `dltts.validate`'s distribution
     rules: sibling label sets partition the parent's label set (root: the
-    table's lines when a table is given), responses are drawn only at
-    singleton nodes (loading gives every singleton node a switch)."""
+    table's lines when a table is given), and responses are drawn only at
+    singleton nodes, each misplaced one named once, in response order."""
     problems = []
     dltts, switches = attack.dltts, attack._switch_lines
     incoming_lines: dict[str, frozenset[str]] = {}
@@ -167,7 +167,8 @@ def attack_problems(attack: AttackDltts, db: DataTable | None = None) -> list[st
         if union != set(parent):
             problems.append(f"{t.source}: children {sorted(union)} do not partition "
                             f"{sorted(parent)}")
-    response_nodes = {(e.node, e.line) for e in attack.responses}
-    for node, line in response_nodes - set(attack.singleton_nodes()):
-        problems.append(f"{node}: response({line}) at a non-singleton node")
+    singletons = set(attack.singleton_nodes())
+    for node, line in dict.fromkeys((e.node, e.line) for e in attack.responses):
+        if (node, line) not in singletons:
+            problems.append(f"{node}: response({line}) at a non-singleton node")
     return problems

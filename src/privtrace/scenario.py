@@ -33,7 +33,6 @@ from .records import (
     read_text,
     shaped,
 )
-from .values import IntervalMeasureMode
 
 # The knowledge, metric, attack, profile and mechanism layers, the
 # transcript reader and the sections in `sections` load only when a section
@@ -44,7 +43,7 @@ from .values import IntervalMeasureMode
 # armed.
 if TYPE_CHECKING:
     from .attack import AttackDltts
-    from .dltts import OracleVerdict
+    from .dltts import Oracle, OracleVerdict
     from .privacy import Mechanism
     from .profiles import AttackerProfile
 
@@ -196,13 +195,11 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario
 
 
-def build_run(scenario: Scenario, run_name: str, *, epsilon: Fraction | None = None,
-              secret: list | None = None,
-              mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
+def build_run(scenario: Scenario, run_name: str, oracle: Oracle | None = None,
               ) -> tuple[Dltts, dict[str, OracleVerdict]]:
     """Drive a builder along a scripted query sequence: it saturates each
-    new state and the oracle rules on every one as it is made.  A step the
-    builder refuses raises an InputError naming the step."""
+    new state and the oracle (armed by `oracle`) rules on each as it is
+    made.  A step the builder refuses raises an InputError naming it."""
     from .dltts import DlttsBuilder
 
     try:
@@ -212,8 +209,7 @@ def build_run(scenario: Scenario, run_name: str, *, epsilon: Fraction | None = N
     schema = scenario.schema
     builder = DlttsBuilder(policy=schema.policy, columns=schema.columns,
                            externals=scenario.external_tables(run.get("externals")),
-                           secrets=secret,
-                           epsilon=epsilon, mode=mode)
+                           oracle=oracle)
     patterns = {}  # each distinct learn string, parsed once per run
     for i, step in enumerate(run.get("steps", [])):
         branches = []
@@ -248,12 +244,13 @@ def _echo_inputs(scenario: Scenario, report: Report) -> None:
     report.add()
 
 
-def _run_section(scenario: Scenario, report: Report, run_name: str, **oracle) -> None:
+def _run_section(scenario: Scenario, report: Report, run_name: str,
+                 oracle: Oracle | None) -> None:
     """Build the run `run_name`, its oracle armed by `oracle` (see
     `build_run`), and report its verdicts and runs to Stop."""
     from .dltts import OracleVerdict, reach_stop
 
-    dltts, verdicts = build_run(scenario, run_name, **oracle)
+    dltts, verdicts = build_run(scenario, run_name, oracle)
     report.add(f"## run {run_name}")
     report.runs[run_name] = dltts
     reached, runs = reach_stop(dltts)
@@ -366,23 +363,9 @@ def strategy_section(
     return drawn
 
 
-def run_scenario(
-    scenario: Scenario,
-    *,
-    epsilon=None,
-    secret: list[str] | None = None,
-    mode: IntervalMeasureMode = IntervalMeasureMode.INTEGER_SET,
-) -> Report:
-    """Execute every analysis requested by the scenario document.
-
-    `epsilon` plus `secret` (a list of table:line references) arm the
-    oracle's epsilon-violation check on every scripted run.
-    """
-    secret_rows = None
-    if secret:
-        from .dltts import resolve_secret
-
-        secret_rows = resolve_secret(scenario.table, secret)
+def run_scenario(scenario: Scenario, *, oracle: Oracle | None = None) -> Report:
+    """Execute every analysis requested by the scenario document; `oracle`
+    arms the epsilon-violation check on every scripted run."""
     report = Report(scenario.name)
     _echo_inputs(scenario, report)
     analysis = scenario.analysis
@@ -410,13 +393,12 @@ def run_scenario(
         scaled_indist_section(scenario, report, entry)
 
     for run_name in analysis.get("runs", []):
-        _run_section(scenario, report, run_name, epsilon=epsilon, secret=secret_rows,
-                     mode=mode)
+        _run_section(scenario, report, run_name, oracle)
 
     for entry in analysis.get("label_equivalence", []):
         from .sections import label_equivalence_section
 
-        label_equivalence_section(scenario, report, entry, epsilon, secret_rows)
+        label_equivalence_section(scenario, report, entry, oracle)
 
     if "attack" in analysis:
         for name in analysis["attack"].get("attackers", []):

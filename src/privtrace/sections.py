@@ -89,15 +89,14 @@ def scaled_indist_section(scenario: Scenario, report: Report, entry: dict) -> No
 
 
 def label_equivalence_section(scenario: Scenario, report: Report, entry: dict,
-                              epsilon, secret) -> None:
+                              oracle) -> None:
     """The classes of epsilon-equivalent branch labels at a state of a
-    scripted run, built unarmed: the report's own run when `epsilon` and
-    `secret` left its oracle unarmed, else built again."""
-    from .dltts import oracle_armed
+    scripted run, built unarmed: the report's own run when no `oracle`
+    armed it, else built again."""
     from .indist import epsilon_equivalent_labels, parse_epsilon
     from .scenario import build_run
 
-    if entry["run"] in report.runs and not oracle_armed(epsilon, secret):
+    if entry["run"] in report.runs and oracle is None:
         dltts = report.runs[entry["run"]]  # built unarmed above
     else:
         dltts, _ = build_run(scenario, entry["run"])

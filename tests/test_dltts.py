@@ -7,6 +7,7 @@ import pytest
 
 from privtrace.dltts import (
     DlttsBuilder,
+    Oracle,
     OracleVerdict,
     Run,
     check_consistency,
@@ -230,8 +231,7 @@ def test_oracle_epsilon_violation(hospital):
     b = DlttsBuilder(
         policy=PrivacyPolicy(()),
         columns=published.columns,
-        secrets=[l5.cells],
-        epsilon=F(0),
+        oracle=Oracle(F(0), (l5.cells,)),
     )
     b.add_transition("s0", "query", [("s1", F(1), Label(tuples=frozenset({pattern})))])
     assert b.verdicts["s1"] is OracleVerdict.EPSILON_VIOLATION
@@ -245,7 +245,7 @@ def test_oracle_epsilon_check_reads_only_positive_tuples(hospital):
     published = hospital.table("published")
     l5 = published.row("l5")
     pattern = TuplePattern(tuple(c.name for c in published.columns), l5.cells)
-    b = DlttsBuilder(columns=published.columns, secrets=[l5.cells], epsilon=F(0))
+    b = DlttsBuilder(columns=published.columns, oracle=Oracle(F(0), (l5.cells,)))
     b.add_transition("s0", "query", [
         ("s1", F(1, 2), Label(tuples=frozenset({pattern}))),
         ("s2", F(1, 2), Label(tuples=frozenset({pattern.replace(negative=True)}))),

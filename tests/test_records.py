@@ -99,6 +99,7 @@ RECORDS = {
     lts.Transition: (("source", "action", "branches"), _pool(3)),
     lts.Dltts: (("initial", "stop", "transitions"), _pool(3)),
     dltts.Run: (("states", "actions", "probability"), _pool(3)),
+    dltts.Oracle: (("epsilon", "secrets", "mode"), _pool(3)),
     privacy.Mechanism: (("name", "inputs", "outputs", "table"), _mechanism),
     privacy.EpsilonResult: (("scale", "ratio", "unbounded", "both_zero", "witness"),
                             _pool(5)),
@@ -129,6 +130,7 @@ DEFAULTS = {
     privacy.EpsilonResult: {"scale": None, "ratio": None, "unbounded": False,
                             "both_zero": False, "witness": None},
     indist.RhoAdjacency: {"mode": IntervalMeasureMode.INTEGER_SET},
+    dltts.Oracle: {"mode": IntervalMeasureMode.INTEGER_SET},
     profiles.AttackerProfile: {"priors": None, "objective": "", "empirical": False},
     attack.ResponseEdge: {"assumed": False},
     attack.AttackDltts: {"off": frozenset()},

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from privtrace.dltts import (DlttsBuilder, OracleVerdict, check_consistency,
+from privtrace.dltts import (DlttsBuilder, Oracle, OracleVerdict, check_consistency,
                              reach_stop, saturate, validate)
 from privtrace.lts import DELTA, Label
 from privtrace.metrics import IntervalMeasureMode
@@ -411,10 +411,11 @@ def test_incremental_builder_matches_oracle_verdict_and_naive_closure():
         config = _oracle_config(
             rng, _secret_pool(rng, trees), [None, F(0), F(1, 2), F(1), F(2)]
         )
-        secrets = config["secrets"]
+        secrets, epsilon = config["secrets"], config["epsilon"]
+        armed = secrets is not None and epsilon is not None
         builder = DlttsBuilder(
             policy=policy, externals=bases, columns=COLUMNS,
-            **{**config, "secrets": None if secrets is None else iter(secrets)},
+            oracle=Oracle(epsilon, tuple(secrets), config["mode"]) if armed else None,
         )
         for step in range(rng.randint(1, 8)):
             sources = [s for s, v in builder.verdicts.items()

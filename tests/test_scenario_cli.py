@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from privtrace.cli import cli_main
-from privtrace.dltts import DlttsBuilder, OracleVerdict, reach_stop, validate
+from privtrace.dltts import DlttsBuilder, Oracle, OracleVerdict, reach_stop, validate
 from privtrace.dotexport import export_dot
 from privtrace.indist import MAX_LN_DIGITS
 from privtrace.privacy import MECHANISM
@@ -58,8 +58,8 @@ def test_empty_scenario_rejected(tmp_path):
 
 
 def test_epsilon_violation_run(hospital):
-    secret = [hospital.table("published").row("l4").cells]
-    dltts, verdicts = build_run(hospital, "trace", epsilon=F(0), secret=secret)
+    secret = (hospital.table("published").row("l4").cells,)
+    dltts, verdicts = build_run(hospital, "trace", Oracle(F(0), secret))
     assert verdicts["s5"] is OracleVerdict.EPSILON_VIOLATION
     assert verdicts["s6"] is OracleVerdict.VIOLATION
     reached, runs = reach_stop(dltts)
@@ -76,6 +76,12 @@ def test_cli_analyze_epsilon_flags(capsys):
     assert code == 0
     assert "oracle at s5: epsilon-violation" in out
     assert cli_main(["analyze", "--scenario", HOSPITAL, "--epsilon", "0"]) == 2
+    # An empty bound is read, and refused, as any other text is.
+    assert cli_main(["analyze", "--scenario", HOSPITAL, "--epsilon", "",
+                     "--secret", "published:l4"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: --epsilon '': Invalid literal for Fraction: ''; the oracle bounds rho, "
+        "a distance, not an ln(...) epsilon\n")
 
 
 @pytest.mark.parametrize("mode", ["integer-set", "paper-compat"])
@@ -1028,6 +1034,30 @@ def test_cli_validate_checks_the_attack_transcripts(capsys, tmp_path):
     ]
 
 
+def test_cli_validate_names_misplaced_responses_in_transcript_order(tmp_path,
+                                                                   monkeypatch):
+    """A's responses at s1 and s2, neither a singleton node, are each
+    reported once, in the order the transcript draws them, whatever order a
+    set of them would iterate in under the hash seed."""
+    shutil.copytree(Path(ENTERPRISE).parent, tmp_path, dirs_exist_ok=True)
+    (tmp_path / "attack_a.dltts").write_text(
+        "initial: s0\n"
+        "s0 -> [(s1, 1/2, P_a sex=M {l3,l4}), (s2, 1/2, P_a sex=F {l1,l2})] query:Sex\n"
+        "s1 -> [(s1x, 1, P_db response(l3)=8)] response(l3)\n"
+        "s2 -> [(s2x, 1, P_db response(l1)=2)] response(l1)\n")
+    outs = set()
+    for seed in range(4):
+        monkeypatch.setenv("PYTHONHASHSEED", str(seed))
+        done = _cli_process("validate", "--scenario", str(tmp_path / "scenario.json"))
+        assert done.returncode == 1, done.stderr
+        outs.add(done.stdout)
+    (out,) = outs
+    assert out.splitlines()[2:4] == [
+        "INVALID: A: s1: response(l3) at a non-singleton node",
+        "INVALID: A: s2: response(l1) at a non-singleton node",
+    ]
+
+
 @pytest.mark.parametrize("argv", [["analyze"], ["attack", "--attacker", "A"],
                                   ["strategy", "--attacker", "A"]])
 def test_cli_reports_refuse_an_attack_transcript_that_breaks_a_rule(capsys, tmp_path,
@@ -1302,6 +1332,26 @@ def test_epsilon_oracle_outcome_does_not_depend_on_set_order(tmp_path, monkeypat
         assert "numerical cells need an explicit normalizer D" in done.stderr
 
 
+def test_epsilon_oracle_refusal_does_not_depend_on_set_order(tmp_path, monkeypatch):
+    """With Mary in `depts` and a normalizer of 1 on pay's Salary, s1
+    learns (John,7) and (Mary,9), and both R1 joins, (John,7,Phys) and
+    (Mary,9,Chem), are 2 and 4 from the secret (5,Chem): each is refused.
+    The refusal named is the first in the order of the tuples' cells, not
+    the first the tag set happens to iterate."""
+    _salary_scenario(tmp_path, {"normalizer": "1"})
+    _replace_in("depts.csv", "John,Phys\n", "John,Phys\nMary,Chem\n")(tmp_path)
+    _replace_in("scenario.json", '"(John,7)"', '"(John,7)", "(Mary,9)"')(tmp_path)
+    errs = set()
+    for seed in range(8):
+        monkeypatch.setenv("PYTHONHASHSEED", str(seed))
+        done = _cli_process("analyze", "--scenario", str(tmp_path / "scenario.json"),
+                            "--epsilon", "0", "--secret", "pay:l1")
+        assert done.returncode == 2, (seed, done.stdout)
+        errs.add(done.stderr)
+    assert errs == {"error: scenario runs.r.steps[0]: |x - x'| = 2 exceeds the "
+                    "normalizer 1\n"}
+
+
 def test_epsilon_oracle_reads_the_secret_tables_normalizer(tmp_path):
     """With a normalizer declared on pay's Salary, the join (John,7,Phys)
     is measured against the secret (5,Chem) with D = 10, so the run ends in
@@ -1548,6 +1598,8 @@ def test_cells_of_two_loads_compare_equal_and_hash_alike():
     (HOSPITAL, ["validate", "--dltts", "t"], "no explicit system named 't'"),
     (HOSPITAL, ["analyze", "--epsilon", "0", "--secret", "published"],
      "secret reference 'published' is not table:line"),
+    # a secret is resolved even when no --epsilon arms the oracle
+    (HOSPITAL, ["analyze", "--secret", "published:l9"], "table published: no row 'l9'"),
     (lambda tmp_path: _hospital_copy(tmp_path, analysis={"metric": {
         "table": "published", "pairs": [["l4", "l5"]], "modes": ["exact"]}}),
      ["analyze"], "unknown mode 'exact'; expected one of ['integer-set', 'paper-compat']"),
