@@ -7,6 +7,7 @@ violations found); 2 on input or usage errors.
 
 from __future__ import annotations
 
+import gc
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -253,7 +254,11 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main(sys.argv[1:]))
+    # A report makes no reference cycles, so no collection runs; the freeze spares those at exit.
+    gc.disable()
+    code = cli_main(sys.argv[1:])
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ imported when a handler runs, so that a traced run sees the wrapped ones.
 from __future__ import annotations
 
 from .records import InputError
-from .report import Report, emit
+from .report import Report, emit, parse_mode
 from .scenario import Scenario
 
 
@@ -22,7 +22,8 @@ def metric_command(scenario: Scenario, args) -> int:
     if table is None:
         raise InputError("no table given and the scenario names none")
     report = Report(scenario.name)
-    ok = metric_section(scenario, report, table, [tuple(args.pair)], [args.mode])
+    ok = metric_section(scenario, report, table, [tuple(args.pair)],
+                        [parse_mode(args.mode)])
     emit(report.text())
     return 0 if ok else 1
 

@@ -69,6 +69,6 @@ def write_dot(base: str, dltts, name: str = "", names=(), **options) -> None:
     try:
         if len(names) > 1:
             path = path.with_name(f"{path.stem}-{name}{path.suffix}")
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
     except ValueError as exc:  # a name pathlib refuses, or text it cannot encode
         raise InputError(str(exc)) from None

@@ -175,10 +175,10 @@ def located(where: str, parse, *args):
 
 
 def read_text(path) -> str:
-    """The text of the file at `path`; a name the system cannot open (one
-    holding a NUL) or bytes that do not decode raise InputError naming it."""
+    """The text of the file at `path`, read as UTF-8; a name the system cannot
+    open (one holding a NUL) or bytes that do not decode raise InputError naming it."""
     try:
-        return path.read_text()
+        return path.read_text(encoding="utf-8")
     except ValueError as exc:
         raise InputError(f"file {path}: {exc}") from None
 

@@ -371,26 +371,21 @@ def run_scenario(scenario: Scenario, *, oracle: Oracle | None = None) -> Report:
     analysis = scenario.analysis
 
     if "metric" in analysis:
-        from .sections import metric_section
+        from .sections import metric_section, parse_modes
 
         spec = analysis["metric"]
-        metric_section(
-            scenario,
-            report,
-            spec["table"],
-            [tuple(p) for p in spec.get("pairs", [])],
-            spec.get("modes", ["integer-set"]),
-        )
+        metric_section(scenario, report, spec["table"], [tuple(p) for p in spec.get("pairs", [])],
+                       parse_modes("scenario analysis.metric", spec))
 
     for entry in analysis.get("indist", []):
         from .sections import indist_section
 
         indist_section(scenario, report, entry)
 
-    for entry in analysis.get("scaled_indist", []):
+    for i, entry in enumerate(analysis.get("scaled_indist", [])):
         from .sections import scaled_indist_section
 
-        scaled_indist_section(scenario, report, entry)
+        scaled_indist_section(scenario, report, entry, f"scenario analysis.scaled_indist[{i}]")
 
     for run_name in analysis.get("runs", []):
         _run_section(scenario, report, run_name, oracle)

@@ -12,16 +12,24 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .records import InputError
+from .records import InputError, located
 from .report import Report, parse_mode
 
 if TYPE_CHECKING:
     from .scenario import Scenario
 
 
+def parse_modes(where: str, entry: dict) -> list:
+    """The interval measure modes `entry` names, integer-set when it names
+    none; an unknown one is refused naming its place in `where`."""
+    return [located(f"{where}.modes[{i}]", parse_mode, name)
+            for i, name in enumerate(entry.get("modes", ["integer-set"]))]
+
+
 def metric_section(scenario: Scenario, report: Report, table_name: str, pairs,
                    modes) -> bool:
-    """Pairwise distances; returns False when some pair is uncomparable."""
+    """Pairwise distances in each of the interval measure `modes`; returns
+    False when some pair is uncomparable."""
     from .metrics import d_vector, hamming
 
     table = scenario.table(table_name)
@@ -29,8 +37,7 @@ def metric_section(scenario: Scenario, report: Report, table_name: str, pairs,
     for a, b in pairs:
         ra, rb = table.row(a), table.row(b)
         dh = hamming(ra, rb)
-        for mode_name in modes:
-            mode = parse_mode(mode_name)
+        for mode in modes:
             report.add(f"## metric {table_name} {a} {b} ({mode.value})")
             prefix = f"metric/{table_name}/{a}/{b}/{mode.value}"
             try:
@@ -65,19 +72,21 @@ def indist_section(scenario: Scenario, report: Report, entry: dict) -> None:
     report.add()
 
 
-def scaled_indist_section(scenario: Scenario, report: Report, entry: dict) -> None:
+def scaled_indist_section(scenario: Scenario, report: Report, entry: dict,
+                          where: str) -> None:
     """That epsilon scaled by the distance between the two inputs' rows:
-    rho in each named mode, and Hamming when asked."""
+    rho in each named mode, and Hamming when asked.  The entry is at
+    `where` in the scenario."""
     from .indist import min_eps_hamming_indist, min_eps_rho_indist
 
+    modes = parse_modes(where, entry)
     m = scenario.mechanism(entry["mechanism"])
     a, b = entry["pair"]
     table = scenario.table(entry["table"])
     tuples = (table.row(a), table.row(b))
     alpha = entry["alpha"]
     report.add(f"## scaled indistinguishability {entry['mechanism']} {a} {b}")
-    for mode_name in entry.get("modes", ["integer-set"]):
-        rho_mode = parse_mode(mode_name)
+    for rho_mode in modes:
         res = min_eps_rho_indist(m, a, b, alpha, rho_mode, tuples=tuples)
         report.put(f"scaled_indist/{entry['mechanism']}/{a}/{b}/rho/{rho_mode.value}",
                    res, f"rho-scaled min epsilon ({rho_mode.value}) = {res}")

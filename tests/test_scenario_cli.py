@@ -26,7 +26,7 @@ from privtrace.scenario import SCENARIO, build_run, load_scenario, parse_mode, r
 from privtrace.schema import SCHEMA
 from privtrace.values import Taxon
 
-from conftest import SCENARIOS
+from conftest import SCENARIOS, salary_scenario
 from reference import oracle_verdict
 
 HOSPITAL = str(SCENARIOS / "hospital" / "scenario.json")
@@ -1288,41 +1288,13 @@ def test_deep_cyclic_transcript_exits_two(tmp_path):
     assert "attack system has a cycle" in done.stderr
 
 
-def _salary_scenario(tmp_path, pay_salary_extra=(), schema_salary_extra=()) -> None:
-    """State s1 learns (John,7), read under the schema's Salary, and R1
-    joins it to (John,7,Phys); the secrets are names:l1 (John) and pay:l1
-    (5,Chem).  Each `_extra` adds to a Salary column's document."""
-    nominal = {"class": "nominal", "group": "quasi-identifier"}
-    name = {"name": "Name", "class": "nominal", "group": "identifier"}
-    salary = {"name": "Salary", "class": "numerical", "group": "quasi-identifier"}
-    (tmp_path / "schema.json").write_text(json.dumps(
-        {"columns": [name, {**salary, **dict(schema_salary_extra)}]}))
-    for table, text in [("depts", "Name,Dept\nJohn,Phys\n"), ("names", "Name\nJohn\n"),
-                        ("pay", "Salary,Dept\n5,Chem\n")]:
-        (tmp_path / f"{table}.csv").write_text(text)
-    pay_salary = {**salary, **dict(pay_salary_extra)}
-    (tmp_path / "scenario.json").write_text(json.dumps({
-        "name": "order",
-        "schema": "schema.json",
-        "tables": {
-            "depts": {"file": "depts.csv", "columns": [name, {"name": "Dept", **nominal}]},
-            "names": {"file": "names.csv", "columns": [name]},
-            "pay": {"file": "pay.csv", "columns": [pay_salary, {"name": "Dept", **nominal}]},
-        },
-        "externals": ["depts"],
-        "runs": {"r": {"steps": [{"from": "s0", "action": "q", "branches": [
-            {"to": "s1", "prob": "1", "learn": ["(John,7)"]}]}]}},
-        "analysis": {"runs": ["r"]},
-    }))
-
-
 def test_epsilon_oracle_outcome_does_not_depend_on_set_order(tmp_path, monkeypatch):
     """State s1 adds two ground tuples: (John,7) is within epsilon 0 of the
     secret (John), and its R1 join (John,7,Phys) pairs a numerical cell with
     the secret (5,Chem), whose table declares no normalizer.  The oracle
     measures every added tuple, so the run exits 2 under every hash seed,
     not only when its tag set happens to iterate the join first."""
-    _salary_scenario(tmp_path)
+    salary_scenario(tmp_path)
     for seed in range(8):
         monkeypatch.setenv("PYTHONHASHSEED", str(seed))
         done = _cli_process("analyze", "--scenario", str(tmp_path / "scenario.json"),
@@ -1338,7 +1310,7 @@ def test_epsilon_oracle_refusal_does_not_depend_on_set_order(tmp_path, monkeypat
     (Mary,9,Chem), are 2 and 4 from the secret (5,Chem): each is refused.
     The refusal named is the first in the order of the tuples' cells, not
     the first the tag set happens to iterate."""
-    _salary_scenario(tmp_path, {"normalizer": "1"})
+    salary_scenario(tmp_path, {"normalizer": "1"})
     _replace_in("depts.csv", "John,Phys\n", "John,Phys\nMary,Chem\n")(tmp_path)
     _replace_in("scenario.json", '"(John,7)"', '"(John,7)", "(Mary,9)"')(tmp_path)
     errs = set()
@@ -1356,7 +1328,7 @@ def test_epsilon_oracle_reads_the_secret_tables_normalizer(tmp_path):
     """With a normalizer declared on pay's Salary, the join (John,7,Phys)
     is measured against the secret (5,Chem) with D = 10, so the run ends in
     a report: s1 is an epsilon violation through the secret (John)."""
-    _salary_scenario(tmp_path, {"normalizer": "10"})
+    salary_scenario(tmp_path, {"normalizer": "10"})
     done = _cli_process("analyze", "--scenario", str(tmp_path / "scenario.json"),
                         "--epsilon", "0", "--secret", "names:l1",
                         "--secret", "pay:l1")
@@ -1368,7 +1340,7 @@ def test_epsilon_oracle_reads_no_normalizer_from_the_knowledge_side(tmp_path):
     """D is the secret's: with a normalizer on the schema's Salary, which
     the learned (John,7) is read under, and none on pay's Salary, the join
     (John,7,Phys) still has no D against the secret (5,Chem)."""
-    _salary_scenario(tmp_path, schema_salary_extra={"normalizer": "10"})
+    salary_scenario(tmp_path, schema_salary_extra={"normalizer": "10"})
     done = _cli_process("analyze", "--scenario", str(tmp_path / "scenario.json"),
                         "--epsilon", "0", "--secret", "names:l1",
                         "--secret", "pay:l1")
@@ -1602,12 +1574,29 @@ def test_cells_of_two_loads_compare_equal_and_hash_alike():
     (HOSPITAL, ["analyze", "--secret", "published:l9"], "table published: no row 'l9'"),
     (lambda tmp_path: _hospital_copy(tmp_path, analysis={"metric": {
         "table": "published", "pairs": [["l4", "l5"]], "modes": ["exact"]}}),
-     ["analyze"], "unknown mode 'exact'; expected one of ['integer-set', 'paper-compat']"),
+     ["analyze"], "scenario analysis.metric.modes[0]: unknown mode 'exact'; "
+     "expected one of ['integer-set', 'paper-compat']"),
+    # every mode is checked before any pair is measured, or when there is none
+    (lambda tmp_path: _hospital_copy(tmp_path, analysis={"metric": {
+        "table": "published", "pairs": [], "modes": ["bogus"]}}),
+     ["analyze"], "scenario analysis.metric.modes[0]: unknown mode 'bogus'; "
+     "expected one of ['integer-set', 'paper-compat']"),
+    (lambda tmp_path: _hospital_copy(tmp_path, analysis={"metric": {
+        "table": "published", "pairs": [["l4", "l9"]], "modes": ["integer-set", "bogus"]}}),
+     ["analyze"], "scenario analysis.metric.modes[1]: unknown mode 'bogus'; "
+     "expected one of ['integer-set', 'paper-compat']"),
+    (lambda tmp_path: _hospital_copy(tmp_path, analysis={"scaled_indist": [{
+        "mechanism": "viral_query", "pair": ["l4", "l9"], "alpha": "Viral-Infection",
+        "table": "published", "modes": ["bogus"]}]}),
+     ["analyze"], "scenario analysis.scaled_indist[0].modes[0]: unknown mode 'bogus'; "
+     "expected one of ['integer-set', 'paper-compat']"),
 ])
 def test_cli_names_what_it_cannot_find(tmp_path, capsys, scenario, argv, message):
     """A command that names no table, system or export target, or a
     transcript, profile, mechanism, secret row or interval mode the
-    scenario does not hold, exits 2 with one line saying so."""
+    scenario does not hold, exits 2 with one line saying so.  A `metric`
+    or `scaled_indist` entry's modes are named by place, and before its
+    rows."""
     path = scenario if isinstance(scenario, str) else scenario(tmp_path)
     assert cli_main([*argv, "--scenario", path]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -1653,6 +1642,26 @@ def test_cli_a_file_that_is_not_text_is_named(tmp_path, scenario, bad, argv):
     assert done.stderr.startswith(f"error: file {tmp_path / name}: ")
     assert "can't decode byte 0xff" in done.stderr
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
+def test_cli_reads_and_draws_utf8_under_any_locale(tmp_path, monkeypatch):
+    """Inputs are read and DOT files written as UTF-8, the encoding JSON
+    requires, not in the locale's.  The hospital transcript's δ once made
+    `analyze` exit 2 under the C locale with neither UTF-8 mode nor locale
+    coercion; its report and its run's drawing are now those of UTF-8 mode."""
+    outputs = []
+    for env in ({"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+                {"PYTHONUTF8": "1"}):
+        for name, value in {"PYTHONIOENCODING": "utf-8", **env}.items():
+            monkeypatch.setenv(name, value)
+        dot = tmp_path / f"{len(outputs)}.dot"
+        report = _cli_process("analyze", "--scenario", HOSPITAL)
+        drawn = _cli_process("export-dot", "--scenario", HOSPITAL, "--run", "trace",
+                             "--dot", str(dot))
+        assert (report.returncode, report.stderr, drawn.returncode) == (0, "", 0)
+        outputs.append((report.stdout, dot.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert '"s6" -> "STOP" [label="δ / 1"]' in outputs[0][1].decode("utf-8")
 
 
 @pytest.mark.parametrize("old, new, message", [
